@@ -434,11 +434,6 @@ let serve_cmd =
           | Some b -> b
           | None ->
               Twine_serve.Serve.default_config.Twine_serve.Serve.backoff_ns);
-        backoff_cap_ns =
-          (match backoff with
-          | Some b -> b * 50
-          | None ->
-              Twine_serve.Serve.default_config.Twine_serve.Serve.backoff_cap_ns);
         shed_depth;
         hedge;
       }

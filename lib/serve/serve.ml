@@ -16,28 +16,18 @@
    inside the batch nests for free (nested ECALLs charge nothing), which
    is what makes the amortisation visible in [sgx.transition.ecall].
 
-   -- per-request attribution --
-
-   Every arrival carries a request id (its index in the workload). While
-   a request is being served, a {!Twine_obs.Ledger} tap routes EVERY
-   booking into that request's cycle breakdown; bookings raised inside a
-   batch but outside any single request (the batch's entry/exit ECALL
-   crossings) accumulate per account and are split across the batch's
-   requests (equal integer shares, remainder to the first request);
-   bookings outside any batch (scheduler idle) land in a phase-level
-   bucket. Because the clock only advances through [Machine.charge] and
-   every charge hits the tap exactly once, the slices satisfy a
-   structural conservation law with NO residue:
-
-     sum over requests of attributed_ns  +  unattributed_ns (idle)
-       =  serving-phase booked total  =  serving-phase elapsed time
-
-   and per request: latency = queue wait + own service time, where the
-   service time equals the request's direct (pre-overhead-share)
-   attribution exactly. *)
+   The run is three parts, each readable on its own:
+   - attribution owns the ledger tap, the EPC refault hook and the
+     conservation law;
+   - the scheduler core owns the arrival and timer queues, the per-slot
+     workers, admission, retry/backoff, hedging and failover;
+   - [complete] is the one path every outcome leaves through: the only
+     place that counts outcomes, keeps the request log, feeds the
+     latency histogram and the windowed series. *)
 
 open Twine_sgx
 open Twine_sqldb
+open Twine_obs
 
 type config = {
   enclaves : int;
@@ -54,13 +44,12 @@ type config = {
   wasm_factor : float;
       (* pinned, never wall-clock calibrated: reproducibility first *)
   ns_per_work : float;
-  trace_requests : bool;
   sample_every_ns : int;  (* virtual-time metrics sampling period; 0 = off *)
   retain_requests : bool;
       (* keep the per-request log (blame, exact percentiles); --stream
          turns it off and the run holds O(windows + sketch) memory *)
   window_ns : int;  (* tumbling-window period when no SLO supplies one *)
-  slo : Twine_obs.Slo.spec option;
+  slo : Slo.spec option;
   (* -- failure-domain layer -- *)
   chaos : Twine_sim.Chaos.spec option;
       (* seeded fault schedule armed for the serving phase only; windows
@@ -68,12 +57,8 @@ type config = {
   deadline_ns : int;  (* client gives up this long after arrival; 0 = off *)
   retries : int;  (* requeues allowed per request after a failed batch *)
   backoff_ns : int;  (* retry backoff base; attempt k waits base * 2^(k-1) *)
-  backoff_cap_ns : int;  (* exponential backoff cap (before jitter) *)
   hedge : bool;  (* retries go to the least-loaded enclave, not home *)
   shed_depth : int;  (* admission control: shed when a queue is this deep *)
-  shed_refaults : int;
-      (* shed when cross-enclave refaults within the current window reach
-         this count — the EPC-pressure trigger; 0 = off *)
 }
 
 let default_config =
@@ -91,7 +76,6 @@ let default_config =
     mix = Workload.default_mix;
     wasm_factor = 2.5;
     ns_per_work = 60.;
-    trace_requests = true;
     sample_every_ns = 1_000_000;
     retain_requests = true;
     window_ns = 50_000_000;
@@ -100,11 +84,12 @@ let default_config =
     deadline_ns = 0;
     retries = 2;
     backoff_ns = 100_000;
-    backoff_cap_ns = 5_000_000;
     hedge = false;
     shed_depth = 0;
-    shed_refaults = 0;
   }
+
+(* The exponential backoff stops doubling at this multiple of the base. *)
+let backoff_cap_factor = 50
 
 (* Failover orchestration costs (virtual ns, pinned): the host-side work
    of detecting an aborted enclave, EREMOVE-ing its pages, relaunching a
@@ -139,10 +124,6 @@ type breakdown = {
   mutable other_ns : int;  (* everything else (alloc, ipfs.io, ...) *)
 }
 
-let zero_breakdown () =
-  { transition_ns = 0; exec_ns = 0; pager_ns = 0; epc_fault_ns = 0;
-    epc_evict_ns = 0; crypto_ns = 0; other_ns = 0 }
-
 let credit b account ns =
   if account = "serve.exec" then b.exec_ns <- b.exec_ns + ns
   else if account = "serve.pager" then b.pager_ns <- b.pager_ns + ns
@@ -166,7 +147,7 @@ let breakdown_total b =
    loop's completion counter is total over outcomes. *)
 type outcome =
   | Served
-  | Shed  (* fast-failed at admission (queue depth / EPC pressure) *)
+  | Shed  (* fast-failed at admission (queue depth) *)
   | Timed_out  (* client deadline passed while queued or backing off *)
   | Failed  (* retry budget exhausted after enclave faults *)
 
@@ -192,6 +173,25 @@ type request = {
       (* evictor enclave -> cross-enclave refaults this request paid for,
          sorted by enclave id once the request completes *)
 }
+
+(* A record starts (and a fast-fail ends) at [start_ns]; service moves
+   [finish_ns] on. *)
+let new_request ~rid ~eid ~req ~at ~start outcome ~attempts ~retry_wait =
+  {
+    rid;
+    enclave = eid;
+    kind = Workload.req_name req;
+    arrival_ns = at;
+    start_ns = start;
+    finish_ns = start;
+    outcome;
+    attempts;
+    retry_wait_ns = retry_wait;
+    breakdown =
+      { transition_ns = 0; exec_ns = 0; pager_ns = 0; epc_fault_ns = 0;
+        epc_evict_ns = 0; crypto_ns = 0; other_ns = 0 };
+    interference = [];
+  }
 
 let latency_ns r = r.finish_ns - r.arrival_ns
 let queue_ns r = r.start_ns - r.arrival_ns
@@ -220,6 +220,7 @@ type stats = {
   epc_resident_pages : int;
   evictions_by_enclave : (int * int) list;
       (* (enclave id, times one of its pages was the victim) *)
+  retired_enclaves : int list;  (* replaced by failover, ascending *)
   (* per-request attribution *)
   requests_log : request array;  (* indexed by rid *)
   attributed_ns : int;  (* sum over requests of their cycle slices *)
@@ -251,17 +252,17 @@ type stats = {
   retained : bool;  (* requests_log populated? false under --stream *)
   t0_ns : int;  (* serving-phase start: window 0 opens here *)
   window_ns : int;  (* effective tumbling-window period *)
-  series : Twine_obs.Timeseries.t;
-  windows : Twine_obs.Timeseries.window list;  (* fleet track, ascending *)
-  sketch : Twine_obs.Sketch.t;  (* merge of per-window fleet sketches *)
+  series : Timeseries.t;
+  windows : Timeseries.window list;  (* fleet track, ascending *)
+  sketch : Sketch.t;  (* merge of per-window fleet sketches *)
   sketch_p50_ns : int;
   sketch_p99_ns : int;
-  slo : (Twine_obs.Slo.spec * Twine_obs.Slo.eval) option;
+  slo : (Slo.spec * Slo.eval) option;
   (* query-stats registry: per-enclave and fleet-merged; populated on
      the shared serving path, so identical in retained and --stream *)
   sqlstats_by_enclave : (int * Sqlstat.t) list;  (* eid ascending *)
   sqlstats_fleet : Sqlstat.t;
-  ledger : Twine_obs.Ledger.snapshot;
+  ledger : Ledger.snapshot;
   machine : Machine.t;
 }
 
@@ -278,12 +279,14 @@ type worker = {
   sqlstats : Sqlstat.t;  (* per-enclave query-stats registry *)
 }
 
+(* Built by concatenation, not [Printf]: this runs once per request. *)
 let sql_of_req = function
-  | Workload.Kv_get k -> Printf.sprintf "SELECT v FROM kv WHERE k = %d" k
-  | Workload.Sql_point k -> Printf.sprintf "SELECT b, c FROM t WHERE a = %d" k
+  | Workload.Kv_get k -> "SELECT v FROM kv WHERE k = " ^ string_of_int k
+  | Workload.Sql_point k -> "SELECT b, c FROM t WHERE a = " ^ string_of_int k
   | Workload.Sql_range (lo, span) ->
-      Printf.sprintf "SELECT count(*), sum(b) FROM t WHERE a >= %d AND a < %d"
-        lo (lo + span)
+      String.concat ""
+        [ "SELECT count(*), sum(b) FROM t WHERE a >= "; string_of_int lo;
+          " AND a < "; string_of_int (lo + span) ]
 
 let value_bytes = function
   | Value.Null -> 4
@@ -295,7 +298,7 @@ let response_bytes (r : Db.result) =
     (fun acc row -> List.fold_left (fun a v -> a + value_bytes v) acc row)
     0 r.Db.rows
 
-(* Exact percentile (nearest-rank) over the sorted latency array. *)
+(* Exact percentile (nearest-rank) over a sorted array. *)
 let percentile sorted q =
   let n = Array.length sorted in
   if n = 0 then 0
@@ -303,8 +306,11 @@ let percentile sorted q =
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
 
-(* Request spans render on one Perfetto track per enclave. *)
+(* Request spans render on one Perfetto track per enclave; the windowed
+   series keys the same enclave by its track name. *)
 let request_track eid = 100 + eid
+let fleet_track = "fleet"
+let track_of_eid eid = "e" ^ string_of_int eid
 
 (* [backing] is the slot's untrusted persistent store: it survives the
    enclave, so a replacement worker created with the same backing
@@ -384,9 +390,119 @@ let components r =
     ("crypto", r.breakdown.crypto_ns);
     ("other", r.breakdown.other_ns) ]
 
-(* Scheduler-side state for an admitted, not-yet-completed request.
-   Exists from admission to completion (any outcome), so the table is
-   bounded by the backlog, not by n. *)
+let bump_assoc l key d =
+  let rec go = function
+    | [] -> [ (key, d) ]
+    | (k, v) :: rest when k = key -> (k, v + d) :: rest
+    | kv :: rest -> kv :: go rest
+  in
+  go l
+
+(* === Attribution ===
+
+   While a request is being served, the ledger tap routes EVERY booking
+   into that request's cycle breakdown. A booking with no request live
+   belongs to the current phase: scheduler idle, the shared overhead of
+   the batch in flight (its entry/exit crossings, split across the
+   batch's requests when it commits), or the failure domain. Because the
+   clock only advances through [Machine.charge] and every charge hits
+   the tap exactly once, the slices satisfy a structural conservation
+   law with NO residue:
+
+     sum over requests of attributed_ns + idle + failover
+       =  serving-phase booked total  =  serving-phase elapsed time
+
+   and per request: latency = queue wait + own service time, where the
+   service time equals the request's direct (pre-overhead-share)
+   attribution exactly. *)
+
+type phase = Idle | Batch | Failover
+
+type attribution = {
+  mutable phase : phase;
+  mutable serving : request option;  (* the request being served *)
+  overhead : (string, int) Hashtbl.t;  (* the batch's shared bookings *)
+  mutable attributed : int;
+      (* credited to requests as it lands (tap + overhead shares): a
+         streaming run has no request log to fold at the end *)
+  mutable idle : int;
+  mutable failover : int;
+  mutable by_evictor : (int * int) list;  (* cross-enclave refaults *)
+}
+
+let book a account ns =
+  match a.serving with
+  | Some r ->
+      credit r.breakdown account ns;
+      a.attributed <- a.attributed + ns
+  | None -> (
+      match a.phase with
+      | Idle -> a.idle <- a.idle + ns
+      | Failover -> a.failover <- a.failover + ns
+      | Batch ->
+          Hashtbl.replace a.overhead account
+            (ns + Option.value ~default:0 (Hashtbl.find_opt a.overhead account)))
+
+(* Cross-enclave eviction provenance lands on the live request. *)
+let refault a ~owner:_ ~evictor =
+  match a.serving with
+  | Some r ->
+      r.interference <- bump_assoc r.interference evictor 1;
+      a.by_evictor <- bump_assoc a.by_evictor evictor 1
+  | None -> ()
+
+let attach machine =
+  let a =
+    { phase = Idle; serving = None; overhead = Hashtbl.create 8; attributed = 0;
+      idle = 0; failover = 0; by_evictor = [] }
+  in
+  Ledger.set_tap (Machine.ledger machine) (Some (book a));
+  Epc.set_refault_hook machine.Machine.epc (Some (refault a));
+  a
+
+let detach machine =
+  Ledger.set_tap (Machine.ledger machine) None;
+  Epc.set_refault_hook machine.Machine.epc None
+
+(* A committed batch: split each overhead account evenly over the
+   requests it served, remainder to the first, so the split is exact in
+   integers. *)
+let share_overhead a served =
+  let k = List.length served in
+  if k > 0 then
+    Hashtbl.iter
+      (fun account ns ->
+        let per = ns / k and rem = ns mod k in
+        List.iteri
+          (fun j r ->
+            let share = per + if j = 0 then rem else 0 in
+            credit r.breakdown account share;
+            a.attributed <- a.attributed + share)
+          served)
+      a.overhead;
+  Hashtbl.reset a.overhead
+
+(* A lost batch: the partial slices of the request in flight when the
+   fault hit, plus the batch's overhead, are wasted work. Moving them to
+   the failure domain keeps the law exact. Requests served before the
+   fault keep their slices but get no overhead share. *)
+let salvage a =
+  (match a.serving with
+  | Some r ->
+      let t = breakdown_total r.breakdown in
+      a.attributed <- a.attributed - t;
+      a.failover <- a.failover + t;
+      a.serving <- None
+  | None -> ());
+  a.failover <- a.failover + Hashtbl.fold (fun _ ns acc -> acc + ns) a.overhead 0;
+  Hashtbl.reset a.overhead
+
+let residue a ~booked = booked - a.attributed - a.idle - a.failover
+
+(* === The scheduler core === *)
+
+(* Scheduler-side state for an admitted request whose outcome is not yet
+   decided, so the table is bounded by the backlog, not by n. *)
 type rstate = {
   s_home : int;  (* home fleet slot (workload's enclave choice) *)
   mutable s_slot : int;  (* slot whose queue currently holds it *)
@@ -396,39 +512,555 @@ type rstate = {
   mutable s_queued : bool;
       (* physically in a worker queue; false while dispatched in a batch
          or waiting out a backoff *)
-  s_arrival : int;  (* arrival ns (for deadline-expiry records) *)
+  s_arrival : int;
   s_req : Workload.req;
 }
 
-let bump_assoc l key d =
-  let rec go = function
-    | [] -> [ (key, d) ]
-    | (k, v) :: rest when k = key -> (k, v + d) :: rest
-    | kv :: rest -> kv :: go rest
+(* Client deadlines and retry requeues, on the arrivals' clock. *)
+type timer = Deadline of int | Requeue of int * int * Workload.req
+
+type fleet = {
+  cfg : config;
+  machine : Machine.t;
+  obs : Obs.t;
+  tracer : Trace.t option;
+  attr : attribution;
+  t0 : int;
+  backings : Twine_ipfs.Backing.t array;
+      (* one untrusted store per slot: it outlives any enclave serving
+         the slot, so failover relaunches into the same durable state *)
+  workers : worker array;  (* by slot; failover replaces in place *)
+  evict0 : int array;  (* each slot's eviction count when it launched *)
+  mutable retired : int list;
+  arrivals : (int * int * Workload.req) Twine_sim.Eventq.t;
+      (* (rid, home slot, request), fed lazily from the workload *)
+  next_arrival : unit -> Workload.arrival option;
+  mutable lookahead : Workload.arrival option;
+  timers : timer Twine_sim.Eventq.t;
+  rstate : (int, rstate) Hashtbl.t;
+  jitter : Twine_crypto.Drbg.t;
+  mutable pending : int;  (* live queued requests, fleet-wide *)
+  mutable rr : int;
+  mutable batches : int;
+  mutable recoveries : int list;
+  mutable samples : int;
+  mutable next_sample : int;
+  (* the completion path's books *)
+  series : Timeseries.t;
+  log : request option array;  (* by rid; empty under --stream *)
+  completed : int ref;
+}
+
+let now f = Machine.now_ns f.machine
+
+(* === The completion path ===
+
+   Every admitted rid leaves through [complete] exactly once, whatever
+   its outcome. [rs] completed together — a batch's served requests, or
+   one fast-fail — and all of them are counted before any is windowed,
+   so a window that closes mid-fold probes the batch's full count. Only
+   served requests are windowed: the fleet track's sketch therefore
+   holds the exact served count, latency sum and maximum. *)
+let complete f rs =
+  List.iter
+    (fun r ->
+      if f.cfg.retain_requests then f.log.(r.rid) <- Some r;
+      incr f.completed;
+      match r.outcome with
+      | Served ->
+          Obs.observe ~exemplar:r.rid f.obs "serve.latency_ns" (latency_ns r)
+      | o ->
+          let name = "serve." ^ outcome_name o in
+          Obs.inc f.obs name;
+          Obs.emit f.obs ~cat:"serve"
+            ~args:[ ("rid", r.rid); ("enclave", r.enclave); ("lat_ns", latency_ns r) ]
+            name)
+    rs;
+  List.iter
+    (fun r ->
+      if r.outcome = Served then begin
+        let comps = components r and lat = latency_ns r in
+        Timeseries.record f.series ~now:r.finish_ns ~track:fleet_track
+          ~latency_ns:lat ~comps ();
+        Timeseries.record f.series ~now:r.finish_ns
+          ~track:(track_of_eid r.enclave) ~latency_ns:lat ~comps ()
+      end)
+    rs
+
+(* The outcome is decided: revoke the deadline, drop scheduler state. *)
+let retire f rid st =
+  (match st.s_deadline with
+  | Some id -> Twine_sim.Eventq.cancel f.timers id
+  | None -> ());
+  Hashtbl.remove f.rstate rid
+
+(* Completion without service: shed at admission, client deadline
+   expiry, or retry-budget exhaustion. The record books nothing: any
+   wasted work was already moved to the failure domain. *)
+let fail_fast f outcome ~eid ?st rid at req =
+  let attempts, retry_wait =
+    match st with
+    | None -> (0, 0)
+    | Some st ->
+        retire f rid st;
+        ((st.s_requeues + if outcome = Failed then 1 else 0), st.s_retry_wait)
   in
-  go l
+  complete f [ new_request ~rid ~eid ~req ~at ~start:(now f) outcome ~attempts ~retry_wait ]
+
+(* Request and operator spans ride the enclave's request track; no-ops
+   without an attached recorder. *)
+let span f phase ~cat ~eid ~rid name =
+  match f.tracer with
+  | None -> ()
+  | Some tr -> (
+      let tid = ("tid", request_track eid) in
+      match phase with
+      | `Begin -> Trace.begin_span tr ~cat ~args:[ tid; ("rid", rid) ] name
+      | `End -> Trace.end_span tr ~cat ~args:[ tid ] name)
+
+let work_ns cfg work =
+  int_of_float (Float.round (float_of_int work *. cfg.ns_per_work *. cfg.wasm_factor))
+
+let charge f account ns = Machine.charge f.machine ~account "serve.sql" ns
+
+(* Per-operator attribution: the statement's exec booking is sliced
+   across its operator tree (plus profiling overhead) in proportion to
+   self-work. Slices sum exactly to [exec_ns] and land on the same
+   account, so the books are byte-identical to one single charge. *)
+let charge_exec f w ~rid exec_ns =
+  let shares =
+    List.concat_map
+      (fun (p : Db.profile) ->
+        List.map (fun (o : Db.opstat) -> (o.Db.os_name, o.Db.os_work)) p.Db.pr_ops
+        @ [ ("overhead", p.Db.pr_overhead_work) ])
+      (Db.profiles w.db)
+  in
+  match shares with
+  | [] -> charge f "serve.exec" exec_ns
+  | _ ->
+      let slices = Db.slice_ns ~total_ns:exec_ns (List.map snd shares) in
+      List.iter2
+        (fun (name, _) ns ->
+          if ns > 0 then begin
+            let op = "sql." ^ name in
+            span f `Begin ~cat:"sqldb" ~eid:w.eid ~rid op;
+            charge f "serve.exec" ns;
+            span f `End ~cat:"sqldb" ~eid:w.eid ~rid op
+          end)
+        shares slices
+
+(* Serve one queued request inside its batch's ECALL. The request's
+   outcome is decided once it finishes; it completes when the batch
+   does (after any overhead shares land). *)
+let serve_one f w e (rid, at, req) =
+  let st = Hashtbl.find f.rstate rid in
+  let r =
+    new_request ~rid ~eid:w.eid ~req ~at ~start:(now f) Served
+      ~attempts:(st.s_requeues + 1) ~retry_wait:st.s_retry_wait
+  in
+  span f `Begin ~cat:"serve" ~eid:w.eid ~rid r.kind;
+  f.attr.serving <- Some r;
+  let sql = sql_of_req req in
+  Enclave.copy_in e ~label:"serve.req" (String.length sql);
+  Db.reset_work w.db;
+  let pr0, pw0, _ = Pager.stats (Db.pager w.db) in
+  let res = Db.exec w.db sql in
+  let pr1, pw1, _ = Pager.stats (Db.pager w.db) in
+  let work = Db.work w.db in
+  let exec_ns = work_ns f.cfg work in
+  charge_exec f w ~rid exec_ns;
+  let pager_units = !(w.pager_work) in
+  let pager_ns = work_ns f.cfg pager_units in
+  if pager_units > 0 then begin
+    charge f "serve.pager" pager_ns;
+    w.pager_work := 0
+  end;
+  Enclave.copy_out e ~label:"serve.resp" (response_bytes res);
+  f.attr.serving <- None;
+  r.finish_ns <- now f;
+  r.interference <- List.sort compare r.interference;
+  span f `End ~cat:"serve" ~eid:w.eid ~rid r.kind;
+  let lat = latency_ns r in
+  (* recorded on the shared serving path, so retained and --stream runs
+     accumulate identical registries *)
+  Sqlstat.record w.sqlstats ~label:r.kind ~fingerprint:(Sqlstat.fingerprint sql)
+    ~rows:(List.length res.Db.rows) ~work ~reads:(pr1 - pr0) ~writes:(pw1 - pw0)
+    ~exec_ns ~pager_ns ~latency_ns:lat ();
+  retire f rid st;
+  Obs.emit f.obs ~cat:"serve"
+    ~args:[ ("rid", rid); ("enclave", w.eid); ("lat_ns", lat) ]
+    "serve.req";
+  r
+
+(* Push every arrival due by [now] in rid order, so FIFO tie-breaks
+   match a materialise-everything-upfront schedule while the queue
+   itself stays O(backlog). Workload times are relative to [t0]. *)
+let rec refill f now =
+  match f.lookahead with
+  | Some a when f.t0 + a.Workload.at <= now ->
+      Twine_sim.Eventq.add f.arrivals ~at:(f.t0 + a.Workload.at)
+        (a.Workload.rid, a.Workload.enclave, a.Workload.req);
+      f.lookahead <- f.next_arrival ();
+      refill f now
+  | _ -> ()
+
+let enqueue f slot item st =
+  let w = f.workers.(slot) in
+  Queue.add item w.queue;
+  st.s_queued <- true;
+  st.s_slot <- slot;
+  w.live <- w.live + 1;
+  if w.live > w.depth_hwm then w.depth_hwm <- w.live;
+  f.pending <- f.pending + 1
+
+let least_loaded f =
+  let best = ref 0 in
+  Array.iteri (fun i w -> if w.live < f.workers.(!best).live then best := i) f.workers;
+  !best
+
+(* Admission control sheds before spending anything on the request. *)
+let admit f ~at (rid, slot, req) =
+  let w = f.workers.(slot) in
+  if f.cfg.shed_depth > 0 && w.live >= f.cfg.shed_depth then
+    fail_fast f Shed ~eid:w.eid rid at req
+  else begin
+    let st =
+      { s_home = slot; s_slot = slot; s_requeues = 0; s_retry_wait = 0;
+        s_deadline = None; s_queued = false; s_arrival = at; s_req = req }
+    in
+    Hashtbl.replace f.rstate rid st;
+    if f.cfg.deadline_ns > 0 then
+      st.s_deadline <-
+        Some
+          (Twine_sim.Eventq.schedule f.timers ~at:(at + f.cfg.deadline_ns)
+             (Deadline rid));
+    enqueue f slot (rid, at, req) st
+  end
+
+let on_timer f ~at:_ = function
+  | Deadline rid -> (
+      match Hashtbl.find_opt f.rstate rid with
+      | None -> ()
+      | Some st ->
+          (* the client gave up: while queued (tombstone the entry) or
+             while waiting out a retry backoff *)
+          let w = f.workers.(st.s_slot) in
+          if st.s_queued then begin
+            w.live <- w.live - 1;
+            f.pending <- f.pending - 1;
+            st.s_queued <- false
+          end;
+          fail_fast f Timed_out ~eid:w.eid ~st rid st.s_arrival st.s_req)
+  | Requeue (rid, at, req) -> (
+      match Hashtbl.find_opt f.rstate rid with
+      | None -> ()  (* timed out while backing off *)
+      | Some st ->
+          let slot = if f.cfg.hedge then least_loaded f else st.s_home in
+          enqueue f slot (rid, at, req) st)
+
+let drain f =
+  let now = now f in
+  refill f now;
+  Twine_sim.Eventq.drain_until f.arrivals ~now (admit f);
+  Twine_sim.Eventq.drain_until f.timers ~now (on_timer f)
+
+(* Capped exponential backoff with deterministic DRBG jitter (up to
+   +25%), identical across replays and modes. *)
+let backoff f st =
+  let base = f.cfg.backoff_ns in
+  if base <= 0 then 0
+  else
+    let b = min (backoff_cap_factor * base) (base * (1 lsl min 20 (st.s_requeues - 1))) in
+    b + if b >= 4 then Twine_crypto.Drbg.int_below f.jitter (b / 4) else 0
+
+(* The unfinished requests of a lost batch retry after a backoff, or
+   fail once their budget is spent. Requests served before the fault
+   were already retired, so they have no scheduler state left. *)
+let requeue_unfinished f ~eid batch =
+  List.iter
+    (fun (rid, at, req) ->
+      match Hashtbl.find_opt f.rstate rid with
+      | None -> ()
+      | Some st when st.s_requeues >= f.cfg.retries ->
+          fail_fast f Failed ~eid ~st rid at req
+      | Some st ->
+          st.s_requeues <- st.s_requeues + 1;
+          Obs.inc f.obs "serve.retry";
+          let b = backoff f st in
+          st.s_retry_wait <- st.s_retry_wait + b;
+          ignore
+            (Twine_sim.Eventq.schedule f.timers ~at:(now f + b) (Requeue (rid, at, req))))
+    batch
+
+(* The enclave is lost: EREMOVE it (releasing its EPC pages and purging
+   its eviction provenance; its Db handle dies with it) and relaunch a
+   replacement that recovers the slot's durable state from the backing.
+   Arrivals queued behind the crash migrate to the replacement. *)
+let relaunch f slot w =
+  let epc = f.machine.Machine.epc in
+  let step account ns = Machine.charge f.machine ~account "serve.failover" ns in
+  Obs.inc f.obs "serve.failover";
+  let start = now f in
+  step "serve.failover.detect" failover_detect_ns;
+  step "serve.failover.teardown"
+    (failover_teardown_base_ns + (Epc.resident_of epc w.eid * failover_teardown_page_ns));
+  Twine.Runtime.destroy w.rt;
+  step "serve.failover.relaunch" failover_relaunch_ns;
+  let w' = make_worker f.cfg f.machine ~backing:f.backings.(slot) ~sqlstats:w.sqlstats () in
+  step "serve.failover.recover" failover_recover_ns;
+  Queue.transfer w.queue w'.queue;
+  w'.live <- w.live;
+  w'.depth_hwm <- w.depth_hwm;
+  f.workers.(slot) <- w';
+  f.evict0.(slot) <- Epc.evictions_of epc w'.eid;
+  f.retired <- w.eid :: f.retired;
+  let dur = now f - start in
+  f.recoveries <- dur :: f.recoveries;
+  Obs.observe f.obs "serve.failover_ns" dur
+
+(* A batch's ECALL failed. [`Transient]: the enclave is healthy and only
+   the batch is lost; [`Lost]: the enclave is gone. Either way the
+   failure domain books the cost and the unfinished requests retry. *)
+let fail_batch f slot w batch err =
+  salvage f.attr;
+  f.attr.phase <- Failover;
+  (match err with
+  | `Transient _ ->
+      Machine.charge f.machine ~account:"serve.failover.detect" "serve.failover"
+        failover_detect_ns
+  | `Lost _ -> relaunch f slot w);
+  f.attr.phase <- Idle;
+  requeue_unfinished f ~eid:w.eid batch
+
+(* Virtual-time sampler: per-enclave counter series, sample-and-hold
+   (one sample per crossed boundary batch). *)
+let sample f =
+  let period = f.cfg.sample_every_ns in
+  let now = now f in
+  if period > 0 && now >= f.next_sample then begin
+    f.samples <- f.samples + 1;
+    if Option.is_some f.tracer then begin
+      let per g = Array.to_list (Array.map (fun w -> (track_of_eid w.eid, g w)) f.workers) in
+      Obs.emit_counter f.obs ~cat:"serve" "serve.queue_depth" (per (fun w -> w.live));
+      Obs.emit_counter f.obs ~cat:"serve" "serve.epc_resident"
+        (per (fun w -> Epc.resident_of f.machine.Machine.epc w.eid));
+      Obs.emit_counter f.obs ~cat:"serve" "serve.completed"
+        [ ("requests", !(f.completed)) ]
+    end;
+    f.next_sample <- now - ((now - f.t0) mod period) + period
+  end
+
+(* Nothing runnable: the simulated core sleeps until the next event —
+   an arrival (queued or the stream's lookahead), a client deadline or
+   a retry requeue — booked, so the audit still balances to elapsed. *)
+let sleep f =
+  let earliest a b =
+    match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (min x y)
+  in
+  match
+    earliest
+      (Twine_sim.Eventq.peek_time f.arrivals)
+      (earliest
+         (Option.map (fun a -> f.t0 + a.Workload.at) f.lookahead)
+         (Twine_sim.Eventq.peek_time f.timers))
+  with
+  | Some t -> Machine.charge f.machine ~account:"serve.idle" "serve.idle" (t - now f)
+  | None -> assert false (* requests remain, so events remain *)
+
+(* Pop up to [nleft] LIVE entries, skipping tombstones of requests that
+   timed out while queued. *)
+let rec take_batch f w nleft acc =
+  if nleft = 0 || w.live = 0 then List.rev acc
+  else
+    let ((rid, _, _) as item) = Queue.pop w.queue in
+    match Hashtbl.find_opt f.rstate rid with
+    | Some st when st.s_queued ->
+        st.s_queued <- false;
+        w.live <- w.live - 1;
+        take_batch f w (nleft - 1) (item :: acc)
+    | _ -> take_batch f w nleft acc
+
+(* Round-robin to the next slot with live work, lift up to [batch] of
+   its requests behind one ECALL, then commit or fail the batch. *)
+let dispatch f =
+  let k = f.cfg.enclaves in
+  let rec find i tries =
+    if tries = 0 then assert false (* pending > 0 implies a live queue *)
+    else if f.workers.(i mod k).live = 0 then find (i + 1) (tries - 1)
+    else i mod k
+  in
+  let slot = find f.rr k in
+  f.rr <- (slot + 1) mod k;
+  let w = f.workers.(slot) in
+  let batch = take_batch f w f.cfg.batch [] in
+  let size = List.length batch in
+  f.pending <- f.pending - size;
+  f.batches <- f.batches + 1;
+  Obs.observe f.obs "serve.batch_fill" size;
+  let ctx =
+    match (f.tracer, batch) with
+    | Some _, (first, _, _) :: _ ->
+        let last, _, _ = List.nth batch (size - 1) in
+        Some [ ("enclave", w.eid); ("size", size); ("rid_first", first); ("rid_last", last) ]
+    | _ -> None
+  in
+  f.attr.phase <- Batch;
+  let done_rev = ref [] in
+  let result =
+    Twine.Runtime.serve_safe w.rt ?batch:ctx (fun e ->
+        List.iter (fun item -> done_rev := serve_one f w e item :: !done_rev) batch)
+  in
+  f.attr.phase <- Idle;
+  let served = List.rev !done_rev in
+  (match result with
+  | Ok () -> share_overhead f.attr served
+  | Error err -> fail_batch f slot w batch err);
+  complete f served
+
+(* Window gauges, probed as each window closes: the fleet track takes
+   EPC activity deltas, the completion count and the total backlog; an
+   enclave track its own backlog and residency. *)
+let probe ~obs ~epc ~workers ~completed =
+  let last = Hashtbl.create 8 in
+  let delta key =
+    let v = Obs.value obs key in
+    let prev = Option.value ~default:0 (Hashtbl.find_opt last key) in
+    Hashtbl.replace last key v;
+    v - prev
+  in
+  fun ~track ->
+    if track = fleet_track then
+      [ ("completed", !completed);
+        ("epc.fault", delta "epc.fault");
+        ("epc.evict", delta "epc.evict");
+        ("epc.refault.cross", delta "epc.refault.cross");
+        ("queue_depth", Array.fold_left (fun a w -> a + w.live) 0 workers) ]
+    else
+      match Array.find_opt (fun w -> track_of_eid w.eid = track) workers with
+      | Some w -> [ ("queue_depth", w.live); ("epc.resident", Epc.resident_of epc w.eid) ]
+      | None -> []
+
+(* Perfetto counter tracks, one per series track, emitted live as each
+   window closes (no-op without an attached recorder). *)
+let on_close obs ~track (w : Timeseries.window) =
+  Obs.emit_counter obs ~cat:"slo" ("slo." ^ track)
+    [ ("requests", w.Timeseries.w_count); ("p50_ns", w.w_p50_ns);
+      ("p99_ns", w.w_p99_ns); ("overs", w.w_overs) ]
+
+let stats_of f ~window_ns =
+  let cfg = f.cfg and obs = f.obs and epc = f.machine.Machine.epc in
+  let ledger = Machine.ledger f.machine in
+  let n = cfg.requests in
+  let final_now = now f in
+  let elapsed_ns = final_now - f.t0 in
+  (* close the series through the window holding the last completion
+     (now + 1 so a completion landing exactly on a boundary closes) *)
+  Timeseries.finish f.series ~now:(final_now + 1);
+  let windows = Timeseries.windows f.series ~track:fleet_track in
+  let sketch =
+    match Timeseries.sketch f.series ~track:fleet_track with
+    | Some s -> s
+    | None -> Sketch.create ()
+  in
+  let sq p = Option.value (Sketch.quantile sketch p) ~default:0 in
+  let served = Sketch.count sketch in
+  let requests_log =
+    Array.map
+      (function Some r -> r | None -> invalid_arg "Serve.run: request never served")
+      f.log
+  in
+  (* retained mode: exact nearest-rank percentiles over the served
+     records; streaming mode: the sketch estimates (within alpha) *)
+  let exact =
+    Array.of_seq
+      (Seq.filter_map
+         (fun r -> if r.outcome = Served then Some (latency_ns r) else None)
+         (Array.to_seq requests_log))
+  in
+  Array.sort compare exact;
+  let pct q = if cfg.retain_requests then percentile exact q else sq q in
+  let recoveries = Array.of_list f.recoveries in
+  Array.sort compare recoveries;
+  let ecalls = Obs.value obs "sgx.ecall" and ocalls = Obs.value obs "sgx.ocall" in
+  let per_s x = if elapsed_ns = 0 then 0. else float_of_int x /. (float_of_int elapsed_ns /. 1e9) in
+  let per_worker g = Array.to_list (Array.map (fun w -> (w.eid, g w)) f.workers) in
+  {
+    requests = n;
+    enclaves = cfg.enclaves;
+    batch = cfg.batch;
+    elapsed_ns;
+    idle_ns = Ledger.ns ledger "serve.idle";
+    throughput_rps = per_s n;
+    mean_ns = (if served = 0 then 0 else Sketch.sum sketch / served);
+    p50_ns = pct 0.50;
+    p99_ns = pct 0.99;
+    max_ns = Sketch.vmax sketch;
+    batches = f.batches;
+    ecalls;
+    ocalls;
+    transitions_per_request =
+      (if n = 0 then 0. else float_of_int (2 * (ecalls + ocalls)) /. float_of_int n);
+    ecall_ns = Ledger.ns ledger "sgx.transition.ecall";
+    epc_faults = Obs.value obs "epc.fault";
+    epc_evictions = Obs.value obs "epc.evict";
+    epc_limit_pages = Epc.limit_pages epc;
+    epc_resident_pages = Epc.resident_pages epc;
+    evictions_by_enclave =
+      Array.to_list
+        (Array.mapi (fun i w -> (w.eid, Epc.evictions_of epc w.eid - f.evict0.(i))) f.workers);
+    retired_enclaves = List.sort compare f.retired;
+    requests_log;
+    attributed_ns = f.attr.attributed;
+    unattributed_ns = f.attr.idle;
+    failover_ns = f.attr.failover;
+    attribution_residue_ns = residue f.attr ~booked:(Ledger.audit ledger).Ledger.booked_ns;
+    served;
+    shed = Obs.value obs "serve.shed";
+    timed_out = Obs.value obs "serve.timeout";
+    failed = Obs.value obs "serve.failed";
+    retries = Obs.value obs "serve.retry";
+    failovers = Obs.value obs "serve.failover";
+    recovery_p99_ns = percentile recoveries 0.99;
+    goodput_rps = per_s served;
+    availability_ppm = (if n = 0 then 1_000_000 else served * 1_000_000 / n);
+    cross_refaults = Obs.value obs "epc.refault.cross";
+    interference_by_evictor = List.sort compare f.attr.by_evictor;
+    p99_exemplar_rids =
+      (match Obs.quantile_exemplars obs "serve.latency_ns" 0.99 with
+      | Some (_, rids) -> rids
+      | None -> []);
+    sampler_samples = f.samples;
+    queue_depth_hwm = Array.fold_left (fun a w -> max a w.depth_hwm) 0 f.workers;
+    queue_depth_hwm_by_enclave = per_worker (fun w -> w.depth_hwm);
+    epc_resident_by_enclave = per_worker (fun w -> Epc.resident_of epc w.eid);
+    retained = cfg.retain_requests;
+    t0_ns = f.t0;
+    window_ns;
+    series = f.series;
+    windows;
+    sketch;
+    sketch_p50_ns = sq 0.5;
+    sketch_p99_ns = sq 0.99;
+    slo = Option.map (fun spec -> (spec, Slo.evaluate spec windows)) cfg.slo;
+    sqlstats_by_enclave =
+      List.sort (fun (a, _) (b, _) -> compare a b) (per_worker (fun w -> w.sqlstats));
+    sqlstats_fleet =
+      Array.fold_left (fun acc w -> Sqlstat.merge acc w.sqlstats) (Sqlstat.create ()) f.workers;
+    ledger = Ledger.snapshot ledger;
+    machine = f.machine;
+  }
 
 let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   if cfg.enclaves <= 0 then invalid_arg "Serve.run: enclaves <= 0";
   if cfg.batch <= 0 then invalid_arg "Serve.run: batch <= 0";
   let window_ns =
-    match cfg.slo with
-    | Some s -> s.Twine_obs.Slo.window_ns
-    | None -> cfg.window_ns
+    match cfg.slo with Some s -> s.Slo.window_ns | None -> cfg.window_ns
   in
   if window_ns <= 0 then invalid_arg "Serve.run: window_ns <= 0";
-  let retain = cfg.retain_requests in
   let machine = Machine.create ~epc_bytes:cfg.epc_bytes ~seed:cfg.seed () in
-  Twine.Bench_db.set_wasm_factor cfg.wasm_factor;
-  (* One persistent backing per fleet slot: the untrusted store outlives
-     any enclave serving the slot, so failover can relaunch into the
-     same durable state. *)
-  let backings =
-    Array.init cfg.enclaves (fun _ -> Twine_ipfs.Backing.memory ())
-  in
+  let backings = Array.init cfg.enclaves (fun _ -> Twine_ipfs.Backing.memory ()) in
   let workers =
-    Array.init cfg.enclaves (fun i ->
-        make_worker cfg machine ~backing:backings.(i) ())
+    Array.init cfg.enclaves (fun i -> make_worker cfg machine ~backing:backings.(i) ())
   in
   Array.iter (populate cfg) workers;
   (* Arrivals are pulled lazily from the workload stream in both modes
@@ -439,774 +1071,48 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   (* Setup (launch, population) is not the measurement: restart the
      books so the serving phase audits clean on its own. The EPC keeps
      its resident set — workers start warm, as a real fleet would. *)
-  let ledger = Machine.ledger machine in
-  let obs = Machine.obs machine in
-  Twine_obs.Ledger.reset ledger;
-  Twine_obs.Obs.reset obs;
-  let epc = machine.Machine.epc in
-  let evict0 =
-    Array.map (fun w -> Epc.evictions_of epc w.eid) workers
-  in
-  let n = cfg.requests in
-  (* -- per-request ledger slicing: the tap routes every booking -- *)
-  let req_log : request option array =
-    if retain then Array.make (max 1 n) None else [||]
-  in
-  let cur : request option ref = ref None in
-  let in_batch = ref false in
-  let in_failover = ref false in
-  let overhead : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let outside = ref 0 in
-  let failover_ns = ref 0 in
-  (* attributed time accumulates as it is credited (tap + overhead
-     shares): the streaming mode has no request log to fold at the end,
-     and the retained mode gets the identical number this way *)
-  let attributed = ref 0 in
-  Twine_obs.Ledger.set_tap ledger
-    (Some
-       (fun account ns ->
-         match !cur with
-         | Some r ->
-             credit r.breakdown account ns;
-             attributed := !attributed + ns
-         | None ->
-             if !in_failover then failover_ns := !failover_ns + ns
-             else if !in_batch then
-               Hashtbl.replace overhead account
-                 (ns + Option.value ~default:0 (Hashtbl.find_opt overhead account))
-             else outside := !outside + ns));
-  (* -- cross-enclave eviction provenance lands on the live request -- *)
-  let interference_acc = ref [] in
-  Epc.set_refault_hook epc
-    (Some
-       (fun ~owner:_ ~evictor ->
-         match !cur with
-         | Some r ->
-             r.interference <- bump_assoc r.interference evictor 1;
-             interference_acc := bump_assoc !interference_acc evictor 1
-         | None -> ()));
+  let obs = Machine.obs machine and epc = machine.Machine.epc in
+  Ledger.reset (Machine.ledger machine);
+  Obs.reset obs;
+  let evict0 = Array.map (fun w -> Epc.evictions_of epc w.eid) workers in
+  let attr = attach machine in
   prepare machine;
   let t0 = Machine.now_ns machine in
-  (* Arm the chaos schedule only now: setup (launch, population) is not
-     under test, and spec windows are relative to the serving phase. *)
-  (match cfg.chaos with
-  | Some spec -> Machine.arm_faults machine (Twine_sim.Chaos.to_plan ~t0 spec)
-  | None -> ());
-  let q = Twine_sim.Eventq.create () in
-  (* workload times are relative to the start of serving: rebase onto
-     the machine clock (setup already consumed virtual time). The queue
-     is fed lazily — [lookahead] holds the next not-yet-due arrival, and
-     [refill] pushes everything due by [now] in rid order, so FIFO
-     tie-breaks match the old materialise-everything-upfront schedule
-     while the queue itself stays O(backlog). *)
-  let lookahead = ref (next_arrival ()) in
-  let refill now =
-    let rec go () =
-      match !lookahead with
-      | Some a when t0 + a.Workload.at <= now ->
-          Twine_sim.Eventq.add q ~at:(t0 + a.Workload.at)
-            (a.Workload.rid, a.Workload.enclave, a.Workload.req);
-          lookahead := next_arrival ();
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  let latencies = if retain then Array.make (max 1 n) 0 else [||] in
-  let lat_sum = ref 0 in
-  let lat_max = ref 0 in
+  (* Arm the chaos schedule only now: setup is not under test, and spec
+     windows are relative to the serving phase. *)
+  Option.iter
+    (fun spec -> Machine.arm_faults machine (Twine_sim.Chaos.to_plan ~t0 spec))
+    cfg.chaos;
   let completed = ref 0 in
-  let pending = ref 0 in
-  let batches = ref 0 in
-  let rr = ref 0 in
-  (* -- failure-domain state --
-     [timers] carries client deadlines and retry requeues on the same
-     virtual clock as arrivals; [rstate] tracks every admitted,
-     not-yet-completed request (bounded by the backlog, so --stream
-     memory stays flat). *)
-  let timers :
-      [ `Deadline of int | `Requeue of int * int * Workload.req ]
-      Twine_sim.Eventq.t =
-    Twine_sim.Eventq.create ()
-  in
-  let rstate : (int, rstate) Hashtbl.t = Hashtbl.create 64 in
-  let jitter =
-    Twine_crypto.Drbg.create ~personalization:"serve-backoff" ~seed:cfg.seed ()
-  in
-  let served_count = ref 0 in
-  let shed_count = ref 0 in
-  let timeout_count = ref 0 in
-  let failed_count = ref 0 in
-  let retry_count = ref 0 in
-  let failover_count = ref 0 in
-  let recovery_durations = ref [] in
-  (* -- streaming SLO plane: tumbling windows on the virtual clock.
-     One fleet track plus one per enclave; gauges are probed as each
-     window closes (fleet: EPC activity deltas + total backlog;
-     enclave: own backlog + residency). Closed windows keep reduced
-     rows only, so the series is O(windows) regardless of n. -- *)
-  let fleet_track = "fleet" in
-  let track_of_eid = Printf.sprintf "e%d" in
-  let worker_of_track =
-    let tbl = Hashtbl.create cfg.enclaves in
-    Array.iter (fun w -> Hashtbl.replace tbl (track_of_eid w.eid) w) workers;
-    tbl
-  in
-  let probe =
-    let last = Hashtbl.create 8 in
-    fun ~track ->
-      if track = fleet_track then begin
-        let delta key =
-          let v = Twine_obs.Obs.value obs key in
-          let prev = Option.value ~default:0 (Hashtbl.find_opt last key) in
-          Hashtbl.replace last key v;
-          v - prev
-        in
-        [ ("completed", !completed);
-          ("epc.fault", delta "epc.fault");
-          ("epc.evict", delta "epc.evict");
-          ("epc.refault.cross", delta "epc.refault.cross");
-          ("queue_depth", Array.fold_left (fun a w -> a + w.live) 0 workers) ]
-      end
-      else
-        match Hashtbl.find_opt worker_of_track track with
-        | Some w ->
-            [ ("queue_depth", w.live);
-              ("epc.resident", Epc.resident_of epc w.eid) ]
-        | None -> []
-  in
-  let on_close ~track (w : Twine_obs.Timeseries.window) =
-    (* Perfetto counter tracks, one per series track, emitted live as
-       each window closes (no-op without an attached recorder) *)
-    Twine_obs.Obs.emit_counter obs ~cat:"slo" ("slo." ^ track)
-      [ ("requests", w.Twine_obs.Timeseries.w_count);
-        ("p50_ns", w.w_p50_ns);
-        ("p99_ns", w.w_p99_ns);
-        ("overs", w.w_overs) ]
-  in
   let series =
-    Twine_obs.Timeseries.create
-      ?threshold_ns:(Option.map (fun s -> s.Twine_obs.Slo.threshold_ns) cfg.slo)
-      ~probe ~on_close ~t0 ~window_ns ()
+    Timeseries.create
+      ?threshold_ns:(Option.map (fun s -> s.Slo.threshold_ns) cfg.slo)
+      ~probe:(probe ~obs ~epc ~workers ~completed)
+      ~on_close:(on_close obs) ~t0 ~window_ns ()
   in
-  let work_ns work =
-    int_of_float
-      (Float.round (float_of_int work *. cfg.ns_per_work *. cfg.wasm_factor))
-  in
-  let charge_ns account ns = Machine.charge machine ~account "serve.sql" ns in
-  let tracer = Twine_obs.Obs.tracer obs in
-  (* Common completion path for every outcome: each admitted rid
-     completes exactly once — cancel its deadline, drop its scheduler
-     state, log the record, bump the loop counter. *)
-  let finalize st r =
-    (match st.s_deadline with
-    | Some id -> Twine_sim.Eventq.cancel timers id
-    | None -> ());
-    Hashtbl.remove rstate r.rid;
-    if retain then req_log.(r.rid) <- Some r;
-    incr completed
-  in
-  let serve_one w e (rid, at, req) =
-    let start = Machine.now_ns machine in
-    let st = Hashtbl.find rstate rid in
-    let r =
-      {
-        rid;
-        enclave = w.eid;
-        kind = Workload.req_name req;
-        arrival_ns = at;
-        start_ns = start;
-        finish_ns = start;
-        outcome = Served;
-        attempts = st.s_requeues + 1;
-        retry_wait_ns = st.s_retry_wait;
-        breakdown = zero_breakdown ();
-        interference = [];
-      }
-    in
-    (match tracer with
-    | Some tr when cfg.trace_requests ->
-        Twine_obs.Trace.begin_span tr ~cat:"serve"
-          ~args:[ ("tid", request_track w.eid); ("rid", rid) ]
-          r.kind
-    | _ -> ());
-    cur := Some r;
-    let sql = sql_of_req req in
-    Enclave.copy_in e ~label:"serve.req" (String.length sql);
-    Db.reset_work w.db;
-    let pr0, pw0, _ = Pager.stats (Db.pager w.db) in
-    let res = Db.exec w.db sql in
-    let pr1, pw1, _ = Pager.stats (Db.pager w.db) in
-    let work = Db.work w.db in
-    let exec_ns = work_ns work in
-    (* Per-operator attribution: the statement's exec booking is sliced
-       across its operator tree (plus profiling overhead) in proportion
-       to self-work. Slices sum exactly to [exec_ns] and land on the
-       same account, so the ledger books are byte-identical to the
-       single charge they replace. *)
-    let shares =
-      List.concat_map
-        (fun (p : Db.profile) ->
-          List.map (fun (o : Db.opstat) -> (o.Db.os_name, o.Db.os_work)) p.Db.pr_ops
-          @ [ ("overhead", p.Db.pr_overhead_work) ])
-        (Db.profiles w.db)
-    in
-    (match shares with
-    | [] -> charge_ns "serve.exec" exec_ns
-    | _ ->
-        let slices = Db.slice_ns ~total_ns:exec_ns (List.map snd shares) in
-        List.iter2
-          (fun (name, _) ns ->
-            if ns > 0 then begin
-              (match tracer with
-              | Some tr when cfg.trace_requests ->
-                  Twine_obs.Trace.begin_span tr ~cat:"sqldb"
-                    ~args:[ ("tid", request_track w.eid); ("rid", rid) ]
-                    ("sql." ^ name)
-              | _ -> ());
-              charge_ns "serve.exec" ns;
-              match tracer with
-              | Some tr when cfg.trace_requests ->
-                  Twine_obs.Trace.end_span tr ~cat:"sqldb"
-                    ~args:[ ("tid", request_track w.eid) ]
-                    ("sql." ^ name)
-              | _ -> ()
-            end)
-          shares slices);
-    let pager_units = !(w.pager_work) in
-    let pager_ns = work_ns pager_units in
-    if pager_units > 0 then begin
-      charge_ns "serve.pager" pager_ns;
-      w.pager_work := 0
-    end;
-    Enclave.copy_out e ~label:"serve.resp" (response_bytes res);
-    cur := None;
-    r.finish_ns <- Machine.now_ns machine;
-    r.interference <- List.sort compare r.interference;
-    (match tracer with
-    | Some tr when cfg.trace_requests ->
-        Twine_obs.Trace.end_span tr ~cat:"serve"
-          ~args:[ ("tid", request_track w.eid) ]
-          r.kind
-    | _ -> ());
-    let lat = latency_ns r in
-    (* Query-stats registry: recorded on the shared serving path, so
-       retained and --stream runs accumulate identical registries. *)
-    Sqlstat.record w.sqlstats ~label:r.kind
-      ~fingerprint:(Sqlstat.fingerprint sql)
-      ~rows:(List.length res.Db.rows) ~work ~reads:(pr1 - pr0)
-      ~writes:(pw1 - pw0) ~exec_ns ~pager_ns ~latency_ns:lat ();
-    if retain then latencies.(!served_count) <- lat;
-    lat_sum := !lat_sum + lat;
-    if lat > !lat_max then lat_max := lat;
-    incr served_count;
-    finalize st r;
-    Twine_obs.Obs.observe ~exemplar:rid obs "serve.latency_ns" lat;
-    if cfg.trace_requests then
-      Twine_obs.Obs.emit obs ~cat:"serve"
-        ~args:[ ("rid", rid); ("enclave", w.eid); ("lat_ns", lat) ]
-        "serve.req";
-    r
-  in
-  (* Fast-fail completion (no service): shed at admission, client
-     deadline expiry, or retry-budget exhaustion. The record is real —
-     it lands in the log and the counters — but books nothing: any
-     wasted work was already moved to the failover bucket. *)
-  let fail_fast outcome ~eid ~attempts ~retry_wait st_opt rid at req =
-    let now = Machine.now_ns machine in
-    let r =
-      {
-        rid;
-        enclave = eid;
-        kind = Workload.req_name req;
-        arrival_ns = at;
-        start_ns = now;
-        finish_ns = now;
-        outcome;
-        attempts;
-        retry_wait_ns = retry_wait;
-        breakdown = zero_breakdown ();
-        interference = [];
-      }
-    in
-    (match st_opt with
-    | Some st -> finalize st r
-    | None ->
-        if retain then req_log.(rid) <- Some r;
-        incr completed);
-    (match outcome with
-    | Shed ->
-        incr shed_count;
-        Twine_obs.Obs.inc obs "serve.shed"
-    | Timed_out ->
-        incr timeout_count;
-        Twine_obs.Obs.inc obs "serve.timeout"
-    | Failed ->
-        incr failed_count;
-        Twine_obs.Obs.inc obs "serve.failed"
-    | Served -> ());
-    if cfg.trace_requests then
-      Twine_obs.Obs.emit obs ~cat:"serve"
-        ~args:[ ("rid", rid); ("enclave", eid); ("lat_ns", latency_ns r) ]
-        ("serve." ^ outcome_name outcome)
-  in
-  let enqueue slot item st =
-    let w = workers.(slot) in
-    Queue.add item w.queue;
-    st.s_queued <- true;
-    st.s_slot <- slot;
-    w.live <- w.live + 1;
-    if w.live > w.depth_hwm then w.depth_hwm <- w.live;
-    incr pending
-  in
-  let least_loaded () =
-    let best = ref 0 in
-    Array.iteri
-      (fun i w -> if w.live < workers.(!best).live then best := i)
-      workers;
-    !best
-  in
-  (* EPC-pressure shedding: cross-enclave refaults accumulated within
-     the current tumbling window, so the trigger resets as the window
-     turns — a rate, not a lifetime total. *)
-  let refault_win = ref (-1) in
-  let refault_base = ref 0 in
-  let epc_pressure now =
-    cfg.shed_refaults > 0
-    && begin
-         let wi = (now - t0) / window_ns in
-         if wi <> !refault_win then begin
-           refault_win := wi;
-           refault_base := Epc.cross_refaults epc
-         end;
-         Epc.cross_refaults epc - !refault_base >= cfg.shed_refaults
-       end
-  in
-  (* -- batch-failure handling: salvage, blame, requeue, relaunch -- *)
-  let salvage_to_failover () =
-    (* The partial slices of the request that was in flight when the
-       fault hit, plus the batch's accumulated overhead, are wasted
-       work: move them to the failover bucket so the conservation law
-       stays exact and the failure domain owns its own cost. *)
-    (match !cur with
-    | Some r ->
-        let t = breakdown_total r.breakdown in
-        attributed := !attributed - t;
-        failover_ns := !failover_ns + t;
-        cur := None
-    | None -> ());
-    let oh = Hashtbl.fold (fun _ ns acc -> acc + ns) overhead 0 in
-    failover_ns := !failover_ns + oh;
-    Hashtbl.reset overhead
-  in
-  let requeue_unfinished ~eid batch served =
-    let done_rids = List.map (fun r -> r.rid) served in
-    List.iter
-      (fun (rid, at, req) ->
-        if not (List.mem rid done_rids) then
-          match Hashtbl.find_opt rstate rid with
-          | None -> ()
-          | Some st ->
-              if st.s_requeues >= cfg.retries then
-                fail_fast Failed ~eid ~attempts:(st.s_requeues + 1)
-                  ~retry_wait:st.s_retry_wait (Some st) rid at req
-              else begin
-                st.s_requeues <- st.s_requeues + 1;
-                incr retry_count;
-                Twine_obs.Obs.inc obs "serve.retry";
-                let backoff =
-                  if cfg.backoff_ns <= 0 then 0
-                  else begin
-                    (* capped exponential with deterministic DRBG jitter
-                       (up to +25%), identical across replays and modes *)
-                    let exp = min 20 (st.s_requeues - 1) in
-                    let b =
-                      min cfg.backoff_cap_ns (cfg.backoff_ns * (1 lsl exp))
-                    in
-                    let j =
-                      if b >= 4 then Twine_crypto.Drbg.int_below jitter (b / 4)
-                      else 0
-                    in
-                    b + j
-                  end
-                in
-                st.s_retry_wait <- st.s_retry_wait + backoff;
-                ignore
-                  (Twine_sim.Eventq.schedule timers
-                     ~at:(Machine.now_ns machine + backoff)
-                     (`Requeue (rid, at, req)))
-              end)
-      batch
-  in
-  let handle_batch_failure slot w batch served err =
-    salvage_to_failover ();
-    in_failover := true;
-    (match err with
-    | `Transient _ ->
-        (* recoverable entry failure: the enclave is healthy, only the
-           batch is lost — detect and requeue *)
-        Machine.charge machine ~account:"serve.failover.detect"
-          "serve.failover" failover_detect_ns
-    | `Lost _ ->
-        incr failover_count;
-        Twine_obs.Obs.inc obs "serve.failover";
-        let fo_start = Machine.now_ns machine in
-        Machine.charge machine ~account:"serve.failover.detect"
-          "serve.failover" failover_detect_ns;
-        let resident = Epc.resident_of epc w.eid in
-        Machine.charge machine ~account:"serve.failover.teardown"
-          "serve.failover"
-          (failover_teardown_base_ns + (resident * failover_teardown_page_ns));
-        (* EREMOVE the poisoned enclave: releases its EPC pages and
-           purges its eviction provenance. Its Db handle dies with it —
-           the durable truth lives in the slot's backing. *)
-        Twine.Runtime.destroy w.rt;
-        Machine.charge machine ~account:"serve.failover.relaunch"
-          "serve.failover" failover_relaunch_ns;
-        let neww =
-          make_worker cfg machine ~backing:backings.(slot)
-            ~sqlstats:w.sqlstats ()
-        in
-        Machine.charge machine ~account:"serve.failover.recover"
-          "serve.failover" failover_recover_ns;
-        (* arrivals queued behind the crash migrate to the replacement;
-           the depth high-water mark is a slot-level statistic *)
-        Queue.transfer w.queue neww.queue;
-        neww.live <- w.live;
-        neww.depth_hwm <- w.depth_hwm;
-        workers.(slot) <- neww;
-        evict0.(slot) <- Epc.evictions_of epc neww.eid;
-        Hashtbl.remove worker_of_track (track_of_eid w.eid);
-        Hashtbl.replace worker_of_track (track_of_eid neww.eid) neww;
-        let dur = Machine.now_ns machine - fo_start in
-        recovery_durations := dur :: !recovery_durations;
-        Twine_obs.Obs.observe obs "serve.failover_ns" dur);
-    in_failover := false;
-    requeue_unfinished ~eid:w.eid batch served
-  in
-  let drain () =
-    let now = Machine.now_ns machine in
-    refill now;
-    Twine_sim.Eventq.drain_until q ~now
-      (fun ~at (rid, enc, req) ->
-        (* admission control: shed before spending anything on it *)
-        if
-          (cfg.shed_depth > 0 && workers.(enc).live >= cfg.shed_depth)
-          || epc_pressure now
-        then
-          fail_fast Shed ~eid:workers.(enc).eid ~attempts:0 ~retry_wait:0
-            None rid at req
-        else begin
-          let st =
-            {
-              s_home = enc;
-              s_slot = enc;
-              s_requeues = 0;
-              s_retry_wait = 0;
-              s_deadline = None;
-              s_queued = false;
-              s_arrival = at;
-              s_req = req;
-            }
-          in
-          Hashtbl.replace rstate rid st;
-          if cfg.deadline_ns > 0 then
-            st.s_deadline <-
-              Some
-                (Twine_sim.Eventq.schedule timers ~at:(at + cfg.deadline_ns)
-                   (`Deadline rid));
-          enqueue enc (rid, at, req) st
-        end);
-    Twine_sim.Eventq.drain_until timers ~now (fun ~at:_ ev ->
-        match ev with
-        | `Deadline rid -> (
-            match Hashtbl.find_opt rstate rid with
-            | None -> ()  (* completed; cancellation is belt-and-braces *)
-            | Some st ->
-                (* the client gave up: while queued (tombstone the
-                   entry) or while waiting out a retry backoff *)
-                if st.s_queued then begin
-                  let w = workers.(st.s_slot) in
-                  w.live <- w.live - 1;
-                  decr pending;
-                  st.s_queued <- false
-                end;
-                fail_fast Timed_out ~eid:workers.(st.s_slot).eid
-                  ~attempts:st.s_requeues ~retry_wait:st.s_retry_wait
-                  (Some st) rid st.s_arrival st.s_req)
-        | `Requeue (rid, at, req) -> (
-            match Hashtbl.find_opt rstate rid with
-            | None -> ()  (* timed out while backing off *)
-            | Some st ->
-                let slot = if cfg.hedge then least_loaded () else st.s_home in
-                enqueue slot (rid, at, req) st))
-  in
-  (* -- virtual-time metrics sampler: per-enclave counter time-series
-     (sample-and-hold: one sample per crossed boundary batch) -- *)
-  let samples = ref 0 in
-  let next_sample = ref (t0 + cfg.sample_every_ns) in
-  let maybe_sample () =
-    if cfg.sample_every_ns > 0 then begin
-      let now = Machine.now_ns machine in
-      if now >= !next_sample then begin
-        incr samples;
-        (match tracer with
-        | Some _ ->
-            let per f = Array.to_list (Array.map f workers) in
-            Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.queue_depth"
-              (per (fun w -> (Printf.sprintf "e%d" w.eid, w.live)));
-            Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.epc_resident"
-              (per (fun w ->
-                   (Printf.sprintf "e%d" w.eid, Epc.resident_of epc w.eid)));
-            Twine_obs.Obs.emit_counter obs ~cat:"serve" "serve.completed"
-              [ ("requests", !completed) ]
-        | None -> ());
-        let period = cfg.sample_every_ns in
-        next_sample := now - ((now - t0) mod period) + period
-      end
-    end
-  in
-  (* fold completed requests into the windowed series only once their
-     breakdowns are final (after any overhead shares landed) *)
-  let fold_served served =
-    List.iter
-      (fun r ->
-        let comps = components r in
-        let lat = latency_ns r in
-        Twine_obs.Timeseries.record series ~now:r.finish_ns ~track:fleet_track
-          ~latency_ns:lat ~comps ();
-        Twine_obs.Timeseries.record series ~now:r.finish_ns
-          ~track:(track_of_eid r.enclave) ~latency_ns:lat ~comps ())
-      served
-  in
-  (* pop up to [nleft] LIVE entries, skipping tombstones of requests
-     that timed out while queued *)
-  let rec take_batch w nleft acc =
-    if nleft = 0 || w.live = 0 then List.rev acc
-    else
-      let ((rid, _, _) as item) = Queue.pop w.queue in
-      match Hashtbl.find_opt rstate rid with
-      | Some st when st.s_queued ->
-          st.s_queued <- false;
-          w.live <- w.live - 1;
-          take_batch w (nleft - 1) (item :: acc)
-      | _ -> take_batch w nleft acc
-  in
-  while !completed < n do
-    drain ();
-    maybe_sample ();
-    if !pending = 0 then begin
-      (* nothing runnable: the simulated core sleeps until the next
-         event — booked, so the audit still balances to elapsed time.
-         The next event is an arrival (queued or the stream's
-         lookahead), a client deadline, or a retry requeue. *)
-      let earliest a b =
-        match (a, b) with
-        | None, x | x, None -> x
-        | Some x, Some y -> Some (min x y)
-      in
-      let next_at =
-        earliest
-          (Twine_sim.Eventq.peek_time q)
-          (earliest
-             (Option.map (fun a -> t0 + a.Workload.at) !lookahead)
-             (Twine_sim.Eventq.peek_time timers))
-      in
-      match next_at with
-      | Some t ->
-          let dt = t - Machine.now_ns machine in
-          Machine.charge machine ~account:"serve.idle" "serve.idle" dt
-      | None -> assert false (* completed < n implies events remain *)
-    end
-    else begin
-      let k = cfg.enclaves in
-      let rec find i tries =
-        if tries = 0 then None
-        else if workers.(i mod k).live = 0 then find (i + 1) (tries - 1)
-        else Some (i mod k)
-      in
-      match find !rr k with
-      | None -> assert false (* pending > 0 implies a live queue *)
-      | Some i ->
-          rr := (i + 1) mod k;
-          let w = workers.(i) in
-          let batch = take_batch w cfg.batch [] in
-          pending := !pending - List.length batch;
-          incr batches;
-          Twine_obs.Obs.observe obs "serve.batch_fill" (List.length batch);
-          let batch_ctx =
-            if cfg.trace_requests then
-              match (batch, List.rev batch) with
-              | (first, _, _) :: _, (last, _, _) :: _ ->
-                  Some
-                    [ ("enclave", w.eid); ("size", List.length batch);
-                      ("rid_first", first); ("rid_last", last) ]
-              | _ -> None
-            else None
-          in
-          in_batch := true;
-          let done_rev = ref [] in
-          let result =
-            Twine.Runtime.serve_safe w.rt ?batch:batch_ctx (fun e ->
-                List.iter
-                  (fun item -> done_rev := serve_one w e item :: !done_rev)
-                  batch)
-          in
-          in_batch := false;
-          let served = List.rev !done_rev in
-          (match result with
-          | Ok () ->
-              (* The batch's entry/exit crossings (and any other booking
-                 not inside a single request) are shared overhead: split
-                 each account evenly over the batch, remainder to the
-                 first request, so the split is exact in integers. *)
-              let k_served = List.length served in
-              if k_served > 0 then
-                Hashtbl.iter
-                  (fun account ns ->
-                    let per = ns / k_served and rem = ns mod k_served in
-                    List.iteri
-                      (fun j r ->
-                        let share = per + if j = 0 then rem else 0 in
-                        credit r.breakdown account share;
-                        attributed := !attributed + share)
-                      served)
-                  overhead;
-              Hashtbl.reset overhead
-          | Error err ->
-              (* requests that completed before the fault keep their
-                 slices (no overhead share: the batch overhead is
-                 failure-domain cost now); the rest retry or fail *)
-              handle_batch_failure i w batch served err);
-          fold_served served
-    end
-  done;
-  Twine_obs.Ledger.set_tap ledger None;
-  Epc.set_refault_hook epc None;
-  Machine.disarm_faults ();
-  let final_now = Machine.now_ns machine in
-  let elapsed_ns = final_now - t0 in
-  (* close the series through the window holding the last completion
-     (now + 1 so a completion landing exactly on a boundary closes) *)
-  Twine_obs.Timeseries.finish series ~now:(final_now + 1);
-  let windows = Twine_obs.Timeseries.windows series ~track:fleet_track in
-  let sketch =
-    match Twine_obs.Timeseries.sketch series ~track:fleet_track with
-    | Some s -> s
-    | None -> Twine_obs.Sketch.create ()
-  in
-  let sq p = Option.value (Twine_obs.Sketch.quantile sketch p) ~default:0 in
-  let sketch_p50_ns = sq 0.5 in
-  let sketch_p99_ns = sq 0.99 in
-  let slo_eval =
-    Option.map (fun spec -> (spec, Twine_obs.Slo.evaluate spec windows)) cfg.slo
-  in
-  let sorted = Array.sub latencies 0 (if retain then !served_count else 0) in
-  Array.sort compare sorted;
-  let recovery_sorted =
-    let a = Array.of_list !recovery_durations in
-    Array.sort compare a;
-    a
-  in
-  let ecalls = Twine_obs.Obs.value obs "sgx.ecall" in
-  let ocalls = Twine_obs.Obs.value obs "sgx.ocall" in
-  let requests_log =
-    if retain then
-      Array.map
-        (function
-          | Some r -> r
-          | None -> invalid_arg "Serve.run: request never served")
-        (if n = 0 then [||] else req_log)
-    else [||]
-  in
-  let booked = (Twine_obs.Ledger.audit ledger).Twine_obs.Ledger.booked_ns in
-  let interference_by_evictor = List.sort compare !interference_acc in
-  let p99_exemplar_rids =
-    match Twine_obs.Obs.quantile_exemplars obs "serve.latency_ns" 0.99 with
-    | Some (_, rids) -> rids
-    | None -> []
-  in
-  let stats =
+  let f =
     {
-      requests = n;
-      enclaves = cfg.enclaves;
-      batch = cfg.batch;
-      elapsed_ns;
-      idle_ns = Twine_obs.Ledger.ns ledger "serve.idle";
-      throughput_rps =
-        (if elapsed_ns = 0 then 0.
-         else float_of_int n /. (float_of_int elapsed_ns /. 1e9));
-      mean_ns = (if !served_count = 0 then 0 else !lat_sum / !served_count);
-      (* retained mode: exact nearest-rank percentiles; streaming mode:
-         the sketch estimates (within Sketch.alpha), since no latency
-         array exists to sort *)
-      p50_ns = (if retain then percentile sorted 0.50 else sketch_p50_ns);
-      p99_ns = (if retain then percentile sorted 0.99 else sketch_p99_ns);
-      max_ns = !lat_max;
-      batches = !batches;
-      ecalls;
-      ocalls;
-      transitions_per_request =
-        (if n = 0 then 0. else float_of_int (2 * (ecalls + ocalls)) /. float_of_int n);
-      ecall_ns = Twine_obs.Ledger.ns ledger "sgx.transition.ecall";
-      epc_faults = Twine_obs.Obs.value obs "epc.fault";
-      epc_evictions = Twine_obs.Obs.value obs "epc.evict";
-      epc_limit_pages = Epc.limit_pages epc;
-      epc_resident_pages = Epc.resident_pages epc;
-      evictions_by_enclave =
-        Array.to_list
-          (Array.mapi
-             (fun i w -> (w.eid, Epc.evictions_of epc w.eid - evict0.(i)))
-             workers);
-      requests_log;
-      attributed_ns = !attributed;
-      unattributed_ns = !outside;
-      failover_ns = !failover_ns;
-      attribution_residue_ns = booked - !attributed - !outside - !failover_ns;
-      served = !served_count;
-      shed = !shed_count;
-      timed_out = !timeout_count;
-      failed = !failed_count;
-      retries = !retry_count;
-      failovers = !failover_count;
-      recovery_p99_ns = percentile recovery_sorted 0.99;
-      goodput_rps =
-        (if elapsed_ns = 0 then 0.
-         else float_of_int !served_count /. (float_of_int elapsed_ns /. 1e9));
-      availability_ppm =
-        (if n = 0 then 1_000_000 else !served_count * 1_000_000 / n);
-      cross_refaults = Twine_obs.Obs.value obs "epc.refault.cross";
-      interference_by_evictor;
-      p99_exemplar_rids;
-      sampler_samples = !samples;
-      queue_depth_hwm =
-        Array.fold_left (fun a w -> max a w.depth_hwm) 0 workers;
-      queue_depth_hwm_by_enclave =
-        Array.to_list (Array.map (fun w -> (w.eid, w.depth_hwm)) workers);
-      epc_resident_by_enclave =
-        Array.to_list (Array.map (fun w -> (w.eid, Epc.resident_of epc w.eid)) workers);
-      retained = retain;
-      t0_ns = t0;
-      window_ns;
-      series;
-      windows;
-      sketch;
-      sketch_p50_ns;
-      sketch_p99_ns;
-      slo = slo_eval;
-      sqlstats_by_enclave =
-        List.sort
-          (fun (a, _) (b, _) -> compare a b)
-          (Array.to_list (Array.map (fun w -> (w.eid, w.sqlstats)) workers));
-      sqlstats_fleet =
-        Array.fold_left
-          (fun acc w -> Sqlstat.merge acc w.sqlstats)
-          (Sqlstat.create ()) workers;
-      ledger = Twine_obs.Ledger.snapshot ledger;
-      machine;
+      cfg; machine; obs; tracer = Obs.tracer obs; attr; t0; backings; workers;
+      evict0; retired = []; arrivals = Twine_sim.Eventq.create (); next_arrival;
+      lookahead = next_arrival (); timers = Twine_sim.Eventq.create ();
+      rstate = Hashtbl.create 64;
+      jitter =
+        Twine_crypto.Drbg.create ~personalization:"serve-backoff" ~seed:cfg.seed ();
+      pending = 0; rr = 0; batches = 0; recoveries = []; samples = 0;
+      next_sample = t0 + cfg.sample_every_ns; series;
+      log = (if cfg.retain_requests then Array.make cfg.requests None else [||]);
+      completed;
     }
   in
-  Array.iter (fun w -> Db.close w.db) workers;
+  while !completed < cfg.requests do
+    drain f;
+    sample f;
+    if f.pending = 0 then sleep f else dispatch f
+  done;
+  detach machine;
+  Machine.disarm_faults ();
+  let stats = stats_of f ~window_ns in
+  Array.iter (fun w -> Db.close w.db) f.workers;
   stats
 
 (* Thread-name metadata for {!Twine_obs.Trace_export}: one request
@@ -1422,12 +1328,13 @@ let render_slo (s : stats) =
         ("gauges", assoc w.w_gauges);
       ]
   in
-  (* fleet first, then the enclave tracks in enclave-id order *)
+  (* fleet first, then the enclave tracks in enclave-id order: the live
+     enclaves and every enclave failover replaced *)
   let track_names =
-    "fleet"
-    :: List.map
-         (fun (eid, _) -> Printf.sprintf "e%d" eid)
-         s.epc_resident_by_enclave
+    fleet_track
+    :: List.map track_of_eid
+         (List.sort compare
+            (s.retired_enclaves @ List.map fst s.epc_resident_by_enclave))
   in
   let track name =
     Twine_obs.Json.Obj

@@ -46,8 +46,6 @@ type config = {
   wasm_factor : float;
       (** pinned Wasm slowdown (never wall-clock calibrated here) *)
   ns_per_work : float;
-  trace_requests : bool;
-      (** emit request spans/instants when a recorder is attached *)
   sample_every_ns : int;
       (** virtual-time metrics sampling period (queue depth, per-enclave
           EPC residency, completed requests as Perfetto counter tracks);
@@ -77,8 +75,8 @@ type config = {
           completes as [Failed] *)
   backoff_ns : int;
       (** retry backoff base: requeue k waits [base * 2^(k-1)] (plus
-          deterministic DRBG jitter up to +25%); 0 retries immediately *)
-  backoff_cap_ns : int;  (** exponential backoff cap (before jitter) *)
+          deterministic DRBG jitter up to +25%), doubling until it
+          reaches 50x the base; 0 retries immediately *)
   hedge : bool;
       (** hedged retries: a requeued request goes to the least-loaded
           enclave instead of back to its home queue (every enclave holds
@@ -87,10 +85,6 @@ type config = {
       (** admission control: an arrival finding its enclave's live queue
           this deep completes as [Shed] without being enqueued; 0
           disables depth shedding *)
-  shed_refaults : int;
-      (** EPC-pressure shedding: arrivals are shed while cross-enclave
-          refaults within the current tumbling window have reached this
-          count; 0 disables *)
 }
 
 val default_config : config
@@ -122,7 +116,7 @@ val breakdown_total : breakdown -> int
     [Served] counts toward goodput. *)
 type outcome =
   | Served
-  | Shed  (** fast-failed at admission (queue depth / EPC pressure) *)
+  | Shed  (** fast-failed at admission (queue depth) *)
   | Timed_out  (** client deadline passed while queued or backing off *)
   | Failed  (** retry budget exhausted after enclave faults *)
 
@@ -183,6 +177,9 @@ type stats = {
   evictions_by_enclave : (int * int) list;
       (** [(enclave id, times one of its pages was the eviction victim)] —
           the cross-enclave interference measure of the shared EPC *)
+  retired_enclaves : int list;
+      (** ids of the enclaves failover replaced, ascending; their series
+          tracks stay in {!render_slo} *)
   requests_log : request array;
       (** indexed by rid; every admitted request, any outcome *)
   attributed_ns : int;  (** sum of all requests' cycle slices *)

@@ -59,8 +59,6 @@ let calibrate_wasm_factor () =
       calibrated_factor := Some f;
       f
 
-let set_wasm_factor f = calibrated_factor := Some f
-
 (* --- storage stacks --- *)
 
 (* Charge plain host-file I/O (the un-enclaved file variants). *)

@@ -755,6 +755,66 @@ let test_retry_backoff_and_exhaustion () =
     (f.Serve.failed > 0);
   check_conserves_failover "exhausted" f
 
+let test_hedged_retries () =
+  (* a crash with hedging on: the lost batch's requests requeue onto the
+     least-loaded slot, so some retried request is served away from its
+     home slot — by neither the crashed enclave nor its replacement *)
+  let cfg = { chaos_config with Serve.requests = 1_000; hedge = true } in
+  let s = Serve.run cfg in
+  Alcotest.(check bool) "an enclave was lost" true (s.Serve.failovers >= 1);
+  let arrivals = Workload.generate ~seed:cfg.Serve.seed (Serve.shape_of cfg) in
+  (* the fleet launches slot by slot, so slot i's first enclave has the
+     i-th smallest id; a replacement takes over its slot's position *)
+  let live = List.map fst s.Serve.evictions_by_enclave in
+  let first = List.fold_left min max_int (live @ s.Serve.retired_enclaves) in
+  let home_eids slot = [ first + slot; List.nth live slot ] in
+  let away =
+    Array.to_list s.Serve.requests_log
+    |> List.filter (fun r ->
+           r.Serve.outcome = Serve.Served
+           && r.Serve.attempts > 1
+           && not
+                (List.mem r.Serve.enclave
+                   (home_eids arrivals.(r.Serve.rid).Workload.enclave)))
+  in
+  Alcotest.(check bool) "some retried request served away from home" true
+    (away <> []);
+  check_conserves_failover "hedge" s;
+  let again = Serve.run cfg in
+  Alcotest.(check string) "byte-identical request trace"
+    (Serve.render_requests s) (Serve.render_requests again);
+  Alcotest.(check string) "byte-identical ledger"
+    (Twine_obs.Ledger.to_string s.Serve.ledger)
+    (Twine_obs.Ledger.to_string again.Serve.ledger)
+
+let test_slo_keeps_replaced_tracks () =
+  (* twine-slo/v1 carries every track's windows: after a failover the
+     enclave tracks, the replaced one included, still tile the fleet *)
+  let s = Serve.run { chaos_config with Serve.requests = 1_000 } in
+  Alcotest.(check bool) "an enclave was replaced" true (s.Serve.failovers >= 1);
+  let open Twine_obs.Json in
+  let field k j = Option.get (member k j) in
+  let count track =
+    List.fold_left
+      (fun a w -> a + int_of_float (Option.get (to_float (field "count" w))))
+      0
+      (Option.get (to_list (field "windows" track)))
+  in
+  let tracks = Option.get (to_list (field "tracks" (parse_exn (Serve.render_slo s)))) in
+  let fleet, enclaves =
+    List.partition (fun t -> to_str (field "track" t) = Some "fleet") tracks
+  in
+  Alcotest.(check int) "enclave tracks sum to the fleet count"
+    (List.fold_left (fun a t -> a + count t) 0 fleet)
+    (List.fold_left (fun a t -> a + count t) 0 enclaves)
+
+let test_no_global_wasm_factor () =
+  (* a fleet's pinned factor must not leak into the process-wide
+     calibration used by later Bench_db instances *)
+  ignore (Serve.run { small_config with Serve.requests = 50; wasm_factor = 9.0 });
+  Alcotest.(check bool) "calibration is not the fleet's factor" true
+    (Twine.Bench_db.calibrate_wasm_factor () <> 9.0)
+
 let () =
   Alcotest.run "twine_serve"
     [
@@ -768,6 +828,8 @@ let () =
           Alcotest.test_case "byte-identical books" `Quick test_replay_identical;
           Alcotest.test_case "books balance" `Quick test_serving_books_balance;
           Alcotest.test_case "tracked sees the fleet" `Quick test_tracked_sees_fleet;
+          Alcotest.test_case "no process-global wasm factor" `Quick
+            test_no_global_wasm_factor;
         ] );
       ( "batching",
         [
@@ -826,6 +888,10 @@ let () =
             test_shed_depth;
           Alcotest.test_case "retry backoff and exhaustion" `Quick
             test_retry_backoff_and_exhaustion;
+          Alcotest.test_case "hedged retries leave the home slot" `Quick
+            test_hedged_retries;
+          Alcotest.test_case "slo artifact keeps replaced tracks" `Quick
+            test_slo_keeps_replaced_tracks;
           QCheck_alcotest.to_alcotest prop_chaos_modes_agree;
         ] );
     ]
