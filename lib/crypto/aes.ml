@@ -1,7 +1,15 @@
-(* AES (FIPS 197). The implementation works on a column-major state of four
-   32-bit words held in int arrays; round keys are precomputed by [expand].
-   Readability is favoured over table-heavy optimisation: the S-box is the
-   only lookup table, and MixColumns is computed with xtime. *)
+(* AES (FIPS 197), forward cipher only. The state is four big-endian 32-bit
+   column words held in int locals; round keys are precomputed by [expand].
+
+   Table layout: [te] holds four 256-entry T-tables back to back. Entry
+   [x] of the first maps a byte [x] in row 0 to its MixColumns column
+   after SubBytes: the word (2s, s, s, 3s) with s = sbox.(x), most
+   significant byte first. Entry [256 * r + x] is that word rotated right
+   by 8r bits: the column for the same byte in row r. A full round
+   (SubBytes, ShiftRows, MixColumns, AddRoundKey) is then four lookups and
+   four xors per output word; the last round, which has no MixColumns,
+   uses [sbox] directly. The tables are built from [sbox] at module
+   initialisation. *)
 
 let sbox = [|
   0x63; 0x7c; 0x77; 0x7b; 0xf2; 0x6b; 0x6f; 0xc5; 0x30; 0x01; 0x67; 0x2b;
@@ -27,10 +35,19 @@ let sbox = [|
   0x8c; 0xa1; 0x89; 0x0d; 0xbf; 0xe6; 0x42; 0x68; 0x41; 0x99; 0x2d; 0x0f;
   0xb0; 0x54; 0xbb; 0x16 |]
 
-let inv_sbox =
-  let t = Array.make 256 0 in
-  Array.iteri (fun i v -> t.(v) <- i) sbox;
-  t
+let xtime b = if b land 0x80 <> 0 then ((b lsl 1) lxor 0x1b) land 0xff else (b lsl 1) land 0xff
+
+let ror8 w = ((w lsr 8) lor (w lsl 24)) land 0xffffffff
+
+let te0 =
+  Array.map
+    (fun s -> (xtime s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (xtime s lxor s))
+    sbox
+
+let te =
+  let te1 = Array.map ror8 te0 in
+  let te2 = Array.map ror8 te1 in
+  Array.concat [ te0; te1; te2; Array.map ror8 te2 ]
 
 type key = { rounds : int; rk : int array; bits : int }
 (* [rk] holds 4*(rounds+1) round-key words, big-endian packed. *)
@@ -59,11 +76,7 @@ let expand raw =
   let nwords = 4 * (rounds + 1) in
   let rk = Array.make nwords 0 in
   for i = 0 to nk - 1 do
-    rk.(i) <-
-      (Char.code raw.[4 * i] lsl 24)
-      lor (Char.code raw.[(4 * i) + 1] lsl 16)
-      lor (Char.code raw.[(4 * i) + 2] lsl 8)
-      lor Char.code raw.[(4 * i) + 3]
+    rk.(i) <- Int32.to_int (String.get_int32_be raw (4 * i)) land 0xffffffff
   done;
   for i = nk to nwords - 1 do
     let temp = rk.(i - 1) in
@@ -76,104 +89,49 @@ let expand raw =
   done;
   { rounds; rk; bits = nk * 32 }
 
-let xtime b = if b land 0x80 <> 0 then ((b lsl 1) lxor 0x1b) land 0xff else (b lsl 1) land 0xff
+let[@inline] get_word b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+let[@inline] set_word b off w = Bytes.set_int32_be b off (Int32.of_int w)
 
-(* Multiply a state byte by a small GF(2^8) constant. *)
-let gmul b = function
-  | 1 -> b
-  | 2 -> xtime b
-  | 3 -> xtime b lxor b
-  | 9 -> xtime (xtime (xtime b)) lxor b
-  | 11 -> xtime (xtime (xtime b) lxor b) lxor b
-  | 13 -> xtime (xtime (xtime b lxor b)) lxor b
-  | 14 -> xtime (xtime (xtime b lxor b) lxor b)
-  | c -> invalid_arg (Printf.sprintf "Aes.gmul: %d" c)
+(* One output column of a full round, before AddRoundKey: [a] supplies
+   row 0, [b] row 1, [c] row 2 and [d] row 3 (ShiftRows is the choice of
+   arguments). Indices are bytes of 32-bit words, so the unchecked reads
+   are in bounds. *)
+let[@inline] round_col a b c d =
+  Array.unsafe_get te (a lsr 24)
+  lxor Array.unsafe_get te (0x100 lor ((b lsr 16) land 0xff))
+  lxor Array.unsafe_get te (0x200 lor ((c lsr 8) land 0xff))
+  lxor Array.unsafe_get te (0x300 lor (d land 0xff))
 
-(* The state is a 16-element int array laid out as FIPS 197 columns:
-   state.(4*c + r) is row r, column c. *)
-
-let add_round_key st rk round =
-  for c = 0 to 3 do
-    let w = rk.((4 * round) + c) in
-    st.(4 * c) <- st.(4 * c) lxor ((w lsr 24) land 0xff);
-    st.((4 * c) + 1) <- st.((4 * c) + 1) lxor ((w lsr 16) land 0xff);
-    st.((4 * c) + 2) <- st.((4 * c) + 2) lxor ((w lsr 8) land 0xff);
-    st.((4 * c) + 3) <- st.((4 * c) + 3) lxor (w land 0xff)
-  done
-
-let sub_bytes st = for i = 0 to 15 do st.(i) <- sbox.(st.(i)) done
-let inv_sub_bytes st = for i = 0 to 15 do st.(i) <- inv_sbox.(st.(i)) done
-
-let shift_rows st =
-  let at r c = st.((4 * c) + r) in
-  let row r s =
-    let v = [| at r 0; at r 1; at r 2; at r 3 |] in
-    for c = 0 to 3 do st.((4 * c) + r) <- v.((c + s) mod 4) done
-  in
-  row 1 1; row 2 2; row 3 3
-
-let inv_shift_rows st =
-  let at r c = st.((4 * c) + r) in
-  let row r s =
-    let v = [| at r 0; at r 1; at r 2; at r 3 |] in
-    for c = 0 to 3 do st.((4 * c) + r) <- v.((c - s + 4) mod 4) done
-  in
-  row 1 1; row 2 2; row 3 3
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c) and a1 = st.((4 * c) + 1)
-    and a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    st.((4 * c) + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    st.((4 * c) + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    st.((4 * c) + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
-
-let inv_mix_columns st =
-  for c = 0 to 3 do
-    let a0 = st.(4 * c) and a1 = st.((4 * c) + 1)
-    and a2 = st.((4 * c) + 2) and a3 = st.((4 * c) + 3) in
-    st.(4 * c) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    st.((4 * c) + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    st.((4 * c) + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    st.((4 * c) + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
-
-let load_state src off st =
-  for i = 0 to 15 do st.(i) <- Char.code (Bytes.get src (off + i)) done
-
-let store_state st dst off =
-  for i = 0 to 15 do Bytes.set dst (off + i) (Char.chr st.(i)) done
+(* The same for the last round, which has no MixColumns. *)
+let[@inline] last_col a b c d =
+  (Array.unsafe_get sbox (a lsr 24) lsl 24)
+  lor (Array.unsafe_get sbox ((b lsr 16) land 0xff) lsl 16)
+  lor (Array.unsafe_get sbox ((c lsr 8) land 0xff) lsl 8)
+  lor Array.unsafe_get sbox (d land 0xff)
 
 let encrypt_block k src ~src_off dst ~dst_off =
-  let st = Array.make 16 0 in
-  load_state src src_off st;
-  add_round_key st k.rk 0;
+  let rk = k.rk in
+  let s0 = ref (get_word src src_off lxor rk.(0)) in
+  let s1 = ref (get_word src (src_off + 4) lxor rk.(1)) in
+  let s2 = ref (get_word src (src_off + 8) lxor rk.(2)) in
+  let s3 = ref (get_word src (src_off + 12) lxor rk.(3)) in
   for round = 1 to k.rounds - 1 do
-    sub_bytes st; shift_rows st; mix_columns st; add_round_key st k.rk round
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    let r = 4 * round in
+    s0 := round_col a0 a1 a2 a3 lxor Array.unsafe_get rk r;
+    s1 := round_col a1 a2 a3 a0 lxor Array.unsafe_get rk (r + 1);
+    s2 := round_col a2 a3 a0 a1 lxor Array.unsafe_get rk (r + 2);
+    s3 := round_col a3 a0 a1 a2 lxor Array.unsafe_get rk (r + 3)
   done;
-  sub_bytes st; shift_rows st; add_round_key st k.rk k.rounds;
-  store_state st dst dst_off
-
-let decrypt_block k src ~src_off dst ~dst_off =
-  let st = Array.make 16 0 in
-  load_state src src_off st;
-  add_round_key st k.rk k.rounds;
-  for round = k.rounds - 1 downto 1 do
-    inv_shift_rows st; inv_sub_bytes st; add_round_key st k.rk round; inv_mix_columns st
-  done;
-  inv_shift_rows st; inv_sub_bytes st; add_round_key st k.rk 0;
-  store_state st dst dst_off
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  let r = 4 * k.rounds in
+  set_word dst dst_off (last_col a0 a1 a2 a3 lxor Array.unsafe_get rk r);
+  set_word dst (dst_off + 4) (last_col a1 a2 a3 a0 lxor Array.unsafe_get rk (r + 1));
+  set_word dst (dst_off + 8) (last_col a2 a3 a0 a1 lxor Array.unsafe_get rk (r + 2));
+  set_word dst (dst_off + 12) (last_col a3 a0 a1 a2 lxor Array.unsafe_get rk (r + 3))
 
 let encrypt_block_str k s =
   if String.length s <> 16 then invalid_arg "Aes.encrypt_block_str: need 16 bytes";
   let b = Bytes.of_string s in
   encrypt_block k b ~src_off:0 b ~dst_off:0;
-  Bytes.to_string b
-
-let decrypt_block_str k s =
-  if String.length s <> 16 then invalid_arg "Aes.decrypt_block_str: need 16 bytes";
-  let b = Bytes.of_string s in
-  decrypt_block k b ~src_off:0 b ~dst_off:0;
   Bytes.to_string b

@@ -7,8 +7,13 @@ val ctr_transform :
     initial 16-byte counter block and is advanced (big-endian increment of
     the last 32 bits) as blocks are consumed; it is mutated. *)
 
+val xor_bytes : src:Bytes.t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
+(** [xor_bytes ~src ~src_off dst ~dst_off ~len] XORs [len] bytes of [src]
+    at [src_off] into [dst] at [dst_off], 8 bytes at a time. *)
+
 val xor_into : src:string -> Bytes.t -> off:int -> len:int -> unit
-(** XOR [len] bytes of [src] into [buf] starting at [off]. *)
+(** XOR [len] bytes of [src] into [buf] starting at [off]; {!xor_bytes}
+    from offset 0 of a string. *)
 
 val ct_equal : string -> string -> bool
 (** Constant-time equality of equal-length strings (false on length

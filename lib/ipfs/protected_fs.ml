@@ -32,11 +32,15 @@ type t = {
   mutable misses : int;
 }
 
+(* The node cipher of one file, chosen from the file system's variant. *)
+type node_cipher =
+  | Node_gcm of Gcm.key  (* stock *)
+  | Node_ccm of Aes.key  (* optimised *)
+
 type file = {
   fs : t;
   path : string;
-  gcm_key : Gcm.key;  (* stock cipher *)
-  aes_key : Aes.key;  (* optimised (CCM) cipher *)
+  cipher : node_cipher;
   header_key : Gcm.key;
   mutable size : int;
   mutable pos : int;
@@ -149,18 +153,18 @@ let encrypt_node file idx plaintext =
   let iv = Enclave.random file.fs.enclave iv_len in
   let aad = node_aad idx in
   let ct, tag =
-    match file.fs.variant with
-    | Stock -> Gcm.encrypt file.gcm_key ~iv ~aad plaintext
-    | Optimized -> Ccm.encrypt file.aes_key ~nonce:iv ~aad plaintext
+    match file.cipher with
+    | Node_gcm k -> Gcm.encrypt k ~iv ~aad plaintext
+    | Node_ccm k -> Ccm.encrypt k ~nonce:iv ~aad plaintext
   in
   (iv, ct, tag)
 
 let decrypt_node file idx ~iv ~tag ciphertext =
   let aad = node_aad idx in
   let res =
-    match file.fs.variant with
-    | Stock -> Gcm.decrypt file.gcm_key ~iv ~aad ~tag ciphertext
-    | Optimized -> Ccm.decrypt file.aes_key ~nonce:iv ~aad ~tag ciphertext
+    match file.cipher with
+    | Node_gcm k -> Gcm.decrypt k ~iv ~aad ~tag ciphertext
+    | Node_ccm k -> Ccm.decrypt k ~nonce:iv ~aad ~tag ciphertext
   in
   match res with
   | Some pt -> pt
@@ -528,7 +532,12 @@ let derive_keys fs ?key ~path () =
           ~info:("pfs-file:" ^ path) ~length:16
   in
   let header_raw = Hmac.derive ~key:master ~info:"pfs-header" ~length:16 in
-  (Gcm.of_raw master, Aes.expand master, Gcm.of_raw header_raw)
+  let cipher =
+    match fs.variant with
+    | Stock -> Node_gcm (Gcm.of_raw master)
+    | Optimized -> Node_ccm (Aes.expand master)
+  in
+  (cipher, Gcm.of_raw header_raw)
 
 (* Tombstone both slots, then remove everything. The tombstones make a
    half-finished deletion unambiguous at open: without them, removing
@@ -552,7 +561,7 @@ let delete_keys fs path =
 
 let open_file t ?key ~mode path =
   in_enclave t (fun () ->
-      let gcm_key, aes_key, header_key = derive_keys t ?key ~path () in
+      let cipher, header_key = derive_keys t ?key ~path () in
       (* Read (and recover) the header before touching any state on [t]
          or the enclave: a failed open leaves both exactly as they were. *)
       let header =
@@ -576,8 +585,7 @@ let open_file t ?key ~mode path =
       {
         fs = t;
         path;
-        gcm_key;
-        aes_key;
+        cipher;
         header_key;
         size;
         pos = 0;

@@ -10,37 +10,132 @@ let check_hex msg expected actual =
 
 (* --- AES block cipher --- *)
 
-let test_aes128_fips197 () =
-  let k = Aes.expand (hex "000102030405060708090a0b0c0d0e0f") in
-  let ct = Aes.encrypt_block_str k (hex "00112233445566778899aabbccddeeff") in
-  check_hex "AES-128 encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" ct;
-  let pt = Aes.decrypt_block_str k ct in
-  check_hex "AES-128 decrypt" "00112233445566778899aabbccddeeff" pt
+(* Reference oracle: the FIPS 197 forward cipher written byte by byte
+   (SubBytes, ShiftRows, MixColumns with xtime, AddRoundKey) on a
+   column-major 16-byte state, with its own key expansion. The library's
+   table-driven [Aes.encrypt_block] must agree with it on every input. *)
+module Oracle = struct
+  (* The S-box from its definition: multiplicative inverse in GF(2^8)
+     followed by the affine map. *)
+  let xtime b = if b land 0x80 <> 0 then ((b lsl 1) lxor 0x1b) land 0xff else (b lsl 1) land 0xff
 
-let test_aes192_fips197 () =
-  let k = Aes.expand (hex "000102030405060708090a0b0c0d0e0f1011121314151617") in
-  let ct = Aes.encrypt_block_str k (hex "00112233445566778899aabbccddeeff") in
-  check_hex "AES-192 encrypt" "dda97ca4864cdfe06eaf70a0ec0d7191" ct
+  let rec gf_mul a b =
+    if b = 0 then 0
+    else (if b land 1 <> 0 then a else 0) lxor gf_mul (xtime a) (b lsr 1)
 
-let test_aes256_fips197 () =
-  let k =
-    Aes.expand (hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
-  in
-  Alcotest.(check int) "bits" 256 (Aes.key_bits k);
-  let ct = Aes.encrypt_block_str k (hex "00112233445566778899aabbccddeeff") in
-  check_hex "AES-256 encrypt" "8ea2b7ca516745bfeafc49904b496089" ct;
-  check_hex "AES-256 decrypt" "00112233445566778899aabbccddeeff" (Aes.decrypt_block_str k ct)
+  let sbox =
+    Array.init 256 (fun x ->
+        let inv = if x = 0 then 0 else List.find (fun y -> gf_mul x y = 1) (List.init 255 succ) in
+        let rotl v n = ((v lsl n) lor (v lsr (8 - n))) land 0xff in
+        inv lxor rotl inv 1 lxor rotl inv 2 lxor rotl inv 3 lxor rotl inv 4 lxor 0x63)
+
+  (* Round keys as 16-byte arrays, one per round. *)
+  let expand raw =
+    let nk = String.length raw / 4 in
+    let rounds = nk + 6 in
+    let w = Array.init (4 * (rounds + 1)) (fun _ -> Array.make 4 0) in
+    for i = 0 to nk - 1 do
+      w.(i) <- Array.init 4 (fun r -> Char.code raw.[(4 * i) + r])
+    done;
+    let rcon = ref 1 in
+    for i = nk to (4 * (rounds + 1)) - 1 do
+      let t = Array.copy w.(i - 1) in
+      let t =
+        if i mod nk = 0 then begin
+          let t = Array.map (fun b -> sbox.(b)) [| t.(1); t.(2); t.(3); t.(0) |] in
+          t.(0) <- t.(0) lxor !rcon;
+          rcon := xtime !rcon;
+          t
+        end
+        else if nk > 6 && i mod nk = 4 then Array.map (fun b -> sbox.(b)) t
+        else t
+      in
+      w.(i) <- Array.mapi (fun r b -> b lxor w.(i - nk).(r)) t
+    done;
+    Array.init (rounds + 1) (fun round ->
+        Array.init 16 (fun i -> w.((4 * round) + (i / 4)).(i mod 4)))
+
+  let add_round_key st rk = Array.iteri (fun i b -> st.(i) <- st.(i) lxor b) rk
+  let sub_bytes st = Array.iteri (fun i b -> st.(i) <- sbox.(b)) st
+
+  (* state.(4*c + r) is row r, column c; row r rotates left by r. *)
+  let shift_rows st =
+    let old = Array.copy st in
+    for c = 0 to 3 do
+      for r = 1 to 3 do st.((4 * c) + r) <- old.((4 * ((c + r) mod 4)) + r) done
+    done
+
+  let mix_columns st =
+    for c = 0 to 3 do
+      let a = Array.sub st (4 * c) 4 in
+      for r = 0 to 3 do
+        st.((4 * c) + r) <-
+          xtime a.(r) lxor (xtime a.((r + 1) mod 4) lxor a.((r + 1) mod 4))
+          lxor a.((r + 2) mod 4) lxor a.((r + 3) mod 4)
+      done
+    done
+
+  let encrypt raw block =
+    let rks = expand raw in
+    let rounds = Array.length rks - 1 in
+    let st = Array.init 16 (fun i -> Char.code block.[i]) in
+    add_round_key st rks.(0);
+    for round = 1 to rounds - 1 do
+      sub_bytes st; shift_rows st; mix_columns st; add_round_key st rks.(round)
+    done;
+    sub_bytes st; shift_rows st; add_round_key st rks.(rounds);
+    String.init 16 (fun i -> Char.chr st.(i))
+end
+
+let fips_pt = "00112233445566778899aabbccddeeff"
+
+let fips197 raw_hex expected () =
+  let k = Aes.expand (hex raw_hex) in
+  Alcotest.(check int) "bits" (4 * String.length raw_hex) (Aes.key_bits k);
+  check_hex "encrypt" expected (Aes.encrypt_block_str k (hex fips_pt));
+  check_hex "oracle" expected (Oracle.encrypt (hex raw_hex) (hex fips_pt))
+
+let test_aes128_fips197 =
+  fips197 "000102030405060708090a0b0c0d0e0f" "69c4e0d86a7b0430d8cdb78070b4c55a"
+
+let test_aes192_fips197 =
+  fips197 "000102030405060708090a0b0c0d0e0f1011121314151617"
+    "dda97ca4864cdfe06eaf70a0ec0d7191"
+
+let test_aes256_fips197 =
+  fips197 "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+    "8ea2b7ca516745bfeafc49904b496089"
 
 let test_aes_bad_key () =
   Alcotest.check_raises "bad length" (Invalid_argument "Aes.expand: bad key length 5")
     (fun () -> ignore (Aes.expand "12345"))
 
-let prop_aes_roundtrip =
-  QCheck.Test.make ~name:"aes encrypt/decrypt roundtrip" ~count:200
-    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
-    (fun (key, block) ->
-      let k = Aes.expand key in
-      Aes.decrypt_block_str k (Aes.encrypt_block_str k block) = block)
+(* [encrypt_block] against the oracle for every key size, with source and
+   destination either separate or one aliased buffer, at arbitrary
+   (possibly overlapping) offsets. *)
+let prop_aes_oracle =
+  QCheck.Test.make ~name:"encrypt_block matches fips197 oracle" ~count:300
+    QCheck.(
+      quad
+        (make Gen.(oneofl [ 16; 24; 32 ] >>= fun n -> string_size (return n)))
+        (string_of_size (Gen.return 16))
+        (pair (int_bound 20) (int_bound 20))
+        bool)
+    (fun (raw, block, (src_off, dst_off), aliased) ->
+      let k = Aes.expand raw in
+      let src = Bytes.make 40 '\x5a' in
+      Bytes.blit_string block 0 src src_off 16;
+      let dst = if aliased then src else Bytes.make 40 '\xa5' in
+      Aes.encrypt_block k src ~src_off dst ~dst_off;
+      Bytes.sub_string dst dst_off 16 = Oracle.encrypt raw block)
+
+let test_aes_no_alloc () =
+  let k = Aes.expand (String.make 32 'k') in
+  let b = Bytes.make 16 'b' in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do Aes.encrypt_block k b ~src_off:0 b ~dst_off:0 done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 blocks" words) true (words < 16.)
 
 (* --- SHA-256 --- *)
 
@@ -135,6 +230,53 @@ let test_gcm_nist_case4_aad () =
     ct;
   check_hex "tag" "5bc94fbc3221a5db94fae95ae7121a47" tag
 
+(* The 192- and 256-bit key paths: GCM-spec test cases 9 and 13-16. *)
+let gcm_pt64 =
+  "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
+
+let gcm_case ~key ~iv ?(aad = "") ~pt ?ct ~tag () =
+  let k = Gcm.of_raw (hex key) in
+  let iv = hex iv and aad = hex aad in
+  let c, t = Gcm.encrypt k ~iv ~aad (hex pt) in
+  Option.iter (fun ct -> check_hex "ciphertext" ct c) ct;
+  check_hex "tag" tag t;
+  Alcotest.(check (option string)) "decrypts" (Some (hex pt)) (Gcm.decrypt k ~iv ~aad ~tag:t c)
+
+let gcm_key_192 = gcm_key_128 ^ "feffe9928665731c"
+let gcm_key_256 = gcm_key_128 ^ gcm_key_128
+let zero_iv = String.make 24 '0'
+
+let test_gcm_case9 () =
+  gcm_case ~key:gcm_key_192 ~iv:"cafebabefacedbaddecaf888" ~pt:gcm_pt64
+    ~tag:"9924a7c8587336bfb118024db8674a14" ()
+
+let test_gcm_case13 () =
+  gcm_case ~key:(String.make 64 '0') ~iv:zero_iv ~pt:"" ~ct:""
+    ~tag:"530f8afbc74536b9a963b4f1c4cb738b" ()
+
+let test_gcm_case14 () =
+  gcm_case ~key:(String.make 64 '0') ~iv:zero_iv ~pt:(String.make 32 '0')
+    ~ct:"cea7403d4d606b6e074ec5d3baf39d18" ~tag:"d0d1c8a799996bf0265b98b5d48ab919" ()
+
+let test_gcm_case15 () =
+  gcm_case ~key:gcm_key_256 ~iv:"cafebabefacedbaddecaf888" ~pt:gcm_pt64
+    ~ct:
+      "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
+    ~tag:"b094dac5d93471bdec1a502270e3cc6c" ()
+
+let test_gcm_case16 () =
+  gcm_case ~key:gcm_key_256 ~iv:"cafebabefacedbaddecaf888"
+    ~aad:"feedfacedeadbeeffeedfacedeadbeefabaddad2"
+    ~pt:(String.sub gcm_pt64 0 120)
+    ~ct:
+      "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
+    ~tag:"76fc6ece0f4e1768cddf8853bb2d551b" ()
+
+let test_gcm_bad_iv () =
+  let k = Gcm.of_raw (hex gcm_key_128) in
+  Alcotest.check_raises "11-byte IV" (Invalid_argument "Gcm: IV must be 12 bytes")
+    (fun () -> ignore (Gcm.encrypt k ~iv:(String.make 11 'i') "x"))
+
 let test_gcm_empty () =
   (* NIST case 1: empty plaintext, zero key/IV *)
   let k = Gcm.of_raw (String.make 16 '\000') in
@@ -188,6 +330,17 @@ let test_ccm_tamper () =
   Alcotest.(check bool) "tampered rejected" true
     (Ccm.decrypt k ~nonce ~tag (Bytes.to_string bad) = None)
 
+let test_ccm_bad_nonce () =
+  let k = Aes.expand (String.make 16 'k') in
+  let bad = Invalid_argument "Ccm: nonce must be 7..13 bytes" in
+  List.iter
+    (fun n ->
+      let nonce = String.make n 'n' in
+      Alcotest.check_raises "encrypt" bad (fun () -> ignore (Ccm.encrypt k ~nonce "node"));
+      Alcotest.check_raises "decrypt" bad (fun () ->
+          ignore (Ccm.decrypt k ~nonce ~tag:(String.make 16 't') "node")))
+    [ 6; 14; 15 ]
+
 let prop_ccm_roundtrip =
   QCheck.Test.make ~name:"ccm roundtrip any size" ~count:100
     QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size Gen.(int_range 0 200)))
@@ -207,6 +360,43 @@ let test_ctr_involution () =
   Modes.ctr_transform key ~counter:(mk ()) data ~off:0 ~len:(Bytes.length data);
   Alcotest.(check string) "double ctr = id"
     "counter mode is an involution when reapplied" (Bytes.to_string data)
+
+(* CTR against its definition: block i of the keystream is E(K, counter
+   advanced i times by inc32), for counters about to wrap and lengths that
+   are not a multiple of 16. Returns the output and the advanced counter. *)
+let ctr_reference key ~counter data =
+  let ctr = Bytes.copy counter and ks = Bytes.create 16 in
+  let out = Bytes.of_string data in
+  Bytes.iteri
+    (fun i c ->
+      if i mod 16 = 0 then begin
+        Aes.encrypt_block key ctr ~src_off:0 ks ~dst_off:0;
+        Modes.inc32 ctr
+      end;
+      Bytes.set out i (Char.chr (Char.code c lxor Char.code (Bytes.get ks (i mod 16)))))
+    out;
+  (Bytes.to_string out, ctr)
+
+let prop_ctr_blockwise =
+  QCheck.Test.make ~name:"ctr_transform matches block-by-block" ~count:200
+    QCheck.(
+      quad (string_of_size (Gen.return 16)) (string_of_size (Gen.return 12))
+        (make Gen.(oneof [ oneofl [ 0xffffffff; 0xfffffffe; 0xfffffff0 ]; int_bound 0x3fffffff ]))
+        (pair (string_of_size Gen.(int_range 0 100)) (int_bound 7)))
+    (fun (raw, prefix, low, (data, off)) ->
+      let key = Aes.expand raw in
+      let counter = Bytes.create 16 in
+      Bytes.blit_string prefix 0 counter 0 12;
+      Bytes.set_int32_be counter 12 (Int32.of_int low);
+      let expected, advanced = ctr_reference key ~counter data in
+      let len = String.length data in
+      let buf = Bytes.make (off + len + 3) '#' in
+      Bytes.blit_string data 0 buf off len;
+      Modes.ctr_transform key ~counter buf ~off ~len;
+      Bytes.sub_string buf off len = expected
+      && Bytes.sub_string buf 0 off = String.make off '#'
+      && Bytes.sub_string buf (off + len) 3 = "###"
+      && Bytes.equal counter advanced)
 
 let test_inc32_carry () =
   let b = Bytes.of_string (hex "000000000000000000000000ffffffff") in
@@ -273,7 +463,8 @@ let suite =
       Alcotest.test_case "fips197 aes-192" `Quick test_aes192_fips197;
       Alcotest.test_case "fips197 aes-256" `Quick test_aes256_fips197;
       Alcotest.test_case "bad key length" `Quick test_aes_bad_key;
-      qc prop_aes_roundtrip;
+      Alcotest.test_case "encrypt_block allocates nothing" `Quick test_aes_no_alloc;
+      qc prop_aes_oracle;
     ]);
     ("sha256", [
       Alcotest.test_case "nist vectors" `Quick test_sha256_vectors;
@@ -290,15 +481,23 @@ let suite =
       Alcotest.test_case "nist case 4 (aad)" `Quick test_gcm_nist_case4_aad;
       Alcotest.test_case "empty plaintext" `Quick test_gcm_empty;
       Alcotest.test_case "tamper detection" `Quick test_gcm_tamper;
+      Alcotest.test_case "spec case 9 (aes-192)" `Quick test_gcm_case9;
+      Alcotest.test_case "spec case 13 (aes-256, empty)" `Quick test_gcm_case13;
+      Alcotest.test_case "spec case 14 (aes-256, zero block)" `Quick test_gcm_case14;
+      Alcotest.test_case "spec case 15 (aes-256)" `Quick test_gcm_case15;
+      Alcotest.test_case "spec case 16 (aes-256, aad)" `Quick test_gcm_case16;
+      Alcotest.test_case "bad iv length" `Quick test_gcm_bad_iv;
       qc prop_gcm_roundtrip;
     ]);
     ("ccm", [
       Alcotest.test_case "rfc3610 vector 1" `Quick test_ccm_rfc3610_1;
       Alcotest.test_case "tamper detection" `Quick test_ccm_tamper;
+      Alcotest.test_case "bad nonce length" `Quick test_ccm_bad_nonce;
       qc prop_ccm_roundtrip;
     ]);
     ("modes", [
       Alcotest.test_case "ctr involution" `Quick test_ctr_involution;
+      qc prop_ctr_blockwise;
       Alcotest.test_case "inc32 carry" `Quick test_inc32_carry;
       Alcotest.test_case "ct_equal" `Quick test_ct_equal;
     ]);
