@@ -1,15 +1,27 @@
-type t = { mutable k : string; mutable v : string }
+(* HMAC_DRBG state, updated in place. [v] holds V in bytes 0..31 and the
+   0x00/0x01 separator of the update step in byte 32, so "V || sep" is a
+   prefix of [v]. [mac] is keyed with K and re-keyed after every K
+   update, so each HMAC after that costs two compressions. *)
+type t = { k : Bytes.t; v : Bytes.t; mac : Hmac.key }
+
+(* V = HMAC(K, V) *)
+let next_v t = Hmac.mac_into t.mac t.v ~off:0 ~len:32 t.v 0
+
+(* K = HMAC(K, V || sep || provided); V = HMAC(K, V) *)
+let step t sep provided =
+  Bytes.set t.v 32 sep;
+  let msg = if provided = "" then t.v else Bytes.cat t.v (Bytes.unsafe_of_string provided) in
+  Hmac.mac_into t.mac msg ~off:0 ~len:(Bytes.length msg) t.k 0;
+  Hmac.set_key t.mac t.k;
+  next_v t
 
 let update t provided =
-  t.k <- Hmac.hmac_sha256 ~key:t.k (t.v ^ "\x00" ^ provided);
-  t.v <- Hmac.hmac_sha256 ~key:t.k t.v;
-  if provided <> "" then begin
-    t.k <- Hmac.hmac_sha256 ~key:t.k (t.v ^ "\x01" ^ provided);
-    t.v <- Hmac.hmac_sha256 ~key:t.k t.v
-  end
+  step t '\x00' provided;
+  if provided <> "" then step t '\x01' provided
 
 let create ?(personalization = "") ~seed () =
-  let t = { k = String.make 32 '\000'; v = String.make 32 '\001' } in
+  let k = String.make 32 '\000' in
+  let t = { k = Bytes.of_string k; v = Bytes.make 33 '\001'; mac = Hmac.key k } in
   update t (seed ^ personalization);
   t
 
@@ -17,26 +29,32 @@ let reseed t entropy = update t entropy
 
 let generate t n =
   if n < 0 then invalid_arg "Drbg.generate";
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    t.v <- Hmac.hmac_sha256 ~key:t.k t.v;
-    Buffer.add_string buf t.v
+  let out = Bytes.create n in
+  let pos = ref 0 in
+  while !pos < n do
+    next_v t;
+    let take = min 32 (n - !pos) in
+    Bytes.blit t.v 0 out !pos take;
+    pos := !pos + take
   done;
   update t "";
-  String.sub (Buffer.contents buf) 0 n
+  Bytes.unsafe_to_string out
 
+(* [generate t 8] as a big-endian integer, read from V in place. *)
 let uint64 t =
-  let s = generate t 8 in
-  let v = ref 0L in
-  String.iter (fun c -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c))) s;
-  !v
+  next_v t;
+  let x = Bytes.get_int64_be t.v 0 in
+  update t "";
+  x
 
 let int_below t bound =
   if bound <= 0 then invalid_arg "Drbg.int_below";
   (* Rejection sampling over 62-bit values to avoid modulo bias. *)
-  let rec go () =
-    let v = Int64.to_int (Int64.logand (uint64 t) 0x3fffffffffffffffL) in
-    let limit = 0x3fffffffffffffff - (0x3fffffffffffffff mod bound) in
-    if v >= limit then go () else v mod bound
-  in
-  go ()
+  let limit = 0x3fffffffffffffff - (0x3fffffffffffffff mod bound) in
+  let v = ref limit in
+  while !v >= limit do
+    next_v t;
+    v := Int64.to_int (Bytes.get_int64_be t.v 0) land 0x3fffffffffffffff;
+    update t ""
+  done;
+  !v mod bound

@@ -1,4 +1,14 @@
-let encode = Sha256.hex
+let digits = "0123456789abcdef"
+
+let encode s =
+  let out = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      let b = Char.code c in
+      Bytes.set out (2 * i) digits.[b lsr 4];
+      Bytes.set out ((2 * i) + 1) digits.[b land 0xf])
+    s;
+  Bytes.unsafe_to_string out
 
 let nibble c =
   match c with

@@ -1,4 +1,17 @@
-(* SHA-256 over 32-bit words represented as OCaml ints masked to 32 bits. *)
+(* SHA-256 over 32-bit words represented as OCaml ints masked to 32 bits.
+
+   Nothing here allocates once a context exists: the 64-word message
+   schedule lives in the context and is refilled per block, words load
+   and store big-endian with [Bytes.get_int32_be]/[set_int32_be], and
+   [finalize_into] pads inside the context's block buffer.
+
+   Rotations use the doubled word [d = x lor (x lsl 32)]: bits 0..31 of
+   [d] are [x] and bits 32..62 repeat [x]'s bits 0..30, so for n <= 31
+   bits n..n+31 of [d] are [x] rotated right by n. Each Sigma function
+   xors its shifted copies of one [d] and masks once. Additions are
+   masked only where a value must be a clean 32-bit word again (a state
+   word or a schedule word): the low 32 bits of a sum or an xor depend
+   only on the low 32 bits of its operands. *)
 
 let k = [|
   0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -13,46 +26,64 @@ let k = [|
   0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
   0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+let iv = [|
+  0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+  0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 type ctx = {
   h : int array;                 (* 8 chaining words *)
+  w : int array;                 (* 64-word message schedule, scratch *)
   buf : Bytes.t;                 (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int;           (* total bytes processed *)
 }
 
 let init () =
-  { h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-           0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64; buf_len = 0; total = 0 }
+  { h = Array.copy iv; w = Array.make 64 0; buf = Bytes.create 64; buf_len = 0; total = 0 }
+
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0
+
+let copy_into ~src dst =
+  Array.blit src.h 0 dst.h 0 8;
+  Bytes.blit src.buf 0 dst.buf 0 src.buf_len;
+  dst.buf_len <- src.buf_len;
+  dst.total <- src.total
 
 let mask = 0xffffffff
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-let compress h block off =
-  let w = Array.make 64 0 in
+let[@inline] get_word b off = Int32.to_int (Bytes.get_int32_be b off) land mask
+let[@inline] set_word b off w = Bytes.set_int32_be b off (Int32.of_int w)
+let[@inline] double x = x lor (x lsl 32)
+
+(* The schedule and round indices are below 64, the length of [k] and
+   [w], so the unchecked reads and writes are in bounds. *)
+let compress ctx block off =
+  let w = ctx.w and h = ctx.h in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + (4 * i))) lsl 24)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + (4 * i) + 3))
+    Array.unsafe_set w i (get_word block (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let dx = double x and dy = double y in
+    let s0 = (dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3) in
+    let s1 = (dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3)
   and e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let de = double !e and da = double !a in
+    let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
     hh := !g; g := !f; f := !e; e := (!d + t1) land mask;
-    d := !c; c := !b; b := !a; a := (t1 + t2) land mask
+    d := !c; c := !b; b := !a; a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask; h.(1) <- (h.(1) + !b) land mask;
   h.(2) <- (h.(2) + !c) land mask; h.(3) <- (h.(3) + !d) land mask;
@@ -70,10 +101,10 @@ let update_bytes ctx src ~off ~len =
     Bytes.blit src !pos ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := !pos + take; remaining := !remaining - take;
-    if ctx.buf_len = 64 then begin compress ctx.h ctx.buf 0; ctx.buf_len <- 0 end
+    if ctx.buf_len = 64 then begin compress ctx ctx.buf 0; ctx.buf_len <- 0 end
   end;
   while !remaining >= 64 do
-    compress ctx.h src !pos;
+    compress ctx src !pos;
     pos := !pos + 64; remaining := !remaining - 64
   done;
   if !remaining > 0 then begin
@@ -84,34 +115,33 @@ let update_bytes ctx src ~off ~len =
 let update ctx s =
   update_bytes ctx (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-let finalize ctx =
+(* Padding: 0x80, zeros up to byte 56 of a block (spilling into a second
+   block when fewer than 9 bytes are free), then the 64-bit message
+   length in bits. *)
+let finalize_into ctx out off =
+  if off < 0 || off + 32 > Bytes.length out then invalid_arg "Sha256.finalize_into";
+  let buf = ctx.buf and n = ctx.buf_len + 1 in
+  Bytes.set buf ctx.buf_len '\x80';
+  if n > 56 then begin
+    Bytes.fill buf n (64 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf n (56 - n) '\000';
   let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 64 in
-    if rem <= 56 then 56 - rem + 1 else 64 - rem + 56 + 1
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
+  set_word buf 56 (bit_len lsr 32);
+  set_word buf 60 (bit_len land mask);
+  compress ctx buf 0;
   for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  update_bytes ctx pad ~off:0 ~len:(Bytes.length pad);
-  assert (ctx.buf_len = 0);
+    set_word out (off + (4 * i)) ctx.h.(i)
+  done
+
+let finalize ctx =
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (ctx.h.(i) land 0xff))
-  done;
-  Bytes.to_string out
+  finalize_into ctx out 0;
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in
   update ctx s;
   finalize ctx
-
-let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b

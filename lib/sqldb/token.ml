@@ -26,7 +26,10 @@ let keywords =
     "TRANSACTION"; "PRAGMA"; "ANALYZE"; "DEFAULT"; "HAVING"; "CASE"; "WHEN";
     "THEN"; "ELSE"; "END"; "CAST"; "VACUUM"; "EXPLAIN"; "AUTOINCREMENT" ]
 
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+let keyword_table =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
@@ -59,8 +62,8 @@ let tokenize src =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let word = String.sub src start (!i - start) in
-      if is_keyword word then emit (Keyword (String.uppercase_ascii word))
-      else emit (Ident word)
+      let upper = String.uppercase_ascii word in
+      if Hashtbl.mem keyword_table upper then emit (Keyword upper) else emit (Ident word)
     end
     else if c = '"' then begin
       let close = try String.index_from src (!i + 1) '"' with Not_found -> fail "unterminated identifier" in

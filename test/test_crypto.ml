@@ -1,5 +1,6 @@
 (* Crypto substrate tests: published test vectors (FIPS 197, FIPS 180-4,
-   RFC 4231, NIST GCM, RFC 3610 CCM) plus property-based round-trips. *)
+   RFC 4231, NIST GCM, RFC 3610 CCM), byte-wise reference oracles for AES,
+   SHA-256 and HMAC_DRBG, plus property-based round-trips. *)
 
 open Twine_crypto
 
@@ -139,17 +140,86 @@ let test_aes_no_alloc () =
 
 (* --- SHA-256 --- *)
 
+(* Reference oracle: SHA-256 written plainly. Each block gets a fresh
+   64-word schedule, every rotation is masked on its own, and the padding
+   is built as a separate buffer. The library's [Sha256] must agree with
+   it on every input. The constants come from their definition (FIPS 180-4
+   4.2.2 and 5.3.3): the first 32 bits of the fractional parts of the cube
+   roots of the first 64 primes, and of the square roots of the first 8. *)
+module Sha_oracle = struct
+  let primes n =
+    let rec go acc p =
+      if List.length acc = n then List.rev acc
+      else if List.for_all (fun q -> p mod q <> 0) acc then go (p :: acc) (p + 1)
+      else go acc (p + 1)
+    in
+    go [] 2
+
+  let frac32 x = int_of_float (Float.ldexp (x -. Float.of_int (truncate x)) 32)
+  let k = Array.of_list (List.map (fun p -> frac32 (Float.cbrt (float p))) (primes 64))
+  let iv = Array.of_list (List.map (fun p -> frac32 (sqrt (float p))) (primes 8))
+  let mask = 0xffffffff
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  let compress h block off =
+    let w = Array.make 64 0 in
+    for i = 0 to 15 do
+      w.(i) <-
+        (Char.code (Bytes.get block (off + (4 * i))) lsl 24)
+        lor (Char.code (Bytes.get block (off + (4 * i) + 1)) lsl 16)
+        lor (Char.code (Bytes.get block (off + (4 * i) + 2)) lsl 8)
+        lor Char.code (Bytes.get block (off + (4 * i) + 3))
+    done;
+    for i = 16 to 63 do
+      let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
+      let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3)
+    and e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let t2 = (s0 + maj) land mask in
+      hh := !g; g := !f; f := !e; e := (!d + t1) land mask;
+      d := !c; c := !b; b := !a; a := (t1 + t2) land mask
+    done;
+    h.(0) <- (h.(0) + !a) land mask; h.(1) <- (h.(1) + !b) land mask;
+    h.(2) <- (h.(2) + !c) land mask; h.(3) <- (h.(3) + !d) land mask;
+    h.(4) <- (h.(4) + !e) land mask; h.(5) <- (h.(5) + !f) land mask;
+    h.(6) <- (h.(6) + !g) land mask; h.(7) <- (h.(7) + !hh) land mask
+
+  let digest s =
+    let total = String.length s in
+    let pad_len =
+      let rem = (total + 1) mod 64 in
+      if rem <= 56 then 56 - rem + 1 else 64 - rem + 56 + 1
+    in
+    let pad = Bytes.make (pad_len + 8) '\000' in
+    Bytes.set pad 0 '\x80';
+    for i = 0 to 7 do
+      Bytes.set pad (pad_len + i) (Char.chr (((total * 8) lsr (8 * (7 - i))) land 0xff))
+    done;
+    let msg = Bytes.cat (Bytes.of_string s) pad in
+    let h = Array.copy iv in
+    for blk = 0 to (Bytes.length msg / 64) - 1 do compress h msg (64 * blk) done;
+    String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
+end
+
 let test_sha256_vectors () =
-  check_hex "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Sha256.digest "");
-  check_hex "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.digest "abc");
-  check_hex "448-bit msg"
-    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  check_hex "million a"
-    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.digest (String.make 1_000_000 'a'))
+  List.iter
+    (fun (name, expected, msg) ->
+      check_hex name expected (Sha256.digest msg);
+      check_hex (name ^ " (oracle)") expected (Sha_oracle.digest msg))
+    [ ("empty", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "");
+      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad", "abc");
+      ( "448-bit msg", "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq" );
+      ( "million a", "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        String.make 1_000_000 'a' ) ]
 
 let test_sha256_incremental () =
   let whole = Sha256.digest "the quick brown fox jumps over the lazy dog" in
@@ -160,15 +230,105 @@ let test_sha256_incremental () =
   Alcotest.(check string) "incremental = one-shot" (Hexcodec.encode whole)
     (Hexcodec.encode (Sha256.finalize ctx))
 
+(* Split at any point; [copy_into] forks the hash at the split into a
+   context that held other bytes, and [reset] makes a finished context
+   new again. *)
 let prop_sha256_incremental_split =
   QCheck.Test.make ~name:"sha256 split-at-any-point" ~count:200
-    QCheck.(pair (string_of_size Gen.(int_range 0 300)) small_nat)
-    (fun (s, cut) ->
+    QCheck.(triple (string_of_size Gen.(int_range 0 300)) small_nat string)
+    (fun (s, cut, junk) ->
       let cut = if String.length s = 0 then 0 else cut mod (String.length s + 1) in
-      let ctx = Sha256.init () in
+      let rest = String.sub s cut (String.length s - cut) in
+      let ctx = Sha256.init () and fork = Sha256.init () in
       Sha256.update ctx (String.sub s 0 cut);
-      Sha256.update ctx (String.sub s cut (String.length s - cut));
-      Sha256.finalize ctx = Sha256.digest s)
+      Sha256.update fork junk;
+      Sha256.copy_into ~src:ctx fork;
+      Sha256.update ctx rest;
+      Sha256.update fork rest;
+      let whole = Sha256.finalize ctx in
+      Sha256.reset ctx;
+      Sha256.update ctx s;
+      whole = Sha256.digest s && Sha256.finalize fork = whole && Sha256.finalize ctx = whole)
+
+(* Lengths 0-300, with every padding edge (55/56 bytes: the length fits
+   in the last block or spills; 63/64, 119/120: one block more) drawn
+   often. The digest lands at an offset inside a larger buffer. *)
+let prop_sha256_oracle =
+  QCheck.Test.make ~name:"sha256 matches oracle" ~count:300
+    QCheck.(
+      pair
+        (make Gen.(oneof [ int_range 0 300; oneofl [ 55; 56; 63; 64; 119; 120 ] ] >>= fun n ->
+                   string_size (return n)))
+        (int_bound 20))
+    (fun (s, off) ->
+      let out = Bytes.make (off + 35) '#' in
+      let ctx = Sha256.init () in
+      Sha256.update ctx s;
+      Sha256.finalize_into ctx out off;
+      Sha256.digest s = Sha_oracle.digest s
+      && Bytes.sub_string out off 32 = Sha_oracle.digest s
+      && Bytes.sub_string out 0 off = String.make off '#'
+      && Bytes.sub_string out (off + 32) 3 = "###")
+
+let test_sha256_no_alloc () =
+  let ctx = Sha256.init () and b = Bytes.make 64 'b' in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do Sha256.update_bytes ctx b ~off:0 ~len:64 done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 blocks" words) true (words < 16.)
+
+(* HMAC (RFC 2104) and HMAC_DRBG (SP 800-90A 10.1.2) over [Sha_oracle],
+   on strings, as the standards write them: every HMAC hashes both pad
+   blocks, and K and V are fresh strings at every step. *)
+module Drbg_oracle = struct
+  let hmac ~key msg =
+    let key = if String.length key > 64 then Sha_oracle.digest key else key in
+    let pad fill =
+      String.init 64 (fun i ->
+          Char.chr ((if i < String.length key then Char.code key.[i] else 0) lxor fill))
+    in
+    Sha_oracle.digest (pad 0x5c ^ Sha_oracle.digest (pad 0x36 ^ msg))
+
+  type t = { mutable k : string; mutable v : string }
+
+  let update t provided =
+    t.k <- hmac ~key:t.k (t.v ^ "\x00" ^ provided);
+    t.v <- hmac ~key:t.k t.v;
+    if provided <> "" then begin
+      t.k <- hmac ~key:t.k (t.v ^ "\x01" ^ provided);
+      t.v <- hmac ~key:t.k t.v
+    end
+
+  let create ?(personalization = "") ~seed () =
+    let t = { k = String.make 32 '\000'; v = String.make 32 '\001' } in
+    update t (seed ^ personalization);
+    t
+
+  let reseed t entropy = update t entropy
+
+  let generate t n =
+    let buf = Buffer.create n in
+    while Buffer.length buf < n do
+      t.v <- hmac ~key:t.k t.v;
+      Buffer.add_string buf t.v
+    done;
+    update t "";
+    String.sub (Buffer.contents buf) 0 n
+
+  let uint64 t =
+    let s = generate t 8 in
+    let v = ref 0L in
+    String.iter (fun c -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c))) s;
+    !v
+
+  let int_below t bound =
+    let rec go () =
+      let v = Int64.to_int (Int64.logand (uint64 t) 0x3fffffffffffffffL) in
+      let limit = 0x3fffffffffffffff - (0x3fffffffffffffff mod bound) in
+      if v >= limit then go () else v mod bound
+    in
+    go ()
+end
 
 (* --- HMAC / HKDF --- *)
 
@@ -176,7 +336,34 @@ let test_hmac_rfc4231 () =
   check_hex "case 1" "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
     (Hmac.hmac_sha256 ~key:(String.make 20 '\x0b') "Hi There");
   check_hex "case 2" "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.hmac_sha256 ~key:"Jefe" "what do ya want for nothing?")
+    (Hmac.hmac_sha256 ~key:"Jefe" "what do ya want for nothing?");
+  check_hex "case 3" "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+    (Hmac.hmac_sha256 ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'));
+  check_hex "case 4" "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+    (Hmac.hmac_sha256 ~key:(hex "0102030405060708090a0b0c0d0e0f10111213141516171819")
+       (String.make 50 '\xcd'));
+  (* cases 6 and 7: a 131-byte key, hashed before use *)
+  check_hex "case 6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (Hmac.hmac_sha256 ~key:(String.make 131 '\xaa')
+       "Test Using Larger Than Block-Size Key - Hash Key First");
+  check_hex "case 7" "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+    (Hmac.hmac_sha256 ~key:(String.make 131 '\xaa')
+       "This is a test using a larger than block-size key and a larger than block-size \
+        data. The key needs to be hashed before being used by the HMAC algorithm.")
+
+(* A keyed state re-keyed in place, from keys shorter and longer than a
+   block, agrees with the string-built RFC 2104 oracle, also when the MAC
+   overwrites its own message. *)
+let prop_hmac_oracle =
+  QCheck.Test.make ~name:"hmac keyed state matches oracle" ~count:200
+    QCheck.(pair (string_of_size Gen.(int_range 0 150)) (string_of_size Gen.(int_range 32 200)))
+    (fun (raw, msg) ->
+      let expected = Drbg_oracle.hmac ~key:raw msg in
+      let k = Hmac.key "stale key" in
+      Hmac.set_key k (Bytes.of_string raw);
+      let buf = Bytes.of_string msg in
+      Hmac.mac_into k buf ~off:0 ~len:(Bytes.length buf) buf 0;
+      Hmac.hmac_sha256 ~key:raw msg = expected && Bytes.sub_string buf 0 32 = expected)
 
 let test_hkdf_rfc5869 () =
   (* RFC 5869 test case 1 *)
@@ -435,6 +622,53 @@ let test_drbg_reseed () =
   Drbg.reseed a "fresh entropy";
   Alcotest.(check bool) "reseed diverges" true (Drbg.generate a 32 <> Drbg.generate b 32)
 
+(* The stream at a fixed seed, pinned: a change to it changes every
+   seeded workload and its gated virtual-clock results. *)
+let test_drbg_pinned () =
+  let d = Drbg.create ~seed:"seed" () in
+  check_hex "generate 64"
+    "945418b8333283ae441104ff0af8ab77c755914dbcd4971f9db434098d72cc5fbcb6778fbaa207c9ede8824d282ef085d263945bd4908919c9eeab1c06ab119d"
+    (Drbg.generate d 64);
+  Alcotest.(check int64) "next uint64" 0x631af5047a863460L (Drbg.uint64 d)
+
+type drbg_op = Generate of int | Uint64 | Int_below of int | Reseed of string
+
+(* Bounds just above 2^61 reject about half of all draws. *)
+let gen_drbg_op =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun n -> Generate n) (int_range 0 100));
+        (2, return Uint64);
+        ( 3,
+          map (fun b -> Int_below b)
+            (oneof [ int_range 1 1000; int_range 1 max_int; map (( + ) (1 lsl 61)) (int_bound 1000) ]) );
+        (1, map (fun s -> Reseed s) (string_size (int_range 1 80))) ])
+
+let prop_drbg_oracle =
+  QCheck.Test.make ~name:"drbg matches oracle" ~count:100
+    QCheck.(
+      triple string (string_of_size Gen.(int_range 0 80))
+        (make Gen.(list_size (int_range 0 20) gen_drbg_op)))
+    (fun (seed, personalization, ops) ->
+      let d = Drbg.create ~personalization ~seed () in
+      let o = Drbg_oracle.create ~personalization ~seed () in
+      List.for_all
+        (function
+          | Generate n -> Drbg.generate d n = Drbg_oracle.generate o n
+          | Uint64 -> Drbg.uint64 d = Drbg_oracle.uint64 o
+          | Int_below b -> Drbg.int_below d b = Drbg_oracle.int_below o b
+          | Reseed e -> Drbg.reseed d e; Drbg_oracle.reseed o e; true)
+        ops
+      && Drbg.generate d 32 = Drbg_oracle.generate o 32)
+
+let test_drbg_int_below_alloc () =
+  let d = Drbg.create ~seed:"alloc" () in
+  ignore (Drbg.int_below d 1000);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do ignore (Drbg.int_below d 1000) done;
+  let per_call = (Gc.minor_words () -. before) /. 1000. in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per int_below" per_call) true (per_call < 32.)
+
 let prop_drbg_int_below =
   QCheck.Test.make ~name:"drbg int_below in range" ~count:200
     QCheck.(pair string (int_range 1 1_000_000))
@@ -470,11 +704,14 @@ let suite =
       Alcotest.test_case "nist vectors" `Quick test_sha256_vectors;
       Alcotest.test_case "incremental" `Quick test_sha256_incremental;
       qc prop_sha256_incremental_split;
+      qc prop_sha256_oracle;
+      Alcotest.test_case "update_bytes allocates nothing" `Quick test_sha256_no_alloc;
     ]);
     ("hmac", [
       Alcotest.test_case "rfc4231" `Quick test_hmac_rfc4231;
       Alcotest.test_case "hkdf rfc5869" `Quick test_hkdf_rfc5869;
       Alcotest.test_case "derive lengths" `Quick test_derive_lengths;
+      qc prop_hmac_oracle;
     ]);
     ("gcm", [
       Alcotest.test_case "nist case 3" `Quick test_gcm_nist_case3;
@@ -505,6 +742,9 @@ let suite =
       Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
       Alcotest.test_case "personalization" `Quick test_drbg_personalization;
       Alcotest.test_case "reseed" `Quick test_drbg_reseed;
+      Alcotest.test_case "pinned stream" `Quick test_drbg_pinned;
+      Alcotest.test_case "int_below allocation" `Quick test_drbg_int_below_alloc;
+      qc prop_drbg_oracle;
       qc prop_drbg_int_below;
     ]);
     ("hexcodec", [

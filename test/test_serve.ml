@@ -40,6 +40,27 @@ let test_workload_validates () =
         (Workload.generate ~seed:"w"
            { shape with Workload.mix = { kv_get = 0; sql_point = 0; sql_range = 0 } }))
 
+(* The arrivals of one small shape, pinned: a change to the DRBG stream
+   or to the draw order changes the traffic every seeded run replays. *)
+let test_workload_pinned () =
+  let shape =
+    { Workload.enclaves = 8; requests = 6; mean_gap_ns = 5_000; rows = 512; span = 8;
+      mix = Workload.default_mix }
+  in
+  let show a =
+    let req =
+      match a.Workload.req with
+      | Workload.Kv_get k -> Printf.sprintf "Kv_get %d" k
+      | Sql_point k -> Printf.sprintf "Sql_point %d" k
+      | Sql_range (lo, span) -> Printf.sprintf "Sql_range (%d, %d)" lo span
+    in
+    Printf.sprintf "(%d,%d,%d,%s)" a.rid a.at a.enclave req
+  in
+  Alcotest.(check (list string)) "arrivals"
+    [ "(0,4447,3,Sql_point 304)"; "(1,7617,6,Sql_point 115)"; "(2,11060,3,Kv_get 503)";
+      "(3,13658,2,Kv_get 216)"; "(4,21283,0,Kv_get 457)"; "(5,24367,1,Kv_get 417)" ]
+    (Array.to_list (Array.map show (Workload.generate ~seed:"w" shape)))
+
 (* -- deterministic replay: byte-identical books and equal tails -- *)
 
 let test_replay_identical () =
@@ -822,6 +843,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_workload_deterministic;
           Alcotest.test_case "validates" `Quick test_workload_validates;
+          Alcotest.test_case "pinned arrivals" `Quick test_workload_pinned;
         ] );
       ( "replay",
         [

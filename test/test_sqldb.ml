@@ -236,6 +236,24 @@ let test_btree_index_ops () =
       Alcotest.(check bool) "delete" true
         (Btree.delete_index p ~root (key [ v_text "k0001" ] 300)))
 
+(* --- Tokenizer --- *)
+
+(* Keywords match in any case and come out uppercased; a word that only
+   starts with a keyword stays an identifier, spelled as written. *)
+let test_keywords () =
+  let one word = match Token.tokenize word with [ t; Token.Eof ] -> Some t | _ -> None in
+  List.iter
+    (fun kw ->
+      let mixed = String.mapi (fun i c -> if i mod 2 = 0 then Char.lowercase_ascii c else c) kw in
+      List.iter
+        (fun word ->
+          Alcotest.(check bool) word true (one word = Some (Token.Keyword kw)))
+        [ String.lowercase_ascii kw; kw; mixed ])
+    Token.keywords;
+  List.iter
+    (fun word -> Alcotest.(check bool) word true (one word = Some (Token.Ident word)))
+    [ "selected"; "order_id"; "Selected"; "FROMAGE"; "index2"; "_select" ]
+
 (* --- SQL layer --- *)
 
 let test_create_insert_select () =
@@ -838,6 +856,9 @@ let suite =
       Alcotest.test_case "replace/delete" `Quick test_btree_replace_and_delete;
       Alcotest.test_case "large payloads" `Quick test_btree_large_payloads;
       Alcotest.test_case "index ops" `Quick test_btree_index_ops;
+    ]);
+    ("token", [
+      Alcotest.test_case "keywords in any case" `Quick test_keywords;
     ]);
     ("sql", [
       Alcotest.test_case "create/insert/select" `Quick test_create_insert_select;
