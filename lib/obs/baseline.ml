@@ -59,14 +59,20 @@ let of_json j =
       in
       match Json.member "metrics" j with
       | Some (Json.Obj l) ->
+          (* a malformed tol must not read as "no tolerance": that
+             would silently ungate the metric *)
           let parse_metric (path, mv) =
-            match Option.bind (Json.member "value" mv) Json.to_float with
-            | None -> Error (Printf.sprintf "metric %S: missing value" path)
-            | Some value ->
-                let tol =
-                  Option.bind (Json.member "tol" mv) Json.to_float
-                in
-                Ok (path, { value; tol })
+            match (Json.member "value" mv, Json.member "tol" mv) with
+            | Some (Json.Num value), tol when Float.is_finite value -> (
+                match tol with
+                | Some Json.Null -> Ok (path, { value; tol = None })
+                | Some (Json.Num t) when Float.is_finite t && t >= 0. ->
+                    Ok (path, { value; tol = Some t })
+                | _ ->
+                    Error
+                      (Printf.sprintf
+                         "metric %S: tol must be null or a finite number >= 0" path))
+            | _ -> Error (Printf.sprintf "metric %S: value must be a finite number" path)
           in
           let rec go acc = function
             | [] -> Ok { meta; metrics = List.rev acc }

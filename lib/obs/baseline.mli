@@ -29,6 +29,10 @@ val create : ?meta:(string * string) list -> (string * metric) list -> t
 val to_json : t -> Json.t
 val to_string : t -> string
 val of_json : Json.t -> (t, string) result
+(** Every metric needs a finite [value] and a [tol] that is [null] or a
+    finite number [>= 0]; anything else is an [Error], so a malformed
+    band can never pass as an informational metric. *)
+
 val of_string : string -> (t, string) result
 
 type verdict = {

@@ -9,40 +9,6 @@
 
 type counter = { mutable c_value : int }
 
-type histogram = {
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_min : int;
-  mutable h_max : int;
-  h_buckets : int array;
-      (* power-of-two buckets: index = bit length of the sample, so
-         bucket i holds samples in [2^(i-1), 2^i). Deterministic and
-         O(1) per observation; quantiles read off the cumulative
-         counts. 63 buckets cover every non-negative OCaml int. *)
-  h_exemplars : int list array;
-      (* per-bucket exemplar ids (newest first, capped): the caller can
-         tag a sample with an id (e.g. a request id) and later ask which
-         ids landed in the bucket covering a quantile. *)
-}
-
-let exemplar_cap = 8
-
-let bucket_count = 63
-
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and v = ref v in
-    while !v > 0 do
-      incr b;
-      v := !v lsr 1
-    done;
-    min !b (bucket_count - 1)
-  end
-
-(* Inclusive upper bound of a bucket: the largest value it can hold. *)
-let bucket_upper i = if i = 0 then 0 else (1 lsl i) - 1
-
 type span = {
   mutable sp_count : int;
   mutable sp_total_ns : int;  (* virtual time inside the span *)
@@ -59,7 +25,7 @@ type frame = {
 type t = {
   now : unit -> int;
   counters : (string, counter) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
+  histograms : (string, Sketch.t) Hashtbl.t;
   spans : (string, span) Hashtbl.t;
   mutable stack : frame list;
   mutable tracer : Trace.t option;
@@ -102,7 +68,10 @@ let counter_cell t name =
       Hashtbl.add t.counters name c;
       c
 
-let add t name n = (counter_cell t name).c_value <- (counter_cell t name).c_value + n
+let add t name n =
+  let c = counter_cell t name in
+  c.c_value <- c.c_value + n
+
 let inc t name = add t name 1
 
 let value t name =
@@ -110,102 +79,27 @@ let value t name =
 
 (* --- histograms --- *)
 
-let note_exemplar h bucket id =
-  let kept =
-    let xs = h.h_exemplars.(bucket) in
-    if List.length xs >= exemplar_cap then
-      List.filteri (fun i _ -> i < exemplar_cap - 1) xs
-    else xs
-  in
-  h.h_exemplars.(bucket) <- id :: kept
-
-let observe ?exemplar t name v =
-  let h =
-    match Hashtbl.find_opt t.histograms name with
-    | Some h ->
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum + v;
-        if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v;
-        let b = h.h_buckets in
-        b.(bucket_of v) <- b.(bucket_of v) + 1;
-        h
-    | None ->
-        let b = Array.make bucket_count 0 in
-        b.(bucket_of v) <- 1;
-        let h =
-          { h_count = 1; h_sum = v; h_min = v; h_max = v; h_buckets = b;
-            h_exemplars = Array.make bucket_count [] }
-        in
-        Hashtbl.add t.histograms name h;
-        h
-  in
-  match exemplar with
-  | Some id -> note_exemplar h (bucket_of v) id
-  | None -> ()
+(* A histogram is a Sketch: exact count/sum/min/max, quantiles within
+   Sketch.alpha. The first sample is inserted before the sketch is
+   registered, so a rejected (negative) one leaves no empty histogram. *)
+let observe t name v =
+  match Hashtbl.find_opt t.histograms name with
+  | Some s -> Sketch.insert s v
+  | None ->
+      let s = Sketch.create () in
+      Sketch.insert s v;
+      Hashtbl.add t.histograms name s
 
 type hstat = { count : int; sum : int; min : int; max : int }
 
-let hstat t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> Some { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max }
-  | None -> None
+let stat_of s =
+  { count = Sketch.count s; sum = Sketch.sum s; min = Sketch.vmin s; max = Sketch.vmax s }
 
-(* Smallest bucket whose cumulative count covers rank(q). Nearest-rank:
-   rank = ceil(q * count), clamped to [1, count]. The epsilon guards
-   against float representation pushing an exact product just above the
-   integer (0.99 *. 100. = 99.000…01, whose ceil would wrongly be 100 —
-   one whole rank, i.e. a whole sample, too high). *)
-let covering_bucket h q =
-  let rank =
-    let r = int_of_float (ceil ((q *. float_of_int h.h_count) -. 1e-9)) in
-    if r < 1 then 1 else if r > h.h_count then h.h_count else r
-  in
-  let rec go i acc =
-    if i >= bucket_count - 1 then (i, rank, acc)
-    else
-      let acc' = acc + h.h_buckets.(i) in
-      if acc' >= rank then (i, rank, acc) else go (i + 1) acc'
-  in
-  go 0 0
-
-(* Nearest-rank estimate interpolated within the covering bucket: the
-   in-bucket samples are assumed evenly spread over [lower, upper], so
-   the r-th of n sits at the midpoint of its 1/n slice. Clamping into
-   the observed range keeps q=0/q=1 exact. Returning the bucket's
-   upper bound here (the old behaviour) biased every estimate high by
-   up to the full bucket width — almost 2x the true value when the
-   covered sample sat at the bucket's lower bound. *)
-let bucket_estimate h (bucket, rank, below) =
-  (* ranks 1 and count are the smallest and largest samples themselves,
-     which the histogram tracks exactly — so q=0 and q=1 never pay the
-     bucket-resolution error *)
-  if rank <= 1 then h.h_min
-  else if rank >= h.h_count then h.h_max
-  else begin
-    let lower = if bucket = 0 then 0 else (bucket_upper (bucket - 1)) + 1 in
-    let upper = bucket_upper bucket in
-    let n = h.h_buckets.(bucket) in
-    let est =
-      if n = 0 then upper
-      else lower + ((upper - lower) * ((2 * (rank - below)) - 1) / (2 * n))
-    in
-    min h.h_max (max h.h_min est)
-  end
+let hstat t name = Option.map stat_of (Hashtbl.find_opt t.histograms name)
 
 let quantile t name q =
   if q < 0. || q > 1. then invalid_arg "Obs.quantile: q outside [0,1]";
-  match Hashtbl.find_opt t.histograms name with
-  | None -> None
-  | Some h -> Some (bucket_estimate h (covering_bucket h q))
-
-let quantile_exemplars t name q =
-  if q < 0. || q > 1. then invalid_arg "Obs.quantile_exemplars: q outside [0,1]";
-  match Hashtbl.find_opt t.histograms name with
-  | None -> None
-  | Some h ->
-      let ((b, _, _) as cov) = covering_bucket h q in
-      Some (bucket_estimate h cov, h.h_exemplars.(b))
+  Option.bind (Hashtbl.find_opt t.histograms name) (fun s -> Sketch.quantile s q)
 
 (* --- spans --- *)
 
@@ -292,9 +186,7 @@ let sorted_fold tbl f =
 
 let counters t = sorted_fold t.counters (fun c -> c.c_value)
 
-let histograms t =
-  sorted_fold t.histograms (fun h ->
-      { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max })
+let histograms t = sorted_fold t.histograms stat_of
 
 let spans t =
   sorted_fold t.spans (fun s ->

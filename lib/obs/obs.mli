@@ -40,41 +40,27 @@ val add : t -> string -> int -> unit
 val value : t -> string -> int
 (** 0 when the counter was never touched. *)
 
-(** {2 Histograms} *)
+(** {2 Histograms}
 
-val observe : ?exemplar:int -> t -> string -> int -> unit
-(** Record one sample (e.g. the nanosecond cost of one charge). An
-    optional [exemplar] id (e.g. a request id) is kept with the sample's
-    bucket — newest first, bounded per bucket — so a tail quantile can
-    name the concrete samples that landed there
-    ({!quantile_exemplars}). *)
+    Each histogram is a {!Sketch}: count, sum, min and max are exact,
+    and quantiles are estimated within {!Sketch.alpha}. *)
+
+val observe : t -> string -> int -> unit
+(** Record one sample (e.g. the nanosecond cost of one charge).
+    @raise Invalid_argument on a negative sample; nothing is recorded. *)
 
 type hstat = { count : int; sum : int; min : int; max : int }
 
 val hstat : t -> string -> hstat option
 
 val quantile : t -> string -> float -> int option
-(** [quantile t name q] estimates the [q]-quantile of a histogram from
-    its power-of-two buckets: the nearest-rank sample's position is
-    interpolated within the covering bucket assuming its samples are
-    evenly spread, then clamped to the observed min/max — so [q = 0.]
-    and [q = 1.] are exact.
-
-    Error bound: the estimate always lies inside the covering bucket
-    [[2{^i-1}, 2{^i})], whose width equals its lower bound, so the
-    estimate is within a factor of 2 of the true order statistic in
-    the worst case and exact when the in-bucket distribution is
-    uniform (e.g. a dense integer range). For a guaranteed tight
-    relative-error bound use {!Sketch} (alpha = 1/128).
+(** [quantile t name q] is {!Sketch.quantile} of the histogram: the
+    nearest-rank order statistic to within relative error
+    {!Sketch.alpha} (1/128), whatever the distribution. Samples below
+    64 and the extremes ([q = 0.], [q = 1.]) are exact.
 
     Deterministic; [None] when nothing was observed.
     @raise Invalid_argument when [q] is outside [0, 1]. *)
-
-val quantile_exemplars : t -> string -> float -> (int * int list) option
-(** The {!quantile} estimate together with the exemplar ids recorded in
-    the covering bucket (newest first, bounded — an empty list when no
-    sample there carried an exemplar). [None] when nothing was
-    observed. @raise Invalid_argument when [q] is outside [0, 1]. *)
 
 (** {2 Spans} *)
 

@@ -12,7 +12,9 @@
    All state is integers on a fixed bucket universe, so insertion
    order and merge grouping cannot perturb the result: the serving
    fleet merges per-window, per-enclave sketches into fleet tails and
-   still replays byte-identically. *)
+   still replays byte-identically. The bucket array holds only the
+   prefix of that universe up to the largest bucket used, and grows on
+   demand: a sketch of small values stays small. *)
 
 let sb_bits = 6
 let subbuckets = 1 lsl sb_bits
@@ -28,12 +30,20 @@ type t = {
   mutable s_sum : int;
   mutable s_min : int;  (* max_int sentinel when empty *)
   mutable s_max : int;
-  buckets : int array;
+  mutable buckets : int array;  (* a prefix of the universe *)
 }
 
-let create () =
-  { s_count = 0; s_sum = 0; s_min = max_int; s_max = 0;
-    buckets = Array.make nbuckets 0 }
+let create () = { s_count = 0; s_sum = 0; s_min = max_int; s_max = 0; buckets = [||] }
+
+(* Make bucket [i] addressable. The array at least doubles, so growth
+   costs amortised O(1) per insert. *)
+let reserve t i =
+  let n = Array.length t.buckets in
+  if i >= n then begin
+    let b = Array.make (min nbuckets (max (i + 1) (2 * n))) 0 in
+    Array.blit t.buckets 0 b 0 n;
+    t.buckets <- b
+  end
 
 let bitlen v =
   let b = ref 0 and v = ref v in
@@ -64,18 +74,17 @@ let insert t v =
   if v < t.s_min then t.s_min <- v;
   if v > t.s_max then t.s_max <- v;
   let i = index_of v in
+  reserve t i;
   t.buckets.(i) <- t.buckets.(i) + 1
 
 let merge a b =
-  let t = create () in
-  t.s_count <- a.s_count + b.s_count;
-  t.s_sum <- a.s_sum + b.s_sum;
-  t.s_min <- min a.s_min b.s_min;
-  t.s_max <- max a.s_max b.s_max;
-  for i = 0 to nbuckets - 1 do
-    t.buckets.(i) <- a.buckets.(i) + b.buckets.(i)
-  done;
-  t
+  let long, short =
+    if Array.length a.buckets >= Array.length b.buckets then (a, b) else (b, a)
+  in
+  let buckets = Array.copy long.buckets in
+  Array.iteri (fun i c -> buckets.(i) <- buckets.(i) + c) short.buckets;
+  { s_count = a.s_count + b.s_count; s_sum = a.s_sum + b.s_sum;
+    s_min = min a.s_min b.s_min; s_max = max a.s_max b.s_max; buckets }
 
 let count t = t.s_count
 let sum t = t.s_sum
@@ -86,9 +95,9 @@ let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Sketch.quantile: q outside [0,1]";
   if t.s_count = 0 then None
   else begin
-    (* nearest rank, with the same epsilon guard as Obs.quantile: an
-       exact product like 0.99 *. 100. can land just above the integer
-       and ceil to one whole rank too high *)
+    (* nearest rank, with an epsilon guard: an exact product like
+       0.99 *. 100. can land just above the integer and ceil to one
+       whole rank too high *)
     let rank =
       let r = int_of_float (ceil ((q *. float_of_int t.s_count) -. 1e-9)) in
       if r < 1 then 1 else if r > t.s_count then t.s_count else r
@@ -114,7 +123,7 @@ let schema = "twine-sketch/v1"
 
 let to_json t =
   let pairs = ref [] in
-  for i = nbuckets - 1 downto 0 do
+  for i = Array.length t.buckets - 1 downto 0 do
     if t.buckets.(i) <> 0 then
       pairs :=
         Json.Arr [ Num (float_of_int i); Num (float_of_int t.buckets.(i)) ]
@@ -174,6 +183,7 @@ let of_json j =
             if i < 0 || i >= nbuckets || c <= 0 then
               Error "sketch: bucket out of range"
             else begin
+              reserve t i;
               t.buckets.(i) <- t.buckets.(i) + c;
               fill (pop + c) rest
             end

@@ -13,7 +13,9 @@
     inserting the same multiset in any order, or merging any
     partition of it in any grouping, yields bit-identical state — the
     property the streaming serve plane leans on when per-window
-    sketches from different enclaves are merged into fleet tails. *)
+    sketches from different enclaves are merged into fleet tails. A
+    sketch stores only the prefix of the universe up to its largest
+    bucket, grown on demand, so small values cost little memory. *)
 
 type t
 

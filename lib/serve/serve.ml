@@ -298,13 +298,23 @@ let response_bytes (r : Db.result) =
     (fun acc row -> List.fold_left (fun a v -> a + value_bytes v) acc row)
     0 r.Db.rows
 
+(* Index of the nearest-rank [q]-quantile in a sorted array of [n]
+   (0 when [n = 0]). *)
+let rank_index n q =
+  let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+  max 0 (min (n - 1) (rank - 1))
+
 (* Exact percentile (nearest-rank) over a sorted array. *)
 let percentile sorted q =
   let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+  if n = 0 then 0 else sorted.(rank_index n q)
+
+(* The served requests at the exact p99 rank and the seven below it,
+   slowest first; [by_latency] holds them in ascending latency order. *)
+let p99_exemplars by_latency =
+  let n = Array.length by_latency in
+  let i = rank_index n 0.99 in
+  List.init (min 8 (min n (i + 1))) (fun k -> by_latency.(i - k).rid)
 
 (* Request spans render on one Perfetto track per enclave; the windowed
    series keys the same enclave by its track name. *)
@@ -566,15 +576,13 @@ let complete f rs =
     (fun r ->
       if f.cfg.retain_requests then f.log.(r.rid) <- Some r;
       incr f.completed;
-      match r.outcome with
-      | Served ->
-          Obs.observe ~exemplar:r.rid f.obs "serve.latency_ns" (latency_ns r)
-      | o ->
-          let name = "serve." ^ outcome_name o in
-          Obs.inc f.obs name;
-          Obs.emit f.obs ~cat:"serve"
-            ~args:[ ("rid", r.rid); ("enclave", r.enclave); ("lat_ns", latency_ns r) ]
-            name)
+      if r.outcome <> Served then begin
+        let name = "serve." ^ outcome_name r.outcome in
+        Obs.inc f.obs name;
+        Obs.emit f.obs ~cat:"serve"
+          ~args:[ ("rid", r.rid); ("enclave", r.enclave); ("lat_ns", latency_ns r) ]
+          name
+      end)
     rs;
   List.iter
     (fun r ->
@@ -969,15 +977,18 @@ let stats_of f ~window_ns =
       (function Some r -> r | None -> invalid_arg "Serve.run: request never served")
       f.log
   in
-  (* retained mode: exact nearest-rank percentiles over the served
-     records; streaming mode: the sketch estimates (within alpha) *)
-  let exact =
-    Array.of_seq
-      (Seq.filter_map
-         (fun r -> if r.outcome = Served then Some (latency_ns r) else None)
-         (Array.to_seq requests_log))
+  (* retained mode: exact nearest-rank percentiles and the p99
+     exemplars over the served records in latency order (ties by rid);
+     streaming mode retains no records, so p50/p99 are the sketch
+     estimates (within alpha) and there are no exemplars *)
+  let by_latency =
+    Array.of_seq (Seq.filter (fun r -> r.outcome = Served) (Array.to_seq requests_log))
   in
-  Array.sort compare exact;
+  Array.sort
+    (fun a b ->
+      match compare (latency_ns a) (latency_ns b) with 0 -> compare a.rid b.rid | c -> c)
+    by_latency;
+  let exact = Array.map latency_ns by_latency in
   let pct q = if cfg.retain_requests then percentile exact q else sq q in
   let recoveries = Array.of_list f.recoveries in
   Array.sort compare recoveries;
@@ -1025,10 +1036,7 @@ let stats_of f ~window_ns =
     availability_ppm = (if n = 0 then 1_000_000 else served * 1_000_000 / n);
     cross_refaults = Obs.value obs "epc.refault.cross";
     interference_by_evictor = List.sort compare f.attr.by_evictor;
-    p99_exemplar_rids =
-      (match Obs.quantile_exemplars obs "serve.latency_ns" 0.99 with
-      | Some (_, rids) -> rids
-      | None -> []);
+    p99_exemplar_rids = p99_exemplars by_latency;
     sampler_samples = f.samples;
     queue_depth_hwm = Array.fold_left (fun a w -> max a w.depth_hwm) 0 f.workers;
     queue_depth_hwm_by_enclave = per_worker (fun w -> w.depth_hwm);

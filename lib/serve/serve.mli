@@ -205,7 +205,8 @@ type stats = {
   interference_by_evictor : (int * int) list;
       (** (enclave, refaults its faults inflicted on others) *)
   p99_exemplar_rids : int list;
-      (** request ids recorded in the latency histogram's p99 bucket *)
+      (** the served requests at the exact p99 rank and the seven
+          below it, slowest first ([[]] when [retained = false]) *)
   sampler_samples : int;
   queue_depth_hwm : int;  (** deepest any enclave's queue ever got *)
   queue_depth_hwm_by_enclave : (int * int) list;

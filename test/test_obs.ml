@@ -57,36 +57,53 @@ let test_quantile_edges () =
     (Obs.quantile obs "two" 0.0);
   Alcotest.(check (option int)) "q=1 is the max" (Some 900)
     (Obs.quantile obs "two" 1.0);
-  (* exact power-of-two boundary sits in the bucket it upper-bounds *)
+  (* a lone sample far above the exact range is still its own estimate *)
   let obs2 = Obs.create () in
   Obs.observe obs2 "b" 4096;
   Alcotest.(check (option int)) "boundary value round-trips" (Some 4096)
     (Obs.quantile obs2 "b" 0.5);
   Alcotest.check_raises "q out of range"
     (Invalid_argument "Obs.quantile: q outside [0,1]") (fun () ->
-      ignore (Obs.quantile obs "one" 1.5))
+      ignore (Obs.quantile obs "one" 1.5));
+  (* a rejected sample records nothing, not even an empty histogram *)
+  (match Obs.observe obs "neg" (-1) with
+  | () -> Alcotest.fail "negative sample accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "negative sample left no histogram" true
+    (Obs.hstat obs "neg" = None)
 
-let test_quantile_interpolation () =
-  (* one sample at every value of the binade [512, 1024): the bucket is
-     uniformly full, so the interpolated nearest-rank estimate must hit
-     the true median (the 256th of 512 sits mid-slice at 767), where
-     the old upper-bound answer was 1023 — biased a near-full bucket
-     width high *)
-  let obs = Obs.create () in
-  for v = 512 to 1023 do Obs.observe obs "u" v done;
-  (match Obs.quantile obs "u" 0.5 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "uniform bucket p50 interpolates (got %d, want ~767)" v)
-        true (abs (v - 767) <= 1));
-  (* a quarter of the way in, same idea *)
-  match Obs.quantile obs "u" 0.25 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "uniform bucket p25 interpolates (got %d, want ~639)" v)
-        true (abs (v - 639) <= 1)
+(* The nearest-rank order statistic of [samples] at [q]. *)
+let exact_quantile samples q =
+  let a = Array.of_list samples in
+  Array.sort compare a;
+  let n = Array.length a in
+  let r = int_of_float (ceil ((q *. float_of_int n) -. 1e-9)) in
+  a.(max 1 (min n r) - 1)
+
+let test_quantile_within_alpha () =
+  let check name samples q =
+    let obs = Obs.create () in
+    List.iter (Obs.observe obs name) samples;
+    let exact = exact_quantile samples q in
+    match Obs.quantile obs name q with
+    | None -> Alcotest.fail "histogram missing"
+    | Some v ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s q=%.2f: %d within alpha of %d" name q v exact)
+          true
+          (abs (v - exact) <= int_of_float (Sketch.alpha *. float_of_int exact) + 1)
+  in
+  (* one sample at every value of the binade [512, 1024) *)
+  let uniform = List.init 512 (fun i -> 512 + i) in
+  List.iter (check "uniform" uniform) [ 0.25; 0.5; 0.99 ];
+  (* two clusters a binade apart: the median is the top of the low
+     cluster, 2048, and must not be smeared across the binade toward
+     the high one *)
+  let clusters = List.init 129 (fun _ -> 2048) @ List.init 129 (fun _ -> 4128) in
+  List.iter (check "clusters" clusters) [ 0.5; 0.99 ];
+  (* a long tail spanning seven decades *)
+  let tail = List.init 300 (fun i -> int_of_float (1.06 ** float_of_int i)) in
+  List.iter (check "tail" tail) [ 0.5; 0.9; 0.99 ]
 
 let test_quantile_rank_rounding () =
   (* 0.99 *. 100. = 99.00000000000001: the nearest-rank index must stay
@@ -94,35 +111,10 @@ let test_quantile_rank_rounding () =
   let obs = Obs.create () in
   for _ = 1 to 99 do Obs.observe obs "lat" 10 done;
   Obs.observe obs "lat" 1_000_000;
-  (match Obs.quantile obs "lat" 0.99 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "p99 of 99x10 + 1 outlier stays small (got %d)" v)
-        true (v < 100));
+  Alcotest.(check (option int)) "p99 of 99x10 + 1 outlier is 10" (Some 10)
+    (Obs.quantile obs "lat" 0.99);
   Alcotest.(check (option int)) "p100 is the outlier" (Some 1_000_000)
     (Obs.quantile obs "lat" 1.0)
-
-let test_exemplars () =
-  let obs = Obs.create () in
-  (* samples without exemplars still work *)
-  Obs.observe obs "h" 50;
-  (match Obs.quantile_exemplars obs "h" 0.5 with
-  | Some (_, ids) -> Alcotest.(check (list int)) "no ids recorded" [] ids
-  | None -> Alcotest.fail "histogram missing");
-  (* ids ride with their sample's bucket, newest first, capped at 8 *)
-  for i = 1 to 12 do Obs.observe ~exemplar:i obs "h" (40 + i) done;
-  (match Obs.quantile_exemplars obs "h" 0.99 with
-  | None -> Alcotest.fail "histogram missing"
-  | Some (est, ids) ->
-      Alcotest.(check bool) "estimate in the tail bucket" true (est >= 52);
-      Alcotest.(check (list int)) "newest first, capped"
-        [ 12; 11; 10; 9; 8; 7; 6; 5 ] ids);
-  (* a different bucket keeps its own exemplars *)
-  Obs.observe ~exemplar:99 obs "h" 1_000_000;
-  match Obs.quantile_exemplars obs "h" 1.0 with
-  | Some (_, ids) -> Alcotest.(check (list int)) "outlier bucket" [ 99 ] ids
-  | None -> Alcotest.fail "histogram missing"
 
 (* Spans on a hand-cranked virtual clock: the parent's self time must
    exclude the child's. *)
@@ -250,6 +242,32 @@ let test_baseline_verdicts () =
   Alcotest.(check bool) "missing renders FAIL" true (contains table "FAIL");
   Alcotest.(check bool) "missing shows as missing" true (contains table "missing")
 
+(* A malformed band must be an error, never "no tolerance", which
+   would silently ungate its metric. *)
+let test_baseline_rejects_malformed () =
+  let parse metric =
+    Baseline.of_string
+      (Printf.sprintf {|{"schema":%S,"meta":{},"metrics":{"m":%s}}|}
+         Baseline.schema metric)
+  in
+  let tol_of metric =
+    match parse metric with
+    | Ok { Baseline.metrics = [ ("m", m) ]; _ } -> Some m.Baseline.tol
+    | _ -> None
+  in
+  Alcotest.(check (option (option (float 0.0)))) "null tol is informational"
+    (Some None) (tol_of {|{"value":1,"tol":null}|});
+  Alcotest.(check (option (option (float 0.0)))) "zero tol is exact"
+    (Some (Some 0.0)) (tol_of {|{"value":1,"tol":0}|});
+  List.iter
+    (fun metric ->
+      Alcotest.(check bool) (metric ^ " is rejected") true
+        (Result.is_error (parse metric)))
+    [ {|{"value":1,"tol":"0.02"}|}; {|{"value":1,"tol":-0.5}|};
+      {|{"value":1,"tol":1e999}|}; {|{"value":1,"tol":true}|};
+      {|{"value":1}|}; {|{"value":"1","tol":0}|}; {|{"value":1e999,"tol":0}|};
+      {|{"tol":0}|} ]
+
 (* Golden shape check: the report JSON parses back and exposes exactly
    the members downstream tooling keys on, including the ledger. *)
 let test_report_json_shape () =
@@ -356,11 +374,10 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "histograms" `Quick test_histograms;
           Alcotest.test_case "quantile edge cases" `Quick test_quantile_edges;
-          Alcotest.test_case "quantile interpolation" `Quick
-            test_quantile_interpolation;
+          Alcotest.test_case "quantile within alpha" `Quick
+            test_quantile_within_alpha;
           Alcotest.test_case "quantile rank rounding" `Quick
             test_quantile_rank_rounding;
-          Alcotest.test_case "exemplars" `Quick test_exemplars;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
         ] );
@@ -374,6 +391,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_baseline_round_trip;
           Alcotest.test_case "verdicts" `Quick test_baseline_verdicts;
+          Alcotest.test_case "rejects malformed metrics" `Quick
+            test_baseline_rejects_malformed;
         ] );
       ( "accounting regressions",
         [

@@ -300,21 +300,37 @@ let test_blame_cliff () =
   Alcotest.(check bool) "render states the conservation line" true
     (contains rendered "residue 0 ns")
 
+(* The p99 exemplars are the served requests at the exact p99 rank and
+   the seven below it, slowest first, in the order the exact
+   percentiles read (ascending latency, ties by rid). *)
+let expected_exemplars (s : Serve.stats) =
+  let served =
+    Array.of_list
+      (List.sort
+         (fun a b -> compare (Serve.latency_ns a, a.Serve.rid) (Serve.latency_ns b, b.Serve.rid))
+         (List.filter (fun r -> r.Serve.outcome = Serve.Served)
+            (Array.to_list s.Serve.requests_log)))
+  in
+  let i = int_of_float (Float.ceil (0.99 *. float_of_int (Array.length served))) - 1 in
+  List.init (min 8 (i + 1)) (fun k -> served.(i - k).Serve.rid)
+
 let test_p99_exemplars () =
   let s = Serve.run small_config in
-  Alcotest.(check bool) "p99 bucket recorded exemplar rids" true
-    (s.Serve.p99_exemplar_rids <> []);
-  Alcotest.(check bool) "bounded by the per-bucket cap" true
-    (List.length s.Serve.p99_exemplar_rids <= 8);
-  List.iter
-    (fun rid ->
-      Alcotest.(check bool) "exemplar rid is a served request" true
-        (rid >= 0 && rid < s.Serve.requests);
-      (* the exemplar's recorded latency lands at or below the p99
-         bucket's estimate (same covering bucket) *)
-      Alcotest.(check bool) "exemplar latency bounded by the estimate" true
-        (Serve.latency_ns s.Serve.requests_log.(rid) <= s.Serve.p99_ns))
-    s.Serve.p99_exemplar_rids
+  let rids = s.Serve.p99_exemplar_rids in
+  Alcotest.(check (list int)) "p99 rank and the seven below it" (expected_exemplars s) rids;
+  Alcotest.(check int) "eight exemplars" 8 (List.length rids);
+  let lats = List.map (fun rid -> Serve.latency_ns s.Serve.requests_log.(rid)) rids in
+  Alcotest.(check int) "the first sits at the exact p99" s.Serve.p99_ns (List.hd lats);
+  Alcotest.(check (list int)) "slowest first" (List.sort (fun a b -> compare b a) lats) lats;
+  (* fewer than eight served: every served request, slowest first *)
+  let tiny = Serve.run { small_config with Serve.requests = 5 } in
+  Alcotest.(check int) "all five served" 5 tiny.Serve.served;
+  Alcotest.(check (list int)) "tiny run" (expected_exemplars tiny) tiny.Serve.p99_exemplar_rids;
+  Alcotest.(check (list int)) "every rid once" [ 0; 1; 2; 3; 4 ]
+    (List.sort compare tiny.Serve.p99_exemplar_rids);
+  (* streaming retains no log, and nothing prints exemplars *)
+  let streamed = Serve.run { small_config with Serve.retain_requests = false } in
+  Alcotest.(check (list int)) "none under --stream" [] streamed.Serve.p99_exemplar_rids
 
 let test_sampler_and_depth_hwm () =
   let s = Serve.run small_config in

@@ -115,7 +115,18 @@ let test_sketch_basics () =
     (Invalid_argument "Sketch.insert: negative value") (fun () ->
       Sketch.insert t (-1));
   Alcotest.check_raises "bad q" (Invalid_argument "Sketch.quantile: q outside [0,1]")
-    (fun () -> ignore (Sketch.quantile t 1.5))
+    (fun () -> ignore (Sketch.quantile t 1.5));
+  (* the bucket array grows to the last bucket of the universe (whose
+     lower bound 127 * 2^55 JSON carries exactly) and back through JSON;
+     merging with a short sketch keeps every count *)
+  let big = 127 lsl 55 in
+  let top = sketch_of [ big; 0 ] in
+  (match Sketch.of_json (Sketch.to_json top) with
+  | Ok t' -> Alcotest.(check string) "top bucket round-trips" (bytes_of top) (bytes_of t')
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "merge with a short sketch"
+    (bytes_of (sketch_of [ big; 0; 5; 5; 5; 1_000_000; 17 ]))
+    (bytes_of (Sketch.merge t top))
 
 let test_sketch_json_rejects () =
   let reject what j =
