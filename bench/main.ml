@@ -38,31 +38,26 @@ let section title =
 
 let hr () = print_endline (String.make 78 '-')
 
-(* Conservation audit: after a section, every machine it created must
-   satisfy elapsed = booked + 0 residue. Machine.charge is the only
-   clock-advance site, so any residue means a charge bypassed the
-   ledger — a bookkeeping bug worth failing the whole harness over. *)
+(* Conservation audit: after a section, the laws it returns and the
+   ledger of every machine it created must balance. Machine.charge is
+   the only clock-advance site, so a ledger residue means a charge
+   bypassed the ledger — a bookkeeping bug worth failing over. *)
 let audited name f =
-  let (), machines = Machine.with_tracked f in
-  let bad =
-    List.filter
-      (fun m -> not (Twine_obs.Ledger.balanced (Machine.ledger m)))
-      machines
+  let laws, machines = Machine.with_tracked f in
+  let audits =
+    laws @ List.map (fun m -> Twine_obs.Ledger.audit (Machine.ledger m)) machines
   in
-  if bad = [] then
-    Printf.printf "[audit] %s: books balance on %d machine(s)\n" name
-      (List.length machines)
-  else begin
-    List.iter
-      (fun m ->
-        let a = Twine_obs.Ledger.audit (Machine.ledger m) in
-        Printf.printf
-          "[audit] %s: UNATTRIBUTED TIME: elapsed %d ns = booked %d ns + residue %d ns\n"
-          name a.Twine_obs.Ledger.elapsed_ns a.Twine_obs.Ledger.booked_ns
-          a.Twine_obs.Ledger.residue_ns)
-      bad;
-    exit 1
-  end
+  match Twine_obs.Audit.check audits with
+  | [] ->
+      Printf.printf "[audit] %s: %d audit(s) balanced over %d machine(s)\n" name
+        (List.length audits) (List.length machines)
+  | failed ->
+      List.iter
+        (fun a -> Printf.printf "[audit] %s: %s\n" name (Twine_obs.Audit.render a))
+        failed;
+      exit 1
+
+let ledgers_only f () = f (); []  (* a section with no law of its own *)
 
 (* ------------------------------------------------------------------ *)
 (* Fig 3: PolyBench/C                                                  *)
@@ -1042,11 +1037,6 @@ let serve_section () =
   section "serve: multi-enclave fleet, shared EPC, ECALL batching";
   let stats = Serve.run serve_gated_config in
   print_string (Serve.render stats);
-  if stats.Serve.attribution_residue_ns <> 0 then begin
-    Printf.printf "PER-REQUEST ATTRIBUTION LOST TIME (residue %d ns)\n"
-      stats.Serve.attribution_residue_ns;
-    exit 1
-  end;
   (* The sketch's advertised guarantee, checked against ground truth:
      retained mode computes exact nearest-rank percentiles over every
      latency, and the mergeable sketch the --stream mode relies on must
@@ -1116,11 +1106,6 @@ let serve_section () =
               slo = Some serve_slo_spec;
             }
         in
-        if s.Serve.attribution_residue_ns <> 0 then begin
-          Printf.printf "PER-REQUEST ATTRIBUTION LOST TIME (residue %d ns)\n"
-            s.Serve.attribution_residue_ns;
-          exit 1
-        end;
         let qpct, epcpct = tail_shares s in
         Printf.printf "  %-9d %12.0f %12d %14d %10d %11d %10d %7.1f%% %7.1f%%\n"
           enclaves s.Serve.throughput_rps s.Serve.p50_ns s.Serve.p99_ns
@@ -1196,7 +1181,9 @@ let serve_section () =
   Printf.printf "\nwhere the batched run's time moved (vs unbatched):\n";
   print_string
     (Twine_obs.Ledger.render_diff ~top:8 ~base:unbatched.Serve.ledger
-       ~current:batched.Serve.ledger ())
+       ~current:batched.Serve.ledger ());
+  List.map Serve.attribution
+    (stats :: unbatched :: batched :: List.map snd cliff_runs)
 
 (* ------------------------------------------------------------------ *)
 (* chaos: fault-tolerant serving under seeded fault schedules          *)
@@ -1245,11 +1232,6 @@ let chaos_section () =
      the phase start)\n\n";
   let stats = Serve.run chaos_gated_config in
   print_string (Serve.render stats);
-  if stats.Serve.attribution_residue_ns <> 0 then begin
-    Printf.printf "CHAOS ATTRIBUTION LOST TIME (residue %d ns)\n"
-      stats.Serve.attribution_residue_ns;
-    exit 1
-  end;
   if stats.Serve.failovers < 1 || stats.Serve.goodput_rps <= 0. then begin
     Printf.printf "CHAOS RUN DID NOT EXERCISE FAILOVER\n";
     exit 1
@@ -1289,45 +1271,44 @@ let chaos_section () =
   Printf.printf "  %-10s %-9s %10s %12s %8s %10s %6s %9s %15s\n" "fault rate"
     "enclaves" "goodput" "avail %" "retries" "failovers" "sheds" "timeouts"
     "recovery p99";
-  List.iter
-    (fun rate ->
-      List.iter
-        (fun enclaves ->
-          let spec =
-            chaos_parse
-              (if rate = 0. then "seed=sweep;enclave.ecall=crash@120"
-               else
-                 Printf.sprintf
-                   "seed=sweep;enclave.ecall=crash@120;enclave.ecall=fail%%%g"
-                   rate)
-          in
-          let s =
-            Serve.run
-              {
-                chaos_gated_config with
-                Serve.enclaves;
-                requests = chaos_sweep_requests;
-                epc_bytes = serve_cliff_epc_bytes;
-                chaos = Some spec;
-              }
-          in
-          if s.Serve.attribution_residue_ns <> 0 then begin
-            Printf.printf "CHAOS SWEEP LOST TIME (residue %d ns)\n"
-              s.Serve.attribution_residue_ns;
-            exit 1
-          end;
-          let ai, af = chaos_availability_pct s.Serve.availability_ppm in
-          Printf.printf
-            "  %-10g %-9d %10.0f %7d.%04d %8d %10d %6d %9d %12d ns\n" rate
-            enclaves s.Serve.goodput_rps ai af s.Serve.retries
-            s.Serve.failovers s.Serve.shed s.Serve.timed_out
-            s.Serve.recovery_p99_ns)
-        [ 2; 4; 8 ])
-    [ 0.; 0.005; 0.02 ];
+  let sweep =
+    List.concat_map
+      (fun rate ->
+        List.map
+          (fun enclaves ->
+            let spec =
+              chaos_parse
+                (if rate = 0. then "seed=sweep;enclave.ecall=crash@120"
+                 else
+                   Printf.sprintf
+                     "seed=sweep;enclave.ecall=crash@120;enclave.ecall=fail%%%g"
+                     rate)
+            in
+            let s =
+              Serve.run
+                {
+                  chaos_gated_config with
+                  Serve.enclaves;
+                  requests = chaos_sweep_requests;
+                  epc_bytes = serve_cliff_epc_bytes;
+                  chaos = Some spec;
+                }
+            in
+            let ai, af = chaos_availability_pct s.Serve.availability_ppm in
+            Printf.printf
+              "  %-10g %-9d %10.0f %7d.%04d %8d %10d %6d %9d %12d ns\n" rate
+              enclaves s.Serve.goodput_rps ai af s.Serve.retries
+              s.Serve.failovers s.Serve.shed s.Serve.timed_out
+              s.Serve.recovery_p99_ns;
+            s)
+          [ 2; 4; 8 ])
+      [ 0.; 0.005; 0.02 ]
+  in
   Printf.printf
     "\n(every run keeps the zero-residue conservation law: requests + idle + \
      failover = serving-phase booked time; the crash rule fires once per \
-     run, the transient rate scales retry pressure)\n"
+     run, the transient rate scales retry pressure)\n";
+  List.map Serve.attribution (stats :: again :: streamed :: sweep)
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable baseline: `bench json` / `bench check`             *)
@@ -1384,41 +1365,31 @@ let sql_setup () =
     (t.Bench_db.ns_per_work *. t.Bench_db.wasm_factor);
   t
 
-(* total - sum(op self-work) - overhead: zero by construction *)
-let sql_profile_residue (p : Twine_sqldb.Db.profile) =
-  let open Twine_sqldb in
-  p.Db.pr_total_work
-  - List.fold_left (fun a (o : Db.opstat) -> a + o.Db.os_work) 0 p.Db.pr_ops
-  - p.Db.pr_overhead_work
-
 let sql_section () =
   let open Twine_sqldb in
   section "sql: per-operator query observability (EXPLAIN ANALYZE)";
   let t = sql_setup () in
-  let residue = ref 0 in
-  List.iter
-    (fun (name, sql) ->
-      Printf.printf "\n%s: EXPLAIN ANALYZE %s\n" name sql;
-      let r = Bench_db.exec t ("EXPLAIN ANALYZE " ^ sql) in
-      List.iter
-        (function
-          | [ Value.Text line ] -> Printf.printf "  %s\n" line
-          | _ -> ())
-        r.Db.rows;
-      match Db.last_profile t.Bench_db.db with
-      | Some p -> residue := !residue + abs (sql_profile_residue p)
-      | None ->
-          Printf.printf "NO PROFILE RECORDED FOR %s\n" name;
-          exit 1)
-    sql_shapes;
+  let audits =
+    List.map
+      (fun (name, sql) ->
+        Printf.printf "\n%s: EXPLAIN ANALYZE %s\n" name sql;
+        let r = Bench_db.exec t ("EXPLAIN ANALYZE " ^ sql) in
+        List.iter
+          (function
+            | [ Value.Text line ] -> Printf.printf "  %s\n" line
+            | _ -> ())
+          r.Db.rows;
+        match Db.last_profile t.Bench_db.db with
+        | Some p ->
+            let a = Db.audit p in
+            Printf.printf "  %s\n" (Twine_obs.Audit.render a);
+            a
+        | None ->
+            Printf.printf "NO PROFILE RECORDED FOR %s\n" name;
+            exit 1)
+      sql_shapes
+  in
   hr ();
-  Printf.printf
-    "operator attribution audit: residue %d work unit(s) over %d shape(s)\n"
-    !residue (List.length sql_shapes);
-  if !residue <> 0 then begin
-    Printf.printf "OPERATOR ATTRIBUTION LOST WORK\n";
-    exit 1
-  end;
   let obs = Bench_db.obs t in
   Printf.printf
     "access-path census (sqldb.plan.*): full_scan=%d rowid_range=%d \
@@ -1432,7 +1403,8 @@ let sql_section () =
     (fun (_, sql) ->
       Printf.printf "  %s\n    -> %s\n" sql (Sqlstat.fingerprint sql))
     sql_shapes;
-  Bench_db.close t
+  Bench_db.close t;
+  audits
 
 let collect_baseline () =
   let open Twine_obs in
@@ -1443,14 +1415,14 @@ let collect_baseline () =
      zero, so any charge site that stops booking fails `bench check`. *)
   let put_ledger group machine =
     let l = Machine.ledger machine in
-    let a = Ledger.audit l in
+    let snap = Ledger.snapshot l in
     let pfx = "ledger." ^ group ^ "." in
-    put (Baseline.v ~tol:0.0 (pfx ^ "residue_ns") a.Ledger.residue_ns);
-    put (Baseline.v ~tol:0.02 (pfx ^ "elapsed_ns") a.Ledger.elapsed_ns);
+    put (Baseline.v ~tol:0.0 (pfx ^ "residue_ns") (Audit.residue (Ledger.audit l)));
+    put (Baseline.v ~tol:0.02 (pfx ^ "elapsed_ns") snap.Ledger.elapsed_ns);
     List.iter
       (fun (name, e) -> put (Baseline.v ~tol:0.02 (pfx ^ name) e.Ledger.ns))
-      (Ledger.accounts l);
-    (group, Ledger.snapshot l)
+      snap.Ledger.accounts;
+    (group, snap)
   in
   (* -- the report workload: every instrumented layer in one run -- *)
   let report_snap =
@@ -1504,7 +1476,7 @@ let collect_baseline () =
     (* per-request attribution: the residue is pinned at exactly zero —
        the conservation invariant of the ledger-slicing layer *)
     put (Baseline.v ~tol:0.0 "serve.blame.residue_ns"
-           s.Serve.attribution_residue_ns);
+           (Audit.residue (Serve.attribution s)));
     put (Baseline.v ~tol:0.02 "serve.blame.attributed_ns" s.Serve.attributed_ns);
     put (Baseline.v ~tol:0.02 "serve.blame.unattributed_ns"
            s.Serve.unattributed_ns);
@@ -1573,7 +1545,7 @@ let collect_baseline () =
     let s = Twine_serve.Serve.run chaos_gated_config in
     let open Twine_serve in
     put (Baseline.v ~tol:0.0 "serve.chaos.residue_ns"
-           s.Serve.attribution_residue_ns);
+           (Audit.residue (Serve.attribution s)));
     put (Baseline.v ~tol:0.0 "serve.chaos.failovers" s.Serve.failovers);
     put (Baseline.v ~tol:0.02 "serve.chaos.goodput_rps"
            (int_of_float s.Serve.goodput_rps));
@@ -1595,29 +1567,32 @@ let collect_baseline () =
   let sql_snap =
     let open Twine_sqldb in
     let t = sql_setup () in
-    let residue = ref 0 in
-    List.iter
-      (fun (name, sql) ->
-        let r = Bench_db.exec t sql in
-        let p =
-          match Db.last_profile t.Bench_db.db with
-          | Some p -> p
-          | None -> failwith "bench: sql shape recorded no profile"
-        in
-        residue := !residue + abs (sql_profile_residue p);
-        let pfx = "sqldb." ^ name ^ "." in
-        put (Baseline.v ~tol:0.0 (pfx ^ "rows") (List.length r.Db.rows));
-        put (Baseline.v ~tol:0.0 (pfx ^ "total_work") p.Db.pr_total_work);
-        put (Baseline.v ~tol:0.0 (pfx ^ "overhead_work") p.Db.pr_overhead_work);
-        List.iter
-          (fun (o : Db.opstat) ->
-            let opfx = Printf.sprintf "%sop.%s." pfx o.Db.os_name in
-            put (Baseline.v ~tol:0.0 (opfx ^ "work") o.Db.os_work);
-            put (Baseline.v ~tol:0.0 (opfx ^ "rows_out") o.Db.os_rows_out))
-          p.Db.pr_ops)
-      sql_shapes;
-    (* the conservation law: zero residue, gated exactly *)
-    put (Baseline.v ~tol:0.0 "sqldb.op.residue_ns" !residue);
+    let audits =
+      List.map
+        (fun (name, sql) ->
+          let r = Bench_db.exec t sql in
+          let p =
+            match Db.last_profile t.Bench_db.db with
+            | Some p -> p
+            | None -> failwith "bench: sql shape recorded no profile"
+          in
+          let pfx = "sqldb." ^ name ^ "." in
+          put (Baseline.v ~tol:0.0 (pfx ^ "rows") (List.length r.Db.rows));
+          put (Baseline.v ~tol:0.0 (pfx ^ "total_work") p.Db.pr_total_work);
+          put (Baseline.v ~tol:0.0 (pfx ^ "overhead_work") p.Db.pr_overhead_work);
+          List.iter
+            (fun (o : Db.opstat) ->
+              let opfx = Printf.sprintf "%sop.%s." pfx o.Db.os_name in
+              put (Baseline.v ~tol:0.0 (opfx ^ "work") o.Db.os_work);
+              put (Baseline.v ~tol:0.0 (opfx ^ "rows_out") o.Db.os_rows_out))
+            p.Db.pr_ops;
+          Db.audit p)
+        sql_shapes
+    in
+    (* the conservation law: zero residue over every shape, gated exactly *)
+    put
+      (Baseline.v ~tol:0.0 "sqldb.op.residue_ns"
+         (List.fold_left (fun acc a -> acc + abs (Audit.residue a)) 0 audits));
     let obs = Bench_db.obs t in
     List.iter
       (fun k ->
@@ -1833,10 +1808,10 @@ let () =
   let only = argv1 in
   let want name = match only with None -> true | Some o -> o = name in
   Printf.printf "TWINE reproduction bench harness (simulated SGX; see DESIGN.md)\n";
-  if want "fig3" then audited "fig3" fig3;
-  if want "fig4" then audited "fig4" fig4;
+  if want "fig3" then audited "fig3" (ledgers_only fig3);
+  if want "fig4" then audited "fig4" (ledgers_only fig4);
   if want "fig5" || want "table2" then
-    audited "fig5/table2" (fun () ->
+    audited "fig5/table2" (ledgers_only (fun () ->
         let series = fig5_series () in
         if want "fig5" then begin
           print_fig5 series `Insert
@@ -1848,15 +1823,15 @@ let () =
                "Fig 5c: random-read time (one read per record, cap %d) vs size (ms, simulated)"
                fig5_rand_reads)
         end;
-        table2 series);
-  if want "fig6" then audited "fig6" fig6;
-  if want "fig7" then audited "fig7" fig7;
-  if want "table3" then audited "table3" table3;
-  if want "ablate" then audited "ablate" ablate;
+        table2 series));
+  if want "fig6" then audited "fig6" (ledgers_only fig6);
+  if want "fig7" then audited "fig7" (ledgers_only fig7);
+  if want "table3" then audited "table3" (ledgers_only table3);
+  if want "ablate" then audited "ablate" (ledgers_only ablate);
   if want "micro" then bechamel_suite ();
-  if want "report" then audited "report" report;
-  if want "profile" then audited "profile" profile_section;
-  if want "crash" then audited "crash" crash_section;
+  if want "report" then audited "report" (ledgers_only report);
+  if want "profile" then audited "profile" (ledgers_only profile_section);
+  if want "crash" then audited "crash" (ledgers_only crash_section);
   if want "serve" then audited "serve" serve_section;
   if want "chaos" then audited "chaos" chaos_section;
   if want "sql" then audited "sql" sql_section;

@@ -21,6 +21,12 @@ let load_module path =
   then Twine_wasm.Binary.decode content
   else Twine_wasm.Wat.parse content
 
+(* Exit 1 when a conservation law fails, printing each failed audit. *)
+let enforce cmd audits =
+  let failed = Twine_obs.Audit.check audits in
+  List.iter (fun a -> Printf.eprintf "twine %s: %s\n" cmd (Twine_obs.Audit.render a)) failed;
+  if failed <> [] then exit 1
+
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"MODULE" ~doc:"Wasm module (.wat or .wasm)")
 
@@ -456,17 +462,9 @@ let serve_cmd =
           Printf.eprintf "twine serve: %s\n" msg;
           exit 2
     end;
-    if not (Twine_obs.Ledger.balanced (Twine_sgx.Machine.ledger stats.Twine_serve.Serve.machine))
-    then begin
-      prerr_endline "twine serve: ledger conservation audit FAILED";
-      exit 1
-    end;
-    if stats.Twine_serve.Serve.attribution_residue_ns <> 0 then begin
-      Printf.eprintf
-        "twine serve: per-request attribution audit FAILED (residue %d ns)\n"
-        stats.Twine_serve.Serve.attribution_residue_ns;
-      exit 1
-    end;
+    enforce "serve"
+      [ Twine_obs.Ledger.audit (Twine_sgx.Machine.ledger stats.Twine_serve.Serve.machine);
+        Twine_serve.Serve.attribution stats ];
     (match ledger_out with
     | Some file -> (
         try
@@ -547,9 +545,10 @@ let serve_cmd =
              with capped exponential backoff ($(b,--retries), \
              $(b,--backoff), $(b,--hedge)), $(b,--deadline-ns) expires \
              waiting clients and $(b,--shed-depth) sheds load at \
-             admission. Exit codes: 0 success, 1 conservation-audit or \
-             attribution-residue failure, 2 bad arguments or I/O error \
-             (including $(b,--blame) with $(b,--stream)), 3 SLO violated.")
+             admission. Exit codes: 0 success, 1 a failed ledger or \
+             attribution audit (printed to stderr as its audit line), 2 \
+             bad arguments or I/O error (including $(b,--blame) with \
+             $(b,--stream)), 3 SLO violated.")
     Term.(const run $ enclaves $ requests $ batch $ seed $ epc_kib $ trace
           $ ledger_out $ blame $ top $ timeline $ mean_gap_ns $ mix $ stream
           $ slo $ slo_out $ chaos $ deadline_ns $ retries $ backoff
@@ -628,29 +627,10 @@ let sql_cmd =
         if r.Twine_sqldb.Db.rows = [] && r.Twine_sqldb.Db.affected > 0 then
           Printf.printf "(%d row(s) affected)\n" r.Twine_sqldb.Db.affected
     | None -> ());
-    (* Zero-residue conservation audit over every executed statement:
-       each statement's booked work must equal the sum of its operator
-       self-work plus profiling overhead, exactly. *)
-    let residue =
-      List.fold_left
-        (fun acc (p : Twine_sqldb.Db.profile) ->
-          let ops =
-            List.fold_left
-              (fun a (o : Twine_sqldb.Db.opstat) -> a + o.Twine_sqldb.Db.os_work)
-              0 p.Twine_sqldb.Db.pr_ops
-          in
-          acc + abs (p.Twine_sqldb.Db.pr_total_work - ops
-                     - p.Twine_sqldb.Db.pr_overhead_work))
-        0
-        (Twine_sqldb.Db.profiles db)
-    in
+    (* every executed statement's work = operators + overhead, exactly *)
+    let audits = List.map Twine_sqldb.Db.audit (Twine_sqldb.Db.profiles db) in
     Twine_sqldb.Db.close db;
-    if residue <> 0 then begin
-      Printf.eprintf
-        "twine sql: operator attribution audit FAILED (residue %d work units)\n"
-        residue;
-      exit 1
-    end;
+    enforce "sql" audits;
     exit 0
   in
   Cmd.v
@@ -659,9 +639,10 @@ let sql_cmd =
              the last result. $(b,--explain) prints the planned operator \
              tree with row estimates; $(b,--explain-analyze) executes and \
              adds actual rows, loops, pager I/O and attributed virtual \
-             cycles per operator. Exit codes: 0 success, 1 operator \
-             cycle-attribution residue (conservation audit failed), 2 \
-             parse/execution error or bad arguments.")
+             cycles per operator. Exit codes: 0 success, 1 a failed \
+             statement audit, work = operators + overhead (printed to \
+             stderr as its audit line), 2 parse/execution error or bad \
+             arguments.")
     Term.(const run $ stmts $ explain $ explain_analyze $ ns_per_work)
 
 (* --- diff --- *)

@@ -73,13 +73,13 @@ let accounts t =
   Hashtbl.fold (fun k a acc -> (k, { ns = a.a_ns; events = a.a_events }) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-type audit = { elapsed_ns : int; booked_ns : int; residue_ns : int }
+let elapsed t = t.now () - t.start_ns
 
 let audit t =
-  let elapsed = t.now () - t.start_ns in
-  { elapsed_ns = elapsed; booked_ns = t.booked; residue_ns = elapsed - t.booked }
+  { Audit.law = "ledger"; unit = "ns"; total = ("elapsed", elapsed t);
+    parts = [ ("booked", t.booked) ] }
 
-let balanced t = (audit t).residue_ns = 0
+let balanced t = Audit.ok (audit t)
 
 let reset t =
   Hashtbl.reset t.tbl;
@@ -99,7 +99,6 @@ type snapshot = {
 }
 
 let snapshot t =
-  let a = audit t in
   let matrix =
     Hashtbl.fold
       (fun fn row acc ->
@@ -111,12 +110,7 @@ let snapshot t =
       t.matrix_tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  {
-    elapsed_ns = a.elapsed_ns;
-    booked_ns = a.booked_ns;
-    accounts = accounts t;
-    matrix;
-  }
+  { elapsed_ns = elapsed t; booked_ns = t.booked; accounts = accounts t; matrix }
 
 let schema = "twine-ledger/v1"
 
@@ -276,30 +270,11 @@ let render_accounts b accounts ~booked =
   in
   List.iter (pr 0) root.rkids
 
-let audit_line (a : audit) =
-  Printf.sprintf "audit: elapsed %d ns = booked %d ns + residue %d ns%s" a.elapsed_ns
-    a.booked_ns a.residue_ns
-    (if a.residue_ns = 0 then " (books balance)" else " (UNATTRIBUTED TIME)")
-
 let render ?(title = "cycle ledger") t =
   let b = Buffer.create 1024 in
   Buffer.add_string b ("-- " ^ title ^ " --\n");
   render_accounts b (accounts t) ~booked:t.booked;
-  Buffer.add_string b (audit_line (audit t));
-  Buffer.add_char b '\n';
-  Buffer.contents b
-
-let render_snapshot ?(title = "cycle ledger") (s : snapshot) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b ("-- " ^ title ^ " --\n");
-  render_accounts b s.accounts ~booked:s.booked_ns;
-  Buffer.add_string b
-    (audit_line
-       {
-         elapsed_ns = s.elapsed_ns;
-         booked_ns = s.booked_ns;
-         residue_ns = s.elapsed_ns - s.booked_ns;
-       });
+  Buffer.add_string b (Audit.render (audit t));
   Buffer.add_char b '\n';
   Buffer.contents b
 

@@ -56,15 +56,13 @@ val total : t -> int
 val accounts : t -> (string * entry) list
 (** Sorted by account name, for stable reports and tests. *)
 
-type audit = { elapsed_ns : int; booked_ns : int; residue_ns : int }
-
-val audit : t -> audit
-(** [residue_ns = elapsed_ns - booked_ns]: virtual time that passed
-    without being booked anywhere (a charge site that bypassed the
-    ledger), or — when negative — double-booked time. *)
+val audit : t -> Audit.t
+(** The ledger law, elapsed = booked: a positive residue is virtual
+    time that passed without being booked anywhere (a charge site that
+    bypassed the ledger), a negative one double-booked time. *)
 
 val balanced : t -> bool
-(** [residue_ns = 0]. *)
+(** [Audit.ok (audit t)]. *)
 
 val reset : t -> unit
 (** Drop all accounts, the matrix and the context; elapsed time
@@ -96,8 +94,6 @@ val render : ?title:string -> t -> string
 (** Hierarchical account tree (children sorted by cost, pass-through
     levels collapsed) with per-account share of the booked total, plus
     the audit line. *)
-
-val render_snapshot : ?title:string -> snapshot -> string
 
 val render_matrix : ?top:int -> snapshot -> string
 (** The function × account matrix: top-N functions (default 6) by

@@ -507,7 +507,12 @@ let salvage a =
   a.failover <- a.failover + Hashtbl.fold (fun _ ns acc -> acc + ns) a.overhead 0;
   Hashtbl.reset a.overhead
 
-let residue a ~booked = booked - a.attributed - a.idle - a.failover
+(* The law above, over a finished run (on a chaos run, the chaos law). *)
+let attribution (s : stats) =
+  { Audit.law = "attribution"; unit = "ns"; total = ("booked", s.ledger.Ledger.booked_ns);
+    parts =
+      [ ("requests", s.attributed_ns); ("idle", s.unattributed_ns);
+        ("failover", s.failover_ns) ] }
 
 (* === The scheduler core === *)
 
@@ -1024,7 +1029,7 @@ let stats_of f ~window_ns =
     attributed_ns = f.attr.attributed;
     unattributed_ns = f.attr.idle;
     failover_ns = f.attr.failover;
-    attribution_residue_ns = residue f.attr ~booked:(Ledger.audit ledger).Ledger.booked_ns;
+    attribution_residue_ns = 0;  (* set by [run], from [attribution] *)
     served;
     shed = Obs.value obs "serve.shed";
     timed_out = Obs.value obs "serve.timeout";
@@ -1112,16 +1117,17 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       completed;
     }
   in
-  while !completed < cfg.requests do
-    drain f;
-    sample f;
-    if f.pending = 0 then sleep f else dispatch f
-  done;
-  detach machine;
-  Machine.disarm_faults ();
+  (* the tap and the process-global fault plan must not outlive the run,
+     even when a fault escapes the loop *)
+  Fun.protect ~finally:(fun () -> detach machine; Machine.disarm_faults ()) (fun () ->
+      while !completed < cfg.requests do
+        drain f;
+        sample f;
+        if f.pending = 0 then sleep f else dispatch f
+      done);
   let stats = stats_of f ~window_ns in
   Array.iter (fun w -> Db.close w.db) f.workers;
-  stats
+  { stats with attribution_residue_ns = Audit.residue (attribution stats) }
 
 (* Thread-name metadata for {!Twine_obs.Trace_export}: one request
    track per enclave, in enclave-id order. *)
@@ -1210,14 +1216,7 @@ let render_blame ?(top = 10) (s : stats) =
   f "p99 exemplar rids:";
   List.iter (fun rid -> f " %d" rid) s.p99_exemplar_rids;
   f "\n";
-  f
-    "attribution: booked %d ns = requests %d ns + idle %d ns + failover %d ns \
-     + residue %d ns%s\n"
-    (s.attributed_ns + s.unattributed_ns + s.failover_ns
-   + s.attribution_residue_ns)
-    s.attributed_ns s.unattributed_ns s.failover_ns s.attribution_residue_ns
-    (if s.attribution_residue_ns = 0 then " (slices conserve)"
-     else " (UNATTRIBUTED TIME)");
+  f "%s\n" (Audit.render (attribution s));
   f "cross-enclave refaults: %d" s.cross_refaults;
   List.iter
     (fun (e, c) -> f " by-e%d=%d" e c)
@@ -1267,11 +1266,7 @@ let render (s : stats) =
   f "  evictions by enclave:";
   List.iter (fun (id, v) -> f " e%d=%d" id v) s.evictions_by_enclave;
   f "\n";
-  f
-    "  attribution      %d requests: %d ns sliced + %d ns idle + %d ns \
-     failover, residue %d ns\n"
-    s.requests s.attributed_ns s.unattributed_ns s.failover_ns
-    s.attribution_residue_ns;
+  f "  audit            %s\n" (Audit.render (attribution s));
   f "  outcomes         %d served, %d shed, %d timed out, %d failed\n" s.served
     s.shed s.timed_out s.failed;
   f "  resilience       %d retries, %d failovers (recovery p99 %d ns)\n"

@@ -19,10 +19,11 @@
     request's {!breakdown}; a batch's entry/exit crossings are split
     evenly across its requests (integer shares, remainder to the first);
     scheduler idle lands in a phase-level bucket. The slices obey a
-    structural conservation law with zero residue:
+    structural conservation law with zero residue, which {!attribution}
+    audits:
 
     {v sum of attributed_ns over requests + unattributed_ns (idle)
-   = serving-phase booked total = serving-phase elapsed time v}
+   + failover_ns = serving-phase booked total = serving-phase elapsed time v}
 
     and per request [latency = queue wait + service time], with the
     service time exactly equal to the request's direct attribution
@@ -188,8 +189,8 @@ type stats = {
       (** booked to the failure domain: the wasted work of crashed
           batches plus the detect/teardown/relaunch/recover path *)
   attribution_residue_ns : int;
-      (** booked − attributed − unattributed − failover; 0 is the
-          conservation invariant the bench gate pins *)
+      (** the residue of {!attribution}; 0 is the conservation
+          invariant the bench gate pins *)
   served : int;
   shed : int;
   timed_out : int;
@@ -250,8 +251,11 @@ val run : ?prepare:(Twine_sgx.Machine.t -> unit) -> config -> stats
     workload to completion.
     @raise Invalid_argument on a non-positive fleet or batch size. *)
 
+val attribution : stats -> Twine_obs.Audit.t
+(** The law above over the serving phase (on a chaos run, the chaos law). *)
+
 val render : stats -> string
-(** Human-readable summary block. *)
+(** Human-readable summary block, with the {!attribution} audit line. *)
 
 (** {2 Tail-latency blame} *)
 
@@ -280,7 +284,7 @@ val blame_summary : stats -> (string * int) list
 
 val render_blame : ?top:int -> stats -> string
 (** The blame table plus the tail census, p99 exemplar rids, the
-    attribution conservation line and cross-enclave refault blame.
+    {!attribution} audit line and cross-enclave refault blame.
     @raise Invalid_argument when [retained = false]. *)
 
 (** {2 Request trace} *)

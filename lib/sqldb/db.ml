@@ -60,6 +60,13 @@ let pager (t : t) = t.Catalog.pager
 
 let profiles = Catalog.profiles
 let last_profile = Catalog.last_profile
+
+let audit (p : profile) =
+  { Twine_obs.Audit.law = "sql"; unit = ""; total = ("work", p.pr_total_work);
+    parts =
+      List.map (fun o -> (o.os_name, o.os_work)) p.pr_ops
+      @ [ ("overhead", p.pr_overhead_work) ] }
+
 let slice_ns = Catalog.slice_ns
 
 let set_ns_per_work (t : t) ns = t.Catalog.ns_hint <- ns

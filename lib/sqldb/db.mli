@@ -82,7 +82,7 @@ val pager : t -> Pager.t
     pager page deltas and self work, plus the statement's total work and
     the overhead work that landed outside any operator. By construction
     [pr_total_work = sum os_work + pr_overhead_work] — the zero-residue
-    conservation law the bench gates at tolerance 0. *)
+    conservation law {!audit} states and the bench gates at tolerance 0. *)
 
 type opstat = Catalog.opstat = {
   os_depth : int;
@@ -109,6 +109,11 @@ val profiles : t -> profile list
     execution order. The work totals partition {!work} exactly. *)
 
 val last_profile : t -> profile option
+
+val audit : profile -> Twine_obs.Audit.t
+(** The statement's conservation law, work = operators + overhead: one
+    part per operator (preorder, named by [os_name]) and one for the
+    overhead. *)
 
 val slice_ns : total_ns:int -> int list -> int list
 (** [slice_ns ~total_ns works] splits a nanosecond booking across work

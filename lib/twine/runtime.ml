@@ -309,10 +309,14 @@ let serve t ?(name = "twine.serve") ?batch f =
    transient/lost distinction the fleet scheduler needs: a [`Transient]
    entry failure leaves the enclave healthy (requeue and retry against
    the same enclave); [`Lost] means the enclave is poisoned — tear it
-   down with {!destroy} and relaunch a replacement. *)
+   down with {!destroy} and relaunch a replacement. A read that fails
+   authentication is transient too: the stored ciphertext is intact
+   (as for [Sgx_host], which maps it to EIO). *)
 let serve_safe t ?name ?batch f =
   try Ok (serve t ?name ?batch f) with
-  | Twine_sim.Fault.Transient msg -> Error (`Transient msg)
+  | Twine_sim.Fault.Transient msg
+  | Twine_ipfs.Protected_fs.Integrity_violation msg ->
+      Error (`Transient msg)
   | Twine_sim.Fault.Crashed msg -> Error (`Lost msg)
   | Enclave.Poisoned -> Error (`Lost "enclave poisoned by earlier abort")
 

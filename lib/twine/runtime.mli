@@ -127,8 +127,9 @@ val serve_safe :
   (Twine_sgx.Enclave.t -> 'a) ->
   ('a, [ `Transient of string | `Lost of string ]) result
 (** Like {!serve} but containing injected enclave faults as a typed
-    error: [`Transient] is a recoverable entry failure (the enclave is
-    healthy — requeue the batch and retry); [`Lost] is an asynchronous
+    error: [`Transient] is a recoverable entry failure or a protected-FS
+    read that failed authentication (the enclave is healthy — requeue
+    the batch and retry); [`Lost] is an asynchronous
     enclave abort or an entry into an already-poisoned enclave — call
     {!destroy} and relaunch a replacement. Guest traps and other
     exceptions still propagate: the serving path runs no guest code. *)

@@ -1,7 +1,8 @@
 (* Cycle ledger: booking, the conservation audit, the function x account
    matrix, serialisation, and differential attribution — plus the
-   machine-level invariant that every charge site books (zero residue)
-   and the sub-ns carry of charge_cycles. *)
+   machine-level invariant that every charge site books (zero residue),
+   the sub-ns carry of charge_cycles, and the Audit value every
+   conservation law is stated in. *)
 
 open Twine_obs
 open Twine_sgx
@@ -37,15 +38,16 @@ let test_audit_residue () =
   clock := 100;
   Ledger.book l "work" 60;
   let a = Ledger.audit l in
-  Alcotest.(check int) "elapsed" 100 a.Ledger.elapsed_ns;
-  Alcotest.(check int) "booked" 60 a.Ledger.booked_ns;
-  Alcotest.(check int) "residue flags unbooked time" 40 a.Ledger.residue_ns;
+  Alcotest.(check (pair string int)) "total is elapsed" ("elapsed", 100) a.Audit.total;
+  Alcotest.(check (list (pair string int))) "the part is booked" [ ("booked", 60) ]
+    a.Audit.parts;
+  Alcotest.(check int) "residue flags unbooked time" 40 (Audit.residue a);
   Alcotest.(check bool) "unbalanced" false (Ledger.balanced l);
   Ledger.book l "work" 40;
   Alcotest.(check bool) "balanced once fully booked" true (Ledger.balanced l);
-  let rendered = Ledger.render l in
   Alcotest.(check bool) "render carries the audit line" true
-    (contains rendered "books balance")
+    (contains (Ledger.render l)
+       "ledger: elapsed 100 ns = booked 100 ns + residue 0 ns (balanced)\n")
 
 let test_reset () =
   let clock = ref 0 in
@@ -57,7 +59,7 @@ let test_reset () =
   Ledger.reset l;
   Alcotest.(check int) "accounts cleared" 0 (List.length (Ledger.accounts l));
   Alcotest.(check bool) "context cleared" true (Ledger.context l = None);
-  Alcotest.(check int) "elapsed restarts" 0 (Ledger.audit l).Ledger.elapsed_ns;
+  Alcotest.(check int) "elapsed restarts" 0 (snd (Ledger.audit l).Audit.total);
   clock := 80;
   Ledger.book l "y" 30;
   Alcotest.(check bool) "balances against the new epoch" true (Ledger.balanced l)
@@ -74,10 +76,10 @@ let test_machine_conservation () =
   Enclave.copy_in e 1000;
   Enclave.copy_out e 2000;
   let a = Ledger.audit (Machine.ledger m) in
-  Alcotest.(check int) "zero residue" 0 a.Ledger.residue_ns;
-  Alcotest.(check bool) "time actually passed" true (a.Ledger.elapsed_ns > 0);
-  Alcotest.(check int) "booked = elapsed = clock" (Machine.now_ns m)
-    a.Ledger.booked_ns;
+  Alcotest.(check int) "zero residue" 0 (Audit.residue a);
+  Alcotest.(check (pair string int)) "elapsed = clock" ("elapsed", Machine.now_ns m)
+    a.Audit.total;
+  Alcotest.(check bool) "time actually passed" true (Machine.now_ns m > 0);
   (* the remapped accounts took the bookings, not the histogram labels *)
   let l = Machine.ledger m in
   Alcotest.(check bool) "transitions split by direction" true
@@ -256,6 +258,50 @@ let test_engine_ledger_parity () =
       Alcotest.(check int) (ni ^ " same events") ei.Ledger.events ea.Ledger.events)
     (drop_aot interp) (drop_aot aot)
 
+(* --- the Audit value --- *)
+
+let audit ?(unit = "ns") total parts =
+  { Audit.law = "law"; unit; total = ("total", total); parts }
+
+let test_audit_double_booked () =
+  (* time booked twice shows as a negative residue, through the producer *)
+  let clock = ref 0 in
+  let l = Ledger.create ~now:(fun () -> !clock) () in
+  clock := 100;
+  Ledger.book l "work" 100;
+  Ledger.book l "work.again" 30;
+  let a = Ledger.audit l in
+  Alcotest.(check int) "negative residue" (-30) (Audit.residue a);
+  Alcotest.(check bool) "not ok" false (Audit.ok a);
+  Alcotest.(check string) "rendered"
+    "ledger: elapsed 100 ns = booked 130 ns + residue -30 ns (UNBALANCED)"
+    (Audit.render a)
+
+let test_audit_ok () =
+  Alcotest.(check bool) "parts explain the total" true
+    (Audit.ok (audit 10 [ ("a", 4); ("b", 6) ]));
+  Alcotest.(check bool) "no parts, zero total" true (Audit.ok (audit 0 []));
+  Alcotest.(check bool) "unexplained remainder" false
+    (Audit.ok (audit 10 [ ("a", 4) ]));
+  Alcotest.(check int) "residue is total - sum of parts" 6
+    (Audit.residue (audit 10 [ ("a", 4) ]))
+
+let test_audit_render () =
+  Alcotest.(check string) "balanced"
+    "law: total 10 ns = a 4 ns + b 6 ns + residue 0 ns (balanced)"
+    (Audit.render (audit 10 [ ("a", 4); ("b", 6) ]));
+  Alcotest.(check string) "unbalanced, no unit"
+    "law: total 10 = a 3 + residue 7 (UNBALANCED)"
+    (Audit.render (audit ~unit:"" 10 [ ("a", 3) ]))
+
+let test_audit_check () =
+  let good = audit 5 [ ("a", 5) ] in
+  let over = audit 5 [ ("a", 6) ] and under = audit 5 [ ("a", 1) ] in
+  Alcotest.(check int) "all hold: nothing fails" 0
+    (List.length (Audit.check [ good; good ]));
+  Alcotest.(check (list int)) "every failure, in order" [ -1; 4 ]
+    (List.map Audit.residue (Audit.check [ good; over; good; under ]))
+
 let () =
   Alcotest.run "ledger"
     [
@@ -284,4 +330,11 @@ let () =
         ] );
       ( "engines",
         [ Alcotest.test_case "interp = aot ledger" `Quick test_engine_ledger_parity ] );
+      ( "audit",
+        [
+          Alcotest.test_case "double-booked time" `Quick test_audit_double_booked;
+          Alcotest.test_case "ok" `Quick test_audit_ok;
+          Alcotest.test_case "render" `Quick test_audit_render;
+          Alcotest.test_case "check returns every failure" `Quick test_audit_check;
+        ] );
     ]

@@ -164,13 +164,18 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* The attribution law through its producer: it balances, and the
+   stats carry its residue. *)
+let check_attribution label (s : Serve.stats) =
+  let a = Serve.attribution s in
+  Alcotest.(check bool) (label ^ ": " ^ Twine_obs.Audit.render a) true
+    (Twine_obs.Audit.ok a);
+  Alcotest.(check int) (label ^ ": stats carry the audit's residue")
+    (Twine_obs.Audit.residue a) s.Serve.attribution_residue_ns
+
 let check_conserves label (s : Serve.stats) =
-  let booked = s.Serve.ledger.Twine_obs.Ledger.booked_ns in
-  Alcotest.(check int) (label ^ ": residue 0") 0 s.Serve.attribution_residue_ns;
-  Alcotest.(check int)
-    (label ^ ": slices + idle = serving-phase booked total")
-    booked
-    (s.Serve.attributed_ns + s.Serve.unattributed_ns);
+  check_attribution label s;
+  Alcotest.(check int) (label ^ ": no failover without chaos") 0 s.Serve.failover_ns;
   Alcotest.(check int)
     (label ^ ": stats total = sum of per-request slices")
     s.Serve.attributed_ns
@@ -297,8 +302,8 @@ let test_blame_cliff () =
   let rendered = Serve.render_blame ~top:5 s in
   Alcotest.(check bool) "render names an interfering enclave" true
     (contains rendered "cross-enclave refaults:" && contains rendered "by-e");
-  Alcotest.(check bool) "render states the conservation line" true
-    (contains rendered "residue 0 ns")
+  Alcotest.(check bool) "render states the attribution audit" true
+    (contains rendered (Twine_obs.Audit.render (Serve.attribution s)))
 
 (* The p99 exemplars are the served requests at the exact p99 rank and
    the seven below it, slowest first, in the order the exact
@@ -569,7 +574,7 @@ let test_stream_scale () =
   in
   Alcotest.(check int) "all requests served" 20_000 s.Serve.requests;
   Alcotest.(check int) "no request log" 0 (Array.length s.Serve.requests_log);
-  Alcotest.(check int) "residue 0" 0 s.Serve.attribution_residue_ns;
+  check_attribution "stream" s;
   Alcotest.(check int) "sketch folded all" 20_000
     (Twine_obs.Sketch.count s.Serve.sketch);
   Alcotest.(check int) "windows hold all" 20_000
@@ -590,12 +595,7 @@ let chaos s =
    per-request slices plus scheduler idle plus the failure domain's
    booked work must reproduce the serving-phase total exactly. *)
 let check_conserves_failover label (s : Serve.stats) =
-  let booked = s.Serve.ledger.Twine_obs.Ledger.booked_ns in
-  Alcotest.(check int) (label ^ ": residue 0") 0 s.Serve.attribution_residue_ns;
-  Alcotest.(check int)
-    (label ^ ": slices + idle + failover = serving-phase booked total")
-    booked
-    (s.Serve.attributed_ns + s.Serve.unattributed_ns + s.Serve.failover_ns);
+  check_attribution label s;
   Alcotest.(check int)
     (label ^ ": stats total = sum of per-request slices")
     s.Serve.attributed_ns
@@ -692,13 +692,40 @@ let prop_chaos_modes_agree =
       Serve.render_slo r = Serve.render_slo t
       && Twine_obs.Ledger.to_string r.Serve.ledger
          = Twine_obs.Ledger.to_string t.Serve.ledger
-      && r.Serve.attribution_residue_ns = 0
-      && t.Serve.attribution_residue_ns = 0
-      && r.Serve.ledger.Twine_obs.Ledger.booked_ns
+      && Twine_obs.Audit.ok (Serve.attribution r)
+      && Twine_obs.Audit.ok (Serve.attribution t)
+      && r.Serve.attributed_ns
          = Array.fold_left
              (fun a q -> a + Serve.attributed_ns q)
-             0 r.Serve.requests_log
-           + r.Serve.unattributed_ns + r.Serve.failover_ns)
+             0 r.Serve.requests_log)
+
+let test_backing_read_faults_retry () =
+  (* regression: a corrupted, torn or dropped backing read fails the
+     protected FS's authentication. That exception used to escape
+     Serve.run and leave the process-global fault plan armed, so the
+     next clean run in the same process raised too. The stored
+     ciphertext is intact, so the batch is retried like any transient
+     fault, and the plan is disarmed however the run ends. *)
+  let cfg =
+    { Serve.default_config with
+      Serve.requests = 600; enclaves = 2; rows = 2048; cache_pages = 32 }
+  in
+  let clean () = Twine_obs.Ledger.to_string (Serve.run cfg).Serve.ledger in
+  let before = clean () in
+  List.iter
+    (fun action ->
+      let label = "backing.read=" ^ action in
+      let s = Serve.run { cfg with Serve.chaos = chaos ("seed=x;" ^ label ^ "%0.05") } in
+      Alcotest.(check bool) (label ^ ": batches retried") true (s.Serve.retries > 0);
+      Alcotest.(check int) (label ^ ": no enclave lost") 0 s.Serve.failovers;
+      Alcotest.(check int) (label ^ ": every request served or out of retries")
+        cfg.Serve.requests (s.Serve.served + s.Serve.failed);
+      check_attribution label s;
+      Alcotest.(check bool) (label ^ ": books balance") true
+        (Twine_obs.Ledger.balanced (Machine.ledger s.Serve.machine));
+      Alcotest.(check string) (label ^ ": the next clean run is untouched") before
+        (clean ()))
+    [ "corrupt"; "torn:0.5"; "drop" ]
 
 let test_deadline_expires () =
   (* a deadline shorter than typical queue wait: requests expire while
@@ -920,6 +947,8 @@ let () =
             test_chaos_failover_recovers;
           Alcotest.test_case "destroy+relaunch audits clean" `Quick
             test_destroy_relaunch_audit;
+          Alcotest.test_case "backing-read faults retry" `Quick
+            test_backing_read_faults_retry;
           Alcotest.test_case "deadlines expire queued requests" `Quick
             test_deadline_expires;
           Alcotest.test_case "depth shedding under overload" `Quick

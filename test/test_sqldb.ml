@@ -657,13 +657,11 @@ let test_operator_conservation () =
   Alcotest.(check bool) "profiles recorded" true (List.length profiles >= 13);
   List.iter
     (fun (p : Db.profile) ->
-      let ops =
-        List.fold_left (fun a (o : Db.opstat) -> a + o.Db.os_work) 0 p.Db.pr_ops
-      in
-      Alcotest.(check int)
-        ("conservation: " ^ p.Db.pr_stmt)
-        p.Db.pr_total_work
-        (ops + p.Db.pr_overhead_work))
+      let a = Db.audit p in
+      Alcotest.(check bool) ("conservation: " ^ p.Db.pr_stmt) true
+        (Twine_obs.Audit.ok a);
+      Alcotest.(check int) "one part per operator, plus the overhead"
+        (List.length p.Db.pr_ops + 1) (List.length a.Twine_obs.Audit.parts))
     profiles;
   Db.close db
 
