@@ -38,12 +38,27 @@ let section title =
 
 let hr () = print_endline (String.make 78 '-')
 
+(* The machines the running section created, newest first: [machine]
+   makes its own; [keep] takes those a [Serve.run] or an
+   [ipfs_breakdown] made. *)
+let created : Machine.t list ref = ref []
+let keep m = created := m :: !created
+let machine ?epc_bytes ~seed () =
+  let m = Machine.create ?epc_bytes ~seed () in
+  keep m;
+  m
+
+(* The PolyBench-measured Wasm slowdown, shared by every figure. *)
+let measured_wasm_factor = lazy (Bench_db.calibrate_wasm_factor ())
+
 (* Conservation audit: after a section, the laws it returns and the
    ledger of every machine it created must balance. Machine.charge is
    the only clock-advance site, so a ledger residue means a charge
    bypassed the ledger — a bookkeeping bug worth failing over. *)
 let audited name f =
-  let laws, machines = Machine.with_tracked f in
+  created := [];
+  let laws = f () in
+  let machines = List.rev !created in
   let audits =
     laws @ List.map (fun m -> Twine_obs.Ledger.audit (Machine.ledger m)) machines
   in
@@ -71,7 +86,7 @@ let ledgers_only f () = f (); []  (* a section with no law of its own *)
 let fig3_epc_bytes = 2 * 1024 * 1024
 
 let twine_kernel_ns k =
-  let machine = Machine.create ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
+  let machine = machine ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
   let enclave = Enclave.create machine ~heap_bytes:0 ~code:Runtime.runtime_code () in
   let m, _lay = Twine_polybench.Kernel_dsl.comp_wasm k in
   let inst = Twine_wasm.Interp.instantiate m in
@@ -131,7 +146,7 @@ let fig4_size = 120
 
 let fig4 () =
   section "Fig 4: SQLite Speedtest1, relative performance (simulated time, ms)";
-  let wf = Bench_db.calibrate_wasm_factor () in
+  let wf = Lazy.force measured_wasm_factor in
   Printf.printf "(size=%d per test; Wasm factor %.2f measured from PolyBench)\n"
     fig4_size wf;
   let series =
@@ -148,7 +163,7 @@ let fig4 () =
       let results =
         List.map
           (fun (_, v) ->
-            let machine = Machine.create ~seed:"fig4" () in
+            let machine = machine ~seed:"fig4" () in
             Speedtest.run_suite ~machine ~wasm_factor:wf v storage ~size:fig4_size ())
           series
       in
@@ -191,10 +206,10 @@ let fig5_rand_reads = 2500
 let fig5_epc_records = 2200
 
 let fig5_series () =
-  let wf = Bench_db.calibrate_wasm_factor () in
+  let wf = Lazy.force measured_wasm_factor in
   List.map
     (fun (name, variant, storage) ->
-      let machine = Machine.create ~seed:"fig5" ~epc_bytes:fig5_epc_bytes () in
+      let machine = machine ~seed:"fig5" ~epc_bytes:fig5_epc_bytes () in
       let r =
         Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:fig5_rand_reads
           ~cache_pages:64 ~wasm_factor:wf variant storage ~sizes:fig5_sizes ()
@@ -264,9 +279,9 @@ let table2 series =
 
 let fig6 () =
   section "Fig 6: SGX hardware vs software (simulation) mode, in-file DB";
-  let wf = Bench_db.calibrate_wasm_factor () in
+  let wf = Lazy.force measured_wasm_factor in
   let run variant software =
-    let machine = Machine.create ~seed:"fig6" ~epc_bytes:fig5_epc_bytes () in
+    let machine = machine ~seed:"fig6" ~epc_bytes:fig5_epc_bytes () in
     if software then Machine.set_software_mode machine;
     let r =
       Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:fig5_rand_reads
@@ -295,8 +310,11 @@ let fig6 () =
 
 let fig7 () =
   section "Fig 7: protected-FS time breakdown (random reads), stock vs optimised";
-  let stock = Microbench.ipfs_breakdown Twine_ipfs.Protected_fs.Stock in
-  let opt = Microbench.ipfs_breakdown Twine_ipfs.Protected_fs.Optimized in
+  let wasm_factor = Lazy.force measured_wasm_factor in
+  let stock = Microbench.ipfs_breakdown ~wasm_factor Twine_ipfs.Protected_fs.Stock in
+  let opt = Microbench.ipfs_breakdown ~wasm_factor Twine_ipfs.Protected_fs.Optimized in
+  keep stock.Microbench.machine;
+  keep opt.Microbench.machine;
   let pct part total = 100. *. float_of_int part /. float_of_int (max 1 total) in
   let print (b : Microbench.breakdown) name =
     Printf.printf
@@ -349,7 +367,7 @@ let fig7 () =
     (float_of_int stock.Microbench.total_ns /. float_of_int opt.Microbench.total_ns);
   let phase_speedup f =
     let run v =
-      let machine = Machine.create ~seed:"fig7b" () in
+      let machine = machine ~seed:"fig7b" () in
       let r =
         Microbench.sweep ~machine ~blob_bytes:512 ~rand_reads:200 ~cache_pages:64
           ~ipfs_variant:v ~wasm_factor:2.5 Bench_db.Twine_rt Bench_db.File
@@ -381,7 +399,7 @@ let table3 () =
   in
   let aot_ratio = 3707. /. 1155. in
   let launch_of ~heap_bytes ~code =
-    let machine = Machine.create ~seed:"t3" () in
+    let machine = machine ~seed:"t3" () in
     let t0 = Machine.now_ns machine in
     let e = Enclave.create machine ~heap_bytes ~code () in
     ignore e;
@@ -444,7 +462,7 @@ let table3 () =
     aot_ratio
     (int_of_float (float_of_int wasm_bytes *. aot_ratio /. 1024.))
     (int_of_float (float_of_int wasm_bytes *. aot_ratio /. 1024.));
-  let machine = Machine.create ~seed:"t3b" () in
+  let machine = machine ~seed:"t3b" () in
   let twine_enclave =
     Enclave.create machine ~heap_bytes:(205 * 1024 * 1024) ~code:Runtime.runtime_code ()
   in
@@ -468,7 +486,7 @@ let ablate () =
   hr ();
   List.iter
     (fun cache_pages ->
-      let machine = Machine.create ~seed:"ablate-cache" ~epc_bytes:fig5_epc_bytes () in
+      let machine = machine ~seed:"ablate-cache" ~epc_bytes:fig5_epc_bytes () in
       let r =
         Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:1000
           ~cache_pages ~wasm_factor:2.5 Bench_db.Twine_rt Bench_db.File
@@ -485,7 +503,7 @@ let ablate () =
   hr ();
   List.iter
     (fun cache_nodes ->
-      let machine = Machine.create ~seed:"ablate-nodes" () in
+      let machine = machine ~seed:"ablate-nodes" () in
       let enclave = Enclave.create machine ~code:"ipfs-abl" () in
       let fs =
         Twine_ipfs.Protected_fs.create enclave (Twine_ipfs.Backing.memory ())
@@ -675,7 +693,7 @@ let report_wat =
 
 let report () =
   section "Telemetry: per-run cost report (WASI file churn, 128 KiB EPC)";
-  let machine = Machine.create ~seed:"report" ~epc_bytes:(32 * 4096) () in
+  let machine = machine ~seed:"report" ~epc_bytes:(32 * 4096) () in
   let rt = Runtime.create machine in
   Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
   let r = Runtime.run rt in
@@ -723,7 +741,7 @@ let profile_ledger_file = "polybench-atax.ledger.json"
    raised mid-kernel (EPC faults of the linear memory) attribute to the
    guest frame that caused them. *)
 let profiled_enclave_atax k =
-  let machine = Machine.create ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
+  let machine = machine ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
   let enclave = Enclave.create machine ~heap_bytes:0 ~code:Runtime.runtime_code () in
   let m, _lay = Twine_polybench.Kernel_dsl.comp_wasm k in
   let inst = Twine_wasm.Interp.instantiate m in
@@ -770,7 +788,7 @@ let profile_section () =
   Printf.printf "folded stacks -> %s\n" profile_folded_file;
   (* the WASI-heavy report workload, profiled through the runtime: shows
      hostcall time attributed to the calling guest frame *)
-  let machine = Machine.create ~seed:"report" ~epc_bytes:(32 * 4096) () in
+  let machine = machine ~seed:"report" ~epc_bytes:(32 * 4096) () in
   let rt = Runtime.create machine in
   Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
   let prof =
@@ -831,7 +849,7 @@ let crash_select = "SELECT id, v FROM t ORDER BY id"
 (* Build the stack over [backing]; small caches so pager and node-cache
    evictions (and hence mid-transaction in-place writes) happen. *)
 let crash_stack backing =
-  let machine = Machine.create ~seed:crash_seed () in
+  let machine = machine ~seed:crash_seed () in
   let enclave =
     Enclave.create machine ~signer:"crash" ~heap_bytes:(2 * 1024 * 1024)
       ~code:Runtime.runtime_code ()
@@ -963,17 +981,14 @@ let crash_section () =
           (Twine_sim.Fault.Delay 400);
         Twine_sim.Fault.rule ~prob:0.03 "backing.read"
           (Twine_sim.Fault.Delay 900);
-        Twine_sim.Fault.rule ~nth:7 "wasi.fd_write" Twine_sim.Fault.Fail;
       ]
   in
   let injected_run () =
     let machine, db = crash_stack (Twine_ipfs.Backing.memory ()) in
     Machine.arm_faults machine plan;
-    Fun.protect ~finally:Machine.disarm_faults (fun () ->
-        ignore
-          (Twine_sqldb.Db.exec db "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)");
-        List.iter (fun sql -> ignore (Twine_sqldb.Db.exec db sql)) crash_workload;
-        Twine_sqldb.Db.close db);
+    ignore (Twine_sqldb.Db.exec db "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)");
+    List.iter (fun sql -> ignore (Twine_sqldb.Db.exec db sql)) crash_workload;
+    Twine_sqldb.Db.close db;
     ( Twine_sim.Fault.injections plan,
       Twine_obs.Ledger.to_string
         (Twine_obs.Ledger.snapshot (Machine.ledger machine)),
@@ -996,7 +1011,7 @@ let crash_section () =
     (fun acct ->
       let ns = Twine_obs.Ledger.ns (Machine.ledger m1) acct in
       if ns > 0 then Printf.printf "  %-22s %8d ns booked under injection\n" acct ns)
-    [ "fault.backing.write"; "fault.backing.read"; "fault.wasi.fd_write" ]
+    [ "fault.backing.write"; "fault.backing.read" ]
 
 (* ------------------------------------------------------------------ *)
 (* serve: a multi-enclave serving fleet on one shared EPC              *)
@@ -1182,8 +1197,9 @@ let serve_section () =
   print_string
     (Twine_obs.Ledger.render_diff ~top:8 ~base:unbatched.Serve.ledger
        ~current:batched.Serve.ledger ());
-  List.map Serve.attribution
-    (stats :: unbatched :: batched :: List.map snd cliff_runs)
+  let runs = stats :: unbatched :: batched :: List.map snd cliff_runs in
+  List.iter (fun s -> keep s.Serve.machine) runs;
+  List.map Serve.attribution runs
 
 (* ------------------------------------------------------------------ *)
 (* chaos: fault-tolerant serving under seeded fault schedules          *)
@@ -1308,7 +1324,9 @@ let chaos_section () =
     "\n(every run keeps the zero-residue conservation law: requests + idle + \
      failover = serving-phase booked time; the crash rule fires once per \
      run, the transient rate scales retry pressure)\n";
-  List.map Serve.attribution (stats :: again :: streamed :: sweep)
+  let runs = stats :: again :: streamed :: sweep in
+  List.iter (fun s -> keep s.Serve.machine) runs;
+  List.map Serve.attribution runs
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable baseline: `bench json` / `bench check`             *)
@@ -1342,7 +1360,7 @@ let sql_shapes =
 let sql_rows = 400
 
 let sql_setup () =
-  let machine = Machine.create ~seed:"sql" () in
+  let machine = machine ~seed:"sql" () in
   let t =
     Bench_db.create ~machine ~cache_pages:64 ~wasm_factor:baseline_wasm_factor
       Bench_db.Twine_rt Bench_db.File

@@ -144,7 +144,7 @@ let run_cmd =
           Twine.Runtime.run ~args:(Filename.basename path :: args) ?profile:prof
             ?fuel_limit rt
         with Twine_wasm.Values.Trap _ as e ->
-          Printf.eprintf "twine: guest trap: %s\n" (Twine_wasm.Interp.trap_message e);
+          Printf.eprintf "twine: guest trap: %s\n" (Twine.Runtime.trap_message rt e);
           (* the profile up to the trap point is still valid (the shadow
              stack unwinds on the way out) — write it for post-mortems *)
           write_wasm_profile ();

@@ -57,9 +57,10 @@ let mem_ensure f n =
   (* Zero any gap between the current end and the write position. *)
   if n > f.len then Bytes.fill f.data f.len (n - f.len) '\000'
 
-let rec raw_read t key ~pos ~len =
+let rec read t key ~pos ~len =
+  if pos < 0 || len < 0 then invalid_arg "Backing.read";
   match t with
-  | Logged (_, inner) -> raw_read inner key ~pos ~len
+  | Logged (_, inner) -> read inner key ~pos ~len
   | Memory tbl -> (
       match Hashtbl.find_opt tbl key with
       | None -> ""
@@ -82,22 +83,12 @@ let rec raw_read t key ~pos ~len =
             end)
       end)
 
-let read t key ~pos ~len =
-  if pos < 0 || len < 0 then invalid_arg "Backing.read";
-  let data = raw_read t key ~pos ~len in
-  match Fault.consult "backing.read" with
-  | None -> data
-  | Some Fault.Fail -> raise (Fault.Transient ("backing.read " ^ key))
-  | Some Fault.Crash -> raise (Fault.Crashed ("backing.read " ^ key))
-  | Some Fault.Drop -> ""
-  | Some ((Fault.Torn _ | Fault.Corrupt) as a) -> Fault.mutilate a data
-  | Some (Fault.Delay _) -> data
-
-let rec raw_write t key ~pos data =
+let rec write t key ~pos data =
+  if pos < 0 then invalid_arg "Backing.write";
   match t with
   | Logged (log, inner) ->
       Crashpoint.record log (Crashpoint.Write { file = key; pos; data });
-      raw_write inner key ~pos data
+      write inner key ~pos data
   | Memory tbl ->
       let f = mem_get tbl key in
       let endpos = pos + String.length data in
@@ -119,17 +110,6 @@ let rec raw_write t key ~pos data =
             end
           in
           loop 0 (Bytes.length b))
-
-let write t key ~pos data =
-  if pos < 0 then invalid_arg "Backing.write";
-  match Fault.consult "backing.write" with
-  | None -> raw_write t key ~pos data
-  | Some Fault.Fail -> raise (Fault.Transient ("backing.write " ^ key))
-  | Some Fault.Crash -> raise (Fault.Crashed ("backing.write " ^ key))
-  | Some Fault.Drop -> ()
-  | Some ((Fault.Torn _ | Fault.Corrupt) as a) ->
-      raw_write t key ~pos (Fault.mutilate a data)
-  | Some (Fault.Delay _) -> raw_write t key ~pos data
 
 let rec size t key =
   match t with

@@ -1,5 +1,8 @@
 (** Untrusted backing store for protected files — the host file system as
-    seen from outside the enclave. Ciphertext only ever lands here. *)
+    seen from outside the enclave. Ciphertext only ever lands here. This
+    is plain storage: the fault sites ["backing.read"] and
+    ["backing.write"] live in {!Protected_fs}, which reaches the
+    machine's fault plan through its enclave. *)
 
 type t
 
@@ -16,14 +19,10 @@ val logged : Twine_sim.Crashpoint.log -> t -> t
     into a crash-point op log, for prefix-replay crash exploration. *)
 
 val read : t -> string -> pos:int -> len:int -> string
-(** Short reads at EOF return fewer bytes; a missing file reads as empty.
-    Fault site ["backing.read"]: injected faults shorten, corrupt or
-    fail the read. *)
+(** Short reads at EOF return fewer bytes; a missing file reads as empty. *)
 
 val write : t -> string -> pos:int -> string -> unit
-(** Extends the file with zero bytes if [pos] is past its current end.
-    Fault site ["backing.write"]: injected faults tear, corrupt, drop
-    or fail the write. *)
+(** Extends the file with zero bytes if [pos] is past its current end. *)
 
 val size : t -> string -> int option
 val exists : t -> string -> bool

@@ -79,6 +79,30 @@ let obs t = (machine t).Machine.obs
 let in_enclave t f =
   if Enclave.inside t.enclave then f () else Enclave.ecall t.enclave (fun _ -> f ())
 
+(* The untrusted store is read and written only through these helpers:
+   they are the fault sites ["backing.read"] and ["backing.write"],
+   consulting the plan armed on this enclave's machine. An injected
+   fault fails the operation, drops it, or tears or corrupts its data. *)
+let store_fault t site key =
+  let open Twine_sim in
+  match Machine.fault (machine t) site with
+  | Some Fault.Fail -> raise (Fault.Transient (site ^ " " ^ key))
+  | Some Fault.Crash -> raise (Fault.Crashed (site ^ " " ^ key))
+  | a -> a
+
+let store_read t key ~pos ~len =
+  let data = Backing.read t.backing key ~pos ~len in
+  match store_fault t "backing.read" key with
+  | Some Twine_sim.Fault.Drop -> ""
+  | Some a -> Twine_sim.Fault.mutilate a data
+  | None -> data
+
+let store_write t key ~pos data =
+  match store_fault t "backing.write" key with
+  | Some Twine_sim.Fault.Drop -> ()
+  | Some a -> Backing.write t.backing key ~pos (Twine_sim.Fault.mutilate a data)
+  | None -> Backing.write t.backing key ~pos data
+
 let charge_untrusted_io t ?(account = "ipfs.io") label n =
   let m = machine t in
   Machine.charge m ~account label
@@ -211,7 +235,7 @@ let journal_begin file =
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
         charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal"
           (String.length hdr);
-        Backing.write fs.backing jp ~pos:0 hdr);
+        store_write fs jp ~pos:0 hdr);
     file.jrnl_started <- true;
     file.jrnl_count <- 0
   end
@@ -231,7 +255,7 @@ let journal_node file idx =
         charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal"
           (2 * node_size) ;
         let old_ct =
-          Backing.read fs.backing file.path ~pos:(idx * node_size) ~len:node_size
+          store_read fs file.path ~pos:(idx * node_size) ~len:node_size
         in
         let old_ct =
           if String.length old_ct >= node_size then String.sub old_ct 0 node_size
@@ -241,11 +265,11 @@ let journal_node file idx =
         put_u32 b idx;
         Buffer.add_char b '\001';
         Buffer.add_string b old_ct;
-        Backing.write fs.backing jp ~pos:entry_pos (Buffer.contents b);
+        store_write fs jp ~pos:entry_pos (Buffer.contents b);
         (* entry durable first, then the count that makes it visible *)
         let c = Buffer.create 4 in
         put_u32 c (file.jrnl_count + 1);
-        Backing.write fs.backing jp ~pos:12 (Buffer.contents c));
+        store_write fs jp ~pos:12 (Buffer.contents c));
     file.jrnl_count <- file.jrnl_count + 1;
     Hashtbl.replace file.journaled idx ()
   end
@@ -278,7 +302,7 @@ let write_back file idx (node : node) =
   Enclave.copy_out fs.enclave ~label:"ipfs.write" node_size;
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
       charge_untrusted_io fs "ipfs.write" node_size;
-      Backing.write fs.backing file.path ~pos:(idx * node_size) ct);
+      store_write fs file.path ~pos:(idx * node_size) ct);
   node.dirty <- false
 
 let evict file (idx, node) =
@@ -313,7 +337,7 @@ let load_node file idx =
           let ct =
             Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
                 charge_untrusted_io fs "ipfs.read" node_size;
-                Backing.read fs.backing file.path ~pos:(idx * node_size) ~len:node_size)
+                store_read fs file.path ~pos:(idx * node_size) ~len:node_size)
           in
           if String.length ct <> node_size then
             raise (Integrity_violation (Printf.sprintf "%s: node %d missing" file.path idx));
@@ -358,7 +382,7 @@ let write_header file =
   Enclave.copy_out fs.enclave ~label:"ipfs.write" (String.length blob);
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
       charge_untrusted_io fs "ipfs.write" (String.length blob);
-      Backing.write fs.backing (slot_path file.path target) ~pos:0 blob);
+      store_write fs (slot_path file.path target) ~pos:0 blob);
   file.gen <- gen;
   file.live_slot <- target;
   (* the journal belonged to the previous generation; retire it and
@@ -383,7 +407,7 @@ let read_slot fs ~path ~slot ~header_key =
       let blob =
         Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
             charge_untrusted_io fs "ipfs.read" n;
-            Backing.read fs.backing sp ~pos:0 ~len:n)
+            store_read fs sp ~pos:0 ~len:n)
       in
       if String.length blob >= 4 && String.sub blob 0 4 = tombstone then Slot_dead
       else if String.length blob < 36 || String.sub blob 0 4 <> magic then
@@ -415,7 +439,7 @@ let read_journal_gen fs ~path =
       let hdr =
         Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
             charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
-            Backing.read fs.backing jp ~pos:0 ~len:16)
+            store_read fs jp ~pos:0 ~len:16)
       in
       if String.length hdr = 16 && String.sub hdr 0 4 = journal_magic then
         Some (get_u64 hdr 4)
@@ -429,7 +453,7 @@ let rollback_journal fs ~path =
   let hdr =
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
         charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
-        Backing.read fs.backing jp ~pos:0 ~len:16)
+        store_read fs jp ~pos:0 ~len:16)
   in
   let count = get_u32 hdr 12 in
   for k = 0 to count - 1 do
@@ -437,11 +461,11 @@ let rollback_journal fs ~path =
         charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery"
           (2 * node_size);
         let entry =
-          Backing.read fs.backing jp ~pos:(16 + (k * jrnl_stride)) ~len:jrnl_stride
+          store_read fs jp ~pos:(16 + (k * jrnl_stride)) ~len:jrnl_stride
         in
         if String.length entry = jrnl_stride && entry.[4] = '\001' then begin
           let idx = get_u32 entry 0 in
-          Backing.write fs.backing path ~pos:(idx * node_size)
+          store_write fs path ~pos:(idx * node_size)
             (String.sub entry 5 node_size)
         end)
   done
@@ -551,7 +575,7 @@ let delete_keys fs path =
   in
   List.iter
     (fun sp ->
-      if Backing.exists fs.backing sp then Backing.write fs.backing sp ~pos:0 tombstone)
+      if Backing.exists fs.backing sp then store_write fs sp ~pos:0 tombstone)
     [ meta_path path; meta2_path path ];
   ignore (Backing.delete fs.backing path);
   ignore (Backing.delete fs.backing (meta_path path));
@@ -687,8 +711,7 @@ let exists t path =
     match Backing.size t.backing sp with
     | None -> false
     | Some n ->
-        n < 4
-        || Backing.read t.backing sp ~pos:0 ~len:4 <> tombstone
+        n < 4 || store_read t sp ~pos:0 ~len:4 <> tombstone
   in
   alive (meta_path path) || alive (meta2_path path)
 

@@ -1117,14 +1117,15 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       completed;
     }
   in
-  (* the tap and the process-global fault plan must not outlive the run,
-     even when a fault escapes the loop *)
-  Fun.protect ~finally:(fun () -> detach machine; Machine.disarm_faults ()) (fun () ->
-      while !completed < cfg.requests do
-        drain f;
-        sample f;
-        if f.pending = 0 then sleep f else dispatch f
-      done);
+  while !completed < cfg.requests do
+    drain f;
+    sample f;
+    if f.pending = 0 then sleep f else dispatch f
+  done;
+  (* closing the workers' databases is teardown: neither attributed nor
+     under the chaos schedule *)
+  detach machine;
+  Machine.disarm_faults machine;
   let stats = stats_of f ~window_ns in
   Array.iter (fun w -> Db.close w.db) f.workers;
   { stats with attribution_residue_ns = Audit.residue (attribution stats) }

@@ -26,14 +26,13 @@ let check t =
    an asynchronous abort that loses the enclave — it stays poisoned, and
    every later entry raises [Poisoned] until the host tears it down. *)
 let fault_gate t site =
-  match Twine_sim.Fault.consult site with
-  | None | Some (Twine_sim.Fault.Delay _) -> ()
-  | Some Twine_sim.Fault.Fail -> raise (Twine_sim.Fault.Transient site)
-  | Some
-      ( Twine_sim.Fault.Crash | Twine_sim.Fault.Torn _ | Twine_sim.Fault.Corrupt
-      | Twine_sim.Fault.Drop ) ->
+  let open Twine_sim in
+  match Machine.fault t.machine site with
+  | None | Some (Fault.Delay _) -> ()
+  | Some Fault.Fail -> raise (Fault.Transient site)
+  | Some (Fault.Crash | Fault.Torn _ | Fault.Corrupt | Fault.Drop) ->
       t.poisoned <- true;
-      raise (Twine_sim.Fault.Crashed site)
+      raise (Fault.Crashed site)
 
 let fault_pages (t : t) ~addr ~len =
   if len > 0 then begin

@@ -9,53 +9,27 @@ type t = {
   epc : Epc.t;
   cpu_key : string;
   mutable next_enclave_id : int;
+  mutable faults : Fault.plan option;
 }
 
 let usable_epc_bytes = 93 * 1024 * 1024 (* paper §V-A: 128 MiB EPC, 93 usable *)
-
-(* Opt-in registry so a bench driver can audit every machine a section
-   created (conservation check) without threading them through every
-   helper's return value. Off by default: unit tests create throwaway
-   machines by the hundred.
-
-   Tracking is *scoped*: [with_tracked] snapshots the registry state and
-   restores it on the way out (exception-safe), so one section can never
-   see — and re-audit — machines created by an earlier section, and
-   nested scopes each observe exactly their own machines. *)
-let tracking = ref false
-let tracked : t list ref = ref []
-
-let with_tracked f =
-  let prev_tracking = !tracking and prev_tracked = !tracked in
-  tracking := true;
-  tracked := [];
-  Fun.protect
-    ~finally:(fun () ->
-      tracking := prev_tracking;
-      tracked := prev_tracked)
-    (fun () ->
-      let r = f () in
-      (r, List.rev !tracked))
 
 let create ?(costs = Costs.default) ?(epc_bytes = usable_epc_bytes)
     ?(seed = "twine-machine") () =
   let clock = Clock.create () in
   let now () = Clock.now_ns clock in
   let obs = Twine_obs.Obs.create ~now () in
-  let t =
-    {
-      clock;
-      obs;
-      ledger = Twine_obs.Ledger.create ~now ();
-      costs;
-      cycle_carry = 0.;
-      epc = Epc.create ~obs ~limit_bytes:epc_bytes ();
-      cpu_key = Twine_crypto.Sha256.digest ("cpu-fuse:" ^ seed);
-      next_enclave_id = 1;
-    }
-  in
-  if !tracking then tracked := t :: !tracked;
-  t
+  {
+    clock;
+    obs;
+    ledger = Twine_obs.Ledger.create ~now ();
+    costs;
+    cycle_carry = 0.;
+    epc = Epc.create ~obs ~limit_bytes:epc_bytes ();
+    cpu_key = Twine_crypto.Sha256.digest ("cpu-fuse:" ^ seed);
+    next_enclave_id = 1;
+    faults = None;
+  }
 
 (* The ONLY Clock.advance call site in the library: every nanosecond of
    virtual time passes through here, so booking each charge into the
@@ -108,6 +82,10 @@ let arm_faults t plan =
       Twine_obs.Obs.inc t.obs "fault.injected";
       Twine_obs.Obs.emit t.obs ~cat:"fault"
         ~args:[ ("op", inj.Fault.op) ]
-        ("fault." ^ inj.Fault.site))
+        ("fault." ^ inj.Fault.site));
+  t.faults <- Some plan
 
-let disarm_faults () = Fault.disarm ()
+let disarm_faults t = t.faults <- None
+
+let fault t site =
+  match t.faults with None -> None | Some p -> Fault.consult p site

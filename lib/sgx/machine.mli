@@ -1,6 +1,7 @@
 (** A simulated SGX-capable machine: virtual clock, cost model, EPC, the
-    fused CPU secret from which sealing and attestation keys derive, and
-    a machine-wide telemetry registry for time-breakdown experiments. *)
+    fused CPU secret from which sealing and attestation keys derive, a
+    machine-wide telemetry registry for time-breakdown experiments, and
+    the fault plan armed on it. Two machines share no state. *)
 
 type t = {
   clock : Twine_sim.Clock.t;
@@ -17,6 +18,8 @@ type t = {
   epc : Epc.t;
   cpu_key : string;  (** 32-byte fused secret (never leaves the package) *)
   mutable next_enclave_id : int;
+  mutable faults : Twine_sim.Fault.plan option;
+      (** the armed fault plan, consulted by {!fault} *)
 }
 
 val create : ?costs:Costs.t -> ?epc_bytes:int -> ?seed:string -> unit -> t
@@ -42,14 +45,6 @@ val obs : t -> Twine_obs.Obs.t
 
 val ledger : t -> Twine_obs.Ledger.t
 
-val with_tracked : (unit -> 'a) -> 'a * t list
-(** [with_tracked f] runs [f] with machine tracking enabled and returns
-    its result together with exactly the machines created during the
-    call, in creation order. The registry state is snapshotted and
-    restored on exit (also on exceptions), so scopes compose: a bench
-    section can never re-audit machines created by an earlier section,
-    and a nested scope observes only its own machines. *)
-
 val attach_tracer : ?capacity:int -> t -> Twine_obs.Trace.t
 (** Create a flight recorder on the machine's virtual clock, attach it
     to the registry and return it; from here on every instrumented
@@ -66,8 +61,13 @@ val arm_faults : t -> Twine_sim.Fault.plan -> unit
     [fault.injected] counter and emits a trace instant when a flight
     recorder is attached. The machine's virtual clock is installed as
     the plan's time source, so rules with [from_ns]/[until_ns]
-    activation windows gate on this machine's virtual time. Disarm with
-    {!disarm_faults}. *)
+    activation windows gate on this machine's virtual time. The plan
+    replaces the one armed before on this machine; arm a plan on one
+    live machine at a time. Disarm with {!disarm_faults}. *)
 
-val disarm_faults : unit -> unit
-(** Disarm the global fault plan (idempotent). *)
+val disarm_faults : t -> unit
+(** Disarm this machine's fault plan (idempotent). *)
+
+val fault : t -> string -> Twine_sim.Fault.action option
+(** Site hook: {!Twine_sim.Fault.consult} on this machine's armed plan;
+    [None] when no plan is armed. *)

@@ -116,6 +116,8 @@ let parse_rule item =
       let site = String.sub item 0 i in
       let rest = String.sub item (i + 1) (String.length item - i - 1) in
       if site = "" then Error "chaos: empty site"
+      else if not (List.mem site Fault.sites) then
+        Error (Printf.sprintf "chaos: unknown site %S" site)
       else
         let action_txt, tails = split_tails rest in
         match parse_action action_txt with

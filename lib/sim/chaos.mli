@@ -38,8 +38,8 @@ val default_seed : string
 (** ["chaos"], used when the spec carries no [seed=] item. *)
 
 val parse : string -> (spec, string) result
-(** Parse a spec string. Errors carry a human-readable reason (the CLI
-    maps them to exit 2). *)
+(** Parse a spec string. A SITE must be one of {!Fault.sites}. Errors
+    carry a human-readable reason (the CLI maps them to exit 2). *)
 
 val render : spec -> string
 (** Canonical text of a spec; [parse (render s)] round-trips. *)

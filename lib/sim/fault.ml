@@ -1,8 +1,8 @@
-(* Deterministic fault injection (see the .mli). The armed plan lives in
-   a module-global ref so site hooks cost one dereference when disarmed,
-   mirroring the Machine.tracking idiom. All randomness comes from a
-   private xorshift64* generator seeded from the plan's seed string, so
-   the injected sequence is a pure function of (seed, workload). *)
+(* Deterministic fault injection (see the .mli). A plan holds no
+   reference to anything global: the machine that armed it keeps it, and
+   each site hands it to [consult]. All randomness comes from a private
+   xorshift64* generator seeded from the plan's seed string, so the
+   injected sequence is a pure function of (seed, workload). *)
 
 type action =
   | Torn of float
@@ -91,19 +91,17 @@ let next_u64 p =
 let next_float p =
   Int64.to_float (Int64.shift_right_logical (next_u64 p) 11) /. 9007199254740992.
 
-let armed_plan : plan option ref = ref None
-
 let arm ?(notify = fun _ -> ()) ?now p =
   Hashtbl.reset p.ops;
   p.state <- hash_seed p.seed;
   p.log <- [];
   p.notify <- notify;
   p.now <- now;
-  List.iter (fun r -> r.r_budget <- r.r_count) p.rules;
-  armed_plan := Some p
+  List.iter (fun r -> r.r_budget <- r.r_count) p.rules
 
-let disarm () = armed_plan := None
-let armed () = !armed_plan <> None
+let sites =
+  [ "enclave.ecall"; "enclave.ocall"; "host.ocall"; "backing.read"; "backing.write" ]
+
 let injections p = List.rev p.log
 
 let fire p r op =
@@ -131,24 +129,21 @@ let in_window p r =
           (match from_ns with Some a -> t >= a | None -> true)
           && (match until_ns with Some b -> t < b | None -> true))
 
-let consult site =
-  match !armed_plan with
-  | None -> None
-  | Some p ->
-      let op = 1 + Option.value ~default:0 (Hashtbl.find_opt p.ops site) in
-      Hashtbl.replace p.ops site op;
-      let rec scan = function
-        | [] -> None
-        | r :: rest ->
-            if
-              r.r_site = site && r.r_budget <> 0 && in_window p r
-              && (match r.r_nth with
-                 | Some n -> n = op
-                 | None -> r.r_prob > 0. && next_float p < r.r_prob)
-            then fire p r op
-            else scan rest
-      in
-      scan p.rules
+let consult p site =
+  let op = 1 + Option.value ~default:0 (Hashtbl.find_opt p.ops site) in
+  Hashtbl.replace p.ops site op;
+  let rec scan = function
+    | [] -> None
+    | r :: rest ->
+        if
+          r.r_site = site && r.r_budget <> 0 && in_window p r
+          && (match r.r_nth with
+             | Some n -> n = op
+             | None -> r.r_prob > 0. && next_float p < r.r_prob)
+        then fire p r op
+        else scan rest
+  in
+  scan p.rules
 
 (* Deterministic payload mutilation: the torn length is a fraction of
    the payload, the corrupted bit is picked by hashing the payload so

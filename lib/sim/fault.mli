@@ -1,15 +1,16 @@
 (** Deterministic fault-injection plane.
 
-    A {!plan} is a seeded set of rules targeting named {e sites} — fixed
-    strings such as ["backing.write"], ["svfs.sync"], ["enclave.ecall"]
-    or ["wasi.fd_read"] — that instrumented layers consult on every
+    A {!plan} is a seeded set of rules targeting named {e sites} — the
+    fixed strings of {!sites}, such as ["backing.write"] or
+    ["enclave.ecall"] — that instrumented layers consult on every
     operation. The plan is driven purely by per-site operation counters
     and a private deterministic PRNG: no wall clock, no global
     [Random] state, so the same seed and the same workload produce the
     same injected-fault sequence, every time.
 
-    When no plan is armed, {!consult} is a single dereference and a
-    match — sites stay effectively free in production runs. *)
+    A plan lives on the machine that armed it
+    ([Twine_sgx.Machine.arm_faults]), and each site consults the plan of
+    its own machine: a site costs one match unless a plan is armed. *)
 
 type action =
   | Torn of float
@@ -64,7 +65,7 @@ val plan : ?seed:string -> rule list -> plan
     probabilistic rules. *)
 
 val arm : ?notify:(injection -> unit) -> ?now:(unit -> int) -> plan -> unit
-(** Make [plan] the armed plan. [notify] runs at every injection, before
+(** Ready [plan] for a run. [notify] runs at every injection, before
     the action takes effect — the simulator uses it to book the fault
     into the machine ledger and the trace ring. [now] supplies the
     virtual clock that windowed rules ([from_ns]/[until_ns]) test
@@ -72,15 +73,14 @@ val arm : ?notify:(injection -> unit) -> ?now:(unit -> int) -> plan -> unit
     plan's op counters and injection log, so a plan can be re-armed to
     replay the identical sequence. *)
 
-val disarm : unit -> unit
-(** Disarm; all sites become no-ops again. Idempotent. *)
+val sites : string list
+(** Every site a layer consults: the enclave boundary, a WASI OCALL to
+    the host, and the protected FS's untrusted store. *)
 
-val armed : unit -> bool
-
-val consult : string -> action option
-(** Site hook: advance the site's op counter and return the action to
-    inject here, if any. [None] (the common case, and always when
-    disarmed) means proceed normally. *)
+val consult : plan -> string -> action option
+(** Site hook: advance the site's op counter in [plan] and return the
+    action to inject here, if any. [None] (the common case) means
+    proceed normally. *)
 
 val injections : plan -> injection list
 (** The injection log accumulated since the plan was last armed, in

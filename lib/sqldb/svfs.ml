@@ -104,18 +104,9 @@ let os root =
   }
 
 (* Crash-exploration wrapper: records every mutation into a crash-point
-   op log (reads are not logged) and exposes the VFS-level fault sites
-   ["svfs.write"] and ["svfs.sync"]. A [Crash] injection at either site
-   models power loss at that operation; [Fail] a transient I/O error. *)
+   op log (reads are not logged). *)
 let recording log inner =
   let open Twine_sim in
-  let consult site what =
-    match Fault.consult site with
-    | None | Some (Fault.Delay _) -> ()
-    | Some Fault.Fail -> raise (Fault.Transient (site ^ " " ^ what))
-    | Some (Fault.Crash | Fault.Torn _ | Fault.Corrupt | Fault.Drop) ->
-        raise (Fault.Crashed (site ^ " " ^ what))
-  in
   {
     v_open =
       (fun path ->
@@ -124,25 +115,21 @@ let recording log inner =
           v_read = f.v_read;
           v_write =
             (fun ~pos data ->
-              consult "svfs.write" path;
               Crashpoint.record log (Crashpoint.Write { file = path; pos; data });
               f.v_write ~pos data);
           v_truncate =
             (fun n ->
-              consult "svfs.write" path;
               Crashpoint.record log (Crashpoint.Truncate { file = path; size = n });
               f.v_truncate n);
           v_size = f.v_size;
           v_sync =
             (fun () ->
-              consult "svfs.sync" path;
               Crashpoint.record log (Crashpoint.Sync { file = path });
               f.v_sync ());
           v_close = f.v_close;
         });
     v_delete =
       (fun path ->
-        consult "svfs.write" path;
         Crashpoint.record log (Crashpoint.Delete { file = path });
         inner.v_delete path);
     v_exists = inner.v_exists;

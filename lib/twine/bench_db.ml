@@ -32,32 +32,27 @@ let storage_name = function Mem -> "mem" | File -> "file"
 
 (* --- Wasm slowdown calibration from PolyBench --- *)
 
-let calibrated_factor = ref None
-
+(* Measures afresh on every call: a caller that needs one factor for
+   several experiments measures once and passes it on. *)
 let calibrate_wasm_factor () =
-  match !calibrated_factor with
-  | Some f -> f
-  | None ->
-      let kernels =
-        List.filter
-          (fun k ->
-            List.mem k.Twine_polybench.Kernel_dsl.name
-              [ "gemm"; "atax"; "jacobi-2d"; "trisolv"; "mvt" ])
-          (Twine_polybench.Kernels.all ~scale:0.6 ())
-      in
-      let ratios =
-        List.map
-          (fun k ->
-            let n = Twine_polybench.Suite.run_native k in
-            let w = Twine_polybench.Suite.run_wasm ~engine:`Aot k in
-            float_of_int (max 1 w.Twine_polybench.Suite.wall_ns)
-            /. float_of_int (max 1 n.Twine_polybench.Suite.wall_ns))
-          kernels
-      in
-      let sorted = List.sort compare ratios in
-      let f = max 1.5 (List.nth sorted (List.length sorted / 2)) in
-      calibrated_factor := Some f;
-      f
+  let kernels =
+    List.filter
+      (fun k ->
+        List.mem k.Twine_polybench.Kernel_dsl.name
+          [ "gemm"; "atax"; "jacobi-2d"; "trisolv"; "mvt" ])
+      (Twine_polybench.Kernels.all ~scale:0.6 ())
+  in
+  let ratios =
+    List.map
+      (fun k ->
+        let n = Twine_polybench.Suite.run_native k in
+        let w = Twine_polybench.Suite.run_wasm ~engine:`Aot k in
+        float_of_int (max 1 w.Twine_polybench.Suite.wall_ns)
+        /. float_of_int (max 1 n.Twine_polybench.Suite.wall_ns))
+      kernels
+  in
+  let sorted = List.sort compare ratios in
+  max 1.5 (List.nth sorted (List.length sorted / 2))
 
 (* --- storage stacks --- *)
 

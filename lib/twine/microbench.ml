@@ -114,6 +114,7 @@ type breakdown = {
   read_ns : int;  (* boundary copies + untrusted I/O + decryption *)
   sqlite_ns : int;
   accounts : (string * int) list;  (* ledger delta of the phase, desc *)
+  machine : Twine_sgx.Machine.t;  (* the run's own machine, for its audit *)
 }
 
 let ipfs_breakdown ?(records = 2000) ?(blob_bytes = 512) ?(samples = 1500)
@@ -161,6 +162,7 @@ let ipfs_breakdown ?(records = 2000) ?(blob_bytes = 512) ?(samples = 1500)
       read_ns = ns "ipfs.read" + ns "ipfs.crypto";
       sqlite_ns = ns "sqlite";
       accounts;
+      machine;
     }
   in
   Bench_db.close ctx;

@@ -48,6 +48,8 @@ type t = {
   fs : Protected_fs.t;
   mutable deployed : (Ast.module_ * int) option;  (* module, reserved addr *)
   mutable guest_mem : mem_region option;
+  mutable instance : Instance.t option;
+      (* the latest run's instance, which holds the context of its trap *)
 }
 
 let create ?(config = default_config) ?backing machine =
@@ -60,7 +62,7 @@ let create ?(config = default_config) ?backing machine =
     Protected_fs.create enclave backing ~variant:config.ipfs_variant
       ~cache_nodes:config.cache_nodes ()
   in
-  { config; machine; enclave; fs; deployed = None; guest_mem = None }
+  { config; machine; enclave; fs; deployed = None; guest_mem = None; instance = None }
 
 let enclave t = t.enclave
 let machine t = t.machine
@@ -225,7 +227,10 @@ let run ?(args = [ "app" ]) ?env ?profile ?fuel_limit t =
           let preopens = [ (".", Sgx_host.protected_dir t.fs) ] in
           let obs = t.machine.Machine.obs in
           let ctx = Api.create ~args ?env ~preopens ~providers ~obs () in
-          let inst = Interp.instantiate ~imports:(Api.imports ctx) module_ in
+          (* on record before the start function runs, which may trap *)
+          let inst = Instance.build ~imports:(Api.imports ctx) module_ in
+          t.instance <- Some inst;
+          Option.iter (fun f -> ignore (Interp.call inst f [])) module_.Ast.start;
           (match fuel_limit with
           | Some l ->
               if l < 0 then invalid_arg "Runtime.run: negative fuel limit";
@@ -333,6 +338,11 @@ let destroy t =
 
 (* --- fault containment --- *)
 
+let trap_message t e =
+  match t.instance with
+  | Some inst -> Interp.trap_message inst e
+  | None -> Printexc.to_string e
+
 type run_error =
   | Guest_trap of string  (* the guest trapped; the enclave survives *)
   | Enclave_lost of string  (* injected abort: destroy and relaunch *)
@@ -345,6 +355,6 @@ type run_error =
    later attempt short-circuits to the same error. *)
 let run_safe ?args ?env ?profile ?fuel_limit t =
   try Ok (run ?args ?env ?profile ?fuel_limit t) with
-  | Values.Trap _ as e -> Error (Guest_trap (Interp.trap_message e))
+  | Values.Trap _ as e -> Error (Guest_trap (trap_message t e))
   | Twine_sim.Fault.Crashed msg -> Error (Enclave_lost msg)
   | Enclave.Poisoned -> Error (Enclave_lost "enclave poisoned by earlier abort")

@@ -151,6 +151,10 @@ type run_error =
       (** an injected enclave abort; the enclave is poisoned — destroy
           and relaunch. Subsequent calls keep returning this error. *)
 
+val trap_message : t -> exn -> string
+(** Render a trap that escaped {!run} with the guest frames it unwound
+    through, innermost first, as recorded on the run's instance. *)
+
 val run_safe :
   ?args:string list ->
   ?env:(string * string) list ->

@@ -145,7 +145,7 @@ let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
     if strict then invalid_arg ("strict mode: untrusted call " ^ name)
     else begin
       let attempt () =
-        (match Twine_sim.Fault.consult "host.ocall" with
+        (match Machine.fault machine "host.ocall" with
         | Some Twine_sim.Fault.Fail ->
             raise (Twine_sim.Fault.Transient ("host.ocall " ^ name))
         | Some Twine_sim.Fault.Crash ->

@@ -21,18 +21,19 @@ type providers = {
   on_call : string -> unit;
 }
 
-let default_providers =
+(* Fresh state per call: each context owns its monotonic guard and its
+   random stream, which starts where the stdlib's default one does. *)
+let default_providers () =
+  let last = ref 0L and rng = Random.State.make [| 314159265 |] in
   {
     clock_realtime = (fun () -> Int64.of_float (Unix.gettimeofday () *. 1e9));
     clock_monotonic =
-      (let last = ref 0L in
-       fun () ->
-         let now = Int64.of_float (Unix.gettimeofday () *. 1e9) in
-         (* monotonic guard, as TWINE's trusted time layer enforces *)
-         if Int64.compare now !last > 0 then last := now;
-         !last);
-    random =
-      (fun n -> String.init n (fun _ -> Char.chr (Random.int 256)));
+      (fun () ->
+        let now = Int64.of_float (Unix.gettimeofday () *. 1e9) in
+        (* monotonic guard, as TWINE's trusted time layer enforces *)
+        if Int64.compare now !last > 0 then last := now;
+        !last);
+    random = (fun n -> String.init n (fun _ -> Char.chr (Random.State.int rng 256)));
     stdout = print_string;
     stderr = prerr_string;
     on_call = (fun _ -> ());
@@ -67,12 +68,13 @@ let right_fd_write = 0x40L
 let all_rights = 0x1fffffffL
 
 let create ?(args = [ "wasm-app" ]) ?(env = []) ?(preopens = []) ?(strict = false)
-    ?(providers = default_providers) ?obs () =
+    ?providers ?obs () =
   let t =
     {
       args;
       env;
-      providers;
+      providers =
+        (match providers with Some p -> p | None -> default_providers ());
       strict;
       obs;
       fds = Hashtbl.create 16;
@@ -267,36 +269,26 @@ let functions t =
   let m () = memory t in
   (* Hostcall hardening: no exception from a provider or the hostcall
      body may unwind into (and tear down) the guest. Calls that return
-     an errno turn an injected transient fault (site ["wasi.<name>"])
-     into EAGAIN and any unexpected host exception into EIO, both
-     recorded in the telemetry registry. [Proc_exit], guest traps and
-     injected power loss ([Fault.Crashed]) pass through: they ARE the
-     control flow. Calls with no result (proc_exit) cannot absorb
-     errors and keep their raising behaviour. *)
+     an errno turn any unexpected host exception into EIO, recorded in
+     the telemetry registry. [Proc_exit], guest traps and injected power
+     loss ([Fault.Crashed], raised by a fault site below, e.g. the
+     protected FS's store) pass through: they ARE the control flow.
+     Calls with no result (proc_exit) cannot absorb errors and keep
+     their raising behaviour. *)
   let contain name f args =
-    let note kind =
-      match t.obs with
-      | Some o ->
-          Twine_obs.Obs.inc o ("wasi.fault." ^ kind);
-          Twine_obs.Obs.emit o ~cat:"wasi" ("wasi.fault." ^ name)
-      | None -> ()
-    in
-    match Twine_sim.Fault.consult ("wasi." ^ name) with
-    | Some Twine_sim.Fault.Fail ->
-        note "injected";
-        errno Errno.eagain
-    | Some Twine_sim.Fault.Crash ->
-        raise (Twine_sim.Fault.Crashed ("wasi." ^ name))
-    | _ -> (
-        try f args
-        with
-        | ( Proc_exit _ | Values.Trap _ | Twine_sim.Fault.Crashed _
-          | Invalid_argument _ (* host policy (e.g. strict mode), not I/O *)
-          | Out_of_memory | Stack_overflow ) as e ->
-            raise e
-        | _ ->
-            note "contained";
-            errno Errno.eio)
+    try f args
+    with
+    | ( Proc_exit _ | Values.Trap _ | Twine_sim.Fault.Crashed _
+      | Invalid_argument _ (* host policy (e.g. strict mode), not I/O *)
+      | Out_of_memory | Stack_overflow ) as e ->
+        raise e
+    | _ ->
+        (match t.obs with
+        | Some o ->
+            Twine_obs.Obs.inc o "wasi.fault.contained";
+            Twine_obs.Obs.emit o ~cat:"wasi" ("wasi.fault." ^ name)
+        | None -> ());
+        errno Errno.eio
   in
   let fn name params results f =
     let f = if results = [] then f else contain name f in

@@ -23,6 +23,8 @@ type t = {
   mutable hooks : hooks option;
       (* call-boundary observer (shadow call stack); [None] costs one
          branch per call *)
+  mutable trap : (exn * string list) option;
+      (* the latest trap out of this instance, with its guest frames *)
 }
 
 and func_inst =
@@ -141,6 +143,7 @@ let build ?(imports : imports = []) (m : module_) =
       fuel_used = 0;
       fuel_limit = max_int;
       hooks = None;
+      trap = None;
     }
   in
   let n_imported = Array.length imported_funcs in

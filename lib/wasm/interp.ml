@@ -12,13 +12,13 @@ exception Return_values of value list
 
 type frame = { locals : value array; inst : Instance.t }
 
-(* Guest context of the most recent trap, accumulated as the [Trap]
-   exception unwinds through [call_func] frames (innermost first). The
-   exception itself is left untouched — its message is part of the
-   engine's observable behaviour — so the backtrace rides out-of-band,
-   keyed by physical identity of the exception value: a fresh trap
-   replaces the recorded context, a re-raise extends it. *)
-let trap_state : (exn * string list) option ref = ref None
+(* Guest context of a trap, accumulated on the trapping function's
+   instance as the [Trap] exception unwinds through [call_func] frames
+   (innermost first). The exception itself is left untouched — its
+   message is part of the engine's observable behaviour — so the
+   backtrace rides out-of-band, keyed by physical identity of the
+   exception value: a fresh trap replaces the recorded context, a
+   re-raise extends it. *)
 let max_trap_frames = 32
 
 let frame_name (w : wasm_func) =
@@ -27,21 +27,22 @@ let frame_name (w : wasm_func) =
   | None -> Printf.sprintf "func[%d]" w.w_index
 
 let note_trap_frame (w : wasm_func) e =
-  match !trap_state with
+  let inst = w.w_owner in
+  match inst.trap with
   | Some (e', frames) when e' == e ->
       if List.length frames < max_trap_frames then
-        trap_state := Some (e, frames @ [ frame_name w ])
-  | _ -> trap_state := Some (e, [ frame_name w ])
+        inst.trap <- Some (e, frames @ [ frame_name w ])
+  | _ -> inst.trap <- Some (e, [ frame_name w ])
 
-let trap_backtrace e =
-  match !trap_state with Some (e', frames) when e' == e -> frames | _ -> []
+let trap_backtrace (inst : Instance.t) e =
+  match inst.trap with Some (e', frames) when e' == e -> frames | _ -> []
 
 (* "message (in f)\n  called from g\n  ..." — or just the message when
    the trap carries no guest frames (e.g. a host-side trap). *)
-let trap_message e =
+let trap_message inst e =
   match e with
   | Values.Trap msg -> (
-      match trap_backtrace e with
+      match trap_backtrace inst e with
       | [] -> msg
       | f :: callers ->
           String.concat "\n"

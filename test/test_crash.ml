@@ -1,9 +1,10 @@
 (* Fault-injection plane and crash-point recovery (ISSUE 5).
 
    Covers: determinism of seeded fault plans (identical injection
-   sequence AND identical ledger books across runs), the pager
-   crash matrix (every recorded backing-op prefix recovers to a
-   transaction boundary, including torn and unsynced-write variants),
+   sequence AND identical ledger books across runs) and their isolation
+   per machine, the pager crash matrix (every recorded backing-op
+   prefix recovers to a transaction boundary, including torn and
+   unsynced-write variants),
    the protected-FS crash matrix (old-or-new header commit, recovery
    idempotence, never a spurious Integrity_violation), fuel-limit
    parity between the two engines, WASI hostcall containment, host
@@ -89,24 +90,32 @@ let test_plan_determinism () =
   let plan =
     Fault.plan ~seed:"determinism"
       [
-        Fault.rule ~prob:0.15 "svfs.write" (Fault.Delay 300);
-        Fault.rule ~prob:0.10 "svfs.sync" (Fault.Delay 700);
+        Fault.rule ~prob:0.15 "backing.write" (Fault.Delay 300);
+        Fault.rule ~prob:0.10 "backing.read" (Fault.Delay 700);
       ]
   in
+  (* the workload over a protected-FS stack, whose untrusted store is
+     where the backing.* sites sit *)
   let run_once () =
     let machine = Machine.create ~seed:"det" () in
+    let enclave = Enclave.create machine ~code:"determinism" () in
+    let log = Crashpoint.create () in
+    let fs =
+      Twine_ipfs.Protected_fs.create enclave
+        (Twine_ipfs.Backing.logged log (Twine_ipfs.Backing.memory ()))
+        ~cache_nodes:8 ()
+    in
     Machine.arm_faults machine plan;
-    Fun.protect ~finally:Machine.disarm_faults (fun () ->
-        let log = Crashpoint.create () in
-        let vfs = Svfs.recording log (Svfs.memory ()) in
-        let snaps = run_workload ~obs:(Machine.obs machine) ~log vfs in
-        ( snaps,
-          Fault.injections plan,
-          Twine_obs.Ledger.to_string
-            (Twine_obs.Ledger.snapshot (Machine.ledger machine)),
-          Twine_obs.Ledger.ns (Machine.ledger machine) "fault.svfs.write"
-          + Twine_obs.Ledger.ns (Machine.ledger machine) "fault.svfs.sync",
-          Twine_obs.Ledger.balanced (Machine.ledger machine) ))
+    let snaps =
+      run_workload ~obs:(Machine.obs machine) ~log (Twine.Bench_db.pfs_svfs fs)
+    in
+    let ledger = Machine.ledger machine in
+    ( snaps,
+      Fault.injections plan,
+      Twine_obs.Ledger.to_string (Twine_obs.Ledger.snapshot ledger),
+      Twine_obs.Ledger.ns ledger "fault.backing.write"
+      + Twine_obs.Ledger.ns ledger "fault.backing.read",
+      Twine_obs.Ledger.balanced ledger )
   in
   let snaps1, inj1, books1, fault_ns1, bal1 = run_once () in
   let snaps2, inj2, books2, _, _ = run_once () in
@@ -118,20 +127,38 @@ let test_plan_determinism () =
   Alcotest.(check bool) "books balance under injection" true bal1
 
 let test_rearm_resets () =
+  let machine = Machine.create ~seed:"rearm" () in
   let plan = Fault.plan [ Fault.rule ~nth:2 "site.x" Fault.Fail ] in
   let fire () =
-    Fault.arm plan;
-    Fun.protect ~finally:Fault.disarm (fun () ->
-        let a = Fault.consult "site.x" in
-        let b = Fault.consult "site.x" in
-        (a, b))
+    Machine.arm_faults machine plan;
+    let a = Machine.fault machine "site.x" in
+    let b = Machine.fault machine "site.x" in
+    (a, b)
   in
   let r1 = fire () in
   let r2 = fire () in
   Alcotest.(check bool) "nth=2 fires on second op" true
     (r1 = (None, Some Fault.Fail));
   Alcotest.(check bool) "re-arm replays identically" true (r1 = r2);
-  Alcotest.(check bool) "disarmed is free" true (Fault.consult "site.x" = None)
+  Machine.disarm_faults machine;
+  Alcotest.(check bool) "disarmed is free" true
+    (Machine.fault machine "site.x" = None)
+
+(* Two machines in one process: a plan armed on one never reaches the
+   other's sites. *)
+let test_plan_per_machine () =
+  let launch seed =
+    let m = Machine.create ~seed () in
+    (m, Enclave.create m ~code:"per-machine" ())
+  in
+  let ma, ea = launch "a" in
+  let _, eb = launch "b" in
+  Machine.arm_faults ma (Fault.plan [ Fault.rule ~nth:1 "enclave.ecall" Fault.Crash ]);
+  Alcotest.(check int) "an ECALL on B succeeds" 7 (Enclave.ecall eb (fun _ -> 7));
+  Alcotest.(check bool) "B's enclave is not poisoned" false (Enclave.poisoned eb);
+  Alcotest.check_raises "A's first ECALL crashes" (Fault.Crashed "enclave.ecall")
+    (fun () -> Enclave.ecall ea (fun _ -> ()));
+  Alcotest.(check bool) "A's enclave is poisoned" true (Enclave.poisoned ea)
 
 (* ------------------------------------------------------------------ *)
 (* Pager crash matrix                                                  *)
@@ -335,7 +362,7 @@ let mem_module =
 let test_wasi_containment () =
   let obs = Twine_obs.Obs.create () in
   let boom =
-    { Twine_wasi.Api.default_providers with stdout = (fun _ -> failwith "boom") }
+    { (Twine_wasi.Api.default_providers ()) with stdout = (fun _ -> failwith "boom") }
   in
   let ctx = Twine_wasi.Api.create ~providers:boom ~obs () in
   let inst =
@@ -364,14 +391,7 @@ let test_wasi_containment () =
   Alcotest.(check int) "contained -> EIO" Twine_wasi.Errno.eio
     (call "fd_write" args);
   Alcotest.(check int) "containment counted" 1
-    (Twine_obs.Obs.value obs "wasi.fault.contained");
-  (* an injected transient fault short-circuits to EAGAIN *)
-  Fault.arm (Fault.plan [ Fault.rule ~nth:1 "wasi.fd_write" Fault.Fail ]);
-  Fun.protect ~finally:Fault.disarm (fun () ->
-      Alcotest.(check int) "injected -> EAGAIN" Twine_wasi.Errno.eagain
-        (call "fd_write" args));
-  Alcotest.(check int) "injection counted" 1
-    (Twine_obs.Obs.value obs "wasi.fault.injected")
+    (Twine_obs.Obs.value obs "wasi.fault.contained")
 
 (* ------------------------------------------------------------------ *)
 (* Host OCALL retry under transient faults                             *)
@@ -395,10 +415,7 @@ let test_host_ocall_retry () =
          Fault.rule ~nth:1 "host.ocall" Fault.Fail;
          Fault.rule ~nth:2 "host.ocall" Fault.Fail;
        ]);
-  let r =
-    Fun.protect ~finally:Machine.disarm_faults (fun () ->
-        Twine.Runtime.run rt)
-  in
+  let r = Twine.Runtime.run rt in
   Alcotest.(check int) "succeeded after retries" 0 r.Twine.Runtime.exit_code;
   (* each retry charged exponential virtual backoff under fault.retry *)
   Alcotest.(check int) "backoff booked" 3000
@@ -425,14 +442,12 @@ let test_enclave_poison () =
   (* an injected abort on the next ECALL poisons the enclave for good *)
   Machine.arm_faults machine
     (Fault.plan [ Fault.rule ~nth:1 "enclave.ecall" Fault.Crash ]);
-  (match
-     Fun.protect ~finally:Machine.disarm_faults (fun () ->
-         Twine.Runtime.run_safe rt)
-   with
+  (match Twine.Runtime.run_safe rt with
   | Error (Twine.Runtime.Enclave_lost _) -> ()
   | _ -> Alcotest.fail "expected Enclave_lost on injected abort");
   Alcotest.(check bool) "poisoned" true
     (Enclave.poisoned (Twine.Runtime.enclave rt));
+  Machine.disarm_faults machine;
   (* ... even with the plan disarmed: the enclave must be relaunched *)
   (match Twine.Runtime.run_safe rt with
   | Error (Twine.Runtime.Enclave_lost _) -> ()
@@ -447,6 +462,8 @@ let () =
             test_plan_determinism;
           Alcotest.test_case "re-arm replays, disarm frees" `Quick
             test_rearm_resets;
+          Alcotest.test_case "a plan is per machine" `Quick
+            test_plan_per_machine;
         ] );
       ( "pager-crash",
         [

@@ -153,12 +153,12 @@ let test_trap_backtrace () =
           Alcotest.(check string) "trap message" "unreachable executed" msg;
           Alcotest.(check (list string))
             "backtrace innermost-first" [ "boom"; "mid"; "top" ]
-            (Interp.trap_backtrace e);
+            (Interp.trap_backtrace inst e);
           Alcotest.(check string) "rendered context"
             "unreachable executed (in boom)\n\
             \  called from mid\n\
             \  called from top"
-            (Interp.trap_message e);
+            (Interp.trap_message inst e);
           (* unwinding popped every shadow frame *)
           Alcotest.(check int) "stack balanced after trap" 0 (Profile.depth prof);
           let boom = fn_by_name prof "boom" in
@@ -172,7 +172,7 @@ let test_trap_backtrace_unprofiled () =
   | exception (Values.Trap _ as e) ->
       Alcotest.(check (list string))
         "backtrace without hooks" [ "boom"; "mid"; "top" ]
-        (Interp.trap_backtrace e)
+        (Interp.trap_backtrace inst e)
 
 let test_reentrant_host_call () =
   (* guest -> host -> guest again: the inner activation must nest under

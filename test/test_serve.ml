@@ -86,14 +86,23 @@ let test_serving_books_balance () =
   Alcotest.(check bool) "exec time booked" true
     (Twine_obs.Ledger.ns (Machine.ledger s.Serve.machine) "serve.exec" > 0)
 
-(* -- scoped tracking: the auditor sees exactly the fleet's machine -- *)
+(* -- one machine: every enclave of the run lives on stats.machine -- *)
 
-let test_tracked_sees_fleet () =
-  let stats, machines = Machine.with_tracked (fun () -> Serve.run small_config) in
-  Alcotest.(check int) "one shared machine for the whole fleet" 1
-    (List.length machines);
-  Alcotest.(check bool) "and it is the fleet's machine" true
-    (match machines with [ m ] -> m == stats.Serve.machine | _ -> false)
+let test_fleet_on_its_machine () =
+  let stats = Serve.run small_config in
+  let m = stats.Serve.machine in
+  let eids = List.map fst stats.Serve.evictions_by_enclave in
+  Alcotest.(check int) "one enclave per worker" small_config.Serve.enclaves
+    (List.length eids);
+  Alcotest.(check int) "the machine launched every one of them"
+    (small_config.Serve.enclaves + 1) m.Machine.next_enclave_id;
+  List.iter
+    (fun eid ->
+      Alcotest.(check bool)
+        (Printf.sprintf "enclave %d's pages are in the machine's EPC" eid)
+        true
+        (Epc.resident_of m.Machine.epc eid > 0))
+    eids
 
 (* -- batching amortises enclave transitions -- *)
 
@@ -702,10 +711,9 @@ let prop_chaos_modes_agree =
 let test_backing_read_faults_retry () =
   (* regression: a corrupted, torn or dropped backing read fails the
      protected FS's authentication. That exception used to escape
-     Serve.run and leave the process-global fault plan armed, so the
-     next clean run in the same process raised too. The stored
-     ciphertext is intact, so the batch is retried like any transient
-     fault, and the plan is disarmed however the run ends. *)
+     Serve.run. The stored ciphertext is intact, so the batch is
+     retried like any transient fault, and the plan, armed on the run's
+     own machine, never reaches the next clean run. *)
   let cfg =
     { Serve.default_config with
       Serve.requests = 600; enclaves = 2; rows = 2048; cache_pages = 32 }
@@ -873,8 +881,7 @@ let test_slo_keeps_replaced_tracks () =
     (List.fold_left (fun a t -> a + count t) 0 enclaves)
 
 let test_no_global_wasm_factor () =
-  (* a fleet's pinned factor must not leak into the process-wide
-     calibration used by later Bench_db instances *)
+  (* a fleet's pinned factor must not leak into a later calibration *)
   ignore (Serve.run { small_config with Serve.requests = 50; wasm_factor = 9.0 });
   Alcotest.(check bool) "calibration is not the fleet's factor" true
     (Twine.Bench_db.calibrate_wasm_factor () <> 9.0)
@@ -892,7 +899,8 @@ let () =
         [
           Alcotest.test_case "byte-identical books" `Quick test_replay_identical;
           Alcotest.test_case "books balance" `Quick test_serving_books_balance;
-          Alcotest.test_case "tracked sees the fleet" `Quick test_tracked_sees_fleet;
+          Alcotest.test_case "the fleet lives on its machine" `Quick
+            test_fleet_on_its_machine;
           Alcotest.test_case "no process-global wasm factor" `Quick
             test_no_global_wasm_factor;
         ] );

@@ -223,25 +223,22 @@ let test_fault_window () =
       [ Fault.rule ~prob:1.0 ~from_ns:100 ~until_ns:200 "site" Fault.Drop ]
   in
   Fault.arm ~now:(fun () -> !now) p;
-  Fun.protect ~finally:Fault.disarm (fun () ->
-      now := 50;
-      Alcotest.(check bool) "before window" true (Fault.consult "site" = None);
-      now := 100;
-      Alcotest.(check bool) "window open (inclusive)" true
-        (Fault.consult "site" = Some Fault.Drop);
-      now := 199;
-      Alcotest.(check bool) "inside window" true
-        (Fault.consult "site" = Some Fault.Drop);
-      now := 200;
-      Alcotest.(check bool) "window closed (exclusive)" true
-        (Fault.consult "site" = None);
-      now := 250;
-      Alcotest.(check bool) "after window" true (Fault.consult "site" = None));
+  now := 50;
+  Alcotest.(check bool) "before window" true (Fault.consult p "site" = None);
+  now := 100;
+  Alcotest.(check bool) "window open (inclusive)" true
+    (Fault.consult p "site" = Some Fault.Drop);
+  now := 199;
+  Alcotest.(check bool) "inside window" true
+    (Fault.consult p "site" = Some Fault.Drop);
+  now := 200;
+  Alcotest.(check bool) "window closed (exclusive)" true
+    (Fault.consult p "site" = None);
+  now := 250;
+  Alcotest.(check bool) "after window" true (Fault.consult p "site" = None);
   (* a windowed rule armed without a clock source never fires *)
   Fault.arm p;
-  Fun.protect ~finally:Fault.disarm (fun () ->
-      Alcotest.(check bool) "no clock, no fire" true
-        (Fault.consult "site" = None))
+  Alcotest.(check bool) "no clock, no fire" true (Fault.consult p "site" = None)
 
 let test_fault_window_rearm_determinism () =
   (* out-of-window operations consume no randomness, so the in-window
@@ -254,13 +251,12 @@ let test_fault_window_rearm_determinism () =
   in
   let drive ~cold ~hot =
     Fault.arm ~now:(fun () -> !now) p;
-    Fun.protect ~finally:Fault.disarm (fun () ->
-        now := 0;
-        for _ = 1 to cold do
-          ignore (Fault.consult "site")
-        done;
-        now := 5000;
-        List.init hot (fun _ -> Fault.consult "site" <> None))
+    now := 0;
+    for _ = 1 to cold do
+      ignore (Fault.consult p "site")
+    done;
+    now := 5000;
+    List.init hot (fun _ -> Fault.consult p "site" <> None)
   in
   let run1 = drive ~cold:17 ~hot:40 in
   let run2 = drive ~cold:0 ~hot:40 in
@@ -287,7 +283,7 @@ let test_chaos_roundtrip () =
     [ "enclave.ecall=crash@200";
       "seed=c1;enclave.ecall=fail%0.01x5[10ms..50ms]";
       "backing.write=torn:0.5%0.25;backing.read=delay:900ns%0.1";
-      "enclave.ecall=drop%1.0[..2us];svfs.sync=corrupt@3x2";
+      "enclave.ecall=drop%1.0[..2us];enclave.ocall=corrupt@3x2";
       "seed=z;enclave.ecall=fail%0.001[1ms..]" ]
 
 let test_chaos_parse_errors () =
@@ -299,25 +295,26 @@ let test_chaos_parse_errors () =
     [ ""; "enclave.ecall"; "enclave.ecall=explode"; "=crash";
       "enclave.ecall=crash@0"; "enclave.ecall=fail%2.0";
       "enclave.ecall=crash[5ms..2ms]"; "enclave.ecall=crash@2x0";
-      "backing.read=delay:900ns"; "seed=" ]
+      "backing.read=delay:900ns"; "seed=";
+      (* a typo, and a site that no layer consults *)
+      "enclave.ecal=crash@5"; "svfs.sync=crash@1" ]
 
 let test_chaos_to_plan_rebases_windows () =
   (* [100..200] relative, armed with t0 = 1000: fires only in
      [1100, 1200) of machine time *)
-  let spec = chaos_ok "seed=rb;site=drop%1.0[100..200]" in
+  let spec = chaos_ok "seed=rb;backing.read=drop%1.0[100..200]" in
   let plan = Chaos.to_plan ~t0:1000 spec in
   let now = ref 0 in
   Fault.arm ~now:(fun () -> !now) plan;
-  Fun.protect ~finally:Fault.disarm (fun () ->
-      now := 150;
-      Alcotest.(check bool) "relative time not rebased" true
-        (Fault.consult "site" = None);
-      now := 1150;
-      Alcotest.(check bool) "inside rebased window" true
-        (Fault.consult "site" = Some Fault.Drop);
-      now := 1200;
-      Alcotest.(check bool) "rebased window closes" true
-        (Fault.consult "site" = None))
+  now := 150;
+  Alcotest.(check bool) "relative time not rebased" true
+    (Fault.consult plan "backing.read" = None);
+  now := 1150;
+  Alcotest.(check bool) "inside rebased window" true
+    (Fault.consult plan "backing.read" = Some Fault.Drop);
+  now := 1200;
+  Alcotest.(check bool) "rebased window closes" true
+    (Fault.consult plan "backing.read" = None)
 
 let qc = QCheck_alcotest.to_alcotest
 

@@ -77,7 +77,7 @@ let test_clock_monotonic_guard () =
     if Int64.compare now !last > 0 then last := now;
     !last
   in
-  let providers = { Api.default_providers with clock_monotonic = guarded } in
+  let providers = { (Api.default_providers ()) with clock_monotonic = guarded } in
   let _, m, call = setup ~providers () in
   let read_time () =
     check_errno "time" 0 (call "clock_time_get" [ i 1; l 0; i 64 ]);
@@ -95,16 +95,27 @@ let test_clock_bad_id () =
 
 let test_random_get () =
   let providers =
-    { Api.default_providers with random = (fun n -> String.init n (fun k -> Char.chr (k land 0xff))) }
+    { (Api.default_providers ()) with random = (fun n -> String.init n (fun k -> Char.chr (k land 0xff))) }
   in
   let _, m, call = setup ~providers () in
   check_errno "random" 0 (call "random_get" [ i 500; i 8 ]);
   Alcotest.(check string) "bytes written" "\x00\x01\x02\x03\x04\x05\x06\x07"
     (Memory.load_bytes m 500 8)
 
+let test_default_providers_per_context () =
+  (* each context owns its default random stream: a second context
+     starts from the same point instead of continuing the first's *)
+  let draw () =
+    let _, m, call = setup () in
+    check_errno "random" 0 (call "random_get" [ i 500; i 16 ]);
+    Memory.load_bytes m 500 16
+  in
+  let first = draw () in
+  Alcotest.(check string) "same stream in a fresh context" first (draw ())
+
 let test_fd_write_stdout () =
   let out = Buffer.create 16 in
-  let providers = { Api.default_providers with stdout = Buffer.add_string out } in
+  let providers = { (Api.default_providers ()) with stdout = Buffer.add_string out } in
   let _, m, call = setup ~providers () in
   Memory.store_bytes m 1000 "hello ";
   Memory.store_bytes m 1010 "world";
@@ -294,7 +305,7 @@ let test_sockets_unsupported () =
 let test_on_call_hook () =
   let calls = ref [] in
   let providers =
-    { Api.default_providers with on_call = (fun name -> calls := name :: !calls) }
+    { (Api.default_providers ()) with on_call = (fun name -> calls := name :: !calls) }
   in
   let _, _, call = setup ~providers () in
   ignore (call "sched_yield" []);
@@ -320,7 +331,7 @@ let hello_wat =
 
 let test_run_command () =
   let out = Buffer.create 16 in
-  let providers = { Api.default_providers with stdout = Buffer.add_string out } in
+  let providers = { (Api.default_providers ()) with stdout = Buffer.add_string out } in
   let ctx = Api.create ~providers () in
   let code = Api.run_command ctx (Wat.parse hello_wat) in
   Alcotest.(check int) "exit code" 7 code;
@@ -335,6 +346,8 @@ let suite =
       Alcotest.test_case "monotonic clock guard" `Quick test_clock_monotonic_guard;
       Alcotest.test_case "bad clock id" `Quick test_clock_bad_id;
       Alcotest.test_case "random_get" `Quick test_random_get;
+      Alcotest.test_case "default providers are per context" `Quick
+        test_default_providers_per_context;
       Alcotest.test_case "on_call hook" `Quick test_on_call_hook;
     ]);
     ("fd", [
