@@ -776,12 +776,16 @@ let profile_section () =
   in
   let prof_i, ri = profiled_kernel ~engine:`Interp k in
   let prof_a, ra = profiled_kernel ~engine:`Aot k in
+  (* engine parity is this section's law: a mismatch exits 1 *)
+  let laws =
+    [ { Twine_obs.Audit.law = "engine fuel"; unit = " instr";
+        total = ("interp", ri.Twine_polybench.Suite.fuel);
+        parts = [ ("aot", ra.Twine_polybench.Suite.fuel) ] };
+      Twine_obs.Profile.parity prof_i prof_a ]
+  in
   Printf.printf "atax: interp %d instr, AoT %d instr — %s\n" ri.Twine_polybench.Suite.fuel
     ra.Twine_polybench.Suite.fuel
-    (if
-       ri.Twine_polybench.Suite.fuel = ra.Twine_polybench.Suite.fuel
-       && Twine_obs.Profile.functions prof_i = Twine_obs.Profile.functions prof_a
-     then "engines agree (per-function parity)"
+    (if Twine_obs.Audit.check laws = [] then "engines agree (per-function parity)"
      else "ENGINE MISMATCH");
   print_string (Twine_obs.Report.profile_table prof_a);
   Twine_obs.Trace_export.folded_to_file prof_a profile_folded_file;
@@ -811,7 +815,8 @@ let profile_section () =
     (Twine_obs.Ledger.render_matrix (Twine_obs.Ledger.snapshot (Machine.ledger lm)));
   ignore lprof;
   write_ledger_json lm profile_ledger_file;
-  Printf.printf "ledger JSON -> %s\n" profile_ledger_file
+  Printf.printf "ledger JSON -> %s\n" profile_ledger_file;
+  laws
 
 (* ------------------------------------------------------------------ *)
 (* Crash matrix: fault injection + crash-point recovery                *)
@@ -1848,7 +1853,7 @@ let () =
   if want "ablate" then audited "ablate" (ledgers_only ablate);
   if want "micro" then bechamel_suite ();
   if want "report" then audited "report" (ledgers_only report);
-  if want "profile" then audited "profile" (ledgers_only profile_section);
+  if want "profile" then audited "profile" profile_section;
   if want "crash" then audited "crash" (ledgers_only crash_section);
   if want "serve" then audited "serve" serve_section;
   if want "chaos" then audited "chaos" chaos_section;

@@ -199,6 +199,20 @@ let iter t f =
   in
   List.iter (go []) (List.rev t.root.children)
 
+(* Two engines' profiles of one run agree when every function's flat
+   record is identical; the residue counts the functions that differ. *)
+let parity a b =
+  let fa = functions a and fb = functions b in
+  let ids = List.sort_uniq compare (List.map (fun f -> f.fn_id) (fa @ fb)) in
+  let find id l = List.find_opt (fun f -> f.fn_id = id) l in
+  let same = List.filter (fun id -> find id fa = find id fb) ids in
+  {
+    Audit.law = "engine parity";
+    unit = "";
+    total = ("functions", List.length ids);
+    parts = [ ("identical", List.length same) ];
+  }
+
 let total_fuel t =
   let sum = ref 0 in
   iter t (fun ~stack:_ ~calls:_ ~self_fuel ~self_cycles:_ -> sum := !sum + self_fuel);

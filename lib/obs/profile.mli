@@ -79,6 +79,12 @@ val functions : t -> fn list
     [self_fuel] descending (ties by index). Recursive calls contribute
     to [total_*] only once per outermost activation. *)
 
+val parity : t -> t -> Audit.t
+(** Engine parity of two profiles of the same run, as an audit: total =
+    the functions either profile saw, part = those whose {!functions}
+    record is identical in both. The residue counts the functions that
+    differ; [bench profile] exits 1 on it. *)
+
 val total_fuel : t -> int
 (** Instructions attributed across the whole tree (= the engine's fuel
     delta over the profiled region when every frame is balanced). *)

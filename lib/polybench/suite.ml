@@ -11,8 +11,12 @@ type run_result = {
 
 let now_ns () = Int64.to_int (Int64.of_float (Unix.gettimeofday () *. 1e9))
 
+(* Both sides time a warm run, after one untimed run: a first native run
+   would also pay the first-touch page faults of its fresh arrays, while
+   the Wasm memory was zeroed at instantiation, outside the timer. *)
 let run_native (k : Kernel_dsl.kernel) =
   let run, arr = Kernel_dsl.comp_native k in
+  run ();
   let t0 = now_ns () in
   run ();
   let wall_ns = now_ns () - t0 in
@@ -23,14 +27,17 @@ let run_native (k : Kernel_dsl.kernel) =
   }
 
 (* [hooks] lets a caller attach a call-boundary observer (e.g. the guest
-   profiler in twine_obs, which this library does not depend on); it is
-   detached before returning. *)
+   profiler in twine_obs, which this library does not depend on) to the
+   timed run only; it is detached before returning. [fuel] is the timed
+   run's count. *)
 let run_wasm ?hooks ~engine (k : Kernel_dsl.kernel) =
   let m, lay = Kernel_dsl.comp_wasm k in
   let inst = Interp.instantiate m in
   (match engine with
   | `Aot -> ignore (Aot.compile_instance inst)
   | `Interp -> ());
+  ignore (Interp.invoke inst "kernel" []);
+  let fuel0 = Interp.fuel_used inst in
   (match hooks with
   | Some mk -> inst.Instance.hooks <- Some (mk inst)
   | None -> ());
@@ -40,7 +47,7 @@ let run_wasm ?hooks ~engine (k : Kernel_dsl.kernel) =
   let wall_ns = now_ns () - t0 in
   {
     wall_ns;
-    fuel = Interp.fuel_used inst;
+    fuel = Interp.fuel_used inst - fuel0;
     outputs =
       List.map (fun id -> (id, Kernel_dsl.read_wasm_array inst lay k id)) k.out_arrays;
   }

@@ -34,11 +34,14 @@ let push_front t n =
   (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
   t.head <- Some n
 
+(* Compare the head node physically: [t.head != Some n] would compare
+   against a fresh option and always relink. *)
 let promote t n =
-  if t.head != Some n then begin
-    unlink t n;
-    push_front t n
-  end
+  match t.head with
+  | Some h when h == n -> ()
+  | _ ->
+      unlink t n;
+      push_front t n
 
 let find t k =
   match Hashtbl.find_opt t.table k with

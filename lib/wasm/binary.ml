@@ -67,100 +67,20 @@ let valtype_of_byte = function
   | 0x7c -> F64
   | b -> fail "bad value type 0x%02x" b
 
-(* --- opcode tables for no-immediate instructions --- *)
+(* --- opcodes, from [Ast]'s tables --- *)
 
-let simple_opcodes =
-  [ (Unreachable, 0x00); (Nop, 0x01); (Return, 0x0f); (Drop, 0x1a); (Select, 0x1b);
-    (Memory_size, 0x3f); (Memory_grow, 0x40);
-    (I32_eqz, 0x45);
-    (I32_relop Eq, 0x46); (I32_relop Ne, 0x47); (I32_relop Lt_s, 0x48);
-    (I32_relop Lt_u, 0x49); (I32_relop Gt_s, 0x4a); (I32_relop Gt_u, 0x4b);
-    (I32_relop Le_s, 0x4c); (I32_relop Le_u, 0x4d); (I32_relop Ge_s, 0x4e);
-    (I32_relop Ge_u, 0x4f);
-    (I64_eqz, 0x50);
-    (I64_relop Eq, 0x51); (I64_relop Ne, 0x52); (I64_relop Lt_s, 0x53);
-    (I64_relop Lt_u, 0x54); (I64_relop Gt_s, 0x55); (I64_relop Gt_u, 0x56);
-    (I64_relop Le_s, 0x57); (I64_relop Le_u, 0x58); (I64_relop Ge_s, 0x59);
-    (I64_relop Ge_u, 0x5a);
-    (F32_relop Feq, 0x5b); (F32_relop Fne, 0x5c); (F32_relop Flt, 0x5d);
-    (F32_relop Fgt, 0x5e); (F32_relop Fle, 0x5f); (F32_relop Fge, 0x60);
-    (F64_relop Feq, 0x61); (F64_relop Fne, 0x62); (F64_relop Flt, 0x63);
-    (F64_relop Fgt, 0x64); (F64_relop Fle, 0x65); (F64_relop Fge, 0x66);
-    (I32_unop Clz, 0x67); (I32_unop Ctz, 0x68); (I32_unop Popcnt, 0x69);
-    (I32_binop Add, 0x6a); (I32_binop Sub, 0x6b); (I32_binop Mul, 0x6c);
-    (I32_binop Div_s, 0x6d); (I32_binop Div_u, 0x6e); (I32_binop Rem_s, 0x6f);
-    (I32_binop Rem_u, 0x70); (I32_binop And, 0x71); (I32_binop Or, 0x72);
-    (I32_binop Xor, 0x73); (I32_binop Shl, 0x74); (I32_binop Shr_s, 0x75);
-    (I32_binop Shr_u, 0x76); (I32_binop Rotl, 0x77); (I32_binop Rotr, 0x78);
-    (I64_unop Clz, 0x79); (I64_unop Ctz, 0x7a); (I64_unop Popcnt, 0x7b);
-    (I64_binop Add, 0x7c); (I64_binop Sub, 0x7d); (I64_binop Mul, 0x7e);
-    (I64_binop Div_s, 0x7f); (I64_binop Div_u, 0x80); (I64_binop Rem_s, 0x81);
-    (I64_binop Rem_u, 0x82); (I64_binop And, 0x83); (I64_binop Or, 0x84);
-    (I64_binop Xor, 0x85); (I64_binop Shl, 0x86); (I64_binop Shr_s, 0x87);
-    (I64_binop Shr_u, 0x88); (I64_binop Rotl, 0x89); (I64_binop Rotr, 0x8a);
-    (F32_unop Abs, 0x8b); (F32_unop Neg, 0x8c); (F32_unop Ceil, 0x8d);
-    (F32_unop Floor, 0x8e); (F32_unop Trunc, 0x8f); (F32_unop Nearest, 0x90);
-    (F32_unop Sqrt, 0x91);
-    (F32_binop Fadd, 0x92); (F32_binop Fsub, 0x93); (F32_binop Fmul, 0x94);
-    (F32_binop Fdiv, 0x95); (F32_binop Fmin, 0x96); (F32_binop Fmax, 0x97);
-    (F32_binop Copysign, 0x98);
-    (F64_unop Abs, 0x99); (F64_unop Neg, 0x9a); (F64_unop Ceil, 0x9b);
-    (F64_unop Floor, 0x9c); (F64_unop Trunc, 0x9d); (F64_unop Nearest, 0x9e);
-    (F64_unop Sqrt, 0x9f);
-    (F64_binop Fadd, 0xa0); (F64_binop Fsub, 0xa1); (F64_binop Fmul, 0xa2);
-    (F64_binop Fdiv, 0xa3); (F64_binop Fmin, 0xa4); (F64_binop Fmax, 0xa5);
-    (F64_binop Copysign, 0xa6);
-    (Cvt I32_wrap_i64, 0xa7);
-    (Cvt I32_trunc_f32_s, 0xa8); (Cvt I32_trunc_f32_u, 0xa9);
-    (Cvt I32_trunc_f64_s, 0xaa); (Cvt I32_trunc_f64_u, 0xab);
-    (Cvt I64_extend_i32_s, 0xac); (Cvt I64_extend_i32_u, 0xad);
-    (Cvt I64_trunc_f32_s, 0xae); (Cvt I64_trunc_f32_u, 0xaf);
-    (Cvt I64_trunc_f64_s, 0xb0); (Cvt I64_trunc_f64_u, 0xb1);
-    (Cvt F32_convert_i32_s, 0xb2); (Cvt F32_convert_i32_u, 0xb3);
-    (Cvt F32_convert_i64_s, 0xb4); (Cvt F32_convert_i64_u, 0xb5);
-    (Cvt F32_demote_f64, 0xb6);
-    (Cvt F64_convert_i32_s, 0xb7); (Cvt F64_convert_i32_u, 0xb8);
-    (Cvt F64_convert_i64_s, 0xb9); (Cvt F64_convert_i64_u, 0xba);
-    (Cvt F64_promote_f32, 0xbb);
-    (Cvt I32_reinterpret_f32, 0xbc); (Cvt I64_reinterpret_f64, 0xbd);
-    (Cvt F32_reinterpret_i32, 0xbe); (Cvt F64_reinterpret_i64, 0xbf);
-    (Cvt I32_extend8_s, 0xc0); (Cvt I32_extend16_s, 0xc1);
-    (Cvt I64_extend8_s, 0xc2); (Cvt I64_extend16_s, 0xc3);
-    (Cvt I64_extend32_s, 0xc4);
-  ]
+let opcode_of_simple = List.map (fun (_, i, o) -> (i, o)) simple_instrs
+let simple_of_opcode = List.map (fun (_, i, o) -> (o, i)) simple_instrs
 
-let opcode_of_simple = simple_opcodes
-let simple_of_opcode = List.map (fun (i, o) -> (o, i)) simple_opcodes
-
-let mem_opcodes =
-  [ ((fun m -> I32_load m), 0x28); ((fun m -> I64_load m), 0x29);
-    ((fun m -> F32_load m), 0x2a); ((fun m -> F64_load m), 0x2b);
-    ((fun m -> I32_load8_s m), 0x2c); ((fun m -> I32_load8_u m), 0x2d);
-    ((fun m -> I32_load16_s m), 0x2e); ((fun m -> I32_load16_u m), 0x2f);
-    ((fun m -> I64_load8_s m), 0x30); ((fun m -> I64_load8_u m), 0x31);
-    ((fun m -> I64_load16_s m), 0x32); ((fun m -> I64_load16_u m), 0x33);
-    ((fun m -> I64_load32_s m), 0x34); ((fun m -> I64_load32_u m), 0x35);
-    ((fun m -> I32_store m), 0x36); ((fun m -> I64_store m), 0x37);
-    ((fun m -> F32_store m), 0x38); ((fun m -> F64_store m), 0x39);
-    ((fun m -> I32_store8 m), 0x3a); ((fun m -> I32_store16 m), 0x3b);
-    ((fun m -> I64_store8 m), 0x3c); ((fun m -> I64_store16 m), 0x3d);
-    ((fun m -> I64_store32 m), 0x3e);
-  ]
-
-let mem_opcode_of_instr = function
-  | I32_load m -> Some (0x28, m) | I64_load m -> Some (0x29, m)
-  | F32_load m -> Some (0x2a, m) | F64_load m -> Some (0x2b, m)
-  | I32_load8_s m -> Some (0x2c, m) | I32_load8_u m -> Some (0x2d, m)
-  | I32_load16_s m -> Some (0x2e, m) | I32_load16_u m -> Some (0x2f, m)
-  | I64_load8_s m -> Some (0x30, m) | I64_load8_u m -> Some (0x31, m)
-  | I64_load16_s m -> Some (0x32, m) | I64_load16_u m -> Some (0x33, m)
-  | I64_load32_s m -> Some (0x34, m) | I64_load32_u m -> Some (0x35, m)
-  | I32_store m -> Some (0x36, m) | I64_store m -> Some (0x37, m)
-  | F32_store m -> Some (0x38, m) | F64_store m -> Some (0x39, m)
-  | I32_store8 m -> Some (0x3a, m) | I32_store16 m -> Some (0x3b, m)
-  | I64_store8 m -> Some (0x3c, m) | I64_store16 m -> Some (0x3d, m)
-  | I64_store32 m -> Some (0x3e, m)
-  | _ -> None
+let mem_opcode_of_instr i =
+  match mem_access i with
+  | None -> None
+  | Some (m, _, _, _) ->
+      let rec find k = function
+        | (_, mk) :: rest -> if mk m = i then Some (0x28 + k, m) else find (k + 1) rest
+        | [] -> None
+      in
+      find 0 mem_instrs
 
 (* --- instruction encoding --- *)
 
@@ -542,7 +462,7 @@ let rec read_instrs r =
     | 0x43 -> go (F32_const (read_f32 r) :: acc)
     | 0x44 -> go (F64_const (read_f64 r) :: acc)
     | op when op >= 0x28 && op <= 0x3e ->
-        let mk = fst (List.nth mem_opcodes (op - 0x28)) in
+        let mk = snd (List.nth mem_instrs (op - 0x28)) in
         go (mk (read_memarg r) :: acc)
     | op -> (
         match List.assoc_opt op simple_of_opcode with

@@ -37,7 +37,7 @@ and wasm_func = {
   w_body : instr list;
   w_owner : t;
   w_index : int;  (* function index in the owner (for names/profiling) *)
-  mutable w_compiled : (value array -> value list) option;
+  mutable w_compiled : (value list -> value list) option;  (* args -> results *)
 }
 
 (* Invoked by [Interp.call_func] around every Wasm-function activation,

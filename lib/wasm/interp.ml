@@ -62,6 +62,39 @@ let effective_addr base (m : memarg) =
   Int32.to_int (Int32.logand base 0xffffffffl) land 0xffffffff
   |> fun a -> a + m.offset
 
+(* Loads and stores by instruction; the compiled tier shares the
+   sub-word ones. *)
+let[@inline] load (i : instr) mem a =
+  match i with
+  | I32_load _ -> I32 (Memory.load32 mem a)
+  | I64_load _ -> I64 (Memory.load64 mem a)
+  | F32_load _ -> F32 (Int32.float_of_bits (Memory.load32 mem a))
+  | F64_load _ -> F64 (Int64.float_of_bits (Memory.load64 mem a))
+  | I32_load8_s _ -> I32 (Memory.load8_s mem a)
+  | I32_load8_u _ -> I32 (Memory.load8_u mem a)
+  | I32_load16_s _ -> I32 (Memory.load16_s mem a)
+  | I32_load16_u _ -> I32 (Memory.load16_u mem a)
+  | I64_load8_s _ -> I64 (Int64.of_int32 (Memory.load8_s mem a))
+  | I64_load8_u _ -> I64 (Int64.of_int32 (Memory.load8_u mem a))
+  | I64_load16_s _ -> I64 (Int64.of_int32 (Memory.load16_s mem a))
+  | I64_load16_u _ -> I64 (Int64.of_int32 (Memory.load16_u mem a))
+  | I64_load32_s _ -> I64 (Int64.of_int32 (Memory.load32 mem a))
+  | I64_load32_u _ -> I64 (Int64.logand (Int64.of_int32 (Memory.load32 mem a)) 0xffffffffL)
+  | _ -> invalid_arg "Interp.load"
+
+let[@inline] store (i : instr) mem a v =
+  match (i, v) with
+  | I32_store _, I32 v -> Memory.store32 mem a v
+  | I64_store _, I64 v -> Memory.store64 mem a v
+  | F32_store _, F32 v -> Memory.store32 mem a (Int32.bits_of_float v)
+  | F64_store _, F64 v -> Memory.store64 mem a (Int64.bits_of_float v)
+  | I32_store8 _, I32 v -> Memory.store8 mem a v
+  | I32_store16 _, I32 v -> Memory.store16 mem a v
+  | I64_store8 _, I64 v -> Memory.store8 mem a (Int64.to_int32 v)
+  | I64_store16 _, I64 v -> Memory.store16 mem a (Int64.to_int32 v)
+  | I64_store32 _, I64 v -> Memory.store32 mem a (Int64.to_int32 v)
+  | _ -> trap "store: bad operands"
+
 let rec exec_seq frame (instrs : instr list) stack =
   match instrs with
   | [] -> stack
@@ -92,27 +125,26 @@ and exec_instr frame (i : instr) stack =
   match i with
   | Unreachable -> trap "unreachable executed"
   | Nop -> stack
-  | Block (bt, body) ->
-      let inner = exec_block frame body stack ~is_loop:false ~bt in
-      inner
+  | Block (bt, body) -> exec_block frame body stack ~is_loop:false ~bt
   | Loop (bt, body) -> exec_block frame body stack ~is_loop:true ~bt
   | If (bt, then_, else_) ->
       let c, stack = pop_i32 stack in
       let body = if c <> 0l then then_ else else_ in
       exec_block frame body stack ~is_loop:false ~bt
   | Br k ->
-      (* carry at most one value (MVP blocks have <=1 result) *)
-      raise (Branch (k, branch_values stack))
+      (* the branch carries the whole stack; the catching label keeps what
+         its arity needs *)
+      raise (Branch (k, stack))
   | Br_if k ->
       let c, stack = pop_i32 stack in
-      if c <> 0l then raise (Branch (k, branch_values stack)) else stack
+      if c <> 0l then raise (Branch (k, stack)) else stack
   | Br_table (targets, default) ->
       let c, stack = pop_i32 stack in
       let idx = Int32.to_int c in
       let k =
         if idx >= 0 && idx < List.length targets then List.nth targets idx else default
       in
-      raise (Branch (k, branch_values stack))
+      raise (Branch (k, stack))
   | Return -> raise (Return_values stack)
   | Call fidx -> do_call frame inst.funcs.(fidx) stack
   | Call_indirect type_idx -> (
@@ -155,107 +187,18 @@ and exec_instr frame (i : instr) stack =
       if g.g_mut = Types.Const then trap "assignment to immutable global";
       g.g_value <- v;
       stack
-  | I32_load m ->
+  | I32_load m | I64_load m | F32_load m | F64_load m | I32_load8_s m | I32_load8_u m
+  | I32_load16_s m | I32_load16_u m | I64_load8_s m | I64_load8_u m | I64_load16_s m
+  | I64_load16_u m | I64_load32_s m | I64_load32_u m ->
       let a, stack = pop_i32 stack in
-      I32 (Memory.load32 (memory_exn inst) (effective_addr a m)) :: stack
-  | I64_load m ->
-      let a, stack = pop_i32 stack in
-      I64 (Memory.load64 (memory_exn inst) (effective_addr a m)) :: stack
-  | F32_load m ->
-      let a, stack = pop_i32 stack in
-      F32 (Int32.float_of_bits (Memory.load32 (memory_exn inst) (effective_addr a m)))
-      :: stack
-  | F64_load m ->
-      let a, stack = pop_i32 stack in
-      F64 (Int64.float_of_bits (Memory.load64 (memory_exn inst) (effective_addr a m)))
-      :: stack
-  | I32_load8_s m ->
-      let a, stack = pop_i32 stack in
-      I32 (Memory.load8_s (memory_exn inst) (effective_addr a m)) :: stack
-  | I32_load8_u m ->
-      let a, stack = pop_i32 stack in
-      I32 (Memory.load8_u (memory_exn inst) (effective_addr a m)) :: stack
-  | I32_load16_s m ->
-      let a, stack = pop_i32 stack in
-      I32 (Memory.load16_s (memory_exn inst) (effective_addr a m)) :: stack
-  | I32_load16_u m ->
-      let a, stack = pop_i32 stack in
-      I32 (Memory.load16_u (memory_exn inst) (effective_addr a m)) :: stack
-  | I64_load8_s m ->
-      let a, stack = pop_i32 stack in
-      I64 (Int64.of_int32 (Memory.load8_s (memory_exn inst) (effective_addr a m))) :: stack
-  | I64_load8_u m ->
-      let a, stack = pop_i32 stack in
-      I64 (Int64.of_int32 (Memory.load8_u (memory_exn inst) (effective_addr a m))) :: stack
-  | I64_load16_s m ->
-      let a, stack = pop_i32 stack in
-      I64 (Int64.of_int32 (Memory.load16_s (memory_exn inst) (effective_addr a m))) :: stack
-  | I64_load16_u m ->
-      let a, stack = pop_i32 stack in
-      I64 (Int64.of_int32 (Memory.load16_u (memory_exn inst) (effective_addr a m))) :: stack
-  | I64_load32_s m ->
-      let a, stack = pop_i32 stack in
-      I64 (Int64.of_int32 (Memory.load32 (memory_exn inst) (effective_addr a m))) :: stack
-  | I64_load32_u m ->
-      let a, stack = pop_i32 stack in
-      I64
-        (Int64.logand (Int64.of_int32 (Memory.load32 (memory_exn inst) (effective_addr a m)))
-           0xffffffffL)
-      :: stack
-  | I32_store m -> (
+      load i (memory_exn inst) (effective_addr a m) :: stack
+  | I32_store m | I64_store m | F32_store m | F64_store m | I32_store8 m | I32_store16 m
+  | I64_store8 m | I64_store16 m | I64_store32 m -> (
       match stack with
-      | I32 v :: I32 a :: rest ->
-          Memory.store32 (memory_exn inst) (effective_addr a m) v;
+      | v :: I32 a :: rest ->
+          store i (memory_exn inst) (effective_addr a m) v;
           rest
-      | _ -> trap "i32.store: bad operands")
-  | I64_store m -> (
-      match stack with
-      | I64 v :: I32 a :: rest ->
-          Memory.store64 (memory_exn inst) (effective_addr a m) v;
-          rest
-      | _ -> trap "i64.store: bad operands")
-  | F32_store m -> (
-      match stack with
-      | F32 v :: I32 a :: rest ->
-          Memory.store32 (memory_exn inst) (effective_addr a m) (Int32.bits_of_float v);
-          rest
-      | _ -> trap "f32.store: bad operands")
-  | F64_store m -> (
-      match stack with
-      | F64 v :: I32 a :: rest ->
-          Memory.store64 (memory_exn inst) (effective_addr a m) (Int64.bits_of_float v);
-          rest
-      | _ -> trap "f64.store: bad operands")
-  | I32_store8 m -> (
-      match stack with
-      | I32 v :: I32 a :: rest ->
-          Memory.store8 (memory_exn inst) (effective_addr a m) v;
-          rest
-      | _ -> trap "i32.store8: bad operands")
-  | I32_store16 m -> (
-      match stack with
-      | I32 v :: I32 a :: rest ->
-          Memory.store16 (memory_exn inst) (effective_addr a m) v;
-          rest
-      | _ -> trap "i32.store16: bad operands")
-  | I64_store8 m -> (
-      match stack with
-      | I64 v :: I32 a :: rest ->
-          Memory.store8 (memory_exn inst) (effective_addr a m) (Int64.to_int32 v);
-          rest
-      | _ -> trap "i64.store8: bad operands")
-  | I64_store16 m -> (
-      match stack with
-      | I64 v :: I32 a :: rest ->
-          Memory.store16 (memory_exn inst) (effective_addr a m) (Int64.to_int32 v);
-          rest
-      | _ -> trap "i64.store16: bad operands")
-  | I64_store32 m -> (
-      match stack with
-      | I64 v :: I32 a :: rest ->
-          Memory.store32 (memory_exn inst) (effective_addr a m) (Int64.to_int32 v);
-          rest
-      | _ -> trap "i64.store32: bad operands")
+      | _ -> trap "store: bad operands")
   | Memory_size -> I32 (Int32.of_int (Memory.size_pages (memory_exn inst))) :: stack
   | Memory_grow ->
       let delta, stack = pop_i32 stack in
@@ -264,58 +207,22 @@ and exec_instr frame (i : instr) stack =
   | I64_const v -> I64 v :: stack
   | F32_const v -> F32 v :: stack
   | F64_const v -> F64 v :: stack
-  | I32_unop op -> (
-      match stack with
-      | I32 v :: rest -> I32 (eval_i32_unop op v) :: rest
-      | _ -> trap "i32 unop: bad operand")
-  | I64_unop op -> (
-      match stack with
-      | I64 v :: rest -> I64 (eval_i64_unop op v) :: rest
-      | _ -> trap "i64 unop: bad operand")
   | I32_binop op -> (
       match stack with
       | I32 b :: I32 a :: rest -> I32 (eval_i32_binop op a b) :: rest
       | _ -> trap "i32 binop: bad operands")
-  | I64_binop op -> (
-      match stack with
-      | I64 b :: I64 a :: rest -> I64 (eval_i64_binop op a b) :: rest
-      | _ -> trap "i64 binop: bad operands")
-  | I32_eqz -> (
-      match stack with
-      | I32 v :: rest -> I32 (i32_of_bool (v = 0l)) :: rest
-      | _ -> trap "i32.eqz: bad operand")
-  | I64_eqz -> (
-      match stack with
-      | I64 v :: rest -> I32 (i32_of_bool (v = 0L)) :: rest
-      | _ -> trap "i64.eqz: bad operand")
   | I32_relop op -> (
       match stack with
       | I32 b :: I32 a :: rest -> I32 (eval_i32_relop op a b) :: rest
       | _ -> trap "i32 relop: bad operands")
-  | I64_relop op -> (
-      match stack with
-      | I64 b :: I64 a :: rest -> I32 (eval_i64_relop op a b) :: rest
-      | _ -> trap "i64 relop: bad operands")
-  | F32_unop op -> (
-      match stack with
-      | F32 v :: rest -> F32 (f32_round (eval_f_unop op v)) :: rest
-      | _ -> trap "f32 unop: bad operand")
   | F64_unop op -> (
       match stack with
       | F64 v :: rest -> F64 (eval_f_unop op v) :: rest
       | _ -> trap "f64 unop: bad operand")
-  | F32_binop op -> (
-      match stack with
-      | F32 b :: F32 a :: rest -> F32 (f32_round (eval_f_binop op a b)) :: rest
-      | _ -> trap "f32 binop: bad operands")
   | F64_binop op -> (
       match stack with
       | F64 b :: F64 a :: rest -> F64 (eval_f_binop op a b) :: rest
       | _ -> trap "f64 binop: bad operands")
-  | F32_relop op -> (
-      match stack with
-      | F32 b :: F32 a :: rest -> I32 (eval_f_relop op a b) :: rest
-      | _ -> trap "f32 relop: bad operands")
   | F64_relop op -> (
       match stack with
       | F64 b :: F64 a :: rest -> I32 (eval_f_relop op a b) :: rest
@@ -323,10 +230,14 @@ and exec_instr frame (i : instr) stack =
   | Cvt op ->
       let v, stack = pop stack in
       eval_cvt op v :: stack
-
-(* The branch carries the full current stack; the catching label extracts
-   the values its arity requires. *)
-and branch_values stack = stack
+  | I32_unop _ | I64_unop _ | I32_eqz | I64_eqz | F32_unop _ -> (
+      match stack with
+      | v :: rest -> eval_unary i v :: rest
+      | [] -> trap "value stack underflow")
+  | I64_binop _ | I64_relop _ | F32_binop _ | F32_relop _ -> (
+      match stack with
+      | b :: a :: rest -> eval_binary i a b :: rest
+      | _ -> trap "value stack underflow")
 
 and do_call _frame f stack =
   let ft = func_type f in
@@ -369,9 +280,7 @@ and call_func f args =
    covers both. *)
 and exec_wasm w args =
   match w.w_compiled with
-  | Some compiled ->
-      let locals = make_locals w args in
-      compiled locals
+  | Some compiled -> compiled args
   | None ->
       let locals = make_locals w args in
       let frame = { locals; inst = w.w_owner } in

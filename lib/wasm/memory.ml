@@ -83,6 +83,24 @@ let store64 t a v =
   check t a 8;
   Bytes.set_int64_le t.data a v
 
+(* Register-file transfers: a full-width access between linear memory
+   and a [Bytes] offset, so a compiled tier moves values without boxing. *)
+let load32_to t a dst o =
+  check t a 4;
+  Bytes.set_int32_le dst o (Bytes.get_int32_le t.data a)
+
+let load64_to t a dst o =
+  check t a 8;
+  Bytes.set_int64_le dst o (Bytes.get_int64_le t.data a)
+
+let store32_from t a src o =
+  check t a 4;
+  Bytes.set_int32_le t.data a (Bytes.get_int32_le src o)
+
+let store64_from t a src o =
+  check t a 8;
+  Bytes.set_int64_le t.data a (Bytes.get_int64_le src o)
+
 let load_bytes t a n =
   check t a n;
   Bytes.sub_string t.data a n

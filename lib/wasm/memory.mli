@@ -26,6 +26,13 @@ val store16 : t -> int -> int32 -> unit
 val store32 : t -> int -> int32 -> unit
 val store64 : t -> int -> int64 -> unit
 
+val load32_to : t -> int -> Bytes.t -> int -> unit
+val load64_to : t -> int -> Bytes.t -> int -> unit
+val store32_from : t -> int -> Bytes.t -> int -> unit
+val store64_from : t -> int -> Bytes.t -> int -> unit
+(** Full-width transfers between memory and a [Bytes] offset, with the
+    same bounds check and access hook as the loads and stores above. *)
+
 val load_bytes : t -> int -> int -> string
 val store_bytes : t -> int -> string -> unit
 

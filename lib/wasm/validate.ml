@@ -169,29 +169,6 @@ let rec check_instr ctx (i : instr) =
       let gt = global_type ctx n in
       if gt.gt_mut = Const then fail "global.set of immutable global";
       pop_expect ctx gt.gt_val
-  | I32_load m -> check_memarg ctx m 2; pop_expect ctx I32; push_opd ctx (Some I32)
-  | I64_load m -> check_memarg ctx m 3; pop_expect ctx I32; push_opd ctx (Some I64)
-  | F32_load m -> check_memarg ctx m 2; pop_expect ctx I32; push_opd ctx (Some F32)
-  | F64_load m -> check_memarg ctx m 3; pop_expect ctx I32; push_opd ctx (Some F64)
-  | I32_load8_s m | I32_load8_u m ->
-      check_memarg ctx m 0; pop_expect ctx I32; push_opd ctx (Some I32)
-  | I32_load16_s m | I32_load16_u m ->
-      check_memarg ctx m 1; pop_expect ctx I32; push_opd ctx (Some I32)
-  | I64_load8_s m | I64_load8_u m ->
-      check_memarg ctx m 0; pop_expect ctx I32; push_opd ctx (Some I64)
-  | I64_load16_s m | I64_load16_u m ->
-      check_memarg ctx m 1; pop_expect ctx I32; push_opd ctx (Some I64)
-  | I64_load32_s m | I64_load32_u m ->
-      check_memarg ctx m 2; pop_expect ctx I32; push_opd ctx (Some I64)
-  | I32_store m -> check_memarg ctx m 2; pop_expect ctx I32; pop_expect ctx I32
-  | I64_store m -> check_memarg ctx m 3; pop_expect ctx I64; pop_expect ctx I32
-  | F32_store m -> check_memarg ctx m 2; pop_expect ctx F32; pop_expect ctx I32
-  | F64_store m -> check_memarg ctx m 3; pop_expect ctx F64; pop_expect ctx I32
-  | I32_store8 m -> check_memarg ctx m 0; pop_expect ctx I32; pop_expect ctx I32
-  | I32_store16 m -> check_memarg ctx m 1; pop_expect ctx I32; pop_expect ctx I32
-  | I64_store8 m -> check_memarg ctx m 0; pop_expect ctx I64; pop_expect ctx I32
-  | I64_store16 m -> check_memarg ctx m 1; pop_expect ctx I64; pop_expect ctx I32
-  | I64_store32 m -> check_memarg ctx m 2; pop_expect ctx I64; pop_expect ctx I32
   | Memory_size ->
       if not ctx.has_memory then fail "memory.size without memory";
       push_opd ctx (Some I32)
@@ -203,24 +180,17 @@ let rec check_instr ctx (i : instr) =
   | I64_const _ -> push_opd ctx (Some I64)
   | F32_const _ -> push_opd ctx (Some F32)
   | F64_const _ -> push_opd ctx (Some F64)
-  | I32_unop _ -> pop_expect ctx I32; push_opd ctx (Some I32)
-  | I64_unop _ -> pop_expect ctx I64; push_opd ctx (Some I64)
-  | I32_binop _ -> pop_expect ctx I32; pop_expect ctx I32; push_opd ctx (Some I32)
-  | I64_binop _ -> pop_expect ctx I64; pop_expect ctx I64; push_opd ctx (Some I64)
-  | I32_eqz -> pop_expect ctx I32; push_opd ctx (Some I32)
-  | I64_eqz -> pop_expect ctx I64; push_opd ctx (Some I32)
-  | I32_relop _ -> pop_expect ctx I32; pop_expect ctx I32; push_opd ctx (Some I32)
-  | I64_relop _ -> pop_expect ctx I64; pop_expect ctx I64; push_opd ctx (Some I32)
-  | F32_unop _ -> pop_expect ctx F32; push_opd ctx (Some F32)
-  | F64_unop _ -> pop_expect ctx F64; push_opd ctx (Some F64)
-  | F32_binop _ -> pop_expect ctx F32; pop_expect ctx F32; push_opd ctx (Some F32)
-  | F64_binop _ -> pop_expect ctx F64; pop_expect ctx F64; push_opd ctx (Some F64)
-  | F32_relop _ -> pop_expect ctx F32; pop_expect ctx F32; push_opd ctx (Some I32)
-  | F64_relop _ -> pop_expect ctx F64; pop_expect ctx F64; push_opd ctx (Some I32)
-  | Cvt op ->
-      let src, dst = cvt_types op in
-      pop_expect ctx src;
-      push_opd ctx (Some dst)
+  | i -> (
+      match (Values.numeric_sig i, mem_access i) with
+      | Some (args, r), _ ->
+          List.iter (pop_expect ctx) (List.rev args);
+          push_opd ctx (Some r)
+      | None, Some (m, t, align, store) ->
+          check_memarg ctx m align;
+          if store then pop_expect ctx t;
+          pop_expect ctx I32;
+          if not store then push_opd ctx (Some t)
+      | None, None -> fail "unsupported instruction")
 
 and check_body ctx body = List.iter (check_instr ctx) body
 
@@ -231,26 +201,6 @@ and local_type ctx n =
 and global_type ctx n =
   if n < 0 || n >= ctx.n_globals then fail "global index %d out of range" n;
   ctx.global_types.(n)
-
-and cvt_types = function
-  | I32_wrap_i64 -> (I64, I32)
-  | I64_extend_i32_s | I64_extend_i32_u -> (I32, I64)
-  | I32_trunc_f32_s | I32_trunc_f32_u -> (F32, I32)
-  | I32_trunc_f64_s | I32_trunc_f64_u -> (F64, I32)
-  | I64_trunc_f32_s | I64_trunc_f32_u -> (F32, I64)
-  | I64_trunc_f64_s | I64_trunc_f64_u -> (F64, I64)
-  | F32_convert_i32_s | F32_convert_i32_u -> (I32, F32)
-  | F32_convert_i64_s | F32_convert_i64_u -> (I64, F32)
-  | F64_convert_i32_s | F64_convert_i32_u -> (I32, F64)
-  | F64_convert_i64_s | F64_convert_i64_u -> (I64, F64)
-  | F32_demote_f64 -> (F64, F32)
-  | F64_promote_f32 -> (F32, F64)
-  | I32_reinterpret_f32 -> (F32, I32)
-  | I64_reinterpret_f64 -> (F64, I64)
-  | F32_reinterpret_i32 -> (I32, F32)
-  | F64_reinterpret_i64 -> (I64, F64)
-  | I32_extend8_s | I32_extend16_s -> (I32, I32)
-  | I64_extend8_s | I64_extend16_s | I64_extend32_s -> (I64, I64)
 
 let check_const_expr m n_imported_globals expr expected =
   (match expr with

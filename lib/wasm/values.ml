@@ -345,3 +345,65 @@ let eval_cvt op v =
   | I64_extend16_s, I64 x -> I64 (i64_extend16_s x)
   | I64_extend32_s, I64 x -> I64 (i64_extend32_s x)
   | _ -> trap "conversion applied to value of wrong type"
+
+(* --- numeric instructions: signature and boxed evaluation, shared by
+   the validator and both engines --- *)
+
+let cvt_types : cvtop -> Types.valtype * Types.valtype = function
+  | I32_wrap_i64 -> (I64, I32)
+  | I64_extend_i32_s | I64_extend_i32_u -> (I32, I64)
+  | I32_trunc_f32_s | I32_trunc_f32_u -> (F32, I32)
+  | I32_trunc_f64_s | I32_trunc_f64_u -> (F64, I32)
+  | I64_trunc_f32_s | I64_trunc_f32_u -> (F32, I64)
+  | I64_trunc_f64_s | I64_trunc_f64_u -> (F64, I64)
+  | F32_convert_i32_s | F32_convert_i32_u -> (I32, F32)
+  | F32_convert_i64_s | F32_convert_i64_u -> (I64, F32)
+  | F64_convert_i32_s | F64_convert_i32_u -> (I32, F64)
+  | F64_convert_i64_s | F64_convert_i64_u -> (I64, F64)
+  | F32_demote_f64 -> (F64, F32)
+  | F64_promote_f32 -> (F32, F64)
+  | I32_reinterpret_f32 -> (F32, I32)
+  | I64_reinterpret_f64 -> (F64, I64)
+  | F32_reinterpret_i32 -> (I32, F32)
+  | F64_reinterpret_i64 -> (I64, F64)
+  | I32_extend8_s | I32_extend16_s -> (I32, I32)
+  | I64_extend8_s | I64_extend16_s | I64_extend32_s -> (I64, I64)
+
+(* Operand types (deepest first) and result type of a numeric instruction. *)
+let numeric_sig : instr -> (Types.valtype list * Types.valtype) option = function
+  | I32_unop _ | I32_eqz -> Some ([ I32 ], I32)
+  | I64_unop _ -> Some ([ I64 ], I64)
+  | I64_eqz -> Some ([ I64 ], I32)
+  | F32_unop _ -> Some ([ F32 ], F32)
+  | F64_unop _ -> Some ([ F64 ], F64)
+  | Cvt op -> let src, dst = cvt_types op in Some ([ src ], dst)
+  | I32_binop _ | I32_relop _ -> Some ([ I32; I32 ], I32)
+  | I64_binop _ -> Some ([ I64; I64 ], I64)
+  | I64_relop _ -> Some ([ I64; I64 ], I32)
+  | F32_binop _ -> Some ([ F32; F32 ], F32)
+  | F64_binop _ -> Some ([ F64; F64 ], F64)
+  | F32_relop _ -> Some ([ F32; F32 ], I32)
+  | F64_relop _ -> Some ([ F64; F64 ], I32)
+  | _ -> None
+
+let eval_unary (i : instr) v =
+  match (i, v) with
+  | I32_unop op, I32 x -> I32 (eval_i32_unop op x)
+  | I64_unop op, I64 x -> I64 (eval_i64_unop op x)
+  | I32_eqz, I32 x -> I32 (i32_of_bool (x = 0l))
+  | I64_eqz, I64 x -> I32 (i32_of_bool (x = 0L))
+  | F32_unop op, F32 x -> F32 (f32_round (eval_f_unop op x))
+  | F64_unop op, F64 x -> F64 (eval_f_unop op x)
+  | Cvt op, v -> eval_cvt op v
+  | _ -> trap "unary operator applied to value of wrong type"
+
+let eval_binary (i : instr) a b =
+  match (i, a, b) with
+  | I32_binop op, I32 a, I32 b -> I32 (eval_i32_binop op a b)
+  | I64_binop op, I64 a, I64 b -> I64 (eval_i64_binop op a b)
+  | I32_relop op, I32 a, I32 b -> I32 (eval_i32_relop op a b)
+  | I64_relop op, I64 a, I64 b -> I32 (eval_i64_relop op a b)
+  | F32_binop op, F32 a, F32 b -> F32 (f32_round (eval_f_binop op a b))
+  | F64_binop op, F64 a, F64 b -> F64 (eval_f_binop op a b)
+  | (F32_relop op, F32 a, F32 b | F64_relop op, F64 a, F64 b) -> I32 (eval_f_relop op a b)
+  | _ -> trap "binary operator applied to values of wrong type"

@@ -231,96 +231,6 @@ let parse_memarg atoms default_align =
   in
   ({ offset = !offset; align = !align }, rest)
 
-let simple_instrs =
-  [ ("unreachable", Unreachable); ("nop", Nop); ("return", Return); ("drop", Drop);
-    ("select", Select); ("memory.size", Memory_size); ("memory.grow", Memory_grow);
-    ("i32.add", I32_binop Add); ("i32.sub", I32_binop Sub); ("i32.mul", I32_binop Mul);
-    ("i32.div_s", I32_binop Div_s); ("i32.div_u", I32_binop Div_u);
-    ("i32.rem_s", I32_binop Rem_s); ("i32.rem_u", I32_binop Rem_u);
-    ("i32.and", I32_binop And); ("i32.or", I32_binop Or); ("i32.xor", I32_binop Xor);
-    ("i32.shl", I32_binop Shl); ("i32.shr_s", I32_binop Shr_s);
-    ("i32.shr_u", I32_binop Shr_u); ("i32.rotl", I32_binop Rotl);
-    ("i32.rotr", I32_binop Rotr); ("i32.clz", I32_unop Clz); ("i32.ctz", I32_unop Ctz);
-    ("i32.popcnt", I32_unop Popcnt); ("i32.eqz", I32_eqz);
-    ("i32.eq", I32_relop Eq); ("i32.ne", I32_relop Ne); ("i32.lt_s", I32_relop Lt_s);
-    ("i32.lt_u", I32_relop Lt_u); ("i32.gt_s", I32_relop Gt_s);
-    ("i32.gt_u", I32_relop Gt_u); ("i32.le_s", I32_relop Le_s);
-    ("i32.le_u", I32_relop Le_u); ("i32.ge_s", I32_relop Ge_s);
-    ("i32.ge_u", I32_relop Ge_u);
-    ("i64.add", I64_binop Add); ("i64.sub", I64_binop Sub); ("i64.mul", I64_binop Mul);
-    ("i64.div_s", I64_binop Div_s); ("i64.div_u", I64_binop Div_u);
-    ("i64.rem_s", I64_binop Rem_s); ("i64.rem_u", I64_binop Rem_u);
-    ("i64.and", I64_binop And); ("i64.or", I64_binop Or); ("i64.xor", I64_binop Xor);
-    ("i64.shl", I64_binop Shl); ("i64.shr_s", I64_binop Shr_s);
-    ("i64.shr_u", I64_binop Shr_u); ("i64.rotl", I64_binop Rotl);
-    ("i64.rotr", I64_binop Rotr); ("i64.clz", I64_unop Clz); ("i64.ctz", I64_unop Ctz);
-    ("i64.popcnt", I64_unop Popcnt); ("i64.eqz", I64_eqz);
-    ("i64.eq", I64_relop Eq); ("i64.ne", I64_relop Ne); ("i64.lt_s", I64_relop Lt_s);
-    ("i64.lt_u", I64_relop Lt_u); ("i64.gt_s", I64_relop Gt_s);
-    ("i64.gt_u", I64_relop Gt_u); ("i64.le_s", I64_relop Le_s);
-    ("i64.le_u", I64_relop Le_u); ("i64.ge_s", I64_relop Ge_s);
-    ("i64.ge_u", I64_relop Ge_u);
-    ("f32.add", F32_binop Fadd); ("f32.sub", F32_binop Fsub);
-    ("f32.mul", F32_binop Fmul); ("f32.div", F32_binop Fdiv);
-    ("f32.min", F32_binop Fmin); ("f32.max", F32_binop Fmax);
-    ("f32.copysign", F32_binop Copysign);
-    ("f32.abs", F32_unop Abs); ("f32.neg", F32_unop Neg); ("f32.sqrt", F32_unop Sqrt);
-    ("f32.ceil", F32_unop Ceil); ("f32.floor", F32_unop Floor);
-    ("f32.trunc", F32_unop Trunc); ("f32.nearest", F32_unop Nearest);
-    ("f32.eq", F32_relop Feq); ("f32.ne", F32_relop Fne); ("f32.lt", F32_relop Flt);
-    ("f32.gt", F32_relop Fgt); ("f32.le", F32_relop Fle); ("f32.ge", F32_relop Fge);
-    ("f64.add", F64_binop Fadd); ("f64.sub", F64_binop Fsub);
-    ("f64.mul", F64_binop Fmul); ("f64.div", F64_binop Fdiv);
-    ("f64.min", F64_binop Fmin); ("f64.max", F64_binop Fmax);
-    ("f64.copysign", F64_binop Copysign);
-    ("f64.abs", F64_unop Abs); ("f64.neg", F64_unop Neg); ("f64.sqrt", F64_unop Sqrt);
-    ("f64.ceil", F64_unop Ceil); ("f64.floor", F64_unop Floor);
-    ("f64.trunc", F64_unop Trunc); ("f64.nearest", F64_unop Nearest);
-    ("f64.eq", F64_relop Feq); ("f64.ne", F64_relop Fne); ("f64.lt", F64_relop Flt);
-    ("f64.gt", F64_relop Fgt); ("f64.le", F64_relop Fle); ("f64.ge", F64_relop Fge);
-    ("i32.wrap_i64", Cvt I32_wrap_i64);
-    ("i64.extend_i32_s", Cvt I64_extend_i32_s);
-    ("i64.extend_i32_u", Cvt I64_extend_i32_u);
-    ("i32.trunc_f32_s", Cvt I32_trunc_f32_s); ("i32.trunc_f32_u", Cvt I32_trunc_f32_u);
-    ("i32.trunc_f64_s", Cvt I32_trunc_f64_s); ("i32.trunc_f64_u", Cvt I32_trunc_f64_u);
-    ("i64.trunc_f32_s", Cvt I64_trunc_f32_s); ("i64.trunc_f32_u", Cvt I64_trunc_f32_u);
-    ("i64.trunc_f64_s", Cvt I64_trunc_f64_s); ("i64.trunc_f64_u", Cvt I64_trunc_f64_u);
-    ("f32.convert_i32_s", Cvt F32_convert_i32_s);
-    ("f32.convert_i32_u", Cvt F32_convert_i32_u);
-    ("f32.convert_i64_s", Cvt F32_convert_i64_s);
-    ("f32.convert_i64_u", Cvt F32_convert_i64_u);
-    ("f64.convert_i32_s", Cvt F64_convert_i32_s);
-    ("f64.convert_i32_u", Cvt F64_convert_i32_u);
-    ("f64.convert_i64_s", Cvt F64_convert_i64_s);
-    ("f64.convert_i64_u", Cvt F64_convert_i64_u);
-    ("f32.demote_f64", Cvt F32_demote_f64); ("f64.promote_f32", Cvt F64_promote_f32);
-    ("i32.reinterpret_f32", Cvt I32_reinterpret_f32);
-    ("i64.reinterpret_f64", Cvt I64_reinterpret_f64);
-    ("f32.reinterpret_i32", Cvt F32_reinterpret_i32);
-    ("f64.reinterpret_i64", Cvt F64_reinterpret_i64);
-    ("i32.extend8_s", Cvt I32_extend8_s); ("i32.extend16_s", Cvt I32_extend16_s);
-    ("i64.extend8_s", Cvt I64_extend8_s); ("i64.extend16_s", Cvt I64_extend16_s);
-    ("i64.extend32_s", Cvt I64_extend32_s);
-  ]
-
-let mem_instrs =
-  [ ("i32.load", (fun m -> I32_load m), 2); ("i64.load", (fun m -> I64_load m), 3);
-    ("f32.load", (fun m -> F32_load m), 2); ("f64.load", (fun m -> F64_load m), 3);
-    ("i32.load8_s", (fun m -> I32_load8_s m), 0); ("i32.load8_u", (fun m -> I32_load8_u m), 0);
-    ("i32.load16_s", (fun m -> I32_load16_s m), 1);
-    ("i32.load16_u", (fun m -> I32_load16_u m), 1);
-    ("i64.load8_s", (fun m -> I64_load8_s m), 0); ("i64.load8_u", (fun m -> I64_load8_u m), 0);
-    ("i64.load16_s", (fun m -> I64_load16_s m), 1);
-    ("i64.load16_u", (fun m -> I64_load16_u m), 1);
-    ("i64.load32_s", (fun m -> I64_load32_s m), 2);
-    ("i64.load32_u", (fun m -> I64_load32_u m), 2);
-    ("i32.store", (fun m -> I32_store m), 2); ("i64.store", (fun m -> I64_store m), 3);
-    ("f32.store", (fun m -> F32_store m), 2); ("f64.store", (fun m -> F64_store m), 3);
-    ("i32.store8", (fun m -> I32_store8 m), 0); ("i32.store16", (fun m -> I32_store16 m), 1);
-    ("i64.store8", (fun m -> I64_store8 m), 0); ("i64.store16", (fun m -> I64_store16 m), 1);
-    ("i64.store32", (fun m -> I64_store32 m), 2);
-  ]
-
 type fenv = {
   env : env;
   locals : (string * int) list;
@@ -390,12 +300,15 @@ and translate_plain fenv a rest =
       instr :: translate_instrs fenv rest
 
 and translate_one fenv a rest : instr * sexp list =
-  match List.assoc_opt a simple_instrs with
+  match List.find_map (fun (n, i, _) -> if n = a then Some i else None) simple_instrs with
   | Some i -> (i, rest)
   | None -> (
-      match List.find_opt (fun (n, _, _) -> n = a) mem_instrs with
-      | Some (_, mk, def_align) ->
-          let memarg, rest = parse_memarg rest def_align in
+      match List.assoc_opt a mem_instrs with
+      | Some mk ->
+          let natural =
+            match mem_access (mk { offset = 0; align = 0 }) with Some (_, _, a, _) -> a | None -> 0
+          in
+          let memarg, rest = parse_memarg rest natural in
           (mk memarg, rest)
       | None -> (
           match (a, rest) with

@@ -258,6 +258,40 @@ let test_engine_ledger_parity () =
       Alcotest.(check int) (ni ^ " same events") ei.Ledger.events ea.Ledger.events)
     (drop_aot interp) (drop_aot aot)
 
+(* The ledger [bench profile] exports for atax in an enclave (guest
+   profiler joined to the ledger, EPC-pressured linear memory) survives
+   its JSON round trip and balances: booked = sum of accounts = elapsed. *)
+let test_profiled_atax_ledger () =
+  let k =
+    match Twine_polybench.Kernels.find "atax" (Twine_polybench.Kernels.all ~scale:0.4 ()) with
+    | Some k -> k
+    | None -> Alcotest.fail "atax kernel missing"
+  in
+  let machine = Machine.create ~seed:"fig3" ~epc_bytes:(2 * 1024 * 1024) () in
+  let enclave = Enclave.create machine ~heap_bytes:0 ~code:Twine.Runtime.runtime_code () in
+  let m, _ = Twine_polybench.Kernel_dsl.comp_wasm k in
+  let inst = Twine_wasm.Interp.instantiate m in
+  ignore (Twine_wasm.Aot.compile_instance inst);
+  let prof = Profile.create ~now:(fun () -> Machine.now_ns machine) () in
+  Profile.connect_ledger prof (Machine.ledger machine);
+  let fuel () = inst.Twine_wasm.Instance.fuel_used in
+  inst.Twine_wasm.Instance.hooks <-
+    Some
+      { Twine_wasm.Instance.on_enter = (fun i -> Profile.enter prof ~fuel:(fuel ()) i);
+        on_exit = (fun i -> Profile.exit prof ~fuel:(fuel ()) i) };
+  let mem = Option.get inst.Twine_wasm.Instance.memory in
+  let base = Enclave.reserve enclave (Twine_wasm.Memory.size_bytes mem) in
+  Twine.Runtime.install_memory_hook enclave ~base mem;
+  Enclave.ecall enclave (fun _ -> ignore (Twine_wasm.Interp.invoke inst "kernel" []));
+  Alcotest.(check string) "schema" "twine-ledger/v1" Ledger.schema;
+  match Ledger.of_string (Ledger.to_string (Ledger.snapshot (Machine.ledger machine))) with
+  | Error msg -> Alcotest.fail msg
+  | Ok s ->
+      let sum = List.fold_left (fun acc (_, e) -> acc + e.Ledger.ns) 0 s.Ledger.accounts in
+      Alcotest.(check bool) "kernel ran in the enclave" true (s.Ledger.elapsed_ns > 0);
+      Alcotest.(check int) "booked = sum of accounts" sum s.Ledger.booked_ns;
+      Alcotest.(check int) "booked = elapsed" s.Ledger.elapsed_ns s.Ledger.booked_ns
+
 (* --- the Audit value --- *)
 
 let audit ?(unit = "ns") total parts =
@@ -322,6 +356,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_snapshot_round_trip;
           Alcotest.test_case "rejects garbage" `Quick test_of_string_rejects_garbage;
+          Alcotest.test_case "profiled atax balances" `Quick test_profiled_atax_ledger;
         ] );
       ( "diff",
         [

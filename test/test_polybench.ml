@@ -38,6 +38,23 @@ let test_modules_roundtrip_binary k () =
   let m' = Twine_wasm.Binary.decode (Twine_wasm.Binary.encode m) in
   Alcotest.(check bool) (k.Kernel_dsl.name ^ " binary roundtrip") true (m = m')
 
+(* Timing is warm on both sides, but [fuel] and the hooks still cover
+   exactly one run. *)
+let test_warm_run_counts_one () =
+  List.iter
+    (fun k ->
+      let m, _ = Kernel_dsl.comp_wasm k in
+      let cold = Twine_wasm.Interp.instantiate m in
+      ignore (Twine_wasm.Interp.invoke cold "kernel" []);
+      let enters = ref 0 in
+      let hooks _ = { Twine_wasm.Instance.on_enter = (fun _ -> incr enters); on_exit = ignore } in
+      let r = Suite.run_wasm ~hooks ~engine:`Aot k in
+      let name = k.Kernel_dsl.name in
+      Alcotest.(check int) (name ^ ": one run's fuel")
+        (Twine_wasm.Interp.fuel_used cold) r.Suite.fuel;
+      Alcotest.(check int) (name ^ ": hooks see the timed run only") 1 !enters)
+    kernels
+
 let per_kernel mk =
   List.map (fun k -> Alcotest.test_case k.Kernel_dsl.name `Quick (mk k)) kernels
 
@@ -47,6 +64,7 @@ let suite =
     ("nontrivial", per_kernel test_outputs_nontrivial);
     ("validator", per_kernel test_modules_validate);
     ("binary", per_kernel test_modules_roundtrip_binary);
+    ("timing", [ Alcotest.test_case "warm run counts one run" `Quick test_warm_run_counts_one ]);
   ]
 
 let () = Alcotest.run "twine_polybench" suite

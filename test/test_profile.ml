@@ -299,6 +299,21 @@ let test_report_rendering () =
   Alcotest.(check bool) "json has self_instr" true
     (contains json "\"self_instr\":3")
 
+(* [bench profile] turns engine parity into an audit, so a mismatch
+   exits 1 instead of printing and passing. *)
+let test_parity_audit () =
+  let run exit_fuel =
+    let p = Profile.create () in
+    Profile.enter p ~fuel:0 7;
+    Profile.exit p ~fuel:exit_fuel 7;
+    p
+  in
+  Alcotest.(check bool) "identical profiles balance" true
+    (Twine_obs.Audit.ok (Profile.parity (run 10) (run 10)));
+  let forced = Profile.parity (run 10) (run 11) in
+  Alcotest.(check int) "a forced mismatch leaves one function" 1 (Twine_obs.Audit.residue forced);
+  Alcotest.(check bool) "and fails the check" true (Twine_obs.Audit.check [ forced ] <> [])
+
 let () =
   Alcotest.run "twine_profile"
     [
@@ -316,6 +331,7 @@ let () =
       ( "engine-parity",
         [
           Alcotest.test_case "two-level module" `Quick test_engine_parity_two_level;
+          Alcotest.test_case "parity audit fails on a mismatch" `Quick test_parity_audit;
           Alcotest.test_case "all polybench kernels" `Slow
             test_engine_parity_polybench;
         ] );

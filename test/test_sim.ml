@@ -112,6 +112,44 @@ let prop_lru_model =
         ops
       && Twine_sim.Lru.to_list lru = !model)
 
+(* The recency order itself, after every operation: an association list
+   with the most recent binding first is the model. Hits on the head
+   (most recent) node are frequent here, the case [promote] short-cuts. *)
+let prop_lru_order_model =
+  QCheck.Test.make ~name:"order matches model after every op" ~count:300
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size Gen.(int_range 0 60) (pair (int_range 0 7) (int_range 0 3))))
+    (fun (cap, ops) ->
+      let lru = Lru.create ~capacity:cap () in
+      let model = ref [] in
+      let touch k v = model := (k, v) :: List.remove_assoc k !model in
+      List.for_all
+        (fun (k, op) ->
+          let same =
+            match op with
+            | 0 | 1 ->
+                (* find, weighted towards the head *)
+                let k = if op = 1 then (match !model with (h, _) :: _ -> h | [] -> k) else k in
+                let v = List.assoc_opt k !model in
+                Option.iter (touch k) v;
+                Lru.find lru k = v
+            | 2 ->
+                let evicted =
+                  if List.mem_assoc k !model || List.length !model < cap then None
+                  else Some (List.nth !model (List.length !model - 1))
+                in
+                Option.iter (fun (e, _) -> model := List.remove_assoc e !model) evicted;
+                touch k (k * 10);
+                Lru.put lru k (k * 10) = evicted
+            | _ ->
+                let v = List.assoc_opt k !model in
+                model := List.remove_assoc k !model;
+                Lru.remove lru k = v
+          in
+          same && Lru.to_list lru = !model)
+        ops)
+
 (* --- Eventq --- *)
 
 let test_eventq_order () =
@@ -328,6 +366,7 @@ let suite =
       Alcotest.test_case "set_capacity" `Quick test_lru_set_capacity;
       Alcotest.test_case "clear" `Quick test_lru_clear;
       qc prop_lru_model;
+      qc prop_lru_order_model;
     ]);
     ("eventq", [
       Alcotest.test_case "time order" `Quick test_eventq_order;

@@ -446,6 +446,55 @@ let test_fuel_metering () =
   ignore (Interp.invoke inst "f" []);
   Alcotest.(check int) "3 instructions executed" 3 (Interp.fuel_used inst)
 
+(* A trap, and then a fuel limit, land mid-way through one straight-line
+   block, which the AoT tier charges on entry: both engines must charge
+   exactly the prefix the interpreter ran, and keep its side effects. *)
+let fuel_and_global ~aot ~limit body =
+  let b = B.create () in
+  let g = B.add_global b ~mut:Types.Var Types.I32 [ I32_const 0l ] in
+  ignore (B.add_func b ~name:"f" ~params:[] ~results:[] ~locals:[] (body g));
+  let inst = Interp.instantiate (B.build b) in
+  if aot then ignore (Aot.compile_instance inst);
+  inst.Instance.fuel_limit <- limit;
+  let r = match Interp.invoke inst "f" [] with _ -> "ok" | exception Trap msg -> msg in
+  (r, Interp.fuel_used inst, inst.Instance.globals.(g).Instance.g_value)
+
+let test_fuel_trap_mid_block () =
+  let body g =
+    [ I32_const 1l; Global_set g; I32_const 7l; I32_const 0l; I32_binop Div_s; Global_set g;
+      I32_const 3l; Global_set g ]
+  in
+  List.iter
+    (fun aot ->
+      let r, fuel, v = fuel_and_global ~aot ~limit:max_int body in
+      Alcotest.(check (pair string int)) "trap at the 5th instruction"
+        ("integer divide by zero", 5) (r, fuel);
+      Alcotest.check value "prefix ran" (I32 1l) v)
+    [ false; true ]
+
+let test_fuel_limit_mid_block () =
+  let body g =
+    [ I32_const 1l; Global_set g; I32_const 2l; Global_set g; I32_const 3l; Global_set g ]
+  in
+  List.iter
+    (fun limit ->
+      let expect = fuel_and_global ~aot:false ~limit body in
+      let r, fuel, _ = expect in
+      Alcotest.(check (pair string int))
+        (Printf.sprintf "interp traps past limit %d" limit)
+        ((if limit < 6 then "fuel exhausted" else "ok"), if limit < 6 then limit + 1 else 6)
+        (r, fuel);
+      Alcotest.(check bool) (Printf.sprintf "aot = interp at limit %d" limit) true
+        (fuel_and_global ~aot:true ~limit body = expect))
+    [ 0; 1; 2; 3; 5; 6 ]
+
+let test_aot_rejects_ill_typed () =
+  let m = mk_func ~params:[] ~results:[ Types.I32 ] ~locals:[] [ I64_const 1L ] in
+  Alcotest.(check bool) "Validate.Invalid" true
+    (match Aot.compile_instance (Interp.instantiate m) with
+    | _ -> false
+    | exception Validate.Invalid _ -> true)
+
 let suite_core =
   [ ("numeric", [
       Alcotest.test_case "i32 arithmetic" `Quick test_i32_arith;
@@ -486,6 +535,9 @@ let suite_core =
       Alcotest.test_case "start function" `Quick test_start_function;
       Alcotest.test_case "builder nested for" `Quick test_builder_for_nested;
       Alcotest.test_case "fuel metering" `Quick test_fuel_metering;
+      Alcotest.test_case "trap mid fuel block" `Quick test_fuel_trap_mid_block;
+      Alcotest.test_case "fuel limit mid block" `Quick test_fuel_limit_mid_block;
+      Alcotest.test_case "aot rejects ill-typed" `Quick test_aot_rejects_ill_typed;
     ]);
   ]
 
