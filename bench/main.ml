@@ -15,14 +15,18 @@
      report  per-run telemetry report of a WASI-heavy workload (table+JSON)
      profile guest-level profiler: hot functions, interp-vs-AoT parity,
              folded stacks written to polybench-atax.folded
+     crash   crash-point recovery matrix and fault-plan determinism
      serve   multi-enclave serving fleet on one shared EPC: open-loop
              replay, ECALL batching, throughput-vs-fleet-size cliff
+     chaos   the serving fleet under seeded fault schedules: failover,
+             retry, shedding, replay determinism
      sql     per-operator query observability: EXPLAIN ANALYZE trees of
              the serving shapes, the zero-residue attribution audit,
              access-path census and query-stats fingerprints
 
-   Run everything with `dune exec bench/main.exe`, or a single section by
-   passing its name (e.g. `dune exec bench/main.exe fig5`).
+   Run everything with `dune exec bench/main.exe`, or one section by name
+   (e.g. `dune exec bench/main.exe fig5`; an unknown name exits 2). `json`,
+   `check` and `diff` write, gate and explain BENCH_twine.json.
 
    Scaling: datasets are reduced from the paper's server-scale runs and
    the simulated EPC is shrunk proportionally so the EPC crossover falls
@@ -38,12 +42,16 @@ let section title =
 
 let hr () = print_endline (String.make 78 '-')
 
-(* The machines the running section created, newest first: [machine]
-   makes its own; [keep] takes those a [Serve.run] or an
-   [ipfs_breakdown] made. *)
-let created : Machine.t list ref = ref []
-let keep m = created := m :: !created
-let machine ?epc_bytes ~seed () =
+(* What a section's run returns: the conservation laws it evaluated and
+   the name of every check of its own that failed. *)
+type outcome = { laws : Twine_obs.Audit.t list; failed : string list }
+
+let passed = { laws = []; failed = [] }
+let unless ok name = if ok then [] else [ name ]
+
+(* [keep] hands each machine to whoever audits it: [audited] for a
+   section, nobody for a gate (its ledger residue is a gated metric). *)
+let machine keep ?epc_bytes ~seed () =
   let m = Machine.create ?epc_bytes ~seed () in
   keep m;
   m
@@ -51,28 +59,67 @@ let machine ?epc_bytes ~seed () =
 (* The PolyBench-measured Wasm slowdown, shared by every figure. *)
 let measured_wasm_factor = lazy (Bench_db.calibrate_wasm_factor ())
 
-(* Conservation audit: after a section, the laws it returns and the
-   ledger of every machine it created must balance. Machine.charge is
-   the only clock-advance site, so a ledger residue means a charge
-   bypassed the ledger — a bookkeeping bug worth failing over. *)
-let audited name f =
-  created := [];
-  let laws = f () in
-  let machines = List.rev !created in
+(* The one exit path of a section: its laws and the ledger of every
+   machine it made must balance and its checks must hold, or each failure
+   is printed and the harness exits 1. Machine.charge is the only
+   clock-advance site, so a ledger residue means a bookkeeping bug. *)
+let audited name run =
+  let made = ref [] in
+  let { laws; failed } = run (fun m -> made := m :: !made) in
+  let machines = List.rev !made in
   let audits =
     laws @ List.map (fun m -> Twine_obs.Ledger.audit (Machine.ledger m)) machines
   in
-  match Twine_obs.Audit.check audits with
-  | [] ->
-      Printf.printf "[audit] %s: %d audit(s) balanced over %d machine(s)\n" name
-        (List.length audits) (List.length machines)
-  | failed ->
-      List.iter
-        (fun a -> Printf.printf "[audit] %s: %s\n" name (Twine_obs.Audit.render a))
-        failed;
-      exit 1
+  let unbalanced = Twine_obs.Audit.check audits in
+  if unbalanced = [] then
+    Printf.printf "[audit] %s: %d audit(s) balanced over %d machine(s)\n" name
+      (List.length audits) (List.length machines)
+  else
+    List.iter
+      (fun a -> Printf.printf "[audit] %s: %s\n" name (Twine_obs.Audit.render a))
+      unbalanced;
+  List.iter (fun c -> Printf.printf "[check] %s: FAILED %s\n" name c) failed;
+  if unbalanced <> [] || failed <> [] then exit 1
 
-let ledgers_only f () = f (); []  (* a section with no law of its own *)
+(* ------------------------------------------------------------------ *)
+(* Gates: the fixed-seed workloads of `bench json|check|diff`          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every gated metric is produced on the virtual clock from fixed seeds
+   and a pinned Wasm slowdown factor, so a healthy tree reproduces the
+   committed values exactly; the tolerance bands absorb benign drift
+   when the cost model is retuned deliberately. PolyBench wall-clock
+   metrics carry no band: recorded for trend inspection, never gating.
+   A gate's [group] names its workload, and [snap] is the ledger its
+   drift is attributed with ([None]: no ledger of its own). *)
+type gate = {
+  group : string;
+  metrics : (string * Twine_obs.Baseline.metric) list;
+  snap : Twine_obs.Ledger.snapshot option;
+}
+
+let baseline_wasm_factor = 2.5
+let exact = Twine_obs.Baseline.v ~tol:0.0
+let banded = Twine_obs.Baseline.v ~tol:0.02
+
+(* A gate that also pins its machine's ledger: every account's total
+   (band 2%) and the audit residue at exactly zero. *)
+let gated group machine metrics =
+  let open Twine_obs in
+  let l = Machine.ledger machine in
+  let snap = Ledger.snapshot l in
+  let pfx = "ledger." ^ group ^ "." in
+  {
+    group;
+    metrics =
+      metrics
+      @ [ exact (pfx ^ "residue_ns") (Audit.residue (Ledger.audit l));
+          banded (pfx ^ "elapsed_ns") snap.Ledger.elapsed_ns ]
+      @ List.map
+          (fun (name, e) -> banded (pfx ^ name) e.Ledger.ns)
+          snap.Ledger.accounts;
+    snap = Some snap;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Fig 3: PolyBench/C                                                  *)
@@ -85,8 +132,9 @@ let ledgers_only f () = f (); []  (* a section with no law of its own *)
    paper (§V-B). *)
 let fig3_epc_bytes = 2 * 1024 * 1024
 
-let twine_kernel_ns k =
-  let machine = machine ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
+(* A kernel AoT-compiled inside a fresh enclave on [machine], its linear
+   memory reserved in the enclave so guest accesses page through the EPC. *)
+let enclave_kernel machine k =
   let enclave = Enclave.create machine ~heap_bytes:0 ~code:Runtime.runtime_code () in
   let m, _lay = Twine_polybench.Kernel_dsl.comp_wasm k in
   let inst = Twine_wasm.Interp.instantiate m in
@@ -96,13 +144,18 @@ let twine_kernel_ns k =
       let base = Enclave.reserve enclave (Twine_wasm.Memory.size_bytes mem) in
       Runtime.install_memory_hook enclave ~base mem
   | None -> ());
+  (enclave, inst)
+
+let twine_kernel_ns keep k =
+  let machine = machine keep ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
+  let enclave, inst = enclave_kernel machine k in
   let sim0 = Machine.now_ns machine in
   let t0 = Unix.gettimeofday () in
   Enclave.ecall enclave (fun _ -> ignore (Twine_wasm.Interp.invoke inst "kernel" []));
   let wall = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   wall + (Machine.now_ns machine - sim0)
 
-let fig3 () =
+let fig3 keep =
   section "Fig 3: PolyBench/C performance normalised to native";
   Printf.printf "%-16s %10s %10s %10s   %8s %8s\n" "kernel" "native(us)" "wamr(us)"
     "twine(us)" "wamr/nat" "twine/nat";
@@ -116,7 +169,7 @@ let fig3 () =
         let wamr =
           (Twine_polybench.Suite.run_wasm ~engine:`Aot k).Twine_polybench.Suite.wall_ns
         in
-        let twine = twine_kernel_ns k in
+        let twine = twine_kernel_ns keep k in
         let rw = float_of_int wamr /. float_of_int native in
         let rt = float_of_int twine /. float_of_int native in
         Printf.printf "%-16s %10.1f %10.1f %10.1f   %8.2f %8.2f\n"
@@ -136,7 +189,8 @@ let fig3 () =
   Printf.printf
     "median slowdown: wamr %.2fx, twine %.2fx (paper: Wasm 2-4x; TWINE ~ WAMR with EPC outliers)\n"
     (med (List.map fst ratios))
-    (med (List.map snd ratios))
+    (med (List.map snd ratios));
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Fig 4: Speedtest1                                                   *)
@@ -144,7 +198,7 @@ let fig3 () =
 
 let fig4_size = 120
 
-let fig4 () =
+let fig4 keep =
   section "Fig 4: SQLite Speedtest1, relative performance (simulated time, ms)";
   let wf = Lazy.force measured_wasm_factor in
   Printf.printf "(size=%d per test; Wasm factor %.2f measured from PolyBench)\n"
@@ -163,7 +217,7 @@ let fig4 () =
       let results =
         List.map
           (fun (_, v) ->
-            let machine = machine ~seed:"fig4" () in
+            let machine = machine keep ~seed:"fig4" () in
             Speedtest.run_suite ~machine ~wasm_factor:wf v storage ~size:fig4_size ())
           series
       in
@@ -190,7 +244,8 @@ let fig4 () =
             (float_of_int (tot wamr) /. float_of_int (tot nat))
             (float_of_int (tot twine) /. float_of_int (tot wamr))
       | _ -> ())
-    [ (Bench_db.Mem, "in-memory"); (Bench_db.File, "in-file") ]
+    [ (Bench_db.Mem, "in-memory"); (Bench_db.File, "in-file") ];
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Fig 5 + Table II: micro-benchmarks                                  *)
@@ -205,11 +260,11 @@ let fig5_blob = 256
 let fig5_rand_reads = 2500
 let fig5_epc_records = 2200
 
-let fig5_series () =
+let fig5_series keep =
   let wf = Lazy.force measured_wasm_factor in
   List.map
     (fun (name, variant, storage) ->
-      let machine = machine ~seed:"fig5" ~epc_bytes:fig5_epc_bytes () in
+      let machine = machine keep ~seed:"fig5" ~epc_bytes:fig5_epc_bytes () in
       let r =
         Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:fig5_rand_reads
           ~cache_pages:64 ~wasm_factor:wf variant storage ~sizes:fig5_sizes ()
@@ -273,15 +328,27 @@ let table2 series =
       ("Seq. read mem.", `Seq, "mem"); ("Seq. read file", `Seq, "file");
       ("Rand. read mem.", `Rand, "mem"); ("Rand. read file", `Rand, "file") ]
 
+let fig5_table2 keep =
+  let series = fig5_series keep in
+  print_fig5 series `Insert "Fig 5a: insertion time vs database size (ms, simulated)";
+  print_fig5 series `Seq
+    "Fig 5b: sequential-read time vs database size (ms, simulated)";
+  print_fig5 series `Rand
+    (Printf.sprintf
+       "Fig 5c: random-read time (one read per record, cap %d) vs size (ms, simulated)"
+       fig5_rand_reads);
+  table2 series;
+  passed
+
 (* ------------------------------------------------------------------ *)
 (* Fig 6: hardware vs software SGX                                     *)
 (* ------------------------------------------------------------------ *)
 
-let fig6 () =
+let fig6 keep =
   section "Fig 6: SGX hardware vs software (simulation) mode, in-file DB";
   let wf = Lazy.force measured_wasm_factor in
   let run variant software =
-    let machine = machine ~seed:"fig6" ~epc_bytes:fig5_epc_bytes () in
+    let machine = machine keep ~seed:"fig6" ~epc_bytes:fig5_epc_bytes () in
     if software then Machine.set_software_mode machine;
     let r =
       Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:fig5_rand_reads
@@ -302,13 +369,14 @@ let fig6 () =
             (float_of_int p.Microbench.seq_read_ns /. 1e6)
             (float_of_int p.Microbench.rand_read_ns /. 1e6))
         [ ("hardware", false); ("software", true) ])
-    [ ("sgx-lkl", Bench_db.Sgx_lkl); ("twine", Bench_db.Twine_rt) ]
+    [ ("sgx-lkl", Bench_db.Sgx_lkl); ("twine", Bench_db.Twine_rt) ];
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Fig 7: IPFS breakdown and the SDK optimisation                      *)
 (* ------------------------------------------------------------------ *)
 
-let fig7 () =
+let fig7 keep =
   section "Fig 7: protected-FS time breakdown (random reads), stock vs optimised";
   let wasm_factor = Lazy.force measured_wasm_factor in
   let stock = Microbench.ipfs_breakdown ~wasm_factor Twine_ipfs.Protected_fs.Stock in
@@ -367,7 +435,7 @@ let fig7 () =
     (float_of_int stock.Microbench.total_ns /. float_of_int opt.Microbench.total_ns);
   let phase_speedup f =
     let run v =
-      let machine = machine ~seed:"fig7b" () in
+      let machine = machine keep ~seed:"fig7b" () in
       let r =
         Microbench.sweep ~machine ~blob_bytes:512 ~rand_reads:200 ~cache_pages:64
           ~ipfs_variant:v ~wasm_factor:2.5 Bench_db.Twine_rt Bench_db.File
@@ -381,13 +449,14 @@ let fig7 () =
   Printf.printf
     "insertion speedup: %.2fx (paper: 1.5x); sequential read speedup: %.2fx (paper: 2.5x)\n"
     (phase_speedup (fun p -> p.Microbench.insert_ns))
-    (phase_speedup (fun p -> p.Microbench.seq_read_ns))
+    (phase_speedup (fun p -> p.Microbench.seq_read_ns));
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Table III: cost factors                                             *)
 (* ------------------------------------------------------------------ *)
 
-let table3 () =
+let table3 keep =
   section "Table III: cost factors of the micro-benchmarks";
   let kernels = Twine_polybench.Kernels.all () in
   let wasm_bytes =
@@ -399,7 +468,7 @@ let table3 () =
   in
   let aot_ratio = 3707. /. 1155. in
   let launch_of ~heap_bytes ~code =
-    let machine = machine ~seed:"t3" () in
+    let machine = machine keep ~seed:"t3" () in
     let t0 = Machine.now_ns machine in
     let e = Enclave.create machine ~heap_bytes ~code () in
     ignore e;
@@ -462,7 +531,7 @@ let table3 () =
     aot_ratio
     (int_of_float (float_of_int wasm_bytes *. aot_ratio /. 1024.))
     (int_of_float (float_of_int wasm_bytes *. aot_ratio /. 1024.));
-  let machine = machine ~seed:"t3b" () in
+  let machine = machine keep ~seed:"t3b" () in
   let twine_enclave =
     Enclave.create machine ~heap_bytes:(205 * 1024 * 1024) ~code:Runtime.runtime_code ()
   in
@@ -472,13 +541,14 @@ let table3 () =
   Printf.printf "Enclave, memory [KiB, simulated]         -   %8d        -  %7d\n"
     (Enclave.size_bytes lkl_enclave / 1024)
     (Enclave.size_bytes twine_enclave / 1024);
-  Printf.printf "Disk image [KiB, modeled]                -     247552        -        -\n"
+  Printf.printf "Disk image [KiB, modeled]                -     247552        -        -\n";
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of the design choices DESIGN.md calls out                  *)
 (* ------------------------------------------------------------------ *)
 
-let ablate () =
+let ablate keep =
   section "Ablation: SQLite page-cache size (the Section V-D cache effect)";
   (* the paper: the in-file sequential-read knee tracks the page cache
      (8 MiB cache -> knee near 16 MiB; doubling the cache moves it) *)
@@ -486,7 +556,7 @@ let ablate () =
   hr ();
   List.iter
     (fun cache_pages ->
-      let machine = machine ~seed:"ablate-cache" ~epc_bytes:fig5_epc_bytes () in
+      let machine = machine keep ~seed:"ablate-cache" ~epc_bytes:fig5_epc_bytes () in
       let r =
         Microbench.sweep ~machine ~blob_bytes:fig5_blob ~rand_reads:1000
           ~cache_pages ~wasm_factor:2.5 Bench_db.Twine_rt Bench_db.File
@@ -503,7 +573,7 @@ let ablate () =
   hr ();
   List.iter
     (fun cache_nodes ->
-      let machine = machine ~seed:"ablate-nodes" () in
+      let machine = machine keep ~seed:"ablate-nodes" () in
       let enclave = Enclave.create machine ~code:"ipfs-abl" () in
       let fs =
         Twine_ipfs.Protected_fs.create enclave (Twine_ipfs.Backing.memory ())
@@ -547,13 +617,14 @@ let ablate () =
           Printf.printf "%-16s %12.1f %12.1f %12.1f %7.2fx\n" name
             (float_of_int n /. 1e3) (float_of_int i /. 1e3) (float_of_int a /. 1e3)
             (float_of_int i /. float_of_int (max 1 a)))
-    [ "gemm"; "atax"; "jacobi-2d"; "floyd-warshall"; "durbin"; "heat-3d" ]
+    [ "gemm"; "atax"; "jacobi-2d"; "floyd-warshall"; "durbin"; "heat-3d" ];
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_suite () =
+let bechamel_suite _keep =
   section "Wall-clock micro-benchmarks (Bechamel)";
   let open Bechamel in
   let open Toolkit in
@@ -623,7 +694,8 @@ let bechamel_suite () =
           | Some [ est ] -> Printf.printf "%-26s %13.0f ns\n" name est
           | _ -> Printf.printf "%-26s %16s\n" name "n/a")
         analysis)
-    tests
+    tests;
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry report: one WASI-heavy run through the full stack          *)
@@ -691,12 +763,31 @@ let report_wat =
         (drop (call $fd_close (local.get $fd)))
         (call $proc_exit (i32.const 0))))|}
 
-let report () =
-  section "Telemetry: per-run cost report (WASI file churn, 128 KiB EPC)";
-  let machine = machine ~seed:"report" ~epc_bytes:(32 * 4096) () in
+(* The gated report workload: `bench report` prints this run, and its
+   counters, fuel and ledger are the report.* gate. *)
+let report_gate keep =
+  let open Twine_obs in
+  let machine = machine keep ~seed:"report" ~epc_bytes:(32 * 4096) () in
   let rt = Runtime.create machine in
   Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
   let r = Runtime.run rt in
+  let obs = machine.Machine.obs in
+  ( (machine, r),
+    gated "report" machine
+      ([ exact "report.exit_code" r.Runtime.exit_code;
+         (* exact guest instruction count: deterministic in both engines,
+            so any drift is an engine regression that time bands would
+            miss *)
+         exact "report.fuel" r.Runtime.fuel;
+         banded "report.virtual_ns" (Machine.now_ns machine) ]
+      @ List.map
+          (fun k -> exact ("report." ^ k) (Obs.value obs k))
+          [ "sgx.ecall"; "sgx.ocall"; "wasi.hostcall"; "epc.fault"; "epc.hit";
+            "epc.evict"; "ipfs.cache.hit"; "ipfs.cache.miss" ]) )
+
+let report keep =
+  section "Telemetry: per-run cost report (WASI file churn, 128 KiB EPC)";
+  let (machine, r), _ = report_gate keep in
   Printf.printf "exit code %d, simulated time %.3f ms\n" r.Runtime.exit_code
     (float_of_int (Machine.now_ns machine) /. 1e6);
   print_newline ();
@@ -705,7 +796,8 @@ let report () =
   print_newline ();
   print_endline "-- JSON --";
   print_endline
-    (Twine_obs.Report.to_json ~ledger:(Machine.ledger machine) machine.Machine.obs)
+    (Twine_obs.Report.to_json ~ledger:(Machine.ledger machine) machine.Machine.obs);
+  passed
 
 (* ------------------------------------------------------------------ *)
 (* Guest profiler: hot functions + engine parity                       *)
@@ -740,32 +832,23 @@ let profile_ledger_file = "polybench-atax.ledger.json"
    the profiler's shadow stack joined to the machine ledger, so charges
    raised mid-kernel (EPC faults of the linear memory) attribute to the
    guest frame that caused them. *)
-let profiled_enclave_atax k =
-  let machine = machine ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
-  let enclave = Enclave.create machine ~heap_bytes:0 ~code:Runtime.runtime_code () in
-  let m, _lay = Twine_polybench.Kernel_dsl.comp_wasm k in
-  let inst = Twine_wasm.Interp.instantiate m in
-  ignore (Twine_wasm.Aot.compile_instance inst);
+let profiled_enclave_atax keep k =
+  let machine = machine keep ~seed:"fig3" ~epc_bytes:fig3_epc_bytes () in
+  let enclave, inst = enclave_kernel machine k in
   let prof = Twine_obs.Profile.create ~now:(fun () -> Machine.now_ns machine) () in
   Twine_obs.Profile.connect_ledger prof (Machine.ledger machine);
   inst.Twine_wasm.Instance.hooks <- Some (profile_hooks prof inst);
-  (match inst.Twine_wasm.Instance.memory with
-  | Some mem ->
-      let base = Enclave.reserve enclave (Twine_wasm.Memory.size_bytes mem) in
-      Runtime.install_memory_hook enclave ~base mem
-  | None -> ());
   Enclave.ecall enclave (fun _ -> ignore (Twine_wasm.Interp.invoke inst "kernel" []));
-  (machine, prof)
+  machine
 
 let write_ledger_json machine file =
-  let oc = open_out file in
-  output_string oc
-    (Twine_obs.Ledger.to_string
-       (Twine_obs.Ledger.snapshot (Machine.ledger machine)));
-  output_char oc '\n';
-  close_out oc
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        (Twine_obs.Ledger.to_string
+           (Twine_obs.Ledger.snapshot (Machine.ledger machine)));
+      output_char oc '\n')
 
-let profile_section () =
+let profile_section keep =
   section "Guest profiler: calling-context attribution (CCT + folded stacks)";
   let k =
     match
@@ -790,9 +873,15 @@ let profile_section () =
   print_string (Twine_obs.Report.profile_table prof_a);
   Twine_obs.Trace_export.folded_to_file prof_a profile_folded_file;
   Printf.printf "folded stacks -> %s\n" profile_folded_file;
+  (* the kernel's own frame, named through the module's name section *)
+  let kernel_frame =
+    List.exists
+      (String.starts_with ~prefix:"kernel ")
+      (String.split_on_char '\n' (Twine_obs.Trace_export.folded prof_a))
+  in
   (* the WASI-heavy report workload, profiled through the runtime: shows
      hostcall time attributed to the calling guest frame *)
-  let machine = machine ~seed:"report" ~epc_bytes:(32 * 4096) () in
+  let machine = machine keep ~seed:"report" ~epc_bytes:(32 * 4096) () in
   let rt = Runtime.create machine in
   Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
   let prof =
@@ -808,15 +897,14 @@ let profile_section () =
        (Twine_obs.Ledger.snapshot (Machine.ledger machine)));
   (* the enclave-hosted kernel: same attribution machinery under EPC
      pressure, exported as machine-readable ledger JSON for CI *)
-  let lm, lprof = profiled_enclave_atax k in
+  let lm = profiled_enclave_atax keep k in
   Printf.printf "\natax in-enclave (EPC %d KiB):\n" (fig3_epc_bytes / 1024);
   print_string (Twine_obs.Ledger.render ~title:"atax cycle ledger" (Machine.ledger lm));
   print_string
     (Twine_obs.Ledger.render_matrix (Twine_obs.Ledger.snapshot (Machine.ledger lm)));
-  ignore lprof;
   write_ledger_json lm profile_ledger_file;
   Printf.printf "ledger JSON -> %s\n" profile_ledger_file;
-  laws
+  { laws; failed = unless kernel_frame "folded stacks: no line for the kernel frame" }
 
 (* ------------------------------------------------------------------ *)
 (* Crash matrix: fault injection + crash-point recovery                *)
@@ -853,8 +941,8 @@ let crash_select = "SELECT id, v FROM t ORDER BY id"
 
 (* Build the stack over [backing]; small caches so pager and node-cache
    evictions (and hence mid-transaction in-place writes) happen. *)
-let crash_stack backing =
-  let machine = machine ~seed:crash_seed () in
+let crash_stack keep backing =
+  let machine = machine keep ~seed:crash_seed () in
   let enclave =
     Enclave.create machine ~signer:"crash" ~heap_bytes:(2 * 1024 * 1024)
       ~code:Runtime.runtime_code ()
@@ -886,12 +974,12 @@ let replay_backing log ~at ~torn =
       | Twine_sim.Crashpoint.Sync _ -> ());
   b
 
-let crash_section () =
+let crash_section keep =
   section "Crash matrix: every backing-op prefix, recover, verify";
   (* 1. record the workload *)
   let log = Twine_sim.Crashpoint.create () in
   let backing = Twine_ipfs.Backing.logged log (Twine_ipfs.Backing.memory ()) in
-  let machine, db = crash_stack backing in
+  let machine, db = crash_stack keep backing in
   ignore (Twine_sqldb.Db.exec db "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)");
   let snapshots = ref [ (Twine_sim.Crashpoint.length log, Some []) ] in
   List.iter
@@ -916,7 +1004,7 @@ let crash_section () =
   let verify ~torn at =
     match
       let b = replay_backing log ~at ~torn in
-      let m2, db2 = crash_stack b in
+      let m2, db2 = crash_stack keep b in
       let got = crash_query db2 in
       Twine_sqldb.Db.close db2;
       (got, Twine_obs.Ledger.ns (Machine.ledger m2) "ipfs.recovery")
@@ -955,29 +1043,25 @@ let crash_section () =
     verify ~torn:false at;
     if at < n_ops then verify ~torn:true at
   done;
-  Printf.printf
-    "replayed %d crash point(s) (+%d torn): all recovered to a transaction \
-     boundary\n"
-    (n_ops + 1) n_ops;
+  let failures = List.rev !failures in
+  Printf.printf "replayed %d crash point(s) (+%d torn): %s\n" (n_ops + 1) n_ops
+    (if failures = [] then "all recovered to a transaction boundary"
+     else
+       Printf.sprintf "%d did not recover to a transaction boundary"
+         (List.length failures));
   Printf.printf "journal rollbacks: %d, worst recovery cost %.1f us\n"
     !recoveries
     (float_of_int !max_recovery_ns /. 1e3);
-  if !failures <> [] then begin
-    let oc = open_out "crash-failures.txt" in
-    Printf.fprintf oc "seed: %s\nworkload:\n" crash_seed;
-    List.iter (fun sql -> Printf.fprintf oc "  %s\n" sql) crash_workload;
-    List.iter
-      (fun (at, torn, desc) ->
-        Printf.fprintf oc "cut %d%s: recovered to NON-boundary state (%s)\n" at
-          (if torn then " (torn)" else "")
-          desc)
-      (List.rev !failures);
-    close_out oc;
-    Printf.printf
-      "CRASH MATRIX FAILED: %d bad crash point(s); plan in crash-failures.txt\n"
-      (List.length !failures);
-    exit 1
-  end;
+  if failures <> [] then
+    Out_channel.with_open_text "crash-failures.txt" (fun oc ->
+        Printf.fprintf oc "seed: %s\nworkload:\n" crash_seed;
+        List.iter (fun sql -> Printf.fprintf oc "  %s\n" sql) crash_workload;
+        List.iter
+          (fun (at, torn, desc) ->
+            Printf.fprintf oc "cut %d%s: recovered to NON-boundary state (%s)\n" at
+              (if torn then " (torn)" else "")
+              desc)
+          failures);
   (* 3. fault-plan determinism: same seed => same injections, same books *)
   let plan =
     Twine_sim.Fault.plan ~seed:crash_seed
@@ -989,7 +1073,7 @@ let crash_section () =
       ]
   in
   let injected_run () =
-    let machine, db = crash_stack (Twine_ipfs.Backing.memory ()) in
+    let machine, db = crash_stack keep (Twine_ipfs.Backing.memory ()) in
     Machine.arm_faults machine plan;
     ignore (Twine_sqldb.Db.exec db "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)");
     List.iter (fun sql -> ignore (Twine_sqldb.Db.exec db sql)) crash_workload;
@@ -1001,22 +1085,26 @@ let crash_section () =
   in
   let inj1, books1, m1 = injected_run () in
   let inj2, books2, _ = injected_run () in
-  if inj1 <> inj2 || books1 <> books2 then begin
+  let deterministic = inj1 = inj2 && books1 = books2 in
+  if deterministic then
     Printf.printf
-      "FAULT PLAN NOT DETERMINISTIC: %d vs %d injection(s), books %s\n"
-      (List.length inj1) (List.length inj2)
-      (if books1 = books2 then "equal" else "differ");
-    exit 1
-  end;
-  Printf.printf
-    "fault plan '%s': %d injection(s), identical sequence and ledger across \
-     two runs\n"
-    crash_seed (List.length inj1);
+      "fault plan '%s': %d injection(s), identical sequence and ledger across \
+       two runs\n"
+      crash_seed (List.length inj1);
   List.iter
     (fun acct ->
       let ns = Twine_obs.Ledger.ns (Machine.ledger m1) acct in
       if ns > 0 then Printf.printf "  %-22s %8d ns booked under injection\n" acct ns)
-    [ "fault.backing.write"; "fault.backing.read" ]
+    [ "fault.backing.write"; "fault.backing.read" ];
+  { laws = [];
+    failed =
+      unless (failures = [])
+        (Printf.sprintf "crash matrix: %d bad crash point(s); plan in crash-failures.txt"
+           (List.length failures))
+      @ unless deterministic
+          (Printf.sprintf "fault plan '%s': %d vs %d injection(s), books %s" crash_seed
+             (List.length inj1) (List.length inj2)
+             (if books1 = books2 then "equal" else "differ")) }
 
 (* ------------------------------------------------------------------ *)
 (* serve: a multi-enclave serving fleet on one shared EPC              *)
@@ -1052,33 +1140,102 @@ let serve_gated_config =
     slo = Some serve_slo_spec;
   }
 
-let serve_section () =
+(* The fast and the slow burn-rate alerts an SLO evaluation fired. *)
+let alert_counts (ev : Twine_obs.Slo.eval) =
+  List.fold_left
+    (fun (f, sl) a ->
+      match a.Twine_obs.Slo.al_kind with `Fast -> (f + 1, sl) | `Slow -> (f, sl + 1))
+    (0, 0) ev.Twine_obs.Slo.ev_alerts
+
+(* The gated 100k-request operating point: `bench serve` prints this run. *)
+let serve_gate keep =
+  let open Twine_obs in
+  let open Twine_serve in
+  let s = Serve.run serve_gated_config in
+  keep s.Serve.machine;
+  let sql (e : Twine_sqldb.Sqlstat.entry) =
+    let open Twine_sqldb in
+    let pfx = "serve.sql." ^ e.Sqlstat.sq_label ^ "." in
+    [ exact (pfx ^ "count") e.Sqlstat.sq_count;
+      exact (pfx ^ "rows") e.Sqlstat.sq_rows;
+      banded (pfx ^ "exec_ns") e.Sqlstat.sq_exec_ns;
+      banded (pfx ^ "pager_ns") e.Sqlstat.sq_pager_ns;
+      banded (pfx ^ "p99_ns") (Sqlstat.quantile_ns e 0.99) ]
+  in
+  let slo =
+    match s.Serve.slo with
+    | None -> []  (* the serve.slo.* metrics go missing: `bench check` fails *)
+    | Some (_, ev) ->
+        let fast, slow = alert_counts ev in
+        [ exact "serve.slo.violated" (if ev.Slo.ev_violated then 1 else 0);
+          banded "serve.slo.windows" ev.Slo.ev_windows;
+          banded "serve.slo.violating_windows" (List.length ev.Slo.ev_violations);
+          banded "serve.slo.overs" ev.Slo.ev_overs;
+          banded "serve.slo.burn_x1000" ev.Slo.ev_burn_x1000;
+          banded "serve.slo.fast_alerts" fast;
+          banded "serve.slo.slow_alerts" slow ]
+  in
+  let per_enclave what l =
+    List.map
+      (fun (eid, n) -> banded (Printf.sprintf "serve.enclave.e%d.%s" eid what) n)
+      l
+  in
+  ( s,
+    gated "serve" s.Serve.machine
+      ([ exact "serve.requests" s.Serve.requests;
+         banded "serve.p50_ns" s.Serve.p50_ns;
+         banded "serve.p99_ns" s.Serve.p99_ns;
+         banded "serve.throughput_rps" (int_of_float s.Serve.throughput_rps);
+         banded "serve.batches" s.Serve.batches;
+         banded "serve.ecalls" s.Serve.ecalls;
+         banded "serve.transitions_per_request_x1000"
+           (int_of_float (s.Serve.transitions_per_request *. 1000.));
+         banded "serve.epc_faults" s.Serve.epc_faults;
+         banded "serve.epc_evictions" s.Serve.epc_evictions;
+         (* per-request attribution: the residue is pinned at exactly
+            zero — the conservation invariant of the ledger-slicing layer *)
+         exact "serve.blame.residue_ns" (Audit.residue (Serve.attribution s));
+         banded "serve.blame.attributed_ns" s.Serve.attributed_ns;
+         banded "serve.blame.unattributed_ns" s.Serve.unattributed_ns;
+         banded "serve.blame.cross_refaults" s.Serve.cross_refaults;
+         banded "serve.sampler.samples" s.Serve.sampler_samples;
+         banded "serve.sampler.queue_depth_hwm" s.Serve.queue_depth_hwm ]
+      (* fleet query-stats registry: one entry per statement shape, counts
+         and rows exact, cycle totals and sketch quantiles banded *)
+      @ List.concat_map sql (Twine_sqldb.Sqlstat.entries s.Serve.sqlstats_fleet)
+      (* the streaming SLO plane at the same operating point: the sketch
+         estimates ride the exact percentiles' 2% band (their alpha is
+         tighter than that), the verdict is pinned exactly *)
+      @ [ banded "serve.slo.sketch_p50_ns" s.Serve.sketch_p50_ns;
+          banded "serve.slo.sketch_p99_ns" s.Serve.sketch_p99_ns ]
+      @ slo
+      @ per_enclave "evictions" s.Serve.evictions_by_enclave
+      @ per_enclave "queue_hwm" s.Serve.queue_depth_hwm_by_enclave) )
+
+let serve_section keep =
   let open Twine_serve in
   section "serve: multi-enclave fleet, shared EPC, ECALL batching";
-  let stats = Serve.run serve_gated_config in
+  let stats, _ = serve_gate keep in
   print_string (Serve.render stats);
   (* The sketch's advertised guarantee, checked against ground truth:
      retained mode computes exact nearest-rank percentiles over every
      latency, and the mergeable sketch the --stream mode relies on must
      land within alpha relative error of them (+1 ns for integer
      rounding at tiny values). *)
-  let check_alpha name exact est =
+  let within_alpha name exact est =
     let bound =
       int_of_float (Twine_obs.Sketch.alpha *. float_of_int exact) + 1
     in
+    let ok = abs (est - exact) <= bound in
     Printf.printf
-      "  sketch %s %d ns vs exact %d ns (|delta| %d <= alpha bound %d)\n" name
-      est exact (abs (est - exact)) bound;
-    if abs (est - exact) > bound then begin
-      Printf.printf "SKETCH %s OUTSIDE ALPHA OF EXACT\n"
-        (String.uppercase_ascii name);
-      exit 1
-    end
+      "  sketch %s %d ns vs exact %d ns (|delta| %d %s alpha bound %d)\n" name
+      est exact (abs (est - exact)) (if ok then "<=" else ">") bound;
+    unless ok (Printf.sprintf "sketch %s outside alpha of exact" name)
   in
   Printf.printf "\nsketch vs exact percentiles (alpha = %.5f):\n"
     Twine_obs.Sketch.alpha;
-  check_alpha "p50" stats.Serve.p50_ns stats.Serve.sketch_p50_ns;
-  check_alpha "p99" stats.Serve.p99_ns stats.Serve.sketch_p99_ns;
+  let p50 = within_alpha "p50" stats.Serve.p50_ns stats.Serve.sketch_p50_ns in
+  let p99 = within_alpha "p99" stats.Serve.p99_ns stats.Serve.sketch_p99_ns in
   print_newline ();
   print_string (Serve.render_blame ~top:5 stats);
   Printf.printf
@@ -1159,14 +1316,7 @@ let serve_section () =
             | Some ns -> Printf.sprintf "%.1f" (float_of_int ns /. 1e6)
             | None -> "-"
           in
-          let fast, slow =
-            List.fold_left
-              (fun (f, sl) a ->
-                match a.al_kind with
-                | `Fast -> (f + 1, sl)
-                | `Slow -> (f, sl + 1))
-              (0, 0) ev.ev_alerts
-          in
+          let fast, slow = alert_counts ev in
           Printf.printf "  %-9d %10d %9d %10.1fx %12s %14s %14s\n" enclaves
             ev.ev_windows
             (List.length ev.ev_violations)
@@ -1194,17 +1344,15 @@ let serve_section () =
   Printf.printf
     "  batch <= 16: %6d ecalls, %5d ns/request in sgx.transition.ecall\n"
     batched.Serve.ecalls (per_req batched);
-  if per_req batched >= per_req unbatched then begin
-    Printf.printf "BATCHING DID NOT AMORTISE TRANSITIONS\n";
-    exit 1
-  end;
   Printf.printf "\nwhere the batched run's time moved (vs unbatched):\n";
   print_string
     (Twine_obs.Ledger.render_diff ~top:8 ~base:unbatched.Serve.ledger
        ~current:batched.Serve.ledger ());
-  let runs = stats :: unbatched :: batched :: List.map snd cliff_runs in
+  let runs = unbatched :: batched :: List.map snd cliff_runs in
   List.iter (fun s -> keep s.Serve.machine) runs;
-  List.map Serve.attribution runs
+  let amortised = per_req batched < per_req unbatched in
+  { laws = List.map Serve.attribution (stats :: runs);
+    failed = p50 @ p99 @ unless amortised "batching did not amortise transitions" }
 
 (* ------------------------------------------------------------------ *)
 (* chaos: fault-tolerant serving under seeded fault schedules          *)
@@ -1244,19 +1392,41 @@ let chaos_gated_config =
 
 let chaos_availability_pct ppm = (ppm / 10_000, ppm mod 10_000)
 
-let chaos_section () =
+(* The gated chaos operating point: crash + capped transient entry
+   faults, deadlines, retries, depth shedding. The extended conservation
+   law — requests + idle + failover = booked — is pinned at exactly
+   zero; the crash rule fires once, so the failover count is exact too.
+   `bench chaos` prints this run. *)
+let chaos_gate keep =
+  let open Twine_obs in
+  let open Twine_serve in
+  let s = Serve.run chaos_gated_config in
+  keep s.Serve.machine;
+  ( s,
+    gated "chaos" s.Serve.machine
+      [ exact "serve.chaos.residue_ns"
+          (Audit.residue (Serve.attribution s));
+        exact "serve.chaos.failovers" s.Serve.failovers;
+        banded "serve.chaos.goodput_rps" (int_of_float s.Serve.goodput_rps);
+        banded "serve.chaos.availability_ppm" s.Serve.availability_ppm;
+        banded "serve.chaos.served" s.Serve.served;
+        banded "serve.chaos.shed" s.Serve.shed;
+        banded "serve.chaos.timed_out" s.Serve.timed_out;
+        banded "serve.chaos.failed" s.Serve.failed;
+        banded "serve.chaos.retries" s.Serve.retries;
+        banded "serve.chaos.recovery_p99_ns" s.Serve.recovery_p99_ns;
+        banded "serve.chaos.failover_ns" s.Serve.failover_ns;
+        banded "serve.chaos.p99_ns" s.Serve.p99_ns ] )
+
+let chaos_section keep =
   let open Twine_serve in
   section "chaos: seeded fault schedules, failover, retry, shedding";
   Printf.printf "schedule: %s\n" (Twine_sim.Chaos.render chaos_gated_spec);
   Printf.printf
     "(armed for the serving phase only; activation windows are relative to \
      the phase start)\n\n";
-  let stats = Serve.run chaos_gated_config in
+  let stats, _ = chaos_gate keep in
   print_string (Serve.render stats);
-  if stats.Serve.failovers < 1 || stats.Serve.goodput_rps <= 0. then begin
-    Printf.printf "CHAOS RUN DID NOT EXERCISE FAILOVER\n";
-    exit 1
-  end;
   print_newline ();
   print_string (Serve.render_blame ~top:5 stats);
   hr ();
@@ -1267,21 +1437,20 @@ let chaos_section () =
   let streamed =
     Serve.run { chaos_gated_config with Serve.retain_requests = false }
   in
-  let check name a b =
-    if a <> b then begin
-      Printf.printf "CHAOS %s NOT BYTE-IDENTICAL\n" name;
-      exit 1
-    end
+  let differing =
+    List.filter_map
+      (fun (name, a, b) -> if a = b then None else Some (name ^ " not byte-identical"))
+      [ ("replay request trace", Serve.render_requests stats,
+         Serve.render_requests again);
+        ("replay SLO artifact", Serve.render_slo stats, Serve.render_slo again);
+        ("streamed SLO artifact", Serve.render_slo stats,
+         Serve.render_slo streamed) ]
   in
-  check "REPLAY REQUEST TRACE" (Serve.render_requests stats)
-    (Serve.render_requests again);
-  check "REPLAY SLO ARTIFACT" (Serve.render_slo stats) (Serve.render_slo again);
-  check "STREAMED SLO ARTIFACT" (Serve.render_slo stats)
-    (Serve.render_slo streamed);
-  Printf.printf
-    "replay determinism: request trace and %s artifact byte-identical across \
-     two retained runs and one --stream run\n"
-    Serve.slo_schema;
+  if differing = [] then
+    Printf.printf
+      "replay determinism: request trace and %s artifact byte-identical across \
+       two retained runs and one --stream run\n"
+      Serve.slo_schema;
   hr ();
   (* Availability vs fault rate x fleet size at the §V-D cliff EPC: how
      much goodput the deadline/retry/failover machinery preserves as
@@ -1329,22 +1498,11 @@ let chaos_section () =
     "\n(every run keeps the zero-residue conservation law: requests + idle + \
      failover = serving-phase booked time; the crash rule fires once per \
      run, the transient rate scales retry pressure)\n";
-  let runs = stats :: again :: streamed :: sweep in
+  let runs = again :: streamed :: sweep in
   List.iter (fun s -> keep s.Serve.machine) runs;
-  List.map Serve.attribution runs
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable baseline: `bench json` / `bench check`             *)
-(* ------------------------------------------------------------------ *)
-
-(* Every metric below is produced on the virtual clock from fixed seeds
-   and a pinned Wasm slowdown factor, so a healthy tree reproduces the
-   committed values exactly; the tolerance bands absorb benign drift
-   when the cost model is retuned deliberately. PolyBench wall-clock
-   metrics carry no band ([tol] omitted): they are recorded for trend
-   inspection but never gate, since CI hardware varies. *)
-
-let baseline_wasm_factor = 2.5
+  let failed_over = stats.Serve.failovers >= 1 && stats.Serve.goodput_rps > 0. in
+  { laws = List.map Serve.attribution (stats :: runs);
+    failed = unless failed_over "chaos run did not exercise failover" @ differing }
 
 (* ------------------------------------------------------------------ *)
 (* sql: per-operator query observability (EXPLAIN ANALYZE)             *)
@@ -1364,8 +1522,8 @@ let sql_shapes =
 
 let sql_rows = 400
 
-let sql_setup () =
-  let machine = machine ~seed:"sql" () in
+let sql_setup keep =
+  let machine = machine keep ~seed:"sql" () in
   let t =
     Bench_db.create ~machine ~cache_pages:64 ~wasm_factor:baseline_wasm_factor
       Bench_db.Twine_rt Bench_db.File
@@ -1388,12 +1546,12 @@ let sql_setup () =
     (t.Bench_db.ns_per_work *. t.Bench_db.wasm_factor);
   t
 
-let sql_section () =
+let sql_section keep =
   let open Twine_sqldb in
   section "sql: per-operator query observability (EXPLAIN ANALYZE)";
-  let t = sql_setup () in
-  let audits =
-    List.map
+  let t = sql_setup keep in
+  let laws, failed =
+    List.partition_map
       (fun (name, sql) ->
         Printf.printf "\n%s: EXPLAIN ANALYZE %s\n" name sql;
         let r = Bench_db.exec t ("EXPLAIN ANALYZE " ^ sql) in
@@ -1406,10 +1564,8 @@ let sql_section () =
         | Some p ->
             let a = Db.audit p in
             Printf.printf "  %s\n" (Twine_obs.Audit.render a);
-            a
-        | None ->
-            Printf.printf "NO PROFILE RECORDED FOR %s\n" name;
-            exit 1)
+            Either.Left a
+        | None -> Either.Right (name ^ ": no profile recorded"))
       sql_shapes
   in
   hr ();
@@ -1427,260 +1583,124 @@ let sql_section () =
       Printf.printf "  %s\n    -> %s\n" sql (Sqlstat.fingerprint sql))
     sql_shapes;
   Bench_db.close t;
-  audits
+  { laws; failed }
 
-let collect_baseline () =
+(* The serve shapes as plain statements, every operator pinned exactly;
+   a shape with no profile leaves its metrics missing from the run. *)
+let sql_gate () =
   let open Twine_obs in
-  let metrics = ref [] in
-  let put m = metrics := m :: !metrics in
-  (* Gate the ledger itself: every account's booked total (band 2%, like
-     the other virtual-clock metrics) and the audit residue at exactly
-     zero, so any charge site that stops booking fails `bench check`. *)
-  let put_ledger group machine =
-    let l = Machine.ledger machine in
-    let snap = Ledger.snapshot l in
-    let pfx = "ledger." ^ group ^ "." in
-    put (Baseline.v ~tol:0.0 (pfx ^ "residue_ns") (Audit.residue (Ledger.audit l)));
-    put (Baseline.v ~tol:0.02 (pfx ^ "elapsed_ns") snap.Ledger.elapsed_ns);
-    List.iter
-      (fun (name, e) -> put (Baseline.v ~tol:0.02 (pfx ^ name) e.Ledger.ns))
-      snap.Ledger.accounts;
-    (group, snap)
+  let open Twine_sqldb in
+  let t = sql_setup ignore in
+  let shapes =
+    List.filter_map
+      (fun (name, sql) ->
+        let r = Bench_db.exec t sql in
+        Option.map
+          (fun p ->
+            let pfx = "sqldb." ^ name ^ "." in
+            ( Db.audit p,
+              [ exact (pfx ^ "rows") (List.length r.Db.rows);
+                exact (pfx ^ "total_work") p.Db.pr_total_work;
+                exact (pfx ^ "overhead_work") p.Db.pr_overhead_work ]
+              @ List.concat_map
+                  (fun (o : Db.opstat) ->
+                    let opfx = Printf.sprintf "%sop.%s." pfx o.Db.os_name in
+                    [ exact (opfx ^ "work") o.Db.os_work;
+                      exact (opfx ^ "rows_out") o.Db.os_rows_out ])
+                  p.Db.pr_ops ))
+          (Db.last_profile t.Bench_db.db))
+      sql_shapes
   in
-  (* -- the report workload: every instrumented layer in one run -- *)
-  let report_snap =
-    let machine = Machine.create ~seed:"report" ~epc_bytes:(32 * 4096) () in
-    let rt = Runtime.create machine in
-    Runtime.deploy rt (Twine_wasm.Wat.parse report_wat);
-    let r = Runtime.run rt in
-    let obs = machine.Machine.obs in
-    put (Baseline.v ~tol:0.0 "report.exit_code" r.Runtime.exit_code);
-    (* exact guest instruction count: deterministic in both engines, so
-       any drift is an engine regression that time bands would miss *)
-    put (Baseline.v ~tol:0.0 "report.fuel" r.Runtime.fuel);
-    put (Baseline.v ~tol:0.02 "report.virtual_ns" (Machine.now_ns machine));
-    List.iter
-      (fun k -> put (Baseline.v ~tol:0.0 ("report." ^ k) (Twine_obs.Obs.value obs k)))
-      [ "sgx.ecall"; "sgx.ocall"; "wasi.hostcall"; "epc.fault"; "epc.hit";
-        "epc.evict"; "ipfs.cache.hit"; "ipfs.cache.miss" ];
-    put_ledger "report" machine
+  let residue = List.fold_left (fun acc (a, _) -> acc + abs (Audit.residue a)) 0 shapes in
+  let obs = Bench_db.obs t in
+  let g =
+    gated "sql" t.Bench_db.machine
+      (List.concat_map snd shapes
+      @ exact "sqldb.op.residue_ns" residue
+        :: List.map
+             (fun k -> exact ("sqldb.plan." ^ k) (Obs.value obs ("sqldb.plan." ^ k)))
+             [ "full_scan"; "rowid_range"; "index_range"; "fallback" ])
   in
-  (* -- SQLite micro-benchmark sweep, TWINE variant on a file DB -- *)
-  let micro_snap =
-    let machine = Machine.create ~seed:"baseline" () in
-    let s =
-      Microbench.sweep ~machine ~wasm_factor:baseline_wasm_factor ~rand_reads:300
-        ~cache_pages:64 Bench_db.Twine_rt Bench_db.File ~sizes:[ 500; 1500 ] ()
+  Bench_db.close t;
+  g
+
+(* ------------------------------------------------------------------ *)
+(* The gate-only workloads and the list of every gate                  *)
+(* ------------------------------------------------------------------ *)
+
+(* SQLite micro-benchmark sweep, TWINE variant on a file DB *)
+let micro_gate () =
+  let machine = Machine.create ~seed:"baseline" () in
+  let s =
+    Microbench.sweep ~machine ~wasm_factor:baseline_wasm_factor ~rand_reads:300
+      ~cache_pages:64 Bench_db.Twine_rt Bench_db.File ~sizes:[ 500; 1500 ] ()
+  in
+  gated "micro" machine
+    (List.concat_map
+       (fun p ->
+         let pfx = Printf.sprintf "micro.twine.file.%d." p.Microbench.records in
+         [ banded (pfx ^ "insert_ns") p.Microbench.insert_ns;
+           banded (pfx ^ "seq_read_ns") p.Microbench.seq_read_ns;
+           banded (pfx ^ "rand_read_ns") p.Microbench.rand_read_ns ])
+       s.Microbench.points)
+
+(* protected-FS breakdown, stock vs optimised (§V-F) *)
+let ipfs_gate () =
+  let metrics (name, variant) =
+    let b =
+      Microbench.ipfs_breakdown ~records:800 ~blob_bytes:256 ~samples:500
+        ~wasm_factor:baseline_wasm_factor variant
     in
-    List.iter
-      (fun p ->
-        let pfx = Printf.sprintf "micro.twine.file.%d." p.Microbench.records in
-        put (Baseline.v ~tol:0.02 (pfx ^ "insert_ns") p.Microbench.insert_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "seq_read_ns") p.Microbench.seq_read_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "rand_read_ns") p.Microbench.rand_read_ns))
-      s.Microbench.points;
-    put_ledger "micro" machine
+    let v part = banded ("ipfs." ^ name ^ "." ^ part) in
+    [ v "total_ns" b.Microbench.total_ns; v "memset_ns" b.Microbench.memset_ns;
+      v "ocall_ns" b.Microbench.ocall_ns; v "read_ns" b.Microbench.read_ns;
+      v "sqlite_ns" b.Microbench.sqlite_ns ]
   in
-  (* -- serving fleet: the gated 100k-request operating point -- *)
-  let serve_snap =
-    let s = Twine_serve.Serve.run serve_gated_config in
-    let open Twine_serve in
-    put (Baseline.v ~tol:0.0 "serve.requests" s.Serve.requests);
-    put (Baseline.v ~tol:0.02 "serve.p50_ns" s.Serve.p50_ns);
-    put (Baseline.v ~tol:0.02 "serve.p99_ns" s.Serve.p99_ns);
-    put (Baseline.v ~tol:0.02 "serve.throughput_rps"
-           (int_of_float s.Serve.throughput_rps));
-    put (Baseline.v ~tol:0.02 "serve.batches" s.Serve.batches);
-    put (Baseline.v ~tol:0.02 "serve.ecalls" s.Serve.ecalls);
-    put (Baseline.v ~tol:0.02 "serve.transitions_per_request_x1000"
-           (int_of_float (s.Serve.transitions_per_request *. 1000.)));
-    put (Baseline.v ~tol:0.02 "serve.epc_faults" s.Serve.epc_faults);
-    put (Baseline.v ~tol:0.02 "serve.epc_evictions" s.Serve.epc_evictions);
-    (* per-request attribution: the residue is pinned at exactly zero —
-       the conservation invariant of the ledger-slicing layer *)
-    put (Baseline.v ~tol:0.0 "serve.blame.residue_ns"
-           (Audit.residue (Serve.attribution s)));
-    put (Baseline.v ~tol:0.02 "serve.blame.attributed_ns" s.Serve.attributed_ns);
-    put (Baseline.v ~tol:0.02 "serve.blame.unattributed_ns"
-           s.Serve.unattributed_ns);
-    put (Baseline.v ~tol:0.02 "serve.blame.cross_refaults" s.Serve.cross_refaults);
-    put (Baseline.v ~tol:0.02 "serve.sampler.samples" s.Serve.sampler_samples);
-    put (Baseline.v ~tol:0.02 "serve.sampler.queue_depth_hwm"
-           s.Serve.queue_depth_hwm);
-    (* fleet query-stats registry: one entry per statement shape, counts
-       and rows exact, cycle totals and sketch quantiles banded *)
-    List.iter
-      (fun (e : Twine_sqldb.Sqlstat.entry) ->
-        let open Twine_sqldb in
-        let pfx = "serve.sql." ^ e.Sqlstat.sq_label ^ "." in
-        put (Baseline.v ~tol:0.0 (pfx ^ "count") e.Sqlstat.sq_count);
-        put (Baseline.v ~tol:0.0 (pfx ^ "rows") e.Sqlstat.sq_rows);
-        put (Baseline.v ~tol:0.02 (pfx ^ "exec_ns") e.Sqlstat.sq_exec_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "pager_ns") e.Sqlstat.sq_pager_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "p99_ns") (Sqlstat.quantile_ns e 0.99)))
-      (Twine_sqldb.Sqlstat.entries s.Serve.sqlstats_fleet);
-    (* the streaming SLO plane at the same operating point: the sketch
-       estimates ride the exact percentiles' 2% band (their alpha is
-       tighter than that), the verdict is pinned exactly *)
-    put (Baseline.v ~tol:0.02 "serve.slo.sketch_p50_ns" s.Serve.sketch_p50_ns);
-    put (Baseline.v ~tol:0.02 "serve.slo.sketch_p99_ns" s.Serve.sketch_p99_ns);
-    (match s.Serve.slo with
-    | None -> failwith "bench: gated serve config lost its SLO"
-    | Some (_, ev) ->
-        let open Twine_obs.Slo in
-        let fast, slow =
-          List.fold_left
-            (fun (f, sl) a ->
-              match a.al_kind with `Fast -> (f + 1, sl) | `Slow -> (f, sl + 1))
-            (0, 0) ev.ev_alerts
-        in
-        put (Baseline.v ~tol:0.0 "serve.slo.violated"
-               (if ev.ev_violated then 1 else 0));
-        put (Baseline.v ~tol:0.02 "serve.slo.windows" ev.ev_windows);
-        put (Baseline.v ~tol:0.02 "serve.slo.violating_windows"
-               (List.length ev.ev_violations));
-        put (Baseline.v ~tol:0.02 "serve.slo.overs" ev.ev_overs);
-        put (Baseline.v ~tol:0.02 "serve.slo.burn_x1000" ev.ev_burn_x1000);
-        put (Baseline.v ~tol:0.02 "serve.slo.fast_alerts" fast);
-        put (Baseline.v ~tol:0.02 "serve.slo.slow_alerts" slow));
-    List.iter
-      (fun (eid, v) ->
-        put
-          (Baseline.v ~tol:0.02
-             (Printf.sprintf "serve.enclave.e%d.evictions" eid)
-             v))
-      s.Serve.evictions_by_enclave;
-    List.iter
-      (fun (eid, v) ->
-        put
-          (Baseline.v ~tol:0.02
-             (Printf.sprintf "serve.enclave.e%d.queue_hwm" eid)
-             v))
-      s.Serve.queue_depth_hwm_by_enclave;
-    put_ledger "serve" s.Serve.machine
+  { group = "ipfs"; snap = None;
+    metrics =
+      List.concat_map metrics
+        [ ("stock", Twine_ipfs.Protected_fs.Stock);
+          ("optimized", Twine_ipfs.Protected_fs.Optimized) ] }
+
+(* PolyBench wall-clock spot checks (informational only) *)
+let polybench_gate () =
+  let open Twine_polybench in
+  let metrics k =
+    let n = Suite.run_native k in
+    let w = Suite.run_wasm ~engine:`Aot k in
+    let pfx = "polybench." ^ k.Kernel_dsl.name ^ "." in
+    [ Twine_obs.Baseline.v (pfx ^ "native_wall_ns") n.Suite.wall_ns;
+      Twine_obs.Baseline.v (pfx ^ "aot_wall_ns") w.Suite.wall_ns;
+      (* exact: instruction totals are deterministic and engine-equal *)
+      exact (pfx ^ "fuel") w.Suite.fuel ]
   in
-  (* -- chaos: the fault-injected operating point (crash + capped
-     transient entry faults, deadlines, retries, depth shedding). The
-     extended conservation law — requests + idle + failover = booked —
-     is pinned at exactly zero; the crash rule fires once, so the
-     failover count is exact too. -- *)
-  let chaos_snap =
-    let s = Twine_serve.Serve.run chaos_gated_config in
-    let open Twine_serve in
-    put (Baseline.v ~tol:0.0 "serve.chaos.residue_ns"
-           (Audit.residue (Serve.attribution s)));
-    put (Baseline.v ~tol:0.0 "serve.chaos.failovers" s.Serve.failovers);
-    put (Baseline.v ~tol:0.02 "serve.chaos.goodput_rps"
-           (int_of_float s.Serve.goodput_rps));
-    put (Baseline.v ~tol:0.02 "serve.chaos.availability_ppm"
-           s.Serve.availability_ppm);
-    put (Baseline.v ~tol:0.02 "serve.chaos.served" s.Serve.served);
-    put (Baseline.v ~tol:0.02 "serve.chaos.shed" s.Serve.shed);
-    put (Baseline.v ~tol:0.02 "serve.chaos.timed_out" s.Serve.timed_out);
-    put (Baseline.v ~tol:0.02 "serve.chaos.failed" s.Serve.failed);
-    put (Baseline.v ~tol:0.02 "serve.chaos.retries" s.Serve.retries);
-    put (Baseline.v ~tol:0.02 "serve.chaos.recovery_p99_ns"
-           s.Serve.recovery_p99_ns);
-    put (Baseline.v ~tol:0.02 "serve.chaos.failover_ns" s.Serve.failover_ns);
-    put (Baseline.v ~tol:0.02 "serve.chaos.p99_ns" s.Serve.p99_ns);
-    put_ledger "chaos" s.Serve.machine
-  in
-  (* -- per-operator query observability: the serve shapes' operator
-     trees, every op's self-work pinned exactly, residue pinned at 0 -- *)
-  let sql_snap =
-    let open Twine_sqldb in
-    let t = sql_setup () in
-    let audits =
-      List.map
-        (fun (name, sql) ->
-          let r = Bench_db.exec t sql in
-          let p =
-            match Db.last_profile t.Bench_db.db with
-            | Some p -> p
-            | None -> failwith "bench: sql shape recorded no profile"
-          in
-          let pfx = "sqldb." ^ name ^ "." in
-          put (Baseline.v ~tol:0.0 (pfx ^ "rows") (List.length r.Db.rows));
-          put (Baseline.v ~tol:0.0 (pfx ^ "total_work") p.Db.pr_total_work);
-          put (Baseline.v ~tol:0.0 (pfx ^ "overhead_work") p.Db.pr_overhead_work);
-          List.iter
-            (fun (o : Db.opstat) ->
-              let opfx = Printf.sprintf "%sop.%s." pfx o.Db.os_name in
-              put (Baseline.v ~tol:0.0 (opfx ^ "work") o.Db.os_work);
-              put (Baseline.v ~tol:0.0 (opfx ^ "rows_out") o.Db.os_rows_out))
-            p.Db.pr_ops;
-          Db.audit p)
-        sql_shapes
-    in
-    (* the conservation law: zero residue over every shape, gated exactly *)
-    put
-      (Baseline.v ~tol:0.0 "sqldb.op.residue_ns"
-         (List.fold_left (fun acc a -> acc + abs (Audit.residue a)) 0 audits));
-    let obs = Bench_db.obs t in
-    List.iter
-      (fun k ->
-        put
-          (Baseline.v ~tol:0.0 ("sqldb.plan." ^ k)
-             (Obs.value obs ("sqldb.plan." ^ k))))
-      [ "full_scan"; "rowid_range"; "index_range"; "fallback" ];
-    let snap = put_ledger "sql" t.Bench_db.machine in
-    Bench_db.close t;
-    snap
-  in
-  (* -- protected-FS breakdown, stock vs optimised (§V-F) -- *)
-  let () =
-    List.iter
-      (fun variant ->
-        let b =
-          Microbench.ipfs_breakdown ~records:800 ~blob_bytes:256 ~samples:500
-            ~wasm_factor:baseline_wasm_factor variant
-        in
-        let name =
-          match variant with
-          | Twine_ipfs.Protected_fs.Stock -> "stock"
-          | Twine_ipfs.Protected_fs.Optimized -> "optimized"
-        in
-        let pfx = "ipfs." ^ name ^ "." in
-        put (Baseline.v ~tol:0.02 (pfx ^ "total_ns") b.Microbench.total_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "memset_ns") b.Microbench.memset_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "ocall_ns") b.Microbench.ocall_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "read_ns") b.Microbench.read_ns);
-        put (Baseline.v ~tol:0.02 (pfx ^ "sqlite_ns") b.Microbench.sqlite_ns))
-      [ Twine_ipfs.Protected_fs.Stock; Twine_ipfs.Protected_fs.Optimized ]
-  in
-  (* -- PolyBench wall-clock spot checks (informational only) -- *)
-  let () =
-    List.iter
-      (fun k ->
-        let n = Twine_polybench.Suite.run_native k in
-        let w = Twine_polybench.Suite.run_wasm ~engine:`Aot k in
-        let pfx = "polybench." ^ k.Twine_polybench.Kernel_dsl.name ^ "." in
-        put (Baseline.v (pfx ^ "native_wall_ns") n.Twine_polybench.Suite.wall_ns);
-        put (Baseline.v (pfx ^ "aot_wall_ns") w.Twine_polybench.Suite.wall_ns);
-        (* exact: instruction totals are deterministic and engine-equal *)
-        put (Baseline.v ~tol:0.0 (pfx ^ "fuel") w.Twine_polybench.Suite.fuel))
-      (List.filter
-         (fun k ->
-           List.mem k.Twine_polybench.Kernel_dsl.name [ "atax"; "trisolv" ])
-         (Twine_polybench.Kernels.all ~scale:0.4 ()))
-  in
-  ( Baseline.create
-      ~meta:
-        [ ("generator", "bench/main.exe json");
-          ("wasm_factor", string_of_float baseline_wasm_factor);
-          ("note", "virtual-clock metrics; regenerate with: dune exec bench/main.exe -- json") ]
-      (List.rev !metrics),
-    [ report_snap; micro_snap; serve_snap; chaos_snap; sql_snap ] )
+  { group = "polybench"; snap = None;
+    metrics =
+      List.concat_map metrics
+        (List.filter
+           (fun k -> List.mem k.Kernel_dsl.name [ "atax"; "trisolv" ])
+           (Kernels.all ~scale:0.4 ())) }
+
+(* Every gate, in baseline order. *)
+let gates =
+  [ (fun () -> snd (report_gate ignore)); micro_gate;
+    (fun () -> snd (serve_gate ignore)); (fun () -> snd (chaos_gate ignore));
+    sql_gate; ipfs_gate; polybench_gate ]
+
+let run_gates () = List.map (fun g -> g ()) gates
+
+let baseline_of gates =
+  Twine_obs.Baseline.create
+    ~meta:
+      [ ("generator", "bench/main.exe json");
+        ("wasm_factor", string_of_float baseline_wasm_factor);
+        ("note", "virtual-clock metrics; regenerate with: dune exec bench/main.exe -- json") ]
+    (List.concat_map (fun g -> g.metrics) gates)
 
 let default_baseline_file = "BENCH_twine.json"
 
 let load_baseline ~cmd file =
-  match
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin file In_channel.input_all with
   | s -> (
       match Twine_obs.Baseline.of_string s with
       | Ok b -> b
@@ -1691,171 +1711,138 @@ let load_baseline ~cmd file =
       Printf.eprintf "bench %s: %s\n" cmd msg;
       exit 2
 
-(* Rebuild a ledger snapshot for one workload group from the flat
-   [ledger.<group>.*] metrics of a committed baseline, so `bench diff`
-   can attribute drift without a second JSON artifact. *)
-let snapshot_of_baseline group (b : Twine_obs.Baseline.t) =
+(* Where a gate's virtual time moved against the committed baseline,
+   ranked by account. The base snapshot is rebuilt from the baseline's
+   flat [ledger.<group>.*] metrics, so no second JSON artifact is needed;
+   [None] when it holds no account of the group. *)
+let drift (baseline : Twine_obs.Baseline.t) group current =
   let open Twine_obs in
   let pfx = "ledger." ^ group ^ "." in
-  let plen = String.length pfx in
-  let tail path = String.sub path plen (String.length path - plen) in
-  let accounts =
+  let n = String.length pfx in
+  let own =
     List.filter_map
       (fun (path, (m : Baseline.metric)) ->
-        if
-          String.length path > plen
-          && String.sub path 0 plen = pfx
-          && tail path <> "residue_ns"
-          && tail path <> "elapsed_ns"
-        then
-          Some (tail path, { Ledger.ns = int_of_float m.Baseline.value; events = 0 })
+        if String.length path > n && String.starts_with ~prefix:pfx path then
+          Some (String.sub path n (String.length path - n), int_of_float m.Baseline.value)
         else None)
-      b.Baseline.metrics
+      baseline.Baseline.metrics
   in
-  match accounts with
+  let num name fallback = Option.value (List.assoc_opt name own) ~default:fallback in
+  match List.filter (fun (name, _) -> name <> "residue_ns" && name <> "elapsed_ns") own with
   | [] -> None
-  | _ ->
-      let num name fallback =
-        match List.assoc_opt (pfx ^ name) b.Baseline.metrics with
-        | Some (m : Baseline.metric) -> int_of_float m.Baseline.value
-        | None -> fallback
-      in
-      let booked = List.fold_left (fun a (_, e) -> a + e.Ledger.ns) 0 accounts in
-      Some
+  | accounts ->
+      let booked = List.fold_left (fun a (_, ns) -> a + ns) 0 accounts in
+      let base =
         {
           Ledger.elapsed_ns = num "elapsed_ns" (booked + num "residue_ns" 0);
           booked_ns = booked;
-          accounts;
+          accounts = List.map (fun (name, ns) -> (name, { Ledger.ns; events = 0 })) accounts;
           matrix = [];
         }
+      in
+      Some (Ledger.render_diff ~base ~current ())
 
 let bench_json file =
-  let b, _snaps = collect_baseline () in
-  let oc = open_out file in
-  output_string oc (Twine_obs.Baseline.to_string b);
-  output_char oc '\n';
-  close_out oc;
+  let b = baseline_of (run_gates ()) in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Twine_obs.Baseline.to_string b);
+      output_char oc '\n');
   Printf.eprintf "bench: wrote %d metric(s) to %s\n"
     (List.length b.Twine_obs.Baseline.metrics) file
 
 (* `bench diff [BASELINE]`: ranked attribution of where the current
    tree's virtual time moved relative to the committed baseline — by
-   account, then by hot guest function within the top accounts. *)
+   account, then by hot guest function within the top accounts. Exits 2
+   when the baseline cannot attribute a gate that has a ledger. *)
 let bench_diff file =
   let baseline = load_baseline ~cmd:"diff" file in
-  let _current, snaps = collect_baseline () in
-  List.iter
-    (fun (group, current) ->
-      Printf.printf "\n-- %s workload vs %s --\n" group file;
-      match snapshot_of_baseline group baseline with
-      | None ->
-          Printf.printf
-            "no ledger.%s.* metrics in the baseline; regenerate it with `bench json`\n"
-            group
-      | Some base -> print_string (Twine_obs.Ledger.render_diff ~base ~current ()))
-    snaps
+  let unattributed =
+    List.filter_map
+      (fun g ->
+        Option.bind g.snap (fun current ->
+            Printf.printf "\n-- %s workload vs %s --\n" g.group file;
+            match drift baseline g.group current with
+            | Some d ->
+                print_string d;
+                None
+            | None ->
+                Printf.printf
+                  "no ledger.%s.* metrics in the baseline; regenerate it with `bench json`\n"
+                  g.group;
+                Some g.group))
+      (run_gates ())
+  in
+  if unattributed <> [] then exit 2
 
 let bench_check file =
+  let open Twine_obs in
   let baseline = load_baseline ~cmd:"check" file in
-  let current, snaps = collect_baseline () in
-  let verdicts = Twine_obs.Baseline.check ~baseline ~current in
-  print_string (Twine_obs.Baseline.render verdicts);
-  if Twine_obs.Baseline.all_ok verdicts then begin
-    Printf.printf "\nbench check: %d metric(s) within tolerance of %s\n"
-      (List.length verdicts) file;
-    exit 0
-  end
-  else begin
-    let failed = List.filter (fun v -> not v.Twine_obs.Baseline.ok) verdicts in
-    Printf.printf "\nbench check: REGRESSION: %d of %d metric(s) out of band:\n"
-      (List.length failed) (List.length verdicts);
-    List.iter
-      (fun v -> Printf.printf "  - %s\n" v.Twine_obs.Baseline.path)
-      failed;
-    (* Explain each failure from the ledger where we can: a drifted
-       metric of the report/micro workloads gets the ranked account
-       attribution of that workload's delta. *)
-    let group_of path =
-      let has pfx =
-        String.length path >= String.length pfx
-        && String.sub path 0 (String.length pfx) = pfx
+  let gates = run_gates () in
+  let verdicts = Baseline.check ~baseline ~current:(baseline_of gates) in
+  print_string (Baseline.render verdicts);
+  match List.filter (fun v -> not v.Baseline.ok) verdicts with
+  | [] ->
+      Printf.printf "\nbench check: %d metric(s) within tolerance of %s\n"
+        (List.length verdicts) file
+  | failed ->
+      Printf.printf "\nbench check: REGRESSION: %d of %d metric(s) out of band:\n"
+        (List.length failed) (List.length verdicts);
+      List.iter (fun v -> Printf.printf "  - %s\n" v.Baseline.path) failed;
+      (* Explain each failure from the ledger of the gate that made it:
+         the ranked account attribution of that workload's delta. *)
+      let made_by v g = List.mem_assoc v.Baseline.path g.metrics in
+      let blamed =
+        List.filter
+          (fun g -> g.snap <> None && List.exists (fun v -> made_by v g) failed)
+          gates
       in
-      if has "report." || has "ledger.report." then Some "report"
-      else if has "micro." || has "ledger.micro." then Some "micro"
-      else if has "serve.chaos." || has "ledger.chaos." then Some "chaos"
-      else if has "serve." || has "ledger.serve." then Some "serve"
-      else if has "sqldb." || has "ledger.sql." then Some "sql"
-      else None
-    in
-    let blamed =
-      List.sort_uniq compare
-        (List.filter_map (fun v -> group_of v.Twine_obs.Baseline.path) failed)
-    in
-    let unattributed =
-      List.filter (fun v -> group_of v.Twine_obs.Baseline.path = None) failed
-    in
-    List.iter
-      (fun group ->
-        match
-          (snapshot_of_baseline group baseline, List.assoc_opt group snaps)
-        with
-        | Some base, Some current ->
-            Printf.printf "\nwhere the %s workload's time moved:\n" group;
-            print_string (Twine_obs.Ledger.render_diff ~base ~current ())
-        | _ ->
-            Printf.printf
-              "\n(no ledger.%s.* metrics in the baseline to attribute the %s drift)\n"
-              group group)
-      blamed;
-    List.iter
-      (fun v ->
-        Printf.printf "(no ledger attribution for %s)\n" v.Twine_obs.Baseline.path)
-      unattributed;
-    exit 1
-  end
+      List.iter
+        (fun g ->
+          match Option.bind g.snap (drift baseline g.group) with
+          | Some d ->
+              Printf.printf "\nwhere the %s workload's time moved:\n" g.group;
+              print_string d
+          | None ->
+              Printf.printf
+                "\n(no ledger.%s.* metrics in the baseline to attribute the %s drift)\n"
+                g.group g.group)
+        blamed;
+      List.iter
+        (fun v ->
+          if not (List.exists (made_by v) blamed) then
+            Printf.printf "(no ledger attribution for %s)\n" v.Baseline.path)
+        failed;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 
+(* Every section, in the order a full run prints them. A name with a
+   '/' answers to each of its parts. *)
+let sections =
+  [ ("fig3", fig3); ("fig4", fig4); ("fig5/table2", fig5_table2); ("fig6", fig6);
+    ("fig7", fig7); ("table3", table3); ("ablate", ablate); ("micro", bechamel_suite);
+    ("report", report); ("profile", profile_section); ("crash", crash_section);
+    ("serve", serve_section); ("chaos", chaos_section); ("sql", sql_section) ]
+
 let () =
-  let argv1 = if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None in
-  let argv2 = if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None in
-  (match argv1 with
-  | Some "json" ->
-      bench_json (Option.value argv2 ~default:default_baseline_file);
-      exit 0
-  | Some "check" -> bench_check (Option.value argv2 ~default:default_baseline_file)
-  | Some "diff" ->
-      bench_diff (Option.value argv2 ~default:default_baseline_file);
-      exit 0
-  | _ -> ());
-  let only = argv1 in
-  let want name = match only with None -> true | Some o -> o = name in
-  Printf.printf "TWINE reproduction bench harness (simulated SGX; see DESIGN.md)\n";
-  if want "fig3" then audited "fig3" (ledgers_only fig3);
-  if want "fig4" then audited "fig4" (ledgers_only fig4);
-  if want "fig5" || want "table2" then
-    audited "fig5/table2" (ledgers_only (fun () ->
-        let series = fig5_series () in
-        if want "fig5" then begin
-          print_fig5 series `Insert
-            "Fig 5a: insertion time vs database size (ms, simulated)";
-          print_fig5 series `Seq
-            "Fig 5b: sequential-read time vs database size (ms, simulated)";
-          print_fig5 series `Rand
-            (Printf.sprintf
-               "Fig 5c: random-read time (one read per record, cap %d) vs size (ms, simulated)"
-               fig5_rand_reads)
-        end;
-        table2 series));
-  if want "fig6" then audited "fig6" (ledgers_only fig6);
-  if want "fig7" then audited "fig7" (ledgers_only fig7);
-  if want "table3" then audited "table3" (ledgers_only table3);
-  if want "ablate" then audited "ablate" (ledgers_only ablate);
-  if want "micro" then bechamel_suite ();
-  if want "report" then audited "report" (ledgers_only report);
-  if want "profile" then audited "profile" profile_section;
-  if want "crash" then audited "crash" (ledgers_only crash_section);
-  if want "serve" then audited "serve" serve_section;
-  if want "chaos" then audited "chaos" chaos_section;
-  if want "sql" then audited "sql" sql_section;
-  Printf.printf "\ndone.\n"
+  let arg i = if Array.length Sys.argv > i then Some Sys.argv.(i) else None in
+  let baseline_file = Option.value (arg 2) ~default:default_baseline_file in
+  let names (name, _) = String.split_on_char '/' name in
+  match arg 1 with
+  | Some "json" -> bench_json baseline_file
+  | Some "check" -> bench_check baseline_file
+  | Some "diff" -> bench_diff baseline_file
+  | only -> (
+      let wanted s = Option.fold only ~none:true ~some:(fun o -> List.mem o (names s)) in
+      match List.filter wanted sections with
+      | [] ->
+          Printf.eprintf
+            "bench: unknown section %S; valid sections: %s (or json|check|diff \
+             [BASELINE])\n"
+            (Option.get only)
+            (String.concat " " (List.concat_map names sections));
+          exit 2
+      | chosen ->
+          Printf.printf "TWINE reproduction bench harness (simulated SGX; see DESIGN.md)\n";
+          List.iter (fun (name, run) -> audited name run) chosen;
+          Printf.printf "\ndone.\n")

@@ -214,25 +214,28 @@ let run_cmd =
 (* --- serve --- *)
 
 let serve_cmd =
+  (* every default comes from the library's own configuration *)
+  let d = Twine_serve.Serve.default_config in
   let enclaves =
-    Arg.(value & opt int 8 & info [ "enclaves" ] ~docv:"N"
+    Arg.(value & opt int d.Twine_serve.Serve.enclaves & info [ "enclaves" ] ~docv:"N"
            ~doc:"Fleet size: enclaves sharing one machine (and one EPC).")
   in
   let requests =
-    Arg.(value & opt int 100_000 & info [ "requests" ] ~docv:"N"
+    Arg.(value & opt int d.Twine_serve.Serve.requests & info [ "requests" ] ~docv:"N"
            ~doc:"Synthetic client requests to replay.")
   in
   let batch =
-    Arg.(value & opt int 16 & info [ "batch" ] ~docv:"N"
+    Arg.(value & opt int d.Twine_serve.Serve.batch & info [ "batch" ] ~docv:"N"
            ~doc:"Max requests coalesced behind one ECALL (1 = unbatched).")
   in
   let seed =
-    Arg.(value & opt string "twine-serve" & info [ "seed" ] ~docv:"SEED"
+    Arg.(value & opt string d.Twine_serve.Serve.seed & info [ "seed" ] ~docv:"SEED"
            ~doc:"Workload seed; the same seed replays byte-identically.")
   in
   let epc_kib =
     Arg.(value & opt (some int) None & info [ "epc-kib" ] ~docv:"KIB"
-           ~doc:"Override the shared EPC size (KiB) to move the paging cliff.")
+           ~doc:"Override the shared EPC size (KiB, at least 4: one page) to \
+                 move the paging cliff.")
   in
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -262,16 +265,20 @@ let serve_cmd =
                  completed requests) named for Perfetto's track view.")
   in
   let mean_gap_ns =
-    Arg.(value & opt (some int) None & info [ "mean-gap-ns" ] ~docv:"NS"
+    Arg.(value & opt int d.Twine_serve.Serve.mean_gap_ns & info [ "mean-gap-ns" ] ~docv:"NS"
            ~doc:"Mean client inter-arrival gap in virtual nanoseconds \
-                 (open loop; 0 = every request arrives at time zero). \
-                 Default 4000.")
+                 (open loop; 0 = every request arrives at time zero).")
   in
   let mix =
-    Arg.(value & opt (some string) None & info [ "mix" ] ~docv:"KV:SQL:RANGE"
-           ~doc:"Relative request-kind weights as three colon-separated \
-                 non-negative integers: key-value gets, SQL point queries, \
-                 SQL range slices (default 6:3:1).")
+    let m = d.Twine_serve.Serve.mix in
+    Arg.(value
+         & opt string
+             (Printf.sprintf "%d:%d:%d" m.Twine_serve.Workload.kv_get
+                m.Twine_serve.Workload.sql_point m.Twine_serve.Workload.sql_range)
+         & info [ "mix" ] ~docv:"KV:SQL:RANGE"
+             ~doc:"Relative request-kind weights as three colon-separated \
+                   non-negative integers: key-value gets, SQL point queries, \
+                   SQL range slices.")
   in
   let stream =
     Arg.(value & flag & info [ "stream" ]
@@ -285,7 +292,7 @@ let serve_cmd =
   let slo =
     Arg.(value & opt (some string) None & info [ "slo" ] ~docv:"SPEC"
            ~doc:"Latency objective to evaluate over the windowed series, \
-                 e.g. $(b,p99<2ms\\@50ms,budget=0.1%). Optional \
+                 e.g. $(b,p99<2ms@50ms,budget=0.1%). Optional \
                  $(b,,fast=14.4x1) / $(b,,slow=6x5) override the burn-rate \
                  alert thresholds (multiplier x windows). Exit code 3 when \
                  the objective is violated over the whole run.")
@@ -300,7 +307,7 @@ let serve_cmd =
   let chaos =
     Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC"
            ~doc:"Arm a seeded fault schedule for the serving phase, e.g. \
-                 $(b,enclave.ecall=crash\\@500) (crash the 500th entry) or \
+                 $(b,enclave.ecall=crash@500) (crash the 500th entry) or \
                  $(b,seed=c1;enclave.ecall=fail%0.01x5[10ms..80ms]) \
                  (transient entry failures at 1% in a virtual-time \
                  window, at most 5). ;-separated rules; actions crash, \
@@ -308,23 +315,23 @@ let serve_cmd =
                  the same spec and seed replay byte-identically.")
   in
   let deadline_ns =
-    Arg.(value & opt int 0 & info [ "deadline-ns" ] ~docv:"NS"
+    Arg.(value & opt int d.Twine_serve.Serve.deadline_ns & info [ "deadline-ns" ] ~docv:"NS"
            ~doc:"Client deadline: a request still unserved $(docv) virtual \
                  ns after arrival completes as timed out (0 = off).")
   in
   let retries =
-    Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
+    Arg.(value & opt int d.Twine_serve.Serve.retries & info [ "retries" ] ~docv:"N"
            ~doc:"Requeues allowed per request after enclave faults before \
-                 it fails permanently (default 2).")
+                 it fails permanently.")
   in
   let backoff =
-    Arg.(value & opt (some int) None & info [ "backoff" ] ~docv:"NS"
+    Arg.(value & opt int d.Twine_serve.Serve.backoff_ns & info [ "backoff" ] ~docv:"NS"
            ~doc:"Retry backoff base in virtual ns: requeue k waits \
                  base*2^(k-1) plus deterministic jitter, capped at 50x \
-                 base (default 100000).")
+                 base.")
   in
   let shed_depth =
-    Arg.(value & opt int 0 & info [ "shed-depth" ] ~docv:"N"
+    Arg.(value & opt int d.Twine_serve.Serve.shed_depth & info [ "shed-depth" ] ~docv:"N"
            ~doc:"Admission control: shed an arrival whose enclave queue \
                  already holds $(docv) live requests (0 = off).")
   in
@@ -350,25 +357,22 @@ let serve_cmd =
       exit 2
     end;
     let mix =
-      match mix with
-      | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.mix
-      | Some s -> (
-          match String.split_on_char ':' s with
-          | [ a; b; c ] -> (
-              match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c) with
-              | Some kv_get, Some sql_point, Some sql_range
-                when kv_get >= 0 && sql_point >= 0 && sql_range >= 0
-                     && kv_get + sql_point + sql_range > 0 ->
-                  { Twine_serve.Workload.kv_get; sql_point; sql_range }
-              | _ ->
-                  Printf.eprintf
-                    "twine serve: --mix %s: weights must be non-negative \
-                     integers, not all zero\n" s;
-                  exit 2)
+      match String.split_on_char ':' mix with
+      | [ a; b; c ] -> (
+          match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c) with
+          | Some kv_get, Some sql_point, Some sql_range
+            when kv_get >= 0 && sql_point >= 0 && sql_range >= 0
+                 && kv_get + sql_point + sql_range > 0 ->
+              { Twine_serve.Workload.kv_get; sql_point; sql_range }
           | _ ->
               Printf.eprintf
-                "twine serve: --mix %s: expected KV:SQL:RANGE (e.g. 6:3:1)\n" s;
+                "twine serve: --mix %s: weights must be non-negative \
+                 integers, not all zero\n" mix;
               exit 2)
+      | _ ->
+          Printf.eprintf
+            "twine serve: --mix %s: expected KV:SQL:RANGE (e.g. 6:3:1)\n" mix;
+          exit 2
     in
     let slo =
       match slo with
@@ -398,48 +402,40 @@ let serve_cmd =
       prerr_endline "twine serve: --shed-depth must be non-negative";
       exit 2
     end;
-    (match retries with
-    | Some r when r < 0 ->
-        prerr_endline "twine serve: --retries must be non-negative";
-        exit 2
-    | _ -> ());
-    (match backoff with
-    | Some b when b < 0 ->
-        prerr_endline "twine serve: --backoff must be non-negative";
+    if retries < 0 then begin
+      prerr_endline "twine serve: --retries must be non-negative";
+      exit 2
+    end;
+    if backoff < 0 then begin
+      prerr_endline "twine serve: --backoff must be non-negative";
+      exit 2
+    end;
+    if mean_gap_ns < 0 then begin
+      Printf.eprintf "twine serve: --mean-gap-ns %d: must be non-negative\n" mean_gap_ns;
+      exit 2
+    end;
+    (match epc_kib with
+    | Some k when k < 4 ->
+        Printf.eprintf "twine serve: --epc-kib %d: must be at least 4 (one 4 KiB page)\n" k;
         exit 2
     | _ -> ());
     let cfg =
       {
-        Twine_serve.Serve.default_config with
+        d with
         Twine_serve.Serve.enclaves;
         requests;
         batch;
         seed;
         epc_bytes =
-          (match epc_kib with
-          | Some k -> k * 1024
-          | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.epc_bytes);
-        mean_gap_ns =
-          (match mean_gap_ns with
-          | Some g when g >= 0 -> g
-          | Some g ->
-              Printf.eprintf "twine serve: --mean-gap-ns %d: must be non-negative\n" g;
-              exit 2
-          | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.mean_gap_ns);
+          (match epc_kib with Some k -> k * 1024 | None -> d.Twine_serve.Serve.epc_bytes);
+        mean_gap_ns;
         mix;
         retain_requests = not stream;
         slo;
         chaos;
         deadline_ns;
-        retries =
-          (match retries with
-          | Some r -> r
-          | None -> Twine_serve.Serve.default_config.Twine_serve.Serve.retries);
-        backoff_ns =
-          (match backoff with
-          | Some b -> b
-          | None ->
-              Twine_serve.Serve.default_config.Twine_serve.Serve.backoff_ns);
+        retries;
+        backoff_ns = backoff;
         shed_depth;
         hedge;
       }

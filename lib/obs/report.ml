@@ -1,5 +1,5 @@
 (* Render a per-run cost breakdown out of an Obs registry, as an aligned
-   text table (human) and as JSON (machine; hand-rolled, no deps). *)
+   text table (human) and as JSON (machine, built as a {!Json.t}). *)
 
 let ms ns = float_of_int ns /. 1e6
 
@@ -106,103 +106,60 @@ let render ?(title = "per-run cost report") ?profile ?ledger obs =
 
 (* --- JSON --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_obj b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, emit) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape k);
-      Buffer.add_string b "\":";
-      emit b)
-    fields;
-  Buffer.add_char b '}'
-
 let to_json ?profile ?ledger obs =
-  let b = Buffer.create 1024 in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  let trace_fields =
+  let int n = Json.Num (float_of_int n) in
+  let obj f l = Json.Obj (List.map f l) in
+  let trace =
     match Obs.tracer obs with
     | None -> []
     | Some tr ->
         [ ( "trace",
-            fun buf ->
-              json_obj buf
-                [ ("capacity", int (Trace.capacity tr));
-                  ("recorded", int (Trace.total tr));
-                  ("held", int (Trace.length tr));
-                  ("high_water", int (Trace.high_water tr));
-                  ("dropped", int (Trace.dropped tr));
-                  ("lost", int (Trace.lost tr)) ] ) ]
+            Json.Obj
+              [ ("capacity", int (Trace.capacity tr));
+                ("recorded", int (Trace.total tr));
+                ("held", int (Trace.length tr));
+                ("high_water", int (Trace.high_water tr));
+                ("dropped", int (Trace.dropped tr));
+                ("lost", int (Trace.lost tr)) ] ) ]
   in
-  let ledger_fields =
-    match ledger with
-    | None -> []
-    | Some l ->
-        [ ( "ledger",
-            fun buf ->
-              Buffer.add_string buf (Json.to_string (Ledger.to_json (Ledger.snapshot l)))
-          ) ]
-  in
-  let profile_fields =
+  let wasm_profile =
     match profile with
     | None -> []
     | Some prof ->
         [ ( "wasm_profile",
-            fun buf ->
-              json_obj buf
-                (List.map
-                   (fun (f : Profile.fn) ->
-                     ( f.Profile.fn_name,
-                       fun buf ->
-                         json_obj buf
-                           [ ("calls", int f.Profile.calls);
-                             ("self_instr", int f.Profile.self_fuel);
-                             ("total_instr", int f.Profile.total_fuel);
-                             ("self_ns", int f.Profile.self_cycles);
-                             ("total_ns", int f.Profile.total_cycles) ] ))
-                   (Profile.functions prof)) ) ]
+            obj
+              (fun (f : Profile.fn) ->
+                ( f.Profile.fn_name,
+                  Json.Obj
+                    [ ("calls", int f.Profile.calls);
+                      ("self_instr", int f.Profile.self_fuel);
+                      ("total_instr", int f.Profile.total_fuel);
+                      ("self_ns", int f.Profile.self_cycles);
+                      ("total_ns", int f.Profile.total_cycles) ] ))
+              (Profile.functions prof) ) ]
   in
-  json_obj b
-    ([
-      ( "counters",
-        fun buf ->
-          json_obj buf (List.map (fun (k, v) -> (k, int v)) (Obs.counters obs)) );
-      ( "histograms",
-        fun buf ->
-          json_obj buf
-            (List.map
-               (fun (k, (h : Obs.hstat)) ->
-                 ( k,
-                   fun buf ->
-                     json_obj buf
-                       [ ("count", int h.count); ("sum_ns", int h.sum);
-                         ("min_ns", int h.min); ("max_ns", int h.max) ] ))
-               (Obs.histograms obs)) );
-      ( "spans",
-        fun buf ->
-          json_obj buf
-            (List.map
-               (fun (k, (s : Obs.sstat)) ->
-                 ( k,
-                   fun buf ->
-                     json_obj buf
-                       [ ("calls", int s.calls); ("total_ns", int s.total_ns);
-                         ("self_ns", int s.self_ns) ] ))
-               (Obs.spans obs)) );
-    ]
-    @ trace_fields @ profile_fields @ ledger_fields);
-  Buffer.contents b
+  let ledger =
+    match ledger with
+    | None -> []
+    | Some l -> [ ("ledger", Ledger.to_json (Ledger.snapshot l)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("counters", obj (fun (k, v) -> (k, int v)) (Obs.counters obs));
+          ( "histograms",
+            obj
+              (fun (k, (h : Obs.hstat)) ->
+                ( k,
+                  Json.Obj
+                    [ ("count", int h.count); ("sum_ns", int h.sum);
+                      ("min_ns", int h.min); ("max_ns", int h.max) ] ))
+              (Obs.histograms obs) );
+          ( "spans",
+            obj
+              (fun (k, (s : Obs.sstat)) ->
+                ( k,
+                  Json.Obj
+                    [ ("calls", int s.calls); ("total_ns", int s.total_ns);
+                      ("self_ns", int s.self_ns) ] ))
+              (Obs.spans obs) ) ]
+       @ trace @ wasm_profile @ ledger))

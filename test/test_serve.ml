@@ -886,6 +886,127 @@ let test_no_global_wasm_factor () =
   Alcotest.(check bool) "calibration is not the fleet's factor" true
     (Twine.Bench_db.calibrate_wasm_factor () <> 9.0)
 
+(* -- the artifacts `twine serve` writes, read back as JSON -- *)
+
+let json_of artifact =
+  match Twine_obs.Json.parse artifact with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "artifact does not parse: %s" e
+
+let member key j =
+  match Twine_obs.Json.member key j with
+  | Some v -> v
+  | None -> Alcotest.failf "missing member %S" key
+
+let num key j =
+  match Twine_obs.Json.to_float (member key j) with
+  | Some f -> int_of_float f
+  | None -> Alcotest.failf "%S is not a number" key
+
+let str key j =
+  match Twine_obs.Json.to_str (member key j) with
+  | Some v -> v
+  | None -> Alcotest.failf "%S is not a string" key
+
+let items key j =
+  match Twine_obs.Json.to_list (member key j) with
+  | Some l -> l
+  | None -> Alcotest.failf "%S is not an array" key
+
+let count_sum entries = List.fold_left (fun a e -> a + num "count" e) 0 entries
+
+(* --timeline: a named request track per enclave, every request span
+   keyed by its rid, the sampler's counter series, the ring's health *)
+let test_timeline_export () =
+  let recorder = ref None in
+  let s =
+    Serve.run ~prepare:(fun m -> recorder := Some (Machine.attach_tracer m)) small_config
+  in
+  let j =
+    json_of
+      (Twine_obs.Trace_export.to_string ~process_name:"twine-serve"
+         ~threads:(Serve.threads s) (Option.get !recorder))
+  in
+  List.iter
+    (fun k -> ignore (member k (member "otherData" j)))
+    [ "recorded"; "dropped"; "lost"; "high_water"; "capacity" ];
+  let events = items "traceEvents" j in
+  let on_request_track ph e = str "ph" e = ph && num "tid" e >= 101 in
+  let tracks =
+    List.filter
+      (fun e -> on_request_track "M" e && str "name" e = "thread_name")
+      events
+  in
+  Alcotest.(check int) "a request track per enclave" small_config.Serve.enclaves
+    (List.length tracks);
+  List.iter
+    (fun e ->
+      let name = str "name" (member "args" e) in
+      Alcotest.(check bool) (name ^ ": a requests track") true
+        (String.ends_with ~suffix:" requests" name))
+    tracks;
+  let spans = List.filter (on_request_track "B") events in
+  Alcotest.(check bool) "request spans on the tracks" true (spans <> []);
+  List.iter (fun e -> ignore (member "rid" (member "args" e))) spans;
+  let counters =
+    List.filter_map
+      (fun e -> if str "ph" e = "C" then Some (str "name" e) else None)
+      events
+  in
+  List.iter
+    (fun c -> Alcotest.(check bool) (c ^ " series") true (List.mem c counters))
+    [ "serve.queue_depth"; "serve.epc_resident"; "serve.completed" ]
+
+(* --sql-stats: fleet and per-enclave counts both cover every request,
+   and no literal survives into a fingerprint *)
+let test_sqlstats_artifact () =
+  let s = Serve.run small_config in
+  let j = json_of (Serve.render_sqlstats s) in
+  Alcotest.(check string) "schema" "twine-sqlstats/v1" (str "schema" j);
+  Alcotest.(check int) "requests" s.Serve.requests (num "requests" j);
+  let fleet = items "fleet" j in
+  Alcotest.(check int) "fleet counts sum to the requests" s.Serve.requests
+    (count_sum fleet);
+  List.iter
+    (fun e ->
+      let fp = str "fingerprint" e in
+      Alcotest.(check bool) (fp ^ ": normalised") true (String.contains fp '?'))
+    fleet;
+  let per_enclave = items "by_enclave" j in
+  Alcotest.(check int) "a registry per enclave" small_config.Serve.enclaves
+    (List.length per_enclave);
+  Alcotest.(check int) "per-enclave counts sum to the requests" s.Serve.requests
+    (List.fold_left (fun a e -> a + count_sum (items "stats" e)) 0 per_enclave)
+
+(* --slo-out of a --stream run: the sketch and the fleet windows each
+   hold every request *)
+let test_slo_artifact () =
+  let s = Serve.run { slo_config with Serve.retain_requests = false } in
+  let j = json_of (Serve.render_slo s) in
+  Alcotest.(check string) "schema" "twine-slo/v1" (str "schema" j);
+  Alcotest.(check int) "requests" s.Serve.requests (num "requests" j);
+  Alcotest.(check int) "the sketch holds every request" s.Serve.requests
+    (num "count" (member "sketch" j));
+  match List.filter (fun t -> str "track" t = "fleet") (items "tracks" j) with
+  | [ fleet ] ->
+      Alcotest.(check int) "fleet windows hold every request" s.Serve.requests
+        (count_sum (items "windows" fleet))
+  | _ -> Alcotest.fail "expected one fleet track"
+
+(* The report sections an operator reads, retained and streaming. *)
+let test_render_sections () =
+  let s = Serve.run small_config in
+  let shows text needle =
+    Alcotest.(check bool) ("shows " ^ needle) true (contains text needle)
+  in
+  List.iter (shows (Serve.render s)) [ "throughput"; "evictions by enclave" ];
+  List.iter
+    (shows (Serve.render_blame ~top:5 s))
+    [ "serve blame: top 5 of"; "p99 tail dominants" ];
+  shows
+    (Serve.render (Serve.run { small_config with Serve.retain_requests = false }))
+    "(streaming: no per-request log)"
+
 let () =
   Alcotest.run "twine_serve"
     [
@@ -968,5 +1089,12 @@ let () =
           Alcotest.test_case "slo artifact keeps replaced tracks" `Quick
             test_slo_keeps_replaced_tracks;
           QCheck_alcotest.to_alcotest prop_chaos_modes_agree;
+        ] );
+      ( "artifacts",
+        [
+          Alcotest.test_case "timeline export" `Quick test_timeline_export;
+          Alcotest.test_case "twine-sqlstats/v1" `Quick test_sqlstats_artifact;
+          Alcotest.test_case "twine-slo/v1" `Quick test_slo_artifact;
+          Alcotest.test_case "render sections" `Quick test_render_sections;
         ] );
     ]
