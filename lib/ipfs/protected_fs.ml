@@ -30,6 +30,14 @@ type t = {
   cache_nodes : int;
   mutable hits : int;
   mutable misses : int;
+  cache_hit : Twine_obs.Obs.counter;
+  cache_miss : Twine_obs.Obs.counter;
+  crypto_bytes : Twine_obs.Obs.counter;
+  crypto : Machine.meter;
+  io_read : Machine.meter;
+  io_write : Machine.meter;
+  journal : Machine.meter;
+  recovery : Machine.meter;
 }
 
 (* The node cipher of one file, chosen from the file system's variant. *)
@@ -45,7 +53,7 @@ type file = {
   mutable size : int;
   mutable pos : int;
   mutable entries : entry array;
-  cache : (int, node) Twine_sim.Lru.t;
+  cache : node Twine_sim.Lru.t;
   cache_base : int;  (* enclave address of the node cache region *)
   mutable gen : int;  (* committed header generation (0 = none yet) *)
   mutable live_slot : int;  (* slot holding generation [gen]; -1 = none *)
@@ -59,7 +67,15 @@ exception Integrity_violation of string
 
 let create enclave backing ?(variant = Stock) ?(cache_nodes = 48) () =
   if cache_nodes < 1 then invalid_arg "Protected_fs.create: cache_nodes < 1";
-  { enclave; backing; variant; cache_nodes; hits = 0; misses = 0 }
+  let m = Enclave.machine enclave in
+  let count = Twine_obs.Obs.counter m.Machine.obs in
+  let meter account label = Machine.meter m ~account label in
+  { enclave; backing; variant; cache_nodes; hits = 0; misses = 0;
+    cache_hit = count "ipfs.cache.hit"; cache_miss = count "ipfs.cache.miss";
+    crypto_bytes = count "ipfs.crypto.bytes"; crypto = meter "ipfs.crypto" "ipfs.crypto";
+    io_read = meter "ipfs.io" "ipfs.read"; io_write = meter "ipfs.io" "ipfs.write";
+    journal = meter "ipfs.journal" "ipfs.journal";
+    recovery = meter "ipfs.recovery" "ipfs.recovery" }
 
 let variant t = t.variant
 let enclave t = t.enclave
@@ -73,6 +89,7 @@ let journal_path path = path ^ ".pfsjrnl"
 
 let machine t = Enclave.machine t.enclave
 let obs t = (machine t).Machine.obs
+let traced t = Option.is_some (Twine_obs.Obs.tracer (obs t))
 
 (* Run [f] inside the enclave, entering via an ECALL when the caller is
    still outside (standalone library use). *)
@@ -103,16 +120,17 @@ let store_write t key ~pos data =
   | Some a -> Backing.write t.backing key ~pos (Twine_sim.Fault.mutilate a data)
   | None -> Backing.write t.backing key ~pos data
 
-let charge_untrusted_io t ?(account = "ipfs.io") label n =
+let charge_untrusted_io t meter n =
   let m = machine t in
-  Machine.charge m ~account label
+  Machine.charge m meter
     (m.costs.untrusted_io_base_ns + Costs.bytes_ns m.costs.untrusted_io_ns_per_byte n)
 
 let charge_crypto t n =
   let m = machine t in
-  Twine_obs.Obs.add m.Machine.obs "ipfs.crypto.bytes" n;
-  Twine_obs.Obs.emit m.Machine.obs ~cat:"ipfs" ~args:[ ("bytes", n) ] "ipfs.crypto";
-  Machine.charge m "ipfs.crypto" (Costs.bytes_ns m.costs.aes_ns_per_byte n)
+  Twine_obs.Obs.add t.crypto_bytes n;
+  if traced t then
+    Twine_obs.Obs.emit m.Machine.obs ~cat:"ipfs" ~args:[ ("bytes", n) ] "ipfs.crypto";
+  Machine.charge m t.crypto (Costs.bytes_ns m.costs.aes_ns_per_byte n)
 
 let node_aad idx = "node:" ^ string_of_int idx
 
@@ -233,7 +251,7 @@ let journal_begin file =
     put_u32 b 0;
     let hdr = Buffer.contents b in
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal"
+        charge_untrusted_io fs fs.journal
           (String.length hdr);
         store_write fs jp ~pos:0 hdr);
     file.jrnl_started <- true;
@@ -252,7 +270,7 @@ let journal_node file idx =
     let entry_pos = 16 + (file.jrnl_count * jrnl_stride) in
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
         (* ciphertext-to-ciphertext, entirely in untrusted memory *)
-        charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal"
+        charge_untrusted_io fs fs.journal
           (2 * node_size) ;
         let old_ct =
           store_read fs file.path ~pos:(idx * node_size) ~len:node_size
@@ -278,7 +296,7 @@ let journal_end file =
   if file.jrnl_started then begin
     let fs = file.fs in
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.journal" "ipfs.journal" 16;
+        charge_untrusted_io fs fs.journal 16;
         ignore (Backing.delete fs.backing (journal_path file.path)));
     file.jrnl_started <- false;
     file.jrnl_count <- 0
@@ -301,7 +319,7 @@ let write_back file idx (node : node) =
   e.present <- true;
   Enclave.copy_out fs.enclave ~label:"ipfs.write" node_size;
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs "ipfs.write" node_size;
+      charge_untrusted_io fs fs.io_write node_size;
       store_write fs file.path ~pos:(idx * node_size) ct);
   node.dirty <- false
 
@@ -315,16 +333,18 @@ let evict file (idx, node) =
 let load_node file idx =
   let fs = file.fs in
   match Twine_sim.Lru.find file.cache idx with
-  | Some node ->
+  | node ->
       fs.hits <- fs.hits + 1;
-      Twine_obs.Obs.inc (obs fs) "ipfs.cache.hit";
-      Twine_obs.Obs.emit (obs fs) ~cat:"ipfs" ~args:[ ("node", idx) ] "ipfs.cache.hit";
+      Twine_obs.Obs.inc fs.cache_hit;
+      if traced fs then
+        Twine_obs.Obs.emit (obs fs) ~cat:"ipfs" ~args:[ ("node", idx) ] "ipfs.cache.hit";
       Enclave.touch fs.enclave ~addr:(slot_addr file node.slot) ~len:node_size;
       node
-  | None ->
+  | exception Not_found ->
       fs.misses <- fs.misses + 1;
-      Twine_obs.Obs.inc (obs fs) "ipfs.cache.miss";
-      Twine_obs.Obs.emit (obs fs) ~cat:"ipfs" ~args:[ ("node", idx) ] "ipfs.cache.miss";
+      Twine_obs.Obs.inc fs.cache_miss;
+      if traced fs then
+        Twine_obs.Obs.emit (obs fs) ~cat:"ipfs" ~args:[ ("node", idx) ] "ipfs.cache.miss";
       let slot = idx mod fs.cache_nodes in
       (* Stock IPFS zeroes the whole node structure (two 4 KiB buffers
          plus metadata) before filling it (§V-F). *)
@@ -336,7 +356,7 @@ let load_node file idx =
         if e.present then begin
           let ct =
             Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-                charge_untrusted_io fs "ipfs.read" node_size;
+                charge_untrusted_io fs fs.io_read node_size;
                 store_read fs file.path ~pos:(idx * node_size) ~len:node_size)
           in
           if String.length ct <> node_size then
@@ -381,7 +401,7 @@ let write_header file =
   let target = if file.live_slot = 0 then 1 else 0 in
   Enclave.copy_out fs.enclave ~label:"ipfs.write" (String.length blob);
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs "ipfs.write" (String.length blob);
+      charge_untrusted_io fs fs.io_write (String.length blob);
       store_write fs (slot_path file.path target) ~pos:0 blob);
   file.gen <- gen;
   file.live_slot <- target;
@@ -406,7 +426,7 @@ let read_slot fs ~path ~slot ~header_key =
   | Some n -> (
       let blob =
         Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-            charge_untrusted_io fs "ipfs.read" n;
+            charge_untrusted_io fs fs.io_read n;
             store_read fs sp ~pos:0 ~len:n)
       in
       if String.length blob >= 4 && String.sub blob 0 4 = tombstone then Slot_dead
@@ -438,7 +458,7 @@ let read_journal_gen fs ~path =
   | Some _ ->
       let hdr =
         Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-            charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+            charge_untrusted_io fs fs.recovery 16;
             store_read fs jp ~pos:0 ~len:16)
       in
       if String.length hdr = 16 && String.sub hdr 0 4 = journal_magic then
@@ -452,13 +472,13 @@ let rollback_journal fs ~path =
   let jp = journal_path path in
   let hdr =
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+        charge_untrusted_io fs fs.recovery 16;
         store_read fs jp ~pos:0 ~len:16)
   in
   let count = get_u32 hdr 12 in
   for k = 0 to count - 1 do
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery"
+        charge_untrusted_io fs fs.recovery
           (2 * node_size);
         let entry =
           store_read fs jp ~pos:(16 + (k * jrnl_stride)) ~len:jrnl_stride
@@ -472,7 +492,7 @@ let rollback_journal fs ~path =
 
 let delete_journal fs ~path =
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+      charge_untrusted_io fs fs.recovery 16;
       ignore (Backing.delete fs.backing (journal_path path)))
 
 (* Crash recovery at open: pick the newest authenticated header slot,
@@ -491,7 +511,7 @@ let read_header fs ~path ~header_key =
   if dead then begin
     (* deletion in flight: finish it *)
     Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-        charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+        charge_untrusted_io fs fs.recovery 16;
         ignore (Backing.delete fs.backing (meta_path path));
         ignore (Backing.delete fs.backing (meta2_path path));
         ignore (Backing.delete fs.backing (journal_path path)));
@@ -530,7 +550,7 @@ let read_header fs ~path ~header_key =
         else if jgen = Some 0 then begin
           (* torn very first commit: the file never existed durably *)
           Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-              charge_untrusted_io fs ~account:"ipfs.recovery" "ipfs.recovery" 16;
+              charge_untrusted_io fs fs.recovery 16;
               ignore (Backing.delete fs.backing (meta_path path));
               ignore (Backing.delete fs.backing (meta2_path path));
               ignore (Backing.delete fs.backing (journal_path path)));
@@ -690,9 +710,9 @@ let flush file =
       (* the journal header precedes any commit work, so a crash during
          even the very first commit is recognisable as such at open *)
       journal_begin file;
-      Twine_sim.Lru.iter
-        (fun idx node -> if node.dirty then write_back file idx node)
-        file.cache;
+      List.iter
+        (fun (idx, node) -> if node.dirty then write_back file idx node)
+        (Twine_sim.Lru.to_list file.cache);
       write_header file)
 
 let close file =

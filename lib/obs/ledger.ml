@@ -1,8 +1,10 @@
 (* Cycle ledger (see the .mli for the conservation argument). Accounts
    are a flat hashtable keyed by the dotted path; the hierarchy only
-   materialises at render time, so booking stays O(1) per charge. *)
+   materialises at render time, so booking stays O(1) per charge. An
+   account cell is resolved into a handle once; [reset] zeroes cells in
+   place, and a cell with events is one booked since. *)
 
-type account = { mutable a_ns : int; mutable a_events : int }
+type account = { a_name : string; mutable a_ns : int; mutable a_events : int }
 
 type t = {
   now : unit -> int;
@@ -25,21 +27,22 @@ let create ?(now = fun () -> 0) () =
     matrix_tbl = Hashtbl.create 8;
   }
 
-let cell t name =
+let account t name =
   match Hashtbl.find_opt t.tbl name with
   | Some a -> a
   | None ->
-      let a = { a_ns = 0; a_events = 0 } in
+      let a = { a_name = name; a_ns = 0; a_events = 0 } in
       Hashtbl.add t.tbl name a;
       a
 
-let book t name ns =
+let balance a = a.a_ns
+
+let book t a ns =
   if ns < 0 then invalid_arg "Ledger.book: negative nanoseconds";
-  let a = cell t name in
   a.a_ns <- a.a_ns + ns;
   a.a_events <- a.a_events + 1;
   t.booked <- t.booked + ns;
-  (match t.tap with None -> () | Some f -> f name ns);
+  (match t.tap with None -> () | Some f -> f a.a_name ns);
   match t.ctx with
   | None -> ()
   | Some ctx ->
@@ -51,8 +54,8 @@ let book t name ns =
             Hashtbl.add t.matrix_tbl ctx r;
             r
       in
-      Hashtbl.replace row name
-        (ns + Option.value ~default:0 (Hashtbl.find_opt row name))
+      Hashtbl.replace row a.a_name
+        (ns + Option.value ~default:0 (Hashtbl.find_opt row a.a_name))
 
 let set_context t c = t.ctx <- c
 let context t = t.ctx
@@ -69,9 +72,13 @@ let events t name =
 
 let total t = t.booked
 
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
 let accounts t =
-  Hashtbl.fold (fun k a acc -> (k, { ns = a.a_ns; events = a.a_events }) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let entry k a acc =
+    if a.a_events = 0 then acc else (k, { ns = a.a_ns; events = a.a_events }) :: acc
+  in
+  by_name (Hashtbl.fold entry t.tbl [])
 
 let elapsed t = t.now () - t.start_ns
 
@@ -82,7 +89,7 @@ let audit t =
 let balanced t = Audit.ok (audit t)
 
 let reset t =
-  Hashtbl.reset t.tbl;
+  Hashtbl.iter (fun _ a -> a.a_ns <- 0; a.a_events <- 0) t.tbl;
   Hashtbl.reset t.matrix_tbl;
   t.booked <- 0;
   t.ctx <- None;
@@ -99,18 +106,9 @@ type snapshot = {
 }
 
 let snapshot t =
-  let matrix =
-    Hashtbl.fold
-      (fun fn row acc ->
-        let cells =
-          Hashtbl.fold (fun k v l -> (k, v) :: l) row []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        in
-        (fn, cells) :: acc)
-      t.matrix_tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  { elapsed_ns = elapsed t; booked_ns = t.booked; accounts = accounts t; matrix }
+  let row fn cells acc = (fn, by_name (Hashtbl.fold (fun k v l -> (k, v) :: l) cells [])) :: acc in
+  { elapsed_ns = elapsed t; booked_ns = t.booked; accounts = accounts t;
+    matrix = by_name (Hashtbl.fold row t.matrix_tbl []) }
 
 let schema = "twine-ledger/v1"
 
@@ -141,58 +139,33 @@ let to_json (s : snapshot) =
 
 let to_string s = Json.to_string (to_json s)
 
-let int_member name j =
-  match Option.bind (Json.member name j) Json.to_float with
-  | Some f -> Ok (int_of_float f)
-  | None -> Error (Printf.sprintf "missing number %S" name)
-
 let of_json j =
+  let ( let* ) = Result.bind in
+  let int v = Option.map int_of_float (Json.to_float v) in
+  let num name v = Option.bind (Json.member name v) int in
+  let fields = function Some (Json.Obj l) -> Some l | _ -> None in
+  let number name =
+    Option.to_result ~none:(Printf.sprintf "missing number %S" name) (num name j)
+  in
   match Json.member "schema" j with
-  | Some (Json.Str s) when s = schema -> (
-      match (int_member "elapsed_ns" j, int_member "booked_ns" j) with
-      | Error e, _ | _, Error e -> Error e
-      | Ok elapsed_ns, Ok booked_ns -> (
-          let accounts =
-            match Json.member "accounts" j with
-            | Some (Json.Obj l) ->
-                Some
-                  (List.filter_map
-                     (fun (name, v) ->
-                       match
-                         ( Option.bind (Json.member "ns" v) Json.to_float,
-                           Option.bind (Json.member "events" v) Json.to_float )
-                       with
-                       | Some ns, Some ev ->
-                           Some
-                             (name, { ns = int_of_float ns; events = int_of_float ev })
-                       | _ -> None)
-                     l)
-            | _ -> None
-          in
-          match accounts with
-          | None -> Error "missing accounts object"
-          | Some accounts ->
-              let matrix =
-                match Json.member "matrix" j with
-                | Some (Json.Obj l) ->
-                    List.map
-                      (fun (fn, row) ->
-                        let cells =
-                          match row with
-                          | Json.Obj cells ->
-                              List.filter_map
-                                (fun (name, v) ->
-                                  Option.map
-                                    (fun f -> (name, int_of_float f))
-                                    (Json.to_float v))
-                                cells
-                          | _ -> []
-                        in
-                        (fn, cells))
-                      l
-                | _ -> []
-              in
-              Ok { elapsed_ns; booked_ns; accounts; matrix }))
+  | Some (Json.Str s) when s = schema ->
+      let* elapsed_ns = number "elapsed_ns" in
+      let* booked_ns = number "booked_ns" in
+      let* accounts =
+        Option.to_result ~none:"missing accounts object" (fields (Json.member "accounts" j))
+      in
+      let entry (name, v) =
+        match (num "ns" v, num "events" v) with
+        | Some ns, Some events -> Some (name, { ns; events })
+        | _ -> None
+      in
+      let cells (fn, row) =
+        let row = Option.value ~default:[] (fields (Some row)) in
+        (fn, List.filter_map (fun (name, v) -> Option.map (fun ns -> (name, ns)) (int v)) row)
+      in
+      let matrix = Option.value ~default:[] (fields (Json.member "matrix" j)) in
+      Ok { elapsed_ns; booked_ns; accounts = List.filter_map entry accounts;
+           matrix = List.map cells matrix }
   | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
   | _ -> Error "missing schema field"
 
@@ -201,6 +174,7 @@ let of_string s = Result.bind (Json.parse s) of_json
 (* --- rendering --- *)
 
 let ms ns = float_of_int ns /. 1e6
+let line b fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt
 
 (* The account hierarchy, materialised from the dotted paths: children
    sorted by subtree cost; levels with a single child and no booking of
@@ -252,9 +226,7 @@ let build_tree accounts =
   root
 
 let render_accounts b accounts ~booked =
-  let line fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt
-  in
+  let line fmt = line b fmt in
   line "%-42s %12s %7s %8s" "account" "total(ms)" "share" "events";
   let pct ns = 100. *. float_of_int ns /. float_of_int (max 1 booked) in
   let root = build_tree accounts in
@@ -282,9 +254,7 @@ let render_matrix ?(top = 6) (s : snapshot) =
   if s.matrix = [] then ""
   else begin
     let b = Buffer.create 1024 in
-    let line fmt =
-      Printf.ksprintf (fun str -> Buffer.add_string b str; Buffer.add_char b '\n') fmt
-    in
+    let line fmt = line b fmt in
     line "-- guest-frame x account breakdown --";
     line "%-24s %-30s %12s %7s" "function" "account" "total(ms)" "share";
     let rows =
@@ -336,9 +306,7 @@ let diff (a : snapshot) (b : snapshot) =
 
 let render_diff ?(top = 24) ~(base : snapshot) ~(current : snapshot) () =
   let b = Buffer.create 1024 in
-  let line fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt
-  in
+  let line fmt = line b fmt in
   let deltas = diff base current in
   let elapsed_delta = current.elapsed_ns - base.elapsed_ns in
   line "== ledger diff: ranked attribution of the run delta ==";

@@ -23,9 +23,18 @@ val create : ?now:(unit -> int) -> unit -> t
 (** [now] supplies virtual time; {!audit} measures elapsed time from
     creation (or the last {!reset}) with it. *)
 
-val book : t -> string -> int -> unit
+type account
+(** Resolved by name once, where a layer is created, so a booking hashes
+    no string. Resolving lists nothing in {!accounts}. *)
+
+val account : t -> string -> account
+
+val book : t -> account -> int -> unit
 (** Book [ns] nanoseconds (and one event) to the account. [ns = 0] still
     counts an event. @raise Invalid_argument on negative [ns]. *)
+
+val balance : account -> int
+(** Nanoseconds booked to the account since the last {!reset}. *)
 
 val set_context : t -> string option -> unit
 (** Set the guest frame charges are attributed to in the function ×
@@ -65,8 +74,9 @@ val balanced : t -> bool
 (** [Audit.ok (audit t)]. *)
 
 val reset : t -> unit
-(** Drop all accounts, the matrix and the context; elapsed time
-    restarts at [now ()]. *)
+(** Zero every account in place (handles stay valid; {!accounts} lists
+    those booked since), drop the matrix, the context and the tap;
+    elapsed time restarts at [now ()]. *)
 
 (** {2 Snapshots} — the serialisable view ([twine_cli diff] operates on
     these; schema {!schema}). *)

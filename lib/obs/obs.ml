@@ -7,7 +7,11 @@
    on the simulator's *virtual* clock, injected as a [now] closure, so
    nesting attribution is exact and deterministic. *)
 
-type counter = { mutable c_value : int }
+(* Counters and histograms are cells, resolved by name into handles.
+   [reset] zeroes them in place, so handles stay valid; the snapshots
+   list the cells touched since ([c_live], or a non-empty sketch). *)
+type counter = { mutable c_value : int; mutable c_live : bool }
+type histogram = Sketch.t ref
 
 type span = {
   mutable sp_count : int;
@@ -25,7 +29,7 @@ type frame = {
 type t = {
   now : unit -> int;
   counters : (string, counter) Hashtbl.t;
-  histograms : (string, Sketch.t) Hashtbl.t;
+  histograms : (string, histogram) Hashtbl.t;
   spans : (string, span) Hashtbl.t;
   mutable stack : frame list;
   mutable tracer : Trace.t option;
@@ -42,8 +46,8 @@ let create ?(now = fun () -> 0) () =
   }
 
 let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.histograms;
+  Hashtbl.iter (fun _ c -> c.c_value <- 0; c.c_live <- false) t.counters;
+  Hashtbl.iter (fun _ h -> h := Sketch.create ()) t.histograms;
   Hashtbl.reset t.spans;
   t.stack <- []
 
@@ -60,19 +64,19 @@ let emit_counter t ~cat name args =
 
 (* --- counters --- *)
 
-let counter_cell t name =
-  match Hashtbl.find_opt t.counters name with
+let cell tbl name fresh =
+  match Hashtbl.find_opt tbl name with
   | Some c -> c
   | None ->
-      let c = { c_value = 0 } in
-      Hashtbl.add t.counters name c;
+      let c = fresh () in
+      Hashtbl.add tbl name c;
       c
 
-let add t name n =
-  let c = counter_cell t name in
-  c.c_value <- c.c_value + n
+let counter t name = cell t.counters name (fun () -> { c_value = 0; c_live = false })
 
-let inc t name = add t name 1
+let add c n = c.c_value <- c.c_value + n; c.c_live <- true
+
+let inc c = add c 1
 
 let value t name =
   match Hashtbl.find_opt t.counters name with Some c -> c.c_value | None -> 0
@@ -80,26 +84,27 @@ let value t name =
 (* --- histograms --- *)
 
 (* A histogram is a Sketch: exact count/sum/min/max, quantiles within
-   Sketch.alpha. The first sample is inserted before the sketch is
-   registered, so a rejected (negative) one leaves no empty histogram. *)
-let observe t name v =
-  match Hashtbl.find_opt t.histograms name with
-  | Some s -> Sketch.insert s v
-  | None ->
-      let s = Sketch.create () in
-      Sketch.insert s v;
-      Hashtbl.add t.histograms name s
+   Sketch.alpha. A rejected (negative) sample records nothing, and an
+   empty histogram is not listed. *)
+let histogram t name = cell t.histograms name (fun () -> ref (Sketch.create ()))
+let observe h v = Sketch.insert !h v
 
 type hstat = { count : int; sum : int; min : int; max : int }
 
-let stat_of s =
+let stat_of h =
+  let s = !h in
   { count = Sketch.count s; sum = Sketch.sum s; min = Sketch.vmin s; max = Sketch.vmax s }
 
-let hstat t name = Option.map stat_of (Hashtbl.find_opt t.histograms name)
+let live h = Sketch.count !h > 0
+
+let live_histogram t name =
+  match Hashtbl.find_opt t.histograms name with Some h when live h -> Some h | _ -> None
+
+let hstat t name = Option.map stat_of (live_histogram t name)
 
 let quantile t name q =
   if q < 0. || q > 1. then invalid_arg "Obs.quantile: q outside [0,1]";
-  Option.bind (Hashtbl.find_opt t.histograms name) (fun s -> Sketch.quantile s q)
+  Option.bind (live_histogram t name) (fun h -> Sketch.quantile !h q)
 
 (* --- spans --- *)
 
@@ -180,14 +185,14 @@ let depth t = List.length t.stack
 
 (* --- snapshots (sorted by name, for stable reports and tests) --- *)
 
-let sorted_fold tbl f =
-  Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
+let sorted_fold tbl keep f =
+  Hashtbl.fold (fun k v acc -> if keep v then (k, f v) :: acc else acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counters t = sorted_fold t.counters (fun c -> c.c_value)
+let counters t = sorted_fold t.counters (fun c -> c.c_live) (fun c -> c.c_value)
 
-let histograms t = sorted_fold t.histograms stat_of
+let histograms t = sorted_fold t.histograms live stat_of
 
 let spans t =
-  sorted_fold t.spans (fun s ->
+  sorted_fold t.spans (fun _ -> true) (fun s ->
       { calls = s.sp_count; total_ns = s.sp_total_ns; self_ns = s.sp_self_ns })

@@ -13,8 +13,9 @@ val create : ?now:(unit -> int) -> unit -> t
     clock, making spans count-only). *)
 
 val reset : t -> unit
-(** Clears counters, histograms, spans and the span stack. The attached
-    flight recorder (if any) is left alone. *)
+(** Zeroes counters and histograms in place (handles stay valid; the
+    snapshots list what is touched since) and clears spans and the span
+    stack. The attached flight recorder (if any) is left alone. *)
 
 (** {2 Flight recorder}
 
@@ -33,10 +34,16 @@ val emit : t -> cat:string -> ?args:(string * int) list -> string -> unit
 val emit_counter : t -> cat:string -> string -> (string * int) list -> unit
 (** Record a counter-track sample in the attached recorder, if any. *)
 
-(** {2 Counters} *)
+(** {2 Counters}
 
-val inc : t -> string -> unit
-val add : t -> string -> int -> unit
+    Counters and histograms are resolved by name once, where a layer is
+    created; an event then hashes no string. Resolving lists nothing. *)
+
+type counter
+
+val counter : t -> string -> counter
+val inc : counter -> unit
+val add : counter -> int -> unit
 val value : t -> string -> int
 (** 0 when the counter was never touched. *)
 
@@ -45,7 +52,11 @@ val value : t -> string -> int
     Each histogram is a {!Sketch}: count, sum, min and max are exact,
     and quantiles are estimated within {!Sketch.alpha}. *)
 
-val observe : t -> string -> int -> unit
+type histogram
+
+val histogram : t -> string -> histogram
+
+val observe : histogram -> int -> unit
 (** Record one sample (e.g. the nanosecond cost of one charge).
     @raise Invalid_argument on a negative sample; nothing is recorded. *)
 

@@ -44,7 +44,6 @@ let create ?tracer ?(now = fun () -> 0) () =
 let set_namer t namer = t.namer <- namer
 let name t id = t.namer id
 let depth t = List.length t.stack
-let current t = match t.stack with cur :: _ -> Some cur.id | [] -> None
 
 let connect_ledger t ledger = t.ledger <- Some ledger
 
@@ -57,16 +56,6 @@ let sync_context t =
   | Some l ->
       Ledger.set_context l
         (match t.stack with cur :: _ -> Some (t.namer cur.id) | [] -> None)
-
-let reset t =
-  t.root.calls <- 0;
-  t.root.self_fuel <- 0;
-  t.root.self_cycles <- 0;
-  t.root.children <- [];
-  t.stack <- [];
-  t.seg_fuel <- 0;
-  t.seg_cycles <- 0;
-  match t.ledger with Some l -> Ledger.set_context l None | None -> ()
 
 (* Close the open self segment into the frame on top (dropped at top
    level: fuel only accrues inside some function body anyway) and mark

@@ -50,17 +50,11 @@ val exit : t -> fuel:int -> int -> unit
 val depth : t -> int
 (** Current shadow-stack depth (0 at top level). *)
 
-val current : t -> int option
-(** Function index on top of the shadow stack, if any. *)
-
 val connect_ledger : t -> Ledger.t -> unit
 (** Mirror the shadow-stack top into the ledger's context: while a
     guest frame is live, every nanosecond the machine books lands in
     that frame's row of the ledger's function x account matrix. The
-    context is cleared when the stack empties (and on {!reset}). *)
-
-val reset : t -> unit
-(** Drop all recorded data and any open frames. *)
+    context is cleared when the stack empties. *)
 
 (** {2 Aggregation} *)
 

@@ -41,7 +41,6 @@ let create ?(capacity = default_capacity) ?(enabled = true) ~now () =
   { now; capacity; buf = Array.make capacity dummy_event; head = 0; total = 0;
     lost = 0; hwm = 0; enabled }
 
-let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
 let capacity t = t.capacity
 
@@ -76,5 +75,3 @@ let events t =
   let n = length t in
   let first = if t.total <= t.capacity then 0 else t.head in
   List.init n (fun i -> t.buf.((first + i) mod t.capacity))
-
-let iter t f = List.iter f (events t)

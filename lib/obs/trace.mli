@@ -25,7 +25,6 @@ val create : ?capacity:int -> ?enabled:bool -> now:(unit -> int) -> unit -> t
 (** [now] supplies virtual-clock timestamps. Default capacity is 65536
     events; default enabled. *)
 
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 val capacity : t -> int
 
@@ -70,5 +69,3 @@ val clear : t -> unit
 val events : t -> event list
 (** Surviving events, oldest first. Timestamps are non-decreasing (the
     virtual clock never goes backwards). *)
-
-val iter : t -> (event -> unit) -> unit

@@ -129,11 +129,9 @@ let credit b account ns =
   else if account = "serve.pager" then b.pager_ns <- b.pager_ns + ns
   else if account = "epc.fault" then b.epc_fault_ns <- b.epc_fault_ns + ns
   else if account = "epc.evict" then b.epc_evict_ns <- b.epc_evict_ns + ns
-  else if String.length account >= 14 && String.sub account 0 14 = "sgx.transition"
+  else if String.starts_with ~prefix:"sgx.transition" account
   then b.transition_ns <- b.transition_ns + ns
-  else if
-    account = "ipfs.crypto"
-    || (String.length account >= 4 && String.sub account 0 4 = "mee.")
+  else if account = "ipfs.crypto" || String.starts_with ~prefix:"mee." account
   then b.crypto_ns <- b.crypto_ns + ns
   else b.other_ns <- b.other_ns + ns
 
@@ -564,6 +562,11 @@ type fleet = {
   series : Timeseries.t;
   log : request option array;  (* by rid; empty under --stream *)
   completed : int ref;
+  (* the serving loop's own meters and histogram *)
+  exec : Machine.meter;
+  pager : Machine.meter;
+  idle : Machine.meter;
+  batch_fill : Obs.histogram;
 }
 
 let now f = Machine.now_ns f.machine
@@ -583,7 +586,7 @@ let complete f rs =
       incr f.completed;
       if r.outcome <> Served then begin
         let name = "serve." ^ outcome_name r.outcome in
-        Obs.inc f.obs name;
+        Obs.inc (Obs.counter f.obs name);
         Obs.emit f.obs ~cat:"serve"
           ~args:[ ("rid", r.rid); ("enclave", r.enclave); ("lat_ns", latency_ns r) ]
           name
@@ -634,8 +637,6 @@ let span f phase ~cat ~eid ~rid name =
 let work_ns cfg work =
   int_of_float (Float.round (float_of_int work *. cfg.ns_per_work *. cfg.wasm_factor))
 
-let charge f account ns = Machine.charge f.machine ~account "serve.sql" ns
-
 (* Per-operator attribution: the statement's exec booking is sliced
    across its operator tree (plus profiling overhead) in proportion to
    self-work. Slices sum exactly to [exec_ns] and land on the same
@@ -649,7 +650,7 @@ let charge_exec f w ~rid exec_ns =
       (Db.profiles w.db)
   in
   match shares with
-  | [] -> charge f "serve.exec" exec_ns
+  | [] -> Machine.charge f.machine f.exec exec_ns
   | _ ->
       let slices = Db.slice_ns ~total_ns:exec_ns (List.map snd shares) in
       List.iter2
@@ -657,7 +658,7 @@ let charge_exec f w ~rid exec_ns =
           if ns > 0 then begin
             let op = "sql." ^ name in
             span f `Begin ~cat:"sqldb" ~eid:w.eid ~rid op;
-            charge f "serve.exec" ns;
+            Machine.charge f.machine f.exec ns;
             span f `End ~cat:"sqldb" ~eid:w.eid ~rid op
           end)
         shares slices
@@ -685,7 +686,7 @@ let serve_one f w e (rid, at, req) =
   let pager_units = !(w.pager_work) in
   let pager_ns = work_ns f.cfg pager_units in
   if pager_units > 0 then begin
-    charge f "serve.pager" pager_ns;
+    Machine.charge f.machine f.pager pager_ns;
     w.pager_work := 0
   end;
   Enclave.copy_out e ~label:"serve.resp" (response_bytes res);
@@ -798,7 +799,7 @@ let requeue_unfinished f ~eid batch =
           fail_fast f Failed ~eid ~st rid at req
       | Some st ->
           st.s_requeues <- st.s_requeues + 1;
-          Obs.inc f.obs "serve.retry";
+          Obs.inc (Obs.counter f.obs "serve.retry");
           let b = backoff f st in
           st.s_retry_wait <- st.s_retry_wait + b;
           ignore
@@ -811,8 +812,10 @@ let requeue_unfinished f ~eid batch =
    Arrivals queued behind the crash migrate to the replacement. *)
 let relaunch f slot w =
   let epc = f.machine.Machine.epc in
-  let step account ns = Machine.charge f.machine ~account "serve.failover" ns in
-  Obs.inc f.obs "serve.failover";
+  let step account ns =
+    Machine.charge f.machine (Machine.meter f.machine ~account "serve.failover") ns
+  in
+  Obs.inc (Obs.counter f.obs "serve.failover");
   let start = now f in
   step "serve.failover.detect" failover_detect_ns;
   step "serve.failover.teardown"
@@ -829,7 +832,7 @@ let relaunch f slot w =
   f.retired <- w.eid :: f.retired;
   let dur = now f - start in
   f.recoveries <- dur :: f.recoveries;
-  Obs.observe f.obs "serve.failover_ns" dur
+  Obs.observe (Obs.histogram f.obs "serve.failover_ns") dur
 
 (* A batch's ECALL failed. [`Transient]: the enclave is healthy and only
    the batch is lost; [`Lost]: the enclave is gone. Either way the
@@ -839,7 +842,8 @@ let fail_batch f slot w batch err =
   f.attr.phase <- Failover;
   (match err with
   | `Transient _ ->
-      Machine.charge f.machine ~account:"serve.failover.detect" "serve.failover"
+      Machine.charge f.machine
+        (Machine.meter f.machine ~account:"serve.failover.detect" "serve.failover")
         failover_detect_ns
   | `Lost _ -> relaunch f slot w);
   f.attr.phase <- Idle;
@@ -877,7 +881,7 @@ let sleep f =
          (Option.map (fun a -> f.t0 + a.Workload.at) f.lookahead)
          (Twine_sim.Eventq.peek_time f.timers))
   with
-  | Some t -> Machine.charge f.machine ~account:"serve.idle" "serve.idle" (t - now f)
+  | Some t -> Machine.charge f.machine f.idle (t - now f)
   | None -> assert false (* requests remain, so events remain *)
 
 (* Pop up to [nleft] LIVE entries, skipping tombstones of requests that
@@ -909,7 +913,7 @@ let dispatch f =
   let size = List.length batch in
   f.pending <- f.pending - size;
   f.batches <- f.batches + 1;
-  Obs.observe f.obs "serve.batch_fill" size;
+  Obs.observe f.batch_fill size;
   let ctx =
     match (f.tracer, batch) with
     | Some _, (first, _, _) :: _ ->
@@ -1115,6 +1119,10 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       next_sample = t0 + cfg.sample_every_ns; series;
       log = (if cfg.retain_requests then Array.make cfg.requests None else [||]);
       completed;
+      exec = Machine.meter machine ~account:"serve.exec" "serve.sql";
+      pager = Machine.meter machine ~account:"serve.pager" "serve.sql";
+      idle = Machine.meter machine ~account:"serve.idle" "serve.idle";
+      batch_fill = Obs.histogram obs "serve.batch_fill";
     }
   in
   while !completed < cfg.requests do

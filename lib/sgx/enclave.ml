@@ -1,4 +1,5 @@
 open Twine_crypto
+module Obs = Twine_obs.Obs
 
 type t = {
   machine : Machine.t;
@@ -12,6 +13,11 @@ type t = {
   mutable destroyed : bool;
   mutable poisoned : bool;
   drbg : Drbg.t;
+  ecalls : Obs.counter;
+  ocalls : Obs.counter;
+  epc_fault : Machine.meter;
+  epc_evict : Machine.meter;
+  mutable meters : (string * string * Machine.meter) list;  (* by (account, label) *)
 }
 
 exception Destroyed
@@ -34,6 +40,18 @@ let fault_gate t site =
       t.poisoned <- true;
       raise (Fault.Crashed site)
 
+(* A meter per label callers pass, resolved on first use: lookups compare, never hash. *)
+let meter t ~account label =
+  let rec find = function
+    | (a, l, m) :: rest ->
+        if String.equal l label && String.equal a account then m else find rest
+    | [] ->
+        let m = Machine.meter t.machine ~account label in
+        t.meters <- (account, label, m) :: t.meters;
+        m
+  in
+  find t.meters
+
 let fault_pages (t : t) ~addr ~len =
   if len > 0 then begin
     let m = t.machine in
@@ -44,11 +62,8 @@ let fault_pages (t : t) ~addr ~len =
       | `Fault victim ->
           (* same cost either way; the ledger splits plain page-ins from
              the capacity-pressure path that had to encrypt a page out *)
-          let account =
-            match victim with Some _ -> "epc.evict" | None -> "epc.fault"
-          in
-          Machine.charge_cycles m ~account "sgx.epc_fault"
-            m.costs.epc_fault_cycles
+          let meter = if Option.is_some victim then t.epc_evict else t.epc_fault in
+          Machine.charge_cycles m meter m.costs.epc_fault_cycles
     done
   end
 
@@ -56,13 +71,14 @@ let fault_pages (t : t) ~addr ~len =
    bytes only ever change here, so the timeline shows heap growth
    aligned with the paging events it causes. No-op without a tracer. *)
 let note_heap t =
-  Twine_obs.Obs.emit_counter t.machine.Machine.obs ~cat:"sgx" "enclave.heap"
+  Obs.emit_counter t.machine.Machine.obs ~cat:"sgx" "enclave.heap"
     [ ("bytes", t.committed) ]
 
 let create machine ?(signer = "twine-vendor") ?(heap_bytes = 16 * 1024 * 1024)
     ~code () =
   let id = machine.Machine.next_enclave_id in
   machine.next_enclave_id <- id + 1;
+  let obs = machine.Machine.obs and resolve account = Machine.meter machine ~account in
   let t =
     {
       machine;
@@ -79,12 +95,18 @@ let create machine ?(signer = "twine-vendor") ?(heap_bytes = 16 * 1024 * 1024)
         Drbg.create ~personalization:"sgx-rdrand"
           ~seed:(machine.cpu_key ^ Sha256.digest code ^ string_of_int id)
           ();
+      ecalls = Obs.counter obs "sgx.ecall";
+      ocalls = Obs.counter obs "sgx.ocall";
+      epc_fault = resolve "epc.fault" "sgx.epc_fault";
+      epc_evict = resolve "epc.evict" "sgx.epc_fault";
+      meters = [];
     }
   in
   (* ECREATE, then EADD+EEXTEND for every code and heap page. *)
   let pages = (String.length code + heap_bytes + Costs.page_size - 1) / Costs.page_size in
-  Machine.charge machine "sgx.launch" machine.costs.launch_base_ns;
-  Machine.charge_cycles machine "sgx.launch" (pages * machine.costs.page_add_cycles);
+  let launch = resolve "sgx.launch" "sgx.launch" in
+  Machine.charge machine launch machine.costs.launch_base_ns;
+  Machine.charge_cycles machine launch (pages * machine.costs.page_add_cycles);
   t.committed <- String.length code + heap_bytes;
   t.brk <- t.brk + String.length code;
   note_heap t;
@@ -105,43 +127,44 @@ let destroy t =
 (* One enclave-boundary transition (half an ECALL/OCALL round trip).
    The flight recorder gets an instant per transition so the timeline
    shows each boundary crossing, not just the enclosing span. *)
-let crossing t ~account name =
+let crossing t meter name =
   t.transition_count <- t.transition_count + 1;
-  Twine_obs.Obs.emit t.machine.Machine.obs ~cat:"sgx"
-    ~args:[ ("enclave", t.id); ("transition", t.transition_count) ]
-    (name ^ ".crossing");
-  Machine.charge_cycles t.machine ~account name
-    t.machine.costs.transition_cycles
+  let obs = t.machine.Machine.obs in
+  if Option.is_some (Obs.tracer obs) then
+    Obs.emit obs ~cat:"sgx"
+      ~args:[ ("enclave", t.id); ("transition", t.transition_count) ]
+      (name ^ ".crossing");
+  Machine.charge_cycles t.machine meter t.machine.costs.transition_cycles
 
 let ecall t ?(name = "sgx.ecall") f =
   check t;
-  let account = "sgx.transition.ecall" in
+  let m = meter t ~account:"sgx.transition.ecall" name in
   let obs = t.machine.Machine.obs in
   if t.depth = 0 then begin
-    Twine_obs.Obs.inc obs "sgx.ecall";
-    crossing t ~account name
+    Obs.inc t.ecalls;
+    crossing t m name
   end;
   t.depth <- t.depth + 1;
   Fun.protect
     ~finally:(fun () ->
       t.depth <- t.depth - 1;
-      if t.depth = 0 && not t.destroyed then crossing t ~account name)
+      if t.depth = 0 && not t.destroyed then crossing t m name)
     (fun () ->
       fault_gate t "enclave.ecall";
-      Twine_obs.Obs.in_span obs name (fun () -> f t))
+      Obs.in_span obs name (fun () -> f t))
 
 let ocall t ?(name = "sgx.ocall") f =
   check t;
   if t.depth = 0 then invalid_arg "Enclave.ocall: not inside an ecall";
-  let account = "sgx.transition.ocall" in
+  let m = meter t ~account:"sgx.transition.ocall" name in
   let obs = t.machine.Machine.obs in
-  Twine_obs.Obs.inc obs "sgx.ocall";
-  crossing t ~account name;
+  Obs.inc t.ocalls;
+  crossing t m name;
   Fun.protect
-    ~finally:(fun () -> if not t.destroyed then crossing t ~account name)
+    ~finally:(fun () -> if not t.destroyed then crossing t m name)
     (fun () ->
       fault_gate t "enclave.ocall";
-      Twine_obs.Obs.in_span obs name f)
+      Obs.in_span obs name f)
 
 let inside t = t.depth > 0
 let transitions t = t.transition_count
@@ -156,7 +179,7 @@ let alloc t n =
   if n < 0 then invalid_arg "Enclave.alloc: negative size";
   let m = t.machine in
   let committed_mib = t.committed / (1024 * 1024) in
-  Machine.charge m "sgx.alloc" (300 + (20 * committed_mib));
+  Machine.charge m (meter t ~account:"sgx.alloc" "sgx.alloc") (300 + (20 * committed_mib));
   let addr = t.brk in
   t.brk <- t.brk + n;
   t.committed <- t.committed + n;
@@ -188,33 +211,33 @@ let commit t ~addr ~len =
     let pages =
       ((addr + len - 1) / Costs.page_size) - (addr / Costs.page_size) + 1
     in
-    Machine.charge_cycles m "sgx.commit" (pages * m.costs.page_add_cycles);
+    Machine.charge_cycles m (meter t ~account:"sgx.commit" "sgx.commit")
+      (pages * m.costs.page_add_cycles);
     t.committed <- t.committed + len;
     note_heap t;
     fault_pages t ~addr ~len
   end
 
-let memset t ?(label = "sgx.memset") n =
+(* Memory-encryption-engine traffic, at [rate] ns per byte. *)
+let mee t ~account label rate n =
   check t;
-  Machine.charge t.machine ~account:"mee.memset" label
-    (Costs.bytes_ns t.machine.costs.memset_ns_per_byte n)
+  Machine.charge t.machine (meter t ~account label) (Costs.bytes_ns (rate t.machine.costs) n)
+
+let memset t ?(label = "sgx.memset") n =
+  mee t ~account:"mee.memset" label (fun c -> c.memset_ns_per_byte) n
 
 let copy_in t ?(label = "sgx.copy_in") n =
-  check t;
-  Machine.charge t.machine ~account:"mee.copy" label
-    (Costs.bytes_ns t.machine.costs.copy_ns_per_byte n)
+  mee t ~account:"mee.copy" label (fun c -> c.copy_ns_per_byte) n
 
 let copy_out t ?(label = "sgx.copy_out") n =
-  check t;
-  Machine.charge t.machine ~account:"mee.copy" label
-    (Costs.bytes_ns t.machine.costs.copy_ns_per_byte n)
+  mee t ~account:"mee.copy" label (fun c -> c.copy_ns_per_byte) n
 
 let load_reserved t code =
   check t;
   let n = String.length code in
   copy_in t n;
   (* mprotect-style page permission flips on the reserved region *)
-  Machine.charge t.machine "sgx.reserved"
+  Machine.charge t.machine (meter t ~account:"sgx.reserved" "sgx.reserved")
     (200 * ((n + Costs.page_size - 1) / Costs.page_size));
   let addr = t.brk in
   t.brk <- t.brk + n;
@@ -226,5 +249,3 @@ let load_reserved t code =
 let random t n =
   check t;
   Drbg.generate t.drbg n
-
-let drbg t = t.drbg

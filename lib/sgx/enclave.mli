@@ -94,5 +94,3 @@ val load_reserved : t -> string -> int
 
 val random : t -> int -> string
 (** Trusted in-enclave randomness (deterministic per enclave identity). *)
-
-val drbg : t -> Twine_crypto.Drbg.t

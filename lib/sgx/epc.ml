@@ -16,7 +16,7 @@ let page_no_bits = 40
 let max_page_no = (1 lsl page_no_bits) - 1
 let max_enclave_id = max_int lsr page_no_bits
 
-let page_of ~enclave_id ~page_no =
+let[@inline] page_of ~enclave_id ~page_no =
   if page_no < 0 || page_no > max_page_no then
     invalid_arg "Epc.page_of: page_no out of range";
   if enclave_id < 0 || enclave_id > max_enclave_id then
@@ -26,10 +26,15 @@ let page_of ~enclave_id ~page_no =
 let enclave_of_page p = p lsr page_no_bits
 let page_no_of_page p = p land max_page_no
 
+module Obs = Twine_obs.Obs
+
 type t = {
-  resident : (page, unit) Lru.t;
-  obs : Twine_obs.Obs.t option;
-  mutable hit_count : int;
+  resident : unit Lru.t;
+  obs : Obs.t;
+  hit : Obs.counter;
+  fault : Obs.counter;
+  evict : Obs.counter;
+  refault_cross : Obs.counter;
   mutable fault_count : int;
   mutable eviction_count : int;
   victim_counts : (int, int) Hashtbl.t;
@@ -46,10 +51,14 @@ type t = {
 let create ?obs ~limit_bytes () =
   let pages = limit_bytes / Costs.page_size in
   if pages < 1 then invalid_arg "Epc.create: limit below one page";
+  let obs = match obs with Some o -> o | None -> Obs.create () in
   {
     resident = Lru.create ~capacity:pages ();
     obs;
-    hit_count = 0;
+    hit = Obs.counter obs "epc.hit";
+    fault = Obs.counter obs "epc.fault";
+    evict = Obs.counter obs "epc.evict";
+    refault_cross = Obs.counter obs "epc.refault.cross";
     fault_count = 0;
     eviction_count = 0;
     victim_counts = Hashtbl.create 16;
@@ -62,33 +71,24 @@ let create ?obs ~limit_bytes () =
 let limit_pages t = Lru.capacity t.resident
 let resident_pages t = Lru.length t.resident
 
-let record t name =
-  match t.obs with Some o -> Twine_obs.Obs.inc o name | None -> ()
-
 (* Timeline events for the paging that the aggregate counters summarise:
    each fault/eviction lands as an instant tagged with the enclave and
    page number, plus a resident-pages counter track. Hits stay off the
    timeline — they dominate event volume and carry no cliff signal. An
    eviction is tagged with the *victim* page (the one encrypted out),
    plus the enclave whose fault forced it, so cross-enclave interference
-   is visible per event. *)
-let trace_paging t ?by name page =
-  match t.obs with
-  | Some o ->
-      let args =
-        [ ("enclave", enclave_of_page page); ("page", page_no_of_page page) ]
-        @ match by with Some e -> [ ("by", e) ] | None -> []
-      in
-      Twine_obs.Obs.emit o ~cat:"epc" ~args name;
-      Twine_obs.Obs.emit_counter o ~cat:"epc" "epc.resident"
-        [ ("pages", Lru.length t.resident) ]
-  | None -> ()
+   is visible per event. Callers check [traced] first, so an untraced
+   fault builds no arguments. *)
+let traced t = Option.is_some (Obs.tracer t.obs)
+
+let trace_paging t name page extra =
+  let args = ("enclave", enclave_of_page page) :: ("page", page_no_of_page page) :: extra in
+  Obs.emit t.obs ~cat:"epc" ~args name;
+  Obs.emit_counter t.obs ~cat:"epc" "epc.resident" [ ("pages", Lru.length t.resident) ]
 
 let bump tbl key d =
   let n = try Hashtbl.find tbl key with Not_found -> 0 in
   Hashtbl.replace tbl key (n + d)
-
-let note_victim t victim = bump t.victim_counts (enclave_of_page victim) 1
 
 (* A refault of a page that a *different* enclave's fault pushed out is
    the per-request face of EPC interference: the victim enclave pays the
@@ -101,7 +101,7 @@ let note_refault t page =
   | Some evictor ->
       Hashtbl.remove t.evicted_by page;
       t.cross_refault_count <- t.cross_refault_count + 1;
-      record t "epc.refault.cross";
+      Obs.inc t.refault_cross;
       (match t.on_cross_refault with
       | Some f -> f ~owner:(enclave_of_page page) ~evictor
       | None -> ())
@@ -109,44 +109,40 @@ let note_refault t page =
 let set_refault_hook t f = t.on_cross_refault <- f
 let cross_refaults t = t.cross_refault_count
 
+let page_in t page =
+  t.fault_count <- t.fault_count + 1;
+  Obs.inc t.fault;
+  note_refault t page;
+  bump t.resident_counts (enclave_of_page page) 1;
+  let victim =
+    match Lru.put t.resident page () with
+    | Some (victim, ()) ->
+        t.eviction_count <- t.eviction_count + 1;
+        bump t.victim_counts (enclave_of_page victim) 1;
+        bump t.resident_counts (enclave_of_page victim) (-1);
+        let by = enclave_of_page page in
+        if by <> enclave_of_page victim then
+          Hashtbl.replace t.evicted_by victim by;
+        Obs.inc t.evict;
+        if traced t then trace_paging t "epc.evict" victim [ ("by", by) ];
+        Some victim
+    | None -> None
+  in
+  if traced t then trace_paging t "epc.fault" page [];
+  `Fault victim
+
+(* A hit is one probe and one relink in the resident set. *)
 let touch t page =
   match Lru.find t.resident page with
-  | Some () ->
-      t.hit_count <- t.hit_count + 1;
-      record t "epc.hit";
+  | () ->
+      Obs.inc t.hit;
       `Hit
-  | None ->
-      t.fault_count <- t.fault_count + 1;
-      record t "epc.fault";
-      note_refault t page;
-      bump t.resident_counts (enclave_of_page page) 1;
-      let victim =
-        match Lru.put t.resident page () with
-        | Some (victim, ()) ->
-            t.eviction_count <- t.eviction_count + 1;
-            note_victim t victim;
-            bump t.resident_counts (enclave_of_page victim) (-1);
-            let by = enclave_of_page page in
-            if by <> enclave_of_page victim then
-              Hashtbl.replace t.evicted_by victim by;
-            record t "epc.evict";
-            trace_paging t ~by "epc.evict" victim;
-            Some victim
-        | None -> None
-      in
-      trace_paging t "epc.fault" page;
-      `Fault victim
+  | exception Not_found -> page_in t page
 
 let release_enclave t enclave_id =
-  let belongs (page, ()) = enclave_of_page page = enclave_id in
-  let doomed = List.filter belongs (Lru.to_list t.resident) in
   List.iter
-    (fun (page, ()) ->
-      (match Lru.remove t.resident page with
-      | Some () -> bump t.resident_counts enclave_id (-1)
-      | None -> ());
-      Hashtbl.remove t.evicted_by page)
-    doomed;
+    (fun (page, ()) -> if enclave_of_page page = enclave_id then Lru.remove t.resident page)
+    (Lru.to_list t.resident);
   Hashtbl.remove t.resident_counts enclave_id;
   (* Provenance hygiene for destroy-then-relaunch fleets: drop every
      eviction-provenance entry that names the dead enclave on EITHER
@@ -154,17 +150,12 @@ let release_enclave t enclave_id =
      pages would leak forever — the owner can never fault them back in.
      Evictor-side entries would blame a destroyed enclave (or, worse, a
      later enclave reusing the id) when the surviving owner refaults. *)
-  let stale =
-    Hashtbl.fold
-      (fun page evictor acc ->
-        if enclave_of_page page = enclave_id || evictor = enclave_id then
-          page :: acc
-        else acc)
-      t.evicted_by []
-  in
-  List.iter (Hashtbl.remove t.evicted_by) stale
+  Hashtbl.filter_map_inplace
+    (fun page evictor ->
+      if enclave_of_page page = enclave_id || evictor = enclave_id then None
+      else Some evictor)
+    t.evicted_by
 
-let hits t = t.hit_count
 let faults t = t.fault_count
 let evictions t = t.eviction_count
 

@@ -27,17 +27,18 @@ val max_page_no : int
 val max_enclave_id : int
 
 val create : ?obs:Twine_obs.Obs.t -> limit_bytes:int -> unit -> t
-(** @raise Invalid_argument if the limit is below one page. When [obs] is
-    given, every touch records [epc.hit] / [epc.fault] / [epc.evict]. *)
+(** @raise Invalid_argument if the limit is below one page. Every touch
+    counts [epc.hit] / [epc.fault] / [epc.evict] in [obs] (a private
+    registry when absent), through counters resolved here. *)
 
 val limit_pages : t -> int
 val resident_pages : t -> int
 
 val touch : t -> page -> [ `Hit | `Fault of page option ]
-(** Access one page, promoting it; [`Fault victim] means it had to be
-    brought in, with [victim = Some p] when the EPC was full and page
-    [p] — possibly belonging to a different enclave — was encrypted out
-    to make room (the expensive EWB path). *)
+(** Access one page, promoting it; a hit allocates nothing. [`Fault
+    victim] means it had to be brought in, with [victim = Some p] when
+    the EPC was full and page [p] — possibly belonging to a different
+    enclave — was encrypted out to make room (the expensive EWB path). *)
 
 val release_enclave : t -> int -> unit
 (** Drop all resident pages belonging to an enclave id (EREMOVE), its
@@ -46,9 +47,6 @@ val release_enclave : t -> int -> unit
     blamed for (or credited with) future refaults, and victim-side
     entries for its evicted pages would otherwise leak forever. The
     historical {!evictions_of} count is kept: it describes the past. *)
-
-val hits : t -> int
-(** Total resident-page hits since creation. *)
 
 val faults : t -> int
 (** Total faults since creation. *)
@@ -82,4 +80,4 @@ val set_refault_hook : t -> (owner:int -> evictor:int -> unit) option -> unit
 
 val cross_refaults : t -> int
 (** Total cross-enclave refaults since creation (also counted as the
-    [epc.refault.cross] counter when [obs] is attached). *)
+    [epc.refault.cross] counter). *)

@@ -26,15 +26,23 @@ val create : ?costs:Costs.t -> ?epc_bytes:int -> ?seed:string -> unit -> t
 (** Default EPC is the paper's usable 93 MiB. [seed] makes the fused key
     (and hence all derived randomness) deterministic. *)
 
-val charge : t -> ?account:string -> string -> int -> unit
-(** Advance the clock by [ns], record it in the telemetry cost histogram
-    of the named component, and book it into the machine ledger under
-    [account] (default: the component name). This is the only place
-    virtual time advances, so the ledger's conservation audit holds by
-    construction. When a tracer is attached, also emits a
-    [ledger.<account>] counter track with the account's running total. *)
+type meter
+(** Where a charge lands: a component's cost histogram and a ledger
+    account, resolved once (where a layer is created) so a charge hashes
+    no name. *)
 
-val charge_cycles : t -> ?account:string -> string -> int -> unit
+val meter : t -> account:string -> string -> meter
+(** [meter t ~account component] *)
+
+val charge : t -> meter -> int -> unit
+(** Advance the clock by [ns], record it in the meter's component
+    histogram and book it into the machine ledger under the meter's
+    account. This is the only place virtual time advances, so the
+    ledger's conservation audit holds by construction. When a tracer is
+    attached, also emits a [ledger.<account>] counter track with the
+    account's running total. *)
+
+val charge_cycles : t -> meter -> int -> unit
 (** Like {!charge} but in CPU cycles, converting via
     {!Costs.cycles_ns_rem} with a per-machine carry so sub-ns remainders
     accumulate instead of being lost to rounding. *)

@@ -32,6 +32,12 @@ let entry_cksum page_no payload =
 
 exception Corrupt of string
 
+(* A pager event: its counter, resolved when the pager opens, and the
+   name of the timeline instant it emits when a recorder is attached. *)
+type event = { name : string; count : Twine_obs.Obs.counter }
+
+let event obs name = { name; count = Twine_obs.Obs.counter obs name }
+
 type hooks = {
   mutable on_read : int -> unit;  (* page number fetched from storage *)
   mutable on_write : int -> unit;  (* page number written to storage *)
@@ -44,7 +50,7 @@ type t = {
   path : string;
   file : Svfs.file;
   mutable cache_pages : int;
-  cache : (int, Bytes.t) Twine_sim.Lru.t;
+  cache : Bytes.t Twine_sim.Lru.t;
   dirty : (int, unit) Hashtbl.t;
   mutable n_pages : int;
   mutable freelist : int;
@@ -54,7 +60,12 @@ type t = {
   mutable journal_count : int;
   mutable txn_orig_pages : int;
   hooks : hooks;
-  obs : Twine_obs.Obs.t option;
+  obs : Twine_obs.Obs.t;
+  hit : event;
+  miss : event;
+  page_read : event;
+  page_write : event;
+  journal_write : event;
   mutable stats_reads : int;
   mutable stats_writes : int;
   mutable stats_hits : int;
@@ -66,13 +77,10 @@ let default_hooks () =
   { on_read = (fun _ -> ()); on_write = (fun _ -> ()); on_access = (fun _ -> ());
     on_work = (fun _ -> ()) }
 
-let record ?page t name =
-  match t.obs with
-  | Some o ->
-      Twine_obs.Obs.inc o name;
-      let args = match page with Some p -> [ ("page", p) ] | None -> [] in
-      Twine_obs.Obs.emit o ~cat:"sqldb" ~args name
-  | None -> ()
+let record t ev ~page =
+  Twine_obs.Obs.inc ev.count;
+  if Option.is_some (Twine_obs.Obs.tracer t.obs) then
+    Twine_obs.Obs.emit t.obs ~cat:"sqldb" ~args:[ ("page", page) ] ev.name
 
 let write_header t =
   let b = Bytes.make page_size '\000' in
@@ -81,7 +89,7 @@ let write_header t =
   Bytes.set_int32_le b 12 (Int32.of_int t.freelist);
   t.file.Svfs.v_write ~pos:0 (Bytes.to_string b);
   t.stats_writes <- t.stats_writes + 1;
-  record ~page:0 t "sqldb.page_write";
+  record t t.page_write ~page:0;
   t.hooks.on_write 0
 
 let read_header t =
@@ -130,6 +138,8 @@ let create_or_open vfs ?(cache_pages = 2048) ?(hooks = default_hooks ()) ?obs pa
   recover vfs path;
   let existed = vfs.Svfs.v_exists path in
   let file = vfs.Svfs.v_open path in
+  (* without a registry, the counters land in a private one *)
+  let obs = match obs with Some o -> o | None -> Twine_obs.Obs.create () in
   let t =
     {
       vfs;
@@ -147,6 +157,11 @@ let create_or_open vfs ?(cache_pages = 2048) ?(hooks = default_hooks ()) ?obs pa
       txn_orig_pages = 1;
       hooks;
       obs;
+      hit = event obs "sqldb.cache.hit";
+      miss = event obs "sqldb.cache.miss";
+      page_read = event obs "sqldb.page_read";
+      page_write = event obs "sqldb.page_write";
+      journal_write = event obs "sqldb.journal_write";
       stats_reads = 0;
       stats_writes = 0;
       stats_hits = 0;
@@ -160,25 +175,15 @@ let n_pages t = t.n_pages
 let write_page_out t i (b : Bytes.t) =
   t.file.Svfs.v_write ~pos:(i * page_size) (Bytes.to_string b);
   t.stats_writes <- t.stats_writes + 1;
-  record ~page:i t "sqldb.page_write";
+  record t t.page_write ~page:i;
   t.hooks.on_write i
 
 (* Evict clean pages (LRU first) until within capacity. Dirty pages are
    pinned: they spill to storage only at commit, so a buffer handed to the
    B-tree for modification is never replaced underneath it. *)
 let evict_if_needed t =
-  if Twine_sim.Lru.length t.cache > t.cache_pages then begin
-    let victims =
-      List.filter
-        (fun (i, _) -> not (Hashtbl.mem t.dirty i))
-        (List.rev (Twine_sim.Lru.to_list t.cache))
-    in
-    let excess = Twine_sim.Lru.length t.cache - t.cache_pages in
-    List.iteri
-      (fun k (i, _) ->
-        if k < excess then ignore (Twine_sim.Lru.remove t.cache i))
-      victims
-  end
+  let excess = Twine_sim.Lru.length t.cache - t.cache_pages in
+  if excess > 0 then Twine_sim.Lru.trim t.cache excess ~pinned:(Hashtbl.mem t.dirty)
 
 (* Fetch a page buffer (shared mutable bytes). Callers must not mutate
    without going through [modify]. *)
@@ -187,18 +192,18 @@ let read_page t i =
     raise (Corrupt (Printf.sprintf "%s: page %d out of range (%d)" t.path i t.n_pages));
   t.hooks.on_access i;
   match Twine_sim.Lru.find t.cache i with
-  | Some b ->
+  | b ->
       t.stats_hits <- t.stats_hits + 1;
-      record ~page:i t "sqldb.cache.hit";
+      record t t.hit ~page:i;
       b
-  | None ->
+  | exception Not_found ->
       let raw = t.file.Svfs.v_read ~pos:(i * page_size) ~len:page_size in
       let b = Bytes.make page_size '\000' in
       Bytes.blit_string raw 0 b 0 (String.length raw);
       ignore (Twine_sim.Lru.put t.cache i b);
       t.stats_reads <- t.stats_reads + 1;
-      record ~page:i t "sqldb.cache.miss";
-      record ~page:i t "sqldb.page_read";
+      record t t.miss ~page:i;
+      record t t.page_read ~page:i;
       t.hooks.on_read i;
       evict_if_needed t;
       b
@@ -220,7 +225,7 @@ let append_entry t j page_no payload =
   Bytes.set_int32_le entry (4 + page_size)
     (Int32.of_int (entry_cksum page_no payload));
   j.Svfs.v_write ~pos:(16 + (t.journal_count * entry_size)) (Bytes.to_string entry);
-  record ~page:page_no t "sqldb.journal_write";
+  record t t.journal_write ~page:page_no;
   t.journal_count <- t.journal_count + 1;
   let cnt = Bytes.create 4 in
   Bytes.set_int32_le cnt 0 (Int32.of_int t.journal_count);
@@ -342,7 +347,7 @@ let commit t =
 let rollback t =
   if not t.in_txn then invalid_arg "Pager.rollback: not in a transaction";
   (* discard dirty cached pages and restore journaled pre-images *)
-  Hashtbl.iter (fun i () -> ignore (Twine_sim.Lru.remove t.cache i)) t.dirty;
+  Hashtbl.iter (fun i () -> Twine_sim.Lru.remove t.cache i) t.dirty;
   Hashtbl.reset t.dirty;
   (match t.journal with
   | Some j ->

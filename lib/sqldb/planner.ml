@@ -59,14 +59,15 @@ let record_plan t (ti : Catalog.table_info) plan reason =
   match t.Catalog.obs with
   | None -> ()
   | Some o ->
-      Twine_obs.Obs.inc o (Printf.sprintf "sqldb.plan.%s" (path_label plan));
-      (if reason = No_usable_path then
-         Twine_obs.Obs.inc o "sqldb.plan.fallback");
-      Twine_obs.Obs.emit o ~cat:"sqldb"
-        ~args:
-          [ ("path", path_code plan); ("reason", reason_code reason);
-            ("table_root", ti.Catalog.tbl_root) ]
-        "sqldb.plan"
+      let count name = Twine_obs.Obs.inc (Twine_obs.Obs.counter o name) in
+      count ("sqldb.plan." ^ path_label plan);
+      if reason = No_usable_path then count "sqldb.plan.fallback";
+      if Option.is_some (Twine_obs.Obs.tracer o) then
+        Twine_obs.Obs.emit o ~cat:"sqldb"
+          ~args:
+            [ ("path", path_code plan); ("reason", reason_code reason);
+              ("table_root", ti.Catalog.tbl_root) ]
+          "sqldb.plan"
 
 let find_index t table_name col =
   let col = String.lowercase_ascii col in

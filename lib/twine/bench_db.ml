@@ -58,9 +58,11 @@ let calibrate_wasm_factor () =
 
 (* Charge plain host-file I/O (the un-enclaved file variants). *)
 let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
+  let read = Machine.meter machine ~account:"host.io" "host.read"
+  and write = Machine.meter machine ~account:"host.io" "host.write" in
   let wrap_file (f : Svfs.file) : Svfs.file =
-    let charge label n =
-      Machine.charge machine ~account:"host.io" label
+    let charge meter n =
+      Machine.charge machine meter
         (machine.costs.untrusted_io_base_ns
         + Costs.bytes_ns machine.costs.untrusted_io_ns_per_byte n)
     in
@@ -68,11 +70,11 @@ let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
       f with
       Svfs.v_read =
         (fun ~pos ~len ->
-          charge "host.read" len;
+          charge read len;
           f.Svfs.v_read ~pos ~len);
       v_write =
         (fun ~pos s ->
-          charge "host.write" (String.length s);
+          charge write (String.length s);
           f.Svfs.v_write ~pos s);
     }
   in
@@ -82,10 +84,13 @@ let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
    across the boundary, and the disk image is encrypted/decrypted. *)
 let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
   let machine = Enclave.machine enclave in
+  let read = Machine.meter machine ~account:"lkl.io" "lkl.read"
+  and write = Machine.meter machine ~account:"lkl.io" "lkl.write"
+  and crypto = Machine.meter machine ~account:"lkl.crypto" "lkl.crypto" in
   let wrap_file (f : Svfs.file) : Svfs.file =
-    let io label n g =
+    let io meter n g =
       let run () =
-        Machine.charge machine ~account:"lkl.io" label
+        Machine.charge machine meter
           (machine.costs.untrusted_io_base_ns
           + Costs.bytes_ns machine.costs.untrusted_io_ns_per_byte n);
         g ()
@@ -97,17 +102,17 @@ let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
       f with
       Svfs.v_read =
         (fun ~pos ~len ->
-          let data = io "lkl.read" len (fun () -> f.Svfs.v_read ~pos ~len) in
+          let data = io read len (fun () -> f.Svfs.v_read ~pos ~len) in
           Enclave.copy_in enclave ~label:"lkl.read" (String.length data);
-          Machine.charge machine "lkl.crypto"
+          Machine.charge machine crypto
             (Costs.bytes_ns machine.costs.aes_ns_per_byte (String.length data));
           data);
       v_write =
         (fun ~pos s ->
-          Machine.charge machine "lkl.crypto"
+          Machine.charge machine crypto
             (Costs.bytes_ns machine.costs.aes_ns_per_byte (String.length s));
           Enclave.copy_out enclave ~label:"lkl.write" (String.length s);
-          io "lkl.write" (String.length s) (fun () -> f.Svfs.v_write ~pos s));
+          io write (String.length s) (fun () -> f.Svfs.v_write ~pos s));
     }
   in
   { inner with Svfs.v_open = (fun path -> wrap_file (inner.Svfs.v_open path)) }
@@ -161,6 +166,8 @@ type t = {
   ns_per_work : float;
   pager_work : int ref;  (* B-tree work units surfaced via Pager.hooks *)
   mutable pfs : Protected_fs.t option;
+  exec_meter : Machine.meter;
+  pager_meter : Machine.meter;
 }
 
 let in_enclave_cpu = function Sgx_lkl | Twine_rt -> true | Native | Wamr -> false
@@ -228,6 +235,8 @@ let create ?machine ?(cache_pages = 2048) ?(ipfs_variant = Protected_fs.Optimize
     ns_per_work;
     pager_work;
     pfs = !pfs;
+    exec_meter = Machine.meter machine ~account:"sqldb.exec" "sqlite";
+    pager_meter = Machine.meter machine ~account:"sqldb.pager" "sqlite";
   }
 
 (* Execute SQL, charging CPU work at the variant's rate. *)
@@ -243,8 +252,6 @@ let exec t sql =
     int_of_float
       (Float.round (float_of_int work_units *. t.ns_per_work *. factor))
   in
-  let charge_ns account ns = Machine.charge t.machine ~account "sqlite" ns in
-  let charge account work_units = charge_ns account (work_ns work_units) in
   (* The statement's exec booking is sliced across its operator tree
      (plus profiling overhead) in proportion to self-work; the slices
      sum exactly to the single charge they replace, so the books stay
@@ -258,15 +265,15 @@ let exec t sql =
       (Db.profiles t.db)
   in
   (match shares with
-  | [] -> charge_ns "sqldb.exec" exec_ns
+  | [] -> Machine.charge t.machine t.exec_meter exec_ns
   | _ ->
       List.iter
-        (fun ns -> if ns > 0 then charge_ns "sqldb.exec" ns)
+        (fun ns -> if ns > 0 then Machine.charge t.machine t.exec_meter ns)
         (Db.slice_ns ~total_ns:exec_ns shares));
   (* B-tree work units arrive via Pager.hooks between execs (open-time
      work lands in the first exec); book them as pager time *)
   if !(t.pager_work) > 0 then begin
-    charge "sqldb.pager" !(t.pager_work);
+    Machine.charge t.machine t.pager_meter (work_ns !(t.pager_work));
     t.pager_work := 0
   end;
   result

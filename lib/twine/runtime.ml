@@ -240,9 +240,10 @@ let run ?(args = [ "app" ]) ?env ?profile ?fuel_limit t =
           (match t.config.engine with
           | Aot ->
               let n = Aot.compile_instance inst in
-              Twine_obs.Obs.add obs "twine.aot.funcs" n;
+              Twine_obs.Obs.add (Twine_obs.Obs.counter obs "twine.aot.funcs") n;
               Twine_obs.Obs.emit obs ~cat:"twine" ~args:[ ("funcs", n) ] "twine.aot";
-              Machine.charge t.machine "twine.aot" (n * 1500)
+              Machine.charge t.machine
+                (Machine.meter t.machine ~account:"twine.aot" "twine.aot") (n * 1500)
           | Interpreter -> ());
           Api.bind_memory ctx inst;
           (* In-enclave Wasm linear memory participates in EPC pressure.
@@ -290,7 +291,7 @@ let run ?(args = [ "app" ]) ?env ?profile ?fuel_limit t =
                     with Api.Proc_exit code -> code))
           in
           let fuel = Interp.fuel_used inst in
-          Twine_obs.Obs.add obs "twine.fuel" fuel;
+          Twine_obs.Obs.add (Twine_obs.Obs.counter obs "twine.fuel") fuel;
           if fuel > 0 then
             Twine_obs.Obs.emit obs ~cat:"twine" ~args:[ ("fuel", fuel) ] "twine.fuel";
           { exit_code; stdout = Buffer.contents out; fuel })

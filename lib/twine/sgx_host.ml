@@ -161,7 +161,8 @@ let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
       let rec go tries =
         try call ()
         with Twine_sim.Fault.Transient _ when tries < 3 ->
-          Machine.charge machine ~account:"fault.retry" "host.retry"
+          Machine.charge machine
+            (Machine.meter machine ~account:"fault.retry" "host.retry")
             (1000 * (tries + 1));
           go (tries + 1)
       in
@@ -187,5 +188,6 @@ let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
     stderr = (fun s -> Enclave.copy_out enclave (String.length s));
     on_call =
       (fun name ->
-        Machine.charge machine ~account:("wasi." ^ name) "wasi.dispatch" 40);
+        let meter = Machine.meter machine ~account:("wasi." ^ name) "wasi.dispatch" in
+        fun () -> Machine.charge machine meter 40);
   }

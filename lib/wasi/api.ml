@@ -18,7 +18,9 @@ type providers = {
   random : int -> string;
   stdout : string -> unit;
   stderr : string -> unit;
-  on_call : string -> unit;
+  on_call : string -> unit -> unit;
+      (* given a function's name once, when the import table is built;
+         the hook it returns runs on every call *)
 }
 
 (* Fresh state per call: each context owns its monotonic guard and its
@@ -36,7 +38,7 @@ let default_providers () =
     random = (fun n -> String.init n (fun _ -> Char.chr (Random.State.int rng 256)));
     stdout = print_string;
     stderr = prerr_string;
-    on_call = (fun _ -> ());
+    on_call = (fun _ () -> ());
   }
 
 type file_entry = { file : Vfs.file; mutable rights : int64; mutable flags : int }
@@ -285,26 +287,35 @@ let functions t =
     | _ ->
         (match t.obs with
         | Some o ->
-            Twine_obs.Obs.inc o "wasi.fault.contained";
+            Twine_obs.Obs.inc (Twine_obs.Obs.counter o "wasi.fault.contained");
             Twine_obs.Obs.emit o ~cat:"wasi" ("wasi.fault." ^ name)
         | None -> ());
         errno Errno.eio
   in
   let fn name params results f =
     let f = if results = [] then f else contain name f in
+    let qualified = "wasi." ^ name in
+    let count =
+      match t.obs with
+      | None -> ignore
+      | Some o ->
+          let all = Twine_obs.Obs.counter o "wasi.hostcall"
+          and calls = Twine_obs.Obs.counter o qualified in
+          fun () ->
+            Twine_obs.Obs.inc all;
+            Twine_obs.Obs.inc calls;
+            if Option.is_some (Twine_obs.Obs.tracer o) then
+              Twine_obs.Obs.emit o ~cat:"wasi"
+                ~args:[ ("calls", Twine_obs.Obs.value o qualified) ]
+                qualified
+    in
+    let on_call = t.providers.on_call name in
     ( name,
       Instance.host_func ~name
         { Types.params; results = (match results with [] -> [] | r -> r) }
         (fun args ->
-          (match t.obs with
-          | Some o ->
-              Twine_obs.Obs.inc o "wasi.hostcall";
-              Twine_obs.Obs.inc o ("wasi." ^ name);
-              Twine_obs.Obs.emit o ~cat:"wasi"
-                ~args:[ ("calls", Twine_obs.Obs.value o ("wasi." ^ name)) ]
-                ("wasi." ^ name)
-          | None -> ());
-          t.providers.on_call name;
+          count ();
+          on_call ();
           f args) )
   in
   let i = Types.I32 and l = Types.I64 in

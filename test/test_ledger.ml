@@ -14,14 +14,17 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* booking by name, over the ledger's account handles *)
+let book l name ns = Ledger.book l (Ledger.account l name) ns
+
 (* --- booking and audit basics --- *)
 
 let test_book_and_accounts () =
   let l = Ledger.create () in
-  Ledger.book l "a.x" 10;
-  Ledger.book l "a.x" 5;
-  Ledger.book l "a.y" 7;
-  Ledger.book l "b" 0;  (* zero ns still counts an event *)
+  book l "a.x" 10;
+  book l "a.x" 5;
+  book l "a.y" 7;
+  book l "b" 0;  (* zero ns still counts an event *)
   Alcotest.(check int) "a.x ns" 15 (Ledger.ns l "a.x");
   Alcotest.(check int) "a.x events" 2 (Ledger.events l "a.x");
   Alcotest.(check int) "b events" 1 (Ledger.events l "b");
@@ -30,20 +33,20 @@ let test_book_and_accounts () =
     (List.map fst (Ledger.accounts l));
   Alcotest.check_raises "negative booking rejected"
     (Invalid_argument "Ledger.book: negative nanoseconds") (fun () ->
-      Ledger.book l "a.x" (-1))
+      book l "a.x" (-1))
 
 let test_audit_residue () =
   let clock = ref 0 in
   let l = Ledger.create ~now:(fun () -> !clock) () in
   clock := 100;
-  Ledger.book l "work" 60;
+  book l "work" 60;
   let a = Ledger.audit l in
   Alcotest.(check (pair string int)) "total is elapsed" ("elapsed", 100) a.Audit.total;
   Alcotest.(check (list (pair string int))) "the part is booked" [ ("booked", 60) ]
     a.Audit.parts;
   Alcotest.(check int) "residue flags unbooked time" 40 (Audit.residue a);
   Alcotest.(check bool) "unbalanced" false (Ledger.balanced l);
-  Ledger.book l "work" 40;
+  book l "work" 40;
   Alcotest.(check bool) "balanced once fully booked" true (Ledger.balanced l);
   Alcotest.(check bool) "render carries the audit line" true
     (contains (Ledger.render l)
@@ -53,15 +56,15 @@ let test_reset () =
   let clock = ref 0 in
   let l = Ledger.create ~now:(fun () -> !clock) () in
   clock := 50;
-  Ledger.book l "x" 50;
+  book l "x" 50;
   Ledger.set_context l (Some "f");
-  Ledger.book l "x" 0;
+  book l "x" 0;
   Ledger.reset l;
   Alcotest.(check int) "accounts cleared" 0 (List.length (Ledger.accounts l));
   Alcotest.(check bool) "context cleared" true (Ledger.context l = None);
   Alcotest.(check int) "elapsed restarts" 0 (snd (Ledger.audit l).Audit.total);
   clock := 80;
-  Ledger.book l "y" 30;
+  book l "y" 30;
   Alcotest.(check bool) "balances against the new epoch" true (Ledger.balanced l)
 
 (* --- machine-level conservation --- *)
@@ -95,8 +98,9 @@ let test_cycle_carry () =
      and the ledger still balances (the clock and the books both see the
      carried amounts). *)
   let m = Machine.create ~seed:"carry" () in
+  let tick = Machine.meter m ~account:"tick" "tick" in
   for _ = 1 to 3800 do
-    Machine.charge_cycles m "tick" 1
+    Machine.charge_cycles m tick 1
   done;
   let ns = Machine.now_ns m in
   Alcotest.(check bool)
@@ -113,12 +117,12 @@ let test_cycle_carry () =
 let test_matrix_attribution () =
   let l = Ledger.create () in
   Ledger.set_context l (Some "kernel");
-  Ledger.book l "epc.fault" 100;
-  Ledger.book l "epc.fault" 50;
+  book l "epc.fault" 100;
+  book l "epc.fault" 50;
   Ledger.set_context l (Some "helper");
-  Ledger.book l "mee.copy" 30;
+  book l "mee.copy" 30;
   Ledger.set_context l None;
-  Ledger.book l "sgx.launch" 999;  (* no frame: stays out of the matrix *)
+  book l "sgx.launch" 999;  (* no frame: stays out of the matrix *)
   let s = Ledger.snapshot l in
   Alcotest.(check (list string)) "matrix rows sorted" [ "helper"; "kernel" ]
     (List.map fst s.Ledger.matrix);
@@ -135,8 +139,8 @@ let test_snapshot_round_trip () =
   let l = Ledger.create ~now:(fun () -> !clock) () in
   clock := 1234;
   Ledger.set_context l (Some "main");
-  Ledger.book l "sgx.transition.ecall" 1000;
-  Ledger.book l "epc.fault" 200;
+  book l "sgx.transition.ecall" 1000;
+  book l "epc.fault" 200;
   Ledger.set_context l None;
   let s = Ledger.snapshot l in
   match Ledger.of_string (Ledger.to_string s) with
@@ -302,8 +306,8 @@ let test_audit_double_booked () =
   let clock = ref 0 in
   let l = Ledger.create ~now:(fun () -> !clock) () in
   clock := 100;
-  Ledger.book l "work" 100;
-  Ledger.book l "work.again" 30;
+  book l "work" 100;
+  book l "work.again" 30;
   let a = Ledger.audit l in
   Alcotest.(check int) "negative residue" (-30) (Audit.residue a);
   Alcotest.(check bool) "not ok" false (Audit.ok a);

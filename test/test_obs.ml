@@ -10,15 +10,20 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* name-keyed shorthands over the registry's handles *)
+let inc obs name = Obs.inc (Obs.counter obs name)
+let add obs name n = Obs.add (Obs.counter obs name) n
+let observe obs name v = Obs.observe (Obs.histogram obs name) v
+
 (* --- registry --- *)
 
 let test_counters () =
   let obs = Obs.create () in
   Alcotest.(check int) "absent counter reads 0" 0 (Obs.value obs "x");
-  Obs.inc obs "x";
-  Obs.inc obs "x";
-  Obs.add obs "y" 40;
-  Obs.add obs "y" 2;
+  inc obs "x";
+  inc obs "x";
+  add obs "y" 40;
+  add obs "y" 2;
   Alcotest.(check int) "inc twice" 2 (Obs.value obs "x");
   Alcotest.(check int) "add accumulates" 42 (Obs.value obs "y");
   Alcotest.(check (list (pair string int)))
@@ -28,10 +33,42 @@ let test_counters () =
   Obs.reset obs;
   Alcotest.(check int) "reset clears" 0 (Obs.value obs "x")
 
+(* The Serve.run pattern: a layer resolves its handles at setup, then
+   the books restart. The handles still count after the reset, and the
+   snapshots list only what was touched since. *)
+let test_handles_survive_reset () =
+  let obs = Obs.create () and l = Ledger.create () in
+  let hit = Obs.counter obs "epc.hit" and idle = Obs.counter obs "idle" in
+  let cost = Obs.histogram obs "cost" and acct = Ledger.account l "work" in
+  Obs.inc hit;
+  Obs.inc idle;
+  Obs.observe cost 7;
+  Ledger.book l acct 10;
+  Ledger.book l (Ledger.account l "setup") 3;
+  Obs.reset obs;
+  Ledger.reset l;
+  Obs.inc hit;
+  Obs.observe cost 4;
+  Ledger.book l acct 20;
+  Alcotest.(check (list (pair string int))) "counters since reset" [ ("epc.hit", 1) ]
+    (Obs.counters obs);
+  Alcotest.(check int) "untouched reads 0" 0 (Obs.value obs "idle");
+  Alcotest.(check (list (pair string int))) "histograms since reset" [ ("cost", 1) ]
+    (List.map (fun (n, (h : Obs.hstat)) -> (n, h.count)) (Obs.histograms obs));
+  Alcotest.(check (option int)) "quantile since reset" (Some 4) (Obs.quantile obs "cost" 0.5);
+  Alcotest.(check (list (pair string int))) "accounts since reset" [ ("work", 20) ]
+    (List.map (fun (n, (e : Ledger.entry)) -> (n, e.ns)) (Ledger.accounts l));
+  Alcotest.(check int) "total since reset" 20 (Ledger.total l);
+  Alcotest.(check int) "balance since reset" 20 (Ledger.balance acct);
+  Alcotest.(check bool) "resolving lists nothing" true
+    (ignore (Obs.counter obs "fresh"); ignore (Ledger.account l "fresh");
+     Obs.value obs "fresh" = 0 && List.length (Obs.counters obs) = 1
+     && List.length (Ledger.accounts l) = 1)
+
 let test_histograms () =
   let obs = Obs.create () in
   Alcotest.(check bool) "absent histogram" true (Obs.hstat obs "h" = None);
-  List.iter (Obs.observe obs "h") [ 5; 1; 9 ];
+  List.iter (observe obs "h") [ 5; 1; 9 ];
   match Obs.hstat obs "h" with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
@@ -44,7 +81,7 @@ let test_quantile_edges () =
   let obs = Obs.create () in
   Alcotest.(check (option int)) "missing histogram" None (Obs.quantile obs "q" 0.5);
   (* empty name, single sample: every quantile is that sample *)
-  Obs.observe obs "one" 37;
+  observe obs "one" 37;
   List.iter
     (fun q ->
       Alcotest.(check (option int))
@@ -52,21 +89,21 @@ let test_quantile_edges () =
         (Some 37) (Obs.quantile obs "one" q))
     [ 0.0; 0.5; 0.99; 1.0 ];
   (* extremes clamp to observed min/max, not bucket bounds *)
-  List.iter (Obs.observe obs "two") [ 3; 900 ];
+  List.iter (observe obs "two") [ 3; 900 ];
   Alcotest.(check (option int)) "q=0 is the min" (Some 3)
     (Obs.quantile obs "two" 0.0);
   Alcotest.(check (option int)) "q=1 is the max" (Some 900)
     (Obs.quantile obs "two" 1.0);
   (* a lone sample far above the exact range is still its own estimate *)
   let obs2 = Obs.create () in
-  Obs.observe obs2 "b" 4096;
+  observe obs2 "b" 4096;
   Alcotest.(check (option int)) "boundary value round-trips" (Some 4096)
     (Obs.quantile obs2 "b" 0.5);
   Alcotest.check_raises "q out of range"
     (Invalid_argument "Obs.quantile: q outside [0,1]") (fun () ->
       ignore (Obs.quantile obs "one" 1.5));
   (* a rejected sample records nothing, not even an empty histogram *)
-  (match Obs.observe obs "neg" (-1) with
+  (match observe obs "neg" (-1) with
   | () -> Alcotest.fail "negative sample accepted"
   | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "negative sample left no histogram" true
@@ -83,7 +120,7 @@ let exact_quantile samples q =
 let test_quantile_within_alpha () =
   let check name samples q =
     let obs = Obs.create () in
-    List.iter (Obs.observe obs name) samples;
+    List.iter (observe obs name) samples;
     let exact = exact_quantile samples q in
     match Obs.quantile obs name q with
     | None -> Alcotest.fail "histogram missing"
@@ -109,8 +146,8 @@ let test_quantile_rank_rounding () =
   (* 0.99 *. 100. = 99.00000000000001: the nearest-rank index must stay
      99, not spill into the single outlier at rank 100 *)
   let obs = Obs.create () in
-  for _ = 1 to 99 do Obs.observe obs "lat" 10 done;
-  Obs.observe obs "lat" 1_000_000;
+  for _ = 1 to 99 do observe obs "lat" 10 done;
+  observe obs "lat" 1_000_000;
   Alcotest.(check (option int)) "p99 of 99x10 + 1 outlier is 10" (Some 10)
     (Obs.quantile obs "lat" 0.99);
   Alcotest.(check (option int)) "p100 is the outlier" (Some 1_000_000)
@@ -161,10 +198,10 @@ let test_span_exception_safe () =
 
 let test_report_render () =
   let obs = Obs.create () in
-  Obs.add obs "epc.hit" 3;
-  Obs.add obs "epc.fault" 1;
-  Obs.add obs "ipfs.cache.miss" 8;
-  Obs.observe obs "sgx.launch" 2_000_000;
+  add obs "epc.hit" 3;
+  add obs "epc.fault" 1;
+  add obs "ipfs.cache.miss" 8;
+  observe obs "sgx.launch" 2_000_000;
   Obs.in_span obs "twine.main" (fun () -> ());
   let r = Report.render obs in
   List.iter
@@ -178,8 +215,8 @@ let test_report_render () =
 
 let test_report_json () =
   let obs = Obs.create () in
-  Obs.add obs "wasi.hostcall" 5;
-  Obs.observe obs "sgx.epc_fault" 10526;
+  add obs "wasi.hostcall" 5;
+  observe obs "sgx.epc_fault" 10526;
   Obs.in_span obs "twine.main" (fun () -> ());
   let j = Report.to_json obs in
   List.iter
@@ -273,9 +310,9 @@ let test_baseline_rejects_malformed () =
 let test_report_json_shape () =
   let machine = Machine.create ~seed:"obs-shape" () in
   let obs = machine.Machine.obs in
-  Machine.charge machine "sgx.launch" 1000;
-  Machine.charge machine ~account:"mee.copy" "sgx.copy_in" 500;
-  Obs.inc obs "epc.hit";
+  Machine.charge machine (Machine.meter machine ~account:"sgx.launch" "sgx.launch") 1000;
+  Machine.charge machine (Machine.meter machine ~account:"mee.copy" "sgx.copy_in") 500;
+  inc obs "epc.hit";
   Obs.in_span obs "twine.main" (fun () -> ());
   let j = Report.to_json ~ledger:(Machine.ledger machine) obs in
   match Json.parse j with
@@ -372,6 +409,7 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "handles survive reset" `Quick test_handles_survive_reset;
           Alcotest.test_case "histograms" `Quick test_histograms;
           Alcotest.test_case "quantile edge cases" `Quick test_quantile_edges;
           Alcotest.test_case "quantile within alpha" `Quick

@@ -36,6 +36,31 @@ let test_epc_eviction () =
   Alcotest.(check bool) "evicted page refaults (and evicts)" true refault;
   Alcotest.(check int) "resident bounded" 2 (Epc.resident_pages epc)
 
+(* The memory hook's hot path: a resident page costs one probe, one
+   relink and one counter add, with no allocation. *)
+let test_epc_hit_allocates_nothing () =
+  let m = fresh_machine () in
+  let epc = Epc.create ~obs:m.Machine.obs ~limit_bytes:(64 * page) () in
+  let p i = Epc.page_of ~enclave_id:1 ~page_no:(i land 63) in
+  for i = 0 to 63 do ignore (Epc.touch epc (p i)) done;
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do ignore (Epc.touch epc (p i)) done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 hits" words) true (words < 16.);
+  Alcotest.(check int) "hits counted" 1000 (Twine_obs.Obs.value m.obs "epc.hit")
+
+(* A charge through a resolved meter hashes no name and allocates
+   nothing while no tracer is attached. *)
+let test_charge_allocates_nothing () =
+  let m = fresh_machine () in
+  let meter = Machine.meter m ~account:"test.account" "test.component" in
+  Machine.charge m meter 5;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do Machine.charge m meter 5 done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 charges" words) true (words < 16.);
+  Alcotest.(check int) "booked" 5005 (Twine_obs.Ledger.ns m.ledger "test.account")
+
 (* Regression: the epc.evict trace instant must carry the *victim* page
    (the one encrypted out), not the incoming page that caused the fault.
    Before the fix, the event's enclave/page args described the incoming
@@ -368,6 +393,8 @@ let suite =
       Alcotest.test_case "release enclave" `Quick test_epc_release_enclave;
       Alcotest.test_case "release purges provenance" `Quick
         test_epc_release_purges_provenance;
+      Alcotest.test_case "hit allocates nothing" `Quick test_epc_hit_allocates_nothing;
+      Alcotest.test_case "charge allocates nothing" `Quick test_charge_allocates_nothing;
     ]);
     ("enclave", [
       Alcotest.test_case "identity" `Quick test_enclave_identity;

@@ -18,10 +18,11 @@ let test_lru_basic () =
   let l = Lru.create ~capacity:2 () in
   Alcotest.(check (option (pair int string))) "no evict" None (Lru.put l 1 "a");
   Alcotest.(check (option (pair int string))) "no evict 2" None (Lru.put l 2 "b");
-  Alcotest.(check (option string)) "find 1" (Some "a") (Lru.find l 1);
+  Alcotest.(check string) "find 1" "a" (Lru.find l 1);
   (* 2 is now LRU; inserting 3 evicts it *)
   Alcotest.(check (option (pair int string))) "evicts lru" (Some (2, "b")) (Lru.put l 3 "c");
-  Alcotest.(check bool) "2 gone" false (Lru.mem l 2);
+  Alcotest.(check (option string)) "2 gone" None (Lru.peek l 2);
+  Alcotest.check_raises "find misses" Not_found (fun () -> ignore (Lru.find l 2));
   Alcotest.(check int) "length" 2 (Lru.length l)
 
 let test_lru_update_promotes () =
@@ -44,20 +45,11 @@ let test_lru_remove () =
   let l = Lru.create ~capacity:3 () in
   ignore (Lru.put l 1 "a");
   ignore (Lru.put l 2 "b");
-  Alcotest.(check (option string)) "removed value" (Some "a") (Lru.remove l 1);
-  Alcotest.(check (option string)) "gone" None (Lru.remove l 1);
+  Lru.remove l 1;
+  Alcotest.(check (option string)) "gone" None (Lru.peek l 1);
+  Lru.remove l 1;  (* absent: a no-op *)
   Alcotest.(check int) "length" 1 (Lru.length l);
   Alcotest.(check (list (pair int string))) "to_list" [ (2, "b") ] (Lru.to_list l)
-
-let test_lru_set_capacity () =
-  let l = Lru.create ~capacity:4 () in
-  List.iter (fun i -> ignore (Lru.put l i (string_of_int i))) [ 1; 2; 3; 4 ];
-  let evicted = Lru.set_capacity l 2 in
-  Alcotest.(check (list (pair int string))) "evicted lru-first"
-    [ (1, "1"); (2, "2") ] evicted;
-  Alcotest.(check int) "capacity" 2 (Lru.capacity l);
-  Alcotest.(check (list (pair int string))) "mru order" [ (4, "4"); (3, "3") ]
-    (Lru.to_list l)
 
 let test_lru_clear () =
   let l = Lru.create ~capacity:2 () in
@@ -65,7 +57,54 @@ let test_lru_clear () =
   Lru.clear l;
   Alcotest.(check int) "empty" 0 (Lru.length l);
   ignore (Lru.put l 5 "e");
-  Alcotest.(check (option string)) "usable after clear" (Some "e") (Lru.find l 5)
+  Alcotest.(check string) "usable after clear" "e" (Lru.find l 5)
+
+let test_lru_trim () =
+  let l = Lru.create ~capacity:max_int () in
+  List.iter (fun i -> ignore (Lru.put l i i)) [ 1; 2; 3; 4; 5 ];
+  (* LRU order 1 2 3 4 5; 2 is pinned, so 1 and 3 go *)
+  Lru.trim l 2 ~pinned:(fun k -> k = 2);
+  Alcotest.(check (list (pair int int))) "lru-first, pinned kept"
+    [ (5, 5); (4, 4); (2, 2) ] (Lru.to_list l);
+  Lru.trim l 5 ~pinned:(fun _ -> true);
+  Alcotest.(check int) "all pinned" 3 (Lru.length l)
+
+(* A slot freed by a trim or a removal keeps nothing alive: a pager
+   trimmed back after a large transaction must not pin the pages it
+   dropped. *)
+let test_lru_drops_values () =
+  let l = Lru.create ~capacity:max_int () in
+  let tracked = Weak.create 8 in
+  for k = 0 to 7 do
+    let b = Bytes.make 64 'x' in
+    Weak.set tracked k (Some b);
+    ignore (Lru.put l k b)
+  done;
+  Lru.trim l 5 ~pinned:(fun _ -> false);
+  Lru.remove l 6;
+  Gc.full_major ();
+  let alive = List.filter (Weak.check tracked) (List.init 8 Fun.id) in
+  Alcotest.(check (list int)) "only live entries are reachable" [ 5; 7 ] alive;
+  Alcotest.(check (list int)) "live entries" [ 7; 5 ] (List.map fst (Lru.to_list l))
+
+(* [find] as an option, for comparing with the models *)
+let find_opt l k = match Lru.find l k with v -> Some v | exception Not_found -> None
+
+(* A hit, a put of a present key and a removal relink slots in place. *)
+let test_lru_alloc () =
+  let l = Lru.create ~capacity:64 () in
+  for k = 0 to 63 do ignore (Lru.put l k k) done;
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to 1000 do f (i land 63) done;
+    Gc.minor_words () -. before
+  in
+  let check what w =
+    Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 %s" w what) true (w < 16.)
+  in
+  check "hits" (words (fun k -> ignore (Lru.find l k)));
+  check "puts of a present key" (words (fun k -> ignore (Lru.put l k k)));
+  check "removes of an absent key" (words (fun k -> Lru.remove l (k + 64)))
 
 (* Model-based property test: compare against a naive list implementation. *)
 let prop_lru_model =
@@ -98,14 +137,15 @@ let prop_lru_model =
         (fun (k, op) ->
           match op with
           | 0 -> (
-              let a = Twine_sim.Lru.find lru k and b = model_find k in
+              let a = find_opt lru k and b = model_find k in
               a = b)
           | 1 ->
               ignore (Twine_sim.Lru.put lru k k);
               model_put k k;
               true
           | _ ->
-              let a = Twine_sim.Lru.remove lru k in
+              let a = Twine_sim.Lru.peek lru k in
+              Twine_sim.Lru.remove lru k;
               let b = List.assoc_opt k !model in
               model := List.remove_assoc k !model;
               a = b)
@@ -133,7 +173,7 @@ let prop_lru_order_model =
                 let k = if op = 1 then (match !model with (h, _) :: _ -> h | [] -> k) else k in
                 let v = List.assoc_opt k !model in
                 Option.iter (touch k) v;
-                Lru.find lru k = v
+                find_opt lru k = v
             | 2 ->
                 let evicted =
                   if List.mem_assoc k !model || List.length !model < cap then None
@@ -145,10 +185,72 @@ let prop_lru_order_model =
             | _ ->
                 let v = List.assoc_opt k !model in
                 model := List.remove_assoc k !model;
-                Lru.remove lru k = v
+                let removed = Lru.peek lru k in
+                Lru.remove lru k;
+                removed = v
           in
           same && Lru.to_list lru = !model)
         ops)
+
+(* Long sequences over many keys, so the slot arrays grow several times
+   and removed and evicted slots are reused; [clear] drops the arrays
+   mid-sequence. Capacities reach a few hundred, or are unbounded as the
+   pager's cache is. *)
+let prop_lru_growth_model =
+  QCheck.Test.make ~name:"growth, slot reuse and clear match the model" ~count:100
+    QCheck.(
+      pair
+        (oneof [ int_range 1 300; always max_int ])
+        (list_of_size Gen.(int_range 0 2000) (pair (int_range 0 1000) (int_range 0 99))))
+    (fun (cap, ops) ->
+      let lru = Lru.create ~capacity:cap () in
+      let model = ref [] and len = ref 0 in
+      let drop k =
+        if List.mem_assoc k !model then begin
+          model := List.remove_assoc k !model;
+          decr len
+        end
+      in
+      let ok =
+        List.for_all
+          (fun (k, op) ->
+            if op = 0 then begin
+              let same = Lru.to_list lru = !model in
+              Lru.clear lru;
+              model := [];
+              len := 0;
+              same
+            end
+            else if op < 30 then begin
+              let v = List.assoc_opt k !model and before = Lru.peek lru k in
+              drop k;
+              Lru.remove lru k;
+              before = v && Lru.peek lru k = None && Lru.length lru = !len
+            end
+            else if op < 60 then begin
+              let v = List.assoc_opt k !model in
+              Option.iter
+                (fun x ->
+                  drop k;
+                  model := (k, x) :: !model;
+                  incr len)
+                v;
+              find_opt lru k = v
+            end
+            else begin
+              let evicted =
+                if List.mem_assoc k !model || !len < cap then None
+                else Some (List.nth !model (!len - 1))
+              in
+              Option.iter (fun (e, _) -> drop e) evicted;
+              drop k;
+              model := (k, op) :: !model;
+              incr len;
+              Lru.put lru k op = evicted && Lru.length lru = !len
+            end)
+          ops
+      in
+      ok && Lru.to_list lru = !model)
 
 (* --- Eventq --- *)
 
@@ -363,10 +465,14 @@ let suite =
       Alcotest.test_case "update promotes" `Quick test_lru_update_promotes;
       Alcotest.test_case "peek does not promote" `Quick test_lru_peek_no_promote;
       Alcotest.test_case "remove" `Quick test_lru_remove;
-      Alcotest.test_case "set_capacity" `Quick test_lru_set_capacity;
       Alcotest.test_case "clear" `Quick test_lru_clear;
+      Alcotest.test_case "trim" `Quick test_lru_trim;
+      Alcotest.test_case "freed slots keep no value" `Quick test_lru_drops_values;
+      Alcotest.test_case "hit, present put and remove allocate nothing" `Quick
+        test_lru_alloc;
       qc prop_lru_model;
       qc prop_lru_order_model;
+      qc prop_lru_growth_model;
     ]);
     ("eventq", [
       Alcotest.test_case "time order" `Quick test_eventq_order;

@@ -305,7 +305,7 @@ let test_sockets_unsupported () =
 let test_on_call_hook () =
   let calls = ref [] in
   let providers =
-    { (Api.default_providers ()) with on_call = (fun name -> calls := name :: !calls) }
+    { (Api.default_providers ()) with on_call = (fun name () -> calls := name :: !calls) }
   in
   let _, _, call = setup ~providers () in
   ignore (call "sched_yield" []);
