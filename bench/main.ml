@@ -300,8 +300,7 @@ let print_fig5 series field title =
           Printf.printf " %12.3f" (float_of_int v /. 1e6))
         series;
       print_newline ())
-    fig5_sizes;
-  ignore field
+    fig5_sizes
 
 let table2 series =
   section "Table II: normalised run time (native = 1), split at the EPC boundary";
@@ -586,9 +585,7 @@ let ablate keep =
       let buf = Bytes.create 64 in
       let t0 = Machine.now_ns machine in
       let ocall_charges () =
-        match Twine_obs.Obs.hstat machine.Machine.obs "ipfs.ocall" with
-        | Some h -> h.Twine_obs.Obs.count
-        | None -> 0
+        Twine_obs.Ledger.events (Machine.ledger machine) "sgx.transition.ocall"
       in
       let oc0 = ocall_charges () in
       for _ = 1 to 2000 do

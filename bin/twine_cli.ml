@@ -172,7 +172,9 @@ let run_cmd =
           try
             let oc = open_out file in
             output_string oc
-              (Twine_obs.Report.to_json ?profile:prof machine.Twine_sgx.Machine.obs);
+              (Twine_obs.Report.to_json ?profile:prof
+                 ~ledger:(Twine_sgx.Machine.ledger machine)
+                 machine.Twine_sgx.Machine.obs);
             output_char oc '\n';
             close_out oc
           with Sys_error msg ->

@@ -33,11 +33,10 @@ type t = {
   cache_hit : Twine_obs.Obs.counter;
   cache_miss : Twine_obs.Obs.counter;
   crypto_bytes : Twine_obs.Obs.counter;
-  crypto : Machine.meter;
-  io_read : Machine.meter;
-  io_write : Machine.meter;
-  journal : Machine.meter;
-  recovery : Machine.meter;
+  crypto : Twine_obs.Ledger.account;
+  io : Twine_obs.Ledger.account;
+  journal : Twine_obs.Ledger.account;
+  recovery : Twine_obs.Ledger.account;
 }
 
 (* The node cipher of one file, chosen from the file system's variant. *)
@@ -68,14 +67,13 @@ exception Integrity_violation of string
 let create enclave backing ?(variant = Stock) ?(cache_nodes = 48) () =
   if cache_nodes < 1 then invalid_arg "Protected_fs.create: cache_nodes < 1";
   let m = Enclave.machine enclave in
-  let count = Twine_obs.Obs.counter m.Machine.obs in
-  let meter account label = Machine.meter m ~account label in
+  let count = Twine_obs.Obs.counter m.Machine.obs
+  and account = Twine_obs.Ledger.account m.Machine.ledger in
   { enclave; backing; variant; cache_nodes; hits = 0; misses = 0;
     cache_hit = count "ipfs.cache.hit"; cache_miss = count "ipfs.cache.miss";
-    crypto_bytes = count "ipfs.crypto.bytes"; crypto = meter "ipfs.crypto" "ipfs.crypto";
-    io_read = meter "ipfs.io" "ipfs.read"; io_write = meter "ipfs.io" "ipfs.write";
-    journal = meter "ipfs.journal" "ipfs.journal";
-    recovery = meter "ipfs.recovery" "ipfs.recovery" }
+    crypto_bytes = count "ipfs.crypto.bytes"; crypto = account "ipfs.crypto";
+    io = account "ipfs.io"; journal = account "ipfs.journal";
+    recovery = account "ipfs.recovery" }
 
 let variant t = t.variant
 let enclave t = t.enclave
@@ -120,9 +118,9 @@ let store_write t key ~pos data =
   | Some a -> Backing.write t.backing key ~pos (Twine_sim.Fault.mutilate a data)
   | None -> Backing.write t.backing key ~pos data
 
-let charge_untrusted_io t meter n =
+let charge_untrusted_io t acct n =
   let m = machine t in
-  Machine.charge m meter
+  Machine.charge m acct
     (m.costs.untrusted_io_base_ns + Costs.bytes_ns m.costs.untrusted_io_ns_per_byte n)
 
 let charge_crypto t n =
@@ -317,9 +315,9 @@ let write_back file idx (node : node) =
   e.iv <- iv;
   e.tag <- tag;
   e.present <- true;
-  Enclave.copy_out fs.enclave ~label:"ipfs.write" node_size;
+  Enclave.copy_out fs.enclave node_size;
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs fs.io_write node_size;
+      charge_untrusted_io fs fs.io node_size;
       store_write fs file.path ~pos:(idx * node_size) ct);
   node.dirty <- false
 
@@ -327,7 +325,7 @@ let evict file (idx, node) =
   if node.dirty then write_back file idx node;
   (* Stock IPFS clears the plaintext buffer of dropped nodes. *)
   if file.fs.variant = Stock then
-    Enclave.memset file.fs.enclave ~label:"ipfs.memset" node_size
+    Enclave.memset file.fs.enclave node_size
 
 (* Load node [idx] into the cache, returning it. *)
 let load_node file idx =
@@ -349,14 +347,14 @@ let load_node file idx =
       (* Stock IPFS zeroes the whole node structure (two 4 KiB buffers
          plus metadata) before filling it (§V-F). *)
       if fs.variant = Stock then
-        Enclave.memset fs.enclave ~label:"ipfs.memset" ((2 * node_size) + 64);
+        Enclave.memset fs.enclave ((2 * node_size) + 64);
       let e = if idx < Array.length file.entries then file.entries.(idx) else
           { iv = ""; tag = ""; present = false; c_present = false } in
       let plaintext =
         if e.present then begin
           let ct =
             Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-                charge_untrusted_io fs fs.io_read node_size;
+                charge_untrusted_io fs fs.io node_size;
                 store_read fs file.path ~pos:(idx * node_size) ~len:node_size)
           in
           if String.length ct <> node_size then
@@ -365,7 +363,7 @@ let load_node file idx =
              memory before GCM decryption; optimised CCM decrypts straight
              from the untrusted buffer. *)
           if fs.variant = Stock then
-            Enclave.copy_in fs.enclave ~label:"ipfs.read" node_size;
+            Enclave.copy_in fs.enclave node_size;
           charge_crypto fs node_size;
           Bytes.of_string (decrypt_node file idx ~iv:e.iv ~tag:e.tag ct)
         end
@@ -399,9 +397,9 @@ let write_header file =
   Buffer.add_string b tag;
   let blob = Buffer.contents b in
   let target = if file.live_slot = 0 then 1 else 0 in
-  Enclave.copy_out fs.enclave ~label:"ipfs.write" (String.length blob);
+  Enclave.copy_out fs.enclave (String.length blob);
   Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-      charge_untrusted_io fs fs.io_write (String.length blob);
+      charge_untrusted_io fs fs.io (String.length blob);
       store_write fs (slot_path file.path target) ~pos:0 blob);
   file.gen <- gen;
   file.live_slot <- target;
@@ -426,7 +424,7 @@ let read_slot fs ~path ~slot ~header_key =
   | Some n -> (
       let blob =
         Enclave.ocall fs.enclave ~name:"ipfs.ocall" (fun () ->
-            charge_untrusted_io fs fs.io_read n;
+            charge_untrusted_io fs fs.io n;
             store_read fs sp ~pos:0 ~len:n)
       in
       if String.length blob >= 4 && String.sub blob 0 4 = tombstone then Slot_dead
@@ -439,7 +437,7 @@ let read_slot fs ~path ~slot ~header_key =
         else begin
           let ct = String.sub blob (4 + iv_len + 4) ct_len in
           let tag = String.sub blob (4 + iv_len + 4 + ct_len) tag_len in
-          Enclave.copy_in fs.enclave ~label:"ipfs.read" (String.length blob);
+          Enclave.copy_in fs.enclave (String.length blob);
           charge_crypto fs ct_len;
           match Gcm.decrypt header_key ~iv ~aad:"header" ~tag ct with
           | Some pt ->
@@ -703,6 +701,15 @@ let seek file ~offset ~whence =
 
 let tell file = file.pos
 let file_size file = file.size
+
+(* [seek] stops at EOF (§IV-E); callers that need a position past it
+   extend the file with zeros first. *)
+let pad_to file target =
+  let size = file_size file in
+  if target > size then begin
+    ignore (seek file ~offset:0 ~whence:`End);
+    ignore (write file (String.make (target - size) '\000'))
+  end
 
 let flush file =
   check_open file;

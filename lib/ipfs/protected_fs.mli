@@ -84,6 +84,11 @@ val seek : file -> offset:int -> whence:[ `Set | `Cur | `End ] -> (int, string) 
 val tell : file -> int
 val file_size : file -> int
 
+val pad_to : file -> int -> unit
+(** [pad_to f target] extends [f] with zero bytes up to [target] when it
+    is shorter (a no-op otherwise), leaving the position at the new
+    end: the §IV-E workaround for {!seek}'s refusal to pass EOF. *)
+
 val flush : file -> unit
 (** Write back dirty nodes and commit the metadata header atomically:
     after a crash anywhere inside [flush], reopening yields either the

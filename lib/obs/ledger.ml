@@ -2,9 +2,17 @@
    are a flat hashtable keyed by the dotted path; the hierarchy only
    materialises at render time, so booking stays O(1) per charge. An
    account cell is resolved into a handle once; [reset] zeroes cells in
-   place, and a cell with events is one booked since. *)
+   place, and a cell with events is one booked since. Each cell keeps
+   the distribution of its bookings (one sample each, so its count and
+   sum are the events and ns) and its trace track name. *)
 
-type account = { a_name : string; mutable a_ns : int; mutable a_events : int }
+type account = {
+  a_name : string;
+  a_track : string;
+  mutable a_ns : int;
+  mutable a_events : int;
+  mutable a_dist : Sketch.t;
+}
 
 type t = {
   now : unit -> int;
@@ -31,16 +39,21 @@ let account t name =
   match Hashtbl.find_opt t.tbl name with
   | Some a -> a
   | None ->
-      let a = { a_name = name; a_ns = 0; a_events = 0 } in
+      let a =
+        { a_name = name; a_track = "ledger." ^ name; a_ns = 0; a_events = 0;
+          a_dist = Sketch.create () }
+      in
       Hashtbl.add t.tbl name a;
       a
 
 let balance a = a.a_ns
+let track a = a.a_track
 
 let book t a ns =
   if ns < 0 then invalid_arg "Ledger.book: negative nanoseconds";
   a.a_ns <- a.a_ns + ns;
   a.a_events <- a.a_events + 1;
+  Sketch.insert a.a_dist ns;
   t.booked <- t.booked + ns;
   (match t.tap with None -> () | Some f -> f a.a_name ns);
   match t.ctx with
@@ -70,6 +83,11 @@ let ns t name =
 let events t name =
   match Hashtbl.find_opt t.tbl name with Some a -> a.a_events | None -> 0
 
+let distribution t name =
+  match Hashtbl.find_opt t.tbl name with
+  | Some a when a.a_events > 0 -> Some a.a_dist
+  | _ -> None
+
 let total t = t.booked
 
 let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
@@ -89,7 +107,9 @@ let audit t =
 let balanced t = Audit.ok (audit t)
 
 let reset t =
-  Hashtbl.iter (fun _ a -> a.a_ns <- 0; a.a_events <- 0) t.tbl;
+  Hashtbl.iter
+    (fun _ a -> a.a_ns <- 0; a.a_events <- 0; a.a_dist <- Sketch.create ())
+    t.tbl;
   Hashtbl.reset t.matrix_tbl;
   t.booked <- 0;
   t.ctx <- None;

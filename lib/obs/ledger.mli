@@ -30,11 +30,16 @@ type account
 val account : t -> string -> account
 
 val book : t -> account -> int -> unit
-(** Book [ns] nanoseconds (and one event) to the account. [ns = 0] still
-    counts an event. @raise Invalid_argument on negative [ns]. *)
+(** Book [ns] nanoseconds (and one event) to the account, and insert
+    [ns] as one sample into its {!distribution}. [ns = 0] still counts
+    an event. @raise Invalid_argument on negative [ns]. *)
 
 val balance : account -> int
 (** Nanoseconds booked to the account since the last {!reset}. *)
+
+val track : account -> string
+(** The account's trace counter track, [ledger.<account>], named once
+    when the account is resolved. *)
 
 val set_context : t -> string option -> unit
 (** Set the guest frame charges are attributed to in the function ×
@@ -59,6 +64,13 @@ val ns : t -> string -> int
 (** 0 for an account never booked. *)
 
 val events : t -> string -> int
+
+val distribution : t -> string -> Sketch.t option
+(** The account's own sketch of its bookings (not a copy: read it, do
+    not insert into it), one sample each: count = {!events}, sum =
+    {!ns}, exact min and max, quantiles within {!Sketch.alpha}. [None]
+    for an account not booked since the last {!reset}. *)
+
 val total : t -> int
 (** Sum of all booked nanoseconds. *)
 
@@ -74,9 +86,9 @@ val balanced : t -> bool
 (** [Audit.ok (audit t)]. *)
 
 val reset : t -> unit
-(** Zero every account in place (handles stay valid; {!accounts} lists
-    those booked since), drop the matrix, the context and the tap;
-    elapsed time restarts at [now ()]. *)
+(** Zero every account and clear its distribution in place (handles
+    stay valid; {!accounts} lists those booked since), drop the matrix,
+    the context and the tap; elapsed time restarts at [now ()]. *)
 
 (** {2 Snapshots} — the serialisable view ([twine_cli diff] operates on
     these; schema {!schema}). *)

@@ -1,4 +1,4 @@
-(* Telemetry registry: counters, histograms and span tracing.
+(* Telemetry registry: counters and span tracing.
 
    One registry instance rides on each simulated machine; every layer of
    the stack (SGX transitions, EPC paging, protected-FS cache, WASI
@@ -7,11 +7,10 @@
    on the simulator's *virtual* clock, injected as a [now] closure, so
    nesting attribution is exact and deterministic. *)
 
-(* Counters and histograms are cells, resolved by name into handles.
-   [reset] zeroes them in place, so handles stay valid; the snapshots
-   list the cells touched since ([c_live], or a non-empty sketch). *)
+(* Counters are cells, resolved by name into handles. [reset] zeroes
+   them in place, so handles stay valid; the snapshot lists the cells
+   touched since ([c_live]). *)
 type counter = { mutable c_value : int; mutable c_live : bool }
-type histogram = Sketch.t ref
 
 type span = {
   mutable sp_count : int;
@@ -29,7 +28,6 @@ type frame = {
 type t = {
   now : unit -> int;
   counters : (string, counter) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
   spans : (string, span) Hashtbl.t;
   mutable stack : frame list;
   mutable tracer : Trace.t option;
@@ -39,7 +37,6 @@ let create ?(now = fun () -> 0) () =
   {
     now;
     counters = Hashtbl.create 32;
-    histograms = Hashtbl.create 32;
     spans = Hashtbl.create 16;
     stack = [];
     tracer = None;
@@ -47,7 +44,6 @@ let create ?(now = fun () -> 0) () =
 
 let reset t =
   Hashtbl.iter (fun _ c -> c.c_value <- 0; c.c_live <- false) t.counters;
-  Hashtbl.iter (fun _ h -> h := Sketch.create ()) t.histograms;
   Hashtbl.reset t.spans;
   t.stack <- []
 
@@ -64,15 +60,13 @@ let emit_counter t ~cat name args =
 
 (* --- counters --- *)
 
-let cell tbl name fresh =
-  match Hashtbl.find_opt tbl name with
+let counter t name =
+  match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = fresh () in
-      Hashtbl.add tbl name c;
+      let c = { c_value = 0; c_live = false } in
+      Hashtbl.add t.counters name c;
       c
-
-let counter t name = cell t.counters name (fun () -> { c_value = 0; c_live = false })
 
 let add c n = c.c_value <- c.c_value + n; c.c_live <- true
 
@@ -80,31 +74,6 @@ let inc c = add c 1
 
 let value t name =
   match Hashtbl.find_opt t.counters name with Some c -> c.c_value | None -> 0
-
-(* --- histograms --- *)
-
-(* A histogram is a Sketch: exact count/sum/min/max, quantiles within
-   Sketch.alpha. A rejected (negative) sample records nothing, and an
-   empty histogram is not listed. *)
-let histogram t name = cell t.histograms name (fun () -> ref (Sketch.create ()))
-let observe h v = Sketch.insert !h v
-
-type hstat = { count : int; sum : int; min : int; max : int }
-
-let stat_of h =
-  let s = !h in
-  { count = Sketch.count s; sum = Sketch.sum s; min = Sketch.vmin s; max = Sketch.vmax s }
-
-let live h = Sketch.count !h > 0
-
-let live_histogram t name =
-  match Hashtbl.find_opt t.histograms name with Some h when live h -> Some h | _ -> None
-
-let hstat t name = Option.map stat_of (live_histogram t name)
-
-let quantile t name q =
-  if q < 0. || q > 1. then invalid_arg "Obs.quantile: q outside [0,1]";
-  Option.bind (live_histogram t name) (fun h -> Sketch.quantile !h q)
 
 (* --- spans --- *)
 
@@ -190,8 +159,6 @@ let sorted_fold tbl keep f =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counters t = sorted_fold t.counters (fun c -> c.c_live) (fun c -> c.c_value)
-
-let histograms t = sorted_fold t.histograms live stat_of
 
 let spans t =
   sorted_fold t.spans (fun _ -> true) (fun s ->

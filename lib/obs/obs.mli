@@ -1,5 +1,7 @@
-(** Telemetry registry: counters, histograms and span tracing on the
-    simulator's virtual clock.
+(** Telemetry registry: counters and span tracing on the simulator's
+    virtual clock. Where virtual time went is the machine's
+    {!Ledger}: its accounts, with the distribution of each one's
+    bookings.
 
     One registry rides on each simulated machine; every layer (SGX
     transitions, EPC paging, protected-FS node cache, WASI dispatch, the
@@ -13,9 +15,9 @@ val create : ?now:(unit -> int) -> unit -> t
     clock, making spans count-only). *)
 
 val reset : t -> unit
-(** Zeroes counters and histograms in place (handles stay valid; the
-    snapshots list what is touched since) and clears spans and the span
-    stack. The attached flight recorder (if any) is left alone. *)
+(** Zeroes counters in place (handles stay valid; the snapshot lists
+    what is touched since) and clears spans and the span stack. The
+    attached flight recorder (if any) is left alone. *)
 
 (** {2 Flight recorder}
 
@@ -36,8 +38,8 @@ val emit_counter : t -> cat:string -> string -> (string * int) list -> unit
 
 (** {2 Counters}
 
-    Counters and histograms are resolved by name once, where a layer is
-    created; an event then hashes no string. Resolving lists nothing. *)
+    Counters are resolved by name once, where a layer is created; an
+    event then hashes no string. Resolving lists nothing. *)
 
 type counter
 
@@ -46,32 +48,6 @@ val inc : counter -> unit
 val add : counter -> int -> unit
 val value : t -> string -> int
 (** 0 when the counter was never touched. *)
-
-(** {2 Histograms}
-
-    Each histogram is a {!Sketch}: count, sum, min and max are exact,
-    and quantiles are estimated within {!Sketch.alpha}. *)
-
-type histogram
-
-val histogram : t -> string -> histogram
-
-val observe : histogram -> int -> unit
-(** Record one sample (e.g. the nanosecond cost of one charge).
-    @raise Invalid_argument on a negative sample; nothing is recorded. *)
-
-type hstat = { count : int; sum : int; min : int; max : int }
-
-val hstat : t -> string -> hstat option
-
-val quantile : t -> string -> float -> int option
-(** [quantile t name q] is {!Sketch.quantile} of the histogram: the
-    nearest-rank order statistic to within relative error
-    {!Sketch.alpha} (1/128), whatever the distribution. Samples below
-    64 and the extremes ([q = 0.], [q = 1.]) are exact.
-
-    Deterministic; [None] when nothing was observed.
-    @raise Invalid_argument when [q] is outside [0, 1]. *)
 
 (** {2 Spans} *)
 
@@ -101,5 +77,4 @@ val depth : t -> int
 (** {2 Snapshots} — sorted by name for stable reports. *)
 
 val counters : t -> (string * int) list
-val histograms : t -> (string * hstat) list
 val spans : t -> (string * sstat) list

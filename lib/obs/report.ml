@@ -1,5 +1,6 @@
-(* Render a per-run cost breakdown out of an Obs registry, as an aligned
-   text table (human) and as JSON (machine, built as a {!Json.t}). *)
+(* Render a per-run cost breakdown out of an Obs registry and the
+   machine ledger, as an aligned text table (human) and as JSON
+   (machine, built as a {!Json.t}). *)
 
 let ms ns = float_of_int ns /. 1e6
 
@@ -51,7 +52,14 @@ let profile_table ?(top = 10) prof =
   if rest > 0 then line "  ... and %d more function(s)" rest;
   Buffer.contents b
 
-let render ?(title = "per-run cost report") ?profile ?ledger obs =
+(* One row per booked account, read from the distribution of its
+   bookings (count = events, sum = ns). *)
+let costs ledger =
+  List.filter_map
+    (fun (name, _) -> Option.map (fun d -> (name, d)) (Ledger.distribution ledger name))
+    (Ledger.accounts ledger)
+
+let render ?(title = "per-run cost report") ?profile ~ledger obs =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
   line "== %s ==" title;
@@ -61,17 +69,17 @@ let render ?(title = "per-run cost report") ?profile ?ledger obs =
     List.iter (fun (name, v) -> line "%-28s %12d" name v) counters;
     List.iter (fun (p, r) -> line "%-28s %11.1f%%" (p ^ ".hit_rate") r) (rates counters)
   end;
-  let hists = Obs.histograms obs in
-  if hists <> [] then begin
+  let costs = costs ledger in
+  if costs <> [] then begin
     line "-- costs --";
-    line "%-28s %10s %12s %10s %10s %10s %10s" "component" "events" "total(ms)"
+    line "%-28s %10s %12s %10s %10s %10s %10s" "account" "events" "total(ms)"
       "min(ns)" "p50(ns)" "p99(ns)" "max(ns)";
     List.iter
-      (fun (name, (h : Obs.hstat)) ->
-        let q v = Option.value ~default:0 (Obs.quantile obs name v) in
-        line "%-28s %10d %12.4f %10d %10d %10d %10d" name h.count (ms h.sum)
-          h.min (q 0.5) (q 0.99) h.max)
-      hists
+      (fun (name, d) ->
+        let q v = Option.value ~default:0 (Sketch.quantile d v) in
+        line "%-28s %10d %12.4f %10d %10d %10d %10d" name (Sketch.count d)
+          (ms (Sketch.sum d)) (Sketch.vmin d) (q 0.5) (q 0.99) (Sketch.vmax d))
+      costs
   end;
   let spans = Obs.spans obs in
   if spans <> [] then begin
@@ -97,16 +105,13 @@ let render ?(title = "per-run cost report") ?profile ?ledger obs =
   (match profile with
   | Some prof -> Buffer.add_string b (profile_table prof)
   | None -> ());
-  (match ledger with
-  | Some l ->
-      Buffer.add_string b (Ledger.render l);
-      Buffer.add_string b (Ledger.render_matrix (Ledger.snapshot l))
-  | None -> ());
+  Buffer.add_string b (Ledger.render ledger);
+  Buffer.add_string b (Ledger.render_matrix (Ledger.snapshot ledger));
   Buffer.contents b
 
 (* --- JSON --- *)
 
-let to_json ?profile ?ledger obs =
+let to_json ?profile ~ledger obs =
   let int n = Json.Num (float_of_int n) in
   let obj f l = Json.Obj (List.map f l) in
   let trace =
@@ -138,22 +143,17 @@ let to_json ?profile ?ledger obs =
                       ("total_ns", int f.Profile.total_cycles) ] ))
               (Profile.functions prof) ) ]
   in
-  let ledger =
-    match ledger with
-    | None -> []
-    | Some l -> [ ("ledger", Ledger.to_json (Ledger.snapshot l)) ]
-  in
   Json.to_string
     (Json.Obj
        ([ ("counters", obj (fun (k, v) -> (k, int v)) (Obs.counters obs));
           ( "histograms",
             obj
-              (fun (k, (h : Obs.hstat)) ->
+              (fun (k, d) ->
                 ( k,
                   Json.Obj
-                    [ ("count", int h.count); ("sum_ns", int h.sum);
-                      ("min_ns", int h.min); ("max_ns", int h.max) ] ))
-              (Obs.histograms obs) );
+                    [ ("count", int (Sketch.count d)); ("sum_ns", int (Sketch.sum d));
+                      ("min_ns", int (Sketch.vmin d)); ("max_ns", int (Sketch.vmax d)) ] ))
+              (costs ledger) );
           ( "spans",
             obj
               (fun (k, (s : Obs.sstat)) ->
@@ -162,4 +162,5 @@ let to_json ?profile ?ledger obs =
                     [ ("calls", int s.calls); ("total_ns", int s.total_ns);
                       ("self_ns", int s.self_ns) ] ))
               (Obs.spans obs) ) ]
-       @ trace @ wasm_profile @ ledger))
+       @ trace @ wasm_profile
+       @ [ ("ledger", Ledger.to_json (Ledger.snapshot ledger)) ]))

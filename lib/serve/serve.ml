@@ -562,11 +562,10 @@ type fleet = {
   series : Timeseries.t;
   log : request option array;  (* by rid; empty under --stream *)
   completed : int ref;
-  (* the serving loop's own meters and histogram *)
-  exec : Machine.meter;
-  pager : Machine.meter;
-  idle : Machine.meter;
-  batch_fill : Obs.histogram;
+  (* the serving loop's own ledger accounts *)
+  exec : Ledger.account;
+  pager : Ledger.account;
+  idle : Ledger.account;
 }
 
 let now f = Machine.now_ns f.machine
@@ -642,26 +641,18 @@ let work_ns cfg work =
    self-work. Slices sum exactly to [exec_ns] and land on the same
    account, so the books are byte-identical to one single charge. *)
 let charge_exec f w ~rid exec_ns =
-  let shares =
-    List.concat_map
-      (fun (p : Db.profile) ->
-        List.map (fun (o : Db.opstat) -> (o.Db.os_name, o.Db.os_work)) p.Db.pr_ops
-        @ [ ("overhead", p.Db.pr_overhead_work) ])
-      (Db.profiles w.db)
-  in
-  match shares with
+  match Db.slices w.db ~total_ns:exec_ns with
   | [] -> Machine.charge f.machine f.exec exec_ns
-  | _ ->
-      let slices = Db.slice_ns ~total_ns:exec_ns (List.map snd shares) in
-      List.iter2
-        (fun (name, _) ns ->
+  | slices ->
+      List.iter
+        (fun (name, ns) ->
           if ns > 0 then begin
             let op = "sql." ^ name in
             span f `Begin ~cat:"sqldb" ~eid:w.eid ~rid op;
             Machine.charge f.machine f.exec ns;
             span f `End ~cat:"sqldb" ~eid:w.eid ~rid op
           end)
-        shares slices
+        slices
 
 (* Serve one queued request inside its batch's ECALL. The request's
    outcome is decided once it finishes; it completes when the batch
@@ -675,7 +666,7 @@ let serve_one f w e (rid, at, req) =
   span f `Begin ~cat:"serve" ~eid:w.eid ~rid r.kind;
   f.attr.serving <- Some r;
   let sql = sql_of_req req in
-  Enclave.copy_in e ~label:"serve.req" (String.length sql);
+  Enclave.copy_in e (String.length sql);
   Db.reset_work w.db;
   let pr0, pw0, _ = Pager.stats (Db.pager w.db) in
   let res = Db.exec w.db sql in
@@ -689,7 +680,7 @@ let serve_one f w e (rid, at, req) =
     Machine.charge f.machine f.pager pager_ns;
     w.pager_work := 0
   end;
-  Enclave.copy_out e ~label:"serve.resp" (response_bytes res);
+  Enclave.copy_out e (response_bytes res);
   f.attr.serving <- None;
   r.finish_ns <- now f;
   r.interference <- List.sort compare r.interference;
@@ -806,15 +797,17 @@ let requeue_unfinished f ~eid batch =
             (Twine_sim.Eventq.schedule f.timers ~at:(now f + b) (Requeue (rid, at, req))))
     batch
 
+(* Failover steps are rare: their accounts are resolved when charged. *)
+let charge_failover f name ns =
+  Machine.charge f.machine (Ledger.account (Machine.ledger f.machine) name) ns
+
 (* The enclave is lost: EREMOVE it (releasing its EPC pages and purging
    its eviction provenance; its Db handle dies with it) and relaunch a
    replacement that recovers the slot's durable state from the backing.
    Arrivals queued behind the crash migrate to the replacement. *)
 let relaunch f slot w =
   let epc = f.machine.Machine.epc in
-  let step account ns =
-    Machine.charge f.machine (Machine.meter f.machine ~account "serve.failover") ns
-  in
+  let step = charge_failover f in
   Obs.inc (Obs.counter f.obs "serve.failover");
   let start = now f in
   step "serve.failover.detect" failover_detect_ns;
@@ -830,9 +823,7 @@ let relaunch f slot w =
   f.workers.(slot) <- w';
   f.evict0.(slot) <- Epc.evictions_of epc w'.eid;
   f.retired <- w.eid :: f.retired;
-  let dur = now f - start in
-  f.recoveries <- dur :: f.recoveries;
-  Obs.observe (Obs.histogram f.obs "serve.failover_ns") dur
+  f.recoveries <- (now f - start) :: f.recoveries
 
 (* A batch's ECALL failed. [`Transient]: the enclave is healthy and only
    the batch is lost; [`Lost]: the enclave is gone. Either way the
@@ -841,10 +832,7 @@ let fail_batch f slot w batch err =
   salvage f.attr;
   f.attr.phase <- Failover;
   (match err with
-  | `Transient _ ->
-      Machine.charge f.machine
-        (Machine.meter f.machine ~account:"serve.failover.detect" "serve.failover")
-        failover_detect_ns
+  | `Transient _ -> charge_failover f "serve.failover.detect" failover_detect_ns
   | `Lost _ -> relaunch f slot w);
   f.attr.phase <- Idle;
   requeue_unfinished f ~eid:w.eid batch
@@ -913,7 +901,6 @@ let dispatch f =
   let size = List.length batch in
   f.pending <- f.pending - size;
   f.batches <- f.batches + 1;
-  Obs.observe f.batch_fill size;
   let ctx =
     match (f.tracer, batch) with
     | Some _, (first, _, _) :: _ ->
@@ -1107,6 +1094,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       ~probe:(probe ~obs ~epc ~workers ~completed)
       ~on_close:(on_close obs) ~t0 ~window_ns ()
   in
+  let account = Ledger.account (Machine.ledger machine) in
   let f =
     {
       cfg; machine; obs; tracer = Obs.tracer obs; attr; t0; backings; workers;
@@ -1119,10 +1107,8 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
       next_sample = t0 + cfg.sample_every_ns; series;
       log = (if cfg.retain_requests then Array.make cfg.requests None else [||]);
       completed;
-      exec = Machine.meter machine ~account:"serve.exec" "serve.sql";
-      pager = Machine.meter machine ~account:"serve.pager" "serve.sql";
-      idle = Machine.meter machine ~account:"serve.idle" "serve.idle";
-      batch_fill = Obs.histogram obs "serve.batch_fill";
+      exec = account "serve.exec"; pager = account "serve.pager";
+      idle = account "serve.idle";
     }
   in
   while !completed < cfg.requests do

@@ -1,5 +1,6 @@
 open Twine_crypto
 module Obs = Twine_obs.Obs
+module Ledger = Twine_obs.Ledger
 
 type t = {
   machine : Machine.t;
@@ -15,9 +16,16 @@ type t = {
   drbg : Drbg.t;
   ecalls : Obs.counter;
   ocalls : Obs.counter;
-  epc_fault : Machine.meter;
-  epc_evict : Machine.meter;
-  mutable meters : (string * string * Machine.meter) list;  (* by (account, label) *)
+  (* the ledger accounts this enclave charges, resolved at create *)
+  ecall_acct : Ledger.account;
+  ocall_acct : Ledger.account;
+  epc_fault : Ledger.account;
+  epc_evict : Ledger.account;
+  alloc_acct : Ledger.account;
+  commit_acct : Ledger.account;
+  reserved_acct : Ledger.account;
+  mee_copy : Ledger.account;
+  mee_memset : Ledger.account;
 }
 
 exception Destroyed
@@ -40,18 +48,6 @@ let fault_gate t site =
       t.poisoned <- true;
       raise (Fault.Crashed site)
 
-(* A meter per label callers pass, resolved on first use: lookups compare, never hash. *)
-let meter t ~account label =
-  let rec find = function
-    | (a, l, m) :: rest ->
-        if String.equal l label && String.equal a account then m else find rest
-    | [] ->
-        let m = Machine.meter t.machine ~account label in
-        t.meters <- (account, label, m) :: t.meters;
-        m
-  in
-  find t.meters
-
 let fault_pages (t : t) ~addr ~len =
   if len > 0 then begin
     let m = t.machine in
@@ -62,8 +58,8 @@ let fault_pages (t : t) ~addr ~len =
       | `Fault victim ->
           (* same cost either way; the ledger splits plain page-ins from
              the capacity-pressure path that had to encrypt a page out *)
-          let meter = if Option.is_some victim then t.epc_evict else t.epc_fault in
-          Machine.charge_cycles m meter m.costs.epc_fault_cycles
+          let acct = if Option.is_some victim then t.epc_evict else t.epc_fault in
+          Machine.charge_cycles m acct m.costs.epc_fault_cycles
     done
   end
 
@@ -78,7 +74,7 @@ let create machine ?(signer = "twine-vendor") ?(heap_bytes = 16 * 1024 * 1024)
     ~code () =
   let id = machine.Machine.next_enclave_id in
   machine.next_enclave_id <- id + 1;
-  let obs = machine.Machine.obs and resolve account = Machine.meter machine ~account in
+  let obs = machine.Machine.obs and resolve = Ledger.account machine.Machine.ledger in
   let t =
     {
       machine;
@@ -97,14 +93,20 @@ let create machine ?(signer = "twine-vendor") ?(heap_bytes = 16 * 1024 * 1024)
           ();
       ecalls = Obs.counter obs "sgx.ecall";
       ocalls = Obs.counter obs "sgx.ocall";
-      epc_fault = resolve "epc.fault" "sgx.epc_fault";
-      epc_evict = resolve "epc.evict" "sgx.epc_fault";
-      meters = [];
+      ecall_acct = resolve "sgx.transition.ecall";
+      ocall_acct = resolve "sgx.transition.ocall";
+      epc_fault = resolve "epc.fault";
+      epc_evict = resolve "epc.evict";
+      alloc_acct = resolve "sgx.alloc";
+      commit_acct = resolve "sgx.commit";
+      reserved_acct = resolve "sgx.reserved";
+      mee_copy = resolve "mee.copy";
+      mee_memset = resolve "mee.memset";
     }
   in
   (* ECREATE, then EADD+EEXTEND for every code and heap page. *)
   let pages = (String.length code + heap_bytes + Costs.page_size - 1) / Costs.page_size in
-  let launch = resolve "sgx.launch" "sgx.launch" in
+  let launch = resolve "sgx.launch" in
   Machine.charge machine launch machine.costs.launch_base_ns;
   Machine.charge_cycles machine launch (pages * machine.costs.page_add_cycles);
   t.committed <- String.length code + heap_bytes;
@@ -127,28 +129,27 @@ let destroy t =
 (* One enclave-boundary transition (half an ECALL/OCALL round trip).
    The flight recorder gets an instant per transition so the timeline
    shows each boundary crossing, not just the enclosing span. *)
-let crossing t meter name =
+let crossing t acct name =
   t.transition_count <- t.transition_count + 1;
   let obs = t.machine.Machine.obs in
   if Option.is_some (Obs.tracer obs) then
     Obs.emit obs ~cat:"sgx"
       ~args:[ ("enclave", t.id); ("transition", t.transition_count) ]
       (name ^ ".crossing");
-  Machine.charge_cycles t.machine meter t.machine.costs.transition_cycles
+  Machine.charge_cycles t.machine acct t.machine.costs.transition_cycles
 
 let ecall t ?(name = "sgx.ecall") f =
   check t;
-  let m = meter t ~account:"sgx.transition.ecall" name in
   let obs = t.machine.Machine.obs in
   if t.depth = 0 then begin
     Obs.inc t.ecalls;
-    crossing t m name
+    crossing t t.ecall_acct name
   end;
   t.depth <- t.depth + 1;
   Fun.protect
     ~finally:(fun () ->
       t.depth <- t.depth - 1;
-      if t.depth = 0 && not t.destroyed then crossing t m name)
+      if t.depth = 0 && not t.destroyed then crossing t t.ecall_acct name)
     (fun () ->
       fault_gate t "enclave.ecall";
       Obs.in_span obs name (fun () -> f t))
@@ -156,12 +157,11 @@ let ecall t ?(name = "sgx.ecall") f =
 let ocall t ?(name = "sgx.ocall") f =
   check t;
   if t.depth = 0 then invalid_arg "Enclave.ocall: not inside an ecall";
-  let m = meter t ~account:"sgx.transition.ocall" name in
   let obs = t.machine.Machine.obs in
   Obs.inc t.ocalls;
-  crossing t m name;
+  crossing t t.ocall_acct name;
   Fun.protect
-    ~finally:(fun () -> if not t.destroyed then crossing t m name)
+    ~finally:(fun () -> if not t.destroyed then crossing t t.ocall_acct name)
     (fun () ->
       fault_gate t "enclave.ocall";
       Obs.in_span obs name f)
@@ -179,7 +179,7 @@ let alloc t n =
   if n < 0 then invalid_arg "Enclave.alloc: negative size";
   let m = t.machine in
   let committed_mib = t.committed / (1024 * 1024) in
-  Machine.charge m (meter t ~account:"sgx.alloc" "sgx.alloc") (300 + (20 * committed_mib));
+  Machine.charge m t.alloc_acct (300 + (20 * committed_mib));
   let addr = t.brk in
   t.brk <- t.brk + n;
   t.committed <- t.committed + n;
@@ -211,33 +211,27 @@ let commit t ~addr ~len =
     let pages =
       ((addr + len - 1) / Costs.page_size) - (addr / Costs.page_size) + 1
     in
-    Machine.charge_cycles m (meter t ~account:"sgx.commit" "sgx.commit")
-      (pages * m.costs.page_add_cycles);
+    Machine.charge_cycles m t.commit_acct (pages * m.costs.page_add_cycles);
     t.committed <- t.committed + len;
     note_heap t;
     fault_pages t ~addr ~len
   end
 
 (* Memory-encryption-engine traffic, at [rate] ns per byte. *)
-let mee t ~account label rate n =
+let mee t acct rate n =
   check t;
-  Machine.charge t.machine (meter t ~account label) (Costs.bytes_ns (rate t.machine.costs) n)
+  Machine.charge t.machine acct (Costs.bytes_ns (rate t.machine.costs) n)
 
-let memset t ?(label = "sgx.memset") n =
-  mee t ~account:"mee.memset" label (fun c -> c.memset_ns_per_byte) n
-
-let copy_in t ?(label = "sgx.copy_in") n =
-  mee t ~account:"mee.copy" label (fun c -> c.copy_ns_per_byte) n
-
-let copy_out t ?(label = "sgx.copy_out") n =
-  mee t ~account:"mee.copy" label (fun c -> c.copy_ns_per_byte) n
+let memset t n = mee t t.mee_memset (fun c -> c.memset_ns_per_byte) n
+let copy_in t n = mee t t.mee_copy (fun c -> c.copy_ns_per_byte) n
+let copy_out t n = mee t t.mee_copy (fun c -> c.copy_ns_per_byte) n
 
 let load_reserved t code =
   check t;
   let n = String.length code in
   copy_in t n;
   (* mprotect-style page permission flips on the reserved region *)
-  Machine.charge t.machine (meter t ~account:"sgx.reserved" "sgx.reserved")
+  Machine.charge t.machine t.reserved_acct
     (200 * ((n + Costs.page_size - 1) / Costs.page_size));
   let addr = t.brk in
   t.brk <- t.brk + n;

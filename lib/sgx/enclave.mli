@@ -79,14 +79,15 @@ val commit : t -> addr:int -> len:int -> unit
     pages in, without moving the allocation cursor. Used to account linear
     memory grown by [memory.grow] after the region was set up. *)
 
-val memset : t -> ?label:string -> int -> unit
-(** Charge clearing [n] bytes of enclave memory (MEE write cost). The
-    label names the meter component (default ["sgx.memset"]). *)
+val memset : t -> int -> unit
+(** Charge clearing [n] bytes of enclave memory (MEE write cost) to the
+    [mee.memset] account. *)
 
-val copy_in : t -> ?label:string -> int -> unit
-(** Charge copying [n] bytes from untrusted to trusted memory. *)
+val copy_in : t -> int -> unit
+(** Charge copying [n] bytes from untrusted to trusted memory to the
+    [mee.copy] account. *)
 
-val copy_out : t -> ?label:string -> int -> unit
+val copy_out : t -> int -> unit
 
 val load_reserved : t -> string -> int
 (** Map code into reserved memory (§IV-B), returning its base address.

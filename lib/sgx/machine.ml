@@ -31,32 +31,24 @@ let create ?(costs = Costs.default) ?(epc_bytes = usable_epc_bytes)
     faults = None;
   }
 
-(* [track] names the account's ledger.<account> trace counter track. *)
-type meter = { hist : Twine_obs.Obs.histogram; acct : Twine_obs.Ledger.account; track : string }
-
-let meter t ~account component =
-  { hist = Twine_obs.Obs.histogram t.obs component;
-    acct = Twine_obs.Ledger.account t.ledger account; track = "ledger." ^ account }
-
 (* The ONLY Clock.advance call site in the library: every nanosecond of
    virtual time passes through here, so booking each charge into the
    ledger makes the conservation audit (elapsed = booked) structural. *)
-let charge t m ns =
+let charge t acct ns =
   Clock.advance t.clock ns;
-  Twine_obs.Obs.observe m.hist ns;
-  Twine_obs.Ledger.book t.ledger m.acct ns;
+  Twine_obs.Ledger.book t.ledger acct ns;
   match Twine_obs.Obs.tracer t.obs with
   | None -> ()
   | Some _ ->
-      Twine_obs.Obs.emit_counter t.obs ~cat:"ledger" m.track
-        [ ("ns", Twine_obs.Ledger.balance m.acct) ]
+      Twine_obs.Obs.emit_counter t.obs ~cat:"ledger" (Twine_obs.Ledger.track acct)
+        [ ("ns", Twine_obs.Ledger.balance acct) ]
 
-let charge_cycles t m cycles =
+let charge_cycles t acct cycles =
   let ns, carry =
     Costs.cycles_ns_rem t.costs ~carry:t.cycle_carry cycles
   in
   t.cycle_carry <- carry;
-  charge t m ns
+  charge t acct ns
 
 let now_ns t = Clock.now_ns t.clock
 
@@ -84,7 +76,7 @@ let arm_faults t plan =
     ~now:(fun () -> Clock.now_ns t.clock)
     ~notify:(fun (inj : Fault.injection) ->
       let ns = match inj.Fault.action with Fault.Delay n -> n | _ -> 0 in
-      charge t (meter t ~account:("fault." ^ inj.Fault.site) "fault.inject") ns;
+      charge t (Twine_obs.Ledger.account t.ledger ("fault." ^ inj.Fault.site)) ns;
       Twine_obs.Obs.inc (Twine_obs.Obs.counter t.obs "fault.injected");
       Twine_obs.Obs.emit t.obs ~cat:"fault"
         ~args:[ ("op", inj.Fault.op) ]

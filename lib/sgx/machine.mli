@@ -6,9 +6,9 @@
 type t = {
   clock : Twine_sim.Clock.t;
   obs : Twine_obs.Obs.t;
-      (** telemetry registry (counters/histograms/spans, optional flight
-          recorder) on the machine's virtual clock; every layer of the
-          stack records into it *)
+      (** telemetry registry (counters/spans, optional flight recorder)
+          on the machine's virtual clock; every layer of the stack
+          records into it *)
   ledger : Twine_obs.Ledger.t;
       (** cycle ledger on the same clock: every {!charge} books here, so
           [Ledger.audit] proves booked totals equal elapsed virtual time *)
@@ -26,23 +26,15 @@ val create : ?costs:Costs.t -> ?epc_bytes:int -> ?seed:string -> unit -> t
 (** Default EPC is the paper's usable 93 MiB. [seed] makes the fused key
     (and hence all derived randomness) deterministic. *)
 
-type meter
-(** Where a charge lands: a component's cost histogram and a ledger
-    account, resolved once (where a layer is created) so a charge hashes
-    no name. *)
+val charge : t -> Twine_obs.Ledger.account -> int -> unit
+(** Advance the clock by [ns] and book it into the machine ledger under
+    the account, a handle resolved once on {!ledger} where a layer is
+    created, so a charge hashes no name. This is the only place virtual
+    time advances, so the ledger's conservation audit holds by
+    construction. When a tracer is attached, also emits the account's
+    [ledger.<account>] counter track with its running total. *)
 
-val meter : t -> account:string -> string -> meter
-(** [meter t ~account component] *)
-
-val charge : t -> meter -> int -> unit
-(** Advance the clock by [ns], record it in the meter's component
-    histogram and book it into the machine ledger under the meter's
-    account. This is the only place virtual time advances, so the
-    ledger's conservation audit holds by construction. When a tracer is
-    attached, also emits a [ledger.<account>] counter track with the
-    account's running total. *)
-
-val charge_cycles : t -> meter -> int -> unit
+val charge_cycles : t -> Twine_obs.Ledger.account -> int -> unit
 (** Like {!charge} but in CPU cycles, converting via
     {!Costs.cycles_ns_rem} with a per-machine carry so sub-ns remainders
     accumulate instead of being lost to rounding. *)

@@ -61,12 +61,20 @@ let pager (t : t) = t.Catalog.pager
 let profiles = Catalog.profiles
 let last_profile = Catalog.last_profile
 
+(* A statement's work shares: one per operator (preorder), then the
+   overhead. *)
+let shares (p : profile) =
+  List.map (fun o -> (o.os_name, o.os_work)) p.pr_ops
+  @ [ ("overhead", p.pr_overhead_work) ]
+
 let audit (p : profile) =
   { Twine_obs.Audit.law = "sql"; unit = ""; total = ("work", p.pr_total_work);
-    parts =
-      List.map (fun o -> (o.os_name, o.os_work)) p.pr_ops
-      @ [ ("overhead", p.pr_overhead_work) ] }
+    parts = shares p }
 
 let slice_ns = Catalog.slice_ns
+
+let slices t ~total_ns =
+  let shares = List.concat_map shares (profiles t) in
+  List.combine (List.map fst shares) (slice_ns ~total_ns (List.map snd shares))
 
 let set_ns_per_work (t : t) ns = t.Catalog.ns_hint <- ns

@@ -121,6 +121,13 @@ val slice_ns : total_ns:int -> int list -> int list
     [total_ns] exactly (the residue-free attribution used for the
     [sqldb.op.*] charges). *)
 
+val slices : t -> total_ns:int -> (string * int) list
+(** A statement booking of [total_ns] split by {!slice_ns} over the
+    work shares of every statement profiled since {!reset_work}: per
+    profile, one slice per operator (named by [os_name]) and one named
+    ["overhead"]. Slices may be 0 and sum to [total_ns]; [[]] when no
+    statement recorded a profile. *)
+
 val set_ns_per_work : t -> float -> unit
 (** Installs a ns-per-work-unit calibration hint; when positive,
     [EXPLAIN ANALYZE] output gains a [cycles=..ns] column. *)

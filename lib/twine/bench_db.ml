@@ -7,9 +7,10 @@
    - Twine:    the Wasm build inside the enclave; file system calls go to
                the Intel Protected File System through the WASI layer
 
-   CPU time is charged per unit of database work, at the calibrated Wasm
-   slowdown for the Wasm-based variants (the factor is measured on this
-   machine from the PolyBench suite: AoT-engine time / native time).
+   CPU time is charged per unit of database work, at the Wasm slowdown
+   the caller passes for the Wasm-based variants ([calibrate_wasm_factor]
+   measures one on this machine from the PolyBench suite: AoT-engine
+   time / native time).
    Memory behaviour (page-cache and heap residency vs the EPC) and I/O
    behaviour (OCALLs, cross-boundary copies, encryption) are simulated
    on the machine's virtual clock, so a workload's "time" is
@@ -58,11 +59,10 @@ let calibrate_wasm_factor () =
 
 (* Charge plain host-file I/O (the un-enclaved file variants). *)
 let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
-  let read = Machine.meter machine ~account:"host.io" "host.read"
-  and write = Machine.meter machine ~account:"host.io" "host.write" in
+  let io = Twine_obs.Ledger.account (Machine.ledger machine) "host.io" in
   let wrap_file (f : Svfs.file) : Svfs.file =
-    let charge meter n =
-      Machine.charge machine meter
+    let charge n =
+      Machine.charge machine io
         (machine.costs.untrusted_io_base_ns
         + Costs.bytes_ns machine.costs.untrusted_io_ns_per_byte n)
     in
@@ -70,11 +70,11 @@ let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
       f with
       Svfs.v_read =
         (fun ~pos ~len ->
-          charge read len;
+          charge len;
           f.Svfs.v_read ~pos ~len);
       v_write =
         (fun ~pos s ->
-          charge write (String.length s);
+          charge (String.length s);
           f.Svfs.v_write ~pos s);
     }
   in
@@ -84,13 +84,12 @@ let host_io_svfs (machine : Machine.t) (inner : Svfs.t) : Svfs.t =
    across the boundary, and the disk image is encrypted/decrypted. *)
 let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
   let machine = Enclave.machine enclave in
-  let read = Machine.meter machine ~account:"lkl.io" "lkl.read"
-  and write = Machine.meter machine ~account:"lkl.io" "lkl.write"
-  and crypto = Machine.meter machine ~account:"lkl.crypto" "lkl.crypto" in
+  let account = Twine_obs.Ledger.account (Machine.ledger machine) in
+  let io_acct = account "lkl.io" and crypto = account "lkl.crypto" in
   let wrap_file (f : Svfs.file) : Svfs.file =
-    let io meter n g =
+    let io n g =
       let run () =
-        Machine.charge machine meter
+        Machine.charge machine io_acct
           (machine.costs.untrusted_io_base_ns
           + Costs.bytes_ns machine.costs.untrusted_io_ns_per_byte n);
         g ()
@@ -102,8 +101,8 @@ let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
       f with
       Svfs.v_read =
         (fun ~pos ~len ->
-          let data = io read len (fun () -> f.Svfs.v_read ~pos ~len) in
-          Enclave.copy_in enclave ~label:"lkl.read" (String.length data);
+          let data = io len (fun () -> f.Svfs.v_read ~pos ~len) in
+          Enclave.copy_in enclave (String.length data);
           Machine.charge machine crypto
             (Costs.bytes_ns machine.costs.aes_ns_per_byte (String.length data));
           data);
@@ -111,8 +110,8 @@ let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
         (fun ~pos s ->
           Machine.charge machine crypto
             (Costs.bytes_ns machine.costs.aes_ns_per_byte (String.length s));
-          Enclave.copy_out enclave ~label:"lkl.write" (String.length s);
-          io write (String.length s) (fun () -> f.Svfs.v_write ~pos s));
+          Enclave.copy_out enclave (String.length s);
+          io (String.length s) (fun () -> f.Svfs.v_write ~pos s));
     }
   in
   { inner with Svfs.v_open = (fun path -> wrap_file (inner.Svfs.v_open path)) }
@@ -121,13 +120,6 @@ let lkl_io_svfs (enclave : Enclave.t) (inner : Svfs.t) : Svfs.t =
 let pfs_svfs (fs : Protected_fs.t) : Svfs.t =
   let open_file path =
     let f = Protected_fs.open_file fs ~mode:`Rdwr path in
-    let pad_to target =
-      let size = Protected_fs.file_size f in
-      if target > size then begin
-        ignore (Protected_fs.seek f ~offset:0 ~whence:`End);
-        ignore (Protected_fs.write f (String.make (target - size) '\000'))
-      end
-    in
     {
       Svfs.v_read =
         (fun ~pos ~len ->
@@ -139,7 +131,7 @@ let pfs_svfs (fs : Protected_fs.t) : Svfs.t =
               Bytes.sub_string buf 0 n);
       v_write =
         (fun ~pos s ->
-          pad_to pos;
+          Protected_fs.pad_to f pos;
           ignore (Protected_fs.seek f ~offset:pos ~whence:`Set);
           ignore (Protected_fs.write f s));
       v_truncate = (fun _ -> ());  (* IPFS cannot shrink files (§IV-E) *)
@@ -166,21 +158,16 @@ type t = {
   ns_per_work : float;
   pager_work : int ref;  (* B-tree work units surfaced via Pager.hooks *)
   mutable pfs : Protected_fs.t option;
-  exec_meter : Machine.meter;
-  pager_meter : Machine.meter;
+  exec_acct : Twine_obs.Ledger.account;
+  pager_acct : Twine_obs.Ledger.account;
 }
 
 let in_enclave_cpu = function Sgx_lkl | Twine_rt -> true | Native | Wamr -> false
 let is_wasm = function Wamr | Twine_rt -> true | Native | Sgx_lkl -> false
 
 let create ?machine ?(cache_pages = 2048) ?(ipfs_variant = Protected_fs.Optimized)
-    ?wasm_factor ?(ns_per_work = 60.) variant storage =
+    ~wasm_factor ?(ns_per_work = 60.) variant storage =
   let machine = match machine with Some m -> m | None -> Machine.create () in
-  let wasm_factor =
-    match wasm_factor with
-    | Some f -> f
-    | None -> if is_wasm variant then calibrate_wasm_factor () else 1.0
-  in
   let enclave =
     if in_enclave_cpu variant then
       Some
@@ -235,8 +222,8 @@ let create ?machine ?(cache_pages = 2048) ?(ipfs_variant = Protected_fs.Optimize
     ns_per_work;
     pager_work;
     pfs = !pfs;
-    exec_meter = Machine.meter machine ~account:"sqldb.exec" "sqlite";
-    pager_meter = Machine.meter machine ~account:"sqldb.pager" "sqlite";
+    exec_acct = Twine_obs.Ledger.account (Machine.ledger machine) "sqldb.exec";
+    pager_acct = Twine_obs.Ledger.account (Machine.ledger machine) "sqldb.pager";
   }
 
 (* Execute SQL, charging CPU work at the variant's rate. *)
@@ -257,23 +244,16 @@ let exec t sql =
      sum exactly to the single charge they replace, so the books stay
      byte-identical while each operator gains a cycle attribution. *)
   let exec_ns = work_ns (Db.work t.db) in
-  let shares =
-    List.concat_map
-      (fun (p : Db.profile) ->
-        List.map (fun (o : Db.opstat) -> o.Db.os_work) p.Db.pr_ops
-        @ [ p.Db.pr_overhead_work ])
-      (Db.profiles t.db)
-  in
-  (match shares with
-  | [] -> Machine.charge t.machine t.exec_meter exec_ns
-  | _ ->
+  (match Db.slices t.db ~total_ns:exec_ns with
+  | [] -> Machine.charge t.machine t.exec_acct exec_ns
+  | slices ->
       List.iter
-        (fun ns -> if ns > 0 then Machine.charge t.machine t.exec_meter ns)
-        (Db.slice_ns ~total_ns:exec_ns shares));
+        (fun (_, ns) -> if ns > 0 then Machine.charge t.machine t.exec_acct ns)
+        slices);
   (* B-tree work units arrive via Pager.hooks between execs (open-time
      work lands in the first exec); book them as pager time *)
   if !(t.pager_work) > 0 then begin
-    Machine.charge t.machine t.pager_meter (work_ns !(t.pager_work));
+    Machine.charge t.machine t.pager_acct (work_ns !(t.pager_work));
     t.pager_work := 0
   end;
   result

@@ -48,9 +48,9 @@ let rand_read ctx ~records ~samples ~seed =
   done
 
 let sweep ?machine ?(blob_bytes = 256) ?(rand_reads = 400) ?cache_pages
-    ?ipfs_variant ?wasm_factor variant storage ~sizes () =
+    ?ipfs_variant ~wasm_factor variant storage ~sizes () =
   let ctx =
-    Bench_db.create ?machine ?cache_pages ?ipfs_variant ?wasm_factor variant storage
+    Bench_db.create ?machine ?cache_pages ?ipfs_variant ~wasm_factor variant storage
   in
   ignore (Bench_db.exec ctx schema);
   let points = ref [] in
@@ -105,7 +105,7 @@ let normalise ~(native : sweep_result) ~(other : sweep_result) ~epc_records fiel
   (ratio_set (fun r -> r <= epc_records), ratio_set (fun r -> r > epc_records))
 
 (* Fig 7: component breakdown of random reads over the protected file
-   system, stock vs optimised. *)
+   system, stock vs optimised, from the ledger accounts of the phase. *)
 type breakdown = {
   ipfs_variant : Twine_ipfs.Protected_fs.variant;
   total_ns : int;
@@ -118,27 +118,18 @@ type breakdown = {
 }
 
 let ipfs_breakdown ?(records = 2000) ?(blob_bytes = 512) ?(samples = 1500)
-    ?(cache_pages = 64) ?wasm_factor ipfs_variant =
+    ?(cache_pages = 64) ~wasm_factor ipfs_variant =
   let machine = Twine_sgx.Machine.create ~seed:"fig7" () in
   (* point reads of a warmed schema: model prepared statements (as
      Speedtest1 uses), so the SQLite share reflects execution, not SQL
      compilation *)
   let ctx =
-    Bench_db.create ~machine ~cache_pages ~ipfs_variant ?wasm_factor
+    Bench_db.create ~machine ~cache_pages ~ipfs_variant ~wasm_factor
       ~ns_per_work:12. Bench_db.Twine_rt Bench_db.File
   in
   ignore (Bench_db.exec ctx schema);
   insert_batch ctx ~from_id:1 ~count:records ~blob_bytes;
-  (* measure only the random-read phase: snapshot the cost histograms
-     before it and report the deltas *)
-  let obs = machine.Twine_sgx.Machine.obs in
-  let sum k =
-    match Twine_obs.Obs.hstat obs k with
-    | Some h -> h.Twine_obs.Obs.sum
-    | None -> 0
-  in
-  let keys = [ "ipfs.memset"; "ipfs.ocall"; "wasi.ocall"; "ipfs.read"; "ipfs.crypto"; "sqlite" ] in
-  let before = List.map (fun k -> (k, sum k)) keys in
+  (* measure only the random-read phase: the ledger delta across it *)
   let ledger = Twine_sgx.Machine.ledger machine in
   let l0 = Twine_obs.Ledger.snapshot ledger in
   let t0 = Bench_db.now_ns ctx in
@@ -152,15 +143,16 @@ let ipfs_breakdown ?(records = 2000) ?(blob_bytes = 512) ?(samples = 1500)
              Some (d.Twine_obs.Ledger.account, d.Twine_obs.Ledger.delta_ns)
            else None)
   in
-  let ns k = sum k - List.assoc k before in
+  let delta k = Option.value ~default:0 (List.assoc_opt k accounts) in
+  let ns keys = List.fold_left (fun acc k -> acc + delta k) 0 keys in
   let r =
     {
       ipfs_variant;
       total_ns;
-      memset_ns = ns "ipfs.memset";
-      ocall_ns = ns "ipfs.ocall" + ns "wasi.ocall";
-      read_ns = ns "ipfs.read" + ns "ipfs.crypto";
-      sqlite_ns = ns "sqlite";
+      memset_ns = ns [ "mee.memset" ];
+      ocall_ns = ns [ "sgx.transition.ocall" ];
+      read_ns = ns [ "ipfs.io"; "mee.copy"; "ipfs.crypto" ];
+      sqlite_ns = ns [ "sqldb.exec"; "sqldb.pager" ];
       accounts;
       machine;
     }

@@ -50,6 +50,7 @@ type t = {
   mutable guest_mem : mem_region option;
   mutable instance : Instance.t option;
       (* the latest run's instance, which holds the context of its trap *)
+  aot : Twine_obs.Ledger.account;  (* AoT code generation *)
 }
 
 let create ?(config = default_config) ?backing machine =
@@ -62,7 +63,8 @@ let create ?(config = default_config) ?backing machine =
     Protected_fs.create enclave backing ~variant:config.ipfs_variant
       ~cache_nodes:config.cache_nodes ()
   in
-  { config; machine; enclave; fs; deployed = None; guest_mem = None; instance = None }
+  { config; machine; enclave; fs; deployed = None; guest_mem = None; instance = None;
+    aot = Twine_obs.Ledger.account (Machine.ledger machine) "twine.aot" }
 
 let enclave t = t.enclave
 let machine t = t.machine
@@ -242,8 +244,7 @@ let run ?(args = [ "app" ]) ?env ?profile ?fuel_limit t =
               let n = Aot.compile_instance inst in
               Twine_obs.Obs.add (Twine_obs.Obs.counter obs "twine.aot.funcs") n;
               Twine_obs.Obs.emit obs ~cat:"twine" ~args:[ ("funcs", n) ] "twine.aot";
-              Machine.charge t.machine
-                (Machine.meter t.machine ~account:"twine.aot" "twine.aot") (n * 1500)
+              Machine.charge t.machine t.aot (n * 1500)
           | Interpreter -> ());
           Api.bind_memory ctx inst;
           (* In-enclave Wasm linear memory participates in EPC pressure.

@@ -19,13 +19,7 @@ open Twine_wasi
    seeking past EOF pads with zeros, working around sgx_fseek (§IV-E). *)
 let protected_dir (fs : Protected_fs.t) : Vfs.dir =
   let wrap_file (f : Protected_fs.file) : Vfs.file =
-    let pad_to target =
-      let size = Protected_fs.file_size f in
-      if target > size then begin
-        ignore (Protected_fs.seek f ~offset:0 ~whence:`End);
-        ignore (Protected_fs.write f (String.make (target - size) '\000'))
-      end
-    in
+    let pad_to = Protected_fs.pad_to f in
     {
       Vfs.f_read =
         (fun dst ~off ~len ->
@@ -82,16 +76,13 @@ let protected_dir (fs : Protected_fs.t) : Vfs.dir =
       f_size = (fun () -> Protected_fs.file_size f);
       f_set_size =
         (fun n ->
-          let size = Protected_fs.file_size f in
-          if n > size then pad_to n;
           (* shrinking is not supported by IPFS; accepted as no-op *)
+          pad_to n;
           Ok ());
       f_sync = (fun () -> Protected_fs.flush f);
       f_close = (fun () -> Protected_fs.close f);
     }
   in
-  let open_tbl : (string, Protected_fs.file) Hashtbl.t = Hashtbl.create 8 in
-  ignore open_tbl;
   {
     Vfs.d_open =
       (fun path ~create ~trunc ~excl ~append ->
@@ -134,6 +125,8 @@ let protected_dir (fs : Protected_fs.t) : Vfs.dir =
 (* WASI providers for an enclave-hosted runtime. *)
 let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
   let machine = Enclave.machine enclave in
+  let account = Twine_obs.Ledger.account (Machine.ledger machine) in
+  let retry = account "fault.retry" in
   let last_mono = ref 0L in
   let generic_ocall name f =
     (* generic POSIX layer: leave the enclave, call, come back.
@@ -161,9 +154,7 @@ let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
       let rec go tries =
         try call ()
         with Twine_sim.Fault.Transient _ when tries < 3 ->
-          Machine.charge machine
-            (Machine.meter machine ~account:"fault.retry" "host.retry")
-            (1000 * (tries + 1));
+          Machine.charge machine retry (1000 * (tries + 1));
           go (tries + 1)
       in
       go 0
@@ -188,6 +179,6 @@ let providers ?(strict = false) (enclave : Enclave.t) : Api.providers =
     stderr = (fun s -> Enclave.copy_out enclave (String.length s));
     on_call =
       (fun name ->
-        let meter = Machine.meter machine ~account:("wasi." ^ name) "wasi.dispatch" in
-        fun () -> Machine.charge machine meter 40);
+        let acct = account ("wasi." ^ name) in
+        fun () -> Machine.charge machine acct 40);
   }

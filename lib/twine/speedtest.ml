@@ -199,10 +199,10 @@ let test_ids = List.map (fun t -> t.id) tests
 
 (* Run the full suite against a fresh context; returns per-test virtual
    times in ns. *)
-let run_suite ?machine ?cache_pages ?ipfs_variant ?wasm_factor variant storage
+let run_suite ?machine ?cache_pages ?ipfs_variant ~wasm_factor variant storage
     ~size () =
   let ctx =
-    Bench_db.create ?machine ?cache_pages ?ipfs_variant ?wasm_factor variant storage
+    Bench_db.create ?machine ?cache_pages ?ipfs_variant ~wasm_factor variant storage
   in
   let results =
     List.map

@@ -98,7 +98,7 @@ let test_cycle_carry () =
      and the ledger still balances (the clock and the books both see the
      carried amounts). *)
   let m = Machine.create ~seed:"carry" () in
-  let tick = Machine.meter m ~account:"tick" "tick" in
+  let tick = Ledger.account (Machine.ledger m) "tick" in
   for _ = 1 to 3800 do
     Machine.charge_cycles m tick 1
   done;

@@ -10,10 +10,13 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-(* name-keyed shorthands over the registry's handles *)
+(* name-keyed shorthands over the registry's and the ledger's handles *)
 let inc obs name = Obs.inc (Obs.counter obs name)
 let add obs name n = Obs.add (Obs.counter obs name) n
-let observe obs name v = Obs.observe (Obs.histogram obs name) v
+let book l name ns = Ledger.book l (Ledger.account l name) ns
+
+let quantile l name q =
+  Option.bind (Ledger.distribution l name) (fun d -> Sketch.quantile d q)
 
 (* --- registry --- *)
 
@@ -39,23 +42,24 @@ let test_counters () =
 let test_handles_survive_reset () =
   let obs = Obs.create () and l = Ledger.create () in
   let hit = Obs.counter obs "epc.hit" and idle = Obs.counter obs "idle" in
-  let cost = Obs.histogram obs "cost" and acct = Ledger.account l "work" in
+  let acct = Ledger.account l "work" in
   Obs.inc hit;
   Obs.inc idle;
-  Obs.observe cost 7;
   Ledger.book l acct 10;
-  Ledger.book l (Ledger.account l "setup") 3;
+  Ledger.book l acct 7;
+  book l "setup" 3;
   Obs.reset obs;
   Ledger.reset l;
   Obs.inc hit;
-  Obs.observe cost 4;
   Ledger.book l acct 20;
   Alcotest.(check (list (pair string int))) "counters since reset" [ ("epc.hit", 1) ]
     (Obs.counters obs);
   Alcotest.(check int) "untouched reads 0" 0 (Obs.value obs "idle");
-  Alcotest.(check (list (pair string int))) "histograms since reset" [ ("cost", 1) ]
-    (List.map (fun (n, (h : Obs.hstat)) -> (n, h.count)) (Obs.histograms obs));
-  Alcotest.(check (option int)) "quantile since reset" (Some 4) (Obs.quantile obs "cost" 0.5);
+  Alcotest.(check (option int)) "distribution since reset" (Some 1)
+    (Option.map Sketch.count (Ledger.distribution l "work"));
+  Alcotest.(check (option int)) "quantile since reset" (Some 20) (quantile l "work" 0.5);
+  Alcotest.(check bool) "reset account has no distribution" true
+    (Ledger.distribution l "setup" = None);
   Alcotest.(check (list (pair string int))) "accounts since reset" [ ("work", 20) ]
     (List.map (fun (n, (e : Ledger.entry)) -> (n, e.ns)) (Ledger.accounts l));
   Alcotest.(check int) "total since reset" 20 (Ledger.total l);
@@ -65,49 +69,52 @@ let test_handles_survive_reset () =
      Obs.value obs "fresh" = 0 && List.length (Obs.counters obs) = 1
      && List.length (Ledger.accounts l) = 1)
 
+(* An account's distribution: one sample per booking. *)
 let test_histograms () =
-  let obs = Obs.create () in
-  Alcotest.(check bool) "absent histogram" true (Obs.hstat obs "h" = None);
-  List.iter (observe obs "h") [ 5; 1; 9 ];
-  match Obs.hstat obs "h" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h ->
-      Alcotest.(check int) "count" 3 h.Obs.count;
-      Alcotest.(check int) "sum" 15 h.Obs.sum;
-      Alcotest.(check int) "min" 1 h.Obs.min;
-      Alcotest.(check int) "max" 9 h.Obs.max
+  let l = Ledger.create () in
+  Alcotest.(check bool) "absent distribution" true (Ledger.distribution l "h" = None);
+  ignore (Ledger.account l "h");
+  Alcotest.(check bool) "resolved but unbooked" true (Ledger.distribution l "h" = None);
+  List.iter (book l "h") [ 5; 1; 9 ];
+  match Ledger.distribution l "h" with
+  | None -> Alcotest.fail "distribution missing"
+  | Some d ->
+      Alcotest.(check int) "count" 3 (Sketch.count d);
+      Alcotest.(check int) "count = events" (Ledger.events l "h") (Sketch.count d);
+      Alcotest.(check int) "sum" 15 (Sketch.sum d);
+      Alcotest.(check int) "sum = ns" (Ledger.ns l "h") (Sketch.sum d);
+      Alcotest.(check int) "min" 1 (Sketch.vmin d);
+      Alcotest.(check int) "max" 9 (Sketch.vmax d)
 
 let test_quantile_edges () =
-  let obs = Obs.create () in
-  Alcotest.(check (option int)) "missing histogram" None (Obs.quantile obs "q" 0.5);
-  (* empty name, single sample: every quantile is that sample *)
-  observe obs "one" 37;
+  let l = Ledger.create () in
+  Alcotest.(check (option int)) "missing distribution" None (quantile l "q" 0.5);
+  (* single sample: every quantile is that sample *)
+  book l "one" 37;
   List.iter
     (fun q ->
       Alcotest.(check (option int))
         (Printf.sprintf "single sample at q=%.2f" q)
-        (Some 37) (Obs.quantile obs "one" q))
+        (Some 37) (quantile l "one" q))
     [ 0.0; 0.5; 0.99; 1.0 ];
   (* extremes clamp to observed min/max, not bucket bounds *)
-  List.iter (observe obs "two") [ 3; 900 ];
-  Alcotest.(check (option int)) "q=0 is the min" (Some 3)
-    (Obs.quantile obs "two" 0.0);
-  Alcotest.(check (option int)) "q=1 is the max" (Some 900)
-    (Obs.quantile obs "two" 1.0);
+  List.iter (book l "two") [ 3; 900 ];
+  Alcotest.(check (option int)) "q=0 is the min" (Some 3) (quantile l "two" 0.0);
+  Alcotest.(check (option int)) "q=1 is the max" (Some 900) (quantile l "two" 1.0);
   (* a lone sample far above the exact range is still its own estimate *)
-  let obs2 = Obs.create () in
-  observe obs2 "b" 4096;
+  let l2 = Ledger.create () in
+  book l2 "b" 4096;
   Alcotest.(check (option int)) "boundary value round-trips" (Some 4096)
-    (Obs.quantile obs2 "b" 0.5);
+    (quantile l2 "b" 0.5);
   Alcotest.check_raises "q out of range"
-    (Invalid_argument "Obs.quantile: q outside [0,1]") (fun () ->
-      ignore (Obs.quantile obs "one" 1.5));
-  (* a rejected sample records nothing, not even an empty histogram *)
-  (match observe obs "neg" (-1) with
-  | () -> Alcotest.fail "negative sample accepted"
+    (Invalid_argument "Sketch.quantile: q outside [0,1]") (fun () ->
+      ignore (quantile l "one" 1.5));
+  (* a rejected booking records nothing, not even an empty distribution *)
+  (match book l "neg" (-1) with
+  | () -> Alcotest.fail "negative booking accepted"
   | exception Invalid_argument _ -> ());
-  Alcotest.(check bool) "negative sample left no histogram" true
-    (Obs.hstat obs "neg" = None)
+  Alcotest.(check bool) "negative booking left no distribution" true
+    (Ledger.distribution l "neg" = None)
 
 (* The nearest-rank order statistic of [samples] at [q]. *)
 let exact_quantile samples q =
@@ -119,11 +126,11 @@ let exact_quantile samples q =
 
 let test_quantile_within_alpha () =
   let check name samples q =
-    let obs = Obs.create () in
-    List.iter (observe obs name) samples;
+    let l = Ledger.create () in
+    List.iter (book l name) samples;
     let exact = exact_quantile samples q in
-    match Obs.quantile obs name q with
-    | None -> Alcotest.fail "histogram missing"
+    match quantile l name q with
+    | None -> Alcotest.fail "distribution missing"
     | Some v ->
         Alcotest.(check bool)
           (Printf.sprintf "%s q=%.2f: %d within alpha of %d" name q v exact)
@@ -145,13 +152,13 @@ let test_quantile_within_alpha () =
 let test_quantile_rank_rounding () =
   (* 0.99 *. 100. = 99.00000000000001: the nearest-rank index must stay
      99, not spill into the single outlier at rank 100 *)
-  let obs = Obs.create () in
-  for _ = 1 to 99 do observe obs "lat" 10 done;
-  observe obs "lat" 1_000_000;
+  let l = Ledger.create () in
+  for _ = 1 to 99 do book l "lat" 10 done;
+  book l "lat" 1_000_000;
   Alcotest.(check (option int)) "p99 of 99x10 + 1 outlier is 10" (Some 10)
-    (Obs.quantile obs "lat" 0.99);
+    (quantile l "lat" 0.99);
   Alcotest.(check (option int)) "p100 is the outlier" (Some 1_000_000)
-    (Obs.quantile obs "lat" 1.0)
+    (quantile l "lat" 1.0)
 
 (* Spans on a hand-cranked virtual clock: the parent's self time must
    exclude the child's. *)
@@ -197,13 +204,13 @@ let test_span_exception_safe () =
 (* --- report rendering --- *)
 
 let test_report_render () =
-  let obs = Obs.create () in
+  let obs = Obs.create () and ledger = Ledger.create () in
   add obs "epc.hit" 3;
   add obs "epc.fault" 1;
   add obs "ipfs.cache.miss" 8;
-  observe obs "sgx.launch" 2_000_000;
+  book ledger "sgx.launch" 2_000_000;
   Obs.in_span obs "twine.main" (fun () -> ());
-  let r = Report.render obs in
+  let r = Report.render ~ledger obs in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
@@ -211,14 +218,14 @@ let test_report_render () =
         true
         (contains r needle))
     [ "epc.hit"; "epc.hit_rate"; "75.0%"; "ipfs.cache.hit_rate"; "0.0%";
-      "sgx.launch"; "twine.main"; "-- spans --" ]
+      "-- costs --"; "account"; "sgx.launch"; "twine.main"; "-- spans --" ]
 
 let test_report_json () =
-  let obs = Obs.create () in
+  let obs = Obs.create () and ledger = Ledger.create () in
   add obs "wasi.hostcall" 5;
-  observe obs "sgx.epc_fault" 10526;
+  book ledger "epc.fault" 10526;
   Obs.in_span obs "twine.main" (fun () -> ());
-  let j = Report.to_json obs in
+  let j = Report.to_json ~ledger obs in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
@@ -226,7 +233,7 @@ let test_report_json () =
         true
         (contains j needle))
     [ {|"counters":{"wasi.hostcall":5}|};
-      {|"sgx.epc_fault":{"count":1,"sum_ns":10526,"min_ns":10526,"max_ns":10526}|};
+      {|"histograms":{"epc.fault":{"count":1,"sum_ns":10526,"min_ns":10526,"max_ns":10526}}|};
       {|"twine.main":{"calls":1,"total_ns":0,"self_ns":0}|} ]
 
 (* --- baseline JSON: round-trip and verdict rendering --- *)
@@ -310,8 +317,9 @@ let test_baseline_rejects_malformed () =
 let test_report_json_shape () =
   let machine = Machine.create ~seed:"obs-shape" () in
   let obs = machine.Machine.obs in
-  Machine.charge machine (Machine.meter machine ~account:"sgx.launch" "sgx.launch") 1000;
-  Machine.charge machine (Machine.meter machine ~account:"mee.copy" "sgx.copy_in") 500;
+  let account = Ledger.account (Machine.ledger machine) in
+  Machine.charge machine (account "sgx.launch") 1000;
+  Machine.charge machine (account "mee.copy") 500;
   inc obs "epc.hit";
   Obs.in_span obs "twine.main" (fun () -> ());
   let j = Report.to_json ~ledger:(Machine.ledger machine) obs in
@@ -337,7 +345,73 @@ let test_report_json_shape () =
         (Json.to_float (member_exn "ns" copy));
       Alcotest.(check (option (float 0.0))) "histogram sum round-trips" (Some 500.)
         (Json.to_float
-           (member_exn "sum_ns" (member_exn "sgx.copy_in" (member_exn "histograms" json))))
+           (member_exn "sum_ns" (member_exn "mee.copy" (member_exn "histograms" json))))
+
+(* A WASI guest that writes 16 KiB through the protected FS, rewinds
+   and reads it back: every layer from the boundary to AES books. *)
+let churn_wat =
+  {|(module
+      (import "wasi_snapshot_preview1" "path_open"
+        (func $path_open (param i32 i32 i32 i32 i32 i64 i64 i32 i32) (result i32)))
+      (import "wasi_snapshot_preview1" "fd_write"
+        (func $fd_write (param i32 i32 i32 i32) (result i32)))
+      (import "wasi_snapshot_preview1" "fd_seek"
+        (func $fd_seek (param i32 i64 i32 i32) (result i32)))
+      (import "wasi_snapshot_preview1" "fd_read"
+        (func $fd_read (param i32 i32 i32 i32) (result i32)))
+      (import "wasi_snapshot_preview1" "fd_close"
+        (func $fd_close (param i32) (result i32)))
+      (memory (export "memory") 2)
+      (data (i32.const 16) "churn.bin")
+      (func (export "_start")
+        (local $fd i32) (local $i i32)
+        (drop (call $path_open (i32.const 3) (i32.const 0) (i32.const 16) (i32.const 9)
+                 (i32.const 1) (i64.const 0x1fffffff) (i64.const 0) (i32.const 0)
+                 (i32.const 32)))
+        (local.set $fd (i32.load (i32.const 32)))
+        (i32.store (i32.const 40) (i32.const 65536))
+        (i32.store (i32.const 44) (i32.const 4096))
+        (loop $w
+          (drop (call $fd_write (local.get $fd) (i32.const 40) (i32.const 1) (i32.const 48)))
+          (local.set $i (i32.add (local.get $i) (i32.const 1)))
+          (br_if $w (i32.lt_u (local.get $i) (i32.const 4))))
+        (drop (call $fd_seek (local.get $fd) (i64.const 0) (i32.const 0) (i32.const 56)))
+        (local.set $i (i32.const 0))
+        (loop $r
+          (drop (call $fd_read (local.get $fd) (i32.const 40) (i32.const 1) (i32.const 48)))
+          (local.set $i (i32.add (local.get $i) (i32.const 1)))
+          (br_if $r (i32.lt_u (local.get $i) (i32.const 4))))
+        (drop (call $fd_close (local.get $fd)))))|}
+
+(* The report's costs are the ledger's: one histogram per booked
+   account, whose count and sum are that account's events and ns. *)
+let test_report_histograms_are_accounts () =
+  let machine = Machine.create ~seed:"obs-churn" ~epc_bytes:(16 * 4096) () in
+  let rt = Twine.Runtime.create machine in
+  Twine.Runtime.deploy rt (Twine_wasm.Wat.parse churn_wat);
+  Alcotest.(check int) "exit 0" 0 (Twine.Runtime.run rt).Twine.Runtime.exit_code;
+  let ledger = Machine.ledger machine in
+  let hists =
+    match Json.parse (Report.to_json ~ledger machine.Machine.obs) with
+    | Ok json -> (
+        match Json.member "histograms" json with
+        | Some (Json.Obj l) -> l
+        | _ -> Alcotest.fail "no histograms object")
+    | Error msg -> Alcotest.fail ("report JSON does not parse: " ^ msg)
+  in
+  let accounts = Ledger.accounts ledger in
+  Alcotest.(check bool) "reached the protected FS" true
+    (List.mem_assoc "ipfs.io" accounts && List.mem_assoc "ipfs.crypto" accounts);
+  Alcotest.(check (list string)) "histograms keyed by account" (List.map fst accounts)
+    (List.map fst hists);
+  List.iter
+    (fun (name, (e : Ledger.entry)) ->
+      let field f = Option.bind (Json.member f (List.assoc name hists)) Json.to_float in
+      Alcotest.(check (option (float 0.0))) (name ^ " count = events")
+        (Some (float_of_int e.events)) (field "count");
+      Alcotest.(check (option (float 0.0))) (name ^ " sum = ns")
+        (Some (float_of_int e.ns)) (field "sum_ns"))
+    accounts
 
 (* --- regression: C-string loads feed the access hook / EPC --- *)
 
@@ -424,6 +498,8 @@ let () =
           Alcotest.test_case "table" `Quick test_report_render;
           Alcotest.test_case "json" `Quick test_report_json;
           Alcotest.test_case "json shape (golden)" `Quick test_report_json_shape;
+          Alcotest.test_case "histograms are ledger accounts" `Quick
+            test_report_histograms_are_accounts;
         ] );
       ( "baseline",
         [

@@ -289,11 +289,11 @@ let test_report_rendering () =
   let prof, _ = run_two_level ~engine:`Aot in
   let table = Report.profile_table prof in
   Alcotest.(check bool) "table lists main" true (contains table "main");
-  let obs = Obs.create () in
-  let rendered = Report.render ~profile:prof obs in
+  let obs = Obs.create () and ledger = Ledger.create () in
+  let rendered = Report.render ~profile:prof ~ledger obs in
   Alcotest.(check bool) "render has hot section" true
     (contains rendered "hot wasm functions");
-  let json = Report.to_json ~profile:prof obs in
+  let json = Report.to_json ~profile:prof ~ledger obs in
   Alcotest.(check bool) "json has wasm_profile" true
     (contains json "\"wasm_profile\"");
   Alcotest.(check bool) "json has self_instr" true

@@ -49,14 +49,14 @@ let test_epc_hit_allocates_nothing () =
   Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 hits" words) true (words < 16.);
   Alcotest.(check int) "hits counted" 1000 (Twine_obs.Obs.value m.obs "epc.hit")
 
-(* A charge through a resolved meter hashes no name and allocates
-   nothing while no tracer is attached. *)
+(* A charge to a resolved account hashes no name and allocates nothing
+   while no tracer is attached. *)
 let test_charge_allocates_nothing () =
   let m = fresh_machine () in
-  let meter = Machine.meter m ~account:"test.account" "test.component" in
-  Machine.charge m meter 5;
+  let acct = Twine_obs.Ledger.account m.ledger "test.account" in
+  Machine.charge m acct 5;
   let before = Gc.minor_words () in
-  for _ = 1 to 1000 do Machine.charge m meter 5 done;
+  for _ = 1 to 1000 do Machine.charge m acct 5 done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 charges" words) true (words < 16.);
   Alcotest.(check int) "booked" 5005 (Twine_obs.Ledger.ns m.ledger "test.account")
@@ -248,9 +248,7 @@ let test_software_mode_no_fault_cost () =
   let e = Enclave.create m ~heap_bytes:0 ~code:"c" () in
   let addr = Enclave.alloc e (16 * page) in
   let fault_ns () =
-    match Twine_obs.Obs.hstat m.obs "sgx.epc_fault" with
-    | Some h -> h.Twine_obs.Obs.sum
-    | None -> 0
+    Twine_obs.Ledger.ns m.ledger "epc.fault" + Twine_obs.Ledger.ns m.ledger "epc.evict"
   in
   let fault_ns_before = fault_ns () in
   Enclave.touch e ~addr ~len:(16 * page);

@@ -191,9 +191,9 @@ let test_epc_cliff () =
 
 let test_fig7_breakdown_shape () =
   let stock = Microbench.ipfs_breakdown ~records:1000 ~samples:400 ~cache_pages:32
-      Twine_ipfs.Protected_fs.Stock in
+      ~wasm_factor:2.5 Twine_ipfs.Protected_fs.Stock in
   let opt = Microbench.ipfs_breakdown ~records:1000 ~samples:400 ~cache_pages:32
-      Twine_ipfs.Protected_fs.Optimized in
+      ~wasm_factor:2.5 Twine_ipfs.Protected_fs.Optimized in
   Alcotest.(check bool) "stock spends time in memset" true (stock.Microbench.memset_ns > 0);
   Alcotest.(check int) "optimised spends none" 0 opt.Microbench.memset_ns;
   Alcotest.(check bool)
