@@ -10,7 +10,7 @@
      table3  cost factors (times and sizes)
      fig6    SGX hardware vs software mode
      fig7    IPFS time breakdown, stock vs optimised (§V-F)
-     ablate  design-choice ablations (page cache, node cache, engines)
+     ablate  design-choice ablations (page cache, node cache)
      micro   Bechamel wall-clock micro-benchmarks of core primitives
      report  per-run telemetry report of a WASI-heavy workload (table+JSON)
      profile guest-level profiler: hot functions, interp-vs-AoT parity,
@@ -598,23 +598,6 @@ let ablate keep =
         (ocall_charges () - oc0);
       Twine_ipfs.Protected_fs.close f)
     [ 8; 16; 48; 128; 512 ];
-
-  section "Ablation: interpreter vs AoT engine (PolyBench subset, wall-clock)";
-  Printf.printf "%-16s %12s %12s %12s %8s\n" "kernel" "native(us)" "interp(us)"
-    "aot(us)" "aot gain";
-  hr ();
-  List.iter
-    (fun name ->
-      match Twine_polybench.Kernels.find name (Twine_polybench.Kernels.all ~scale:0.7 ()) with
-      | None -> ()
-      | Some k ->
-          let n = (Twine_polybench.Suite.run_native k).Twine_polybench.Suite.wall_ns in
-          let i = (Twine_polybench.Suite.run_wasm ~engine:`Interp k).Twine_polybench.Suite.wall_ns in
-          let a = (Twine_polybench.Suite.run_wasm ~engine:`Aot k).Twine_polybench.Suite.wall_ns in
-          Printf.printf "%-16s %12.1f %12.1f %12.1f %7.2fx\n" name
-            (float_of_int n /. 1e3) (float_of_int i /. 1e3) (float_of_int a /. 1e3)
-            (float_of_int i /. float_of_int (max 1 a)))
-    [ "gemm"; "atax"; "jacobi-2d"; "floyd-warshall"; "durbin"; "heat-3d" ];
   passed
 
 (* ------------------------------------------------------------------ *)
@@ -702,7 +685,7 @@ let bechamel_suite _keep =
    rewind, 64 reads back. Exercises every instrumented layer at once —
    WASI hostcalls, IPFS node cache + crypto, EPC paging of the guest
    linear memory (the machine's EPC is shrunk so the working set does
-   not fit), and the single run ECALL with its spans. *)
+   not fit), and the single run ECALL with its boundary crossings. *)
 let report_wat =
   {|(module
       (import "wasi_snapshot_preview1" "path_open"

@@ -27,6 +27,17 @@ let enforce cmd audits =
   List.iter (fun a -> Printf.eprintf "twine %s: %s\n" cmd (Twine_obs.Audit.render a)) failed;
   if failed <> [] then exit 1
 
+(* Write an artifact file; an I/O error prints "<cmd>: cannot write
+   <what>: <reason>" and exits 2. *)
+let write_artifact cmd ~what file contents =
+  try
+    let oc = open_out file in
+    output_string oc contents;
+    close_out oc
+  with Sys_error msg ->
+    Printf.eprintf "%s: cannot write %s: %s\n" cmd what msg;
+    exit 2
+
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"MODULE" ~doc:"Wasm module (.wat or .wasm)")
 
@@ -83,6 +94,11 @@ let run_cmd =
   in
   let run path no_sgx interp strict dir args fuel_limit stats profile trace
       profile_wasm ledger_out =
+    (match fuel_limit with
+    | Some n when n < 0 ->
+        Printf.eprintf "twine run: --fuel-limit %d: must be non-negative\n" n;
+        exit 2
+    | _ -> ());
     let module_ = load_module path in
     if no_sgx then begin
       let preopens =
@@ -151,6 +167,7 @@ let run_cmd =
           exit 134
       in
       print_string r.Twine.Runtime.stdout;
+      let ledger = Twine_sgx.Machine.ledger machine in
       if stats then begin
         Printf.eprintf "-- twine stats --\n";
         Printf.eprintf "exit code:            %d\n" r.Twine.Runtime.exit_code;
@@ -162,39 +179,21 @@ let run_cmd =
           (float_of_int (Twine_sgx.Machine.now_ns machine) /. 1e6);
         prerr_newline ();
         prerr_string
-          (Twine_obs.Report.render ?profile:prof
-             ~ledger:(Twine_sgx.Machine.ledger machine)
-             machine.Twine_sgx.Machine.obs)
+          (Twine_obs.Report.render ?profile:prof ~ledger machine.Twine_sgx.Machine.obs)
       end;
       write_wasm_profile ();
-      (match profile with
-      | Some file -> (
-          try
-            let oc = open_out file in
-            output_string oc
-              (Twine_obs.Report.to_json ?profile:prof
-                 ~ledger:(Twine_sgx.Machine.ledger machine)
-                 machine.Twine_sgx.Machine.obs);
-            output_char oc '\n';
-            close_out oc
-          with Sys_error msg ->
-            Printf.eprintf "twine: cannot write profile: %s\n" msg;
-            exit 2)
-      | None -> ());
-      (match ledger_out with
-      | Some file -> (
-          try
-            let oc = open_out file in
-            output_string oc
-              (Twine_obs.Ledger.to_string
-                 (Twine_obs.Ledger.snapshot (Twine_sgx.Machine.ledger machine)));
-            output_char oc '\n';
-            close_out oc;
-            Printf.eprintf "twine: ledger written to %s\n" file
-          with Sys_error msg ->
-            Printf.eprintf "twine: cannot write ledger: %s\n" msg;
-            exit 2)
-      | None -> ());
+      Option.iter
+        (fun file ->
+          write_artifact "twine" ~what:"profile" file
+            (Twine_obs.Report.to_json ?profile:prof ~ledger machine.Twine_sgx.Machine.obs
+            ^ "\n"))
+        profile;
+      Option.iter
+        (fun file ->
+          write_artifact "twine" ~what:"ledger" file
+            (Twine_obs.Ledger.to_string (Twine_obs.Ledger.snapshot ledger) ^ "\n");
+          Printf.eprintf "twine: ledger written to %s\n" file)
+        ledger_out;
       (match (trace, tracer) with
       | Some file, Some tr -> (
           try
@@ -463,18 +462,12 @@ let serve_cmd =
     enforce "serve"
       [ Twine_obs.Ledger.audit (Twine_sgx.Machine.ledger stats.Twine_serve.Serve.machine);
         Twine_serve.Serve.attribution stats ];
-    (match ledger_out with
-    | Some file -> (
-        try
-          let oc = open_out file in
-          output_string oc (Twine_obs.Ledger.to_string stats.Twine_serve.Serve.ledger);
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "twine serve: ledger written to %s\n" file
-        with Sys_error msg ->
-          Printf.eprintf "twine serve: cannot write ledger: %s\n" msg;
-          exit 2)
-    | None -> ());
+    Option.iter
+      (fun file ->
+        write_artifact "twine serve" ~what:"ledger" file
+          (Twine_obs.Ledger.to_string stats.Twine_serve.Serve.ledger ^ "\n");
+        Printf.eprintf "twine serve: ledger written to %s\n" file)
+      ledger_out;
     let write_trace file threads =
       match !tracer with
       | Some tr -> (
@@ -495,30 +488,20 @@ let serve_cmd =
     (match timeline with
     | Some file -> write_trace file (Some (Twine_serve.Serve.threads stats))
     | None -> ());
-    (match slo_out with
-    | Some file -> (
-        try
-          let oc = open_out file in
-          output_string oc (Twine_serve.Serve.render_slo stats);
-          close_out oc;
-          Printf.eprintf "twine serve: %s artifact written to %s\n"
-            Twine_serve.Serve.slo_schema file
-        with Sys_error msg ->
-          Printf.eprintf "twine serve: cannot write slo artifact: %s\n" msg;
-          exit 2)
-    | None -> ());
-    (match sql_stats with
-    | Some file -> (
-        try
-          let oc = open_out file in
-          output_string oc (Twine_serve.Serve.render_sqlstats stats);
-          close_out oc;
-          Printf.eprintf "twine serve: %s artifact written to %s\n"
-            Twine_serve.Serve.sqlstats_schema file
-        with Sys_error msg ->
-          Printf.eprintf "twine serve: cannot write sql-stats artifact: %s\n" msg;
-          exit 2)
-    | None -> ());
+    Option.iter
+      (fun file ->
+        write_artifact "twine serve" ~what:"slo artifact" file
+          (Twine_serve.Serve.render_slo stats);
+        Printf.eprintf "twine serve: %s artifact written to %s\n"
+          Twine_serve.Serve.slo_schema file)
+      slo_out;
+    Option.iter
+      (fun file ->
+        write_artifact "twine serve" ~what:"sql-stats artifact" file
+          (Twine_serve.Serve.render_sqlstats stats);
+        Printf.eprintf "twine serve: %s artifact written to %s\n"
+          Twine_serve.Serve.sqlstats_schema file)
+      sql_stats;
     (match stats.Twine_serve.Serve.slo with
     | Some (spec, ev) when ev.Twine_obs.Slo.ev_violated ->
         Printf.eprintf "twine serve: SLO VIOLATED: %s (%d/%d over threshold)\n"

@@ -81,15 +81,6 @@ let render ?(title = "per-run cost report") ?profile ~ledger obs =
           (ms (Sketch.sum d)) (Sketch.vmin d) (q 0.5) (q 0.99) (Sketch.vmax d))
       costs
   end;
-  let spans = Obs.spans obs in
-  if spans <> [] then begin
-    line "-- spans --";
-    line "%-28s %10s %12s %12s" "span" "calls" "total(ms)" "self(ms)";
-    List.iter
-      (fun (name, (s : Obs.sstat)) ->
-        line "%-28s %10d %12.4f %12.4f" name s.calls (ms s.total_ns) (ms s.self_ns))
-      spans
-  end;
   (match Obs.tracer obs with
   | Some tr ->
       line "-- trace ring --";
@@ -153,14 +144,6 @@ let to_json ?profile ~ledger obs =
                   Json.Obj
                     [ ("count", int (Sketch.count d)); ("sum_ns", int (Sketch.sum d));
                       ("min_ns", int (Sketch.vmin d)); ("max_ns", int (Sketch.vmax d)) ] ))
-              (costs ledger) );
-          ( "spans",
-            obj
-              (fun (k, (s : Obs.sstat)) ->
-                ( k,
-                  Json.Obj
-                    [ ("calls", int s.calls); ("total_ns", int s.total_ns);
-                      ("self_ns", int s.self_ns) ] ))
-              (Obs.spans obs) ) ]
+              (costs ledger) ) ]
        @ trace @ wasm_profile
        @ [ ("ledger", Ledger.to_json (Ledger.snapshot ledger)) ]))

@@ -138,9 +138,19 @@ let crossing t acct name =
       (name ^ ".crossing");
   Machine.charge_cycles t.machine acct t.machine.costs.transition_cycles
 
+(* The extent of an ECALL/OCALL body on the flight recorder: a [span]
+   Begin after the fault gate, the End before the exit crossing, also
+   when the body raises. Without a recorder the body runs bare. *)
+let extent t name f x =
+  match Obs.tracer t.machine.Machine.obs with
+  | None -> f x
+  | Some tr ->
+      Twine_obs.Trace.begin_span tr ~cat:"span" name;
+      Fun.protect ~finally:(fun () -> Twine_obs.Trace.end_span tr ~cat:"span" name)
+        (fun () -> f x)
+
 let ecall t ?(name = "sgx.ecall") f =
   check t;
-  let obs = t.machine.Machine.obs in
   if t.depth = 0 then begin
     Obs.inc t.ecalls;
     crossing t t.ecall_acct name
@@ -152,19 +162,18 @@ let ecall t ?(name = "sgx.ecall") f =
       if t.depth = 0 && not t.destroyed then crossing t t.ecall_acct name)
     (fun () ->
       fault_gate t "enclave.ecall";
-      Obs.in_span obs name (fun () -> f t))
+      extent t name f t)
 
 let ocall t ?(name = "sgx.ocall") f =
   check t;
   if t.depth = 0 then invalid_arg "Enclave.ocall: not inside an ecall";
-  let obs = t.machine.Machine.obs in
   Obs.inc t.ocalls;
   crossing t t.ocall_acct name;
   Fun.protect
     ~finally:(fun () -> if not t.destroyed then crossing t t.ocall_acct name)
     (fun () ->
       fault_gate t "enclave.ocall";
-      Obs.in_span obs name f)
+      extent t name f ())
 
 let inside t = t.depth > 0
 let transitions t = t.transition_count

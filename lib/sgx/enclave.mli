@@ -43,12 +43,15 @@ val destroy : t -> unit
 val ecall : t -> ?name:string -> (t -> 'a) -> 'a
 (** Enter the enclave, run the function inside, and leave; charges two
     boundary crossings. Nested calls are allowed and charge nothing (only
-    the outermost crossing pays). Counted as [sgx.ecall] and traced as a
-    telemetry span named [name] on the machine's registry. *)
+    the outermost crossing pays). Counted as [sgx.ecall]. With a flight
+    recorder attached, the body is a [span] Begin/End pair named [name]:
+    Begin after the fault gate, End before the exit crossing, also when
+    the body raises. *)
 
 val ocall : t -> ?name:string -> (unit -> 'a) -> 'a
 (** Call out of the enclave from trusted code; charges a round trip.
-    Counted as [sgx.ocall] and traced as a span named [name].
+    Counted as [sgx.ocall] and, like {!ecall}, traced as a span named
+    [name] when a flight recorder is attached.
     @raise Invalid_argument if not currently inside an [ecall]. *)
 
 val inside : t -> bool

@@ -17,12 +17,11 @@ let usable_epc_bytes = 93 * 1024 * 1024 (* paper §V-A: 128 MiB EPC, 93 usable *
 let create ?(costs = Costs.default) ?(epc_bytes = usable_epc_bytes)
     ?(seed = "twine-machine") () =
   let clock = Clock.create () in
-  let now () = Clock.now_ns clock in
-  let obs = Twine_obs.Obs.create ~now () in
+  let obs = Twine_obs.Obs.create () in
   {
     clock;
     obs;
-    ledger = Twine_obs.Ledger.create ~now ();
+    ledger = Twine_obs.Ledger.create ~now:(fun () -> Clock.now_ns clock) ();
     costs;
     cycle_carry = 0.;
     epc = Epc.create ~obs ~limit_bytes:epc_bytes ();

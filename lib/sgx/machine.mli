@@ -6,9 +6,9 @@
 type t = {
   clock : Twine_sim.Clock.t;
   obs : Twine_obs.Obs.t;
-      (** telemetry registry (counters/spans, optional flight recorder)
-          on the machine's virtual clock; every layer of the stack
-          records into it *)
+      (** telemetry registry (counters, optional flight recorder on the
+          machine's virtual clock); every layer of the stack records
+          into it *)
   ledger : Twine_obs.Ledger.t;
       (** cycle ledger on the same clock: every {!charge} books here, so
           [Ledger.audit] proves booked totals equal elapsed virtual time *)

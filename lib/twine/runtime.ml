@@ -213,7 +213,6 @@ let run ?(args = [ "app" ]) ?env ?profile ?fuel_limit t =
   | Some (module_, _addr) ->
       (* The single ECALL of §IV-C: enter the enclave, start the runtime,
          execute the WASI start routine. *)
-      Twine_obs.Obs.in_span t.machine.Machine.obs "twine.main" @@ fun () ->
       Enclave.ecall t.enclave ~name:"twine.main" (fun _ ->
           let out = Buffer.create 64 in
           let base = Sgx_host.providers ~strict:t.config.strict_wasi t.enclave in

@@ -160,46 +160,48 @@ let test_quantile_rank_rounding () =
   Alcotest.(check (option int)) "p100 is the outlier" (Some 1_000_000)
     (quantile l "lat" 1.0)
 
-(* Spans on a hand-cranked virtual clock: the parent's self time must
-   exclude the child's. *)
+(* ECALL/OCALL extents are [span] Begin/End events on the attached
+   recorder, between the crossings of their call. *)
+let boundary_events tr =
+  let phase = function
+    | Trace.Begin -> "B" | Trace.End -> "E" | Trace.Instant -> "i" | Trace.Counter -> "C"
+  in
+  List.filter_map
+    (fun e ->
+      if e.Trace.cat = "span" || String.ends_with ~suffix:".crossing" e.Trace.name
+      then Some (phase e.Trace.phase, e.Trace.name)
+      else None)
+    (Trace.events tr)
+
+let traced_enclave seed =
+  let machine = Machine.create ~seed () in
+  let tr = Machine.attach_tracer machine in
+  (tr, Enclave.create machine ~code:seed ())
+
 let test_span_nesting () =
-  let t = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !t) () in
-  let advance n = t := !t + n in
+  let tr, enclave = traced_enclave "obs-spans" in
   let result =
-    Obs.in_span obs "outer" (fun () ->
-        advance 10;
-        Alcotest.(check int) "depth inside outer" 1 (Obs.depth obs);
-        Obs.in_span obs "inner" (fun () -> advance 5);
-        advance 3;
+    Enclave.ecall enclave ~name:"outer" (fun e ->
+        Enclave.ocall e ~name:"inner" (fun () -> ());
         "ok")
   in
   Alcotest.(check string) "thunk result returned" "ok" result;
-  Alcotest.(check int) "depth back to 0" 0 (Obs.depth obs);
-  (match Obs.sstat obs "outer" with
-  | None -> Alcotest.fail "outer span missing"
-  | Some s ->
-      Alcotest.(check int) "outer calls" 1 s.Obs.calls;
-      Alcotest.(check int) "outer total" 18 s.Obs.total_ns;
-      Alcotest.(check int) "outer self excludes inner" 13 s.Obs.self_ns);
-  match Obs.sstat obs "inner" with
-  | None -> Alcotest.fail "inner span missing"
-  | Some s ->
-      Alcotest.(check int) "inner total" 5 s.Obs.total_ns;
-      Alcotest.(check int) "inner self" 5 s.Obs.self_ns
+  Alcotest.(check (list (pair string string)))
+    "spans nest in call order, inside their crossings"
+    [ ("i", "outer.crossing"); ("B", "outer"); ("i", "inner.crossing");
+      ("B", "inner"); ("E", "inner"); ("i", "inner.crossing"); ("E", "outer");
+      ("i", "outer.crossing") ]
+    (boundary_events tr)
 
 let test_span_exception_safe () =
-  let t = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !t) () in
-  (try
-     Obs.in_span obs "boom" (fun () ->
-         t := !t + 7;
-         failwith "inner failure")
+  let tr, enclave = traced_enclave "obs-boom" in
+  (try Enclave.ecall enclave ~name:"boom" (fun _ -> failwith "inner failure")
    with Failure _ -> ());
-  Alcotest.(check int) "span stack unwound" 0 (Obs.depth obs);
-  match Obs.sstat obs "boom" with
-  | None -> Alcotest.fail "span not recorded"
-  | Some s -> Alcotest.(check int) "time still attributed" 7 s.Obs.total_ns
+  Alcotest.(check bool) "left the enclave" false (Enclave.inside enclave);
+  Alcotest.(check (list (pair string string)))
+    "End still emitted, before the exit crossing"
+    [ ("i", "boom.crossing"); ("B", "boom"); ("E", "boom"); ("i", "boom.crossing") ]
+    (boundary_events tr)
 
 (* --- report rendering --- *)
 
@@ -209,7 +211,6 @@ let test_report_render () =
   add obs "epc.fault" 1;
   add obs "ipfs.cache.miss" 8;
   book ledger "sgx.launch" 2_000_000;
-  Obs.in_span obs "twine.main" (fun () -> ());
   let r = Report.render ~ledger obs in
   List.iter
     (fun needle ->
@@ -218,13 +219,12 @@ let test_report_render () =
         true
         (contains r needle))
     [ "epc.hit"; "epc.hit_rate"; "75.0%"; "ipfs.cache.hit_rate"; "0.0%";
-      "-- costs --"; "account"; "sgx.launch"; "twine.main"; "-- spans --" ]
+      "-- costs --"; "account"; "sgx.launch" ]
 
 let test_report_json () =
   let obs = Obs.create () and ledger = Ledger.create () in
   add obs "wasi.hostcall" 5;
   book ledger "epc.fault" 10526;
-  Obs.in_span obs "twine.main" (fun () -> ());
   let j = Report.to_json ~ledger obs in
   List.iter
     (fun needle ->
@@ -233,8 +233,7 @@ let test_report_json () =
         true
         (contains j needle))
     [ {|"counters":{"wasi.hostcall":5}|};
-      {|"histograms":{"epc.fault":{"count":1,"sum_ns":10526,"min_ns":10526,"max_ns":10526}}|};
-      {|"twine.main":{"calls":1,"total_ns":0,"self_ns":0}|} ]
+      {|"histograms":{"epc.fault":{"count":1,"sum_ns":10526,"min_ns":10526,"max_ns":10526}}|} ]
 
 (* --- baseline JSON: round-trip and verdict rendering --- *)
 
@@ -321,7 +320,6 @@ let test_report_json_shape () =
   Machine.charge machine (account "sgx.launch") 1000;
   Machine.charge machine (account "mee.copy") 500;
   inc obs "epc.hit";
-  Obs.in_span obs "twine.main" (fun () -> ());
   let j = Report.to_json ~ledger:(Machine.ledger machine) obs in
   match Json.parse j with
   | Error msg -> Alcotest.fail ("report JSON does not parse: " ^ msg)
@@ -333,7 +331,7 @@ let test_report_json_shape () =
       in
       List.iter
         (fun m -> ignore (member_exn m json))
-        [ "counters"; "histograms"; "spans"; "ledger" ];
+        [ "counters"; "histograms"; "ledger" ];
       let ledger = member_exn "ledger" json in
       Alcotest.(check (option string)) "ledger schema"
         (Some Ledger.schema)
@@ -474,8 +472,8 @@ let test_run_counts_surface () =
   Alcotest.(check bool) "wasi dispatch counted" true
     (Obs.value obs "wasi.hostcall" >= 1);
   Alcotest.(check int) "fd_write counted" 1 (Obs.value obs "wasi.fd_write");
-  Alcotest.(check bool) "run span recorded" true
-    (Obs.sstat obs "twine.main" <> None)
+  Alcotest.(check int) "deploy and run ECALLs booked, in and out" 4
+    (Ledger.events (Machine.ledger machine) "sgx.transition.ecall")
 
 let () =
   Alcotest.run "obs"

@@ -60,46 +60,6 @@ let test_lost_and_high_water () =
   Alcotest.(check int) "held restarts" 1 (Trace.length tr);
   Alcotest.(check int) "no new loss" 6 (Trace.lost tr)
 
-(* --- Obs integration: spans auto-emit Begin/End --- *)
-
-let test_obs_span_events () =
-  let clock = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !clock) () in
-  let tr = Trace.create ~now:(fun () -> !clock) () in
-  Obs.set_tracer obs (Some tr);
-  Obs.in_span obs "outer" (fun () ->
-      clock := 100;
-      Obs.in_span obs "inner" (fun () -> clock := 250);
-      clock := 300);
-  let evs = Trace.events tr in
-  let phases = List.map (fun e -> (e.Trace.phase, e.Trace.name)) evs in
-  Alcotest.(check bool) "balanced nesting" true
-    (phases
-    = [ (Trace.Begin, "outer"); (Trace.Begin, "inner"); (Trace.End, "inner");
-        (Trace.End, "outer") ]);
-  let ts = List.map (fun e -> e.Trace.ts) evs in
-  Alcotest.(check bool) "non-decreasing ts" true
-    (List.for_all2 ( <= ) [ 0; 0; 250; 250 ] ts
-    && List.sort compare ts = ts)
-
-let test_out_of_order_close () =
-  (* Closing an outer span with an inner one still open must close the
-     inner one first, so the outer's self time excludes the child. *)
-  let clock = ref 0 in
-  let obs = Obs.create ~now:(fun () -> !clock) () in
-  Obs.open_span obs "outer";
-  clock := 100;
-  Obs.open_span obs "inner";
-  clock := 400;
-  (* close the OUTER span while inner is still open *)
-  Obs.close_span obs "outer";
-  Alcotest.(check int) "stack drained" 0 (Obs.depth obs);
-  let outer = Option.get (Obs.sstat obs "outer") in
-  let inner = Option.get (Obs.sstat obs "inner") in
-  Alcotest.(check int) "inner total" 300 inner.Obs.total_ns;
-  Alcotest.(check int) "outer total" 400 outer.Obs.total_ns;
-  Alcotest.(check int) "outer self excludes inner" 100 outer.Obs.self_ns
-
 (* --- Chrome trace-event export --- *)
 
 let test_export_json () =
@@ -247,6 +207,40 @@ let test_runtime_trace () =
   let m2 = Twine_sgx.Machine.create ~seed:"trace" ~epc_bytes:(16 * 4096) () in
   Alcotest.(check (option reject)) "no tracer by default" None
     (Obs.tracer m2.Twine_sgx.Machine.obs)
+
+(* --- ECALL/OCALL extents: the recorder's [span] events --- *)
+
+let span_events tr =
+  List.filter_map
+    (fun e -> if e.Trace.cat = "span" then Some (e.Trace.phase, e.Trace.name) else None)
+    (Trace.events tr)
+
+(* The run's single ECALL is one extent on the timeline. *)
+let test_obs_span_events () =
+  let machine = Twine_sgx.Machine.create ~seed:"trace-span" () in
+  let tr = Twine_sgx.Machine.attach_tracer machine in
+  let rt = Twine.Runtime.create machine in
+  Twine.Runtime.deploy rt (Twine_wasm.Wat.parse trace_wat);
+  Trace.clear tr;
+  ignore (Twine.Runtime.run rt);
+  Alcotest.(check bool) "exactly one twine.main Begin/End pair" true
+    (span_events tr = [ (Trace.Begin, "twine.main"); (Trace.End, "twine.main") ])
+
+(* An exception raised inside a nested OCALL unwinds through both
+   extents: the OCALL's span closes first, then the ECALL's. *)
+let test_out_of_order_close () =
+  let machine = Twine_sgx.Machine.create ~seed:"trace-unwind" () in
+  let tr = Twine_sgx.Machine.attach_tracer machine in
+  let enclave = Twine_sgx.Enclave.create machine ~code:"unwind" () in
+  (try
+     Twine_sgx.Enclave.ecall enclave ~name:"main" (fun e ->
+         Twine_sgx.Enclave.ocall e ~name:"read" (fun () -> failwith "host read failed"))
+   with Failure _ -> ());
+  Alcotest.(check bool) "spans close innermost first" true
+    (span_events tr
+    = [ (Trace.Begin, "main"); (Trace.Begin, "read"); (Trace.End, "read");
+        (Trace.End, "main") ]);
+  Alcotest.(check bool) "left the enclave" false (Twine_sgx.Enclave.inside enclave)
 
 (* --- baseline comparator --- *)
 
