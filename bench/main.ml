@@ -575,7 +575,7 @@ let ablate keep =
       let machine = machine keep ~seed:"ablate-nodes" () in
       let enclave = Enclave.create machine ~code:"ipfs-abl" () in
       let fs =
-        Twine_ipfs.Protected_fs.create enclave (Twine_ipfs.Backing.memory ())
+        Twine_ipfs.Protected_fs.create enclave (Twine_sim.Backing.memory ())
           ~cache_nodes ()
       in
       let f = Twine_ipfs.Protected_fs.open_file fs ~mode:`Trunc "abl" in
@@ -632,7 +632,7 @@ let bechamel_suite _keep =
              ignore (Twine_polybench.Suite.run_wasm ~engine:`Aot gemm)));
       Test.make ~name:"btree-1k-inserts"
         (Staged.stage (fun () ->
-             let vfs = Twine_sqldb.Svfs.memory () in
+             let vfs = Twine_sqldb.Svfs.of_backing (Twine_sim.Backing.memory ()) in
              let p = Twine_sqldb.Pager.create_or_open vfs "b" in
              Twine_sqldb.Pager.begin_txn p;
              let root = Twine_sqldb.Btree.create p Twine_sqldb.Btree.Table in
@@ -940,25 +940,11 @@ let crash_query db =
   | rows -> Some rows
   | exception Twine_sqldb.Db.Sql_error _ -> None  (* table not created yet *)
 
-let replay_backing log ~at ~torn =
-  let b = Twine_ipfs.Backing.memory () in
-  Twine_sim.Crashpoint.replay ~torn log ~at
-    ~apply:(fun op ->
-      match op with
-      | Twine_sim.Crashpoint.Write { file; pos; data } ->
-          Twine_ipfs.Backing.write b file ~pos data
-      | Twine_sim.Crashpoint.Truncate { file; size } ->
-          Twine_ipfs.Backing.truncate b file size
-      | Twine_sim.Crashpoint.Delete { file } ->
-          ignore (Twine_ipfs.Backing.delete b file)
-      | Twine_sim.Crashpoint.Sync _ -> ());
-  b
-
 let crash_section keep =
   section "Crash matrix: every backing-op prefix, recover, verify";
   (* 1. record the workload *)
   let log = Twine_sim.Crashpoint.create () in
-  let backing = Twine_ipfs.Backing.logged log (Twine_ipfs.Backing.memory ()) in
+  let backing = Twine_sim.Backing.logged log (Twine_sim.Backing.memory ()) in
   let machine, db = crash_stack keep backing in
   ignore (Twine_sqldb.Db.exec db "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)");
   let snapshots = ref [ (Twine_sim.Crashpoint.length log, Some []) ] in
@@ -983,7 +969,7 @@ let crash_section keep =
   let recoveries = ref 0 and max_recovery_ns = ref 0 in
   let verify ~torn at =
     match
-      let b = replay_backing log ~at ~torn in
+      let b = Twine_sim.Backing.replay ~torn log ~at in
       let m2, db2 = crash_stack keep b in
       let got = crash_query db2 in
       Twine_sqldb.Db.close db2;
@@ -1053,7 +1039,7 @@ let crash_section keep =
       ]
   in
   let injected_run () =
-    let machine, db = crash_stack keep (Twine_ipfs.Backing.memory ()) in
+    let machine, db = crash_stack keep (Twine_sim.Backing.memory ()) in
     Machine.arm_faults machine plan;
     ignore (Twine_sqldb.Db.exec db "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)");
     List.iter (fun sql -> ignore (Twine_sqldb.Db.exec db sql)) crash_workload;

@@ -1,7 +1,7 @@
 (* twine — command-line front end.
 
    twine run app.wat            run a WASI command inside the simulated enclave
-   twine run --no-sgx app.wat   run it outside (plain WAMR-style host)
+   twine run --no-sgx app.wat   run it outside, on the interpreter (plain WASI host)
    twine validate app.wat       type-check a module
    twine wat2wasm app.wat       assemble text format to binary
    twine inspect app.wasm       print module structure *)
@@ -14,12 +14,37 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load_module path =
-  let content = read_file path in
-  if Filename.check_suffix path ".wasm"
-     || (String.length content >= 4 && String.sub content 0 4 = "\x00asm")
-  then Twine_wasm.Binary.decode content
-  else Twine_wasm.Wat.parse content
+(* Exit 2 with "twine <cmd>: <file>: <message>". *)
+let malformed cmd path msg =
+  Printf.eprintf "twine %s: %s: %s\n" cmd path msg;
+  exit 2
+
+(* The one module loader: binary or text, and a file that does not
+   decode or parse is malformed input. *)
+let load_module cmd path =
+  try
+    let content = read_file path in
+    if Filename.check_suffix path ".wasm"
+       || (String.length content >= 4 && String.sub content 0 4 = "\x00asm")
+    then Twine_wasm.Binary.decode content
+    else Twine_wasm.Wat.parse content
+  with Twine_wasm.Wat.Parse_error msg | Twine_wasm.Binary.Decode_error msg | Sys_error msg ->
+    malformed cmd path msg
+
+(* [run] starts only a WASI command: a valid module with a linear
+   memory and a [_start] function. *)
+let load_command path =
+  let m = load_module "run" path in
+  let open Twine_wasm.Ast in
+  (match Twine_wasm.Validate.check_module m with
+  | () -> ()
+  | exception Twine_wasm.Validate.Invalid msg -> malformed "run" path ("invalid module: " ^ msg));
+  let memory im = match im.imp_desc with Import_memory _ -> true | _ -> false in
+  let start e = e.exp_name = "_start" && match e.exp_desc with Export_func _ -> true | _ -> false in
+  if m.memories = None && not (List.exists memory m.imports) then
+    malformed "run" path "no linear memory";
+  if not (List.exists start m.exports) then malformed "run" path "no _start function export";
+  m
 
 (* Exit 1 when a conservation law fails, printing each failed audit. *)
 let enforce cmd audits =
@@ -45,7 +70,11 @@ let path_arg =
 
 let run_cmd =
   let no_sgx =
-    Arg.(value & flag & info [ "no-sgx" ] ~doc:"Run outside the simulated enclave (plain WASI host).")
+    Arg.(value & flag & info [ "no-sgx" ]
+           ~doc:"Run outside the simulated enclave: the interpreter on the \
+                 plain WASI host. Enclave-only flags ($(b,--fuel-limit), \
+                 $(b,--ledger), $(b,--stats), $(b,--profile), $(b,--trace), \
+                 $(b,--profile-wasm), $(b,--strict)) exit 2.")
   in
   let interp =
     Arg.(value & flag & info [ "interpreter" ] ~doc:"Use the interpreter instead of AoT compilation.")
@@ -99,7 +128,19 @@ let run_cmd =
         Printf.eprintf "twine run: --fuel-limit %d: must be non-negative\n" n;
         exit 2
     | _ -> ());
-    let module_ = load_module path in
+    (if no_sgx then
+       let enclave_only =
+         [ ("--fuel-limit", fuel_limit <> None); ("--ledger", ledger_out <> None);
+           ("--stats", stats); ("--profile", profile <> None); ("--trace", trace <> None);
+           ("--profile-wasm", profile_wasm <> None); ("--strict", strict) ]
+       in
+       match List.find_opt snd enclave_only with
+       | Some (flag, _) ->
+           Printf.eprintf "twine run: %s needs the enclave; --no-sgx runs the plain interpreter\n"
+             flag;
+           exit 2
+       | None -> ());
+    let module_ = load_command path in
     if no_sgx then begin
       let preopens =
         match dir with
@@ -107,7 +148,12 @@ let run_cmd =
         | None -> [ (".", Twine_wasi.Vfs.memory ()) ]
       in
       let ctx = Twine_wasi.Api.create ~args:(Filename.basename path :: args) ~preopens () in
-      exit (Twine_wasi.Api.run_command ctx module_)
+      match Twine_wasi.Api.run_command ctx module_ with
+      | code -> exit code
+      | exception Twine_wasm.Instance.Link_error msg -> malformed "run" path msg
+      | exception Twine_wasm.Values.Trap msg ->
+          Printf.eprintf "twine: guest trap: %s\n" msg;
+          exit 134
     end
     else begin
       let machine = Twine_sgx.Machine.create () in
@@ -120,8 +166,8 @@ let run_cmd =
       in
       let backing =
         match dir with
-        | Some d -> Twine_ipfs.Backing.directory d
-        | None -> Twine_ipfs.Backing.memory ()
+        | Some d -> Twine_sim.Backing.directory d
+        | None -> Twine_sim.Backing.memory ()
       in
       let tracer =
         match trace with
@@ -159,12 +205,14 @@ let run_cmd =
         try
           Twine.Runtime.run ~args:(Filename.basename path :: args) ?profile:prof
             ?fuel_limit rt
-        with Twine_wasm.Values.Trap _ as e ->
-          Printf.eprintf "twine: guest trap: %s\n" (Twine.Runtime.trap_message rt e);
-          (* the profile up to the trap point is still valid (the shadow
-             stack unwinds on the way out) — write it for post-mortems *)
-          write_wasm_profile ();
-          exit 134
+        with
+        | Twine_wasm.Instance.Link_error msg -> malformed "run" path msg
+        | Twine_wasm.Values.Trap _ as e ->
+            Printf.eprintf "twine: guest trap: %s\n" (Twine.Runtime.trap_message rt e);
+            (* the profile up to the trap point is still valid (the shadow
+               stack unwinds on the way out) — write it for post-mortems *)
+            write_wasm_profile ();
+            exit 134
       in
       print_string r.Twine.Runtime.stdout;
       let ledger = Twine_sgx.Machine.ledger machine in
@@ -659,7 +707,7 @@ let diff_cmd =
 
 let validate_cmd =
   let run path =
-    match Twine_wasm.Validate.check_module (load_module path) with
+    match Twine_wasm.Validate.check_module (load_module "validate" path) with
     | () ->
         print_endline "module is valid";
         exit 0
@@ -676,8 +724,9 @@ let wat2wasm_cmd =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT" ~doc:"Output path.")
   in
   let run path out =
-    let m = load_module path in
-    Twine_wasm.Validate.check_module m;
+    let m = load_module "wat2wasm" path in
+    (try Twine_wasm.Validate.check_module m
+     with Twine_wasm.Validate.Invalid msg -> malformed "wat2wasm" path ("invalid module: " ^ msg));
     let bin = Twine_wasm.Binary.encode m in
     let out =
       match out with Some o -> o | None -> Filename.remove_extension path ^ ".wasm"
@@ -695,7 +744,7 @@ let wat2wasm_cmd =
 
 let inspect_cmd =
   let run path =
-    let m = load_module path in
+    let m = load_module "inspect" path in
     let open Twine_wasm.Ast in
     Printf.printf "types:    %d\n" (Array.length m.types);
     Printf.printf "imports:  %d\n" (List.length m.imports);

@@ -9,6 +9,7 @@
    ciphertext. *)
 
 open Twine
+open Twine_sim
 open Twine_sgx
 open Twine_ipfs
 open Twine_sqldb

@@ -7,6 +7,7 @@
    policies (MRENCLAVE vs MRSIGNER), tamper detection on protected files,
    and the rollback limitation §IV-D documents. *)
 
+open Twine_sim
 open Twine_sgx
 open Twine_ipfs
 

@@ -1,5 +1,6 @@
 open Twine_crypto
 open Twine_sgx
+module Backing = Twine_sim.Backing
 
 type variant = Stock | Optimized
 

@@ -45,7 +45,7 @@ exception Integrity_violation of string
 
 val create :
   Twine_sgx.Enclave.t ->
-  Backing.t ->
+  Twine_sim.Backing.t ->
   ?variant:variant ->
   ?cache_nodes:int ->
   unit ->

@@ -539,7 +539,7 @@ type fleet = {
   tracer : Trace.t option;
   attr : attribution;
   t0 : int;
-  backings : Twine_ipfs.Backing.t array;
+  backings : Twine_sim.Backing.t array;
       (* one untrusted store per slot: it outlives any enclave serving
          the slot, so failover relaunches into the same durable state *)
   workers : worker array;  (* by slot; failover replaces in place *)
@@ -1062,7 +1062,7 @@ let run ?(prepare = fun (_ : Machine.t) -> ()) (cfg : config) =
   in
   if window_ns <= 0 then invalid_arg "Serve.run: window_ns <= 0";
   let machine = Machine.create ~epc_bytes:cfg.epc_bytes ~seed:cfg.seed () in
-  let backings = Array.init cfg.enclaves (fun _ -> Twine_ipfs.Backing.memory ()) in
+  let backings = Array.init cfg.enclaves (fun _ -> Twine_sim.Backing.memory ()) in
   let workers =
     Array.init cfg.enclaves (fun i -> make_worker cfg machine ~backing:backings.(i) ())
   in

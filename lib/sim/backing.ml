@@ -1,5 +1,3 @@
-open Twine_sim
-
 type mem_file = { mutable data : Bytes.t; mutable len : int }
 
 type impl =
@@ -109,7 +107,9 @@ let rec write t key ~pos data =
               loop (off + n) (remaining - n)
             end
           in
-          loop 0 (Bytes.length b))
+          loop 0 (Bytes.length b);
+          (* an empty write past the end still zero-extends, as in memory *)
+          if data = "" && (Unix.fstat fd).Unix.st_size < pos then Unix.ftruncate fd pos)
 
 let rec size t key =
   match t with
@@ -147,12 +147,71 @@ let rec truncate t key n =
       match Hashtbl.find_opt tbl key with
       | None -> ()
       | Some f -> if f.len > n then f.len <- n)
-  | Directory root ->
-      let path = host_path root key in
-      if Sys.file_exists path then Unix.truncate path n
+  | Directory root -> (
+      (* truncation only shrinks, as in memory *)
+      match size t key with Some len when len > n -> Unix.truncate (host_path root key) n | _ -> ())
 
 let rec list t =
   match t with
   | Logged (_, inner) -> list inner
   | Memory tbl -> Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
   | Directory root -> Array.to_list (Sys.readdir root) |> List.sort String.compare
+
+let sync t key =
+  match t with
+  | Logged (log, _) -> Crashpoint.record log (Crashpoint.Sync { file = key })
+  | Memory _ | Directory _ -> ()
+
+(* --- prefix replay of a crash-point log --- *)
+
+let apply t = function
+  | Crashpoint.Write { file; pos; data } -> write t file ~pos data
+  | Crashpoint.Truncate { file; size } -> truncate t file size
+  | Crashpoint.Delete { file } -> ignore (delete t file)
+  | Crashpoint.Sync _ -> ()
+
+let torn_write = function
+  | Crashpoint.Write { file; pos; data } when data <> "" ->
+      Some (Crashpoint.Write { file; pos; data = String.sub data 0 (String.length data / 2) })
+  | _ -> None
+
+let replay ?(torn = false) log ~at =
+  let n = Crashpoint.length log in
+  if at < 0 || at > n then invalid_arg "Backing.replay: prefix out of range";
+  let t = memory () in
+  let all = Crashpoint.ops log in
+  List.iteri (fun i op -> if i < at then apply t op) all;
+  (if torn && at < n then
+     match torn_write (List.nth all at) with Some w -> apply t w | None -> ());
+  t
+
+(* Same generator family as Fault's, reseeded per replay so the dropped
+   subset is a pure function of (seed, prefix). *)
+let replay_unsynced ~seed log ~at =
+  if at < 0 || at > Crashpoint.length log then
+    invalid_arg "Backing.replay_unsynced: out of range";
+  let t = memory () in
+  let prefix = List.filteri (fun i _ -> i < at) (Crashpoint.ops log) in
+  (* index of the op after the last sync barrier within the prefix *)
+  let barrier =
+    List.fold_left
+      (fun (i, b) op -> (i + 1, match op with Crashpoint.Sync _ -> i + 1 | _ -> b))
+      (0, 0) prefix
+    |> snd
+  in
+  let state = ref (Fault.hash_seed (seed ^ ":" ^ string_of_int at)) in
+  let keep () =
+    let x = !state in
+    let x = Int64.logxor x (Int64.shift_left x 13) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
+    let x = Int64.logxor x (Int64.shift_left x 17) in
+    state := x;
+    Int64.logand (Int64.mul x 0x2545f4914f6cdd1dL) 1L = 0L
+  in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Crashpoint.Write _ when i >= barrier -> if keep () then apply t op
+      | _ -> apply t op)
+    prefix;
+  t

@@ -1,4 +1,4 @@
-(* Crash-point op log and prefix replay (see the .mli). *)
+(* Crash-point op log (see the .mli); [Backing.replay] replays it. *)
 
 type op =
   | Write of { file : string; pos : int; data : string }
@@ -20,46 +20,6 @@ let ops l = List.rev l.rev
 let clear l =
   l.rev <- [];
   l.n <- 0
-
-let torn_write = function
-  | Write { file; pos; data } when data <> "" ->
-      Some (Write { file; pos; data = String.sub data 0 (String.length data / 2) })
-  | _ -> None
-
-let replay ?(torn = false) l ~at ~apply =
-  if at < 0 || at > l.n then invalid_arg "Crashpoint.replay: prefix out of range";
-  let all = ops l in
-  List.iteri (fun i op -> if i < at then apply op) all;
-  if torn && at < l.n then
-    match torn_write (List.nth all at) with Some w -> apply w | None -> ()
-
-(* Same generator family as Fault's, reseeded per replay so the dropped
-   subset is a pure function of (seed, prefix). *)
-let replay_unsynced ~seed l ~at ~apply =
-  if at < 0 || at > l.n then invalid_arg "Crashpoint.replay_unsynced: out of range";
-  let prefix = List.filteri (fun i _ -> i < at) (ops l) in
-  (* index of the op after the last sync barrier within the prefix *)
-  let barrier =
-    List.fold_left
-      (fun (i, b) op -> (i + 1, match op with Sync _ -> i + 1 | _ -> b))
-      (0, 0) prefix
-    |> snd
-  in
-  let state = ref (Fault.hash_seed (seed ^ ":" ^ string_of_int at)) in
-  let keep () =
-    let x = !state in
-    let x = Int64.logxor x (Int64.shift_left x 13) in
-    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-    let x = Int64.logxor x (Int64.shift_left x 17) in
-    state := x;
-    Int64.logand (Int64.mul x 0x2545f4914f6cdd1dL) 1L = 0L
-  in
-  List.iteri
-    (fun i op ->
-      match op with
-      | Write _ when i >= barrier -> if keep () then apply op
-      | _ -> apply op)
-    prefix
 
 let describe = function
   | Write { file; pos; data } ->

@@ -1,18 +1,12 @@
 (** Crash-point exploration: record the durable-store operation log of a
-    workload, then replay truncated prefixes of it into a fresh store to
-    reconstruct every state a power loss could have left behind.
+    workload, then rebuild every state a power loss could have left
+    behind by replaying truncated prefixes of it
+    ({!Backing.replay}, {!Backing.replay_unsynced}).
 
-    The log is store-agnostic: both the SQLite VFS layer (file-level
-    writes and syncs) and the IPFS backing store (key-level ciphertext
-    writes) record into it, and replay is parameterised by an [apply]
-    closure so the harness decides what a fresh store looks like.
-
-    The replay model is in-order durability: a crash after k operations
-    leaves exactly the first k applied, optionally with a torn version
-    of operation k+1 (a write cut mid-payload). {!replay_unsynced}
-    additionally drops a seed-chosen subset of the writes issued after
-    the last sync barrier in the prefix, modelling a device that only
-    guarantees ordering across sync. *)
+    One recorder writes the log: a {!Backing.logged} store. The SQLite
+    pager reaches it through [Svfs.of_backing] (file-level writes and
+    syncs), the protected file system directly (key-level ciphertext
+    writes); replay always rebuilds a fresh memory {!Backing}. *)
 
 type op =
   | Write of { file : string; pos : int; data : string }
@@ -29,16 +23,6 @@ val ops : log -> op list
 (** In record order. *)
 
 val clear : log -> unit
-
-val replay : ?torn:bool -> log -> at:int -> apply:(op -> unit) -> unit
-(** Apply the first [at] operations. With [torn], additionally apply a
-    half-length version of operation [at] when it is a [Write] (the
-    write that was in flight when power failed). *)
-
-val replay_unsynced : seed:string -> log -> at:int -> apply:(op -> unit) -> unit
-(** Like {!replay}, but each write issued after the last [Sync] within
-    the prefix survives only with probability 1/2 (chosen by [seed]):
-    un-synced writes may be dropped, synced ones never are. *)
 
 val describe : op -> string
 (** One-line rendering for failure reports. *)

@@ -325,9 +325,7 @@ let load_stats t =
 
 let open_db ?vfs ?(cache_pages = 2048) ?hooks ?obs path =
   let vfs =
-    match vfs with
-    | Some v -> v
-    | None -> if path = ":memory:" then Svfs.memory () else Svfs.os "."
+    match vfs with Some v -> v | None -> Svfs.of_backing (Twine_sim.Backing.memory ())
   in
   let fresh = not (vfs.Svfs.v_exists path) in
   let pager = Pager.create_or_open vfs ~cache_pages ?hooks ?obs path in

@@ -36,8 +36,10 @@ type result = Executor.result = {
 val open_db :
   ?vfs:Svfs.t -> ?cache_pages:int -> ?hooks:Pager.hooks ->
   ?obs:Twine_obs.Obs.t -> string -> t
-(** [open_db path] opens (creating if needed) a database. [":memory:"]
-    uses a private in-memory VFS. [cache_pages] is the page-cache
+(** [open_db path] opens (creating if needed) the database [path] of
+    [vfs]. Without [vfs], any [path] (by convention [":memory:"]) opens
+    a fresh in-memory store ([Svfs.of_backing] over
+    [Twine_sim.Backing.memory]). [cache_pages] is the page-cache
     capacity in 4 KiB pages (default 2048, i.e. SQLite's 8 MiB).
     [hooks] observe page reads/writes/accesses for cost accounting;
     [obs] additionally records pager I/O and cache counters

@@ -182,15 +182,15 @@ let create ?machine ?(cache_pages = 2048) ?(ipfs_variant = Protected_fs.Optimize
     else None
   in
   let pfs = ref None in
+  let plain () = Svfs.of_backing (Twine_sim.Backing.memory ()) in
   let vfs =
     match (variant, storage) with
-    | (Native | Wamr), Mem -> Svfs.memory ()
-    | (Native | Wamr), File -> host_io_svfs machine (Svfs.memory ())
-    | (Sgx_lkl | Twine_rt), Mem -> Svfs.memory ()
-    | Sgx_lkl, File -> lkl_io_svfs (Option.get enclave) (Svfs.memory ())
+    | _, Mem -> plain ()
+    | (Native | Wamr), File -> host_io_svfs machine (plain ())
+    | Sgx_lkl, File -> lkl_io_svfs (Option.get enclave) (plain ())
     | Twine_rt, File ->
         let fs =
-          Protected_fs.create (Option.get enclave) (Backing.memory ())
+          Protected_fs.create (Option.get enclave) (Twine_sim.Backing.memory ())
             ~variant:ipfs_variant ()
         in
         pfs := Some fs;

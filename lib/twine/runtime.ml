@@ -58,7 +58,7 @@ let create ?(config = default_config) ?backing machine =
     Enclave.create machine ~signer:"twine" ~heap_bytes:config.heap_bytes
       ~code:runtime_code ()
   in
-  let backing = match backing with Some b -> b | None -> Backing.memory () in
+  let backing = match backing with Some b -> b | None -> Twine_sim.Backing.memory () in
   let fs =
     Protected_fs.create enclave backing ~variant:config.ipfs_variant
       ~cache_nodes:config.cache_nodes ()

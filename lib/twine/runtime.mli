@@ -23,7 +23,7 @@ val runtime_code : string
 
 type t
 
-val create : ?config:config -> ?backing:Twine_ipfs.Backing.t -> Twine_sgx.Machine.t -> t
+val create : ?config:config -> ?backing:Twine_sim.Backing.t -> Twine_sgx.Machine.t -> t
 (** Launch a TWINE enclave on the machine. [backing] is the untrusted
     store behind the protected file system (default: in-memory). *)
 

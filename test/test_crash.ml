@@ -46,20 +46,6 @@ let run_workload ?obs ~log vfs =
   Db.close db;
   List.rev !snaps
 
-(* Apply one recorded op to a fresh VFS (prefix replay). *)
-let apply_to_vfs vfs op =
-  match op with
-  | Crashpoint.Write { file; pos; data } ->
-      let f = vfs.Svfs.v_open file in
-      f.Svfs.v_write ~pos data;
-      f.Svfs.v_close ()
-  | Crashpoint.Truncate { file; size } ->
-      let f = vfs.Svfs.v_open file in
-      f.Svfs.v_truncate size;
-      f.Svfs.v_close ()
-  | Crashpoint.Delete { file } -> vfs.Svfs.v_delete file
-  | Crashpoint.Sync _ -> ()
-
 (* Old-or-new acceptance: after replaying [at] ops, recovery must land
    on the last snapshot whose ops all made the cut, or the next one
    (commit was in flight and every write survived). *)
@@ -102,7 +88,7 @@ let test_plan_determinism () =
     let log = Crashpoint.create () in
     let fs =
       Twine_ipfs.Protected_fs.create enclave
-        (Twine_ipfs.Backing.logged log (Twine_ipfs.Backing.memory ()))
+        (Backing.logged log (Backing.memory ()))
         ~cache_nodes:8 ()
     in
     Machine.arm_faults machine plan;
@@ -166,14 +152,13 @@ let test_plan_per_machine () =
 
 let test_pager_crash_matrix () =
   let log = Crashpoint.create () in
-  let snaps = run_workload ~log (Svfs.recording log (Svfs.memory ())) in
+  let snaps = run_workload ~log (Svfs.of_backing (Backing.logged log (Backing.memory ()))) in
   let n = Crashpoint.length log in
   for at = 0 to n do
     List.iter
       (fun torn ->
         if (not torn) || at < n then begin
-          let vfs = Svfs.memory () in
-          Crashpoint.replay ~torn log ~at ~apply:(apply_to_vfs vfs);
+          let vfs = Svfs.of_backing (Backing.replay ~torn log ~at) in
           let db = Db.open_db ~vfs ~cache_pages:8 "t.db" in
           let got = query_opt db in
           Db.close db;
@@ -188,13 +173,12 @@ let test_pager_unsynced_matrix () =
      synced before the journal is invalidated; losing any subset of
      unsynced writes must therefore still recover to a boundary. *)
   let log = Crashpoint.create () in
-  let snaps = run_workload ~log (Svfs.recording log (Svfs.memory ())) in
+  let snaps = run_workload ~log (Svfs.of_backing (Backing.logged log (Backing.memory ()))) in
   let n = Crashpoint.length log in
   List.iter
     (fun seed ->
       for at = 0 to n do
-        let vfs = Svfs.memory () in
-        Crashpoint.replay_unsynced ~seed log ~at ~apply:(apply_to_vfs vfs);
+        let vfs = Svfs.of_backing (Backing.replay_unsynced ~seed log ~at) in
         let db = Db.open_db ~vfs ~cache_pages:8 "t.db" in
         let got = query_opt db in
         Db.close db;
@@ -229,7 +213,7 @@ let test_pfs_crash_matrix () =
   (* commit three growing versions; every backing prefix must yield one
      of the committed versions — and recovery must be idempotent. *)
   let log = Crashpoint.create () in
-  let backing = Twine_ipfs.Backing.logged log (Twine_ipfs.Backing.memory ()) in
+  let backing = Backing.logged log (Backing.memory ()) in
   let _, fs = pfs_stack backing in
   let f = Twine_ipfs.Protected_fs.open_file fs ~mode:`Rdwr "a" in
   let versions = [ "aaaa"; "bbbbbbbb"; "cccccccccccc" ] in
@@ -248,17 +232,7 @@ let test_pfs_crash_matrix () =
     List.iter
       (fun torn ->
         if (not torn) || at < n then begin
-          let b = Twine_ipfs.Backing.memory () in
-          Crashpoint.replay ~torn log ~at
-            ~apply:(fun op ->
-              match op with
-              | Crashpoint.Write { file; pos; data } ->
-                  Twine_ipfs.Backing.write b file ~pos data
-              | Crashpoint.Truncate { file; size } ->
-                  Twine_ipfs.Backing.truncate b file size
-              | Crashpoint.Delete { file } ->
-                  ignore (Twine_ipfs.Backing.delete b file)
-              | Crashpoint.Sync _ -> ());
+          let b = Backing.replay ~torn log ~at in
           let got =
             try
               let _, fs1 = pfs_stack b in

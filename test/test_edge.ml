@@ -334,7 +334,7 @@ let test_strict_mode_blocks_untrusted_calls () =
 let test_directory_backing_roundtrip () =
   let dir = Filename.temp_file "twine" "" in
   Sys.remove dir;
-  let backing = Twine_ipfs.Backing.directory dir in
+  let backing = Twine_sim.Backing.directory dir in
   let machine = Twine_sgx.Machine.create ~seed:"dirb" () in
   let e = Twine_sgx.Enclave.create machine ~code:"d" () in
   let fs = Twine_ipfs.Protected_fs.create e backing () in

@@ -1,6 +1,7 @@
 (* Intel Protected File System simulation: backing store, protected file
    round-trips, integrity, cost accounting, stock-vs-optimised ablation. *)
 
+open Twine_sim
 open Twine_sgx
 open Twine_ipfs
 
@@ -107,6 +108,82 @@ let test_backing_logged_records_mutations_only () =
   Alcotest.(check (list string)) "op order"
     [ "write f @0 (4 bytes)"; "truncate f -> 2"; "delete f" ]
     (List.map Twine_sim.Crashpoint.describe (Twine_sim.Crashpoint.ops log))
+
+(* Random store workloads over keys that must stay flat and distinct. *)
+let store_keys = [| "a"; "b"; "a/b"; "."; ".."; "" |]
+
+type store_op = W of string * int * string | T of string * int | D of string | S of string
+
+let store_ops =
+  let open QCheck.Gen in
+  let key = map (Array.get store_keys) (int_bound (Array.length store_keys - 1)) in
+  let op =
+    frequency
+      [ (5, map3 (fun k pos d -> W (k, pos, d)) key (int_bound 64)
+              (string_size ~gen:printable (int_bound 40)));
+        (2, map2 (fun k n -> T (k, n)) key (int_bound 80));
+        (1, map (fun k -> D k) key);
+        (2, map (fun k -> S k) key) ]
+  in
+  let print = function
+    | W (k, pos, d) -> Printf.sprintf "write %S @%d %S" k pos d
+    | T (k, n) -> Printf.sprintf "truncate %S %d" k n
+    | D k -> Printf.sprintf "delete %S" k
+    | S k -> Printf.sprintf "sync %S" k
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 1 40) op)
+
+let apply_store_op b = function
+  | W (k, pos, d) -> Backing.write b k ~pos d
+  | T (k, n) -> Backing.truncate b k n
+  | D k -> ignore (Backing.delete b k)
+  | S k -> Backing.sync b k
+
+(* What a store holds: its file count, and per key existence, size and bytes. *)
+let contents b =
+  ( List.length (Backing.list b),
+    Array.map
+      (fun k -> (Backing.exists b k, Backing.size b k, Backing.read b k ~pos:0 ~len:max_int))
+      store_keys )
+
+let prop_stores_agree =
+  QCheck.Test.make ~name:"memory and directory stores agree" ~count:60 store_ops (fun ops ->
+      let dir = Filename.temp_file "twine" "" in
+      Sys.remove dir;
+      let mem = Backing.memory () and disk = Backing.directory dir in
+      let agree =
+        List.for_all
+          (fun op ->
+            apply_store_op mem op;
+            apply_store_op disk op;
+            contents mem = contents disk)
+          ops
+      in
+      Array.iter (fun k -> ignore (Backing.delete disk k)) store_keys;
+      Unix.rmdir dir;
+      agree)
+
+(* Every mutation and sync is logged; replaying the whole log rebuilds
+   the live store, and a torn replay adds exactly the first half of the
+   write in flight, if it carries data, to the clean replay. *)
+let prop_replay =
+  QCheck.Test.make ~name:"replay rebuilds the store, torn changes only a write" ~count:100
+    store_ops (fun ops ->
+      let log = Crashpoint.create () in
+      let live = Backing.logged log (Backing.memory ()) in
+      List.iter (apply_store_op live) ops;
+      let n = Crashpoint.length log in
+      let torn_ok at op =
+        let clean = Backing.replay log ~at in
+        (match op with
+        | Crashpoint.Write { file; pos; data } when data <> "" ->
+            Backing.write clean file ~pos (String.sub data 0 (String.length data / 2))
+        | _ -> ());
+        contents (Backing.replay ~torn:true log ~at) = contents clean
+      in
+      n = List.length ops
+      && contents (Backing.replay log ~at:n) = contents live
+      && List.for_all Fun.id (List.mapi torn_ok (Crashpoint.ops log)))
 
 (* --- Protected files: functional behaviour --- *)
 
@@ -417,6 +494,8 @@ let suite =
         test_backing_short_read_zero_extend;
       Alcotest.test_case "logged backend records mutations" `Quick
         test_backing_logged_records_mutations_only;
+      qc prop_stores_agree;
+      qc prop_replay;
     ]);
     ("protected_fs", [
       Alcotest.test_case "roundtrip" `Quick test_pfs_write_read_roundtrip;

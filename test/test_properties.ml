@@ -28,7 +28,7 @@ let prop_btree_model =
   QCheck.Test.make ~name:"btree matches Map under random ops" ~count:60
     (QCheck.make QCheck.Gen.(list_size (int_range 1 120) op_gen))
     (fun ops ->
-      let vfs = Svfs.memory () in
+      let vfs = Svfs.of_backing (Twine_sim.Backing.memory ()) in
       let p = Pager.create_or_open vfs ~cache_pages:16 "m" in
       Pager.begin_txn p;
       let root = Btree.create p Btree.Table in
@@ -80,7 +80,7 @@ let prop_crash_recovery =
     QCheck.(pair (int_range 1 60) (int_range 0 59))
     (fun (txn_ops, crash_at) ->
       let crash_at = crash_at mod txn_ops in
-      let vfs = Svfs.memory () in
+      let vfs = Svfs.of_backing (Twine_sim.Backing.memory ()) in
       (* committed baseline *)
       let db = Db.open_db ~vfs ~cache_pages:16 "c.db" in
       ignore (Db.exec db "CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)");
@@ -121,7 +121,7 @@ let prop_recovery_idempotent =
     QCheck.(pair (int_range 1 25) (int_range 0 10_000))
     (fun (txn_rows, cut_salt) ->
       let log = Twine_sim.Crashpoint.create () in
-      let vfs = Svfs.recording log (Svfs.memory ()) in
+      let vfs = Svfs.of_backing Twine_sim.Backing.(logged log (memory ())) in
       let db = Db.open_db ~vfs ~cache_pages:16 "i.db" in
       ignore (Db.exec db "CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)");
       for i = 1 to txn_rows do
@@ -130,20 +130,7 @@ let prop_recovery_idempotent =
       ignore (Db.exec db "UPDATE t SET b = 'x' WHERE a = 1");
       Db.close db;
       let at = cut_salt mod (Twine_sim.Crashpoint.length log + 1) in
-      let target = Svfs.memory () in
-      Twine_sim.Crashpoint.replay log ~at
-        ~apply:(fun op ->
-          match op with
-          | Twine_sim.Crashpoint.Write { file; pos; data } ->
-              let f = target.Svfs.v_open file in
-              f.Svfs.v_write ~pos data;
-              f.Svfs.v_close ()
-          | Twine_sim.Crashpoint.Truncate { file; size } ->
-              let f = target.Svfs.v_open file in
-              f.Svfs.v_truncate size;
-              f.Svfs.v_close ()
-          | Twine_sim.Crashpoint.Delete { file } -> target.Svfs.v_delete file
-          | Twine_sim.Crashpoint.Sync _ -> ());
+      let target = Svfs.of_backing (Twine_sim.Backing.replay log ~at) in
       let db_bytes () =
         let f = target.Svfs.v_open "i.db" in
         let s = f.Svfs.v_read ~pos:0 ~len:(f.Svfs.v_size ()) in
@@ -234,7 +221,7 @@ let pfs_write_read ~cache_nodes ~variant payload chunks =
   let machine = Twine_sgx.Machine.create ~seed:"inv" () in
   let e = Twine_sgx.Enclave.create machine ~code:"x" () in
   let fs =
-    Twine_ipfs.Protected_fs.create e (Twine_ipfs.Backing.memory ()) ~variant
+    Twine_ipfs.Protected_fs.create e (Twine_sim.Backing.memory ()) ~variant
       ~cache_nodes ()
   in
   let f = Twine_ipfs.Protected_fs.open_file fs ~mode:`Trunc "f" in

@@ -11,6 +11,7 @@ let row_t = Alcotest.(list value_t)
 let rows_t = Alcotest.(list row_t)
 
 let mem_db () = Db.open_db ":memory:"
+let mem_vfs () = Svfs.of_backing (Twine_sim.Backing.memory ())
 
 (* --- Value --- *)
 
@@ -54,7 +55,7 @@ let prop_record_roundtrip =
 (* --- Pager --- *)
 
 let test_pager_txn_commit () =
-  let vfs = Svfs.memory () in
+  let vfs = mem_vfs () in
   let p = Pager.create_or_open vfs "db" in
   Pager.begin_txn p;
   let pg = Pager.alloc p in
@@ -68,7 +69,7 @@ let test_pager_txn_commit () =
   Pager.close p2
 
 let test_pager_rollback () =
-  let vfs = Svfs.memory () in
+  let vfs = mem_vfs () in
   let p = Pager.create_or_open vfs "db" in
   Pager.begin_txn p;
   let pg = Pager.alloc p in
@@ -85,7 +86,7 @@ let test_pager_rollback () =
 
 let test_pager_crash_recovery () =
   (* simulate a crash: journal exists, some dirty pages were written *)
-  let vfs = Svfs.memory () in
+  let vfs = mem_vfs () in
   let p = Pager.create_or_open vfs "db" in
   Pager.begin_txn p;
   let pg = Pager.alloc p in
@@ -107,7 +108,7 @@ let test_pager_crash_recovery () =
   Pager.close p2
 
 let test_pager_freelist_reuse () =
-  let vfs = Svfs.memory () in
+  let vfs = mem_vfs () in
   let p = Pager.create_or_open vfs "db" in
   Pager.begin_txn p;
   let a = Pager.alloc p in
@@ -121,7 +122,7 @@ let test_pager_freelist_reuse () =
 (* --- Btree --- *)
 
 let with_btree kind f =
-  let vfs = Svfs.memory () in
+  let vfs = mem_vfs () in
   let p = Pager.create_or_open vfs "db" in
   Pager.begin_txn p;
   let root = Btree.create p kind in
@@ -446,7 +447,7 @@ let test_transactions () =
   Db.close db
 
 let test_persistence () =
-  let vfs = Svfs.memory () in
+  let vfs = mem_vfs () in
   let db = Db.open_db ~vfs "test.db" in
   ignore (Db.exec db "CREATE TABLE t(a INTEGER PRIMARY KEY, b TEXT)");
   ignore (Db.exec db "CREATE INDEX t_b ON t(b)");

@@ -72,7 +72,7 @@ let test_runtime_interpreter_engine () =
 
 let test_runtime_protected_persistence () =
   let machine = Machine.create ~seed:"rt-fs" () in
-  let backing = Twine_ipfs.Backing.memory () in
+  let backing = Twine_sim.Backing.memory () in
   let rt = Runtime.create ~backing machine in
   Runtime.deploy rt (Twine_wasm.Wat.parse persist_wat);
   let r = Runtime.run rt in
@@ -81,16 +81,16 @@ let test_runtime_protected_persistence () =
   let leaked = ref false in
   List.iter
     (fun key ->
-      match Twine_ipfs.Backing.size backing key with
+      match Twine_sim.Backing.size backing key with
       | None -> ()
       | Some n ->
-          let raw = Twine_ipfs.Backing.read backing key ~pos:0 ~len:n in
+          let raw = Twine_sim.Backing.read backing key ~pos:0 ~len:n in
           let rec has i =
             i + 11 <= String.length raw
             && (String.sub raw i 11 = "sealed-data" || has (i + 1))
           in
           if has 0 then leaked := true)
-    (Twine_ipfs.Backing.list backing);
+    (Twine_sim.Backing.list backing);
   Alcotest.(check bool) "no plaintext on untrusted storage" false !leaked
 
 let test_attested_deploy_flow () =
