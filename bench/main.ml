@@ -240,9 +240,10 @@ let fig4 keep =
           let tot r = List.fold_left (fun a (_, ns) -> a + ns) 0 r in
           Printf.printf "%5s  %-38s" "" "TOTAL";
           List.iter (fun r -> Printf.printf " %9.2f" (float_of_int (tot r) /. 1e6)) results;
-          Printf.printf "  %9.2f %9.2f   (paper: wamr/nat ~4x, twine/wamr ~1.7-1.9x)\n"
-            (float_of_int (tot wamr) /. float_of_int (tot nat))
-            (float_of_int (tot twine) /. float_of_int (tot wamr))
+          let ratio a b = float_of_int (tot a) /. float_of_int (tot b) in
+          Printf.printf
+            "  %9.2f %9.2f   (twine/wamr %.2fx; paper: wamr/nat ~4x, twine/wamr ~1.7-1.9x)\n"
+            (ratio wamr nat) (ratio twine nat) (ratio twine wamr)
       | _ -> ())
     [ (Bench_db.Mem, "in-memory"); (Bench_db.File, "in-file") ];
   passed

@@ -37,6 +37,26 @@ let encode_key key =
 
 let host_path root key = Filename.concat root (encode_key key)
 
+(* The inverse of [encode_key]: the key a host file name stands for. *)
+let decode_key name =
+  if name = "%empty" then ""
+  else begin
+    let b = Buffer.create (String.length name) in
+    let rec go i =
+      if i < String.length name then
+        if name.[i] = '%' then begin
+          Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub name (i + 1) 2)));
+          go (i + 3)
+        end
+        else begin
+          Buffer.add_char b name.[i];
+          go (i + 1)
+        end
+    in
+    go 0;
+    Buffer.contents b
+  end
+
 let mem_get tbl key =
   match Hashtbl.find_opt tbl key with
   | Some f -> f
@@ -155,7 +175,8 @@ let rec list t =
   match t with
   | Logged (_, inner) -> list inner
   | Memory tbl -> Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
-  | Directory root -> Array.to_list (Sys.readdir root) |> List.sort String.compare
+  | Directory root ->
+      Array.to_list (Sys.readdir root) |> List.map decode_key |> List.sort String.compare
 
 let sync t key =
   match t with

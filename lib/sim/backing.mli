@@ -36,6 +36,7 @@ val exists : t -> string -> bool
 val delete : t -> string -> bool
 val truncate : t -> string -> int -> unit
 val list : t -> string list
+(** The keys the store holds, sorted. *)
 
 val sync : t -> string -> unit
 (** A durability barrier for one key: a {!logged} store records a

@@ -247,20 +247,12 @@ and eval_binop t env op a b =
 
 let const_value t e =
   (* expressions with no column references can be evaluated up front *)
-  let rec pure = function
-    | Lit _ -> true
-    | Column _ | Star -> false
-    | Binop (_, a, b) | Like (a, b) -> pure a && pure b
-    | Not a | Neg a | Is_null (a, _) | Cast (a, _) -> pure a
-    | Between (a, b, c) -> pure a && pure b && pure c
-    | In_list (a, es) -> pure a && List.for_all pure es
-    | Call (("random" | "randomblob"), _) -> false
-    | Call (_, es) -> List.for_all pure es
-    | Case (arms, e) ->
-        List.for_all (fun (c, v) -> pure c && pure v) arms
-        && Option.fold ~none:true ~some:pure e
+  let pure = function
+    | Column _ | Star | Call (("random" | "randomblob"), _) -> false
+    | _ -> true
   in
-  if pure e then Some (eval t { bindings = []; aggregates = None } e) else None
+  if Planner.for_all_sub pure e then Some (eval t { bindings = []; aggregates = None } e)
+  else None
 
 (* --- row (de)coding --- *)
 
@@ -439,9 +431,12 @@ let index_delete_row t ti values rowid =
 
 (* --- scanning --- *)
 
-(* Iterate (rowid, values) of a table under a plan, applying no filter. *)
+(* Iterate (rowid, values) of a table under a plan, applying no filter.
+   A probe is read through the range [Planner.bind_probe] gives it. *)
 let scan t ti (plan : Planner.plan) f =
   match plan with
+  | Planner.Rowid_probe _ | Planner.Index_probe _ ->
+      invalid_arg "Executor.scan: unbound probe"
   | Planner.Full_scan ->
       Btree.iter_table t.pager ~root:ti.tbl_root (fun rowid payload ->
           f rowid (decode_row t ti rowid payload))
@@ -689,36 +684,6 @@ let expand_star bindings sel_exprs =
       | _ -> [ (e, alias) ])
     sel_exprs
 
-(* Compact expression rendering for operator details. *)
-let binop_str = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-  | Concat -> "||" | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<="
-  | Gt -> ">" | Ge -> ">=" | And -> "AND" | Or -> "OR"
-
-let rec render_expr = function
-  | Lit (Value.Text s) -> "'" ^ s ^ "'"
-  | Lit v -> Value.to_string v
-  | Column (None, n) -> n
-  | Column (Some q, n) -> q ^ "." ^ n
-  | Star -> "*"
-  | Binop (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (render_expr a) (binop_str op) (render_expr b)
-  | Not a -> Printf.sprintf "(NOT %s)" (render_expr a)
-  | Neg a -> Printf.sprintf "(-%s)" (render_expr a)
-  | Is_null (a, pos) ->
-      Printf.sprintf "(%s IS %sNULL)" (render_expr a) (if pos then "" else "NOT ")
-  | Between (a, lo, hi) ->
-      Printf.sprintf "(%s BETWEEN %s AND %s)" (render_expr a) (render_expr lo)
-        (render_expr hi)
-  | In_list (a, es) ->
-      Printf.sprintf "(%s IN (%s))" (render_expr a)
-        (String.concat ", " (List.map render_expr es))
-  | Like (a, p) -> Printf.sprintf "(%s LIKE %s)" (render_expr a) (render_expr p)
-  | Call (n, args) ->
-      Printf.sprintf "%s(%s)" n (String.concat ", " (List.map render_expr args))
-  | Case _ -> "CASE"
-  | Cast (a, ty) -> Printf.sprintf "CAST(%s AS %s)" (render_expr a) ty
-
 (* The per-SELECT context: bindings, expanded projection, and the
    operator chain built before execution so plain EXPLAIN can render the
    same tree the executor runs. *)
@@ -749,14 +714,13 @@ let select_ctx t (s : select) =
              (fun j -> (table t j.jt_table, Option.value j.jt_alias ~default:j.jt_table))
              s.sel_joins
   in
-  let single = List.length sources = 1 in
+  let join_conds = List.filter_map (fun j -> j.jt_on) s.sel_joins in
+  let clauses = join_conds @ Option.to_list s.sel_where in
+  let named = List.map (fun (ti, name) -> (name, ti)) sources in
   let sources =
-    List.map
-      (fun (ti, name) ->
-        let plan, reason =
-          if single then Planner.plan_for t ti ~const:(const_value t) s.sel_where
-          else (Planner.Full_scan, Planner.Join_inner)
-        in
+    List.mapi
+      (fun i (ti, name) ->
+        let plan, reason = Planner.plan_for t named i ~const:(const_value t) clauses in
         Planner.record_plan t ti plan reason;
         (ti, name, plan))
       sources
@@ -774,7 +738,6 @@ let select_ctx t (s : select) =
     || List.exists (fun (e, _) -> contains_aggregate e) sel_exprs
     || Option.fold ~none:false ~some:contains_aggregate s.sel_having
   in
-  let join_conds = List.filter_map (fun j -> j.jt_on) s.sel_joins in
   let scan_ops =
     List.map
       (fun (ti, name, plan) ->
@@ -789,11 +752,8 @@ let select_ctx t (s : select) =
     op
   in
   let filter_op =
-    if s.sel_where <> None || join_conds <> [] then
-      let conds =
-        join_conds @ (match s.sel_where with Some w -> [ w ] | None -> [])
-      in
-      Some (push "filter" (String.concat " AND " (List.map render_expr conds)))
+    if clauses <> [] then
+      Some (push "filter" (String.concat " AND " (List.map Planner.render_expr clauses)))
     else None
   in
   let agg_op =
@@ -802,7 +762,7 @@ let select_ctx t (s : select) =
         (push "aggregate"
            (if s.sel_group = [] then "scalar"
             else
-              "group by " ^ String.concat ", " (List.map render_expr s.sel_group)))
+              "group by " ^ String.concat ", " (List.map Planner.render_expr s.sel_group)))
     else None
   in
   let project_op = push "project" (String.concat ", " labels) in
@@ -814,7 +774,7 @@ let select_ctx t (s : select) =
            (String.concat ", "
               (List.map
                  (fun o ->
-                   render_expr o.ord_expr ^ if o.ord_desc then " DESC" else "")
+                   Planner.render_expr o.ord_expr ^ if o.ord_desc then " DESC" else "")
                  s.sel_order)))
   in
   let distinct_op = if s.sel_distinct then Some (push "distinct" "") else None in
@@ -824,11 +784,11 @@ let select_ctx t (s : select) =
         (push "limit"
            (String.concat " "
               ((match s.sel_limit with
-               | Some e -> [ "limit " ^ render_expr e ]
+               | Some e -> [ "limit " ^ Planner.render_expr e ]
                | None -> [])
               @
               match s.sel_offset with
-              | Some e -> [ "offset " ^ render_expr e ]
+              | Some e -> [ "offset " ^ Planner.render_expr e ]
               | None -> [])))
     else None
   in
@@ -897,12 +857,15 @@ let do_select t (s : select) =
       | (ti, _, plan) :: srest, b :: brest, op :: orest ->
           in_op t op (fun () ->
               op.o_loops <- op.o_loops + 1;
-              scan t ti plan (fun rowid values ->
-                  op.o_rows_out <- op.o_rows_out + 1;
-                  b.b_values <- values;
-                  b.b_rowid <- rowid;
-                  loop srest brest orest;
-                  true))
+              Option.iter
+                (fun path ->
+                  scan t ti path (fun rowid values ->
+                      op.o_rows_out <- op.o_rows_out + 1;
+                      b.b_values <- values;
+                      b.b_rowid <- rowid;
+                      loop srest brest orest;
+                      true))
+                (Planner.bind_probe plan ~eval:(eval t env)))
       | _ -> assert false
     in
     loop c.sc_sources bindings c.sc_scan_ops;
@@ -1125,7 +1088,9 @@ let do_select t (s : select) =
 (* scan (+ filter) feeding a mutation operator; the mutation op owns the
    SET evaluation and the B-tree/index write work. *)
 let mutation_tree t ti name ~const where =
-  let plan, reason = Planner.plan_for t ti ~const where in
+  let plan, reason =
+    Planner.plan_for t [ (ti.tbl_name, ti) ] 0 ~const (Option.to_list where)
+  in
   Planner.record_plan t ti plan reason;
   let scan_op =
     mk_op "scan" (Printf.sprintf "%s: %s" ti.tbl_name (Planner.describe plan))
@@ -1134,7 +1099,7 @@ let mutation_tree t ti name ~const where =
   let filter_op =
     match where with
     | None -> None
-    | Some w -> Some (mk_op ~children:[ scan_op ] "filter" (render_expr w))
+    | Some w -> Some (mk_op ~children:[ scan_op ] "filter" (Planner.render_expr w))
   in
   let feed = match filter_op with Some fo -> fo | None -> scan_op in
   let top = mk_op ~children:[ feed ] name ti.tbl_name in

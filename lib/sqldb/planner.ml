@@ -1,10 +1,12 @@
-(* Planner layer: WHERE-clause analysis into an access path (rowid
-   range, single-column index equality/range, or full scan), the
+(* Planner layer: ON- and WHERE-clause analysis into an access path per
+   FROM source (rowid range, single-column index equality/range, a rowid
+   or index probe for an inner table of a join, or full scan), the
    plan-choice trace event, and row estimates from the ANALYZE
    statistics cache ([Catalog.stats]).
 
-   Constant folding is delegated to the executor through the [const]
-   callback so this layer stays free of expression evaluation. *)
+   Constant folding and probe keys are evaluated by the executor, through
+   the [const] and [eval] callbacks, so this layer stays free of
+   expression evaluation. *)
 
 open Sql_ast
 
@@ -13,6 +15,8 @@ type plan =
   | Rowid_range of int64 option * int64 option  (* inclusive bounds *)
   | Index_range of Catalog.index_info * Value.t list * Value.t option * Value.t option
       (* equality prefix, then optional lo/hi bound on the next column *)
+  | Rowid_probe of expr  (* rowid = a key over the outer tables *)
+  | Index_probe of Catalog.index_info * expr  (* first index column = such a key *)
 
 (* Why the access path was (or was not) chosen — carried into the
    [sqldb.plan] trace event so silent plan flips show up in Perfetto
@@ -23,7 +27,8 @@ type reason =
   | Index_eq  (* single-column index equality *)
   | Index_bounds  (* index range (BETWEEN / >=) *)
   | No_usable_path  (* WHERE present but nothing indexable: fallback *)
-  | Join_inner  (* non-driving table of a join: always scanned *)
+  | Join_inner  (* inner table of a join with no usable equality: scanned *)
+  | Join_probe  (* inner table probed once per outer row *)
 
 let reason_label = function
   | No_where -> "no_where"
@@ -32,6 +37,7 @@ let reason_label = function
   | Index_bounds -> "index_bounds"
   | No_usable_path -> "no_usable_path"
   | Join_inner -> "join_inner"
+  | Join_probe -> "join_probe"
 
 let reason_code = function
   | No_where -> 0
@@ -40,16 +46,17 @@ let reason_code = function
   | Index_bounds -> 3
   | No_usable_path -> 4
   | Join_inner -> 5
+  | Join_probe -> 6
 
 let path_label = function
   | Full_scan -> "full_scan"
-  | Rowid_range _ -> "rowid_range"
-  | Index_range _ -> "index_range"
+  | Rowid_range _ | Rowid_probe _ -> "rowid_range"
+  | Index_range _ | Index_probe _ -> "index_range"
 
 let path_code = function
   | Full_scan -> 0
-  | Rowid_range _ -> 1
-  | Index_range _ -> 2
+  | Rowid_range _ | Rowid_probe _ -> 1
+  | Index_range _ | Index_probe _ -> 2
 
 (* Emit the plan decision: a counter per (path) plus an instant event
    carrying the coded path/reason, so a query whose access path degrades
@@ -81,44 +88,126 @@ let find_index t table_name col =
       else acc)
     t.Catalog.indexes None
 
-(* Analyse a WHERE clause into a plan for one table. Only top-level AND
-   conjuncts are considered. [const] evaluates column-free expressions
-   (None when impure or column-dependent). *)
-let plan_for t (ti : Catalog.table_info) ~const where =
-  let rec conjuncts = function
-    | Some (Binop (And, a, b)) -> conjuncts (Some a) @ conjuncts (Some b)
-    | Some e -> [ e ]
-    | None -> []
+(* --- expressions --- *)
+
+(* [e] and each of its sub-expressions satisfy [p]. *)
+let rec for_all_sub p e =
+  p e
+  &&
+  match e with
+  | Lit _ | Column _ | Star -> true
+  | Binop (_, a, b) | Like (a, b) -> for_all_sub p a && for_all_sub p b
+  | Not a | Neg a | Is_null (a, _) | Cast (a, _) -> for_all_sub p a
+  | Between (a, b, c) -> for_all_sub p a && for_all_sub p b && for_all_sub p c
+  | In_list (a, es) -> for_all_sub p a && List.for_all (for_all_sub p) es
+  | Call (_, es) -> List.for_all (for_all_sub p) es
+  | Case (arms, e) ->
+      List.for_all (fun (c, v) -> for_all_sub p c && for_all_sub p v) arms
+      && Option.fold ~none:true ~some:(for_all_sub p) e
+
+(* Compact expression rendering for operator details. *)
+let binop_str = function
+  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
+  | Concat -> "||" | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<="
+  | Gt -> ">" | Ge -> ">=" | And -> "AND" | Or -> "OR"
+
+let rec render_expr = function
+  | Lit (Value.Text s) -> "'" ^ s ^ "'"
+  | Lit v -> Value.to_string v
+  | Column (None, n) -> n
+  | Column (Some q, n) -> q ^ "." ^ n
+  | Star -> "*"
+  | Binop (op, a, b) ->
+      Printf.sprintf "(%s %s %s)" (render_expr a) (binop_str op) (render_expr b)
+  | Not a -> Printf.sprintf "(NOT %s)" (render_expr a)
+  | Neg a -> Printf.sprintf "(-%s)" (render_expr a)
+  | Is_null (a, pos) ->
+      Printf.sprintf "(%s IS %sNULL)" (render_expr a) (if pos then "" else "NOT ")
+  | Between (a, lo, hi) ->
+      Printf.sprintf "(%s BETWEEN %s AND %s)" (render_expr a) (render_expr lo)
+        (render_expr hi)
+  | In_list (a, es) ->
+      Printf.sprintf "(%s IN (%s))" (render_expr a)
+        (String.concat ", " (List.map render_expr es))
+  | Like (a, p) -> Printf.sprintf "(%s LIKE %s)" (render_expr a) (render_expr p)
+  | Call (n, args) ->
+      Printf.sprintf "%s(%s)" n (String.concat ", " (List.map render_expr args))
+  | Case _ -> "CASE"
+  | Cast (a, ty) -> Printf.sprintf "CAST(%s AS %s)" (render_expr a) ty
+
+(* --- column resolution --- *)
+
+(* The position of the FROM source a column reference reads, resolved as
+   the executor's [lookup_column] does: a qualifier names the first
+   source with that alias (its table name when it has none); an
+   unqualified name reads the first source with that column, and an
+   unqualified [rowid] the first source. [None] when nothing matches. *)
+let resolve sources q n =
+  let first p =
+    let rec go i = function
+      | [] -> None
+      | s :: rest -> if p s then Some (i, s) else go (i + 1) rest
+    in
+    go 0 sources
   in
-  let cs = conjuncts where in
-  (* rowid constraints *)
+  let is_rowid = String.lowercase_ascii n = "rowid" in
+  let has_col (_, ti) = Catalog.col_index ti n <> None in
+  match q with
+  | Some q -> (
+      let q = String.lowercase_ascii q in
+      match first (fun (name, _) -> String.lowercase_ascii name = q) with
+      | Some (i, s) when is_rowid || has_col s -> Some i
+      | _ -> None)
+  | None when is_rowid -> if sources = [] then None else Some 0
+  | None -> Option.map fst (first has_col)
+
+(* Inclusive rowid bounds holding every integer x with [x op v] under
+   [Value.compare]. Only an Int, or a Real below 2^53 in magnitude (where
+   comparing it with an integer is exact), gives a bound; a Real rounds
+   outward so the range stays a superset. Any other value leaves both
+   sides open and the filter decides. *)
+let rowid_bounds op v =
+  let exact =
+    match v with
+    | Value.Int i -> Some (i, i)
+    | Value.Real f when Float.abs f < 0x1p53 ->
+        Some (Int64.of_float (Float.ceil f), Int64.of_float (Float.floor f))
+    | _ -> None
+  in
+  match (exact, op) with
+  | Some (up, down), Eq -> (Some up, Some down)
+  | Some (up, _), Ge -> (Some up, None)
+  | Some (_, down), Gt -> (Some (Int64.add down 1L), None)
+  | Some (_, down), Le -> (None, Some down)
+  | Some (up, _), Lt -> (None, Some (Int64.sub up 1L))
+  | _ -> (None, None)
+
+(* --- access paths --- *)
+
+(* The driving table: a rowid range or a single-column index equality or
+   range. Every column of [cs] reads this table; [const] folds the other
+   side of each comparison. *)
+let driving_plan t (ti : Catalog.table_info) ~const cs =
   let lo = ref None and hi = ref None in
   let tighten_lo v = match !lo with Some x when Int64.compare x v >= 0 -> () | _ -> lo := Some v in
   let tighten_hi v = match !hi with Some x when Int64.compare x v <= 0 -> () | _ -> hi := Some v in
-  let rowid_of e = match const e with Some v -> Some (Value.to_int64 v) | None -> None in
+  let bound op e =
+    match const e with
+    | Some v ->
+        let l, h = rowid_bounds op v in
+        Option.iter tighten_lo l;
+        Option.iter tighten_hi h
+    | None -> ()
+  in
   List.iter
     (fun c ->
       match c with
-      | Binop (Eq, Column (_, n), e) when Catalog.is_rowid_column ti n -> (
-          match rowid_of e with
-          | Some v -> tighten_lo v; tighten_hi v
-          | None -> ())
-      | Binop (Eq, e, Column (_, n)) when Catalog.is_rowid_column ti n -> (
-          match rowid_of e with
-          | Some v -> tighten_lo v; tighten_hi v
-          | None -> ())
-      | Binop (Ge, Column (_, n), e) when Catalog.is_rowid_column ti n -> (
-          match rowid_of e with Some v -> tighten_lo v | None -> ())
-      | Binop (Gt, Column (_, n), e) when Catalog.is_rowid_column ti n -> (
-          match rowid_of e with Some v -> tighten_lo (Int64.add v 1L) | None -> ())
-      | Binop (Le, Column (_, n), e) when Catalog.is_rowid_column ti n -> (
-          match rowid_of e with Some v -> tighten_hi v | None -> ())
-      | Binop (Lt, Column (_, n), e) when Catalog.is_rowid_column ti n -> (
-          match rowid_of e with Some v -> tighten_hi (Int64.sub v 1L) | None -> ())
-      | Between (Column (_, n), a, b) when Catalog.is_rowid_column ti n -> (
-          match (rowid_of a, rowid_of b) with
-          | Some a, Some b -> tighten_lo a; tighten_hi b
-          | _ -> ())
+      | Binop ((Eq | Ge | Gt | Le | Lt) as op, Column (_, n), e)
+        when Catalog.is_rowid_column ti n -> bound op e
+      | Binop (Eq, e, Column (_, n)) when Catalog.is_rowid_column ti n -> bound Eq e
+      | Between (Column (_, n), a, b) when Catalog.is_rowid_column ti n ->
+          bound Ge a;
+          bound Le b
       | _ -> ())
     cs;
   if !lo <> None || !hi <> None then (Rowid_range (!lo, !hi), Rowid_bounds)
@@ -148,6 +237,77 @@ let plan_for t (ti : Catalog.table_info) ~const where =
     | Some (p, r) -> (p, r)
     | None -> (Full_scan, if cs = [] then No_where else No_usable_path)
   end
+
+(* An inner table: probed by its rowid, else by the first column of an
+   index, when a conjunct sets that column equal to a key that reads only
+   the sources to its left (and no impure function), so the key can be
+   evaluated once per outer row. *)
+let probe_plan t (ti : Catalog.table_info) ~own ~is_key cs =
+  let eq a b =
+    match a with
+    | Column (q, n) when own q n && is_key b -> Some (n, b)
+    | _ -> None
+  in
+  let eqs =
+    List.filter_map
+      (function
+        | Binop (Eq, a, b) -> ( match eq a b with Some k -> Some k | None -> eq b a)
+        | _ -> None)
+      cs
+  in
+  match List.find_opt (fun (n, _) -> Catalog.is_rowid_column ti n) eqs with
+  | Some (_, key) -> (Rowid_probe key, Join_probe)
+  | None -> (
+      match
+        List.find_map
+          (fun (n, key) ->
+            Option.map
+              (fun ii -> Index_probe (ii, key))
+              (find_index t ti.Catalog.tbl_name n))
+          eqs
+      with
+      | Some p -> (p, Join_probe)
+      | None -> (Full_scan, Join_inner))
+
+let plan_for t sources i ~const clauses =
+  let cs =
+    let rec conjuncts = function
+      | Binop (And, a, b) -> conjuncts a @ conjuncts b
+      | e -> [ e ]
+    in
+    List.concat_map conjuncts clauses
+  in
+  let _, ti = List.nth sources i in
+  let own q n = resolve sources q n = Some i in
+  let reads ok = function
+    | Column (q, n) -> ( match resolve sources q n with Some j -> ok j | None -> false)
+    | _ -> true
+  in
+  if i = 0 then
+    driving_plan t ti ~const (List.filter (for_all_sub (reads (fun j -> j = 0))) cs)
+  else
+    let is_key =
+      for_all_sub (function
+        | Star | Call (("random" | "randomblob"), _) -> false
+        | e -> reads (fun j -> j < i) e)
+    in
+    probe_plan t ti ~own ~is_key cs
+
+let bind_probe plan ~eval =
+  match plan with
+  | Rowid_probe key -> (
+      match eval key with
+      | (Value.Int _ | Value.Real _) as v -> (
+          (* a non-integral Real gives lo > hi: no row *)
+          match rowid_bounds Eq v with
+          | Some lo, Some hi when Int64.compare lo hi > 0 -> None
+          | lo, hi -> Some (Rowid_range (lo, hi)))
+      | _ -> None (* rowids are integers: NULL, text and blobs equal none *))
+  | Index_probe (ii, key) -> (
+      match eval key with
+      | Value.Null -> None
+      | v -> Some (Index_range (ii, [ v ], None, None)))
+  | p -> Some p
 
 (* --- row estimates from the statistics cache --- *)
 
@@ -202,7 +362,14 @@ let estimate t (ti : Catalog.table_info) plan =
               if prefix <> [] then Some (eq_estimate ts cs)
               else if Array.length cs.Catalog.cs_hist > 0 then
                 Some (hist_range_count cs lo hi)
-              else Some ts.Catalog.ts_rows))
+              else Some ts.Catalog.ts_rows)
+      (* per loop: one key value *)
+      | Rowid_probe _ -> Some (min 1 ts.Catalog.ts_rows)
+      | Index_probe (ii, _) -> (
+          let col = List.hd ii.Catalog.idx_columns in
+          match Catalog.col_stats_for t ti.Catalog.tbl_name col with
+          | None -> Some ts.Catalog.ts_rows
+          | Some cs -> Some (eq_estimate ts cs)))
 
 (* Human-readable access-path description for EXPLAIN output. *)
 let describe plan =
@@ -221,3 +388,7 @@ let describe plan =
       else
         Printf.sprintf "index %s (%s in [%s..%s])" ii.Catalog.idx_name
           (List.hd ii.Catalog.idx_columns) (bound lo) (bound hi)
+  | Rowid_probe key -> "rowid = " ^ render_expr key
+  | Index_probe (ii, key) ->
+      Printf.sprintf "index %s (%s=%s)" ii.Catalog.idx_name
+        (List.hd ii.Catalog.idx_columns) (render_expr key)

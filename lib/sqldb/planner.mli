@@ -1,6 +1,6 @@
-(** Planner layer: WHERE-clause analysis into an access path, the
-    [sqldb.plan] trace event, and row estimates from the ANALYZE
-    statistics cache. *)
+(** Planner layer: ON- and WHERE-clause analysis into an access path per
+    FROM source, the [sqldb.plan] trace event, and row estimates from the
+    ANALYZE statistics cache. *)
 
 type plan =
   | Full_scan
@@ -8,6 +8,10 @@ type plan =
   | Index_range of
       Catalog.index_info * Value.t list * Value.t option * Value.t option
       (** equality prefix, then optional lo/hi bound on the next column *)
+  | Rowid_probe of Sql_ast.expr
+      (** an inner table's rowid equal to a key over its outer tables *)
+  | Index_probe of Catalog.index_info * Sql_ast.expr
+      (** an inner table's first index column equal to such a key *)
 
 (** Why the access path was (or was not) chosen — carried into the
     [sqldb.plan] trace event so silent plan flips are visible. *)
@@ -18,6 +22,13 @@ type reason =
   | Index_bounds
   | No_usable_path
   | Join_inner
+  | Join_probe
+
+val for_all_sub : (Sql_ast.expr -> bool) -> Sql_ast.expr -> bool
+(** [for_all_sub p e]: [e] and each of its sub-expressions satisfy [p]. *)
+
+val render_expr : Sql_ast.expr -> string
+(** Compact rendering of an expression, for operator details. *)
 
 val reason_label : reason -> string
 val reason_code : reason -> int
@@ -33,12 +44,24 @@ val find_index : Catalog.db -> string -> string -> Catalog.index_info option
 (** First index on the table whose leading column matches. *)
 
 val plan_for :
-  Catalog.db -> Catalog.table_info ->
+  Catalog.db -> (string * Catalog.table_info) list -> int ->
   const:(Sql_ast.expr -> Value.t option) ->
-  Sql_ast.expr option -> plan * reason
-(** Analyse a WHERE clause into an access path for one table. Only
-    top-level AND conjuncts are considered; [const] evaluates
-    column-free expressions (None when impure or column-dependent). *)
+  Sql_ast.expr list -> plan * reason
+(** [plan_for t sources i ~const clauses]: the access path for source [i]
+    of a FROM list of (alias or table name, table) pairs, from the
+    top-level AND conjuncts of the ON and WHERE [clauses]. Columns
+    resolve as the executor resolves them. Source 0 gets a rowid range
+    or an index equality or range from the conjuncts that read only it;
+    [const] evaluates column-free expressions (None when impure or
+    column-dependent). A later source is probed ({!Join_probe}) by its
+    rowid, or by the first column of an index, when a conjunct sets it
+    equal to a key that reads only the sources to its left, and scanned
+    ({!Join_inner}) otherwise. *)
+
+val bind_probe : plan -> eval:(Sql_ast.expr -> Value.t) -> plan option
+(** The path to read for the current outer row: a probe's key, evaluated
+    by [eval], becomes a rowid or index equality range, or [None] when
+    no row can equal it; any other plan is returned as is. *)
 
 val estimate : Catalog.db -> Catalog.table_info -> plan -> int option
 (** Estimated rows produced by an access path; [None] when the table has

@@ -214,6 +214,153 @@ let prop_index_consistency =
       indexed = scanned)
 
 (* ------------------------------------------------------------------ *)
+(* Plan equivalence (NoREC and TLP, Rigger & Su 2020): rowid, index and *)
+(* join-probe plans return what a forced scan returns                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Values of every storage class for the non-key columns and constants:
+   Int, integral and non-integral Real, numeric and non-numeric Text,
+   NULL. *)
+let sql_value =
+  QCheck.Gen.(
+    let small = int_range (-6) 6 in
+    frequency
+      [ (4, map string_of_int small);
+        (2, map (Printf.sprintf "%d.0") small);
+        (2, map (Printf.sprintf "%d.5") small);
+        (1, map (Printf.sprintf "'%d'") small);
+        (1, oneofl [ "'abc'"; "''" ]);
+        (1, return "NULL") ])
+
+let sql_constant = QCheck.Gen.(frequency [ (9, sql_value); (1, oneofl [ "1e30"; "-1e30" ]) ])
+
+(* A predicate over one of [cols]; a column in braces is one the planner
+   may use, and the forced form hides it behind a CASE. *)
+let sql_predicate cols =
+  QCheck.Gen.(
+    oneofl cols >>= fun col ->
+    frequency
+      [ (5, map2 (Printf.sprintf "{%s} %s %s" col)
+              (oneofl [ "="; "<"; "<="; ">"; ">=" ]) sql_constant);
+        (1, map (fun k -> Printf.sprintf "%s = {%s}" k col) sql_constant);
+        (2, map2 (Printf.sprintf "{%s} BETWEEN %s AND %s" col) sql_constant sql_constant) ])
+
+(* t(a INTEGER PRIMARY KEY, b, c) and u(a INTEGER PRIMARY KEY, b, d), both
+   indexed on b: FROM clauses probing by rowid and by index, through
+   aliases, unqualified columns and an unqualified rowid, two and three
+   tables deep, each with the columns it selects. *)
+let join_froms =
+  [ ("t JOIN u ON {t.b} = {u.a}", [ "t.a"; "t.b"; "u.a"; "u.b" ]);
+    ("t JOIN u ON {u.b} = {t.c}", [ "t.a"; "t.c"; "u.a"; "u.b" ]);
+    ("t JOIN u ON {t.a} = {u.a}", [ "t.a"; "t.b"; "u.a"; "u.b" ]);
+    ("t JOIN u ON {u.a} = {t.b} + 1", [ "t.a"; "t.b"; "u.a"; "u.d" ]);
+    ("t x JOIN t y ON {x.b} = {y.a}", [ "x.a"; "x.b"; "y.a"; "y.c" ]);
+    ("t x JOIN t y ON {y.b} = {x.c}", [ "x.a"; "x.c"; "y.a"; "y.b" ]);
+    ("t JOIN u ON {a} = {u.b}", [ "t.a"; "u.a"; "u.b"; "d" ]);
+    ("t JOIN u ON {t.a} = {b}", [ "t.a"; "t.b"; "u.a"; "u.b" ]);
+    ("t JOIN u ON {b} = {t.c}", [ "t.a"; "t.b"; "t.c"; "u.a" ]);
+    ("t JOIN u ON {u.a} = {d}", [ "t.a"; "u.a"; "u.d"; "c" ]);
+    ("t JOIN u ON {u.a} = {rowid}", [ "t.a"; "u.a"; "u.b"; "c" ]);
+    ("t JOIN u ON {t.b} = {rowid}", [ "t.a"; "t.b"; "u.a"; "u.d" ]);
+    ("t JOIN u ON {t.b} = {u.a} JOIN t w ON {w.a} = {u.d}", [ "t.a"; "u.a"; "u.d"; "w.a"; "w.b" ]);
+    ("t JOIN u ON {u.b} = {t.c} JOIN u v ON {v.b} = {u.d}", [ "t.a"; "u.a"; "u.b"; "v.a"; "v.d" ]) ]
+
+let plan_case =
+  QCheck.Gen.(
+    let rows =
+      map (List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b))
+        (list_size (int_range 0 10) (triple (int_range (-6) 6) sql_value sql_value))
+    in
+    let single =
+      map (fun p -> ("t", [ "t.a"; "t.b"; "t.c" ], Some p))
+        (sql_predicate [ "a"; "t.a"; "rowid"; "b"; "t.b"; "c" ])
+    in
+    let join =
+      oneofl join_froms >>= fun (from, cols) ->
+      map (fun p -> (from, cols, p)) (opt (sql_predicate cols))
+    in
+    triple rows rows (list_repeat 3 (oneof [ single; join ])))
+
+let print_plan_case (t_rows, u_rows, specs) =
+  let rows = List.map (fun (a, b, c) -> Printf.sprintf "(%d, %s, %s)" a b c) in
+  Printf.sprintf "t: %s\nu: %s\n%s"
+    (String.concat ", " (rows t_rows)) (String.concat ", " (rows u_rows))
+    (String.concat "\n"
+       (List.map
+          (fun (from, _, p) -> from ^ Option.fold ~none:"" ~some:(( ^ ) " WHERE ") p)
+          specs))
+
+(* The planned form names each braced column; the forced form reads it
+   through CASE, which no access path matches. *)
+let fill ~force s =
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    match String.index_from_opt s i '{' with
+    | None -> Buffer.add_substring b s i (String.length s - i)
+    | Some j ->
+        let k = String.index_from s j '}' in
+        Buffer.add_substring b s i (j - i);
+        let col = String.sub s (j + 1) (k - j - 1) in
+        Buffer.add_string b
+          (if force then Printf.sprintf "(CASE WHEN 1 THEN %s END)" col else col);
+        go (k + 1)
+  in
+  go 0;
+  Buffer.contents b
+
+let prop_plan_equivalence =
+  QCheck.Test.make ~name:"rowid, index and probe plans = forced scan" ~count:300
+    (QCheck.make ~print:print_plan_case plan_case)
+    (fun (t_rows, u_rows, specs) ->
+      let db = Db.open_db ":memory:" in
+      List.iter
+        (fun sql -> ignore (Db.exec db sql))
+        [ "CREATE TABLE t(a INTEGER PRIMARY KEY, b, c)"; "CREATE INDEX t_b ON t(b)";
+          "CREATE TABLE u(a INTEGER PRIMARY KEY, b, d)"; "CREATE INDEX u_b ON u(b)" ];
+      List.iter
+        (fun (name, rows) ->
+          List.iter
+            (fun (a, b, c) ->
+              ignore
+                (Db.exec db (Printf.sprintf "INSERT INTO %s VALUES (%d, %s, %s)" name a b c)))
+            rows)
+        [ ("t", t_rows); ("u", u_rows) ];
+      let select ?(force = false) (from, cols, where) =
+        List.sort compare
+          (Db.query db
+             (Printf.sprintf "SELECT %s FROM %s%s" (String.concat ", " cols)
+                (fill ~force from)
+                (Option.fold ~none:"" ~some:(fun p -> " WHERE " ^ fill ~force p) where)))
+      in
+      let count from where =
+        match
+          Db.query db (Printf.sprintf "SELECT count(*) FROM %s WHERE %s" (fill ~force:false from) where)
+        with
+        | [ [ Value.Int n ] ] -> Int64.to_int n
+        | _ -> -1
+      in
+      (* ternary logic partitioning: p, NOT p and p IS NULL split the rows *)
+      let partitions_agree (from, cols, where) =
+        match where with
+        | None -> true
+        | Some p ->
+            let p = fill ~force:false p in
+            List.length (select (from, cols, None))
+            = count from p + count from ("NOT (" ^ p ^ ")") + count from ("(" ^ p ^ ") IS NULL")
+      in
+      let planned = List.map select specs in
+      let ok =
+        List.for_all2 (fun spec rows -> rows = select ~force:true spec) specs planned
+        && List.for_all partitions_agree specs
+        && begin
+             ignore (Db.exec db "ANALYZE");
+             List.map select specs = planned
+           end
+      in
+      Db.close db;
+      ok)
+
+(* ------------------------------------------------------------------ *)
 (* Protected FS: content must be invariant under cache size and variant *)
 (* ------------------------------------------------------------------ *)
 
@@ -837,6 +984,7 @@ let suite =
       qc prop_sql_filter_model;
       qc prop_sql_order_model;
       qc prop_index_consistency;
+      qc prop_plan_equivalence;
     ]);
     ("pfs-invariance", [ qc prop_pfs_cache_invariance ]);
     ("wasm-equivalence", [

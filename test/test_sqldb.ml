@@ -683,6 +683,31 @@ let test_plan_counters () =
   ignore (Db.query db "SELECT * FROM t WHERE b + 1 = 21");
   Alcotest.(check int) "fallback counted" 1 (v "fallback");
   Alcotest.(check int) "fallback is a full scan" (base_full + 1) (v "full_scan");
+  (* a probed join plans each source once per statement, not per probe *)
+  ignore (Db.exec db "CREATE TABLE u (a INTEGER PRIMARY KEY, ta INTEGER)");
+  ignore (Db.exec db "INSERT INTO u VALUES (1,1),(2,3),(3,3),(4,NULL)");
+  let full = v "full_scan" in
+  Alcotest.check rows_t "rowid probe" [ [ v_int 3 ] ]
+    (Db.query db "SELECT count(*) FROM u JOIN t ON t.a = u.ta");
+  Alcotest.(check int) "rowid probe counted once" 2 (v "rowid_range");
+  Alcotest.(check int) "driving table scanned once" (full + 1) (v "full_scan");
+  Alcotest.check rows_t "index probe" [ [ v_int 3 ] ]
+    (Db.query db "SELECT count(*) FROM u JOIN t ON t.b = u.ta * 10");
+  Alcotest.(check int) "index probe counted once" 2 (v "index_range");
+  Alcotest.(check int) "no fallback for a join" 1 (v "fallback");
+  let plan =
+    plan_lines (Db.exec db "EXPLAIN ANALYZE SELECT count(*) FROM u JOIN t ON t.a = u.ta")
+  in
+  Alcotest.(check bool) "EXPLAIN names the probe, one loop per outer row" true
+    (List.exists (contains ~sub:"scan(t: rowid = u.ta) est=- in=0 out=3 loops=4") plan);
+  ignore (Db.exec db "ANALYZE");
+  let est sql = plan_lines (Db.exec db ("EXPLAIN " ^ sql)) in
+  Alcotest.(check bool) "a rowid probe estimates one row per loop" true
+    (List.exists (contains ~sub:"scan(t: rowid = u.ta) est=1")
+       (est "SELECT * FROM u JOIN t ON u.ta = t.rowid"));
+  Alcotest.(check bool) "an index probe estimates from the column's statistics" true
+    (List.exists (contains ~sub:"scan(t: index t_b (b=(u.ta * 10))) est=1")
+       (est "SELECT * FROM u JOIN t ON t.b = u.ta * 10"));
   Db.close db
 
 (* --- ANALYZE statistics catalog (satellite 3) --- *)

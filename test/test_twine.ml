@@ -243,6 +243,53 @@ let test_speedtest_runs_all_variants () =
     [ (Bench_db.Native, Bench_db.Mem); (Bench_db.Wamr, Bench_db.Mem);
       (Bench_db.Sgx_lkl, Bench_db.File); (Bench_db.Twine_rt, Bench_db.File) ]
 
+(* Test 300 probes z3 by its INTEGER PRIMARY KEY once per z2 row, and
+   counts what the forced scan counts on the same database. *)
+let test_speedtest_join_probe () =
+  let db = Bench_db.create ~wasm_factor:2.5 Bench_db.Twine_rt Bench_db.File in
+  List.iter
+    (fun (t : Speedtest.test) -> if t.Speedtest.id <= 300 then t.Speedtest.run db ~size:120)
+    Speedtest.tests;
+  let count sql =
+    match Bench_db.query db sql with
+    | [ [ Twine_sqldb.Value.Int n ] ] -> Int64.to_int n
+    | _ -> Alcotest.failf "not a count: %s" sql
+  in
+  let join = "SELECT count(*) FROM z2 JOIN z3 ON z2.a = z3.a WHERE z3.b < 50" in
+  let probed = count join in
+  Alcotest.(check bool) "the join matches rows" true (probed > 0);
+  Alcotest.(check int) "probe = forced scan" probed
+    (count
+       "SELECT count(*) FROM z2 JOIN z3 ON z2.a = (CASE WHEN 1 THEN z3.a END) WHERE z3.b < 50");
+  let z3_scan =
+    List.find_map
+      (function
+        | [ Twine_sqldb.Value.Text l ] -> (
+            match String.split_on_char ' ' (String.trim l) with
+            | "scan(z3:" :: _ as fields -> Some fields
+            | _ -> None)
+        | _ -> None)
+      (Bench_db.query db ("EXPLAIN ANALYZE " ^ join))
+  in
+  let field name fields =
+    List.find_map
+      (fun f ->
+        match String.split_on_char '=' f with
+        | [ k; v ] when k = name -> int_of_string_opt v
+        | _ -> None)
+      fields
+  in
+  match z3_scan with
+  | None -> Alcotest.fail "no z3 scan in the plan"
+  | Some fields ->
+      Alcotest.(check (list string)) "z3 probed by rowid"
+        [ "scan(z3:"; "rowid"; "="; "z2.a)" ]
+        (List.filteri (fun i _ -> i < 4) fields);
+      let loops = Option.get (field "loops" fields) and out = Option.get (field "out" fields) in
+      Alcotest.(check int) "one probe per z2 row" (count "SELECT count(*) FROM z2") loops;
+      Alcotest.(check bool) "at most one z3 row per probe" true (out <= loops);
+      Bench_db.close db
+
 let test_wasm_factor_calibration () =
   let f = Bench_db.calibrate_wasm_factor () in
   Alcotest.(check bool) (Printf.sprintf "factor %.2f in sane range" f) true
@@ -267,6 +314,7 @@ let suite =
     ("speedtest", [
       Alcotest.test_case "29 tests" `Quick test_speedtest_complete;
       Alcotest.test_case "all variants run" `Slow test_speedtest_runs_all_variants;
+      Alcotest.test_case "join probes z3 by rowid" `Quick test_speedtest_join_probe;
       Alcotest.test_case "wasm factor calibration" `Slow test_wasm_factor_calibration;
     ]);
   ]
