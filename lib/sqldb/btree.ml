@@ -2,12 +2,16 @@
    encoded record) and one per index (key = encoded column values with the
    rowid appended, making every key unique).
 
-   Pages decode to a structured node, are modified functionally, and are
-   re-encoded; a node that no longer fits splits, propagating a separator
-   upwards. Roots keep their page number (the catalog stores it), so a
-   root split moves the old root's content to a fresh page. Underfull
-   pages are not rebalanced on delete — like a SQLite database awaiting
-   VACUUM, which we also provide at the Db layer. *)
+   Every page holds a header, its cells and then zeros. A table page
+   decodes to a structured node, is modified functionally, and is
+   re-encoded. An index page is searched and edited where it lies: a
+   compare walks a cell's bytes ([Record.compare_sub]), an insert shifts
+   the page's tail and writes one cell, a delete shifts it back. A node
+   that no longer fits splits, propagating a separator upwards. Roots
+   keep their page number (the catalog stores it), so a root split moves
+   the old root's content to a fresh page. Underfull pages are not
+   rebalanced on delete — like a SQLite database awaiting VACUUM, which
+   we also provide at the Db layer. *)
 
 let page_size = Pager.page_size
 let content_start = 16
@@ -15,24 +19,27 @@ let max_payload = page_size - content_start - 16
 
 exception Too_large of int
 
+(* Page types (byte 0). Bytes 1-2 hold the cell count, bytes 3-6 an
+   interior page's right child. *)
+let table_leaf = 1
+let table_interior = 2
+let index_leaf = 3
+let index_interior = 4
+
 type node =
   | Table_leaf of (int64 * string) list  (* sorted by rowid *)
   | Table_interior of (int * int64) list * int  (* (child, max key) + right *)
-  | Index_leaf of string list  (* sorted encoded keys *)
-  | Index_interior of (int * string) list * int
 
 (* --- encoding --- *)
 
-let node_type = function
-  | Table_leaf _ -> 1
-  | Table_interior _ -> 2
-  | Index_leaf _ -> 3
-  | Index_interior _ -> 4
+let node_type = function Table_leaf _ -> table_leaf | Table_interior _ -> table_interior
 
 let put_i64 b off (v : int64) = Bytes.set_int64_le b off v
 let put_u16 b off v = Bytes.set_uint16_le b off v
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off)
+
+let bad_type ty = Pager.Corrupt (Printf.sprintf "bad btree page type %d" ty)
 
 let encode_node b node =
   Bytes.fill b 0 page_size '\000';
@@ -57,24 +64,6 @@ let encode_node b node =
           put_i64 b (!pos + 4) key;
           pos := !pos + 12;
           incr count)
-        cells
-  | Index_leaf keys ->
-      List.iter
-        (fun key ->
-          put_u16 b !pos (String.length key);
-          Bytes.blit_string key 0 b (!pos + 2) (String.length key);
-          pos := !pos + 2 + String.length key;
-          incr count)
-        keys
-  | Index_interior (cells, right) ->
-      put_u32 b 3 right;
-      List.iter
-        (fun (child, key) ->
-          put_u32 b !pos child;
-          put_u16 b (!pos + 4) (String.length key);
-          Bytes.blit_string key 0 b (!pos + 6) (String.length key);
-          pos := !pos + 6 + String.length key;
-          incr count)
         cells);
   put_u16 b 1 !count
 
@@ -85,9 +74,6 @@ let node_size node =
   | Table_leaf cells ->
       List.fold_left (fun a (_, p) -> a + 10 + String.length p) 0 cells
   | Table_interior (cells, _) -> 12 * List.length cells
-  | Index_leaf keys -> List.fold_left (fun a k -> a + 2 + String.length k) 0 keys
-  | Index_interior (cells, _) ->
-      List.fold_left (fun a (_, k) -> a + 6 + String.length k) 0 cells
 
 let decode_node b =
   let count = Bytes.get_uint16_le b 1 in
@@ -110,24 +96,8 @@ let decode_node b =
               pos := !pos + 12;
               (child, key)),
           right )
-  | 3 ->
-      Index_leaf
-        (List.init count (fun _ ->
-             let len = Bytes.get_uint16_le b !pos in
-             let key = Bytes.sub_string b (!pos + 2) len in
-             pos := !pos + 2 + len;
-             key))
-  | 4 ->
-      let right = get_u32 b 3 in
-      Index_interior
-        ( List.init count (fun _ ->
-              let child = get_u32 b !pos in
-              let len = Bytes.get_uint16_le b (!pos + 4) in
-              let key = Bytes.sub_string b (!pos + 6) len in
-              pos := !pos + 6 + len;
-              (child, key)),
-          right )
-  | ty -> raise (Pager.Corrupt (Printf.sprintf "bad btree page type %d" ty))
+  | 3 | 4 -> raise (Pager.Corrupt "table op on index page")
+  | ty -> raise (bad_type ty)
 
 let read_node pager page =
   Pager.work pager 1;
@@ -137,13 +107,25 @@ let write_node pager page node =
   Pager.work pager 1;
   encode_node (Pager.modify pager page) node
 
+(* A page emptied to a header of type [ty] and zeros, as [encode_node]
+   leaves an empty node. *)
+let init_page b ty =
+  Bytes.fill b 0 page_size '\000';
+  Bytes.set_uint8 b 0 ty
+
+let modify_page pager page =
+  Pager.work pager 1;
+  Pager.modify pager page
+
 (* --- creation --- *)
 
 type kind = Table | Index
 
 let create pager kind =
   let page = Pager.alloc pager in
-  write_node pager page (match kind with Table -> Table_leaf [] | Index -> Index_leaf []);
+  (match kind with
+  | Table -> write_node pager page (Table_leaf [])
+  | Index -> init_page (modify_page pager page) index_leaf);
   page
 
 (* --- table trees --- *)
@@ -213,26 +195,17 @@ let rec table_insert pager page rowid payload =
             write_node pager right_page (Table_interior (rcells, right));
             Some (mkey, right_page)
           end)
-  | Index_leaf _ | Index_interior _ ->
-      raise (Pager.Corrupt "table op on index page")
-
-(* Root-preserving split. *)
-let grow_root pager root (sep_key : [ `I of int64 | `S of string ]) right_page =
-  let old = read_node pager root in
-  let left_page = Pager.alloc pager in
-  write_node pager left_page old;
-  match (old, sep_key) with
-  | (Table_leaf _ | Table_interior _), `I k ->
-      write_node pager root (Table_interior ([ (left_page, k) ], right_page))
-  | (Index_leaf _ | Index_interior _), `S k ->
-      write_node pager root (Index_interior ([ (left_page, k) ], right_page))
-  | _ -> raise (Pager.Corrupt "grow_root: kind mismatch")
 
 let insert_table pager ~root ~rowid payload =
   if String.length payload > max_payload then raise (Too_large (String.length payload));
   match table_insert pager root rowid payload with
   | None -> ()
-  | Some (sep, right) -> grow_root pager root (`I sep) right
+  | Some (sep, right_page) ->
+      (* root-preserving split *)
+      let old = read_node pager root in
+      let left_page = Pager.alloc pager in
+      write_node pager left_page old;
+      write_node pager root (Table_interior ([ (left_page, sep) ], right_page))
 
 let rec lookup_table pager ~root rowid =
   match read_node pager root with
@@ -244,7 +217,6 @@ let rec lookup_table pager ~root rowid =
         | (child, key) :: rest -> if rowid <= key then child else choose rest
       in
       lookup_table pager ~root:(choose cells) rowid
-  | _ -> raise (Pager.Corrupt "table op on index page")
 
 let rec delete_table pager ~root rowid =
   match read_node pager root with
@@ -259,7 +231,6 @@ let rec delete_table pager ~root rowid =
         | (child, key) :: rest -> if rowid <= key then child else choose rest
       in
       delete_table pager ~root:(choose cells) rowid
-  | _ -> raise (Pager.Corrupt "table op on index page")
 
 let rec max_rowid pager ~root =
   match read_node pager root with
@@ -276,7 +247,6 @@ let rec max_rowid pager ~root =
               | Some r -> Some (max r (Option.value acc ~default:Int64.min_int))
               | None -> acc)
             None cells)
-  | _ -> raise (Pager.Corrupt "table op on index page")
 
 exception Stop
 
@@ -300,7 +270,6 @@ let iter_table pager ~root ?(min = Int64.min_int) ?(max = Int64.max_int) f =
             prev := key)
           cells;
         if Int64.compare !prev max < 0 then go right !prev
-    | _ -> raise (Pager.Corrupt "table op on index page")
   in
   try go root Int64.min_int with Stop -> ()
 
@@ -311,127 +280,218 @@ let count_table pager ~root =
       true);
   !n
 
-(* --- index trees --- *)
+(* --- index trees, on their pages --- *)
 
-let kcmp = Record.compare_encoded
+(* A leaf cell is [len u16][key]; an interior cell is [child u32][len
+   u16][key], its child holding the keys up to and including [key]. [hdr]
+   is the size of the bytes before the key: 2 in a leaf, 6 in an interior
+   page. *)
+
+let cell_hdr b = if Bytes.get_uint8 b 0 = index_interior then 6 else 2
+let count b = Bytes.get_uint16_le b 1
+let key_len b hdr off = Bytes.get_uint16_le b (off + hdr - 2)
+let next_cell b hdr off = off + hdr + key_len b hdr off
+
+(* The offset of the [i]th cell after the one at [off]. *)
+let rec skip_cells b hdr off i = if i = 0 then off else skip_cells b hdr (next_cell b hdr off) (i - 1)
+
+(* Where the cells end and the zeros start. *)
+let cells_end b hdr = skip_cells b hdr content_start (count b)
+
+(* The record in the cell at [off], ordered against [key]. *)
+let compare_cell b hdr off key = Record.compare_sub b (off + hdr) (key_len b hdr off) key
+
+let index_page pager page =
+  Pager.work pager 1;
+  let b = Pager.read_page pager page in
+  let ty = Bytes.get_uint8 b 0 in
+  if ty <> index_leaf && ty <> index_interior then
+    raise
+      (if ty = table_leaf || ty = table_interior then Pager.Corrupt "index op on table page"
+       else bad_type ty);
+  b
+
+(* The offset of the first of the [i] cells from [off] whose key is not
+   below [key], or the offset after them when there is none. *)
+let rec find_from b hdr key off i =
+  if i > 0 && compare_cell b hdr off key < 0 then find_from b hdr key (next_cell b hdr off) (i - 1)
+  else off
+
+let find_cell b hdr key = find_from b hdr key content_start (count b)
+
+(* Writes cell ([child], [key]) at [at] of image [b], shifting the cells
+   from [at] to [stop] up to make room. In an interior page the link that
+   followed [at], the next cell's child or (at [stop]) the right child,
+   becomes [link]. *)
+let insert_cell b hdr ~at ~stop ~child ~link key =
+  let len = String.length key in
+  Bytes.blit b at b (at + hdr + len) (stop - at);
+  put_u16 b (at + hdr - 2) len;
+  Bytes.blit_string key 0 b (at + hdr) len;
+  put_u16 b 1 (count b + 1);
+  if hdr = 6 then begin
+    put_u32 b at child;
+    put_u32 b (if at < stop then at + hdr + len else 3) link
+  end
+
+(* Splits an over-full image of [page], whose cells end at [stop], in
+   two: the lower half of the cells stays and the upper half moves to a
+   fresh page. A leaf's separator is its last kept key; an interior image
+   gives its middle cell up, whose child becomes the kept half's right
+   child. *)
+let split pager page img ~stop =
+  let hdr = cell_hdr img and n = count img in
+  let mid = n / 2 and leaf = hdr = 2 in
+  let last_kept = skip_cells img hdr content_start (mid - 1) in
+  let cut = next_cell img hdr last_kept in
+  let sep_at = if leaf then last_kept else cut in
+  let sep = Bytes.sub_string img (sep_at + hdr) (key_len img hdr sep_at) in
+  let moved = if leaf then cut else next_cell img hdr cut in
+  let right_page = Pager.alloc pager in
+  let b = modify_page pager page in
+  let rb = modify_page pager right_page in
+  Bytes.blit img 0 b 0 cut;
+  Bytes.fill b cut (page_size - cut) '\000';
+  put_u16 b 1 mid;
+  init_page rb (Bytes.get_uint8 img 0);
+  put_u16 rb 1 (if leaf then n - mid else n - mid - 1);
+  if not leaf then begin
+    put_u32 b 3 (get_u32 img cut);
+    put_u32 rb 3 (get_u32 img 3)
+  end;
+  Bytes.blit img moved rb content_start (stop - moved);
+  Some (sep, right_page)
+
+(* Inserts a cell into [page], read as [b], as [insert_cell] does;
+   returns the split when the page overflows. *)
+let add_cell pager page b hdr ~at ~stop ~child ~link key =
+  let size = hdr + String.length key in
+  if stop + size <= page_size then begin
+    insert_cell (modify_page pager page) hdr ~at ~stop ~child ~link key;
+    None
+  end
+  else begin
+    let img = Bytes.create (2 * page_size) in
+    Bytes.blit b 0 img 0 stop;
+    insert_cell img hdr ~at ~stop ~child ~link key;
+    split pager page img ~stop:(stop + size)
+  end
 
 let rec index_insert pager page key =
-  match read_node pager page with
-  | Index_leaf keys ->
-      let rec place = function
-        | [] -> [ key ]
-        | k :: rest ->
-            let c = kcmp k key in
-            if c = 0 then k :: rest  (* duplicate composite key: no-op *)
-            else if c > 0 then key :: k :: rest
-            else k :: place rest
-      in
-      let keys = place keys in
-      let node = Index_leaf keys in
-      if node_size node <= page_size then begin
-        write_node pager page node;
-        None
-      end
-      else begin
-        let n = List.length keys in
-        let mid = n / 2 in
-        let left = List.filteri (fun i _ -> i < mid) keys in
-        let right = List.filteri (fun i _ -> i >= mid) keys in
-        let sep = List.nth keys (mid - 1) in
-        let right_page = Pager.alloc pager in
-        write_node pager page (Index_leaf left);
-        write_node pager right_page (Index_leaf right);
-        Some (sep, right_page)
-      end
-  | Index_interior (cells, right) -> (
-      let rec choose = function
-        | [] -> (right, `Right)
-        | (child, k) :: rest -> if kcmp key k <= 0 then (child, `Cell k) else choose rest
-      in
-      let child, which = choose cells in
-      match index_insert pager child key with
-      | None -> None
-      | Some (sep, new_page) ->
-          let cells, right =
-            match which with
-            | `Cell k ->
-                ( List.concat_map
-                    (fun (c, ck) ->
-                      if c = child && ck = k then [ (child, sep); (new_page, k) ]
-                      else [ (c, ck) ])
-                    cells,
-                  right )
-            | `Right -> (cells @ [ (child, sep) ], new_page)
-          in
-          let node = Index_interior (cells, right) in
-          if node_size node <= page_size then begin
-            write_node pager page node;
-            None
-          end
-          else begin
-            let n = List.length cells in
-            let mid = n / 2 in
-            let lcells = List.filteri (fun i _ -> i < mid) cells in
-            let mchild, mkey = List.nth cells mid in
-            let rcells = List.filteri (fun i _ -> i > mid) cells in
-            let right_page = Pager.alloc pager in
-            write_node pager page (Index_interior (lcells, mchild));
-            write_node pager right_page (Index_interior (rcells, right));
-            Some (mkey, right_page)
-          end)
-  | Table_leaf _ | Table_interior _ ->
-      raise (Pager.Corrupt "index op on table page")
+  let b = index_page pager page in
+  let hdr = cell_hdr b in
+  let at = find_cell b hdr key and stop = cells_end b hdr in
+  if hdr = 2 then
+    if at < stop && compare_cell b hdr at key = 0 then begin
+      (* duplicate composite key: the leaf is rewritten unchanged *)
+      ignore (modify_page pager page);
+      None
+    end
+    else add_cell pager page b hdr ~at ~stop ~child:0 ~link:0 key
+  else
+    let child = get_u32 b (if at < stop then at else 3) in
+    match index_insert pager child key with
+    | None -> None
+    | Some (sep, link) -> add_cell pager page b hdr ~at ~stop ~child ~link sep
 
 let insert_index pager ~root key =
   if String.length key > max_payload then raise (Too_large (String.length key));
   match index_insert pager root key with
   | None -> ()
-  | Some (sep, right) -> grow_root pager root (`S sep) right
+  | Some (sep, right_page) ->
+      (* root-preserving split *)
+      let old = index_page pager root in
+      let left_page = Pager.alloc pager in
+      Bytes.blit old 0 (modify_page pager left_page) 0 page_size;
+      let b = modify_page pager root in
+      init_page b index_interior;
+      let at = content_start in
+      insert_cell b 6 ~at ~stop:at ~child:left_page ~link:right_page sep
+
+let rec same_bytes b off key i =
+  i = String.length key || (Bytes.get b (off + i) = key.[i] && same_bytes b off key (i + 1))
+
+(* Whether the leaf cell at [off] holds [key] byte for byte. *)
+let holds b off key = key_len b 2 off = String.length key && same_bytes b (off + 2) key 0
 
 let rec delete_index pager ~root key =
-  match read_node pager root with
-  | Index_leaf keys ->
-      let found = List.exists (fun k -> k = key) keys in
-      if found then
-        write_node pager root (Index_leaf (List.filter (fun k -> k <> key) keys));
-      found
-  | Index_interior (cells, right) ->
-      let rec choose = function
-        | [] -> right
-        | (child, k) :: rest -> if kcmp key k <= 0 then child else choose rest
-      in
-      delete_index pager ~root:(choose cells) key
-  | _ -> raise (Pager.Corrupt "index op on table page")
+  let b = index_page pager root in
+  let hdr = cell_hdr b in
+  let stop = cells_end b hdr in
+  if hdr = 6 then
+    let at = find_cell b hdr key in
+    delete_index pager ~root:(get_u32 b (if at < stop then at else 3)) key
+  else begin
+    let n = count b in
+    let off = ref content_start and found = ref false in
+    for _ = 1 to n do
+      if holds b !off key then found := true;
+      off := next_cell b hdr !off
+    done;
+    if !found then begin
+      (* every copy goes; the cells after each close up over it *)
+      let b = modify_page pager root in
+      let src = ref content_start and dst = ref content_start and kept = ref 0 in
+      for _ = 1 to n do
+        let next = next_cell b hdr !src in
+        if not (holds b !src key) then begin
+          Bytes.blit b !src b !dst (next - !src);
+          dst := !dst + next - !src;
+          incr kept
+        end;
+        src := next
+      done;
+      Bytes.fill b !dst (stop - !dst) '\000';
+      put_u16 b 1 !kept
+    end;
+    !found
+  end
+
+(* [f] of each cell of [b] from the one at [off] on, the [i]th of [n],
+   leaving out those whose keys are below [start]. *)
+let rec cells_from b hdr start f off i n =
+  if i = n then []
+  else
+    let next = next_cell b hdr off in
+    match start with
+    | Some s when compare_cell b hdr off s < 0 -> cells_from b hdr start f next (i + 1) n
+    | _ ->
+        let x = f off in
+        x :: cells_from b hdr start f next (i + 1) n
 
 (* Iterate keys >= start (or all when [start] is None) in order; f returns
-   false to stop. *)
+   false to stop. A leaf's keys are all copied out before its first
+   callback runs, since a callback may use the pager. *)
 let iter_index pager ~root ?start f =
   let rec go page =
-    match read_node pager page with
-    | Index_leaf keys ->
-        List.iter
-          (fun k ->
-            let skip = match start with Some s -> kcmp k s < 0 | None -> false in
-            if not skip then if not (f k) then raise Stop)
-          keys
-    | Index_interior (cells, right) ->
-        List.iter
-          (fun (child, key) ->
-            let prune = match start with Some s -> kcmp key s < 0 | None -> false in
-            if not prune then go child)
-          cells;
-        go right
-    | _ -> raise (Pager.Corrupt "index op on table page")
+    let b = index_page pager page in
+    let n = count b in
+    if cell_hdr b = 2 then
+      let key off = Bytes.sub_string b (off + 2) (key_len b 2 off) in
+      List.iter (fun k -> if not (f k) then raise Stop) (cells_from b 2 start key content_start 0 n)
+    else begin
+      let right = get_u32 b 3 in
+      List.iter go (cells_from b 6 start (get_u32 b) content_start 0 n);
+      go right
+    end
   in
   try go root with Stop -> ()
 
 (* Collect every page of a tree (for DROP and VACUUM). *)
 let rec pages pager ~root =
-  match read_node pager root with
-  | Table_leaf _ | Index_leaf _ -> [ root ]
-  | Table_interior (cells, right) ->
-      root :: List.concat_map (fun (c, _) -> pages pager ~root:c) cells
-      @ pages pager ~root:right
-  | Index_interior (cells, right) ->
-      root :: List.concat_map (fun (c, _) -> pages pager ~root:c) cells
-      @ pages pager ~root:right
+  Pager.work pager 1;
+  let b = Pager.read_page pager root in
+  let ty = Bytes.get_uint8 b 0 in
+  let interior =
+    if ty = index_leaf then None
+    else if ty = index_interior then
+      Some (cells_from b 6 None (get_u32 b) content_start 0 (count b), get_u32 b 3)
+    else
+      match decode_node b with
+      | Table_leaf _ -> None
+      | Table_interior (cells, right) -> Some (List.map fst cells, right)
+  in
+  match interior with
+  | None -> [ root ]
+  | Some (children, right) ->
+      root :: List.concat_map (fun c -> pages pager ~root:c) children @ pages pager ~root:right

@@ -220,21 +220,25 @@ let table t name =
 
 let columns_array ti = Array.of_list (List.map (fun c -> c.col_name) ti.tbl_columns)
 
-let col_index ti name =
-  let name = String.lowercase_ascii name in
-  let rec go i = function
-    | [] -> None
-    | c :: rest ->
-        if String.lowercase_ascii c.col_name = name then Some i else go (i + 1) rest
-  in
-  go 0 ti.tbl_columns
+let rec name_eq_from a b i =
+  i = String.length a
+  || Char.lowercase_ascii (String.unsafe_get a i) = Char.lowercase_ascii (String.unsafe_get b i)
+     && name_eq_from a b (i + 1)
+
+(* [String.lowercase_ascii a = String.lowercase_ascii b], copying
+   nothing. Top-level recursion: a local recursive closure would
+   allocate. *)
+let name_eq a b = String.length a = String.length b && name_eq_from a b 0
+
+let rec col_index_from name i = function
+  | [] -> None
+  | c :: rest -> if name_eq c.col_name name then Some i else col_index_from name (i + 1) rest
+
+let col_index ti name = col_index_from name 0 ti.tbl_columns
 
 let is_rowid_column ti name =
-  let name = String.lowercase_ascii name in
-  name = "rowid"
-  || match ti.tbl_rowid_col with
-     | Some pk -> String.lowercase_ascii pk = name
-     | None -> false
+  name_eq name "rowid"
+  || match ti.tbl_rowid_col with Some pk -> name_eq pk name | None -> false
 
 let indexes_of t table_name =
   Hashtbl.fold

@@ -111,6 +111,9 @@ val rowid_col_of : Sql_ast.column_def list -> string option
 val table : db -> string -> table_info
 (** @raise Sql_error when the table does not exist. *)
 
+val name_eq : string -> string -> bool
+(** ASCII case-insensitive equality of two names, allocating nothing. *)
+
 val columns_array : table_info -> string array
 val col_index : table_info -> string -> int option
 val is_rowid_column : table_info -> string -> bool

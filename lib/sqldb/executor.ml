@@ -27,33 +27,36 @@ type binding = {
 
 type env = { bindings : binding list; aggregates : (string, Value.t) Hashtbl.t option }
 
+let rec binding_value b name i =
+  if i >= Array.length b.b_cols then None
+  else if name_eq b.b_cols.(i) name then Some b.b_values.(i)
+  else binding_value b name (i + 1)
+
+let rec binding_named q = function
+  | [] -> None
+  | b :: rest -> if name_eq b.b_name q then Some b else binding_named q rest
+
+let rec first_value name = function
+  | [] -> None
+  | b :: rest -> (
+      match binding_value b name 0 with Some v -> Some v | None -> first_value name rest)
+
 let lookup_column env q name =
-  let name = String.lowercase_ascii name in
-  let matches b =
-    let rec find i =
-      if i >= Array.length b.b_cols then None
-      else if String.lowercase_ascii b.b_cols.(i) = name then Some b.b_values.(i)
-      else find (i + 1)
-    in
-    find 0
-  in
+  let is_rowid = name_eq name "rowid" in
   match q with
   | Some q -> (
-      match List.find_opt (fun b -> String.lowercase_ascii b.b_name = String.lowercase_ascii q) env.bindings with
+      match binding_named q env.bindings with
       | None -> fail "no such table %s" q
       | Some b -> (
-          if name = "rowid" then Some (Value.Int b.b_rowid)
+          if is_rowid then Some (Value.Int b.b_rowid)
           else
-            match matches b with
+            match binding_value b name 0 with
             | Some v -> Some v
-            | None -> fail "no such column %s.%s" q name))
+            | None -> fail "no such column %s.%s" q (String.lowercase_ascii name)))
   | None -> (
-      if name = "rowid" then
+      if is_rowid then
         match env.bindings with b :: _ -> Some (Value.Int b.b_rowid) | [] -> None
-      else
-        match List.find_map matches env.bindings with
-        | Some v -> Some v
-        | None -> None)
+      else first_value name env.bindings)
 
 (* --- scalar functions --- *)
 
@@ -256,25 +259,31 @@ let const_value t e =
 
 (* --- row (de)coding --- *)
 
+(* Fill [full] from column [i] on: the rowid alias [pk] reads [rowid],
+   every other column the next stored field from [off] of [payload], or
+   NULL once the fields run out. The fields no column takes are still
+   checked. *)
+let rec fill_row full rowid pk payload off i = function
+  | [] -> Record.check_from payload off
+  | c :: rest ->
+      if (match pk with Some p -> c.col_name = p | None -> false) then begin
+        full.(i) <- Value.Int rowid;
+        fill_row full rowid pk payload off (i + 1) rest
+      end
+      else if off < String.length payload then begin
+        let next = Record.field_end payload off in
+        full.(i) <- Record.field payload off;
+        fill_row full rowid pk payload next (i + 1) rest
+      end
+      else fill_row full rowid pk payload off (i + 1) rest
+
 (* Decode a stored record into the full column array (rowid column
    materialised from the key). *)
 let decode_row t ti rowid payload =
   bump t 2;
-  let stored = Array.of_list (Record.decode payload) in
-  match ti.tbl_rowid_col with
-  | None -> stored
-  | Some pk ->
-      let full = Array.make (List.length ti.tbl_columns) Value.Null in
-      let si = ref 0 in
-      List.iteri
-        (fun i c ->
-          if c.col_name = pk then full.(i) <- Value.Int rowid
-          else begin
-            full.(i) <- (if !si < Array.length stored then stored.(!si) else Value.Null);
-            incr si
-          end)
-        ti.tbl_columns;
-      full
+  let full = Array.make (List.length ti.tbl_columns) Value.Null in
+  fill_row full rowid ti.tbl_rowid_col payload 0 0 ti.tbl_columns;
+  full
 
 let encode_row ti (values : Value.t array) =
   (* the rowid column is not stored in the payload *)

@@ -178,12 +178,15 @@ let write_page_out t i (b : Bytes.t) =
   record t t.page_write ~page:i;
   t.hooks.on_write i
 
-(* Evict clean pages (LRU first) until within capacity. Dirty pages are
-   pinned: they spill to storage only at commit, so a buffer handed to the
-   B-tree for modification is never replaced underneath it. *)
-let evict_if_needed t =
+(* Evict clean pages not [pinned] (LRU first) until within capacity. *)
+let trim t ~pinned =
   let excess = Twine_sim.Lru.length t.cache - t.cache_pages in
-  if excess > 0 then Twine_sim.Lru.trim t.cache excess ~pinned:(Hashtbl.mem t.dirty)
+  if excess > 0 then Twine_sim.Lru.trim t.cache excess ~pinned
+
+(* Dirty pages are pinned: they spill to storage only at commit, so a
+   buffer handed to the B-tree for modification is never replaced
+   underneath it. *)
+let evict_if_needed t = trim t ~pinned:(Hashtbl.mem t.dirty)
 
 (* Fetch a page buffer (shared mutable bytes). Callers must not mutate
    without going through [modify]. *)
@@ -205,7 +208,10 @@ let read_page t i =
       record t t.miss ~page:i;
       record t t.page_read ~page:i;
       t.hooks.on_read i;
-      evict_if_needed t;
+      (* the page just loaded is pinned as well: when every other page is
+         dirty, evicting it would hand out a buffer the cache no longer
+         holds, and a modification made through it would never be written *)
+      trim t ~pinned:(fun k -> k = i || Hashtbl.mem t.dirty k);
       b
 
 (* --- transactions --- *)

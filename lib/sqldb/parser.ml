@@ -249,20 +249,22 @@ let parse_order_items st =
   done;
   List.rev !items
 
+(* An optional alias, with or without AS, after a result column or a
+   table name. *)
+let parse_alias st =
+  if accept_kw st "AS" then Some (ident st)
+  else
+    match peek st with
+    | Token.Ident a ->
+        advance st;
+        Some a
+    | _ -> None
+
 let parse_select st =
   let distinct = accept_kw st "DISTINCT" in
   let sel_expr () =
     let e = parse_expr st in
-    let alias =
-      if accept_kw st "AS" then Some (ident st)
-      else
-        match peek st with
-        | Token.Ident a ->
-            advance st;
-            Some a
-        | _ -> None
-    in
-    (e, alias)
+    (e, parse_alias st)
   in
   let exprs = ref [ sel_expr () ] in
   while accept_punct st "," do
@@ -271,13 +273,7 @@ let parse_select st =
   let from, joins =
     if accept_kw st "FROM" then begin
       let tbl = ident st in
-      let alias =
-        match peek st with
-        | Token.Ident a ->
-            advance st;
-            Some a
-        | _ -> None
-      in
+      let alias = parse_alias st in
       let joins = ref [] in
       let rec join_loop () =
         let is_join =
@@ -290,13 +286,7 @@ let parse_select st =
         in
         if is_join then begin
           let jt = ident st in
-          let jalias =
-            match peek st with
-            | Token.Ident a ->
-                advance st;
-                Some a
-            | _ -> None
-          in
+          let jalias = parse_alias st in
           let on = if accept_kw st "ON" then Some (parse_expr st) else None in
           joins := { jt_table = jt; jt_alias = jalias; jt_on = on } :: !joins;
           join_loop ()

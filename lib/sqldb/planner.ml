@@ -142,24 +142,24 @@ let rec render_expr = function
    source with that alias (its table name when it has none); an
    unqualified name reads the first source with that column, and an
    unqualified [rowid] the first source. [None] when nothing matches. *)
+let rec qualified_source q n is_rowid i = function
+  | [] -> None
+  | (name, ti) :: rest ->
+      if Catalog.name_eq name q then
+        if is_rowid || Catalog.col_index ti n <> None then Some i else None
+      else qualified_source q n is_rowid (i + 1) rest
+
+let rec source_with_column n i = function
+  | [] -> None
+  | (_, ti) :: rest ->
+      if Catalog.col_index ti n <> None then Some i else source_with_column n (i + 1) rest
+
 let resolve sources q n =
-  let first p =
-    let rec go i = function
-      | [] -> None
-      | s :: rest -> if p s then Some (i, s) else go (i + 1) rest
-    in
-    go 0 sources
-  in
-  let is_rowid = String.lowercase_ascii n = "rowid" in
-  let has_col (_, ti) = Catalog.col_index ti n <> None in
+  let is_rowid = Catalog.name_eq n "rowid" in
   match q with
-  | Some q -> (
-      let q = String.lowercase_ascii q in
-      match first (fun (name, _) -> String.lowercase_ascii name = q) with
-      | Some (i, s) when is_rowid || has_col s -> Some i
-      | _ -> None)
+  | Some q -> qualified_source q n is_rowid 0 sources
   | None when is_rowid -> if sources = [] then None else Some 0
-  | None -> Option.map fst (first has_col)
+  | None -> source_with_column n 0 sources
 
 (* Inclusive rowid bounds holding every integer x with [x op v] under
    [Value.compare]. Only an Int, or a Real below 2^53 in magnitude (where

@@ -69,6 +69,111 @@ let prop_btree_model =
       !ok && List.rev !all = I64Map.bindings !model)
 
 (* ------------------------------------------------------------------ *)
+(* Index B-tree vs a sorted set: inserts (with duplicates) and deletes   *)
+(* (with absent keys) through leaf and interior splits                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys from a small domain, so that inserts repeat and deletes miss; no
+   two of them compare equal unless their bytes are equal. Each leads
+   with 60 to 450 bytes of text, so a page holds a few keys and a hundred
+   inserts split interior pages; the spread stays within what a split at
+   the middle cell can always place in two pages. *)
+let index_value_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, return Value.Null);
+        (3, map (fun i -> Value.Int (Int64.of_int i)) (int_range (-20) 20));
+        (2, map (fun i -> Value.Real (float_of_int i +. 0.5)) (int_range (-20) 20));
+        (2, map (fun n -> Value.Text (String.make n 'x')) (oneofl [ 0; 1; 7 ]));
+        (2, map (fun n -> Value.Blob (String.make n '\xff')) (oneofl [ 0; 3 ])) ])
+
+let index_key_gen =
+  QCheck.Gen.(
+    map3
+      (fun (p, n) v rowid ->
+        Record.encode
+          ((Value.Text (p ^ String.make n 'x') :: Option.to_list v) @ [ Value.Int (Int64.of_int rowid) ]))
+      (pair (oneofl [ ""; "a"; "ab"; "b" ]) (oneofl [ 60; 200; 450 ]))
+      (opt ~ratio:0.3 index_value_gen) (int_range 0 15))
+
+(* The reference order: the decoded lists under [Value.compare]. *)
+let key_order a b = List.compare Value.compare (Record.decode a) (Record.decode b)
+
+module KeySet = Set.Make (struct
+  type t = string
+  let compare = key_order
+end)
+
+(* Whether every byte after a page's last cell is zero, and the header
+   bytes a page type leaves unused. *)
+let index_page_canonical b =
+  let count = Bytes.get_uint16_le b 1 in
+  let interior = Bytes.get_uint8 b 0 = 4 in
+  let hdr = if interior then 6 else 2 in
+  let off = ref 16 in
+  for _ = 1 to count do
+    off := !off + hdr + Bytes.get_uint16_le b (!off + hdr - 2)
+  done;
+  let zero_from a z = Bytes.for_all (fun c -> c = '\000') (Bytes.sub b a (z - a)) in
+  zero_from (if interior then 7 else 3) 16 && zero_from !off Pager.page_size
+
+let prop_index_btree_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun k -> `Insert k) index_key_gen);
+          (2, map (fun k -> `Delete k) index_key_gen);
+          (1, map (fun v -> `Scan (Option.map (fun v -> Record.encode [ v ]) v))
+                (opt index_value_gen));
+          (1, map (fun k -> `Scan (Some k)) index_key_gen) ])
+  in
+  let print = function
+    | `Insert k -> "insert " ^ String.escaped k
+    | `Delete k -> "delete " ^ String.escaped k
+    | `Scan s -> "scan " ^ Option.fold ~none:"all" ~some:String.escaped s
+  in
+  QCheck.Test.make ~name:"index btree matches a sorted set; pages end in zeros" ~count:100
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (int_range 1 300) op_gen))
+    (fun ops ->
+      let vfs = Svfs.of_backing (Twine_sim.Backing.memory ()) in
+      let p = Pager.create_or_open vfs ~cache_pages:16 "ix" in
+      Pager.begin_txn p;
+      let root = Btree.create p Btree.Index in
+      let model = ref KeySet.empty in
+      let scan start =
+        let got = ref [] in
+        Btree.iter_index p ~root ?start (fun k ->
+            got := k :: !got;
+            true);
+        List.rev !got
+      in
+      let expect start =
+        List.filter
+          (fun k -> match start with Some s -> key_order k s >= 0 | None -> true)
+          (KeySet.elements !model)
+      in
+      let ok = ref true in
+      List.iter
+        (function
+          | `Insert k ->
+              Btree.insert_index p ~root k;
+              model := KeySet.add k !model
+          | `Delete k ->
+              if Btree.delete_index p ~root k <> KeySet.mem k !model then ok := false;
+              model := KeySet.remove k !model
+          | `Scan start -> if scan start <> expect start then ok := false)
+        ops;
+      let pages = Btree.pages p ~root in
+      let canonical =
+        List.for_all (fun pg -> index_page_canonical (Pager.read_page p pg)) pages
+      in
+      let all = scan None in
+      Pager.commit p;
+      Pager.close p;
+      !ok && canonical && all = expect None)
+
+(* ------------------------------------------------------------------ *)
 (* Crash injection: a transaction that dies mid-flight must leave the   *)
 (* database exactly as it was before the transaction                    *)
 (* ------------------------------------------------------------------ *)
@@ -247,22 +352,22 @@ let sql_predicate cols =
 
 (* t(a INTEGER PRIMARY KEY, b, c) and u(a INTEGER PRIMARY KEY, b, d), both
    indexed on b: FROM clauses probing by rowid and by index, through
-   aliases, unqualified columns and an unqualified rowid, two and three
-   tables deep, each with the columns it selects. *)
+   aliases (bare and with AS), unqualified columns and an unqualified
+   rowid, two and three tables deep, each with the columns it selects. *)
 let join_froms =
   [ ("t JOIN u ON {t.b} = {u.a}", [ "t.a"; "t.b"; "u.a"; "u.b" ]);
     ("t JOIN u ON {u.b} = {t.c}", [ "t.a"; "t.c"; "u.a"; "u.b" ]);
     ("t JOIN u ON {t.a} = {u.a}", [ "t.a"; "t.b"; "u.a"; "u.b" ]);
     ("t JOIN u ON {u.a} = {t.b} + 1", [ "t.a"; "t.b"; "u.a"; "u.d" ]);
-    ("t x JOIN t y ON {x.b} = {y.a}", [ "x.a"; "x.b"; "y.a"; "y.c" ]);
-    ("t x JOIN t y ON {y.b} = {x.c}", [ "x.a"; "x.c"; "y.a"; "y.b" ]);
+    ("t x JOIN t AS y ON {x.b} = {y.a}", [ "x.a"; "x.b"; "y.a"; "y.c" ]);
+    ("t AS x JOIN t y ON {y.b} = {x.c}", [ "x.a"; "x.c"; "y.a"; "y.b" ]);
     ("t JOIN u ON {a} = {u.b}", [ "t.a"; "u.a"; "u.b"; "d" ]);
     ("t JOIN u ON {t.a} = {b}", [ "t.a"; "t.b"; "u.a"; "u.b" ]);
     ("t JOIN u ON {b} = {t.c}", [ "t.a"; "t.b"; "t.c"; "u.a" ]);
     ("t JOIN u ON {u.a} = {d}", [ "t.a"; "u.a"; "u.d"; "c" ]);
     ("t JOIN u ON {u.a} = {rowid}", [ "t.a"; "u.a"; "u.b"; "c" ]);
     ("t JOIN u ON {t.b} = {rowid}", [ "t.a"; "t.b"; "u.a"; "u.d" ]);
-    ("t JOIN u ON {t.b} = {u.a} JOIN t w ON {w.a} = {u.d}", [ "t.a"; "u.a"; "u.d"; "w.a"; "w.b" ]);
+    ("t JOIN u ON {t.b} = {u.a} JOIN t AS w ON {w.a} = {u.d}", [ "t.a"; "u.a"; "u.d"; "w.a"; "w.b" ]);
     ("t JOIN u ON {u.b} = {t.c} JOIN u v ON {v.b} = {u.d}", [ "t.a"; "u.a"; "u.b"; "v.a"; "v.d" ]) ]
 
 let plan_case =
@@ -979,6 +1084,7 @@ let test_fig7_components_sum_sanely () =
 let suite =
   [ ("storage-model", [
       qc prop_btree_model;
+      qc prop_index_btree_model;
       qc prop_crash_recovery;
       qc prop_recovery_idempotent;
       qc prop_sql_filter_model;

@@ -52,6 +52,88 @@ let prop_record_roundtrip =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 10) gen_value))
     (fun values -> Record.decode (Record.encode values) = values)
 
+(* Values where the two orderings could part: integers past 2^53, where
+   [Int64.to_float] rounds, NaN, -0.0 and the infinities, and text and
+   blobs with shared prefixes, empty and of different lengths. *)
+let gen_edge_value =
+  QCheck.Gen.(
+    let bytes = map2 ( ^ ) (oneofl [ ""; "a"; "ab"; "\xff" ]) (string_size (int_range 0 3)) in
+    frequency
+      [ (1, return Value.Null);
+        (3, map (fun i -> Value.Int i)
+              (oneof
+                 [ map Int64.of_int (int_range (-3) 3);
+                   oneofl [ Int64.max_int; Int64.min_int; 9007199254740992L;
+                            9007199254740993L; -9007199254740993L ];
+                   ui64 ]));
+        (3, map (fun f -> Value.Real f)
+              (oneof
+                 [ oneofl [ Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity;
+                            9007199254740992.0; 1.5; -1.5; 2.0 ];
+                   float ]));
+        (2, map (fun s -> Value.Text s) bytes);
+        (2, map (fun s -> Value.Blob s) bytes) ])
+
+let gen_edge_record = QCheck.Gen.(list_size (int_range 0 4) gen_edge_value)
+
+let print_record vs = String.concat ", " (List.map Value.to_string vs)
+
+(* The ordering on the bytes is the lexicographic [Value.compare] of the
+   decoded lists, on whole strings and on a record inside a page. *)
+let prop_compare_encoded =
+  QCheck.Test.make ~name:"compare_encoded = Value.compare of the decoded lists" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair print_record print_record)
+       QCheck.Gen.(pair gen_edge_record gen_edge_record))
+    (fun (a, b) ->
+      let ea = Record.encode a and eb = Record.encode b in
+      let expect = List.compare Value.compare (Record.decode ea) (Record.decode eb) in
+      let page = Bytes.make (String.length ea + 10) '\x01' in
+      Bytes.blit_string ea 0 page 7 (String.length ea);
+      Record.compare_encoded ea eb = expect
+      && Record.compare_sub page 7 (String.length ea) eb = expect)
+
+(* A record cut inside its last field, or with a bad tag, raises [Corrupt]
+   once a compare reaches that field, as decoding it does. *)
+let prop_compare_corrupt =
+  let gen =
+    QCheck.Gen.(
+      gen_edge_record >>= fun prefix ->
+      gen_edge_value >>= fun last ->
+      let head = Record.encode prefix in
+      let field = Record.encode [ last ] in
+      let cut =
+        if String.length field < 2 then return None
+        else map Option.some (int_range 1 (String.length field - 1))
+      in
+      map3
+        (fun cut truncate tag ->
+          match cut with
+          | Some c when truncate -> head ^ String.sub field 0 c
+          | _ -> head ^ String.make 1 (Char.chr tag) ^ field)
+        cut bool (int_range 5 255))
+  in
+  QCheck.Test.make ~name:"compare_encoded raises Corrupt on a malformed field" ~count:500
+    (QCheck.make ~print:String.escaped gen)
+    (fun bad ->
+      let raises f = match f () with _ -> false | exception Record.Corrupt _ -> true in
+      raises (fun () -> Record.decode bad)
+      && raises (fun () -> Record.compare_encoded bad bad))
+
+let test_compare_no_alloc () =
+  let keys =
+    [ [ v_int 41; v_int 7 ]; [ v_int 41; v_int 8 ]; [ Value.Real 41.5; v_int 1 ];
+      [ v_text "alphabet"; v_int 2 ]; [ v_text "alpha"; v_int 2 ]; [ Value.Blob "\x00"; Value.Null ] ]
+    |> List.map Record.encode |> Array.of_list
+  in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do
+    let a = keys.(i mod 6) and b = keys.(i * 5 mod 6) in
+    sink := !sink + Record.compare_encoded a b
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 compares" words) true (words < 16.)
+
 (* --- Pager --- *)
 
 let test_pager_txn_commit () =
@@ -118,6 +200,26 @@ let test_pager_freelist_reuse () =
   Alcotest.(check int) "freed page reused" a c;
   Pager.commit p;
   Pager.close p
+
+(* Loading a page must not evict it, even when every other cached page is
+   dirty: the 3 000-row transaction pins more dirty pages than the 64-page
+   cache holds, and VACUUM then reuses freelist pages whose zeroing must
+   reach the file, or the freelist leads past the end of it. *)
+let test_pager_small_cache_vacuum () =
+  let db = Db.open_db ~cache_pages:64 ":memory:" in
+  ignore (Db.exec db "CREATE TABLE t(a INTEGER, c TEXT)");
+  ignore (Db.exec db "CREATE INDEX ia ON t(a)");
+  ignore (Db.exec db "BEGIN");
+  for i = 1 to 3000 do
+    ignore (Db.exec db (Printf.sprintf "INSERT INTO t VALUES (%d, 'row %d')" (i * 7 mod 3001) i))
+  done;
+  ignore (Db.exec db "COMMIT");
+  ignore (Db.exec db "VACUUM");
+  Alcotest.check rows_t "rows after vacuum" [ [ v_int 3000; v_int 3000 ] ]
+    (Db.query db "SELECT count(*), count(c) FROM t");
+  Alcotest.check rows_t "index after vacuum" [ [ v_int 1 ] ]
+    (Db.query db "SELECT count(*) FROM t WHERE a = 700");
+  Db.close db
 
 (* --- Btree --- *)
 
@@ -430,6 +532,23 @@ let test_join () =
     [ [ v_text "eng"; v_int 2 ] ]
     (Db.query db
        "SELECT d.dname, count(*) FROM emp e JOIN dept d ON e.dept_id = d.id GROUP BY d.dname ORDER BY count(*) DESC LIMIT 1");
+  Db.close db
+
+(* A table alias written with AS reads as the bare form does, in FROM and
+   in JOIN. *)
+let test_as_table_alias () =
+  let db = mem_db () in
+  ignore (Db.exec db "CREATE TABLE t(a INTEGER, b TEXT)");
+  ignore (Db.exec db "INSERT INTO t VALUES (1, 'x'), (2, 'y')");
+  Alcotest.check rows_t "FROM t AS x" [ [ v_int 1 ]; [ v_int 2 ] ]
+    (Db.query db "SELECT x.a FROM t AS x ORDER BY x.a");
+  let bare = Db.query db "SELECT x.a, y.b FROM t x JOIN t y ON x.a = y.a ORDER BY x.a" in
+  Alcotest.check rows_t "JOIN t AS y" bare
+    (Db.query db "SELECT x.a, y.b FROM t AS x JOIN t AS y ON x.a = y.a ORDER BY x.a");
+  Alcotest.check rows_t "INNER JOIN t AS y" bare
+    (Db.query db "SELECT x.a, y.b FROM t x INNER JOIN t AS y ON x.a = y.a ORDER BY x.a");
+  Alcotest.check rows_t "alias qualifies a WHERE column" [ [ v_text "y" ] ]
+    (Db.query db "SELECT z.b FROM t AS z WHERE z.a = 2");
   Db.close db
 
 let test_transactions () =
@@ -858,6 +977,111 @@ let test_slice_ns () =
   Alcotest.(check (list int)) "proportional" [ 250; 750 ]
     (Db.slice_ns ~total_ns:1000 [ 1; 3 ])
 
+(* --- Page images --- *)
+
+(* A scripted workload over indexes on INTEGER, REAL, TEXT and BLOB
+   columns: NULLs, integers past 2^53, -0.0, text with shared prefixes,
+   blob keys long enough to split interior pages, deletes, updates, an
+   index built over existing rows, VACUUM and DROP INDEX. Returns the
+   MD5 of the database file, of the query results, and the pager's work
+   units and page accesses. *)
+let golden_workload () =
+  let backing = Twine_sim.Backing.memory () in
+  let work = ref 0 and accesses = ref 0 in
+  let hooks = Pager.default_hooks () in
+  hooks.on_work <- (fun n -> work := !work + n);
+  hooks.on_access <- (fun _ -> incr accesses);
+  let db = Db.open_db ~vfs:(Svfs.of_backing backing) ~hooks "g.db" in
+  let results = Buffer.create 4096 in
+  let exec sql = ignore (Db.exec db sql) in
+  let query sql =
+    List.iter
+      (fun row ->
+        List.iter (fun v -> Buffer.add_string results (Value.to_string v ^ ",")) row;
+        Buffer.add_char results '\n')
+      (Db.query db sql)
+  in
+  let drbg = Twine_crypto.Drbg.create ~seed:"golden page images" () in
+  let pick n = Twine_crypto.Drbg.int_below drbg n in
+  let int_lit () =
+    match pick 10 with
+    | 0 -> "NULL"
+    | 1 -> Int64.to_string (Int64.add 9007199254740992L (Int64.of_int (pick 4)))
+    | 2 -> string_of_int (-pick 100)
+    | _ -> string_of_int (pick 400)
+  in
+  let real_lit () =
+    match pick 12 with
+    | 0 -> "NULL"
+    | 1 -> "0.0"
+    | 2 -> "-0.0"
+    | 3 -> "1e300"
+    | 4 -> "9007199254740993.0"
+    | _ -> Printf.sprintf "%d.%d" (pick 200 - 100) (pick 1000)
+  in
+  let text_lit () =
+    if pick 10 = 0 then "NULL"
+    else
+      Printf.sprintf "'%s%d%s'"
+        (List.nth [ "alpha"; "alphabet"; "beta"; "" ] (pick 4))
+        (pick 1000) (String.make (pick 40) 'z')
+  in
+  let blob_lit () = if pick 10 = 0 then "NULL" else Printf.sprintf "randomblob(%d)" (pick 300) in
+  let insert id =
+    exec
+      (Printf.sprintf "INSERT INTO g VALUES (%d, %s, %s, %s, %s, %d)" id (int_lit ())
+         (real_lit ()) (text_lit ()) (blob_lit ()) (id * 7919 mod 100003))
+  in
+  List.iter exec
+    [ "CREATE TABLE g(id INTEGER PRIMARY KEY, i INTEGER, r REAL, s TEXT, b BLOB, u INTEGER)";
+      "CREATE INDEX gi ON g(i)"; "CREATE INDEX gr ON g(r)"; "CREATE INDEX gs ON g(s)";
+      "CREATE INDEX gb ON g(b)"; "CREATE INDEX gis ON g(i, s)";
+      "CREATE UNIQUE INDEX gu ON g(u)"; "BEGIN" ];
+  for id = 1 to 1200 do insert id done;
+  exec "COMMIT";
+  for id = 1201 to 1300 do insert id done;
+  let queries () =
+    List.iter query
+      [ "SELECT count(*) FROM g WHERE i = 42";
+        "SELECT count(*), min(s), max(s) FROM g WHERE s >= 'beta'";
+        "SELECT id FROM g WHERE r BETWEEN -10.5 AND 10.5 ORDER BY id";
+        "SELECT count(*) FROM g WHERE b >= x'80'";
+        "SELECT id, i FROM g WHERE i >= 9007199254740992 ORDER BY id";
+        "SELECT count(*) FROM g WHERE u = 7919" ]
+  in
+  queries ();
+  List.iter exec
+    [ "DELETE FROM g WHERE id % 7 = 3";
+      "UPDATE g SET s = s || 'q', i = i + 1 WHERE id % 5 = 1";
+      "UPDATE g SET b = randomblob(40) WHERE id % 11 = 2";
+      "UPDATE g SET r = -r WHERE id % 13 = 4";
+      "CREATE INDEX gri ON g(r, i)" ];
+  queries ();
+  exec "VACUUM";
+  exec "DELETE FROM g WHERE id % 3 = 0";
+  for id = 1301 to 1400 do insert id done;
+  exec "DROP INDEX gr";
+  queries ();
+  Db.close db;
+  let file =
+    let n = Option.value (Twine_sim.Backing.size backing "g.db") ~default:0 in
+    Twine_sim.Backing.read backing "g.db" ~pos:0 ~len:n
+  in
+  ( Digest.to_hex (Digest.string file),
+    Digest.to_hex (Digest.string (Buffer.contents results)),
+    !work,
+    !accesses )
+
+(* Recorded with an index codec that decoded and re-encoded whole pages:
+   the page images, the results and the pager calls must not depend on
+   how index pages are edited. *)
+let test_golden_page_images () =
+  let file, results, work, accesses = golden_workload () in
+  Alcotest.(check string) "database file" "a73ab3e0184eddc29a6702135644035e" file;
+  Alcotest.(check string) "query results" "a60b61b73897618bae0bf65a91feee3b" results;
+  Alcotest.(check int) "pager work" 104831 work;
+  Alcotest.(check int) "page accesses" 105313 accesses
+
 let qc = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -866,12 +1090,16 @@ let suite =
       Alcotest.test_case "arithmetic" `Quick test_value_arith;
       Alcotest.test_case "like" `Quick test_value_like;
       qc prop_record_roundtrip;
+      qc prop_compare_encoded;
+      qc prop_compare_corrupt;
+      Alcotest.test_case "compare_encoded allocates nothing" `Quick test_compare_no_alloc;
     ]);
     ("pager", [
       Alcotest.test_case "commit" `Quick test_pager_txn_commit;
       Alcotest.test_case "rollback" `Quick test_pager_rollback;
       Alcotest.test_case "crash recovery" `Quick test_pager_crash_recovery;
       Alcotest.test_case "freelist reuse" `Quick test_pager_freelist_reuse;
+      Alcotest.test_case "small cache vacuum" `Quick test_pager_small_cache_vacuum;
     ]);
     ("btree", [
       Alcotest.test_case "insert/lookup" `Quick test_btree_insert_lookup;
@@ -880,6 +1108,7 @@ let suite =
       Alcotest.test_case "replace/delete" `Quick test_btree_replace_and_delete;
       Alcotest.test_case "large payloads" `Quick test_btree_large_payloads;
       Alcotest.test_case "index ops" `Quick test_btree_index_ops;
+      Alcotest.test_case "golden page images" `Quick test_golden_page_images;
     ]);
     ("token", [
       Alcotest.test_case "keywords in any case" `Quick test_keywords;
@@ -895,6 +1124,7 @@ let suite =
       Alcotest.test_case "secondary index" `Quick test_secondary_index;
       Alcotest.test_case "unique index" `Quick test_unique_index;
       Alcotest.test_case "join" `Quick test_join;
+      Alcotest.test_case "AS table aliases" `Quick test_as_table_alias;
       Alcotest.test_case "transactions" `Quick test_transactions;
       Alcotest.test_case "persistence" `Quick test_persistence;
       Alcotest.test_case "drop + vacuum" `Quick test_drop_and_vacuum;
