@@ -161,7 +161,7 @@ let rowid_col_of columns =
 
 let save_catalog t =
   (* rebuild the catalog tree in place *)
-  Btree.write_node t.pager catalog_root (Btree.Table_leaf []);
+  Btree.init t.pager catalog_root Btree.Table;
   let seq = ref 0L in
   let add values =
     seq := Int64.add !seq 1L;

@@ -20,14 +20,16 @@ let entry_size = 4 + page_size + 4
 
 (* FNV-1a over the page number and payload. A zeroed hole stores
    checksum 0 but hashes to a non-zero value, so it never validates. *)
+let fnv_mix h byte = (h lxor byte) * 0x01000193 land 0xffffffff
+
 let entry_cksum page_no payload =
   let h = ref 0x811c9dc5 in
-  let mix b = h := (!h lxor b) * 0x01000193 land 0xffffffff in
-  mix (page_no land 0xff);
-  mix ((page_no lsr 8) land 0xff);
-  mix ((page_no lsr 16) land 0xff);
-  mix ((page_no lsr 24) land 0xff);
-  String.iter (fun c -> mix (Char.code c)) payload;
+  for i = 0 to 3 do
+    h := fnv_mix !h ((page_no lsr (8 * i)) land 0xff)
+  done;
+  for i = 0 to String.length payload - 1 do
+    h := fnv_mix !h (Char.code payload.[i])
+  done;
   !h
 
 exception Corrupt of string

@@ -14,19 +14,60 @@ let qc = QCheck_alcotest.to_alcotest
 
 module I64Map = Map.Make (Int64)
 
+(* Whether every byte after a page's last cell is zero, and the header
+   bytes its type leaves unused: 3-15 in a leaf, 7-15 in an interior page
+   (3-6 hold its right child). Cells are as [Btree] lays them out. *)
+let page_canonical b =
+  let ty = Bytes.get_uint8 b 0 in
+  let cell_size off =
+    match ty with
+    | 1 -> 10 + Bytes.get_uint16_le b (off + 8)
+    | 2 -> 12
+    | 3 -> 2 + Bytes.get_uint16_le b off
+    | _ -> 6 + Bytes.get_uint16_le b (off + 4)
+  in
+  let off = ref 16 in
+  for _ = 1 to Bytes.get_uint16_le b 1 do
+    off := !off + cell_size !off
+  done;
+  let zero_from a z = Bytes.for_all (fun c -> c = '\000') (Bytes.sub b a (z - a)) in
+  zero_from (if ty = 2 || ty = 4 then 7 else 3) 16 && zero_from !off Pager.page_size
+
+(* Payloads of mixed sizes up to [Btree.max_payload], so that replaces
+   grow and shrink cells and splits meet cells too big for the middle
+   cut; each starts with its own tag, so a misplaced row shows. *)
+let payload_gen =
+  QCheck.Gen.(
+    map2
+      (fun v n ->
+        let s = Printf.sprintf "v%d:%s" v (String.make n 'p') in
+        String.sub s 0 (min Btree.max_payload (String.length s)))
+      small_nat
+      (frequency
+         [ (6, int_range 0 40); (2, int_range 100 1200); (1, int_range 1800 Btree.max_payload) ]))
+
 let prop_btree_model =
   let op_gen =
     QCheck.Gen.(
       frequency
-        [ (5, map2 (fun k v -> `Insert (Int64.of_int k, Printf.sprintf "v%d" v))
-                 (int_range 0 400) small_nat);
+        [ (5, map2 (fun k v -> `Insert (Int64.of_int k, v)) (int_range 0 400) payload_gen);
           (2, map (fun k -> `Delete (Int64.of_int k)) (int_range 0 400));
           (2, map (fun k -> `Lookup (Int64.of_int k)) (int_range 0 400));
           (1, map2 (fun a b -> `Range (Int64.of_int (min a b), Int64.of_int (max a b)))
-                 (int_range 0 400) (int_range 0 400)) ])
+                 (int_range 0 400) (int_range 0 400));
+          (1, return `Max);
+          (1, return `Count) ])
+  in
+  let print = function
+    | `Insert (k, v) -> Printf.sprintf "insert %Ld (%d bytes)" k (String.length v)
+    | `Delete k -> Printf.sprintf "delete %Ld" k
+    | `Lookup k -> Printf.sprintf "lookup %Ld" k
+    | `Range (lo, hi) -> Printf.sprintf "range %Ld %Ld" lo hi
+    | `Max -> "max"
+    | `Count -> "count"
   in
   QCheck.Test.make ~name:"btree matches Map under random ops" ~count:60
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 120) op_gen))
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (int_range 1 120) op_gen))
     (fun ops ->
       let vfs = Svfs.of_backing (Twine_sim.Backing.memory ()) in
       let p = Pager.create_or_open vfs ~cache_pages:16 "m" in
@@ -34,6 +75,13 @@ let prop_btree_model =
       let root = Btree.create p Btree.Table in
       let model = ref I64Map.empty in
       let ok = ref true in
+      let check_max () =
+        if Btree.max_rowid p ~root <> Option.map fst (I64Map.max_binding_opt !model) then
+          ok := false
+      in
+      let check_count () =
+        if Btree.count_table p ~root <> I64Map.cardinal !model then ok := false
+      in
       List.iter
         (fun op ->
           match op with
@@ -57,16 +105,23 @@ let prop_btree_model =
                      (fun k _ -> Int64.compare k lo >= 0 && Int64.compare k hi <= 0)
                      !model)
               in
-              if List.rev !got <> expect then ok := false)
+              if List.rev !got <> expect then ok := false
+          | `Max -> check_max ()
+          | `Count -> check_count ())
         ops;
-      (* final full scan agrees *)
+      check_max ();
+      check_count ();
+      (* final full scan agrees, and every page ends in zeros *)
       let all = ref [] in
       Btree.iter_table p ~root (fun r v ->
           all := (r, v) :: !all;
           true);
+      let canonical =
+        List.for_all (fun pg -> page_canonical (Pager.read_page p pg)) (Btree.pages p ~root)
+      in
       Pager.commit p;
       Pager.close p;
-      !ok && List.rev !all = I64Map.bindings !model)
+      !ok && canonical && List.rev !all = I64Map.bindings !model)
 
 (* ------------------------------------------------------------------ *)
 (* Index B-tree vs a sorted set: inserts (with duplicates) and deletes   *)
@@ -75,9 +130,10 @@ let prop_btree_model =
 
 (* Keys from a small domain, so that inserts repeat and deletes miss; no
    two of them compare equal unless their bytes are equal. Each leads
-   with 60 to 450 bytes of text, so a page holds a few keys and a hundred
-   inserts split interior pages; the spread stays within what a split at
-   the middle cell can always place in two pages. *)
+   with up to 2 100 bytes of text, so a page holds a few keys and a
+   hundred inserts split interior pages; keys of such mixed sizes meet
+   splits whose middle cut does not fit, and keys of over half a page
+   split a leaf in three. *)
 let index_value_gen =
   QCheck.Gen.(
     frequency
@@ -93,7 +149,8 @@ let index_key_gen =
       (fun (p, n) v rowid ->
         Record.encode
           ((Value.Text (p ^ String.make n 'x') :: Option.to_list v) @ [ Value.Int (Int64.of_int rowid) ]))
-      (pair (oneofl [ ""; "a"; "ab"; "b" ]) (oneofl [ 60; 200; 450 ]))
+      (pair (oneofl [ ""; "a"; "ab"; "b" ])
+         (frequency [ (2, oneofl [ 0; 60; 200; 450 ]); (1, oneofl [ 1000; 2000; 2100 ]) ]))
       (opt ~ratio:0.3 index_value_gen) (int_range 0 15))
 
 (* The reference order: the decoded lists under [Value.compare]. *)
@@ -103,19 +160,6 @@ module KeySet = Set.Make (struct
   type t = string
   let compare = key_order
 end)
-
-(* Whether every byte after a page's last cell is zero, and the header
-   bytes a page type leaves unused. *)
-let index_page_canonical b =
-  let count = Bytes.get_uint16_le b 1 in
-  let interior = Bytes.get_uint8 b 0 = 4 in
-  let hdr = if interior then 6 else 2 in
-  let off = ref 16 in
-  for _ = 1 to count do
-    off := !off + hdr + Bytes.get_uint16_le b (!off + hdr - 2)
-  done;
-  let zero_from a z = Bytes.for_all (fun c -> c = '\000') (Bytes.sub b a (z - a)) in
-  zero_from (if interior then 7 else 3) 16 && zero_from !off Pager.page_size
 
 let prop_index_btree_model =
   let op_gen =
@@ -166,7 +210,7 @@ let prop_index_btree_model =
         ops;
       let pages = Btree.pages p ~root in
       let canonical =
-        List.for_all (fun pg -> index_page_canonical (Pager.read_page p pg)) pages
+        List.for_all (fun pg -> page_canonical (Pager.read_page p pg)) pages
       in
       let all = scan None in
       Pager.commit p;

@@ -201,6 +201,16 @@ let test_pager_freelist_reuse () =
   Pager.commit p;
   Pager.close p
 
+(* The journal's entry checksum, pinned at values the format was written
+   with: a change to how it is computed would make recovery reject every
+   journal written before it. *)
+let test_pager_entry_cksum () =
+  let zero = String.make Pager.page_size '\000' in
+  let fixed = String.init Pager.page_size (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  Alcotest.(check int) "zero page 0" 2606576917 (Pager.entry_cksum 0 zero);
+  Alcotest.(check int) "zero page 7" 3552425954 (Pager.entry_cksum 7 zero);
+  Alcotest.(check int) "fixed page" 1910166869 (Pager.entry_cksum 0x01020304 fixed)
+
 (* Loading a page must not evict it, even when every other cached page is
    dirty: the 3 000-row transaction pins more dirty pages than the 64-page
    cache holds, and VACUUM then reuses freelist pages whose zeroing must
@@ -312,6 +322,100 @@ let test_btree_large_payloads () =
            Btree.insert_table p ~root ~rowid:999L (String.make 8000 'x');
            false
          with Btree.Too_large _ -> true))
+
+(* Cells of mixed sizes. When the middle cut leaves a half that does not
+   fit a page, a split takes the nearest cut that fits, or three pages. *)
+let test_btree_three_way_splits () =
+  let row n c = String.make n c in
+  with_btree Btree.Table (fun p root ->
+      (* the new cell fits beside neither neighbour: one leaf each *)
+      Btree.insert_table p ~root ~rowid:1L (row 2000 'a');
+      Btree.insert_table p ~root ~rowid:3L (row 2000 'c');
+      Btree.insert_table p ~root ~rowid:2L (row 2100 'b');
+      Alcotest.(check int) "root over three leaves" 4 (List.length (Btree.pages p ~root));
+      List.iter
+        (fun (r, n, c) ->
+          Alcotest.(check (option string)) "row" (Some (row n c)) (Btree.lookup_table p ~root r))
+        [ (1L, 2000, 'a'); (2L, 2100, 'b'); (3L, 2000, 'c') ];
+      Alcotest.(check int) "count" 3 (Btree.count_table p ~root));
+  with_btree Btree.Table (fun p root ->
+      (* a replace that grows the middle cell of a full leaf, then shrinks it *)
+      Btree.insert_table p ~root ~rowid:1L (row 2000 'a');
+      Btree.insert_table p ~root ~rowid:2L (row 10 'b');
+      Btree.insert_table p ~root ~rowid:3L (row 2000 'c');
+      Btree.insert_table p ~root ~rowid:2L (row 2100 'B');
+      Alcotest.(check int) "grown into three leaves" 4 (List.length (Btree.pages p ~root));
+      Btree.insert_table p ~root ~rowid:2L (row 1 'x');
+      Alcotest.(check (option string)) "shrunk" (Some "x") (Btree.lookup_table p ~root 2L);
+      Alcotest.(check (option int64)) "max" (Some 3L) (Btree.max_rowid p ~root);
+      Alcotest.(check int) "count" 3 (Btree.count_table p ~root));
+  with_btree Btree.Index (fun p root ->
+      (* the same in an index: the two separators then overflow the new
+         root, which splits in turn *)
+      let key c n = Record.encode [ v_text (row n c); v_int 0 ] in
+      List.iter
+        (fun k -> Btree.insert_index p ~root k)
+        [ key 'a' 2000; key 'c' 2000; key 'b' 2100 ];
+      let got = ref [] in
+      Btree.iter_index p ~root (fun k ->
+          got := k :: !got;
+          true);
+      Alcotest.(check (list string)) "keys in order" [ key 'a' 2000; key 'b' 2100; key 'c' 2000 ]
+        (List.rev !got);
+      Alcotest.(check int) "three leaves under three interior pages" 6
+        (List.length (Btree.pages p ~root));
+      Alcotest.(check bool) "delete" true (Btree.delete_index p ~root (key 'b' 2100)));
+  with_btree Btree.Index (fun p root ->
+      (* an interior page taking two separators that no single cut can
+         place splits in three as well: a, e and d make a root over the
+         leaves [a] [d] [e], b joins [d], and c splits that leaf in three,
+         passing b and c up. [key c len] is an encoded key of [len] bytes *)
+      let key c len = Record.encode [ v_text (String.make 1 c ^ row (len - 13) 'x'); v_int 0 ] in
+      let keys = [ key 'a' 2060; key 'e' 2100; key 'd' 2000; key 'b' 2070; key 'c' 2100 ] in
+      List.iter (fun k -> Btree.insert_index p ~root k) keys;
+      let got = ref [] in
+      Btree.iter_index p ~root (fun k ->
+          got := k :: !got;
+          true);
+      Alcotest.(check (list string)) "keys in order"
+        [ key 'a' 2060; key 'b' 2070; key 'c' 2100; key 'd' 2000; key 'e' 2100 ]
+        (List.rev !got);
+      Alcotest.(check int) "five leaves under six interior pages" 11
+        (List.length (Btree.pages p ~root));
+      List.iter
+        (fun k -> Alcotest.(check bool) "delete" true (Btree.delete_index p ~root k))
+        keys)
+
+(* Split reproductions: 65 short index keys then 5 of 701 bytes, and a
+   leaf of three 1-character rows and two 2 000-character ones taking a
+   100-character row. A split at the middle cell left a half that did not
+   fit a page, and the insert raised [Invalid_argument]. *)
+let test_split_mixed_index_keys () =
+  let db = mem_db () in
+  ignore (Db.exec db "CREATE TABLE t(s TEXT)");
+  ignore (Db.exec db "CREATE INDEX ts ON t(s)");
+  for i = 100 to 164 do
+    ignore (Db.exec db (Printf.sprintf "INSERT INTO t VALUES ('a%d')" i))
+  done;
+  for i = 1 to 5 do
+    ignore (Db.exec db (Printf.sprintf "INSERT INTO t VALUES ('b%d%s')" i (String.make 698 'x')))
+  done;
+  Alcotest.check rows_t "rows" [ [ v_int 70 ] ] (Db.query db "SELECT count(*) FROM t");
+  Alcotest.check rows_t "long keys through the index" [ [ v_int 5 ] ]
+    (Db.query db "SELECT count(*) FROM t WHERE s >= 'b'");
+  Db.close db
+
+let test_split_mixed_table_rows () =
+  let db = mem_db () in
+  ignore (Db.exec db "CREATE TABLE t(a INTEGER PRIMARY KEY, s TEXT)");
+  List.iter
+    (fun (a, n) ->
+      ignore (Db.exec db (Printf.sprintf "INSERT INTO t VALUES (%d, '%s')" a (String.make n 's'))))
+    [ (1, 1); (2, 1); (3, 1); (4, 2000); (5, 2000); (6, 100) ];
+  Alcotest.check rows_t "rows" [ [ v_int 6 ] ] (Db.query db "SELECT count(*) FROM t");
+  Alcotest.check rows_t "lengths" [ [ v_int 2000 ]; [ v_int 100 ] ]
+    (Db.query db "SELECT length(s) FROM t WHERE a >= 5");
+  Db.close db
 
 let test_btree_index_ops () =
   with_btree Btree.Index (fun p root ->
@@ -654,6 +758,28 @@ let test_random_functions () =
   (match Db.query db "SELECT length(b) FROM t" with
   | [ [ v ] ] -> Alcotest.check value_t "blob length" (v_int 16) v
   | _ -> Alcotest.fail "no rows");
+  Db.close db
+
+(* A rowid lookup walks the cells where they lie: only the row it returns
+   is copied out of the page. Over 2 000 rows, the point SELECT allocated
+   2 266 minor words while table pages were decoded into cell lists. *)
+let test_point_select_allocation () =
+  let db = mem_db () in
+  ignore (Db.exec db "CREATE TABLE kv(k INTEGER PRIMARY KEY, v TEXT, w INTEGER)");
+  ignore (Db.exec db "BEGIN");
+  for i = 1 to 2000 do
+    ignore
+      (Db.exec db (Printf.sprintf "INSERT INTO kv VALUES (%d, 'value-%d', %d)" i i (i mod 100)))
+  done;
+  ignore (Db.exec db "COMMIT");
+  let words () =
+    let before = Gc.minor_words () in
+    ignore (Db.query db "SELECT v FROM kv WHERE k = 1");
+    Gc.minor_words () -. before
+  in
+  ignore (words ());
+  let w = words () in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" w) true (w < 1600.);
   Db.close db
 
 let test_multi_statement_exec () =
@@ -1072,9 +1198,9 @@ let golden_workload () =
     !work,
     !accesses )
 
-(* Recorded with an index codec that decoded and re-encoded whole pages:
-   the page images, the results and the pager calls must not depend on
-   how index pages are edited. *)
+(* Recorded while B-tree pages were decoded and re-encoded whole: the
+   page images, the results and the pager calls must not depend on how
+   pages are edited. *)
 let test_golden_page_images () =
   let file, results, work, accesses = golden_workload () in
   Alcotest.(check string) "database file" "a73ab3e0184eddc29a6702135644035e" file;
@@ -1100,6 +1226,7 @@ let suite =
       Alcotest.test_case "crash recovery" `Quick test_pager_crash_recovery;
       Alcotest.test_case "freelist reuse" `Quick test_pager_freelist_reuse;
       Alcotest.test_case "small cache vacuum" `Quick test_pager_small_cache_vacuum;
+      Alcotest.test_case "journal entry checksum" `Quick test_pager_entry_cksum;
     ]);
     ("btree", [
       Alcotest.test_case "insert/lookup" `Quick test_btree_insert_lookup;
@@ -1108,6 +1235,9 @@ let suite =
       Alcotest.test_case "replace/delete" `Quick test_btree_replace_and_delete;
       Alcotest.test_case "large payloads" `Quick test_btree_large_payloads;
       Alcotest.test_case "index ops" `Quick test_btree_index_ops;
+      Alcotest.test_case "three-way splits" `Quick test_btree_three_way_splits;
+      Alcotest.test_case "split: mixed index keys" `Quick test_split_mixed_index_keys;
+      Alcotest.test_case "split: mixed table rows" `Quick test_split_mixed_table_rows;
       Alcotest.test_case "golden page images" `Quick test_golden_page_images;
     ]);
     ("token", [
@@ -1134,6 +1264,7 @@ let suite =
       Alcotest.test_case "errors" `Quick test_sql_errors;
       Alcotest.test_case "random()" `Quick test_random_functions;
       Alcotest.test_case "multi-statement" `Quick test_multi_statement_exec;
+      Alcotest.test_case "point SELECT allocation" `Quick test_point_select_allocation;
     ]);
     ("explain", [
       Alcotest.test_case "roundtrip every kind" `Quick test_explain_roundtrip;
