@@ -4,18 +4,27 @@
 
    Every page holds a header, its cells and then zeros, and one codec
    serves every page: a page is searched and edited where it lies, never
-   decoded into a structure. A search walks the cells and compares the
-   rowid stored in a table cell, or the record bytes of an index cell
-   ([Record.compare_sub]). An insert shifts the page's tail and writes one
-   cell, a delete shifts it back and zero-fills the freed bytes. A page
-   that no longer fits splits and passes its separators upwards: at its
-   middle cell when both halves fit a page, else at the cut nearest the
-   middle whose halves both fit, else in three pages, as SQLite's balance
-   does (only cells of over half a page force that). Roots keep their
-   page number (the catalog stores it), so a root split moves the old
-   root's content to a fresh page. Underfull pages are not rebalanced on
-   delete — like a SQLite database awaiting VACUUM, which we also provide
-   at the Db layer. *)
+   decoded into a structure. A search compares the rowid stored in a table
+   cell, or the record bytes of an index cell ([Record.compare_sub]), and
+   bisects the page's cell directory, as SQLite bisects a page's
+   cell-pointer array: the 16-bit offsets of its cells in order, filled by
+   one walk of the page on each visit, or arithmetic on a table interior
+   page, whose cells are a fixed 12 bytes. The directory is never stored,
+   so a page holds its cells alone and splits where it always did. A
+   lookup walks a table leaf up to the rowid instead: its test, one int64
+   load, costs no more than a step of the walk, and a bisection would
+   first walk the whole page for the directory. An insert or a delete
+   needs the end of the cells, which only that walk finds, so it bisects
+   every page. An insert shifts the page's tail and writes one cell, a
+   delete shifts it back and zero-fills the freed bytes. A page that no
+   longer fits splits and passes its separators upwards: at its middle
+   cell when both halves fit a page, else at the cut nearest the middle
+   whose halves both fit, else in three pages, as SQLite's balance does
+   (only cells of over half a page force that). Roots keep their page
+   number (the catalog stores it), so a root split moves the old root's
+   content to a fresh page. Underfull pages are not rebalanced on delete —
+   like a SQLite database awaiting VACUUM, which we also provide at the Db
+   layer. *)
 
 let page_size = Pager.page_size
 let content_start = 16
@@ -65,11 +74,35 @@ let cell_size b off =
 
 let next_cell b off = off + cell_size b off
 
-(* The offset of the [i]th cell after the one at [off]. *)
-let rec skip_cells b off i = if i = 0 then off else skip_cells b (next_cell b off) (i - 1)
+(* The offset of the [i]th cell of a table interior page. *)
+let interior_cell i = content_start + (12 * i)
 
-(* Where the cells end and the zeros start. *)
-let cells_end b = skip_cells b content_start (count b)
+(* The cell directory of [b]: [off i] is the offset of its [i]th cell,
+   and [off (count b)] the end of its cells. A table interior page's is
+   arithmetic; any other page's is filled by one walk on each visit,
+   since an edit moves every cell after it, and holds 16-bit offsets, as
+   SQLite's cell-pointer array does: a quarter of the words of an int
+   array. *)
+let directory b =
+  if page_type b = table_interior then interior_cell
+  else begin
+    let n = count b in
+    (* [cell_size] for this page's type: a cell is [fixed] bytes and as
+       many more as the u16 [len_at] bytes into it says *)
+    let fixed, len_at = match page_type b with 1 -> (10, 8) | 3 -> (2, 0) | _ -> (6, 4) in
+    let dir = Bytes.create (2 * (n + 1)) in
+    Bytes.set_uint16_le dir 0 content_start;
+    let at = ref content_start in
+    for i = 1 to n do
+      at := !at + fixed + Bytes.get_uint16_le b (!at + len_at);
+      Bytes.set_uint16_le dir (2 * i) !at
+    done;
+    fun i -> Bytes.get_uint16_le dir (2 * i)
+  end
+
+(* The children of the [i]th to [n]th cells, exclusive, of interior page
+   [b] with directory [off], in order. *)
+let rec children b off i n = if i = n then [] else get_u32 b (off i) :: children b off (i + 1) n
 
 (* An index cell's key follows its [len u16], which follows the child
    link in an interior page. *)
@@ -81,21 +114,39 @@ let compare_cell b off key = Record.compare_sub b (off + link_len b + 2) (key_le
 (* Searches over cells in key order, where [below b off k] says whether
    the cell at [off] holds a key below [k]. *)
 
-(* The offset of the first of the [i] cells from [off] that is not below
-   [k], or -1 when there is none. *)
-let rec find below b k off i =
-  if i = 0 then -1 else if below b off k then find below b k (next_cell b off) (i - 1) else off
-
-(* Where a cell for [k] goes among the [i] cells from [off]: the offset of
-   the first one not below [k] (the end of the cells when there is none),
-   and the end of the cells. *)
-let rec place below b k off i =
-  if i = 0 then (off, off)
-  else if below b off k then place below b k (next_cell b off) (i - 1)
-  else (off, skip_cells b off i)
-
 let rowid_below b off rowid = Bytes.get_int64_le b (off + link_len b) < rowid
 let key_below b off key = compare_cell b off key < 0
+
+(* The index of the first of the cells [lo] to [hi], exclusive, of [b]
+   with directory [off] that is not below [k], or [hi] when there is
+   none. *)
+let rec bisect below b k off lo hi =
+  if lo = hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if below b (off mid) k then bisect below b k off (mid + 1) hi else bisect below b k off lo mid
+
+(* The offset of the first of the [i] cells from [off] that is not below
+   [k], or -1 when there is none: a lookup's search of a table leaf. *)
+let rec walk below b k off i =
+  if i = 0 then -1 else if below b off k then walk below b k (next_cell b off) (i - 1) else off
+
+(* The offset of the first cell of [b] that is not below [k], or -1 when
+   there is none. *)
+let find below b k =
+  let n = count b in
+  if page_type b = table_leaf then walk below b k content_start n
+  else
+    let off = directory b in
+    let i = bisect below b k off 0 n in
+    if i < n then off i else -1
+
+(* Where a cell for [k] goes in [b]: the offset of the first cell not
+   below [k] (the end of the cells when there is none), and the end of
+   the cells. *)
+let place below b k =
+  let n = count b and off = directory b in
+  (off (bisect below b k off 0 n), off n)
 
 (* The child an interior page's [find] leads to: the cell's, or the right
    child when the search ran past the last cell. *)
@@ -152,18 +203,14 @@ let drop_cell b ~at ~stop =
   stop - size
 
 (* Deletes from the tree of [kind] at [page] the leaf cell that [holds]
-   [k], searching for it as [find] does with [below]; returns whether
-   there was one. *)
+   [k], searching for it with [below]; returns whether there was one. *)
 let rec delete pager kind ~below ~holds page k =
   let b = tree_page pager kind page in
-  let at = find below b k content_start (count b) in
-  if link_len b > 0 then delete pager kind ~below ~holds (child_at b at) k
+  let at, stop = place below b k in
+  if link_len b > 0 then delete pager kind ~below ~holds (get_u32 b (if at < stop then at else 3)) k
   else begin
-    let found = at >= 0 && holds b at k in
-    if found then begin
-      let stop = cells_end b in
-      ignore (drop_cell (modify_page pager page) ~at ~stop)
-    end;
+    let found = at < stop && holds b at k in
+    if found then ignore (drop_cell (modify_page pager page) ~at ~stop);
     found
   end
 
@@ -201,13 +248,10 @@ let edit b ~at ~stop ~replace ~child cells =
 let split pager page img =
   let ty = page_type img and n = count img and l = link_len img in
   let leaf = l = 0 in
-  let off = Array.make (n + 1) content_start in
-  for i = 1 to n do
-    off.(i) <- next_cell img off.(i - 1)
-  done;
+  let off = directory img in
   (* cells [i, j) fit a page; the run after a cut at [k] starts at
      [resume k]; a leaf run is never empty *)
-  let fits i j = content_start + off.(j) - off.(i) <= page_size in
+  let fits i j = content_start + off j - off i <= page_size in
   let resume k = if leaf then k else k + 1 in
   let first = if leaf then 1 else 0 in
   let halves k = first <= k && k < n && fits 0 k && fits (resume k) n in
@@ -228,16 +272,16 @@ let split pager page img =
   in
   let sep k =
     let c = if leaf then k - 1 else k in
-    let s = off.(c) + l in
-    Bytes.sub_string img s (if is_table img then 8 else off.(c + 1) - s)
+    let s = off c + l in
+    Bytes.sub_string img s (if is_table img then 8 else off (c + 1) - s)
   in
   let rec write from pages cuts =
     let upto = match cuts with k :: _ -> k | [] -> n in
     let b = modify_page pager (List.hd pages) in
     init_page b ty;
-    Bytes.blit img off.(from) b content_start (off.(upto) - off.(from));
+    Bytes.blit img (off from) b content_start (off upto - off from);
     put_u16 b 1 (upto - from);
-    if not leaf then put_u32 b 3 (get_u32 img (if upto < n then off.(upto) else 3));
+    if not leaf then put_u32 b 3 (get_u32 img (if upto < n then off upto else 3));
     match (cuts, pages) with
     | k :: cuts, _ :: (next :: _ as pages) -> (sep k, next) :: write (resume k) pages cuts
     | _ -> []
@@ -281,23 +325,24 @@ let rec grow_root pager root = function
         grow_root pager root
           (spill pager root b ~at ~stop:at ~replace:false ~child:left seps ~grown)
 
-(* [f] of each cell of [b] from the one at [off], the [i]th of [n],
-   leaving out those whose index keys are below [start]. *)
-let rec cells_from b start f off i n =
-  if i = n then []
+(* Collect every page of a tree (for DROP, VACUUM and [init]). *)
+let rec pages pager ~root =
+  let b = read_tree pager root in
+  if link_len b = 0 then [ root ]
   else
-    let next = next_cell b off in
-    match start with
-    | Some s when compare_cell b off s < 0 -> cells_from b start f next (i + 1) n
-    | _ ->
-        let x = f off in
-        x :: cells_from b start f next (i + 1) n
+    let children = children b (directory b) 0 (count b) and right = get_u32 b 3 in
+    root :: List.concat_map (fun c -> pages pager ~root:c) children @ pages pager ~root:right
 
 (* --- creation --- *)
 
-(* Makes [page] an empty leaf of a [kind] tree. *)
+(* Makes [page] an empty leaf of a [kind] tree. The pages below it, when
+   it was an interior page, go back to the pager; a leaf or a fresh page
+   takes one [modify]. *)
 let init pager page kind =
-  init_page (modify_page pager page) (match kind with Table -> table_leaf | Index -> index_leaf)
+  let b = modify_page pager page in
+  let below = if link_len b = 0 then [] else children b (directory b) 0 (count b) @ [ get_u32 b 3 ] in
+  init_page b (match kind with Table -> table_leaf | Index -> index_leaf);
+  List.iter (fun c -> List.iter (Pager.free pager) (pages pager ~root:c)) below
 
 let create pager kind =
   let page = Pager.alloc pager in
@@ -311,7 +356,7 @@ let payload b off = Bytes.sub_string b (off + 10) (Bytes.get_uint16_le b (off + 
 
 let rec table_insert pager page rowid cell =
   let b = tree_page pager Table page in
-  let at, stop = place rowid_below b rowid content_start (count b) in
+  let at, stop = place rowid_below b rowid in
   if link_len b = 0 then
     let replace = at < stop && Int64.equal (Bytes.get_int64_le b at) rowid in
     add_cells pager page b ~at ~stop ~replace ~child:0 [ (cell, 0) ]
@@ -332,7 +377,7 @@ let insert_table pager ~root ~rowid payload =
 
 let rec lookup_table pager ~root rowid =
   let b = tree_page pager Table root in
-  let at = find rowid_below b rowid content_start (count b) in
+  let at = find rowid_below b rowid in
   if link_len b > 0 then lookup_table pager ~root:(child_at b at) rowid
   else if at >= 0 && Int64.equal (Bytes.get_int64_le b at) rowid then Some (payload b at)
   else None
@@ -345,7 +390,7 @@ let rec max_rowid pager ~root =
   let b = tree_page pager Table root in
   let n = count b in
   if link_len b = 0 then
-    if n = 0 then None else Some (Bytes.get_int64_le b (skip_cells b content_start (n - 1)))
+    if n = 0 then None else Some (Bytes.get_int64_le b (directory b (n - 1)))
   else
     match max_rowid pager ~root:(get_u32 b 3) with
     | Some r -> Some r
@@ -357,19 +402,18 @@ let rec max_rowid pager ~root =
             | Some r -> Some (max r (Option.value acc ~default:Int64.min_int))
             | None -> acc)
           None
-          (cells_from b None (get_u32 b) content_start 0 n)
+          (children b interior_cell 0 n)
 
 exception Stop
 
-(* The children of interior table page [b] that can hold rowids in
-   [min, max], in order: the cell at [off] is the [i]th of [n], and its
-   child holds the rowids above the previous cell's key up to its own. *)
-let rec children_in b ~min ~max ~prev_below off i n =
-  if i = n then if prev_below then [ get_u32 b 3 ] else []
-  else
-    let key = Bytes.get_int64_le b (off + 4) in
-    let rest = children_in b ~min ~max ~prev_below:(key < max) (next_cell b off) (i + 1) n in
-    if key >= min && prev_below then get_u32 b off :: rest else rest
+(* The children of table interior page [b], from its [i]th of [n] on (the
+   [n]th is the right child), that can hold rowids up to [max], in order:
+   each one after the first holds only the rowids above the key of the
+   cell before it. *)
+let rec children_upto b ~max i n =
+  if i > 0 && Bytes.get_int64_le b (interior_cell (i - 1) + 4) >= max then []
+  else if i = n then [ get_u32 b 3 ]
+  else get_u32 b (interior_cell i) :: children_upto b ~max (i + 1) n
 
 (* The rows of table leaf [b] whose rowids lie in [min, max], from the
    cell at [off] with [i] cells left, copied out of the page. *)
@@ -381,14 +425,16 @@ let rec rows_in b ~min ~max off i =
     else rows_in b ~min ~max next (i - 1)
 
 (* [visit] of each leaf of the table tree at [page] that can hold rowids
-   in [min, max], in order. *)
+   in [min, max], in order: an interior page's children from that of its
+   first key not below [min]. *)
 let rec leaves pager page ~min ~max visit =
   let b = tree_page pager Table page in
   if link_len b = 0 then visit b
   else
+    let n = count b in
     List.iter
       (fun child -> leaves pager child ~min ~max visit)
-      (children_in b ~min ~max ~prev_below:(Int64.min_int < max) content_start 0 (count b))
+      (children_upto b ~max (bisect rowid_below b min interior_cell 0 n) n)
 
 (* In-order iteration over [min, max]; f returns false to stop. A leaf's
    rows are copied out before its first callback runs, since a callback
@@ -410,7 +456,7 @@ let count_table pager ~root =
 
 let rec index_insert pager page key cell =
   let b = tree_page pager Index page in
-  let at, stop = place key_below b key content_start (count b) in
+  let at, stop = place key_below b key in
   if link_len b = 0 then
     if at < stop && compare_cell b at key = 0 then begin
       (* duplicate composite key: the leaf is rewritten unchanged *)
@@ -440,29 +486,44 @@ let holds b off key = key_len b off = String.length key && same_bytes b (off + 2
 
 let delete_index pager ~root key = delete pager Index ~below:key_below ~holds root key
 
-(* Iterate keys >= start (or all when [start] is None) in order; f returns
-   false to stop. A leaf's keys are all copied out before its first
-   callback runs, since a callback may use the pager. *)
-let iter_index pager ~root ?start f =
-  let rec go page =
-    let b = tree_page pager Index page in
-    let n = count b in
-    if link_len b = 0 then
-      let key off = Bytes.sub_string b (off + 2) (key_len b off) in
-      List.iter (fun k -> if not (f k) then raise Stop) (cells_from b start key content_start 0 n)
-    else begin
-      let right = get_u32 b 3 in
-      List.iter go (cells_from b start (get_u32 b) content_start 0 n);
-      go right
-    end
-  in
-  try go root with Stop -> ()
+(* [f] of each key in leaf cells [cells], from the one at [at]; raises
+   [Stop] when [f] returns false. *)
+let rec each_key f cells at =
+  if at < Bytes.length cells then begin
+    let len = Bytes.get_uint16_le cells at in
+    if not (f (Bytes.sub_string cells (at + 2) len)) then raise Stop;
+    each_key f cells (at + 2 + len)
+  end
 
-(* Collect every page of a tree (for DROP and VACUUM). *)
-let rec pages pager ~root =
-  let b = read_tree pager root in
-  if link_len b = 0 then [ root ]
+(* Cells [i] to [n], exclusive, of [b] with directory [off], copied out
+   in runs of under 2 KiB where a cell allows: a block of 2 KiB or more
+   would be allocated outside the minor heap. *)
+let rec copy_cells b off i n =
+  if i = n then []
   else
-    let children = cells_from b None (get_u32 b) content_start 0 (count b)
-    and right = get_u32 b 3 in
-    root :: List.concat_map (fun c -> pages pager ~root:c) children @ pages pager ~root:right
+    let rec upto j = if j < n && off (j + 1) - off i < 2048 then upto (j + 1) else j in
+    let j = Int.max (i + 1) (upto i) in
+    Bytes.sub b (off i) (off j - off i) :: copy_cells b off j n
+
+(* Iterate keys >= start (or all when [start] is None) in order; f returns
+   false to stop. Only the first leaf visited can hold keys below
+   [start], so the pages down to it are bisected for [start] and every
+   later page starts at its first cell. A leaf's cells from there on are
+   copied out before its first callback runs, since a callback may use
+   the pager, and a key becomes a string only when it is passed to [f]. *)
+let iter_index pager ~root ?start f =
+  let rec go start page =
+    let b = tree_page pager Index page in
+    let n = count b and off = directory b in
+    let i = match start with Some k -> bisect key_below b k off 0 n | None -> 0 in
+    if link_len b = 0 then List.iter (fun cells -> each_key f cells 0) (copy_cells b off i n)
+    else
+      let right = get_u32 b 3 in
+      match children b off i n with
+      | first :: later ->
+          go start first;
+          List.iter (go None) later;
+          go None right
+      | [] -> go start right
+  in
+  try go start root with Stop -> ()

@@ -14,10 +14,9 @@ let qc = QCheck_alcotest.to_alcotest
 
 module I64Map = Map.Make (Int64)
 
-(* Whether every byte after a page's last cell is zero, and the header
-   bytes its type leaves unused: 3-15 in a leaf, 7-15 in an interior page
-   (3-6 hold its right child). Cells are as [Btree] lays them out. *)
-let page_canonical b =
+(* A page's cells by a walk from the first, as [Btree] lays them out: the
+   offset of each, then the end of the cells. *)
+let cell_offsets b =
   let ty = Bytes.get_uint8 b 0 in
   let cell_size off =
     match ty with
@@ -26,12 +25,17 @@ let page_canonical b =
     | 3 -> 2 + Bytes.get_uint16_le b off
     | _ -> 6 + Bytes.get_uint16_le b (off + 4)
   in
-  let off = ref 16 in
-  for _ = 1 to Bytes.get_uint16_le b 1 do
-    off := !off + cell_size !off
-  done;
+  let rec walk off i = if i = 0 then [ off ] else off :: walk (off + cell_size off) (i - 1) in
+  walk 16 (Bytes.get_uint16_le b 1)
+
+(* Whether every byte after a page's last cell is zero, and the header
+   bytes its type leaves unused: 3-15 in a leaf, 7-15 in an interior page
+   (3-6 hold its right child). *)
+let page_canonical b =
+  let ty = Bytes.get_uint8 b 0 in
+  let stop = List.nth (cell_offsets b) (Bytes.get_uint16_le b 1) in
   let zero_from a z = Bytes.for_all (fun c -> c = '\000') (Bytes.sub b a (z - a)) in
-  zero_from (if ty = 2 || ty = 4 then 7 else 3) 16 && zero_from !off Pager.page_size
+  zero_from (if ty = 2 || ty = 4 then 7 else 3) 16 && zero_from stop Pager.page_size
 
 (* Payloads of mixed sizes up to [Btree.max_payload], so that replaces
    grow and shrink cells and splits meet cells too big for the middle
@@ -216,6 +220,135 @@ let prop_index_btree_model =
       Pager.commit p;
       Pager.close p;
       !ok && canonical && all = expect None)
+
+(* ------------------------------------------------------------------ *)
+(* Page searches: every search of every page, of all four types, finds  *)
+(* what a walk of its cells from the first finds                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Table rows, with the least and greatest rowids among them, and index
+   keys, both of mixed sizes, inserted and deleted. *)
+let search_op_gen =
+  let rowid =
+    QCheck.Gen.(
+      frequency
+        [ (12, map Int64.of_int (int_range (-300) 300));
+          (1, oneofl [ Int64.min_int; Int64.succ Int64.min_int; Int64.max_int ]) ])
+  in
+  QCheck.Gen.(
+    frequency
+      [ (4, map2 (fun r v -> `Row (r, v)) rowid payload_gen);
+        (1, map (fun r -> `Unrow r) rowid);
+        (4, map (fun k -> `Key k) index_key_gen);
+        (1, map (fun k -> `Unkey k) index_key_gen) ])
+
+let prop_page_search =
+  let print = function
+    | `Row (r, v) -> Printf.sprintf "row %Ld (%d bytes)" r (String.length v)
+    | `Unrow r -> Printf.sprintf "delete row %Ld" r
+    | `Key k -> "key " ^ String.escaped k
+    | `Unkey k -> "delete key " ^ String.escaped k
+  in
+  QCheck.Test.make ~name:"page searches agree with a walk of the cells" ~count:60
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (int_range 1 200) search_op_gen))
+    (fun ops ->
+      let vfs = Svfs.of_backing (Twine_sim.Backing.memory ()) in
+      let p = Pager.create_or_open vfs ~cache_pages:16 "s" in
+      Pager.begin_txn p;
+      let table = Btree.create p Btree.Table and index = Btree.create p Btree.Index in
+      let rowids = ref [ Int64.min_int; 0L; Int64.max_int ] and keys = ref [ "" ] in
+      List.iter
+        (function
+          | `Row (r, v) ->
+              Btree.insert_table p ~root:table ~rowid:r v;
+              rowids := r :: !rowids
+          | `Unrow r -> ignore (Btree.delete_table p ~root:table r)
+          | `Key k ->
+              Btree.insert_index p ~root:index k;
+              keys := k :: !keys
+          | `Unkey k -> ignore (Btree.delete_index p ~root:index k))
+        ops;
+      (* the walk: a cell's link, its search test, and the first cell it
+         finds not below a key, with the end of the cells *)
+      let link b = match Bytes.get_uint8 b 0 with 2 | 4 -> 4 | _ -> 0 in
+      let rowid_below b off r = Bytes.get_int64_le b (off + link b) < r in
+      let key_below b off k =
+        let at = off + link b in
+        Record.compare_sub b (at + 2) (Bytes.get_uint16_le b at) k < 0
+      in
+      let walk below b k =
+        let offs = cell_offsets b in
+        let stop = List.nth offs (Bytes.get_uint16_le b 1) in
+        (Option.value ~default:stop (List.find_opt (fun off -> off < stop && not (below b off k)) offs), stop)
+      in
+      let searches_agree below btree_below b k =
+        let at, stop = walk below b k in
+        Btree.find btree_below b k = (if at < stop then at else -1)
+        && Btree.place btree_below b k = (at, stop)
+      in
+      let page_ok pg =
+        let b = Pager.read_page p pg in
+        if Bytes.get_uint8 b 0 <= 2 then
+          List.for_all (searches_agree rowid_below Btree.rowid_below b) !rowids
+        else List.for_all (searches_agree key_below Btree.key_below b) !keys
+      in
+      let pages_ok =
+        List.for_all page_ok (Btree.pages p ~root:table @ Btree.pages p ~root:index)
+      in
+      (* the leaf cells of a tree in order, by the walk *)
+      let rec leaf_cells pg =
+        let b = Pager.read_page p pg in
+        let offs = cell_offsets b in
+        let cells = List.filteri (fun i _ -> i < Bytes.get_uint16_le b 1) offs in
+        if link b = 0 then List.map (fun off -> (b, off)) cells
+        else
+          List.concat_map leaf_cells
+            (List.map (fun off -> Int32.to_int (Bytes.get_int32_le b off)) cells
+            @ [ Int32.to_int (Bytes.get_int32_le b 3) ])
+      in
+      let all_rows =
+        List.map
+          (fun (b, off) ->
+            (Bytes.get_int64_le b off, Bytes.sub_string b (off + 10) (Bytes.get_uint16_le b (off + 8))))
+          (leaf_cells table)
+      in
+      let all_keys =
+        List.map (fun (b, off) -> Bytes.sub_string b (off + 2) (Bytes.get_uint16_le b off)) (leaf_cells index)
+      in
+      let rec take n = function x :: l when n > 0 -> x :: take (n - 1) l | _ -> [] in
+      (* iteration from a start: the first three keys, and every row of a
+         rowid range *)
+      let first_keys k =
+        let got = ref [] in
+        Btree.iter_index p ~root:index ~start:k (fun key ->
+            got := key :: !got;
+            List.length !got < 3);
+        List.rev !got
+      in
+      let rows_in min max =
+        let got = ref [] in
+        Btree.iter_table p ~root:table ~min ~max (fun r v ->
+            got := (r, v) :: !got;
+            true);
+        List.rev !got
+      in
+      let starts_ok =
+        List.for_all
+          (fun k ->
+            first_keys k = take 3 (List.filter (fun key -> Record.compare_encoded key k >= 0) all_keys))
+          !keys
+        && List.for_all
+             (fun r ->
+               List.for_all
+                 (fun (min, max) ->
+                   rows_in min max = List.filter (fun (r, _) -> min <= r && r <= max) all_rows)
+                 [ (r, r); (r, Int64.add r 40L); (Int64.min_int, r) ])
+             !rowids
+      in
+      Pager.commit p;
+      Pager.close p;
+      pages_ok && starts_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Crash injection: a transaction that dies mid-flight must leave the   *)
@@ -1129,6 +1262,7 @@ let suite =
   [ ("storage-model", [
       qc prop_btree_model;
       qc prop_index_btree_model;
+      qc prop_page_search;
       qc prop_crash_recovery;
       qc prop_recovery_idempotent;
       qc prop_sql_filter_model;

@@ -443,6 +443,29 @@ let test_btree_index_ops () =
       Alcotest.(check bool) "delete" true
         (Btree.delete_index p ~root (key [ v_text "k0001" ] 300)))
 
+(* A seek that stops at its first key makes a string of that key alone:
+   over every key of a 2 000-key index, none allocates 700 minor words,
+   where a string of every key from the seek to the end of its leaf
+   takes up to 1 216. *)
+let test_index_seek_allocation () =
+  with_btree Btree.Index (fun p root ->
+      let key i = Record.encode [ v_int i; v_int i ] in
+      for i = 0 to 1999 do
+        Btree.insert_index p ~root (key i)
+      done;
+      let seek i =
+        let got = ref None in
+        let before = Gc.minor_words () in
+        Btree.iter_index p ~root ~start:(key i) (fun k ->
+            got := Some k;
+            false);
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check (option string)) "first key" (Some (key i)) !got;
+        words
+      in
+      let worst = List.fold_left (fun w i -> Float.max w (seek i)) 0. (List.init 2000 Fun.id) in
+      Alcotest.(check bool) (Printf.sprintf "%.0f minor words" worst) true (worst < 700.))
+
 (* --- Tokenizer --- *)
 
 (* Keywords match in any case and come out uppercased; a word that only
@@ -580,6 +603,51 @@ let test_rowid_plan_and_pk () =
        ignore (Db.exec db "INSERT INTO t VALUES (500, 'dup')");
        false
      with Db.Sql_error _ -> true);
+  Db.close db
+
+(* A rowid range whose upper bound is the least rowid reads the first
+   leaf of a table of more than one page: that leaf's lower bound is
+   its page's own, not the least rowid. *)
+let test_rowid_range_least_rowid () =
+  let db = mem_db () in
+  ignore (Db.exec db "CREATE TABLE t(a INTEGER PRIMARY KEY, s TEXT)");
+  ignore (Db.exec db "INSERT INTO t VALUES (-9223372036854775808, 'least')");
+  for _ = 1 to 300 do
+    ignore (Db.exec db (Printf.sprintf "INSERT INTO t(s) VALUES ('%s')" (String.make 40 'y')))
+  done;
+  List.iter
+    (fun where ->
+      Alcotest.check rows_t where [ [ v_int 1 ] ]
+        (Db.query db ("SELECT count(*) FROM t WHERE " ^ where)))
+    [ "a < -9223372036854775807"; "a + 0 < -9223372036854775807" ];
+  Db.close db
+
+(* DDL rebuilds the catalog tree and gives back the pages below its root,
+   so a table costs its root page and its share of the catalog (200
+   tables take 211 pages), and the tables load when the database is
+   opened again. *)
+let test_catalog_pages_linear () =
+  let vfs = mem_vfs () in
+  let db = Db.open_db ~vfs "cat.db" in
+  let page_count () =
+    match Db.query db "PRAGMA page_count" with
+    | [ [ Value.Int n ] ] -> Int64.to_int n
+    | _ -> Alcotest.fail "page_count"
+  in
+  for n = 1 to 200 do
+    ignore
+      (Db.exec db
+         (Printf.sprintf "CREATE TABLE table_number_%d(a INTEGER PRIMARY KEY, b TEXT, c REAL, d BLOB)" n));
+    if n mod 100 = 0 then
+      let pages = page_count () in
+      Alcotest.(check bool) (Printf.sprintf "%d pages for %d tables" pages n) true
+        (pages <= n + (n / 10) + 2)
+  done;
+  Db.close db;
+  let db = Db.open_db ~vfs "cat.db" in
+  ignore (Db.exec db "INSERT INTO table_number_137(b) VALUES ('x')");
+  Alcotest.check rows_t "a table after reopening" [ [ v_int 1 ] ]
+    (Db.query db "SELECT count(*) FROM table_number_137");
   Db.close db
 
 let test_secondary_index () =
@@ -1235,6 +1303,7 @@ let suite =
       Alcotest.test_case "replace/delete" `Quick test_btree_replace_and_delete;
       Alcotest.test_case "large payloads" `Quick test_btree_large_payloads;
       Alcotest.test_case "index ops" `Quick test_btree_index_ops;
+      Alcotest.test_case "index seek allocation" `Quick test_index_seek_allocation;
       Alcotest.test_case "three-way splits" `Quick test_btree_three_way_splits;
       Alcotest.test_case "split: mixed index keys" `Quick test_split_mixed_index_keys;
       Alcotest.test_case "split: mixed table rows" `Quick test_split_mixed_table_rows;
@@ -1251,6 +1320,8 @@ let suite =
       Alcotest.test_case "order/limit/distinct" `Quick test_order_limit_distinct;
       Alcotest.test_case "update/delete" `Quick test_update_delete;
       Alcotest.test_case "rowid plan + pk" `Quick test_rowid_plan_and_pk;
+      Alcotest.test_case "rowid range below the least rowid" `Quick test_rowid_range_least_rowid;
+      Alcotest.test_case "catalog pages grow linearly" `Quick test_catalog_pages_linear;
       Alcotest.test_case "secondary index" `Quick test_secondary_index;
       Alcotest.test_case "unique index" `Quick test_unique_index;
       Alcotest.test_case "join" `Quick test_join;
