@@ -5,6 +5,7 @@
 
    The engine is split per the ROADMAP refactor note:
      catalog.ml   — this file: handle + schema + stats
+     resolve.ml   — names bound once per statement to slots
      planner.ml   — WHERE analysis into access paths + row estimates
      executor.ml  — expression evaluation and the instrumented operator
                     tree that executes statements
@@ -218,8 +219,6 @@ let table t name =
   | Some ti -> ti
   | None -> fail "no such table: %s" name
 
-let columns_array ti = Array.of_list (List.map (fun c -> c.col_name) ti.tbl_columns)
-
 let rec name_eq_from a b i =
   i = String.length a
   || Char.lowercase_ascii (String.unsafe_get a i) = Char.lowercase_ascii (String.unsafe_get b i)
@@ -242,10 +241,7 @@ let is_rowid_column ti name =
 
 let indexes_of t table_name =
   Hashtbl.fold
-    (fun _ ii acc ->
-      if String.lowercase_ascii ii.idx_table = String.lowercase_ascii table_name then
-        ii :: acc
-      else acc)
+    (fun _ ii acc -> if name_eq ii.idx_table table_name then ii :: acc else acc)
     t.indexes []
 
 (* --- statistics cache --- *)

@@ -114,7 +114,6 @@ val table : db -> string -> table_info
 val name_eq : string -> string -> bool
 (** ASCII case-insensitive equality of two names, allocating nothing. *)
 
-val columns_array : table_info -> string array
 val col_index : table_info -> string -> int option
 val is_rowid_column : table_info -> string -> bool
 val indexes_of : db -> string -> index_info list

@@ -18,45 +18,23 @@ let empty_result = { columns = []; rows = []; affected = 0 }
 
 (* --- row environments for expression evaluation --- *)
 
-type binding = {
-  b_name : string;  (* alias or table name *)
-  b_cols : string array;
-  mutable b_values : Value.t array;
-  mutable b_rowid : int64;
-}
+(* The row a FROM source is on: [Field (i, c)] reads column [c] of
+   binding [i], [Rowid i] its rowid. *)
+type binding = { mutable b_values : Value.t array; mutable b_rowid : int64 }
 
-type env = { bindings : binding list; aggregates : (string, Value.t) Hashtbl.t option }
+(* [aggs]: the finished aggregates of the group being projected, read by
+   [Agg] slots. *)
+type env = { rows : binding array; mutable aggs : Value.t array }
 
-let rec binding_value b name i =
-  if i >= Array.length b.b_cols then None
-  else if name_eq b.b_cols.(i) name then Some b.b_values.(i)
-  else binding_value b name (i + 1)
+(* A joined row: each binding's values and rowid. *)
+let snapshot bindings = List.map (fun b -> (b.b_values, b.b_rowid)) bindings
 
-let rec binding_named q = function
-  | [] -> None
-  | b :: rest -> if name_eq b.b_name q then Some b else binding_named q rest
-
-let rec first_value name = function
-  | [] -> None
-  | b :: rest -> (
-      match binding_value b name 0 with Some v -> Some v | None -> first_value name rest)
-
-let lookup_column env q name =
-  let is_rowid = name_eq name "rowid" in
-  match q with
-  | Some q -> (
-      match binding_named q env.bindings with
-      | None -> fail "no such table %s" q
-      | Some b -> (
-          if is_rowid then Some (Value.Int b.b_rowid)
-          else
-            match binding_value b name 0 with
-            | Some v -> Some v
-            | None -> fail "no such column %s.%s" q (String.lowercase_ascii name)))
-  | None -> (
-      if is_rowid then
-        match env.bindings with b :: _ -> Some (Value.Int b.b_rowid) | [] -> None
-      else first_value name env.bindings)
+let restore bindings row =
+  List.iter2
+    (fun b (values, rowid) ->
+      b.b_values <- values;
+      b.b_rowid <- rowid)
+    bindings row
 
 (* --- scalar functions --- *)
 
@@ -110,43 +88,15 @@ let scalar_function t name args =
         (List.hd vs) (List.tl vs)
   | name, args -> fail "no such function %s/%d" name (List.length args)
 
-let is_aggregate_name = function
-  | "count" | "sum" | "avg" | "total" -> true
-  | _ -> false
-
-(* min/max with one argument are aggregates; with 2+ they are scalar *)
-let expr_is_aggregate = function
-  | Call (n, args) ->
-      is_aggregate_name n || ((n = "min" || n = "max") && List.length args = 1)
-  | _ -> false
-
-let rec contains_aggregate e =
-  expr_is_aggregate e
-  ||
-  match e with
-  | Binop (_, a, b) -> contains_aggregate a || contains_aggregate b
-  | Not a | Neg a | Is_null (a, _) | Cast (a, _) -> contains_aggregate a
-  | Between (a, b, c) ->
-      contains_aggregate a || contains_aggregate b || contains_aggregate c
-  | In_list (a, es) -> contains_aggregate a || List.exists contains_aggregate es
-  | Like (a, b) -> contains_aggregate a || contains_aggregate b
-  | Call (_, es) -> List.exists contains_aggregate es
-  | Case (arms, else_) ->
-      List.exists (fun (c, v) -> contains_aggregate c || contains_aggregate v) arms
-      || Option.fold ~none:false ~some:contains_aggregate else_
-  | Lit _ | Column _ | Star -> false
-
-let agg_key e = Format.asprintf "%d" (Hashtbl.hash e)
-
 let rec eval t env (e : expr) : Value.t =
   bump t 1;
   match e with
   | Lit v -> v
   | Star -> fail "misplaced *"
-  | Column (q, name) -> (
-      match lookup_column env q name with
-      | Some v -> v
-      | None -> fail "no such column %s" name)
+  | Bound (Field (i, c), _) -> env.rows.(i).b_values.(c)
+  | Bound (Rowid i, _) -> Value.Int env.rows.(i).b_rowid
+  | Bound (Agg i, _) -> env.aggs.(i)
+  | Column _ | Bound (Output _, _) -> invalid_arg "Executor.eval: unbound expression"
   | Binop (op, a, b) -> eval_binop t env op a b
   | Not a -> (
       match eval t env a with
@@ -169,17 +119,7 @@ let rec eval t env (e : expr) : Value.t =
       match (eval t env a, eval t env p) with
       | Value.Null, _ | _, Value.Null -> Value.Null
       | v, p -> Value.of_bool (Value.like ~pattern:(Value.to_string p) (Value.to_string v)))
-  | Call (name, args) -> (
-      if expr_is_aggregate e then
-        match env.aggregates with
-        | Some aggs -> (
-            match Hashtbl.find_opt aggs (agg_key e) with
-            | Some v -> v
-            | None -> fail "aggregate %s used outside aggregation" name)
-        | None -> fail "aggregate %s not allowed here" name
-      else
-        let args = List.map (eval t env) args in
-        scalar_function t name args)
+  | Call (name, args) -> scalar_function t name (List.map (eval t env) args)
   | Case (arms, else_) -> (
       let rec go = function
         | [] -> ( match else_ with Some e -> eval t env e | None -> Value.Null)
@@ -248,14 +188,11 @@ and eval_binop t env op a b =
           end
       | And | Or -> assert false)
 
+let no_rows () = { rows = [||]; aggs = [||] }
+
+(* A bound expression that reads no row is evaluated up front. *)
 let const_value t e =
-  (* expressions with no column references can be evaluated up front *)
-  let pure = function
-    | Column _ | Star | Call (("random" | "randomblob"), _) -> false
-    | _ -> true
-  in
-  if Planner.for_all_sub pure e then Some (eval t { bindings = []; aggregates = None } e)
-  else None
+  if Planner.foldable (fun _ -> false) e then Some (eval t (no_rows ()) e) else None
 
 (* --- row (de)coding --- *)
 
@@ -498,10 +435,8 @@ let scan t ti (plan : Planner.plan) f =
    operator owns decode work and page traffic, the filter operator owns
    the WHERE evaluation. *)
 let scan_instr t ti plan ~scan_op ?filter_op where f =
-  let binding =
-    { b_name = ti.tbl_name; b_cols = columns_array ti; b_values = [||]; b_rowid = 0L }
-  in
-  let env = { bindings = [ binding ]; aggregates = None } in
+  let binding = { b_values = [||]; b_rowid = 0L } in
+  let env = { rows = [| binding |]; aggs = [||] } in
   in_op t scan_op (fun () ->
       scan_op.o_loops <- scan_op.o_loops + 1;
       scan t ti plan (fun rowid values ->
@@ -552,19 +487,22 @@ let do_insert t ~ins_table ~ins_columns ~ins_rows =
               ins_columns
         in
         let affected = ref 0 in
-        let env = { bindings = []; aggregates = None } in
+        let env = no_rows () in
+        let constant = Resolve.bind [] None in
+        let ins_rows = List.map (List.map constant) ins_rows in
+        let defaults = List.map (fun c -> Option.map constant c.col_default) ti.tbl_columns in
         List.iter
           (fun row_exprs ->
             if List.length row_exprs <> List.length target_idx then
               fail "%d values for %d columns" (List.length row_exprs) (List.length target_idx);
             let values = Array.make ncols Value.Null in
             List.iter2 (fun i e -> values.(i) <- eval t env e) target_idx row_exprs;
-            (* defaults *)
             List.iteri
-              (fun i c ->
-                if (not (List.mem i target_idx)) && c.col_default <> None then
-                  values.(i) <- eval t env (Option.get c.col_default))
-              ti.tbl_columns;
+              (fun i d ->
+                match d with
+                | Some e when not (List.mem i target_idx) -> values.(i) <- eval t env e
+                | _ -> ())
+              defaults;
             (* rowid assignment *)
             let rowid =
               match ti.tbl_rowid_col with
@@ -616,20 +554,6 @@ let new_agg () =
   { cnt = 0; sum_i = 0L; sum_f = 0.; saw_real = false; mn = Value.Null;
     mx = Value.Null; non_null = 0 }
 
-let rec collect_aggs acc e =
-  if expr_is_aggregate e then if List.memq e acc then acc else e :: acc
-  else
-    match e with
-    | Binop (_, a, b) | Like (a, b) -> collect_aggs (collect_aggs acc a) b
-    | Not a | Neg a | Is_null (a, _) | Cast (a, _) -> collect_aggs acc a
-    | Between (a, b, c) -> collect_aggs (collect_aggs (collect_aggs acc a) b) c
-    | In_list (a, es) -> List.fold_left collect_aggs (collect_aggs acc a) es
-    | Call (_, es) -> List.fold_left collect_aggs acc es
-    | Case (arms, else_) ->
-        let acc = List.fold_left (fun a (c, v) -> collect_aggs (collect_aggs a c) v) acc arms in
-        Option.fold ~none:acc ~some:(collect_aggs acc) else_
-    | Lit _ | Column _ | Star -> acc
-
 let agg_update t env state e =
   match e with
   | Call ("count", [ Star ]) | Call ("count", []) -> state.cnt <- state.cnt + 1
@@ -670,38 +594,14 @@ let agg_final e state =
   | Call ("max", [ _ ]) -> state.mx
   | _ -> Value.Null
 
-let column_label i (e, alias) =
-  match alias with
-  | Some a -> a
-  | None -> (
-      match e with
-      | Column (_, n) -> n
-      | Star -> "*"
-      | _ -> Printf.sprintf "column%d" (i + 1))
-
-(* Expand SELECT * over the bindings. *)
-let expand_star bindings sel_exprs =
-  List.concat_map
-    (fun (e, alias) ->
-      match e with
-      | Star ->
-          List.concat_map
-            (fun b ->
-              Array.to_list
-                (Array.map (fun c -> (Column (Some b.b_name, c), Some c)) b.b_cols))
-            bindings
-      | _ -> [ (e, alias) ])
-    sel_exprs
-
-(* The per-SELECT context: bindings, expanded projection, and the
-   operator chain built before execution so plain EXPLAIN can render the
-   same tree the executor runs. *)
+(* The per-SELECT context: the statement bound once, before its first
+   page is read, and the operator chain built before execution so plain
+   EXPLAIN can render the same tree the executor runs. *)
 type sel_ctx = {
   sc_sources : (table_info * string * Planner.plan) list;
-  sc_bindings : binding list;
-  sc_exprs : (expr * string option) list;
+  sc_select : select;  (* bound by [Resolve.bind_select] *)
   sc_labels : string list;
-  sc_has_aggregates : bool;
+  sc_aggs : expr array;
   sc_join_conds : expr list;
   sc_scan_ops : op list;
   sc_filter_op : op option;
@@ -714,43 +614,30 @@ type sel_ctx = {
 }
 
 let select_ctx t (s : select) =
-  let sources =
+  let named =
     match s.sel_from with
     | None -> []
     | Some (tbl, alias) ->
-        (table t tbl, Option.value alias ~default:tbl)
+        (Option.value alias ~default:tbl, table t tbl)
         :: List.map
-             (fun j -> (table t j.jt_table, Option.value j.jt_alias ~default:j.jt_table))
+             (fun j -> (Option.value j.jt_alias ~default:j.jt_table, table t j.jt_table))
              s.sel_joins
   in
+  let s, labels, aggs = Resolve.bind_select named s in
   let join_conds = List.filter_map (fun j -> j.jt_on) s.sel_joins in
   let clauses = join_conds @ Option.to_list s.sel_where in
-  let named = List.map (fun (ti, name) -> (name, ti)) sources in
   let sources =
     List.mapi
-      (fun i (ti, name) ->
-        let plan, reason = Planner.plan_for t named i ~const:(const_value t) clauses in
+      (fun i (name, ti) ->
+        let plan, reason = Planner.plan_for t ti i ~const:(const_value t) clauses in
         Planner.record_plan t ti plan reason;
         (ti, name, plan))
-      sources
-  in
-  let bindings =
-    List.map
-      (fun (ti, name, _) ->
-        { b_name = name; b_cols = columns_array ti; b_values = [||]; b_rowid = 0L })
-      sources
-  in
-  let sel_exprs = expand_star bindings s.sel_exprs in
-  let labels = List.mapi column_label sel_exprs in
-  let has_aggregates =
-    s.sel_group <> []
-    || List.exists (fun (e, _) -> contains_aggregate e) sel_exprs
-    || Option.fold ~none:false ~some:contains_aggregate s.sel_having
+      named
   in
   let scan_ops =
     List.map
       (fun (ti, name, plan) ->
-        mk_op "scan" (Printf.sprintf "%s: %s" name (Planner.describe plan))
+        mk_op "scan" (name ^ ": " ^ Planner.describe plan)
           ?est:(Planner.estimate t ti plan))
       sources
   in
@@ -766,7 +653,7 @@ let select_ctx t (s : select) =
     else None
   in
   let agg_op =
-    if has_aggregates then
+    if s.sel_group <> [] || aggs <> [||] then
       Some
         (push "aggregate"
            (if s.sel_group = [] then "scalar"
@@ -803,10 +690,9 @@ let select_ctx t (s : select) =
   in
   {
     sc_sources = sources;
-    sc_bindings = bindings;
-    sc_exprs = sel_exprs;
+    sc_select = s;
     sc_labels = labels;
-    sc_has_aggregates = has_aggregates;
+    sc_aggs = aggs;
     sc_join_conds = join_conds;
     sc_scan_ops = scan_ops;
     sc_filter_op = filter_op;
@@ -820,21 +706,22 @@ let select_ctx t (s : select) =
 
 let do_select t (s : select) =
   let c = select_ctx t s in
-  let bindings = c.sc_bindings in
-  let sel_exprs = c.sc_exprs in
+  let s = c.sc_select in
   let labels = c.sc_labels in
-  let env = { bindings; aggregates = None } in
-  let project_row env' =
+  let bindings = List.map (fun _ -> { b_values = [||]; b_rowid = 0L }) c.sc_sources in
+  let env = { rows = Array.of_list bindings; aggs = [||] } in
+  let restore = restore bindings in
+  let project_row () =
     in_op t c.sc_project_op (fun () ->
         c.sc_project_op.o_rows_in <- c.sc_project_op.o_rows_in + 1;
         c.sc_project_op.o_loops <- c.sc_project_op.o_loops + 1;
-        let vals = List.map (fun (e, _) -> eval t env' e) sel_exprs in
+        let vals = List.map (fun (e, _) -> eval t env e) s.sel_exprs in
         c.sc_project_op.o_rows_out <- c.sc_project_op.o_rows_out + 1;
         vals)
   in
   if c.sc_sources = [] then begin
     (* SELECT without FROM *)
-    let vals = project_row env in
+    let vals = project_row () in
     ({ columns = labels; rows = [ vals ]; affected = 0 }, [ c.sc_root ])
   end
   else begin
@@ -856,9 +743,7 @@ let do_select t (s : select) =
                 if k then fo.o_rows_out <- fo.o_rows_out + 1;
                 k)
       in
-      if keep then
-        rows :=
-          (List.map (fun b -> (Array.copy b.b_values, b.b_rowid)) bindings) :: !rows
+      if keep then rows := snapshot bindings :: !rows
     in
     let rec loop srcs bnds ops =
       match (srcs, bnds, ops) with
@@ -880,98 +765,87 @@ let do_select t (s : select) =
     loop c.sc_sources bindings c.sc_scan_ops;
     let materialized = List.rev !rows in
     let n_mat = List.length materialized in
-    let restore row =
-      List.iter2
-        (fun b (values, rowid) ->
-          b.b_values <- values;
-          b.b_rowid <- rowid)
-        bindings row
-    in
+    (* in aggregation, the row and aggregates that each result row's
+       ORDER BY expressions read *)
+    let group_ctxs = ref [] in
     let result_rows =
-      if c.sc_has_aggregates then begin
-        let agg_op = Option.get c.sc_agg_op in
-        in_op t agg_op (fun () ->
-            agg_op.o_loops <- 1;
-            agg_op.o_rows_in <- n_mat;
-            (* group rows *)
-            let agg_exprs =
-              List.fold_left
-                (fun acc (e, _) -> collect_aggs acc e)
-                (Option.fold ~none:[] ~some:(collect_aggs []) s.sel_having)
-                sel_exprs
-            in
-            let groups : (string, (Value.t list * (expr * agg_state) list)) Hashtbl.t =
-              Hashtbl.create 16
-            in
-            let order = ref [] in
-            List.iter
-              (fun row ->
-                restore row;
-                let key_vals = List.map (fun g -> eval t env g) s.sel_group in
-                let key = Record.encode key_vals in
-                let _, states =
-                  match Hashtbl.find_opt groups key with
-                  | Some g -> g
-                  | None ->
-                      let g = (key_vals, List.map (fun e -> (e, new_agg ())) agg_exprs) in
-                      Hashtbl.add groups key g;
-                      order := key :: !order;
-                      g
-                in
-                List.iter (fun (e, st) -> agg_update t env st e) states)
-              materialized;
-            let keys =
-              if Hashtbl.length groups = 0 && s.sel_group = [] then begin
-                (* aggregate over empty input still yields one row *)
-                let g = ([], List.map (fun e -> (e, new_agg ())) agg_exprs) in
-                Hashtbl.add groups "" g;
-                [ "" ]
-              end
-              else List.rev !order
-            in
-            let out =
-              List.filter_map
-                (fun key ->
-                  let key_vals, states = Hashtbl.find groups key in
-                  let aggs = Hashtbl.create 8 in
-                  List.iter
-                    (fun (e, st) -> Hashtbl.replace aggs (agg_key e) (agg_final e st))
-                    states;
-                  (* bind group-by columns through a pseudo binding: evaluate
-                     select exprs in an env whose bindings hold the first row of
-                     the group — sufficient for exprs over grouped columns *)
-                  let genv = { bindings; aggregates = Some aggs } in
-                  (* restore a representative row for non-aggregate refs *)
-                  (match
-                     List.find_opt
-                       (fun row ->
-                         restore row;
-                         List.map (fun g -> eval t env g) s.sel_group = key_vals)
-                       materialized
-                   with
-                  | Some row -> restore row
-                  | None -> ());
-                  let having_ok =
-                    match s.sel_having with
-                    | None -> true
-                    | Some h -> Value.to_bool (eval t genv h)
+      match c.sc_agg_op with
+      | Some agg_op ->
+          in_op t agg_op (fun () ->
+              agg_op.o_loops <- 1;
+              agg_op.o_rows_in <- n_mat;
+              (* group rows *)
+              let aggs = c.sc_aggs in
+              let groups : (string, Value.t list * agg_state array) Hashtbl.t =
+                Hashtbl.create 16
+              in
+              let order = ref [] in
+              List.iter
+                (fun row ->
+                  restore row;
+                  let key_vals = List.map (fun g -> eval t env g) s.sel_group in
+                  let key = Record.encode key_vals in
+                  let _, states =
+                    match Hashtbl.find_opt groups key with
+                    | Some g -> g
+                    | None ->
+                        let g = (key_vals, Array.map (fun _ -> new_agg ()) aggs) in
+                        Hashtbl.add groups key g;
+                        order := key :: !order;
+                        g
                   in
-                  if having_ok then Some (project_row genv) else None)
-                keys
-            in
-            agg_op.o_rows_out <- List.length out;
-            out)
-      end
-      else
-        List.map
-          (fun row ->
-            restore row;
-            project_row env)
-          materialized
+                  Array.iteri (fun i st -> agg_update t env st aggs.(i)) states)
+                materialized;
+              let keys =
+                if Hashtbl.length groups = 0 && s.sel_group = [] then begin
+                  (* aggregate over empty input still yields one row, whose
+                     columns read NULL *)
+                  List.iter2
+                    (fun b (ti, _, _) ->
+                      b.b_values <- Array.make (List.length ti.tbl_columns) Value.Null)
+                    bindings c.sc_sources;
+                  Hashtbl.add groups "" ([], Array.map (fun _ -> new_agg ()) aggs);
+                  [ "" ]
+                end
+                else List.rev !order
+              in
+              let out =
+                List.filter_map
+                  (fun key ->
+                    let key_vals, states = Hashtbl.find groups key in
+                    (* restore a representative row for non-aggregate refs:
+                       the first row of the group *)
+                    (match
+                       List.find_opt
+                         (fun row ->
+                           restore row;
+                           List.map (fun g -> eval t env g) s.sel_group = key_vals)
+                         materialized
+                     with
+                    | Some row -> restore row
+                    | None -> ());
+                    env.aggs <- Array.map2 agg_final aggs states;
+                    let having_ok =
+                      match s.sel_having with
+                      | None -> true
+                      | Some h -> Value.to_bool (eval t env h)
+                    in
+                    if having_ok then begin
+                      group_ctxs := (snapshot bindings, env.aggs) :: !group_ctxs;
+                      Some (project_row ())
+                    end
+                    else None)
+                  keys
+              in
+              agg_op.o_rows_out <- List.length out;
+              out)
+      | None ->
+          List.map
+            (fun row ->
+              restore row;
+              project_row ())
+            materialized
     in
-    (* ORDER BY: when ordering refers to select aliases or expressions over
-       the base row we re-evaluate against materialized rows; for aggregate
-       queries we order by position in result if expr is an alias *)
     let result_rows =
       match c.sc_sort_op with
       | None -> result_rows
@@ -979,56 +853,26 @@ let do_select t (s : select) =
           in_op t sort_op (fun () ->
               sort_op.o_loops <- 1;
               sort_op.o_rows_in <- List.length result_rows;
+              let ctxs =
+                match c.sc_agg_op with
+                | Some _ -> List.rev !group_ctxs
+                | None -> List.map (fun row -> (row, [||])) materialized
+              in
               let keyed =
-                if c.sc_has_aggregates then
-                  List.map
-                    (fun vals ->
-                      let key =
-                        List.map
-                          (fun o ->
-                            match o.ord_expr with
-                            | Column (None, name) -> (
-                                match
-                                  List.find_map
-                                    (fun (l, v) -> if String.lowercase_ascii l = String.lowercase_ascii name then Some v else None)
-                                    (List.combine labels vals)
-                                with
-                                | Some v -> (v, o.ord_desc)
-                                | None -> (Value.Null, o.ord_desc))
-                            | Lit (Value.Int n) ->
-                                ((try List.nth vals (Int64.to_int n - 1) with _ -> Value.Null), o.ord_desc)
-                            | _ -> (Value.Null, o.ord_desc))
-                          s.sel_order
-                      in
-                      (key, vals))
-                    result_rows
-                else
-                  List.map2
-                    (fun row vals ->
-                      restore row;
-                      let key =
-                        List.map
-                          (fun o ->
-                            match o.ord_expr with
-                            | Lit (Value.Int n) ->
-                                ((try List.nth vals (Int64.to_int n - 1) with _ -> Value.Null), o.ord_desc)
-                            | Column (None, name)
-                              when List.exists
-                                     (fun l -> String.lowercase_ascii l = String.lowercase_ascii name)
-                                     labels
-                                   && not
-                                        (List.exists
-                                           (fun b ->
-                                             Array.exists
-                                               (fun col -> String.lowercase_ascii col = String.lowercase_ascii name)
-                                               b.b_cols)
-                                           bindings) ->
-                                (List.assoc name (List.combine labels vals), o.ord_desc)
-                            | e -> (eval t env e, o.ord_desc))
-                          s.sel_order
-                      in
-                      (key, vals))
-                    materialized result_rows
+                List.map2
+                  (fun (row, aggs) vals ->
+                    restore row;
+                    env.aggs <- aggs;
+                    let key =
+                      List.map
+                        (fun o ->
+                          match o.ord_expr with
+                          | Bound (Output i, _) -> (List.nth vals i, o.ord_desc)
+                          | e -> (eval t env e, o.ord_desc))
+                        s.sel_order
+                    in
+                    (key, vals))
+                  ctxs result_rows
               in
               let cmp (ka, _) (kb, _) =
                 let rec go a b =
@@ -1095,14 +939,12 @@ let do_select t (s : select) =
 (* --- UPDATE / DELETE --- *)
 
 (* scan (+ filter) feeding a mutation operator; the mutation op owns the
-   SET evaluation and the B-tree/index write work. *)
-let mutation_tree t ti name ~const where =
-  let plan, reason =
-    Planner.plan_for t [ (ti.tbl_name, ti) ] 0 ~const (Option.to_list where)
-  in
+   SET evaluation and the B-tree/index write work. [where] is bound. *)
+let mutation_tree t ti name where =
+  let plan, reason = Planner.plan_for t ti 0 ~const:(const_value t) (Option.to_list where) in
   Planner.record_plan t ti plan reason;
   let scan_op =
-    mk_op "scan" (Printf.sprintf "%s: %s" ti.tbl_name (Planner.describe plan))
+    mk_op "scan" (ti.tbl_name ^ ": " ^ Planner.describe plan)
       ?est:(Planner.estimate t ti plan)
   in
   let filter_op =
@@ -1114,11 +956,21 @@ let mutation_tree t ti name ~const where =
   let top = mk_op ~children:[ feed ] name ti.tbl_name in
   (plan, scan_op, filter_op, top)
 
+(* The one source of an UPDATE or DELETE. *)
+let bind_in ti = Resolve.bind [ (ti.tbl_name, ti) ] None
+
 let do_update t ~upd_table ~upd_sets ~upd_where =
   let ti = table t upd_table in
-  let plan, scan_op, filter_op, upd_op =
-    mutation_tree t ti "update" ~const:(const_value t) upd_where
+  let upd_where = Option.map (bind_in ti) upd_where in
+  let set_idx =
+    List.map
+      (fun (col, e) ->
+        match col_index ti col with
+        | Some i -> (i, bind_in ti e)
+        | None -> fail "no such column %s" col)
+      upd_sets
   in
+  let plan, scan_op, filter_op, upd_op = mutation_tree t ti "update" upd_where in
   let victims = ref [] in
   scan_instr t ti plan ~scan_op ?filter_op upd_where (fun rowid values ->
       victims := (rowid, values) :: !victims;
@@ -1127,18 +979,8 @@ let do_update t ~upd_table ~upd_sets ~upd_where =
     in_op t upd_op (fun () ->
         upd_op.o_loops <- 1;
         upd_op.o_rows_in <- List.length !victims;
-        let binding =
-          { b_name = ti.tbl_name; b_cols = columns_array ti; b_values = [||]; b_rowid = 0L }
-        in
-        let env = { bindings = [ binding ]; aggregates = None } in
-        let set_idx =
-          List.map
-            (fun (col, e) ->
-              match col_index ti col with
-              | Some i -> (i, e)
-              | None -> fail "no such column %s" col)
-            upd_sets
-        in
+        let binding = { b_values = [||]; b_rowid = 0L } in
+        let env = { rows = [| binding |]; aggs = [||] } in
         List.iter
           (fun (rowid, values) ->
             binding.b_values <- values;
@@ -1157,9 +999,8 @@ let do_update t ~upd_table ~upd_sets ~upd_where =
 
 let do_delete t ~del_table ~del_where =
   let ti = table t del_table in
-  let plan, scan_op, filter_op, del_op =
-    mutation_tree t ti "delete" ~const:(const_value t) del_where
-  in
+  let del_where = Option.map (bind_in ti) del_where in
+  let plan, scan_op, filter_op, del_op = mutation_tree t ti "delete" del_where in
   let victims = ref [] in
   scan_instr t ti plan ~scan_op ?filter_op del_where (fun rowid values ->
       victims := (rowid, values) :: !victims;
@@ -1492,11 +1333,11 @@ let plan_tree t stmt =
       [ mk_op "insert" ti.tbl_name ~est:(List.length ins_rows) ]
   | Update { upd_table; upd_where; _ } ->
       let ti = table t upd_table in
-      let _, _, _, top = mutation_tree t ti "update" ~const:(const_value t) upd_where in
+      let _, _, _, top = mutation_tree t ti "update" (Option.map (bind_in ti) upd_where) in
       [ top ]
   | Delete { del_table; del_where } ->
       let ti = table t del_table in
-      let _, _, _, top = mutation_tree t ti "delete" ~const:(const_value t) del_where in
+      let _, _, _, top = mutation_tree t ti "delete" (Option.map (bind_in ti) del_where) in
       [ top ]
   | Create_table { ct_name; _ } -> [ mk_op "create_table" (String.lowercase_ascii ct_name) ]
   | Create_index { ci_name; _ } -> [ mk_op "create_index" (String.lowercase_ascii ci_name) ]

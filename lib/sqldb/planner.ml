@@ -2,7 +2,8 @@
    FROM source (rowid range, single-column index equality/range, a rowid
    or index probe for an inner table of a join, or full scan), the
    plan-choice trace event, and row estimates from the ANALYZE
-   statistics cache ([Catalog.stats]).
+   statistics cache ([Catalog.stats]). It reads the statement [Resolve]
+   has bound: a column's source is its slot's.
 
    Constant folding and probe keys are evaluated by the executor, through
    the [const] and [eval] callbacks, so this layer stays free of
@@ -77,33 +78,15 @@ let record_plan t (ti : Catalog.table_info) plan reason =
           "sqldb.plan"
 
 let find_index t table_name col =
-  let col = String.lowercase_ascii col in
   Hashtbl.fold
     (fun _ (ii : Catalog.index_info) acc ->
-      if acc = None
-         && String.lowercase_ascii ii.idx_table = String.lowercase_ascii table_name
-         && List.length ii.idx_columns >= 1
-         && String.lowercase_ascii (List.hd ii.idx_columns) = col
-      then Some ii
-      else acc)
+      match (acc, ii.idx_columns) with
+      | None, c :: _ when Catalog.name_eq ii.idx_table table_name && Catalog.name_eq c col
+        -> Some ii
+      | _ -> acc)
     t.Catalog.indexes None
 
 (* --- expressions --- *)
-
-(* [e] and each of its sub-expressions satisfy [p]. *)
-let rec for_all_sub p e =
-  p e
-  &&
-  match e with
-  | Lit _ | Column _ | Star -> true
-  | Binop (_, a, b) | Like (a, b) -> for_all_sub p a && for_all_sub p b
-  | Not a | Neg a | Is_null (a, _) | Cast (a, _) -> for_all_sub p a
-  | Between (a, b, c) -> for_all_sub p a && for_all_sub p b && for_all_sub p c
-  | In_list (a, es) -> for_all_sub p a && List.for_all (for_all_sub p) es
-  | Call (_, es) -> List.for_all (for_all_sub p) es
-  | Case (arms, e) ->
-      List.for_all (fun (c, v) -> for_all_sub p c && for_all_sub p v) arms
-      && Option.fold ~none:true ~some:(for_all_sub p) e
 
 (* Compact expression rendering for operator details. *)
 let binop_str = function
@@ -134,38 +117,22 @@ let rec render_expr = function
       Printf.sprintf "%s(%s)" n (String.concat ", " (List.map render_expr args))
   | Case _ -> "CASE"
   | Cast (a, ty) -> Printf.sprintf "CAST(%s AS %s)" (render_expr a) ty
+  | Bound (_, e) -> render_expr e
 
-(* --- column resolution --- *)
+(* --- constant folding --- *)
 
-(* The position of the FROM source a column reference reads, resolved as
-   the executor's [lookup_column] does: a qualifier names the first
-   source with that alias (its table name when it has none); an
-   unqualified name reads the first source with that column, and an
-   unqualified [rowid] the first source. [None] when nothing matches. *)
-let rec qualified_source q n is_rowid i = function
-  | [] -> None
-  | (name, ti) :: rest ->
-      if Catalog.name_eq name q then
-        if is_rowid || Catalog.col_index ti n <> None then Some i else None
-      else qualified_source q n is_rowid (i + 1) rest
+(* Every column [e] reads is of a source that passes [ok]. *)
+let reads ok = function Bound ((Field (j, _) | Rowid j), _) -> ok j | _ -> true
 
-let rec source_with_column n i = function
-  | [] -> None
-  | (_, ti) :: rest ->
-      if Catalog.col_index ti n <> None then Some i else source_with_column n (i + 1) rest
-
-let resolve sources q n =
-  let is_rowid = Catalog.name_eq n "rowid" in
-  match q with
-  | Some q -> qualified_source q n is_rowid 0 sources
-  | None when is_rowid -> if sources = [] then None else Some 0
-  | None -> source_with_column n 0 sources
+let foldable ok =
+  for_all_sub (function
+    | Star | Call (("random" | "randomblob"), _) -> false
+    | e -> reads ok e)
 
 (* Inclusive rowid bounds holding every integer x with [x op v] under
-   [Value.compare]. Only an Int, or a Real below 2^53 in magnitude (where
-   comparing it with an integer is exact), gives a bound; a Real rounds
-   outward so the range stays a superset. Any other value leaves both
-   sides open and the filter decides. *)
+   [Value.compare]. Only an Int, or a Real below 2^53 in magnitude, gives
+   a bound; a Real rounds outward so the range stays a superset. Any
+   other value leaves both sides open and the filter decides. *)
 let rowid_bounds op v =
   let exact =
     match v with
@@ -202,10 +169,10 @@ let driving_plan t (ti : Catalog.table_info) ~const cs =
   List.iter
     (fun c ->
       match c with
-      | Binop ((Eq | Ge | Gt | Le | Lt) as op, Column (_, n), e)
+      | Binop ((Eq | Ge | Gt | Le | Lt) as op, Bound (_, Column (_, n)), e)
         when Catalog.is_rowid_column ti n -> bound op e
-      | Binop (Eq, e, Column (_, n)) when Catalog.is_rowid_column ti n -> bound Eq e
-      | Between (Column (_, n), a, b) when Catalog.is_rowid_column ti n ->
+      | Binop (Eq, e, Bound (_, Column (_, n))) when Catalog.is_rowid_column ti n -> bound Eq e
+      | Between (Bound (_, Column (_, n)), a, b) when Catalog.is_rowid_column ti n ->
           bound Ge a;
           bound Le b
       | _ -> ())
@@ -217,16 +184,17 @@ let driving_plan t (ti : Catalog.table_info) ~const cs =
       List.find_map
         (fun c ->
           match c with
-          | Binop (Eq, Column (_, n), e) | Binop (Eq, e, Column (_, n)) -> (
+          | Binop (Eq, Bound (_, Column (_, n)), e)
+          | Binop (Eq, e, Bound (_, Column (_, n))) -> (
               match (find_index t ti.Catalog.tbl_name n, const e) with
               | Some ii, Some v -> Some (Index_range (ii, [ v ], None, None), Index_eq)
               | _ -> None)
-          | Between (Column (_, n), a, b) -> (
+          | Between (Bound (_, Column (_, n)), a, b) -> (
               match (find_index t ti.Catalog.tbl_name n, const a, const b) with
               | Some ii, Some lo, Some hi ->
                   Some (Index_range (ii, [], Some lo, Some hi), Index_bounds)
               | _ -> None)
-          | Binop (Ge, Column (_, n), e) -> (
+          | Binop (Ge, Bound (_, Column (_, n)), e) -> (
               match (find_index t ti.Catalog.tbl_name n, const e) with
               | Some ii, Some v -> Some (Index_range (ii, [], Some v, None), Index_bounds)
               | _ -> None)
@@ -242,10 +210,10 @@ let driving_plan t (ti : Catalog.table_info) ~const cs =
    index, when a conjunct sets that column equal to a key that reads only
    the sources to its left (and no impure function), so the key can be
    evaluated once per outer row. *)
-let probe_plan t (ti : Catalog.table_info) ~own ~is_key cs =
+let probe_plan t (ti : Catalog.table_info) i ~is_key cs =
   let eq a b =
     match a with
-    | Column (q, n) when own q n && is_key b -> Some (n, b)
+    | Bound ((Field (j, _) | Rowid j), Column (_, n)) when j = i && is_key b -> Some (n, b)
     | _ -> None
   in
   let eqs =
@@ -269,7 +237,7 @@ let probe_plan t (ti : Catalog.table_info) ~own ~is_key cs =
       | Some p -> (p, Join_probe)
       | None -> (Full_scan, Join_inner))
 
-let plan_for t sources i ~const clauses =
+let plan_for t ti i ~const clauses =
   let cs =
     let rec conjuncts = function
       | Binop (And, a, b) -> conjuncts a @ conjuncts b
@@ -277,21 +245,9 @@ let plan_for t sources i ~const clauses =
     in
     List.concat_map conjuncts clauses
   in
-  let _, ti = List.nth sources i in
-  let own q n = resolve sources q n = Some i in
-  let reads ok = function
-    | Column (q, n) -> ( match resolve sources q n with Some j -> ok j | None -> false)
-    | _ -> true
-  in
   if i = 0 then
     driving_plan t ti ~const (List.filter (for_all_sub (reads (fun j -> j = 0))) cs)
-  else
-    let is_key =
-      for_all_sub (function
-        | Star | Call (("random" | "randomblob"), _) -> false
-        | e -> reads (fun j -> j < i) e)
-    in
-    probe_plan t ti ~own ~is_key cs
+  else probe_plan t ti i ~is_key:(foldable (fun j -> j < i)) cs
 
 let bind_probe plan ~eval =
   match plan with

@@ -24,11 +24,13 @@ type reason =
   | Join_inner
   | Join_probe
 
-val for_all_sub : (Sql_ast.expr -> bool) -> Sql_ast.expr -> bool
-(** [for_all_sub p e]: [e] and each of its sub-expressions satisfy [p]. *)
-
 val render_expr : Sql_ast.expr -> string
-(** Compact rendering of an expression, for operator details. *)
+(** Compact rendering of an expression, for operator details; a
+    {!Sql_ast.Bound} node renders the expression it replaced. *)
+
+val foldable : (int -> bool) -> Sql_ast.expr -> bool
+(** [foldable ok e]: bound [e] calls no random function and reads only
+    sources that pass [ok], so it can be evaluated ahead of the rows. *)
 
 val reason_label : reason -> string
 val reason_code : reason -> int
@@ -44,19 +46,19 @@ val find_index : Catalog.db -> string -> string -> Catalog.index_info option
 (** First index on the table whose leading column matches. *)
 
 val plan_for :
-  Catalog.db -> (string * Catalog.table_info) list -> int ->
+  Catalog.db -> Catalog.table_info -> int ->
   const:(Sql_ast.expr -> Value.t option) ->
   Sql_ast.expr list -> plan * reason
-(** [plan_for t sources i ~const clauses]: the access path for source [i]
-    of a FROM list of (alias or table name, table) pairs, from the
-    top-level AND conjuncts of the ON and WHERE [clauses]. Columns
-    resolve as the executor resolves them. Source 0 gets a rowid range
-    or an index equality or range from the conjuncts that read only it;
-    [const] evaluates column-free expressions (None when impure or
-    column-dependent). A later source is probed ({!Join_probe}) by its
-    rowid, or by the first column of an index, when a conjunct sets it
-    equal to a key that reads only the sources to its left, and scanned
-    ({!Join_inner}) otherwise. *)
+(** [plan_for t ti i ~const clauses]: the access path for table [ti],
+    source [i] of its FROM list, from the top-level AND conjuncts of the
+    ON and WHERE [clauses], which {!Resolve.bind} has bound once for the
+    statement: a column's source is read from its slot. Source 0 gets a
+    rowid range or an index equality or range from the conjuncts that
+    read only it; [const] evaluates column-free expressions (None when
+    impure or column-dependent). A later source is probed
+    ({!Join_probe}) by its rowid, or by the first column of an index,
+    when a conjunct sets it equal to a key that reads only the sources to
+    its left, and scanned ({!Join_inner}) otherwise. *)
 
 val bind_probe : plan -> eval:(Sql_ast.expr -> Value.t) -> plan option
 (** The path to read for the current outer row: a probe's key, evaluated

@@ -99,8 +99,8 @@ let compare_field cls a ai b bi =
       match (Bytes.get a ai, Bytes.get b bi) with
       | '\x01', '\x01' -> Int64.compare x y
       | '\x02', '\x02' -> Float.compare (Int64.float_of_bits x) (Int64.float_of_bits y)
-      | '\x01', _ -> Float.compare (Int64.to_float x) (Int64.float_of_bits y)
-      | _ -> Float.compare (Int64.float_of_bits x) (Int64.to_float y))
+      | '\x01', _ -> Value.compare_int_real x (Int64.float_of_bits y)
+      | _ -> - Value.compare_int_real y (Int64.float_of_bits x))
   | _ ->
       let la = Bytes.get_uint16_le a (ai + 1) and lb = Bytes.get_uint16_le b (bi + 1) in
       let c = compare_chars a (ai + 3) b (bi + 3) (min la lb) in

@@ -1,9 +1,17 @@
-(* SQL abstract syntax. *)
+(* SQL abstract syntax, and the two traversals the resolver and the
+   planner share. *)
 
 type binop =
   | Add | Sub | Mul | Div | Mod | Concat
   | Eq | Ne | Lt | Le | Gt | Ge
   | And | Or
+
+(* What the resolver binds a name or an aggregate call to. *)
+type slot =
+  | Field of int * int  (* FROM source, column *)
+  | Rowid of int  (* FROM source *)
+  | Agg of int  (* position in the statement's aggregate list *)
+  | Output of int  (* result column, for an ORDER BY term *)
 
 type expr =
   | Lit of Value.t
@@ -19,6 +27,9 @@ type expr =
   | Call of string * expr list  (* functions and aggregates *)
   | Case of (expr * expr) list * expr option  (* WHEN cond THEN v ..., ELSE *)
   | Cast of expr * string
+  | Bound of slot * expr
+      (* made by [Resolve.bind], never by the parser: the slot of the
+         expression it carries, which EXPLAIN still renders *)
 
 type order_item = { ord_expr : expr; ord_desc : bool }
 
@@ -79,3 +90,36 @@ type stmt =
   | Analyze
   | Vacuum
   | Explain of { ex_analyze : bool; ex_stmt : stmt }
+
+(* [e] and each of its sub-expressions satisfy [p]. *)
+let rec for_all_sub p e =
+  p e
+  &&
+  match e with
+  | Lit _ | Column _ | Star | Bound _ -> true
+  | Binop (_, a, b) | Like (a, b) -> for_all_sub p a && for_all_sub p b
+  | Not a | Neg a | Is_null (a, _) | Cast (a, _) -> for_all_sub p a
+  | Between (a, b, c) -> for_all_sub p a && for_all_sub p b && for_all_sub p c
+  | In_list (a, es) -> for_all_sub p a && List.for_all (for_all_sub p) es
+  | Call (_, es) -> List.for_all (for_all_sub p) es
+  | Case (arms, e) ->
+      List.for_all (fun (c, v) -> for_all_sub p c && for_all_sub p v) arms
+      && Option.fold ~none:true ~some:(for_all_sub p) e
+
+(* [e] with [f] applied to each of its immediate sub-expressions, left
+   to right. *)
+let map_sub f e =
+  match e with
+  | Lit _ | Column _ | Star | Bound _ -> e
+  | Binop (op, a, b) -> let a = f a in Binop (op, a, f b)
+  | Not a -> Not (f a)
+  | Neg a -> Neg (f a)
+  | Is_null (a, pos) -> Is_null (f a, pos)
+  | Between (a, b, c) -> let a = f a in let b = f b in Between (a, b, f c)
+  | In_list (a, es) -> let a = f a in In_list (a, List.map f es)
+  | Like (a, b) -> let a = f a in Like (a, f b)
+  | Call (n, es) -> Call (n, List.map f es)
+  | Case (arms, e) ->
+      let arms = List.map (fun (c, v) -> let c = f c in (c, f v)) arms in
+      Case (arms, Option.map f e)
+  | Cast (a, ty) -> Cast (f a, ty)

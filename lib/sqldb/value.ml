@@ -15,6 +15,17 @@ let storage_class = function
   | Text _ -> 2
   | Blob _ -> 3
 
+(* [i] against [r], exactly, as SQLite's [sqlite3IntFloatCompare]: a
+   real outside the int64 range lies beyond every integer, any other is
+   compared by its integer part and then its fraction. NaN sorts below
+   every integer, as [Float.compare] puts it below every float. *)
+let compare_int_real i r =
+  if Float.is_nan r || r < -0x1p63 then 1
+  else if r >= 0x1p63 then -1
+  else
+    let c = Int64.compare i (Int64.of_float r) in
+    if c <> 0 then c else Float.compare (Int64.to_float i) r
+
 let compare a b =
   let ca = storage_class a and cb = storage_class b in
   if ca <> cb then Stdlib.compare ca cb
@@ -23,8 +34,8 @@ let compare a b =
     | Null, Null -> 0
     | Int x, Int y -> Int64.compare x y
     | Real x, Real y -> Float.compare x y
-    | Int x, Real y -> Float.compare (Int64.to_float x) y
-    | Real x, Int y -> Float.compare x (Int64.to_float y)
+    | Int x, Real y -> compare_int_real x y
+    | Real x, Int y -> - compare_int_real y x
     | Text x, Text y -> String.compare x y
     | Blob x, Blob y -> String.compare x y
     | _ -> assert false

@@ -456,6 +456,9 @@ let prop_sql_filter_model =
               else s = Value.Int (Int64.of_int expect_sum))
       | _ -> false)
 
+(* Also through a label in another case, and over groups ordered by an
+   aggregate and by a label: [k] is [x % 7] (OCaml's [mod] truncates, as
+   SQL's [%] does), with each group's count and greatest [x]. *)
 let prop_sql_order_model =
   QCheck.Test.make ~name:"ORDER BY matches stable sort" ~count:40
     QCheck.(small_list (int_range (-100) 100))
@@ -465,12 +468,27 @@ let prop_sql_order_model =
       List.iter
         (fun x -> ignore (Db.exec db (Printf.sprintf "INSERT INTO t VALUES (%d)" x)))
         xs;
-      let got = Db.query db "SELECT x FROM t ORDER BY x DESC" in
+      let ints = List.map (List.map (fun n -> Value.Int (Int64.of_int n))) in
+      let desc = List.sort (fun a b -> compare b a) xs in
+      let groups =
+        List.map
+          (fun k ->
+            let g = List.filter (fun x -> x mod 7 = k) xs in
+            (k, List.length g, List.fold_left max min_int g))
+          (List.sort_uniq compare (List.map (fun x -> x mod 7) xs))
+      in
+      let by key = List.map (fun (k, n, _) -> [ k; n ]) (List.stable_sort key groups) in
+      let cases =
+        [ ("SELECT x FROM t ORDER BY x DESC", ints (List.map (fun x -> [ x ]) desc));
+          ("SELECT x AS Foo FROM t ORDER BY foo DESC", ints (List.map (fun x -> [ x ]) desc));
+          ( "SELECT x % 7 AS k, count(*) FROM t GROUP BY x % 7 ORDER BY count(*) DESC, K",
+            ints (by (fun (k, n, _) (k', n', _) -> compare (n', k) (n, k'))) );
+          ( "SELECT x % 7 AS k, count(*) FROM t GROUP BY x % 7 ORDER BY max(x) DESC",
+            ints (by (fun (_, _, m) (_, _, m') -> compare m' m)) ) ]
+      in
+      let ok = List.for_all (fun (sql, want) -> Db.query db sql = want) cases in
       Db.close db;
-      got
-      = List.map
-          (fun x -> [ Value.Int (Int64.of_int x) ])
-          (List.sort (fun a b -> compare b a) xs))
+      ok)
 
 (* index plan and full scan must agree *)
 let prop_index_consistency =

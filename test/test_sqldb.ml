@@ -22,7 +22,24 @@ let test_value_compare () =
     (Value.compare (v_text "zzz") (Value.Blob "\x00") < 0);
   Alcotest.(check bool) "int ~ real" true
     (Value.compare (v_int 2) (Value.Real 2.5) < 0);
-  Alcotest.(check bool) "int = real" true (Value.equal (v_int 2) (Value.Real 2.0))
+  Alcotest.(check bool) "int = real" true (Value.equal (v_int 2) (Value.Real 2.0));
+  (* exact past 2^53, where [Int64.to_float] rounds *)
+  let sign a b = Stdlib.compare (Value.compare a b) 0 in
+  List.iter
+    (fun (name, a, b, want) ->
+      Alcotest.(check int) name want (sign a b);
+      Alcotest.(check int) (name ^ ", swapped") (-want) (sign b a))
+    [ ("2^53 + 1 > 2^53", Value.Int 9007199254740993L, Value.Real 0x1p53, 1);
+      ("2^53 = 2^53", Value.Int 9007199254740992L, Value.Real 0x1p53, 0);
+      ("-2^53 - 1 < -2^53", Value.Int (-9007199254740993L), Value.Real (-0x1p53), -1);
+      ("max_int < 2^63", Value.Int Int64.max_int, Value.Real 0x1p63, -1);
+      ("min_int = -2^63", Value.Int Int64.min_int, Value.Real (-0x1p63), 0);
+      ("min_int + 1 > -2^63", Value.Int (Int64.add Int64.min_int 1L), Value.Real (-0x1p63), 1);
+      ("-2 > -2.5", v_int (-2), Value.Real (-2.5), 1);
+      ("-3 < -2.5", v_int (-3), Value.Real (-2.5), -1);
+      ("int > nan", v_int 0, Value.Real Float.nan, 1);
+      ("int < inf", Value.Int Int64.max_int, Value.Real Float.infinity, -1);
+      ("int > -inf", Value.Int Int64.min_int, Value.Real Float.neg_infinity, 1) ]
 
 let test_value_arith () =
   Alcotest.check value_t "add" (v_int 5) (Value.add (v_int 2) (v_int 3));
@@ -69,7 +86,8 @@ let gen_edge_value =
         (3, map (fun f -> Value.Real f)
               (oneof
                  [ oneofl [ Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity;
-                            9007199254740992.0; 1.5; -1.5; 2.0 ];
+                            9007199254740992.0; 9007199254740994.0; 0x1p63; -0x1p63;
+                            1.5; -1.5; 2.0 ];
                    float ]));
         (2, map (fun s -> Value.Text s) bytes);
         (2, map (fun s -> Value.Blob s) bytes) ])
@@ -620,6 +638,70 @@ let test_rowid_range_least_rowid () =
       Alcotest.check rows_t where [ [ v_int 1 ] ]
         (Db.query db ("SELECT count(*) FROM t WHERE " ^ where)))
     [ "a < -9223372036854775807"; "a + 0 < -9223372036854775807" ];
+  Db.close db
+
+(* An integer is compared with a real exactly, in an expression, a
+   filter and an index seek: past 2^53 [Int64.to_float] rounds, and
+   -9223372036854775808 parses as the real -2^63. *)
+let test_int_real_compare () =
+  let db = mem_db () in
+  Alcotest.check rows_t "2^53 + 1 = 2^53 as a real" [ [ v_int 0 ] ]
+    (Db.query db "SELECT 9007199254740993 = 9007199254740992.0");
+  ignore (Db.exec db "CREATE TABLE t(a INTEGER PRIMARY KEY, s TEXT)");
+  ignore (Db.exec db "INSERT INTO t VALUES (-9223372036854775808, 'least')");
+  for _ = 1 to 300 do
+    ignore (Db.exec db (Printf.sprintf "INSERT INTO t(s) VALUES ('%s')" (String.make 40 'y')))
+  done;
+  Alcotest.check rows_t "a <= -2^63" [ [ v_int 1 ] ]
+    (Db.query db "SELECT count(*) FROM t WHERE a <= -9223372036854775808");
+  ignore (Db.exec db "CREATE TABLE g(i INTEGER)");
+  ignore (Db.exec db "CREATE INDEX gi ON g(i)");
+  ignore (Db.exec db "INSERT INTO g VALUES (9007199254740992), (9007199254740993)");
+  Alcotest.check rows_t "index seek" [ [ v_int 1 ] ]
+    (Db.query db "SELECT count(*) FROM g WHERE i = 9007199254740992.0");
+  Alcotest.check rows_t "filter" [ [ v_int 1 ] ]
+    (Db.query db "SELECT count(*) FROM g WHERE i > 9007199254740992.0");
+  Db.close db
+
+(* Every name of a statement is bound once, before its first row: a
+   qualifier names an alias (which hides its table's name), an
+   unqualified name reads the first source with that column and an
+   unqualified rowid the first source; an ORDER BY term is a result
+   position, a result label in any case, or an expression, aggregates
+   included, and each aggregate call has its own slot. *)
+let test_names_bound_once () =
+  let db = mem_db () in
+  ignore (Db.exec db "CREATE TABLE t(a INTEGER, b INTEGER)");
+  ignore (Db.exec db "INSERT INTO t VALUES (1, 10), (2, 20), (3, 20), (4, 30), (5, 20)");
+  ignore (Db.exec db "CREATE TABLE u(b INTEGER, c INTEGER)");
+  ignore (Db.exec db "INSERT INTO u VALUES (7, 70)");
+  let rows sql want = Alcotest.check rows_t sql want (Db.query db sql) in
+  let ints = List.map (List.map v_int) in
+  rows "SELECT a AS Foo FROM t ORDER BY foo DESC" (ints [ [ 5 ]; [ 4 ]; [ 3 ]; [ 2 ]; [ 1 ] ]);
+  rows "SELECT b, count(*) FROM t GROUP BY b ORDER BY count(*) DESC, b"
+    (ints [ [ 20; 3 ]; [ 10; 1 ]; [ 30; 1 ] ]);
+  rows "SELECT b, count(*) FROM t GROUP BY b ORDER BY max(a) DESC"
+    (ints [ [ 20; 3 ]; [ 30; 1 ]; [ 10; 1 ] ]);
+  rows "SELECT b AS Grp, sum(a) FROM t GROUP BY b ORDER BY GRP DESC"
+    (ints [ [ 30; 4 ]; [ 20; 10 ]; [ 10; 1 ] ]);
+  rows "SELECT sum(((((((a+1)+1)+1)+1)+1)+1)+1), sum(((((((a+5)+1)+1)+1)+1)+1)+1) FROM t WHERE a <= 2"
+    (ints [ [ 17; 25 ] ]);
+  rows "SELECT x.b, c FROM t x JOIN u ON x.a = 1" (ints [ [ 10; 70 ] ]);
+  rows "SELECT b, rowid FROM u JOIN t ON t.a = 2" (ints [ [ 7; 1 ] ]);
+  rows "SELECT b, rowid FROM t JOIN u ON t.a = 2" (ints [ [ 20; 2 ] ]);
+  rows "SELECT count(*), a FROM t WHERE a > 9" [ [ v_int 0; Value.Null ] ];
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) ("rejects: " ^ sql) true
+        (try
+           ignore (Db.exec db sql);
+           false
+         with Db.Sql_error _ -> true))
+    [ "SELECT nosuch FROM t WHERE 0";
+      "SELECT a FROM t ORDER BY 5";
+      "SELECT a FROM t ORDER BY 0";
+      "SELECT t.a FROM t x";
+      "SELECT a FROM t WHERE 0 AND count(*) > 0" ];
   Db.close db
 
 (* DDL rebuilds the catalog tree and gives back the pages below its root,
@@ -1324,6 +1406,8 @@ let suite =
       Alcotest.test_case "catalog pages grow linearly" `Quick test_catalog_pages_linear;
       Alcotest.test_case "secondary index" `Quick test_secondary_index;
       Alcotest.test_case "unique index" `Quick test_unique_index;
+      Alcotest.test_case "integer against real past 2^53" `Quick test_int_real_compare;
+      Alcotest.test_case "names bound once" `Quick test_names_bound_once;
       Alcotest.test_case "join" `Quick test_join;
       Alcotest.test_case "AS table aliases" `Quick test_as_table_alias;
       Alcotest.test_case "transactions" `Quick test_transactions;
