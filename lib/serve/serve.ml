@@ -264,9 +264,16 @@ type stats = {
   machine : Machine.t;
 }
 
+(* A request shape: its statement, prepared once per worker, and the
+   fingerprint its query stats record under. *)
+type shape = { sh_sql : string; sh_stmt : Db.stmt; sh_fingerprint : string }
+
 type worker = {
   rt : Twine.Runtime.t;
   db : Db.t;
+  kv_get : shape;
+  sql_point : shape;
+  sql_range : shape;
   queue : (int * int * Workload.req) Queue.t;  (* (rid, arrival ns, request) *)
   pager_work : int ref;
   mutable depth_hwm : int;
@@ -277,14 +284,22 @@ type worker = {
   sqlstats : Sqlstat.t;  (* per-enclave query-stats registry *)
 }
 
-(* Built by concatenation, not [Printf]: this runs once per request. *)
-let sql_of_req = function
-  | Workload.Kv_get k -> "SELECT v FROM kv WHERE k = " ^ string_of_int k
-  | Workload.Sql_point k -> "SELECT b, c FROM t WHERE a = " ^ string_of_int k
-  | Workload.Sql_range (lo, span) ->
-      String.concat ""
-        [ "SELECT count(*), sum(b) FROM t WHERE a >= "; string_of_int lo;
-          " AND a < "; string_of_int (lo + span) ]
+let prepare_shape db sql =
+  { sh_sql = sql; sh_stmt = Db.prepare db sql; sh_fingerprint = Sqlstat.fingerprint sql }
+
+(* A request's shape and the keys it binds. *)
+let request_shape w = function
+  | Workload.Kv_get k -> (w.kv_get, [| k |])
+  | Workload.Sql_point k -> (w.sql_point, [| k |])
+  | Workload.Sql_range (lo, span) -> (w.sql_range, [| lo; lo + span |])
+
+(* The decimal digits of a key; keys are never negative. *)
+let rec digits k = if k < 10 then 1 else 1 + digits (k / 10)
+
+(* The bytes of [sh]'s text with [keys] written in for its parameters:
+   what the request copies into the enclave. *)
+let text_bytes sh keys =
+  Array.fold_left (fun n k -> n - 1 + digits k) (String.length sh.sh_sql) keys
 
 let value_bytes = function
   | Value.Null -> 4
@@ -351,7 +366,13 @@ let make_worker (cfg : config) machine ~backing ?sqlstats () =
     Db.open_db ~vfs ~cache_pages:cfg.cache_pages ~hooks
       ~obs:machine.Machine.obs "serve.db"
   in
-  { rt; db; queue = Queue.create (); pager_work; depth_hwm = 0; live = 0;
+  (* prepared before [populate] makes the tables: a statement binds at
+     its first step *)
+  { rt; db;
+    kv_get = prepare_shape db "SELECT v FROM kv WHERE k = ?";
+    sql_point = prepare_shape db "SELECT b, c FROM t WHERE a = ?";
+    sql_range = prepare_shape db "SELECT count(*), sum(b) FROM t WHERE a >= ? AND a < ?";
+    queue = Queue.create (); pager_work; depth_hwm = 0; live = 0;
     eid = Enclave.id e;
     sqlstats = (match sqlstats with Some s -> s | None -> Sqlstat.create ()) }
 
@@ -665,11 +686,11 @@ let serve_one f w e (rid, at, req) =
   in
   span f `Begin ~cat:"serve" ~eid:w.eid ~rid r.kind;
   f.attr.serving <- Some r;
-  let sql = sql_of_req req in
-  Enclave.copy_in e (String.length sql);
+  let sh, keys = request_shape w req in
+  Enclave.copy_in e (text_bytes sh keys);
   Db.reset_work w.db;
   let pr0, pw0, _ = Pager.stats (Db.pager w.db) in
-  let res = Db.exec w.db sql in
+  let res = Db.step sh.sh_stmt (Array.map (fun k -> Value.Int (Int64.of_int k)) keys) in
   let pr1, pw1, _ = Pager.stats (Db.pager w.db) in
   let work = Db.work w.db in
   let exec_ns = work_ns f.cfg work in
@@ -688,7 +709,7 @@ let serve_one f w e (rid, at, req) =
   let lat = latency_ns r in
   (* recorded on the shared serving path, so retained and --stream runs
      accumulate identical registries *)
-  Sqlstat.record w.sqlstats ~label:r.kind ~fingerprint:(Sqlstat.fingerprint sql)
+  Sqlstat.record w.sqlstats ~label:r.kind ~fingerprint:sh.sh_fingerprint
     ~rows:(List.length res.Db.rows) ~work ~reads:(pr1 - pr0) ~writes:(pw1 - pw0)
     ~exec_ns ~pager_ns ~latency_ns:lat ();
   retire f rid st;

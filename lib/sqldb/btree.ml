@@ -416,13 +416,15 @@ let rec children_upto b ~max i n =
   else get_u32 b (interior_cell i) :: children_upto b ~max (i + 1) n
 
 (* The rows of table leaf [b] whose rowids lie in [min, max], from the
-   cell at [off] with [i] cells left, copied out of the page. *)
+   cell at [off] with [i] cells left, copied out of the page; the walk
+   stops at the first rowid above [max]. *)
 let rec rows_in b ~min ~max off i =
   if i = 0 then []
   else
-    let r = Bytes.get_int64_le b off and next = next_cell b off in
-    if r >= min && r <= max then (r, payload b off) :: rows_in b ~min ~max next (i - 1)
-    else rows_in b ~min ~max next (i - 1)
+    let r = Bytes.get_int64_le b off in
+    if r > max then []
+    else if r >= min then (r, payload b off) :: rows_in b ~min ~max (next_cell b off) (i - 1)
+    else rows_in b ~min ~max (next_cell b off) (i - 1)
 
 (* [visit] of each leaf of the table tree at [page] that can hold rowids
    in [min, max], in order: an interior page's children from that of its

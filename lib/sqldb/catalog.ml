@@ -69,7 +69,7 @@ let new_attr () = { a_work = 0 }
 type opstat = {
   os_depth : int;
   os_name : string;  (* "scan", "filter", "project", "sort", ... *)
-  os_detail : string;  (* access path / rendered expression *)
+  os_detail : string Lazy.t;  (* access path / rendered expression *)
   os_est_rows : int option;  (* planner estimate, when stats exist *)
   os_rows_in : int;
   os_rows_out : int;
@@ -99,6 +99,7 @@ type db = {
   mutable stats : (string * tbl_stats) list;  (* ANALYZE cache *)
   mutable profiles : profile list;  (* newest first; cleared by reset_work *)
   mutable ns_hint : float;  (* ns per work unit, for EXPLAIN ANALYZE cycles *)
+  mutable schema_version : int;  (* moved by each catalog save and load *)
 }
 
 (* The single work-meter bump site: statement total plus the current
@@ -160,7 +161,40 @@ let rowid_col_of columns =
     (fun c -> if c.col_pk && c.col_type = "INTEGER" then Some c.col_name else None)
     columns
 
+(* The optional fifth field of a table's catalog record: its column
+   defaults as one record of their SQL texts (NULL for a column without
+   one), absent when no column has one. *)
+let defaults_field columns =
+  if List.for_all (fun c -> c.col_default = None) columns then []
+  else
+    [ Value.Blob
+        (Record.encode
+           (List.map
+              (fun c ->
+                match c.col_default with
+                | Some e -> Value.Text (Parser.to_sql e)
+                | None -> Value.Null)
+              columns)) ]
+
+let with_defaults columns field =
+  let corrupt () = raise (Pager.Corrupt "bad catalog defaults") in
+  match field with
+  | [] -> columns
+  | [ Value.Blob record ] -> (
+      match Record.decode record with
+      | defaults when List.compare_lengths defaults columns = 0 ->
+          List.map2
+            (fun c d ->
+              match d with
+              | Value.Text sql -> { c with col_default = Some (Parser.expr_of_string sql) }
+              | Value.Null -> c
+              | _ -> corrupt ())
+            columns defaults
+      | _ -> corrupt ())
+  | _ -> corrupt ()
+
 let save_catalog t =
+  t.schema_version <- t.schema_version + 1;
   (* rebuild the catalog tree in place *)
   Btree.init t.pager catalog_root Btree.Table;
   let seq = ref 0L in
@@ -171,9 +205,10 @@ let save_catalog t =
   Hashtbl.iter
     (fun _ (ti : table_info) ->
       add
-        [ Value.Text "table"; Value.Text ti.tbl_name;
-          Value.Int (Int64.of_int ti.tbl_root);
-          Value.Text (String.concat ";" (List.map encode_column ti.tbl_columns)) ])
+        ([ Value.Text "table"; Value.Text ti.tbl_name;
+           Value.Int (Int64.of_int ti.tbl_root);
+           Value.Text (String.concat ";" (List.map encode_column ti.tbl_columns)) ]
+        @ defaults_field ti.tbl_columns))
     t.tables;
   Hashtbl.iter
     (fun _ (ii : index_info) ->
@@ -185,12 +220,14 @@ let save_catalog t =
     t.indexes
 
 let load_catalog t =
+  t.schema_version <- t.schema_version + 1;
   Btree.iter_table t.pager ~root:catalog_root (fun _ payload ->
       (match Record.decode payload with
-      | [ Value.Text "table"; Value.Text name; Value.Int root; Value.Text cols ] ->
+      | Value.Text "table" :: Value.Text name :: Value.Int root :: Value.Text cols :: defaults ->
           let tbl_columns =
-            if cols = "" then []
-            else List.map decode_column (String.split_on_char ';' cols)
+            with_defaults
+              (if cols = "" then [] else List.map decode_column (String.split_on_char ';' cols))
+              defaults
           in
           Hashtbl.replace t.tables name
             {
@@ -343,6 +380,7 @@ let open_db ?vfs ?(cache_pages = 2048) ?hooks ?obs path =
       stats = [];
       profiles = [];
       ns_hint = 0.;
+      schema_version = 0;
     }
   in
   if fresh || Pager.n_pages pager <= 1 then begin

@@ -52,7 +52,7 @@ val new_attr : unit -> attr
 type opstat = {
   os_depth : int;
   os_name : string;
-  os_detail : string;
+  os_detail : string Lazy.t;  (** rendered only when read *)
   os_est_rows : int option;
   os_rows_in : int;
   os_rows_out : int;
@@ -82,6 +82,9 @@ type db = {
   mutable stats : (string * tbl_stats) list;
   mutable profiles : profile list;
   mutable ns_hint : float;
+  mutable schema_version : int;
+      (** moved by every {!save_catalog} and {!load_catalog}: a statement
+          bound at another version is bound again *)
 }
 
 val bump : db -> int -> unit
@@ -104,7 +107,12 @@ val slice_ns : total_ns:int -> int list -> int list
 (** {2 Catalog persistence and schema lookups} *)
 
 val catalog_root : int
+
 val save_catalog : db -> unit
+(** Rewrites the catalog tree from the in-memory schema. A table with a
+    column DEFAULT stores the defaults as SQL text in a fifth field; a
+    table without one keeps the four-field record. *)
+
 val load_catalog : db -> unit
 val rowid_col_of : Sql_ast.column_def list -> string option
 

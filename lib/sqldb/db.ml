@@ -16,7 +16,7 @@ type result = Executor.result = {
 type opstat = Catalog.opstat = {
   os_depth : int;
   os_name : string;
-  os_detail : string;
+  os_detail : string Lazy.t;
   os_est_rows : int option;
   os_rows_in : int;
   os_rows_out : int;
@@ -36,9 +36,19 @@ type profile = Catalog.profile = {
 let open_db = Catalog.open_db
 let close = Catalog.close
 
+type stmt = Executor.prepared
+
+let prepare t sql =
+  match Parser.statements sql with
+  | [ (stmt, params) ] -> Executor.prepare t stmt ~params
+  | stmts -> Catalog.fail "prepare takes one statement, got %d" (List.length stmts)
+
+let step = Executor.step
+
 let exec t sql =
-  let stmts = Parser.parse sql in
-  List.fold_left (fun _ stmt -> Executor.exec_stmt t stmt) Executor.empty_result stmts
+  List.fold_left
+    (fun _ (stmt, params) -> step (Executor.prepare t stmt ~params) [||])
+    Executor.empty_result (Parser.statements sql)
 
 let query t sql = (exec t sql).rows
 

@@ -49,12 +49,40 @@ val open_db :
 val close : t -> unit
 (** Rolls back any open transaction and releases the file. *)
 
+(** {2 Prepared statements}
+
+    A statement may hold [?] parameters, numbered from 1 left to right
+    as SQLite numbers anonymous parameters. {!prepare} parses once;
+    {!step} runs the statement with one value per parameter, as
+    [sqlite3_bind_*] and [sqlite3_step] do. A statement is bound to the
+    schema (each name resolved to its table and column) at its first
+    step, and again whenever the schema has changed since (DDL,
+    ROLLBACK's catalog reload, VACUUM), as SQLite re-prepares on
+    [SQLITE_SCHEMA]. Each step still plans and reads its own rows: the
+    values take the parameters' places as literals, so the plan, the
+    rows, the work and EXPLAIN are those of the statement text with the
+    values written in. *)
+
+type stmt
+
+val prepare : t -> string -> stmt
+(** [prepare t sql]: [sql] holds exactly one statement.
+    @raise Sql_error when it holds none or more than one;
+    @raise Parser.Error on syntax errors. *)
+
+val step : stmt -> Value.t array -> result
+(** [step s values] runs [s] with [values.(i - 1)] for its [i]th
+    parameter.
+    @raise Sql_error when [values] does not hold exactly one value per
+    parameter, and as {!exec}. *)
+
 val exec : t -> string -> result
-(** Execute one or more ;-separated statements; returns the last
-    statement's result. Modifications outside an explicit transaction
-    are wrapped in an automatic one.
+(** Prepare and step each of one or more ;-separated statements, with no
+    parameter values; returns the last statement's result. Modifications
+    outside an explicit transaction are wrapped in an automatic one.
     @raise Sql_error on semantic errors (missing table, constraint
-    violation, ...); @raise Parser.Error on syntax errors. *)
+    violation, a [?] left unbound, ...); @raise Parser.Error on syntax
+    errors. *)
 
 val query : t -> string -> Value.t list list
 (** [query t sql] = [(exec t sql).rows]. *)
@@ -89,7 +117,7 @@ val pager : t -> Pager.t
 type opstat = Catalog.opstat = {
   os_depth : int;
   os_name : string;
-  os_detail : string;
+  os_detail : string Lazy.t;  (** rendered only when read, as EXPLAIN does *)
   os_est_rows : int option;
   os_rows_in : int;
   os_rows_out : int;

@@ -96,7 +96,7 @@ let rec eval t env (e : expr) : Value.t =
   | Bound (Field (i, c), _) -> env.rows.(i).b_values.(c)
   | Bound (Rowid i, _) -> Value.Int env.rows.(i).b_rowid
   | Bound (Agg i, _) -> env.aggs.(i)
-  | Column _ | Bound (Output _, _) -> invalid_arg "Executor.eval: unbound expression"
+  | Column _ | Param _ | Bound (Output _, _) -> invalid_arg "Executor.eval: unbound expression"
   | Binop (op, a, b) -> eval_binop t env op a b
   | Not a -> (
       match eval t env a with
@@ -196,30 +196,50 @@ let const_value t e =
 
 (* --- row (de)coding --- *)
 
-(* Fill [full] from column [i] on: the rowid alias [pk] reads [rowid],
-   every other column the next stored field from [off] of [payload], or
-   NULL once the fields run out. The fields no column takes are still
-   checked. *)
-let rec fill_row full rowid pk payload off i = function
-  | [] -> Record.check_from payload off
-  | c :: rest ->
-      if (match pk with Some p -> c.col_name = p | None -> false) then begin
-        full.(i) <- Value.Int rowid;
-        fill_row full rowid pk payload off (i + 1) rest
-      end
-      else if off < String.length payload then begin
-        let next = Record.field_end payload off in
-        full.(i) <- Record.field payload off;
-        fill_row full rowid pk payload next (i + 1) rest
-      end
-      else fill_row full rowid pk payload off (i + 1) rest
+(* How [decode_row] fills a column: the rowid alias from the rowid, any
+   other column from the next stored field. A column the statement never
+   reads is left NULL, its field checked but not copied out. *)
+type column_use = Read | Skip | Read_rowid | Skip_rowid
 
-(* Decode a stored record into the full column array (rowid column
-   materialised from the key). *)
-let decode_row t ti rowid payload =
+(* The uses of [ti]'s columns, column [c] read when [read c]. *)
+let reader ti read =
+  Array.of_list
+    (List.mapi
+       (fun c col ->
+         match (ti.tbl_rowid_col, read c) with
+         | Some pk, true when col.col_name = pk -> Read_rowid
+         | Some pk, false when col.col_name = pk -> Skip_rowid
+         | _, true -> Read
+         | _, false -> Skip)
+       ti.tbl_columns)
+
+let read_all ti = reader ti (fun _ -> true)
+
+(* Fill [full] from column [i] on, from the stored field at [off] of
+   [payload]: once the fields run out a column stays NULL, and the fields
+   no column takes are still checked. *)
+let rec fill_row full uses rowid payload off i =
+  if i = Array.length uses then Record.check_from payload off
+  else
+    match uses.(i) with
+    | Read_rowid ->
+        full.(i) <- Value.Int rowid;
+        fill_row full uses rowid payload off (i + 1)
+    | Skip_rowid -> fill_row full uses rowid payload off (i + 1)
+    | (Read | Skip) as use ->
+        if off < String.length payload then begin
+          let next = Record.field_end payload off in
+          if use = Read then full.(i) <- Record.field payload off;
+          fill_row full uses rowid payload next (i + 1)
+        end
+        else fill_row full uses rowid payload off (i + 1)
+
+(* Decode a stored record into the full column array: the columns [uses]
+   reads, the rowid column materialised from the key. *)
+let decode_row t uses rowid payload =
   bump t 2;
-  let full = Array.make (List.length ti.tbl_columns) Value.Null in
-  fill_row full rowid ti.tbl_rowid_col payload 0 0 ti.tbl_columns;
+  let full = Array.make (Array.length uses) Value.Null in
+  fill_row full uses rowid payload 0 0;
   full
 
 let encode_row ti (values : Value.t array) =
@@ -252,9 +272,10 @@ let in_auto_txn t f =
 
 type op = {
   o_name : string;
-  o_detail : string;
+  o_detail : string Lazy.t;  (* rendered only for EXPLAIN *)
   o_est : int option;
   o_attr : Catalog.attr;
+  o_sink : Catalog.attr option;  (* [Some o_attr] *)
   mutable o_rows_in : int;
   mutable o_rows_out : int;
   mutable o_loops : int;
@@ -264,9 +285,15 @@ type op = {
 }
 
 let mk_op ?(children = []) ?est name detail =
-  { o_name = name; o_detail = detail; o_est = est; o_attr = Catalog.new_attr ();
+  let attr = Catalog.new_attr () in
+  { o_name = name; o_detail = detail; o_est = est; o_attr = attr; o_sink = Some attr;
     o_rows_in = 0; o_rows_out = 0; o_loops = 0; o_reads = 0; o_writes = 0;
     o_children = children }
+
+let leave_op t op prev r0 w0 =
+  t.sink <- prev;
+  op.o_reads <- op.o_reads + (t.pager.Pager.stats_reads - r0);
+  op.o_writes <- op.o_writes + (t.pager.Pager.stats_writes - w0)
 
 (* Run [f] with [op]'s cell as the work sink and account the pager page
    traffic of the window to it. Nested activations (a join's inner scan
@@ -274,15 +301,16 @@ let mk_op ?(children = []) ?est name detail =
    the sink switch is exact, the page window is a per-operator envelope. *)
 let in_op t op f =
   let prev = t.sink in
-  let r0, w0, _ = Pager.stats t.pager in
-  t.sink <- Some op.o_attr;
-  Fun.protect
-    ~finally:(fun () ->
-      t.sink <- prev;
-      let r1, w1, _ = Pager.stats t.pager in
-      op.o_reads <- op.o_reads + (r1 - r0);
-      op.o_writes <- op.o_writes + (w1 - w0))
-    f
+  let r0 = t.pager.Pager.stats_reads and w0 = t.pager.Pager.stats_writes in
+  t.sink <- op.o_sink;
+  match f () with
+  | r ->
+      leave_op t op prev r0 w0;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      leave_op t op prev r0 w0;
+      Printexc.raise_with_backtrace e bt
 
 let flatten_ops root =
   let acc = ref [] in
@@ -314,10 +342,8 @@ let profiled t label f =
   let overhead = Catalog.new_attr () in
   let prev = t.sink in
   t.sink <- Some overhead;
-  Fun.protect
-    ~finally:(fun () -> t.sink <- prev)
-    (fun () ->
-      let result, roots = f () in
+  match f () with
+  | result, roots ->
       Catalog.record_profile t
         {
           pr_stmt = label;
@@ -325,7 +351,12 @@ let profiled t label f =
           pr_overhead_work = overhead.a_work;
           pr_total_work = t.work - w0;
         };
-      result)
+      t.sink <- prev;
+      result
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.sink <- prev;
+      Printexc.raise_with_backtrace e bt
 
 (* --- index maintenance --- *)
 
@@ -377,19 +408,20 @@ let index_delete_row t ti values rowid =
 
 (* --- scanning --- *)
 
-(* Iterate (rowid, values) of a table under a plan, applying no filter.
-   A probe is read through the range [Planner.bind_probe] gives it. *)
-let scan t ti (plan : Planner.plan) f =
+(* Iterate (rowid, values) of a table under a plan, applying no filter,
+   each row decoded by [uses]. A probe is read through the range
+   [Planner.bind_probe] gives it. *)
+let scan t ti uses (plan : Planner.plan) f =
   match plan with
   | Planner.Rowid_probe _ | Planner.Index_probe _ ->
       invalid_arg "Executor.scan: unbound probe"
   | Planner.Full_scan ->
       Btree.iter_table t.pager ~root:ti.tbl_root (fun rowid payload ->
-          f rowid (decode_row t ti rowid payload))
+          f rowid (decode_row t uses rowid payload))
   | Planner.Rowid_range (lo, hi) ->
       Btree.iter_table t.pager ~root:ti.tbl_root
         ?min:lo ?max:hi
-        (fun rowid payload -> f rowid (decode_row t ti rowid payload))
+        (fun rowid payload -> f rowid (decode_row t uses rowid payload))
   | Planner.Index_range (ii, prefix, lo, hi) ->
       let start_vals = prefix @ (match lo with Some v -> [ v ] | None -> []) in
       let start = if start_vals = [] then None else Some (index_prefix_key start_vals) in
@@ -425,7 +457,7 @@ let scan t ti (plan : Planner.plan) f =
           else begin
             if keep then begin
               match Btree.lookup_table t.pager ~root:ti.tbl_root rowid with
-              | Some payload -> (if not (f rowid (decode_row t ti rowid payload)) then raise Btree.Stop); true
+              | Some payload -> (if not (f rowid (decode_row t uses rowid payload)) then raise Btree.Stop); true
               | None -> true
             end
             else true
@@ -439,7 +471,7 @@ let scan_instr t ti plan ~scan_op ?filter_op where f =
   let env = { rows = [| binding |]; aggs = [||] } in
   in_op t scan_op (fun () ->
       scan_op.o_loops <- scan_op.o_loops + 1;
-      scan t ti plan (fun rowid values ->
+      scan t ti (read_all ti) plan (fun rowid values ->
           scan_op.o_rows_out <- scan_op.o_rows_out + 1;
           binding.b_values <- values;
           binding.b_rowid <- rowid;
@@ -466,31 +498,43 @@ let next_rowid t ti =
   | Some r -> Int64.add r 1L
   | None -> 1L
 
-let do_insert t ~ins_table ~ins_columns ~ins_rows =
+(* An INSERT bound to its table: the column each value goes to, and the
+   rows and the column defaults as constants. *)
+type bound_insert = {
+  bi_name : string;  (* the table as the statement names it *)
+  bi_table : table_info;
+  bi_targets : int list;
+  bi_rows : expr list list;
+  bi_defaults : expr option list;
+}
+
+let bind_insert t ~ins_table ~ins_columns ~ins_rows =
   let ti = table t ins_table in
-  let op =
-    mk_op "insert" ti.tbl_name ~est:(List.length ins_rows)
+  let bi_targets =
+    if ins_columns = [] then List.init (List.length ti.tbl_columns) (fun i -> i)
+    else
+      List.map
+        (fun c ->
+          match col_index ti c with
+          | Some i -> i
+          | None -> fail "table %s has no column %s" ins_table c)
+        ins_columns
   in
+  let constant = Resolve.bind [] None in
+  { bi_name = ins_table; bi_table = ti; bi_targets;
+    bi_rows = List.map (List.map constant) ins_rows;
+    bi_defaults = List.map (fun c -> Option.map constant c.col_default) ti.tbl_columns }
+
+let do_insert t b =
+  let ti = b.bi_table and target_idx = b.bi_targets in
+  let op = mk_op "insert" (Lazy.from_val ti.tbl_name) ~est:(List.length b.bi_rows) in
   let r =
     in_op t op (fun () ->
         op.o_loops <- 1;
-        op.o_rows_in <- List.length ins_rows;
+        op.o_rows_in <- List.length b.bi_rows;
         let ncols = List.length ti.tbl_columns in
-        let target_idx =
-          if ins_columns = [] then List.init ncols (fun i -> i)
-          else
-            List.map
-              (fun c ->
-                match col_index ti c with
-                | Some i -> i
-                | None -> fail "table %s has no column %s" ins_table c)
-              ins_columns
-        in
         let affected = ref 0 in
         let env = no_rows () in
-        let constant = Resolve.bind [] None in
-        let ins_rows = List.map (List.map constant) ins_rows in
-        let defaults = List.map (fun c -> Option.map constant c.col_default) ti.tbl_columns in
         List.iter
           (fun row_exprs ->
             if List.length row_exprs <> List.length target_idx then
@@ -502,7 +546,7 @@ let do_insert t ~ins_table ~ins_columns ~ins_rows =
                 match d with
                 | Some e when not (List.mem i target_idx) -> values.(i) <- eval t env e
                 | _ -> ())
-              defaults;
+              b.bi_defaults;
             (* rowid assignment *)
             let rowid =
               match ti.tbl_rowid_col with
@@ -520,19 +564,19 @@ let do_insert t ~ins_table ~ins_columns ~ins_rows =
             List.iteri
               (fun i c ->
                 if c.col_not_null && Value.is_null values.(i) then
-                  fail "NOT NULL constraint failed: %s.%s" ins_table c.col_name)
+                  fail "NOT NULL constraint failed: %s.%s" b.bi_name c.col_name)
               ti.tbl_columns;
             (* primary key uniqueness *)
             (match ti.tbl_rowid_col with
             | Some _ ->
                 if Btree.lookup_table t.pager ~root:ti.tbl_root rowid <> None then
-                  fail "UNIQUE constraint failed: %s rowid %Ld" ins_table rowid
+                  fail "UNIQUE constraint failed: %s rowid %Ld" b.bi_name rowid
             | None -> ());
             index_insert_row t ti values rowid;
             Btree.insert_table t.pager ~root:ti.tbl_root ~rowid (encode_row ti values);
             t.last_rowid <- rowid;
             incr affected)
-          ins_rows;
+          b.bi_rows;
         op.o_rows_out <- !affected;
         { empty_result with affected = !affected })
   in
@@ -578,6 +622,12 @@ let agg_update t env state e =
       end)
   | _ -> ()
 
+let rec update_aggs t env states aggs i =
+  if i < Array.length states then begin
+    agg_update t env states.(i) aggs.(i);
+    update_aggs t env states aggs (i + 1)
+  end
+
 let agg_final e state =
   match e with
   | Call ("count", [ Star ]) | Call ("count", []) -> Value.Int (Int64.of_int state.cnt)
@@ -594,12 +644,59 @@ let agg_final e state =
   | Call ("max", [ _ ]) -> state.mx
   | _ -> Value.Null
 
-(* The per-SELECT context: the statement bound once, before its first
-   page is read, and the operator chain built before execution so plain
-   EXPLAIN can render the same tree the executor runs. *)
+(* A SELECT bound to the schema by [Resolve.bind_select]: its sources,
+   each with the uses of its columns, its result labels and its
+   aggregate calls. *)
+type bound_select = {
+  bs_sources : (string * table_info * column_use array) list;
+      (* alias (or table name), table, columns read *)
+  bs_select : select;
+  bs_labels : string list;
+  bs_aggs : expr array;
+}
+
+(* Marks in [read.(i)] each column of source [i] that [e] reads. *)
+let mark_read read e =
+  ignore
+    (for_all_sub
+       (function
+         | Bound (Field (i, c), _) ->
+             read.(i).(c) <- true;
+             true
+         | _ -> true)
+       e)
+
+let bind_select t (s : select) =
+  let named =
+    match s.sel_from with
+    | None -> []
+    | Some (tbl, alias) ->
+        (Option.value alias ~default:tbl, table t tbl)
+        :: List.map
+             (fun j -> (Option.value j.jt_alias ~default:j.jt_table, table t j.jt_table))
+             s.sel_joins
+  in
+  let s, labels, aggs = Resolve.bind_select named s in
+  let read =
+    Array.of_list (List.map (fun (_, ti) -> Array.make (List.length ti.tbl_columns) false) named)
+  in
+  let mark = mark_read read in
+  List.iter (fun (e, _) -> mark e) s.sel_exprs;
+  List.iter (fun j -> Option.iter mark j.jt_on) s.sel_joins;
+  Option.iter mark s.sel_where;
+  List.iter mark s.sel_group;
+  Option.iter mark s.sel_having;
+  List.iter (fun o -> mark o.ord_expr) s.sel_order;
+  Array.iter mark aggs;
+  { bs_sources = List.mapi (fun i (name, ti) -> (name, ti, reader ti (Array.get read.(i)))) named;
+    bs_select = s; bs_labels = labels; bs_aggs = aggs }
+
+(* The per-SELECT context: the operator chain built before execution so
+   plain EXPLAIN can render the same tree the executor runs. An
+   operator's detail is rendered only when EXPLAIN reads it. *)
 type sel_ctx = {
-  sc_sources : (table_info * string * Planner.plan) list;
-  sc_select : select;  (* bound by [Resolve.bind_select] *)
+  sc_sources : (table_info * string * column_use array * Planner.plan) list;
+  sc_select : select;
   sc_labels : string list;
   sc_aggs : expr array;
   sc_join_conds : expr list;
@@ -613,31 +710,26 @@ type sel_ctx = {
   sc_root : op;
 }
 
-let select_ctx t (s : select) =
-  let named =
-    match s.sel_from with
-    | None -> []
-    | Some (tbl, alias) ->
-        (Option.value alias ~default:tbl, table t tbl)
-        :: List.map
-             (fun j -> (Option.value j.jt_alias ~default:j.jt_table, table t j.jt_table))
-             s.sel_joins
-  in
-  let s, labels, aggs = Resolve.bind_select named s in
+let scalar_detail = Lazy.from_val "scalar"
+let no_detail = Lazy.from_val ""
+
+let select_ctx t b =
+  let s = b.bs_select and labels = b.bs_labels in
   let join_conds = List.filter_map (fun j -> j.jt_on) s.sel_joins in
   let clauses = join_conds @ Option.to_list s.sel_where in
+  let const = const_value t in
   let sources =
     List.mapi
-      (fun i (name, ti) ->
-        let plan, reason = Planner.plan_for t ti i ~const:(const_value t) clauses in
+      (fun i (name, ti, uses) ->
+        let plan, reason = Planner.plan_for t ti i ~const clauses in
         Planner.record_plan t ti plan reason;
-        (ti, name, plan))
-      named
+        (ti, name, uses, plan))
+      b.bs_sources
   in
   let scan_ops =
     List.map
-      (fun (ti, name, plan) ->
-        mk_op "scan" (name ^ ": " ^ Planner.describe plan)
+      (fun (ti, name, _, plan) ->
+        mk_op "scan" (lazy (name ^ ": " ^ Planner.describe plan))
           ?est:(Planner.estimate t ti plan))
       sources
   in
@@ -649,50 +741,51 @@ let select_ctx t (s : select) =
   in
   let filter_op =
     if clauses <> [] then
-      Some (push "filter" (String.concat " AND " (List.map Planner.render_expr clauses)))
+      Some (push "filter" (lazy (String.concat " AND " (List.map Planner.render_expr clauses))))
     else None
   in
   let agg_op =
-    if s.sel_group <> [] || aggs <> [||] then
+    if s.sel_group <> [] then
       Some
         (push "aggregate"
-           (if s.sel_group = [] then "scalar"
-            else
-              "group by " ^ String.concat ", " (List.map Planner.render_expr s.sel_group)))
+           (lazy ("group by " ^ String.concat ", " (List.map Planner.render_expr s.sel_group))))
+    else if Array.length b.bs_aggs > 0 then Some (push "aggregate" scalar_detail)
     else None
   in
-  let project_op = push "project" (String.concat ", " labels) in
+  let project_op = push "project" (lazy (String.concat ", " labels)) in
   let sort_op =
     if s.sel_order = [] then None
     else
       Some
         (push "sort"
-           (String.concat ", "
-              (List.map
-                 (fun o ->
-                   Planner.render_expr o.ord_expr ^ if o.ord_desc then " DESC" else "")
-                 s.sel_order)))
+           (lazy
+             (String.concat ", "
+                (List.map
+                   (fun o ->
+                     Planner.render_expr o.ord_expr ^ if o.ord_desc then " DESC" else "")
+                   s.sel_order))))
   in
-  let distinct_op = if s.sel_distinct then Some (push "distinct" "") else None in
+  let distinct_op = if s.sel_distinct then Some (push "distinct" no_detail) else None in
   let limit_op =
     if s.sel_limit <> None || s.sel_offset <> None then
       Some
         (push "limit"
-           (String.concat " "
-              ((match s.sel_limit with
-               | Some e -> [ "limit " ^ Planner.render_expr e ]
-               | None -> [])
-              @
-              match s.sel_offset with
-              | Some e -> [ "offset " ^ Planner.render_expr e ]
-              | None -> [])))
+           (lazy
+             (String.concat " "
+                ((match s.sel_limit with
+                 | Some e -> [ "limit " ^ Planner.render_expr e ]
+                 | None -> [])
+                @
+                match s.sel_offset with
+                | Some e -> [ "offset " ^ Planner.render_expr e ]
+                | None -> []))))
     else None
   in
   {
     sc_sources = sources;
     sc_select = s;
     sc_labels = labels;
-    sc_aggs = aggs;
+    sc_aggs = b.bs_aggs;
     sc_join_conds = join_conds;
     sc_scan_ops = scan_ops;
     sc_filter_op = filter_op;
@@ -704,8 +797,8 @@ let select_ctx t (s : select) =
     sc_root = List.hd !chain;
   }
 
-let do_select t (s : select) =
-  let c = select_ctx t s in
+let do_select t b =
+  let c = select_ctx t b in
   let s = c.sc_select in
   let labels = c.sc_labels in
   let bindings = List.map (fun _ -> { b_values = [||]; b_rowid = 0L }) c.sc_sources in
@@ -748,12 +841,12 @@ let do_select t (s : select) =
     let rec loop srcs bnds ops =
       match (srcs, bnds, ops) with
       | [], [], [] -> emit_row ()
-      | (ti, _, plan) :: srest, b :: brest, op :: orest ->
+      | (ti, _, uses, plan) :: srest, b :: brest, op :: orest ->
           in_op t op (fun () ->
               op.o_loops <- op.o_loops + 1;
               Option.iter
                 (fun path ->
-                  scan t ti path (fun rowid values ->
+                  scan t ti uses path (fun rowid values ->
                       op.o_rows_out <- op.o_rows_out + 1;
                       b.b_values <- values;
                       b.b_rowid <- rowid;
@@ -774,68 +867,80 @@ let do_select t (s : select) =
           in_op t agg_op (fun () ->
               agg_op.o_loops <- 1;
               agg_op.o_rows_in <- n_mat;
-              (* group rows *)
               let aggs = c.sc_aggs in
-              let groups : (string, Value.t list * agg_state array) Hashtbl.t =
-                Hashtbl.create 16
-              in
-              let order = ref [] in
-              List.iter
-                (fun row ->
-                  restore row;
-                  let key_vals = List.map (fun g -> eval t env g) s.sel_group in
-                  let key = Record.encode key_vals in
-                  let _, states =
-                    match Hashtbl.find_opt groups key with
-                    | Some g -> g
-                    | None ->
-                        let g = (key_vals, Array.map (fun _ -> new_agg ()) aggs) in
-                        Hashtbl.add groups key g;
-                        order := key :: !order;
-                        g
-                  in
-                  Array.iteri (fun i st -> agg_update t env st aggs.(i)) states)
-                materialized;
-              let keys =
-                if Hashtbl.length groups = 0 && s.sel_group = [] then begin
-                  (* aggregate over empty input still yields one row, whose
-                     columns read NULL *)
-                  List.iter2
-                    (fun b (ti, _, _) ->
-                      b.b_values <- Array.make (List.length ti.tbl_columns) Value.Null)
-                    bindings c.sc_sources;
-                  Hashtbl.add groups "" ([], Array.map (fun _ -> new_agg ()) aggs);
-                  [ "" ]
+              (* the group's finished aggregates over its first row, then
+                 HAVING and the projection *)
+              let finish states =
+                env.aggs <- Array.map2 agg_final aggs states;
+                let having_ok =
+                  match s.sel_having with
+                  | None -> true
+                  | Some h -> Value.to_bool (eval t env h)
+                in
+                if having_ok then begin
+                  group_ctxs := (snapshot bindings, env.aggs) :: !group_ctxs;
+                  Some (project_row ())
                 end
-                else List.rev !order
+                else None
               in
               let out =
-                List.filter_map
-                  (fun key ->
-                    let key_vals, states = Hashtbl.find groups key in
-                    (* restore a representative row for non-aggregate refs:
-                       the first row of the group *)
-                    (match
-                       List.find_opt
-                         (fun row ->
-                           restore row;
-                           List.map (fun g -> eval t env g) s.sel_group = key_vals)
-                         materialized
-                     with
-                    | Some row -> restore row
-                    | None -> ());
-                    env.aggs <- Array.map2 agg_final aggs states;
-                    let having_ok =
-                      match s.sel_having with
-                      | None -> true
-                      | Some h -> Value.to_bool (eval t env h)
-                    in
-                    if having_ok then begin
-                      group_ctxs := (snapshot bindings, env.aggs) :: !group_ctxs;
-                      Some (project_row ())
-                    end
-                    else None)
-                  keys
+                if s.sel_group = [] then begin
+                  (* one group: every row folds into one state array *)
+                  let states = Array.map (fun _ -> new_agg ()) aggs in
+                  List.iter
+                    (fun row ->
+                      restore row;
+                      update_aggs t env states aggs 0)
+                    materialized;
+                  (match materialized with
+                  | first :: _ -> restore first
+                  | [] ->
+                      (* aggregate over empty input still yields one row,
+                         whose columns read NULL *)
+                      List.iter2
+                        (fun b (ti, _, _, _) ->
+                          b.b_values <- Array.make (List.length ti.tbl_columns) Value.Null)
+                        bindings c.sc_sources);
+                  Option.to_list (finish states)
+                end
+                else begin
+                  let groups : (string, Value.t list * agg_state array) Hashtbl.t =
+                    Hashtbl.create 16
+                  in
+                  let order = ref [] in
+                  List.iter
+                    (fun row ->
+                      restore row;
+                      let key_vals = List.map (fun g -> eval t env g) s.sel_group in
+                      let key = Record.encode key_vals in
+                      let _, states =
+                        match Hashtbl.find_opt groups key with
+                        | Some g -> g
+                        | None ->
+                            let g = (key_vals, Array.map (fun _ -> new_agg ()) aggs) in
+                            Hashtbl.add groups key g;
+                            order := key :: !order;
+                            g
+                      in
+                      update_aggs t env states aggs 0)
+                    materialized;
+                  List.filter_map
+                    (fun key ->
+                      let key_vals, states = Hashtbl.find groups key in
+                      (* restore a representative row for non-aggregate refs:
+                         the first row of the group *)
+                      (match
+                         List.find_opt
+                           (fun row ->
+                             restore row;
+                             List.map (fun g -> eval t env g) s.sel_group = key_vals)
+                           materialized
+                       with
+                      | Some row -> restore row
+                      | None -> ());
+                      finish states)
+                    (List.rev !order)
+                end
               in
               agg_op.o_rows_out <- List.length out;
               out)
@@ -938,38 +1043,47 @@ let do_select t (s : select) =
 
 (* --- UPDATE / DELETE --- *)
 
+(* An UPDATE or DELETE bound to its table: the columns it sets (none for
+   a DELETE), each with its value, and its WHERE. *)
+type bound_mutation = {
+  bm_table : table_info;
+  bm_sets : (int * expr) list;
+  bm_where : expr option;
+}
+
+let bind_mutation t tbl sets where =
+  let ti = table t tbl in
+  let bind = Resolve.bind [ (ti.tbl_name, ti) ] None in
+  let bm_where = Option.map bind where in
+  let bm_sets =
+    List.map
+      (fun (col, e) ->
+        match col_index ti col with
+        | Some i -> (i, bind e)
+        | None -> fail "no such column %s" col)
+      sets
+  in
+  { bm_table = ti; bm_sets; bm_where }
+
 (* scan (+ filter) feeding a mutation operator; the mutation op owns the
    SET evaluation and the B-tree/index write work. [where] is bound. *)
 let mutation_tree t ti name where =
   let plan, reason = Planner.plan_for t ti 0 ~const:(const_value t) (Option.to_list where) in
   Planner.record_plan t ti plan reason;
   let scan_op =
-    mk_op "scan" (ti.tbl_name ^ ": " ^ Planner.describe plan)
+    mk_op "scan" (lazy (ti.tbl_name ^ ": " ^ Planner.describe plan))
       ?est:(Planner.estimate t ti plan)
   in
   let filter_op =
     match where with
     | None -> None
-    | Some w -> Some (mk_op ~children:[ scan_op ] "filter" (Planner.render_expr w))
+    | Some w -> Some (mk_op ~children:[ scan_op ] "filter" (lazy (Planner.render_expr w)))
   in
   let feed = match filter_op with Some fo -> fo | None -> scan_op in
-  let top = mk_op ~children:[ feed ] name ti.tbl_name in
+  let top = mk_op ~children:[ feed ] name (Lazy.from_val ti.tbl_name) in
   (plan, scan_op, filter_op, top)
 
-(* The one source of an UPDATE or DELETE. *)
-let bind_in ti = Resolve.bind [ (ti.tbl_name, ti) ] None
-
-let do_update t ~upd_table ~upd_sets ~upd_where =
-  let ti = table t upd_table in
-  let upd_where = Option.map (bind_in ti) upd_where in
-  let set_idx =
-    List.map
-      (fun (col, e) ->
-        match col_index ti col with
-        | Some i -> (i, bind_in ti e)
-        | None -> fail "no such column %s" col)
-      upd_sets
-  in
+let do_update t { bm_table = ti; bm_sets = set_idx; bm_where = upd_where } =
   let plan, scan_op, filter_op, upd_op = mutation_tree t ti "update" upd_where in
   let victims = ref [] in
   scan_instr t ti plan ~scan_op ?filter_op upd_where (fun rowid values ->
@@ -997,9 +1111,7 @@ let do_update t ~upd_table ~upd_sets ~upd_where =
   in
   (r, [ upd_op ])
 
-let do_delete t ~del_table ~del_where =
-  let ti = table t del_table in
-  let del_where = Option.map (bind_in ti) del_where in
+let do_delete t { bm_table = ti; bm_where = del_where; _ } =
   let plan, scan_op, filter_op, del_op = mutation_tree t ti "delete" del_where in
   let victims = ref [] in
   scan_instr t ti plan ~scan_op ?filter_op del_where (fun rowid values ->
@@ -1023,7 +1135,7 @@ let do_delete t ~del_table ~del_where =
 
 (* A leaf operator wrapping a whole simple statement body. *)
 let simple_op t name detail f =
-  let op = mk_op name detail in
+  let op = mk_op name (Lazy.from_val detail) in
   let r =
     in_op t op (fun () ->
         op.o_loops <- 1;
@@ -1072,8 +1184,9 @@ let do_create_index t ~ci_name ~ci_table ~ci_columns ~ci_unique ~ci_if_not_exist
     in
     Hashtbl.replace t.indexes name ii;
     (* populate from existing rows *)
+    let uses = read_all ti in
     Btree.iter_table t.pager ~root:ti.tbl_root (fun rowid payload ->
-        let values = decode_row t ti rowid payload in
+        let values = decode_row t uses rowid payload in
         Btree.insert_index t.pager ~root (index_key ii ti values rowid);
         true);
     save_catalog t;
@@ -1181,18 +1294,19 @@ let do_analyze t =
          (fun name _ acc -> if is_stat_table name then acc else name :: acc)
          t.tables [])
   in
-  let root_op = mk_op "analyze" "" in
+  let root_op = mk_op "analyze" no_detail in
   let stats = ref [] in
   let run_table name =
     let ti = table t name in
-    let op = mk_op "analyze" name in
+    let op = mk_op "analyze" (Lazy.from_val name) in
     root_op.o_children <- root_op.o_children @ [ op ];
     in_op t op (fun () ->
         op.o_loops <- 1;
         (* decode every row once: row count + per-column values *)
         let rows = ref [] in
+        let uses = read_all ti in
         Btree.iter_table t.pager ~root:ti.tbl_root (fun rowid payload ->
-            rows := decode_row t ti rowid payload :: !rows;
+            rows := decode_row t uses rowid payload :: !rows;
             true);
         let rows = List.rev !rows in
         let count = List.length rows in
@@ -1322,35 +1436,6 @@ let rec stmt_label = function
   | Vacuum -> "vacuum"
   | Explain { ex_stmt; _ } -> Printf.sprintf "explain(%s)" (stmt_label ex_stmt)
 
-(* The operator tree a statement would run, without executing it —
-   shares [select_ctx]/[mutation_tree] with the executor so EXPLAIN
-   renders exactly the tree EXPLAIN ANALYZE measures. *)
-let plan_tree t stmt =
-  match stmt with
-  | Select s -> [ (select_ctx t s).sc_root ]
-  | Insert { ins_table; ins_rows; _ } ->
-      let ti = table t ins_table in
-      [ mk_op "insert" ti.tbl_name ~est:(List.length ins_rows) ]
-  | Update { upd_table; upd_where; _ } ->
-      let ti = table t upd_table in
-      let _, _, _, top = mutation_tree t ti "update" (Option.map (bind_in ti) upd_where) in
-      [ top ]
-  | Delete { del_table; del_where } ->
-      let ti = table t del_table in
-      let _, _, _, top = mutation_tree t ti "delete" (Option.map (bind_in ti) del_where) in
-      [ top ]
-  | Create_table { ct_name; _ } -> [ mk_op "create_table" (String.lowercase_ascii ct_name) ]
-  | Create_index { ci_name; _ } -> [ mk_op "create_index" (String.lowercase_ascii ci_name) ]
-  | Drop_table { dt_name; _ } -> [ mk_op "drop_table" (String.lowercase_ascii dt_name) ]
-  | Drop_index { di_name; _ } -> [ mk_op "drop_index" (String.lowercase_ascii di_name) ]
-  | Begin -> [ mk_op "txn" "begin" ]
-  | Commit -> [ mk_op "txn" "commit" ]
-  | Rollback -> [ mk_op "txn" "rollback" ]
-  | Pragma (n, _) -> [ mk_op "pragma" n ]
-  | Analyze -> [ mk_op "analyze" "" ]
-  | Vacuum -> [ mk_op "vacuum" "" ]
-  | Explain _ -> fail "cannot EXPLAIN an EXPLAIN"
-
 let est_str = function Some n -> string_of_int n | None -> "-"
 
 let render_est_lines ops =
@@ -1358,7 +1443,7 @@ let render_est_lines ops =
     (fun os ->
       Printf.sprintf "%s%s(%s) est=%s"
         (String.make (2 * os.os_depth) ' ')
-        os.os_name os.os_detail (est_str os.os_est_rows))
+        os.os_name (Lazy.force os.os_detail) (est_str os.os_est_rows))
     ops
 
 (* EXPLAIN ANALYZE rendering: one line per operator with estimates next
@@ -1372,7 +1457,7 @@ let render_profile t (p : Catalog.profile) =
         let base =
           Printf.sprintf "%s%s(%s) est=%s in=%d out=%d loops=%d pages=%dr/%dw work=%d"
             (String.make (2 * os.os_depth) ' ')
-            os.os_name os.os_detail (est_str os.os_est_rows) os.os_rows_in
+            os.os_name (Lazy.force os.os_detail) (est_str os.os_est_rows) os.os_rows_in
             os.os_rows_out os.os_loops os.os_reads os.os_writes os.os_work
         in
         if t.ns_hint > 0. then base ^ Printf.sprintf " cycles=%dns" (ns os.os_work)
@@ -1393,55 +1478,171 @@ let plan_result lines =
   { columns = [ "plan" ]; rows = List.map (fun l -> [ Value.Text l ]) lines;
     affected = 0 }
 
+(* --- binding --- *)
+
+(* A statement bound to the schema, with the label its profiles carry.
+   DDL, transactions, PRAGMA, ANALYZE and VACUUM name no columns and run
+   from their syntax. *)
+type bound_stmt = { label : string; bound : bound }
+
+and bound =
+  | Select_b of bound_select
+  | Insert_b of bound_insert
+  | Update_b of bound_mutation
+  | Delete_b of bound_mutation
+  | Explain_b of bool * bound_stmt  (* ANALYZE?, the statement explained *)
+  | Unbound of stmt
+
+let rec bind t stmt =
+  let bound =
+    match stmt with
+    | Select s -> Select_b (bind_select t s)
+    | Insert { ins_table; ins_columns; ins_rows } ->
+        Insert_b (bind_insert t ~ins_table ~ins_columns ~ins_rows)
+    | Update { upd_table; upd_sets; upd_where } ->
+        Update_b (bind_mutation t upd_table upd_sets upd_where)
+    | Delete { del_table; del_where } -> Delete_b (bind_mutation t del_table [] del_where)
+    | Explain { ex_stmt = Explain _; _ } -> fail "cannot EXPLAIN an EXPLAIN"
+    | Explain { ex_analyze; ex_stmt } -> Explain_b (ex_analyze, bind t ex_stmt)
+    | s -> Unbound s
+  in
+  { label = stmt_label stmt; bound }
+
+(* [l] with [f] applied to each element; [l] itself when [f] returns
+   each element unchanged. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_shared f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+let map_opt f o =
+  match o with
+  | None -> o
+  | Some x ->
+      let x' = f x in
+      if x' == x then o else Some x'
+
+(* [b] with its parameters set to [values]: only the paths down to them
+   are copied. *)
+let rec subst_binding values b =
+  let e = subst values in
+  let bound =
+    match b.bound with
+    | Select_b bs ->
+        let s = bs.bs_select in
+        let pair ((x, a) as item) =
+          let x' = e x in
+          if x' == x then item else (x', a)
+        in
+        let join j =
+          let on = map_opt e j.jt_on in
+          if on == j.jt_on then j else { j with jt_on = on }
+        in
+        let order o =
+          let x = e o.ord_expr in
+          if x == o.ord_expr then o else { o with ord_expr = x }
+        in
+        Select_b
+          { bs with
+            bs_select =
+              { s with
+                sel_exprs = map_shared pair s.sel_exprs;
+                sel_joins = map_shared join s.sel_joins;
+                sel_where = map_opt e s.sel_where;
+                sel_group = map_shared e s.sel_group;
+                sel_having = map_opt e s.sel_having;
+                sel_order = map_shared order s.sel_order;
+                sel_limit = map_opt e s.sel_limit;
+                sel_offset = map_opt e s.sel_offset };
+            bs_aggs = Array.map e bs.bs_aggs }
+    | Insert_b bi -> Insert_b { bi with bi_rows = map_shared (map_shared e) bi.bi_rows }
+    | Update_b bm ->
+        let set ((i, x) as s) =
+          let x' = e x in
+          if x' == x then s else (i, x')
+        in
+        Update_b
+          { bm with bm_sets = map_shared set bm.bm_sets; bm_where = map_opt e bm.bm_where }
+    | Delete_b bm -> Delete_b { bm with bm_where = map_opt e bm.bm_where }
+    | Explain_b (analyze, inner) -> Explain_b (analyze, subst_binding values inner)
+    | Unbound _ as u -> u
+  in
+  { b with bound }
+
+(* --- EXPLAIN --- *)
+
+(* The operator tree a statement would run, without executing it —
+   shares [select_ctx]/[mutation_tree] with the executor so EXPLAIN
+   renders exactly the tree EXPLAIN ANALYZE measures. *)
+let plan_tree t bound =
+  let op name detail = [ mk_op name (Lazy.from_val detail) ] in
+  match bound with
+  | Select_b b -> [ (select_ctx t b).sc_root ]
+  | Insert_b b ->
+      [ mk_op "insert" (Lazy.from_val b.bi_table.tbl_name) ~est:(List.length b.bi_rows) ]
+  | Update_b m ->
+      let _, _, _, top = mutation_tree t m.bm_table "update" m.bm_where in
+      [ top ]
+  | Delete_b m ->
+      let _, _, _, top = mutation_tree t m.bm_table "delete" m.bm_where in
+      [ top ]
+  | Explain_b _ -> fail "cannot EXPLAIN an EXPLAIN"
+  | Unbound stmt -> (
+      match stmt with
+      | Create_table { ct_name; _ } -> op "create_table" (String.lowercase_ascii ct_name)
+      | Create_index { ci_name; _ } -> op "create_index" (String.lowercase_ascii ci_name)
+      | Drop_table { dt_name; _ } -> op "drop_table" (String.lowercase_ascii dt_name)
+      | Drop_index { di_name; _ } -> op "drop_index" (String.lowercase_ascii di_name)
+      | Begin -> op "txn" "begin"
+      | Commit -> op "txn" "commit"
+      | Rollback -> op "txn" "rollback"
+      | Pragma (n, _) -> op "pragma" n
+      | Analyze -> op "analyze" ""
+      | Vacuum -> op "vacuum" ""
+      | Select _ | Insert _ | Update _ | Delete _ | Explain _ -> assert false)
+
 (* --- statement dispatch --- *)
 
-let rec exec_stmt t stmt =
+let run_unbound t label stmt =
   match stmt with
-  | Select s -> profiled t (stmt_label stmt) (fun () -> do_select t s)
-  | Insert { ins_table; ins_columns; ins_rows } ->
-      profiled t (stmt_label stmt) (fun () ->
-          in_auto_txn t (fun () -> do_insert t ~ins_table ~ins_columns ~ins_rows))
-  | Update { upd_table; upd_sets; upd_where } ->
-      profiled t (stmt_label stmt) (fun () ->
-          in_auto_txn t (fun () -> do_update t ~upd_table ~upd_sets ~upd_where))
-  | Delete { del_table; del_where } ->
-      profiled t (stmt_label stmt) (fun () ->
-          in_auto_txn t (fun () -> do_delete t ~del_table ~del_where))
   | Create_table { ct_name; ct_if_not_exists; ct_columns } ->
-      profiled t (stmt_label stmt) (fun () ->
+      profiled t label (fun () ->
           simple_op t "create_table" (String.lowercase_ascii ct_name) (fun () ->
               in_auto_txn t (fun () ->
                   do_create_table t ~ct_name ~ct_if_not_exists ~ct_columns)))
   | Create_index { ci_name; ci_table; ci_columns; ci_unique; ci_if_not_exists } ->
-      profiled t (stmt_label stmt) (fun () ->
+      profiled t label (fun () ->
           simple_op t "create_index" (String.lowercase_ascii ci_name) (fun () ->
               in_auto_txn t (fun () ->
                   do_create_index t ~ci_name ~ci_table ~ci_columns ~ci_unique
                     ~ci_if_not_exists)))
   | Drop_table { dt_name; dt_if_exists } ->
-      profiled t (stmt_label stmt) (fun () ->
+      profiled t label (fun () ->
           simple_op t "drop_table" (String.lowercase_ascii dt_name) (fun () ->
               in_auto_txn t (fun () -> do_drop_table t ~dt_name ~dt_if_exists)))
   | Drop_index { di_name; di_if_exists } ->
-      profiled t (stmt_label stmt) (fun () ->
+      profiled t label (fun () ->
           simple_op t "drop_index" (String.lowercase_ascii di_name) (fun () ->
               in_auto_txn t (fun () -> do_drop_index t ~di_name ~di_if_exists)))
   | Begin ->
-      profiled t "begin" (fun () ->
+      profiled t label (fun () ->
           simple_op t "txn" "begin" (fun () ->
               if t.explicit_txn then fail "already in a transaction";
               Pager.begin_txn t.pager;
               t.explicit_txn <- true;
               empty_result))
   | Commit ->
-      profiled t "commit" (fun () ->
+      profiled t label (fun () ->
           simple_op t "txn" "commit" (fun () ->
               if not t.explicit_txn then fail "no transaction is active";
               Pager.commit t.pager;
               t.explicit_txn <- false;
               empty_result))
   | Rollback ->
-      profiled t "rollback" (fun () ->
+      profiled t label (fun () ->
           simple_op t "txn" "rollback" (fun () ->
               if not t.explicit_txn then fail "no transaction is active";
               Pager.rollback t.pager;
@@ -1453,25 +1654,55 @@ let rec exec_stmt t stmt =
               load_stats t;
               empty_result))
   | Pragma (name, v) ->
-      profiled t (stmt_label stmt) (fun () ->
-          simple_op t "pragma" name (fun () -> do_pragma t name v))
-  | Analyze ->
-      profiled t "analyze" (fun () -> in_auto_txn t (fun () -> do_analyze t))
+      profiled t label (fun () -> simple_op t "pragma" name (fun () -> do_pragma t name v))
+  | Analyze -> profiled t label (fun () -> in_auto_txn t (fun () -> do_analyze t))
   | Vacuum ->
-      profiled t "vacuum" (fun () ->
+      profiled t label (fun () ->
           simple_op t "vacuum" "" (fun () -> in_auto_txn t (fun () -> do_vacuum t)))
-  | Explain { ex_analyze; ex_stmt } -> (
-      match ex_stmt with
-      | Explain _ -> fail "cannot EXPLAIN an EXPLAIN"
-      | _ ->
-          if ex_analyze then begin
-            ignore (exec_stmt t ex_stmt);
-            match Catalog.last_profile t with
-            | Some p -> plan_result (render_profile t p)
-            | None -> empty_result
-          end
-          else
-            profiled t (Printf.sprintf "explain(%s)" (stmt_label ex_stmt)) (fun () ->
-                let roots = plan_tree t ex_stmt in
-                let lines = render_est_lines (List.concat_map flatten_ops roots) in
-                (plan_result lines, roots)))
+  | Select _ | Insert _ | Update _ | Delete _ | Explain _ -> assert false
+
+let rec run t { label; bound } =
+  match bound with
+  | Select_b b -> profiled t label (fun () -> do_select t b)
+  | Insert_b b -> profiled t label (fun () -> in_auto_txn t (fun () -> do_insert t b))
+  | Update_b m -> profiled t label (fun () -> in_auto_txn t (fun () -> do_update t m))
+  | Delete_b m -> profiled t label (fun () -> in_auto_txn t (fun () -> do_delete t m))
+  | Explain_b (true, inner) -> (
+      ignore (run t inner);
+      match Catalog.last_profile t with
+      | Some p -> plan_result (render_profile t p)
+      | None -> empty_result)
+  | Explain_b (false, inner) ->
+      profiled t label (fun () ->
+          let roots = plan_tree t inner.bound in
+          let lines = render_est_lines (List.concat_map flatten_ops roots) in
+          (plan_result lines, roots))
+  | Unbound stmt -> run_unbound t label stmt
+
+(* --- prepared statements --- *)
+
+type prepared = {
+  p_db : Catalog.db;
+  p_stmt : stmt;
+  p_params : int;
+  mutable p_binding : (int * bound_stmt) option;  (* with the schema version bound at *)
+}
+
+let prepare t stmt ~params = { p_db = t; p_stmt = stmt; p_params = params; p_binding = None }
+
+(* Binds at the first step and again whenever the schema has moved, as
+   SQLite re-prepares a statement on SQLITE_SCHEMA; then runs the
+   binding with [values] for its parameters. *)
+let step p values =
+  if Array.length values <> p.p_params then
+    fail "statement has %d parameter(s), %d value(s) bound" p.p_params (Array.length values);
+  let t = p.p_db in
+  let b =
+    match p.p_binding with
+    | Some (version, b) when version = t.schema_version -> b
+    | _ ->
+        let b = bind t p.p_stmt in
+        p.p_binding <- Some (t.schema_version, b);
+        b
+  in
+  run t (if p.p_params = 0 then b else subst_binding values b)

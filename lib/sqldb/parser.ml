@@ -6,7 +6,8 @@ exception Error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-type state = { mutable toks : Token.t list }
+(* [params]: the [?] parameters of the statement read so far. *)
+type state = { mutable toks : Token.t list; mutable params : int }
 
 let peek st = match st.toks with t :: _ -> t | [] -> Token.Eof
 
@@ -176,6 +177,9 @@ and parse_atom st =
   | Token.String_lit s -> Lit (Value.Text s)
   | Token.Blob_lit s -> Lit (Value.Blob s)
   | Token.Keyword "NULL" -> Lit Value.Null
+  | Token.Punct "?" ->
+      st.params <- st.params + 1;
+      Param st.params
   | Token.Keyword "CASE" -> parse_case st
   | Token.Keyword "CAST" ->
       expect_punct st "(";
@@ -361,7 +365,9 @@ let parse_column_def st =
       constraints ()
     end
     else if accept_kw st "DEFAULT" then begin
+      let params = st.params in
       default := Some (parse_unary st);
+      if st.params > params then fail "default value of column %s is not constant" col_name;
       constraints ()
     end
     else if accept_kw st "UNIQUE" then constraints ()
@@ -521,8 +527,10 @@ let rec parse_stmt st =
   | Token.Keyword "VACUUM" -> Vacuum
   | t -> fail "expected statement, got %s" (describe t)
 
-let parse sql =
-  let st = { toks = Token.tokenize sql } in
+(* Each statement of [sql] with the number of its [?] parameters, which
+   it numbers from 1. *)
+let statements sql =
+  let st = { toks = Token.tokenize sql; params = 0 } in
   let stmts = ref [] in
   let rec go () =
     match peek st with
@@ -531,7 +539,9 @@ let parse sql =
         advance st;
         go ()
     | _ ->
-        stmts := parse_stmt st :: !stmts;
+        st.params <- 0;
+        let stmt = parse_stmt st in
+        stmts := (stmt, st.params) :: !stmts;
         (match peek st with
         | Token.Punct ";" | Token.Eof -> ()
         | t -> fail "unexpected %s after statement" (describe t));
@@ -540,8 +550,56 @@ let parse sql =
   go ();
   List.rev !stmts
 
-let parse_one sql =
-  match parse sql with
-  | [ s ] -> s
-  | [] -> fail "empty statement"
-  | _ -> fail "expected a single statement"
+let parse sql = List.map fst (statements sql)
+
+(* --- expressions back to text --- *)
+
+(* 17 significant digits, with a point or an exponent so the text reads
+   back as a real; a literal past the largest float reads as infinity. *)
+let real_sql f =
+  if f = Float.infinity then "1e999"
+  else
+    let s = Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
+(* SQL text that {!expr_of_string} reads back as [e]: every operator
+   in parentheses, text quoted with its quotes doubled, identifiers in
+   double quotes. The parser never makes a negative literal, so a
+   literal's text has no sign. *)
+let rec to_sql e =
+  let paren parts = "(" ^ String.concat " " parts ^ ")" in
+  let list es = String.concat ", " (List.map to_sql es) in
+  let quote n = "\"" ^ n ^ "\"" in
+  match e with
+  | Lit Value.Null -> "NULL"
+  | Lit (Value.Int i) -> Int64.to_string i
+  | Lit (Value.Real f) -> real_sql f
+  | Lit (Value.Text s) ->
+      "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+  | Lit (Value.Blob s) -> "x'" ^ Twine_crypto.Hexcodec.encode s ^ "'"
+  | Param _ -> "?"
+  | Column (None, n) -> quote n
+  | Column (Some q, n) -> quote q ^ "." ^ quote n
+  | Star -> "*"
+  | Binop (op, a, b) -> paren [ to_sql a; binop_text op; to_sql b ]
+  | Not a -> paren [ "NOT"; to_sql a ]
+  | Neg a -> "(-" ^ to_sql a ^ ")"
+  | Is_null (a, pos) -> paren [ to_sql a; (if pos then "IS NULL" else "IS NOT NULL") ]
+  | Between (a, lo, hi) -> paren [ to_sql a; "BETWEEN"; to_sql lo; "AND"; to_sql hi ]
+  | In_list (a, es) -> paren [ to_sql a; "IN"; "(" ^ list es ^ ")" ]
+  | Like (a, p) -> paren [ to_sql a; "LIKE"; to_sql p ]
+  | Call (n, args) -> n ^ "(" ^ list args ^ ")"
+  | Case (arms, d) ->
+      String.concat " "
+        (("CASE" :: List.concat_map (fun (c, v) -> [ "WHEN"; to_sql c; "THEN"; to_sql v ]) arms)
+        @ (match d with Some d -> [ "ELSE"; to_sql d ] | None -> [])
+        @ [ "END" ])
+  | Cast (a, ty) -> "CAST(" ^ to_sql a ^ " AS " ^ ty ^ ")"
+  | Bound (_, e) -> to_sql e
+
+(* The one expression [s] holds. *)
+let expr_of_string s =
+  let st = { toks = Token.tokenize s; params = 0 } in
+  let e = parse_expr st in
+  if peek st <> Token.Eof then fail "unexpected %s after expression" (describe (peek st));
+  e

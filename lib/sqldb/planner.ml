@@ -89,19 +89,15 @@ let find_index t table_name col =
 (* --- expressions --- *)
 
 (* Compact expression rendering for operator details. *)
-let binop_str = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-  | Concat -> "||" | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<="
-  | Gt -> ">" | Ge -> ">=" | And -> "AND" | Or -> "OR"
-
 let rec render_expr = function
   | Lit (Value.Text s) -> "'" ^ s ^ "'"
   | Lit v -> Value.to_string v
+  | Param _ -> "?"
   | Column (None, n) -> n
   | Column (Some q, n) -> q ^ "." ^ n
   | Star -> "*"
   | Binop (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (render_expr a) (binop_str op) (render_expr b)
+      Printf.sprintf "(%s %s %s)" (render_expr a) (binop_text op) (render_expr b)
   | Not a -> Printf.sprintf "(NOT %s)" (render_expr a)
   | Neg a -> Printf.sprintf "(-%s)" (render_expr a)
   | Is_null (a, pos) ->

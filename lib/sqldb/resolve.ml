@@ -34,7 +34,7 @@ let rec column_slot q n is_rowid i = function
 
 let rec bind sources aggs e =
   match e with
-  | Lit _ | Star | Bound _ -> e
+  | Lit _ | Param _ | Star | Bound _ -> e
   | Column (q, n) -> Bound (column_slot q n (Catalog.name_eq n "rowid") 0 sources, e)
   | Call (n, _) when is_aggregate e -> (
       match aggs with

@@ -15,6 +15,7 @@ type slot =
 
 type expr =
   | Lit of Value.t
+  | Param of int  (* the [i]th [?] of its statement, counted from 1 *)
   | Column of string option * string  (* table qualifier, name *)
   | Star  (* the star argument of count, and select lists *)
   | Binop of binop * expr * expr
@@ -91,12 +92,18 @@ type stmt =
   | Vacuum
   | Explain of { ex_analyze : bool; ex_stmt : stmt }
 
+(* An operator as SQL spells it. *)
+let binop_text = function
+  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
+  | Concat -> "||" | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<="
+  | Gt -> ">" | Ge -> ">=" | And -> "AND" | Or -> "OR"
+
 (* [e] and each of its sub-expressions satisfy [p]. *)
 let rec for_all_sub p e =
   p e
   &&
   match e with
-  | Lit _ | Column _ | Star | Bound _ -> true
+  | Lit _ | Param _ | Column _ | Star | Bound _ -> true
   | Binop (_, a, b) | Like (a, b) -> for_all_sub p a && for_all_sub p b
   | Not a | Neg a | Is_null (a, _) | Cast (a, _) -> for_all_sub p a
   | Between (a, b, c) -> for_all_sub p a && for_all_sub p b && for_all_sub p c
@@ -110,7 +117,7 @@ let rec for_all_sub p e =
    to right. *)
 let map_sub f e =
   match e with
-  | Lit _ | Column _ | Star | Bound _ -> e
+  | Lit _ | Param _ | Column _ | Star | Bound _ -> e
   | Binop (op, a, b) -> let a = f a in Binop (op, a, f b)
   | Not a -> Not (f a)
   | Neg a -> Neg (f a)
@@ -123,3 +130,22 @@ let map_sub f e =
       let arms = List.map (fun (c, v) -> let c = f c in (c, f v)) arms in
       Case (arms, Option.map f e)
   | Cast (a, ty) -> Cast (f a, ty)
+
+(* [e] holds a parameter, also in the expression a [Bound] node carries
+   for EXPLAIN. *)
+let rec has_param e =
+  not
+    (for_all_sub
+       (function Param _ -> false | Bound (_, orig) -> not (has_param orig) | _ -> true)
+       e)
+
+(* [e] with each parameter [Param i] replaced by [Lit values.(i - 1)]: a
+   sub-expression without one is [e]'s own, so only the paths down to
+   the parameters are copied. *)
+let rec subst values e =
+  if not (has_param e) then e
+  else
+    match e with
+    | Param i -> Lit values.(i - 1)
+    | Bound (slot, orig) -> Bound (slot, subst values orig)
+    | _ -> map_sub (subst values) e

@@ -6,25 +6,31 @@
    and mode-independent, so retained and streaming serve runs produce
    byte-identical artifacts. *)
 
-(* Fingerprint normalization: literals collapse to "?", keywords render
-   uppercase (the tokenizer already uppercases them), identifiers
-   lowercase, tokens joined by single spaces. Two statements differing
-   only in constants share a fingerprint. *)
+(* Fingerprint normalization: literals and [?] parameters collapse to
+   "?", keywords render uppercase (the tokenizer already uppercases
+   them), identifiers lowercase, tokens joined by single spaces. Two
+   statements differing only in constants share a fingerprint, and so
+   does a prepared statement with the text it was prepared from. NULL
+   is a literal too, as pg_stat_statements reads it, except in IS
+   [NOT] NULL and the NOT NULL constraint. *)
 let fingerprint sql =
-  let toks = Token.tokenize sql in
-  let parts =
-    List.filter_map
-      (function
-        | Token.Ident s -> Some (String.lowercase_ascii s)
-        | Token.Keyword k -> Some k
-        | Token.Int_lit _ | Token.Float_lit _ | Token.String_lit _
-        | Token.Blob_lit _ ->
-            Some "?"
-        | Token.Punct p -> Some p
-        | Token.Eof -> None)
-      toks
+  let rec parts prev = function
+    | [] | Token.Eof :: _ -> []
+    | tok :: rest ->
+        let part =
+          match (tok, prev) with
+          | Token.Ident s, _ -> String.lowercase_ascii s
+          | Token.Keyword "NULL", Token.Keyword ("IS" | "NOT") -> "NULL"
+          | (Token.Int_lit _ | Token.Float_lit _ | Token.String_lit _ | Token.Blob_lit _), _
+          | Token.Keyword "NULL", _ ->
+              "?"
+          | Token.Keyword k, _ -> k
+          | Token.Punct p, _ -> p
+          | Token.Eof, _ -> ""
+        in
+        part :: parts tok rest
   in
-  String.concat " " parts
+  String.concat " " (parts Token.Eof (Token.tokenize sql))
 
 type entry = {
   sq_fingerprint : string;

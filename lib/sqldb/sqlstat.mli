@@ -8,8 +8,9 @@
     regardless of serve mode. *)
 
 val fingerprint : string -> string
-(** Normalize a statement: literals become ["?"], keywords uppercase,
-    identifiers lowercase, single-space separated.
+(** Normalize a statement: literals (NULL among them, outside IS [NOT]
+    NULL and NOT NULL) and [?] parameters become ["?"], keywords
+    uppercase, identifiers lowercase, single-space separated.
     @raise Token.Error on unlexable input. *)
 
 type entry = {

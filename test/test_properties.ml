@@ -661,6 +661,161 @@ let prop_plan_equivalence =
       ok)
 
 (* ------------------------------------------------------------------ *)
+(* Prepared statements: a step equals its text with the values written  *)
+(* in, and binds again after every schema change                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Shapes over t(a INTEGER PRIMARY KEY, b, c) and u(a INTEGER PRIMARY
+   KEY, b, d), with [?] in value positions: point, range, aggregate and
+   join-probe SELECTs, a parameter in a result column, an aggregate's
+   argument, LIMIT and EXPLAIN, then INSERT, UPDATE and DELETE. *)
+let prepared_shapes =
+  [| "SELECT b, c FROM t WHERE a = ?";
+     "SELECT a, b FROM t WHERE a >= ? AND a < ?";
+     "SELECT count(*), sum(a), min(b), max(c) FROM t WHERE a > ?";
+     "SELECT b, count(*), sum(a + ?) FROM t WHERE a <= ? GROUP BY b";
+     "SELECT t.a, u.d FROM t JOIN u ON u.a = t.b WHERE t.a >= ?";
+     "SELECT t.a, u.a FROM t JOIN u ON u.b = t.c AND u.d <> ?";
+     "SELECT a, ? || c FROM t WHERE b = ? ORDER BY a DESC LIMIT ?";
+     "EXPLAIN SELECT b FROM t WHERE a BETWEEN ? AND ? OR b = ?";
+     "EXPLAIN ANALYZE SELECT max(a * ?) FROM t WHERE b = ? ORDER BY max(a * ?)";
+     "INSERT INTO t(b, c) VALUES (?, ?)";
+     "UPDATE t SET c = ?, b = b || ? WHERE a = ?";
+     "DELETE FROM t WHERE a = ? OR c = ?" |]
+
+let n_params sql = String.fold_left (fun n c -> if c = '?' then n + 1 else n) 0 sql
+
+(* Non-negative ints and reals (a negative literal is [Neg (Lit _)], one
+   more work unit), text with quotes, blobs and NULL. *)
+let param_value =
+  QCheck.Gen.(
+    frequency
+      [ (5, map (fun n -> Value.Int (Int64.of_int n)) (int_range 0 8));
+        (2, map (fun n -> Value.Real (float_of_int n /. 4.)) (int_range 0 40));
+        (2, oneofl [ Value.Text "it's"; Value.Text "''"; Value.Text "a"; Value.Text "" ]);
+        (1, oneofl [ Value.Blob "\x00\xff"; Value.Blob "" ]);
+        (1, return Value.Null) ])
+
+let literal v = Parser.to_sql (Sql_ast.Lit v)
+
+(* [sql] with each [?] replaced by the next of [values] as a literal. *)
+let with_literals sql values =
+  let i = ref 0 in
+  String.concat ""
+    (List.mapi
+       (fun k part ->
+         if k = 0 then part
+         else begin
+           let v = values.(!i) in
+           incr i;
+           literal v ^ part
+         end)
+       (String.split_on_char '?' sql))
+
+let prepared_case =
+  QCheck.Gen.(
+    let row = pair (int_range 0 8) (pair param_value param_value) in
+    let rows =
+      map (List.sort_uniq (fun (a, _) (b, _) -> compare a b)) (list_size (int_range 0 8) row)
+    in
+    let step =
+      int_range 0 (Array.length prepared_shapes - 1) >>= fun k ->
+      map (fun vs -> (k, Array.of_list vs))
+        (list_repeat (n_params prepared_shapes.(k)) param_value)
+    in
+    triple rows rows (list_size (int_range 4 8) step))
+
+let print_prepared_case (t_rows, u_rows, steps) =
+  let rows =
+    List.map (fun (a, (b, c)) ->
+        Printf.sprintf "(%d, %s, %s)" a (Value.to_string b) (Value.to_string c))
+  in
+  Printf.sprintf "t: %s\nu: %s\n%s" (String.concat ", " (rows t_rows))
+    (String.concat ", " (rows u_rows))
+    (String.concat "\n"
+       (List.map (fun (k, vs) -> with_literals prepared_shapes.(k) vs) steps))
+
+(* Everything a statement's run shows: the result or the error, the
+   work, the pager traffic and each operator's profile, its EXPLAIN
+   detail rendered. *)
+let observe db run =
+  Db.reset_work db;
+  let r0, w0, _ = Pager.stats (Db.pager db) in
+  let result =
+    match run () with
+    | r -> Ok (r.Db.columns, r.Db.rows, r.Db.affected)
+    | exception Db.Sql_error msg -> Error msg
+  in
+  let r1, w1, _ = Pager.stats (Db.pager db) in
+  let op (o : Db.opstat) =
+    ( (o.os_depth, o.os_name, Lazy.force o.os_detail, o.os_est_rows),
+      (o.os_rows_in, o.os_rows_out, o.os_loops, o.os_reads, o.os_writes, o.os_work) )
+  in
+  let profile (p : Db.profile) =
+    (p.pr_stmt, p.pr_total_work, p.pr_overhead_work, List.map op p.pr_ops)
+  in
+  (result, Db.work db, (r1 - r0, w1 - w0), List.map profile (Db.profiles db))
+
+let prop_prepared_equals_literal =
+  QCheck.Test.make ~name:"prepared statement = its literal text, bound again on schema change"
+    ~count:100
+    (QCheck.make ~print:print_prepared_case prepared_case)
+    (fun (t_rows, u_rows, steps) ->
+      let insert_rows table rows =
+        List.map
+          (fun (a, (x, y)) ->
+            Printf.sprintf "INSERT INTO %s VALUES (%d, %s, %s)" table a (literal x) (literal y))
+          rows
+      in
+      (* the same history on three databases: one steps the statements
+         prepared before every change, one executes the literal texts and
+         one prepares each statement afresh *)
+      let dbs = List.init 3 (fun _ -> Db.open_db ":memory:") in
+      let exec_all sqls =
+        List.iter (fun db -> List.iter (fun sql -> ignore (Db.exec db sql)) sqls) dbs
+      in
+      exec_all
+        ([ "CREATE TABLE t(a INTEGER PRIMARY KEY, b, c)";
+           "CREATE TABLE u(a INTEGER PRIMARY KEY, b, d)" ]
+        @ insert_rows "t" t_rows @ insert_rows "u" u_rows);
+      let kept, texts, fresh =
+        match dbs with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      let prepared = Array.map (Db.prepare kept) prepared_shapes in
+      let agree () =
+        List.for_all
+          (fun (k, values) ->
+            let sql = prepared_shapes.(k) in
+            let text = with_literals sql values in
+            let seen = observe kept (fun () -> Db.step prepared.(k) values) in
+            seen = observe texts (fun () -> Db.exec texts text)
+            && seen = observe fresh (fun () -> Db.step (Db.prepare fresh sql) values)
+            && Sqlstat.fingerprint sql = Sqlstat.fingerprint text)
+          steps
+      in
+      (* u re-created with its columns in another order, and t dropped and
+         re-created so inside a transaction that is rolled back: a
+         statement still bound to the old tables reads the wrong columns *)
+      let changes =
+        [ [];
+          [ "CREATE INDEX t_b ON t(b)"; "CREATE INDEX u_b ON u(b)" ];
+          [ "DROP TABLE u"; "CREATE TABLE u(a INTEGER PRIMARY KEY, d, b)" ]
+          @ insert_rows "u" (List.map (fun (a, (b, d)) -> (a, (d, b))) u_rows);
+          [ "BEGIN"; "DROP TABLE t"; "CREATE TABLE t(a INTEGER PRIMARY KEY, c, b)" ];
+          [ "ROLLBACK" ];
+          [ "VACUUM" ] ]
+      in
+      let ok =
+        List.for_all
+          (fun sqls ->
+            exec_all sqls;
+            agree ())
+          changes
+      in
+      List.iter Db.close dbs;
+      ok)
+
+(* ------------------------------------------------------------------ *)
 (* Protected FS: content must be invariant under cache size and variant *)
 (* ------------------------------------------------------------------ *)
 
@@ -1287,6 +1442,7 @@ let suite =
       qc prop_sql_order_model;
       qc prop_index_consistency;
       qc prop_plan_equivalence;
+      qc prop_prepared_equals_literal;
     ]);
     ("pfs-invariance", [ qc prop_pfs_cache_invariance ]);
     ("wasm-equivalence", [

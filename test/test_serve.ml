@@ -957,6 +957,32 @@ let test_timeline_export () =
     (fun c -> Alcotest.(check bool) (c ^ " series") true (List.mem c counters))
     [ "serve.queue_depth"; "serve.epc_resident"; "serve.completed" ]
 
+(* The CLI's artifacts, pinned by MD5 to those the fleet wrote when each
+   request built, parsed and fingerprinted its own SQL text: [twine serve
+   --enclaves 4 --requests 5000 --sql-stats S --ledger L], retained and
+   streamed, and CI's crash schedule, whose relaunched workers prepare
+   their statements anew. *)
+let test_artifacts_pinned () =
+  let digests name cfg want =
+    let s = Serve.run cfg in
+    let md5 text = Digest.to_hex (Digest.string text) in
+    Alcotest.(check (pair string string))
+      (name ^ ": sql stats and ledger") want
+      (md5 (Serve.render_sqlstats s), md5 (Twine_obs.Ledger.to_string s.Serve.ledger ^ "\n"))
+  in
+  let cfg = { Serve.default_config with Serve.enclaves = 4; requests = 5000 } in
+  let want = ("ff1991de4626d8cf35ee0d84a97f653c", "a3847f32d4faaa998e4e1608cb864466") in
+  digests "retained" { cfg with Serve.retain_requests = true } want;
+  digests "streamed" { cfg with Serve.retain_requests = false } want;
+  digests "crash schedule"
+    { cfg with
+      Serve.requests = 20_000;
+      chaos = chaos "seed=ci;enclave.ecall=crash@200";
+      deadline_ns = 40_000_000;
+      retries = 3;
+      backoff_ns = 50_000 }
+    ("d3c4c9db5c613479d631370dd89c367c", "6e99eede4b9ef51ff3dd391d9cefa2c2")
+
 (* --sql-stats: fleet and per-enclave counts both cover every request,
    and no literal survives into a fingerprint *)
 let test_sqlstats_artifact () =
@@ -1096,5 +1122,6 @@ let () =
           Alcotest.test_case "twine-sqlstats/v1" `Quick test_sqlstats_artifact;
           Alcotest.test_case "twine-slo/v1" `Quick test_slo_artifact;
           Alcotest.test_case "render sections" `Quick test_render_sections;
+          Alcotest.test_case "pinned to the text path" `Quick test_artifacts_pinned;
         ] );
     ]
