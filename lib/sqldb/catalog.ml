@@ -144,16 +144,46 @@ let catalog_root = 1
 
 (* --- catalog (de)serialisation --- *)
 
+(* A name as a catalog record stores it: '%', ';' and ':' as "%25",
+   "%3b" and "%3a", so that ';' between columns and ':' between a
+   column's fields stay separators. A name without them keeps its
+   bytes. *)
+let escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '%' -> Buffer.add_string b "%25"
+      | ';' -> Buffer.add_string b "%3b"
+      | ':' -> Buffer.add_string b "%3a"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let unescape s =
+  match String.split_on_char '%' s with
+  | [] | [ _ ] -> s
+  | first :: rest ->
+      let part p =
+        let n = String.length p in
+        (match if n < 2 then "" else String.sub p 0 2 with
+        | "25" -> "%"
+        | "3b" -> ";"
+        | "3a" -> ":"
+        | _ -> raise (Pager.Corrupt "bad catalog name"))
+        ^ String.sub p 2 (n - 2)
+      in
+      String.concat "" (first :: List.map part rest)
+
 let encode_column c =
   String.concat ":"
-    [ c.col_name; c.col_type; (if c.col_pk then "1" else "0");
+    [ escape c.col_name; escape c.col_type; (if c.col_pk then "1" else "0");
       (if c.col_not_null then "1" else "0") ]
 
 let decode_column s =
   match String.split_on_char ':' s with
   | [ name; ty; pk; nn ] ->
-      { col_name = name; col_type = ty; col_pk = pk = "1"; col_not_null = nn = "1";
-        col_default = None }
+      { col_name = unescape name; col_type = unescape ty; col_pk = pk = "1";
+        col_not_null = nn = "1"; col_default = None }
   | _ -> raise (Pager.Corrupt "bad catalog column")
 
 let rowid_col_of columns =
@@ -215,7 +245,7 @@ let save_catalog t =
       add
         [ Value.Text "index"; Value.Text ii.idx_name;
           Value.Int (Int64.of_int ii.idx_root); Value.Text ii.idx_table;
-          Value.Text (String.concat ";" ii.idx_columns);
+          Value.Text (String.concat ";" (List.map escape ii.idx_columns));
           Value.Int (if ii.idx_unique then 1L else 0L) ])
     t.indexes
 
@@ -242,7 +272,7 @@ let load_catalog t =
             {
               idx_name = name;
               idx_table = table;
-              idx_columns = String.split_on_char ';' cols;
+              idx_columns = List.map unescape (String.split_on_char ';' cols);
               idx_unique = unique = 1L;
               idx_root = Int64.to_int root;
             }

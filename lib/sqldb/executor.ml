@@ -22,19 +22,13 @@ let empty_result = { columns = []; rows = []; affected = 0 }
    binding [i], [Rowid i] its rowid. *)
 type binding = { mutable b_values : Value.t array; mutable b_rowid : int64 }
 
-(* [aggs]: the finished aggregates of the group being projected, read by
-   [Agg] slots. *)
-type env = { rows : binding array; mutable aggs : Value.t array }
+(* [rows]: the joined row, one binding per FROM source; a group being
+   finished puts back the row it began with. [aggs]: the finished
+   aggregates of the group being projected, read by [Agg] slots. *)
+type env = { mutable rows : binding array; mutable aggs : Value.t array }
 
-(* A joined row: each binding's values and rowid. *)
-let snapshot bindings = List.map (fun b -> (b.b_values, b.b_rowid)) bindings
-
-let restore bindings row =
-  List.iter2
-    (fun b (values, rowid) ->
-      b.b_values <- values;
-      b.b_rowid <- rowid)
-    bindings row
+(* An environment over [n] sources, none on a row yet. *)
+let new_env n = { rows = Array.init n (fun _ -> { b_values = [||]; b_rowid = 0L }); aggs = [||] }
 
 (* --- scalar functions --- *)
 
@@ -188,11 +182,9 @@ and eval_binop t env op a b =
           end
       | And | Or -> assert false)
 
-let no_rows () = { rows = [||]; aggs = [||] }
-
 (* A bound expression that reads no row is evaluated up front. *)
 let const_value t e =
-  if Planner.foldable (fun _ -> false) e then Some (eval t (no_rows ()) e) else None
+  if Planner.foldable (fun _ -> false) e then Some (eval t (new_env 0) e) else None
 
 (* --- row (de)coding --- *)
 
@@ -463,33 +455,52 @@ let scan t ti uses (plan : Planner.plan) f =
             else true
           end)
 
-(* Instrumented scan + optional filter used by UPDATE/DELETE: the scan
-   operator owns decode work and page traffic, the filter operator owns
-   the WHERE evaluation. *)
-let scan_instr t ti plan ~scan_op ?filter_op where f =
-  let binding = { b_values = [||]; b_rowid = 0L } in
-  let env = { rows = [| binding |]; aggs = [||] } in
-  in_op t scan_op (fun () ->
-      scan_op.o_loops <- scan_op.o_loops + 1;
-      scan t ti (read_all ti) plan (fun rowid values ->
-          scan_op.o_rows_out <- scan_op.o_rows_out + 1;
-          binding.b_values <- values;
-          binding.b_rowid <- rowid;
-          let keep =
-            match filter_op with
-            | None -> true
-            | Some fo ->
-                in_op t fo (fun () ->
-                    fo.o_rows_in <- fo.o_rows_in + 1;
-                    let k =
-                      match where with
-                      | None -> true
-                      | Some w -> Value.to_bool (eval t env w)
-                    in
-                    if k then fo.o_rows_out <- fo.o_rows_out + 1;
-                    k)
-          in
-          if keep then f rowid values else true))
+(* A FROM source as the row loop reads it: its table, the columns it
+   decodes, its access path and its scan operator. *)
+type source = {
+  src_table : table_info;
+  src_uses : column_use array;
+  src_plan : Planner.plan;
+  src_op : op;
+}
+
+(* The row loop of every SELECT, UPDATE and DELETE: nested loops over
+   [sources], each under its scan operator, put source [i]'s row in
+   [env.rows.(i)]; the filter operator checks [clauses] in order, and [f]
+   runs on each joined row that passes. With no source there is one row,
+   the empty one. The scan operators own decode work and page traffic,
+   the filter its conjuncts. *)
+let row_loop t env sources filter clauses f =
+  let holds e = Value.to_bool (eval t env e) in
+  let row =
+    match filter with
+    | None -> f
+    | Some fo ->
+        let check () =
+          fo.o_rows_in <- fo.o_rows_in + 1;
+          let k = List.for_all holds clauses in
+          if k then fo.o_rows_out <- fo.o_rows_out + 1;
+          k
+        in
+        fun () -> if in_op t fo check then f ()
+  in
+  let rec nest i = function
+    | [] -> row ()
+    | src :: rest ->
+        let op = src.src_op and b = env.rows.(i) in
+        in_op t op (fun () ->
+            op.o_loops <- op.o_loops + 1;
+            Option.iter
+              (fun path ->
+                scan t src.src_table src.src_uses path (fun rowid values ->
+                    op.o_rows_out <- op.o_rows_out + 1;
+                    b.b_values <- values;
+                    b.b_rowid <- rowid;
+                    nest (i + 1) rest;
+                    true))
+              (Planner.bind_probe src.src_plan ~eval:(eval t env)))
+  in
+  nest 0 sources
 
 (* --- INSERT --- *)
 
@@ -534,7 +545,7 @@ let do_insert t b =
         op.o_rows_in <- List.length b.bi_rows;
         let ncols = List.length ti.tbl_columns in
         let affected = ref 0 in
-        let env = no_rows () in
+        let env = new_env 0 in
         List.iter
           (fun row_exprs ->
             if List.length row_exprs <> List.length target_idx then
@@ -695,12 +706,11 @@ let bind_select t (s : select) =
    plain EXPLAIN can render the same tree the executor runs. An
    operator's detail is rendered only when EXPLAIN reads it. *)
 type sel_ctx = {
-  sc_sources : (table_info * string * column_use array * Planner.plan) list;
+  sc_sources : source list;
   sc_select : select;
   sc_labels : string list;
   sc_aggs : expr array;
-  sc_join_conds : expr list;
-  sc_scan_ops : op list;
+  sc_clauses : expr list;  (* the ON clauses, then WHERE *)
   sc_filter_op : op option;
   sc_agg_op : op option;
   sc_project_op : op;
@@ -715,25 +725,20 @@ let no_detail = Lazy.from_val ""
 
 let select_ctx t b =
   let s = b.bs_select and labels = b.bs_labels in
-  let join_conds = List.filter_map (fun j -> j.jt_on) s.sel_joins in
-  let clauses = join_conds @ Option.to_list s.sel_where in
+  let clauses = List.filter_map (fun j -> j.jt_on) s.sel_joins @ Option.to_list s.sel_where in
   let const = const_value t in
   let sources =
     List.mapi
       (fun i (name, ti, uses) ->
         let plan, reason = Planner.plan_for t ti i ~const clauses in
         Planner.record_plan t ti plan reason;
-        (ti, name, uses, plan))
+        { src_table = ti; src_uses = uses; src_plan = plan;
+          src_op =
+            mk_op "scan" (lazy (name ^ ": " ^ Planner.describe plan))
+              ?est:(Planner.estimate t ti plan) })
       b.bs_sources
   in
-  let scan_ops =
-    List.map
-      (fun (ti, name, _, plan) ->
-        mk_op "scan" (lazy (name ^ ": " ^ Planner.describe plan))
-          ?est:(Planner.estimate t ti plan))
-      sources
-  in
-  let chain = ref scan_ops in
+  let chain = ref (List.map (fun src -> src.src_op) sources) in
   let push name detail =
     let op = mk_op ~children:!chain name detail in
     chain := [ op ];
@@ -768,17 +773,13 @@ let select_ctx t b =
   let distinct_op = if s.sel_distinct then Some (push "distinct" no_detail) else None in
   let limit_op =
     if s.sel_limit <> None || s.sel_offset <> None then
+      let clause name = Option.map (fun e -> name ^ " " ^ Planner.render_expr e) in
       Some
         (push "limit"
            (lazy
              (String.concat " "
-                ((match s.sel_limit with
-                 | Some e -> [ "limit " ^ Planner.render_expr e ]
-                 | None -> [])
-                @
-                match s.sel_offset with
-                | Some e -> [ "offset " ^ Planner.render_expr e ]
-                | None -> []))))
+                (List.filter_map Fun.id
+                   [ clause "limit" s.sel_limit; clause "offset" s.sel_offset ]))))
     else None
   in
   {
@@ -786,8 +787,7 @@ let select_ctx t b =
     sc_select = s;
     sc_labels = labels;
     sc_aggs = b.bs_aggs;
-    sc_join_conds = join_conds;
-    sc_scan_ops = scan_ops;
+    sc_clauses = clauses;
     sc_filter_op = filter_op;
     sc_agg_op = agg_op;
     sc_project_op = project_op;
@@ -797,249 +797,155 @@ let select_ctx t b =
     sc_root = List.hd !chain;
   }
 
+(* A group: the joined row it began with, which its bare columns read,
+   and the states of its aggregates. *)
+type group = { g_row : binding array; g_states : agg_state array }
+
+(* An operator over the finished result list: one loop, its rows in and
+   out counted. *)
+let over_result t op rows f =
+  in_op t op (fun () ->
+      op.o_loops <- 1;
+      op.o_rows_in <- List.length rows;
+      let out = f rows in
+      op.o_rows_out <- List.length out;
+      out)
+
+(* Whole ORDER BY keys, compared term by term. *)
+let rec compare_keys a b =
+  match (a, b) with
+  | (va, desc) :: ra, (vb, _) :: rb ->
+      let cv = Value.compare va vb in
+      let cv = if desc then -cv else cv in
+      if cv <> 0 then cv else compare_keys ra rb
+  | _ -> 0
+
+(* Aggregation under [op]: each joined row from [row_loop] folds into
+   its group, its GROUP BY key evaluated once; then each group that
+   passes HAVING goes to [emit] over the row it began with. *)
+let aggregate t c env op emit =
+  let s = c.sc_select and aggs = c.sc_aggs in
+  let groups = Hashtbl.create 16 and order = ref [] in
+  let new_group () =
+    let g =
+      { g_row = Array.map (fun b -> { b_values = b.b_values; b_rowid = b.b_rowid }) env.rows;
+        g_states = Array.map (fun _ -> new_agg ()) aggs }
+    in
+    order := g :: !order;
+    g
+  in
+  let eval_row e = eval t env e in
+  let fold () =
+    op.o_rows_in <- op.o_rows_in + 1;
+    let g =
+      match (s.sel_group, !order) with
+      | [], g :: _ -> g
+      | [], [] -> new_group ()
+      | terms, _ -> (
+          let k = Record.encode (List.map eval_row terms) in
+          match Hashtbl.find_opt groups k with
+          | Some g -> g
+          | None ->
+              let g = new_group () in
+              Hashtbl.add groups k g;
+              g)
+    in
+    update_aggs t env g.g_states aggs 0
+  in
+  row_loop t env c.sc_sources c.sc_filter_op c.sc_clauses (fun () -> in_op t op fold);
+  in_op t op (fun () ->
+      op.o_loops <- 1;
+      if s.sel_group = [] && !order = [] then begin
+        (* an aggregate over no rows still yields one row, whose columns
+           read NULL *)
+        List.iteri
+          (fun i src ->
+            env.rows.(i).b_values <- Array.make (List.length src.src_table.tbl_columns) Value.Null)
+          c.sc_sources;
+        ignore (new_group ())
+      end;
+      List.iter
+        (fun g ->
+          env.rows <- g.g_row;
+          env.aggs <- Array.map2 agg_final aggs g.g_states;
+          let having = match s.sel_having with None -> true | Some h -> Value.to_bool (eval_row h) in
+          if having then begin
+            op.o_rows_out <- op.o_rows_out + 1;
+            emit ()
+          end)
+        (List.rev !order))
+
+(* Each joined row from [row_loop] is projected, with its ORDER BY key,
+   or aggregated; sort, DISTINCT and LIMIT then run over the finished
+   result list. *)
 let do_select t b =
   let c = select_ctx t b in
-  let s = c.sc_select in
-  let labels = c.sc_labels in
-  let bindings = List.map (fun _ -> { b_values = [||]; b_rowid = 0L }) c.sc_sources in
-  let env = { rows = Array.of_list bindings; aggs = [||] } in
-  let restore = restore bindings in
-  let project_row () =
-    in_op t c.sc_project_op (fun () ->
-        c.sc_project_op.o_rows_in <- c.sc_project_op.o_rows_in + 1;
-        c.sc_project_op.o_loops <- c.sc_project_op.o_loops + 1;
-        let vals = List.map (fun (e, _) -> eval t env e) s.sel_exprs in
-        c.sc_project_op.o_rows_out <- c.sc_project_op.o_rows_out + 1;
-        vals)
+  let s = c.sc_select and project_op = c.sc_project_op in
+  let env = new_env (List.length c.sc_sources) in
+  let eval_row e = eval t env e in
+  (* the result rows, newest first, and their ORDER BY keys *)
+  let results = ref [] and keys = ref [] in
+  let value (e, _) = eval_row e in
+  let project () =
+    project_op.o_rows_in <- project_op.o_rows_in + 1;
+    project_op.o_loops <- project_op.o_loops + 1;
+    let vals = List.map value s.sel_exprs in
+    project_op.o_rows_out <- project_op.o_rows_out + 1;
+    results := vals :: !results
   in
-  if c.sc_sources = [] then begin
-    (* SELECT without FROM *)
-    let vals = project_row () in
-    ({ columns = labels; rows = [ vals ]; affected = 0 }, [ c.sc_root ])
-  end
-  else begin
-    (* produce joined rows: nested loops over sources *)
-    let rows = ref [] in
-    let emit_row () =
-      let keep =
-        match c.sc_filter_op with
-        | None -> true
-        | Some fo ->
-            in_op t fo (fun () ->
-                fo.o_rows_in <- fo.o_rows_in + 1;
-                let k =
-                  List.for_all (fun cond -> Value.to_bool (eval t env cond)) c.sc_join_conds
-                  && match s.sel_where with
-                     | None -> true
-                     | Some w -> Value.to_bool (eval t env w)
-                in
-                if k then fo.o_rows_out <- fo.o_rows_out + 1;
-                k)
-      in
-      if keep then rows := snapshot bindings :: !rows
-    in
-    let rec loop srcs bnds ops =
-      match (srcs, bnds, ops) with
-      | [], [], [] -> emit_row ()
-      | (ti, _, uses, plan) :: srest, b :: brest, op :: orest ->
-          in_op t op (fun () ->
-              op.o_loops <- op.o_loops + 1;
-              Option.iter
-                (fun path ->
-                  scan t ti uses path (fun rowid values ->
-                      op.o_rows_out <- op.o_rows_out + 1;
-                      b.b_values <- values;
-                      b.b_rowid <- rowid;
-                      loop srest brest orest;
-                      true))
-                (Planner.bind_probe plan ~eval:(eval t env)))
-      | _ -> assert false
-    in
-    loop c.sc_sources bindings c.sc_scan_ops;
-    let materialized = List.rev !rows in
-    let n_mat = List.length materialized in
-    (* in aggregation, the row and aggregates that each result row's
-       ORDER BY expressions read *)
-    let group_ctxs = ref [] in
-    let result_rows =
-      match c.sc_agg_op with
-      | Some agg_op ->
-          in_op t agg_op (fun () ->
-              agg_op.o_loops <- 1;
-              agg_op.o_rows_in <- n_mat;
-              let aggs = c.sc_aggs in
-              (* the group's finished aggregates over its first row, then
-                 HAVING and the projection *)
-              let finish states =
-                env.aggs <- Array.map2 agg_final aggs states;
-                let having_ok =
-                  match s.sel_having with
-                  | None -> true
-                  | Some h -> Value.to_bool (eval t env h)
-                in
-                if having_ok then begin
-                  group_ctxs := (snapshot bindings, env.aggs) :: !group_ctxs;
-                  Some (project_row ())
-                end
-                else None
-              in
-              let out =
-                if s.sel_group = [] then begin
-                  (* one group: every row folds into one state array *)
-                  let states = Array.map (fun _ -> new_agg ()) aggs in
-                  List.iter
-                    (fun row ->
-                      restore row;
-                      update_aggs t env states aggs 0)
-                    materialized;
-                  (match materialized with
-                  | first :: _ -> restore first
-                  | [] ->
-                      (* aggregate over empty input still yields one row,
-                         whose columns read NULL *)
-                      List.iter2
-                        (fun b (ti, _, _, _) ->
-                          b.b_values <- Array.make (List.length ti.tbl_columns) Value.Null)
-                        bindings c.sc_sources);
-                  Option.to_list (finish states)
-                end
+  (* an ORDER BY term of the row just projected *)
+  let term o =
+    match o.ord_expr with
+    | Bound (Output i, _) -> (List.nth (List.hd !results) i, o.ord_desc)
+    | e -> (eval_row e, o.ord_desc)
+  in
+  let sort_key () = keys := List.map term s.sel_order :: !keys in
+  (* the row or group in [env] as a result row, with its key *)
+  let emit () =
+    in_op t project_op project;
+    match c.sc_sort_op with None -> () | Some op -> in_op t op sort_key
+  in
+  (match c.sc_agg_op with
+  | None -> row_loop t env c.sc_sources c.sc_filter_op c.sc_clauses emit
+  | Some op -> aggregate t c env op emit);
+  let rows = List.rev !results in
+  let rows =
+    match c.sc_sort_op with
+    | None -> rows
+    | Some op ->
+        over_result t op rows (fun rows ->
+            let keyed = List.combine (List.rev !keys) rows in
+            List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare_keys a b) keyed))
+  in
+  let rows =
+    match c.sc_distinct_op with
+    | None -> rows
+    | Some op ->
+        over_result t op rows (fun rows ->
+            let seen = Hashtbl.create 16 in
+            List.filter
+              (fun vals ->
+                let k = Record.encode vals in
+                if Hashtbl.mem seen k then false
                 else begin
-                  let groups : (string, Value.t list * agg_state array) Hashtbl.t =
-                    Hashtbl.create 16
-                  in
-                  let order = ref [] in
-                  List.iter
-                    (fun row ->
-                      restore row;
-                      let key_vals = List.map (fun g -> eval t env g) s.sel_group in
-                      let key = Record.encode key_vals in
-                      let _, states =
-                        match Hashtbl.find_opt groups key with
-                        | Some g -> g
-                        | None ->
-                            let g = (key_vals, Array.map (fun _ -> new_agg ()) aggs) in
-                            Hashtbl.add groups key g;
-                            order := key :: !order;
-                            g
-                      in
-                      update_aggs t env states aggs 0)
-                    materialized;
-                  List.filter_map
-                    (fun key ->
-                      let key_vals, states = Hashtbl.find groups key in
-                      (* restore a representative row for non-aggregate refs:
-                         the first row of the group *)
-                      (match
-                         List.find_opt
-                           (fun row ->
-                             restore row;
-                             List.map (fun g -> eval t env g) s.sel_group = key_vals)
-                           materialized
-                       with
-                      | Some row -> restore row
-                      | None -> ());
-                      finish states)
-                    (List.rev !order)
-                end
-              in
-              agg_op.o_rows_out <- List.length out;
-              out)
-      | None ->
-          List.map
-            (fun row ->
-              restore row;
-              project_row ())
-            materialized
-    in
-    let result_rows =
-      match c.sc_sort_op with
-      | None -> result_rows
-      | Some sort_op ->
-          in_op t sort_op (fun () ->
-              sort_op.o_loops <- 1;
-              sort_op.o_rows_in <- List.length result_rows;
-              let ctxs =
-                match c.sc_agg_op with
-                | Some _ -> List.rev !group_ctxs
-                | None -> List.map (fun row -> (row, [||])) materialized
-              in
-              let keyed =
-                List.map2
-                  (fun (row, aggs) vals ->
-                    restore row;
-                    env.aggs <- aggs;
-                    let key =
-                      List.map
-                        (fun o ->
-                          match o.ord_expr with
-                          | Bound (Output i, _) -> (List.nth vals i, o.ord_desc)
-                          | e -> (eval t env e, o.ord_desc))
-                        s.sel_order
-                    in
-                    (key, vals))
-                  ctxs result_rows
-              in
-              let cmp (ka, _) (kb, _) =
-                let rec go a b =
-                  match (a, b) with
-                  | [], [] -> 0
-                  | (va, desc) :: ra, (vb, _) :: rb ->
-                      let cv = Value.compare va vb in
-                      let cv = if desc then -cv else cv in
-                      if cv <> 0 then cv else go ra rb
-                  | _ -> 0
-                in
-                go ka kb
-              in
-              let out = List.map snd (List.stable_sort cmp keyed) in
-              sort_op.o_rows_out <- List.length out;
-              out)
-    in
-    let result_rows =
-      match c.sc_distinct_op with
-      | None -> result_rows
-      | Some dop ->
-          in_op t dop (fun () ->
-              dop.o_loops <- 1;
-              dop.o_rows_in <- List.length result_rows;
-              let seen = Hashtbl.create 16 in
-              let out =
-                List.filter
-                  (fun vals ->
-                    let k = Record.encode vals in
-                    if Hashtbl.mem seen k then false
-                    else begin
-                      Hashtbl.add seen k ();
-                      true
-                    end)
-                  result_rows
-              in
-              dop.o_rows_out <- List.length out;
-              out)
-    in
-    let result_rows =
-      match c.sc_limit_op with
-      | None -> result_rows
-      | Some lop ->
-          in_op t lop (fun () ->
-              lop.o_loops <- 1;
-              lop.o_rows_in <- List.length result_rows;
-              let off =
-                match s.sel_offset with
-                | Some e -> Int64.to_int (Value.to_int64 (eval t env e))
-                | None -> 0
-              in
-              let lim =
-                match s.sel_limit with
-                | Some e -> Int64.to_int (Value.to_int64 (eval t env e))
-                | None -> max_int
-              in
-              let out = List.filteri (fun i _ -> i >= off && i < off + lim) result_rows in
-              lop.o_rows_out <- List.length out;
-              out)
-    in
-    ({ columns = labels; rows = result_rows; affected = 0 }, [ c.sc_root ])
-  end
+                  Hashtbl.add seen k ();
+                  true
+                end)
+              rows)
+  in
+  let rows =
+    match c.sc_limit_op with
+    | None -> rows
+    | Some op ->
+        over_result t op rows (fun rows ->
+            let bound e default =
+              match e with Some e -> Int64.to_int (Value.to_int64 (eval_row e)) | None -> default
+            in
+            let off = bound s.sel_offset 0 in
+            let lim = bound s.sel_limit max_int in
+            List.filteri (fun i _ -> i >= off && i < off + lim) rows)
+  in
+  ({ columns = c.sc_labels; rows; affected = 0 }, [ c.sc_root ])
 
 (* --- UPDATE / DELETE --- *)
 
@@ -1070,64 +976,69 @@ let bind_mutation t tbl sets where =
 let mutation_tree t ti name where =
   let plan, reason = Planner.plan_for t ti 0 ~const:(const_value t) (Option.to_list where) in
   Planner.record_plan t ti plan reason;
-  let scan_op =
-    mk_op "scan" (lazy (ti.tbl_name ^ ": " ^ Planner.describe plan))
-      ?est:(Planner.estimate t ti plan)
+  let src =
+    { src_table = ti; src_uses = read_all ti; src_plan = plan;
+      src_op =
+        mk_op "scan" (lazy (ti.tbl_name ^ ": " ^ Planner.describe plan))
+          ?est:(Planner.estimate t ti plan) }
   in
   let filter_op =
     match where with
     | None -> None
-    | Some w -> Some (mk_op ~children:[ scan_op ] "filter" (lazy (Planner.render_expr w)))
+    | Some w -> Some (mk_op ~children:[ src.src_op ] "filter" (lazy (Planner.render_expr w)))
   in
-  let feed = match filter_op with Some fo -> fo | None -> scan_op in
-  let top = mk_op ~children:[ feed ] name (Lazy.from_val ti.tbl_name) in
-  (plan, scan_op, filter_op, top)
+  let feed = match filter_op with Some fo -> fo | None -> src.src_op in
+  (src, filter_op, mk_op ~children:[ feed ] name (Lazy.from_val ti.tbl_name))
 
-let do_update t { bm_table = ti; bm_sets = set_idx; bm_where = upd_where } =
-  let plan, scan_op, filter_op, upd_op = mutation_tree t ti "update" upd_where in
-  let victims = ref [] in
-  scan_instr t ti plan ~scan_op ?filter_op upd_where (fun rowid values ->
-      victims := (rowid, values) :: !victims;
-      true);
+(* The rows [where] keeps, each with its rowid, in reverse scan order,
+   and the environment the row loop read them into. *)
+let victims t src filter where =
+  let env = new_env 1 in
+  let rows = ref [] in
+  row_loop t env [ src ] filter (Option.to_list where) (fun () ->
+      let b = env.rows.(0) in
+      rows := (b.b_rowid, b.b_values) :: !rows);
+  (env, !rows)
+
+let do_update t { bm_table = ti; bm_sets = set_idx; bm_where } =
+  let src, filter, upd_op = mutation_tree t ti "update" bm_where in
+  let env, rows = victims t src filter bm_where in
+  let n = List.length rows and b = env.rows.(0) in
   let r =
     in_op t upd_op (fun () ->
         upd_op.o_loops <- 1;
-        upd_op.o_rows_in <- List.length !victims;
-        let binding = { b_values = [||]; b_rowid = 0L } in
-        let env = { rows = [| binding |]; aggs = [||] } in
+        upd_op.o_rows_in <- n;
         List.iter
           (fun (rowid, values) ->
-            binding.b_values <- values;
-            binding.b_rowid <- rowid;
+            b.b_values <- values;
+            b.b_rowid <- rowid;
             let updated = Array.copy values in
             List.iter (fun (i, e) -> updated.(i) <- eval t env e) set_idx;
             (* rowid change unsupported (as in our Speedtest1 workloads) *)
             index_delete_row t ti values rowid;
             index_insert_row t ti updated rowid;
             Btree.insert_table t.pager ~root:ti.tbl_root ~rowid (encode_row ti updated))
-          (List.rev !victims);
-        upd_op.o_rows_out <- List.length !victims;
-        { empty_result with affected = List.length !victims })
+          (List.rev rows);
+        upd_op.o_rows_out <- n;
+        { empty_result with affected = n })
   in
   (r, [ upd_op ])
 
-let do_delete t { bm_table = ti; bm_where = del_where; _ } =
-  let plan, scan_op, filter_op, del_op = mutation_tree t ti "delete" del_where in
-  let victims = ref [] in
-  scan_instr t ti plan ~scan_op ?filter_op del_where (fun rowid values ->
-      victims := (rowid, values) :: !victims;
-      true);
+let do_delete t { bm_table = ti; bm_where; _ } =
+  let src, filter, del_op = mutation_tree t ti "delete" bm_where in
+  let _, rows = victims t src filter bm_where in
+  let n = List.length rows in
   let r =
     in_op t del_op (fun () ->
         del_op.o_loops <- 1;
-        del_op.o_rows_in <- List.length !victims;
+        del_op.o_rows_in <- n;
         List.iter
           (fun (rowid, values) ->
             index_delete_row t ti values rowid;
             ignore (Btree.delete_table t.pager ~root:ti.tbl_root rowid))
-          !victims;
-        del_op.o_rows_out <- List.length !victims;
-        { empty_result with affected = List.length !victims })
+          rows;
+        del_op.o_rows_out <- n;
+        { empty_result with affected = n })
   in
   (r, [ del_op ])
 
@@ -1584,10 +1495,10 @@ let plan_tree t bound =
   | Insert_b b ->
       [ mk_op "insert" (Lazy.from_val b.bi_table.tbl_name) ~est:(List.length b.bi_rows) ]
   | Update_b m ->
-      let _, _, _, top = mutation_tree t m.bm_table "update" m.bm_where in
+      let _, _, top = mutation_tree t m.bm_table "update" m.bm_where in
       [ top ]
   | Delete_b m ->
-      let _, _, _, top = mutation_tree t m.bm_table "delete" m.bm_where in
+      let _, _, top = mutation_tree t m.bm_table "delete" m.bm_where in
       [ top ]
   | Explain_b _ -> fail "cannot EXPLAIN an EXPLAIN"
   | Unbound stmt -> (

@@ -70,6 +70,23 @@ let order_term sources labels grouped o =
   in
   { o with ord_expr }
 
+(* A GROUP BY term that is an integer K names the K-th result column of
+   [exprs] and is bound as that column's expression, as in SQLite; no
+   term may hold an aggregate. *)
+let group_term sources exprs e =
+  let e =
+    match e with
+    | Lit (Value.Int k) ->
+        let n = List.length exprs in
+        if k < 1L || k > Int64.of_int n then
+          Catalog.fail "GROUP BY term out of range - should be between 1 and %d" n;
+        fst (List.nth exprs (Int64.to_int k - 1))
+    | e -> e
+  in
+  if not (for_all_sub (fun e -> not (is_aggregate e)) e) then
+    Catalog.fail "aggregate functions are not allowed in the GROUP BY clause";
+  bind sources None e
+
 let bind_select sources s =
   let aggs = ref [] in
   let in_result = Some aggs and plain e = bind sources None e in
@@ -95,9 +112,11 @@ let bind_select sources s =
   let sel_exprs = List.map (fun (e, alias) -> (bind sources in_result e, alias)) exprs in
   let sel_joins = List.map (fun j -> { j with jt_on = Option.map plain j.jt_on }) s.sel_joins in
   let sel_where = Option.map plain s.sel_where in
-  let sel_group = List.map plain s.sel_group in
+  let sel_group = List.map (group_term sources exprs) s.sel_group in
   let sel_having = Option.map (bind sources in_result) s.sel_having in
   let grouped = if sel_group <> [] || !aggs <> [] then in_result else None in
+  if sel_having <> None && grouped = None then
+    Catalog.fail "HAVING clause on a non-aggregate query";
   let sel_order = List.map (order_term sources labels grouped) s.sel_order in
   let sel_limit = Option.map constant s.sel_limit in
   let sel_offset = Option.map constant s.sel_offset in

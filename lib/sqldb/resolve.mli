@@ -21,8 +21,11 @@ val bind_select :
 (** The statement with [*] expanded and every expression bound, its
     result labels, and its aggregate calls in slot order. It aggregates
     when it has a GROUP BY or an aggregate in its result or HAVING; only
-    then may ORDER BY hold one. An ORDER BY position, or a label that
-    outside aggregation names no source column, becomes
-    [Bound (Output i, _)]; any other term is bound as an expression.
-    @raise Catalog.Sql_error as {!bind} does, and on a position out of
-    range. *)
+    then may ORDER BY hold one, and only then may it have a HAVING. A
+    GROUP BY position is bound as that result column's expression. An
+    ORDER BY position, or a label that outside aggregation names no
+    source column, becomes [Bound (Output i, _)]; any other term is bound
+    as an expression.
+    @raise Catalog.Sql_error as {!bind} does, on a position out of range,
+    on an aggregate in GROUP BY, and on a HAVING that does not
+    aggregate. *)

@@ -90,24 +90,35 @@ let rem a b =
     (fun x y -> if y = 0. then Null else Real (Float.rem x y))
     a b
 
-let concat a b =
-  match (a, b) with
-  | Null, _ | _, Null -> Null
-  | _ ->
-      let s = function
-        | Text s | Blob s -> s
-        | Int v -> Int64.to_string v
-        | Real v -> Printf.sprintf "%g" v
-        | Null -> ""
-      in
-      Text (s a ^ s b)
+(* A REAL as SQLite's "%!.15g" writes it: 15 significant digits, with
+   ".0" added, before the exponent if there is one, when they have no
+   point. *)
+let real_text f =
+  match Float.classify_float f with
+  | FP_nan -> "NaN"
+  | FP_infinite -> if f > 0. then "Inf" else "-Inf"
+  | FP_zero -> "0.0"
+  | FP_normal | FP_subnormal -> (
+      let s = Printf.sprintf "%.15g" f in
+      if String.contains s '.' then s
+      else
+        match String.index_opt s 'e' with
+        | Some i -> String.sub s 0 i ^ ".0" ^ String.sub s i (String.length s - i)
+        | None -> s ^ ".0")
 
 let to_string = function
   | Null -> "NULL"
   | Int v -> Int64.to_string v
-  | Real v -> Printf.sprintf "%g" v
+  | Real v -> real_text v
   | Text s -> s
   | Blob s -> "x'" ^ Twine_crypto.Hexcodec.encode s ^ "'"
+
+let concat a b =
+  match (a, b) with
+  | Null, _ | _, Null -> Null
+  | _ ->
+      let s = function Text s | Blob s -> s | v -> to_string v in
+      Text (s a ^ s b)
 
 let to_int64 = function
   | Int v -> v

@@ -545,6 +545,44 @@ let sql_predicate cols =
         (1, map (fun k -> Printf.sprintf "%s = {%s}" k col) sql_constant);
         (2, map2 (Printf.sprintf "{%s} BETWEEN %s AND %s" col) sql_constant sql_constant) ])
 
+(* A predicate over constants: a bare constant, comparisons, BETWEEN and
+   IS NULL, under NOT, AND and OR. *)
+let const_predicate =
+  QCheck.Gen.(
+    let c = sql_constant in
+    let atom =
+      frequency
+        [ (2, c);
+          (4, map3 (Printf.sprintf "%s %s %s") c (oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ]) c);
+          (1, map3 (Printf.sprintf "%s BETWEEN %s AND %s") c c c);
+          (1, map (Printf.sprintf "%s IS NULL") c) ]
+    in
+    sized_size (int_bound 2)
+    @@ fix (fun self n ->
+           if n = 0 then atom
+           else
+             frequency
+               [ (2, atom);
+                 (1, map (Printf.sprintf "NOT (%s)") (self (n - 1)));
+                 (1, map2 (Printf.sprintf "(%s) AND (%s)") (self (n - 1)) (self (n - 1)));
+                 (1, map2 (Printf.sprintf "(%s) OR (%s)") (self (n - 1)) (self (n - 1))) ]))
+
+(* TLP over the one row of a SELECT without FROM: exactly one of p,
+   NOT p and p IS NULL keeps it. *)
+let prop_fromless_partitions =
+  QCheck.Test.make ~name:"SELECT without FROM: p, NOT p and p IS NULL count 1" ~count:300
+    (QCheck.make ~print:Fun.id const_predicate)
+    (fun p ->
+      let db = Db.open_db ":memory:" in
+      let count where =
+        match Db.query db ("SELECT count(*) WHERE " ^ where) with
+        | [ [ Value.Int n ] ] -> Int64.to_int n
+        | _ -> -1
+      in
+      let n = count p + count ("NOT (" ^ p ^ ")") + count ("(" ^ p ^ ") IS NULL") in
+      Db.close db;
+      n = 1)
+
 (* t(a INTEGER PRIMARY KEY, b, c) and u(a INTEGER PRIMARY KEY, b, d), both
    indexed on b: FROM clauses probing by rowid and by index, through
    aliases (bare and with AS), unqualified columns and an unqualified
@@ -1442,6 +1480,7 @@ let suite =
       qc prop_sql_order_model;
       qc prop_index_consistency;
       qc prop_plan_equivalence;
+      qc prop_fromless_partitions;
       qc prop_prepared_equals_literal;
     ]);
     ("pfs-invariance", [ qc prop_pfs_cache_invariance ]);
